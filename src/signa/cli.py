@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .errors import (
@@ -28,16 +29,17 @@ from .errors import (
     SignaError,
 )
 
-ABLATE_VARIANTS = (
-    "none",
-    "no_dropout",
-    "nfm",
-    "no_stoch_mask",
-    "all_mask",
-    "jsd",
-    "info_nce",
-    "all_off",
-)
+# `ablate` variants and the config overrides each merges into the base config
+ABLATE_VARIANTS = {
+    "none": {},
+    "no_dropout": {"ablation": "no_dropout"},
+    "nfm": {"ablation": "nfm"},
+    "no_stoch_mask": {"ablation": "no_stoch_mask"},
+    "all_mask": {"ablation": "all_mask"},
+    "jsd": {"estimator": {"kind": "jsd"}},
+    "info_nce": {"estimator": {"kind": "info_nce"}},
+    "all_off": {"ablation": "no_dropout", "mask_rate": 0.0, "estimator": {"kind": "jsd"}},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,16 @@ def _mean_std(values: list[float]) -> tuple[float, float | None]:
     return mean, std
 
 
+def _probe_scores(emb, labels, runs: int, seed: int) -> tuple[list[float], list[float]]:
+    """Linear-probe micro-F1 and accuracy over `runs` splits drawn from `seed`."""
+    from . import diffcore as dc
+    from .evaluate import ProbeConfig, linear_probe, make_splits
+
+    splits = make_splits(labels, num_runs=runs, rng=dc.RngStream(seed, "split"))
+    scores = [linear_probe(emb, labels, split, ProbeConfig()) for split in splits]
+    return [f1 for f1, _ in scores], [acc for _, acc in scores]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -146,20 +158,32 @@ def _cmd_homophily(args) -> int:
     return 0
 
 
-def _effective_config(args, raw: dict):
-    """Apply flag overrides (flag > config > default) and validate."""
+def _flag_overrides(args, seed) -> dict:
+    """Config values set by flags (flag > config > default)."""
+    overrides = {}
+    if seed is not None:
+        overrides["seed"] = seed
+    if args.precision is not None:
+        overrides["precision"] = args.precision
+    if getattr(args, "ablation", None) is not None:
+        overrides["ablation"] = args.ablation
+    if args.quiet:
+        overrides["log_every"] = 0
+    return overrides
+
+
+def _config_with(raw: dict, overrides: dict):
+    """Validate `raw` with `overrides` merged in; nested objects merge key by key."""
     from .trainer import TrainConfig
 
-    raw = json.loads(json.dumps(raw))  # deep copy, JSON-only types
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.precision is not None:
-        raw["precision"] = args.precision
-    if getattr(args, "ablation", None) is not None:
-        raw["ablation"] = args.ablation
-    if args.quiet:
-        raw["log_every"] = 0
-    return TrainConfig.from_dict(raw)
+    doc = json.loads(json.dumps(raw))  # deep copy, JSON-only types
+    for key, value in overrides.items():
+        if isinstance(value, dict):
+            if not isinstance(doc.get(key, {}), dict):
+                raise ConfigError(f"config key {key!r} must be an object")
+            value = {**doc.get(key, {}), **value}
+        doc[key] = value
+    return TrainConfig.from_dict(doc)
 
 
 def _cmd_train(args) -> int:
@@ -168,7 +192,7 @@ def _cmd_train(args) -> int:
     from .trainer import apply_ablation, save_checkpoint, train
 
     started = _now()
-    config = _effective_config(args, _load_config_dict(args.config))
+    config = _config_with(_load_config_dict(args.config), _flag_overrides(args, args.seed))
     dc.set_precision(config.precision)
     graph = load_graph(args.edges, args.features)
     state, curve = train(graph, config)
@@ -228,13 +252,10 @@ def _cmd_eval(args) -> int:
     import numpy as np
 
     from . import diffcore as dc
-    from .encoder import ModelSpec, inference_embeddings
+    from .encoder import inference_embeddings
     from .evaluate import (
-        ProbeConfig,
         kmeans,
         homogeneity,
-        linear_probe,
-        make_splits,
         nmi,
         similarity_histograms,
         timing_harness,
@@ -256,12 +277,7 @@ def _cmd_eval(args) -> int:
         emb = inference_embeddings(state, state.spec, graph).data
 
     if args.mode == "classify":
-        splits = make_splits(graph.labels, num_runs=args.runs, rng=dc.RngStream(seed, "split"))
-        f1s, accs = [], []
-        for split in splits:
-            f1, acc = linear_probe(emb, graph.labels, split, ProbeConfig())
-            f1s.append(f1)
-            accs.append(acc)
+        f1s, accs = _probe_scores(emb, graph.labels, args.runs, seed)
         f1_mean, f1_std = _mean_std(f1s)
         acc_mean, acc_std = _mean_std(accs)
         report.update(
@@ -309,9 +325,8 @@ def _cmd_eval(args) -> int:
             }
         )
     else:  # timing
-        base = state.spec.to_dict()
-        spec_mlp = ModelSpec(**{**base, "base_encoder": "linear"})
-        spec_gconv = ModelSpec(**{**base, "base_encoder": "gconv"})
+        spec_mlp = replace(state.spec, base_encoder="linear")
+        spec_gconv = replace(state.spec, base_encoder="gconv")
         timing = timing_harness(graph, spec_mlp, spec_gconv, repeats=args.repeats)
         report.update(
             {
@@ -353,33 +368,19 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-def _variant_config_dict(raw: dict, variant: str) -> dict:
-    """Rewrite a base config dict for one ablation-table variant."""
-    doc = json.loads(json.dumps(raw))
-    doc.setdefault("estimator", {})
-    if variant in ("no_dropout", "nfm", "no_stoch_mask", "all_mask"):
-        doc["ablation"] = variant
-    elif variant in ("jsd", "info_nce"):
-        doc["estimator"]["kind"] = variant
-    elif variant == "all_off":
-        doc["ablation"] = "no_dropout"
-        doc["mask_rate"] = 0.0
-        doc["estimator"]["kind"] = "jsd"
-    return doc
-
-
 def _cmd_ablate(args) -> int:
     from . import diffcore as dc
     from .encoder import inference_embeddings
-    from .evaluate import ProbeConfig, linear_probe, make_splits
     from .graphdata import load_graph
-    from .trainer import TrainConfig, train
+    from .trainer import train
 
     started = _now()
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     bad = [v for v in variants if v not in ABLATE_VARIANTS]
     if bad:
-        raise ConfigError(f"unknown ablation variants: {', '.join(bad)} (choose from {ABLATE_VARIANTS})")
+        raise ConfigError(
+            f"unknown ablation variants: {', '.join(bad)} (choose from {', '.join(ABLATE_VARIANTS)})"
+        )
     raw = _load_config_dict(args.config)
     base_seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     seeds = (
@@ -397,24 +398,11 @@ def _cmd_ablate(args) -> int:
         per_seed_f1, per_seed_acc = [], []
         try:
             for seed in seeds:
-                doc = _variant_config_dict(raw, variant)
-                doc["seed"] = seed
-                if args.precision is not None:
-                    doc["precision"] = args.precision
-                if args.quiet:
-                    doc["log_every"] = 0
-                config = TrainConfig.from_dict(doc)
+                config = _config_with(raw, {**ABLATE_VARIANTS[variant], **_flag_overrides(args, seed)})
                 dc.set_precision(config.precision)
                 state, _curve = train(graph, config)
                 emb = inference_embeddings(state, state.spec, graph).data
-                splits = make_splits(
-                    graph.labels, num_runs=args.probe_runs, rng=dc.RngStream(seed, "split")
-                )
-                f1s, accs = [], []
-                for split in splits:
-                    f1, acc = linear_probe(emb, graph.labels, split, ProbeConfig())
-                    f1s.append(f1)
-                    accs.append(acc)
+                f1s, accs = _probe_scores(emb, graph.labels, args.probe_runs, seed)
                 per_seed_f1.append(float(sum(f1s) / len(f1s)))
                 per_seed_acc.append(float(sum(accs) / len(accs)))
             f1_mean, f1_std = _mean_std(per_seed_f1)
@@ -487,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-loss-curve", default=None)
-    p.add_argument("--ablation", choices=("none", "no_dropout", "nfm", "no_stoch_mask", "all_mask"))
+    p.add_argument("--ablation", default=None, help="override the config's ablation variant")
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a frozen checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -513,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--variants", default="none,no_dropout,nfm,no_stoch_mask,all_mask,jsd,info_nce,all_off")
+    p.add_argument("--variants", default=",".join(ABLATE_VARIANTS))
     p.add_argument("--seeds", default=None, help="comma-separated; overrides --num-seeds")
     p.add_argument("--num-seeds", type=int, default=3)
     p.add_argument("--probe-runs", type=int, default=3)

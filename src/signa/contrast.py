@@ -9,7 +9,7 @@ a plain JSD variant (sigmoid of inner products), and an InfoNCE variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,18 +82,11 @@ def draw_masks(graph: Graph, alpha: float, rng: dc.RngStream, epoch: int = 0) ->
 
 @dataclass
 class EstimatorSpec:
-    """Which contrastive objective to use and its numeric knobs.
-
-    `target_pos`/`target_neg` are the similarity targets (delta, lambda)
-    used by the expectation check; the norm-JSD objective drives targets
-    toward 1 and 0.
-    """
+    """Which contrastive objective to use and its numeric knobs."""
 
     kind: str = "norm_jsd"
     temperature: float = 0.5
     clamp_eps: float = 1e-7
-    target_pos: float = 1.0
-    target_neg: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
@@ -104,13 +97,7 @@ class EstimatorSpec:
             raise ConfigError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "temperature": self.temperature,
-            "clamp_eps": self.clamp_eps,
-            "target_pos": self.target_pos,
-            "target_neg": self.target_neg,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------

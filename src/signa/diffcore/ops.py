@@ -400,6 +400,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None  # fully pushed to the parents; free it before the rest runs
 
     for node in topo:
         node._consumed = True

@@ -7,7 +7,7 @@ consumed downstream; the projector exists only for the contrastive loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,16 +50,7 @@ class ModelSpec:
                 raise ConfigError(f"{field} must be one of {ACTIVATION_KINDS}, got {kind!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "base_encoder": self.base_encoder,
-            "hidden_dim": self.hidden_dim,
-            "dropout_p": self.dropout_p,
-            "activation": self.activation,
-            "layer_norm_enabled": self.layer_norm_enabled,
-            "projector_dim": self.projector_dim,
-            "projector_activation": self.projector_activation,
-        }
+        return asdict(self)
 
 
 def _resolve_activation(kind: str) -> tuple[str, float | None]:
@@ -133,11 +124,6 @@ class EncoderState:
         if self.proj_slope is not None:
             params.append(self.proj_slope)
         return params
-
-
-def init_state(spec: ModelSpec, num_features: int, rng: dc.RngStream) -> EncoderState:
-    """Glorot-uniform weights from the init stream; gains 1, biases 0."""
-    return EncoderState(spec, num_features, rng)
 
 
 def encode(

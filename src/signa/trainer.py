@@ -10,7 +10,7 @@ from __future__ import annotations
 import base64
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .graphdata import Graph, normalized_adjacency
 
 ABLATIONS = ("none", "no_dropout", "nfm", "no_stoch_mask", "all_mask")
 CHECKPOINT_FORMAT_VERSION = 1
+# estimator keys that v1 checkpoints written before their removal still carry
+_RETIRED_ESTIMATOR_KEYS = ("target_pos", "target_neg")
 
 
 @dataclass
@@ -56,65 +58,32 @@ class TrainConfig:
         if self.log_every < 0:
             raise ConfigError(f"log_every must be non-negative, got {self.log_every}")
 
-    _TOP_KEYS = (
-        "model",
-        "estimator",
-        "mask_rate",
-        "learning_rate",
-        "weight_decay",
-        "num_epochs",
-        "seed",
-        "ablation",
-        "nfm_p_feat",
-        "precision",
-        "log_every",
-    )
-    _MODEL_KEYS = (
-        "num_layers",
-        "base_encoder",
-        "hidden_dim",
-        "dropout_p",
-        "activation",
-        "layer_norm_enabled",
-        "projector_dim",
-        "projector_activation",
-    )
-    _ESTIMATOR_KEYS = ("kind", "temperature", "clamp_eps", "target_pos", "target_neg")
-
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
         """Strict parse: every unknown key (top-level or nested) is collected
         and reported in one error, so typos surface all at once."""
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = [k for k in raw if k not in cls._TOP_KEYS]
         model_raw = raw.get("model", {})
         est_raw = raw.get("estimator", {})
         if not isinstance(model_raw, dict):
             raise ConfigError("config key 'model' must be an object")
         if not isinstance(est_raw, dict):
             raise ConfigError("config key 'estimator' must be an object")
-        unknown += [f"model.{k}" for k in model_raw if k not in cls._MODEL_KEYS]
-        unknown += [f"estimator.{k}" for k in est_raw if k not in cls._ESTIMATOR_KEYS]
+        unknown = _unknown_keys(cls, raw, "") + _unknown_keys(ModelSpec, model_raw, "model.")
+        unknown += _unknown_keys(EstimatorSpec, est_raw, "estimator.")
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         top = {k: v for k, v in raw.items() if k not in ("model", "estimator")}
         return cls(model=ModelSpec(**model_raw), estimator=EstimatorSpec(**est_raw), **top)
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "estimator": self.estimator.to_dict(),
-            "mask_rate": self.mask_rate,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "num_epochs": self.num_epochs,
-            "seed": self.seed,
-            "ablation": self.ablation,
-            "nfm_p_feat": self.nfm_p_feat,
-            "precision": self.precision,
-            "log_every": self.log_every,
-        }
+        return asdict(self)
+
+
+def _unknown_keys(cls, raw: dict, prefix: str) -> list[str]:
+    names = {f.name for f in fields(cls)}
+    return [prefix + k for k in raw if k not in names]
 
 
 @dataclass
@@ -138,7 +107,7 @@ def apply_ablation(config: TrainConfig) -> ResolvedPlan:
     mask_rate = config.mask_rate
     nfm_p = None
     if config.ablation in ("no_dropout", "nfm"):
-        model = ModelSpec(**{**model.to_dict(), "dropout_p": 0.0})
+        model = replace(model, dropout_p=0.0)
     if config.ablation == "nfm":
         nfm_p = config.nfm_p_feat if config.nfm_p_feat is not None else config.model.dropout_p
     if config.ablation == "no_stoch_mask":
@@ -243,7 +212,11 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
         raise CheckpointError(
             f"checkpoint format version {version!r} unsupported (expected {CHECKPOINT_FORMAT_VERSION})"
         )
-    config = TrainConfig.from_dict(doc["config"])
+    raw = doc["config"]
+    if isinstance(raw, dict) and isinstance(raw.get("estimator"), dict):
+        for key in _RETIRED_ESTIMATOR_KEYS:
+            raw["estimator"].pop(key, None)
+    config = TrainConfig.from_dict(raw)
     plan = apply_ablation(config)
     state = EncoderState(plan.model, int(doc["num_features"]), rng=None)
 

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from signa.cli import main
+from signa.cli import ABLATE_VARIANTS, _config_with, main
+from signa.errors import ConfigError
+from signa.trainer import TrainConfig
 
 
 EDGES = """# two loose 4-cliques joined by one bridge
@@ -188,6 +190,15 @@ def test_train_ablation_flag_reflected_in_manifest(tmp_path):
     assert rc == 0
     manifest = json.loads(open(ckpt + ".manifest.json").read())
     assert manifest["effective"]["dropout_p"] == 0.0
+
+
+def test_train_unknown_ablation_exits_one(tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path)
+    rc = main(["train", "--config", config, "--edges", edges, "--features", feats,
+               "--out-checkpoint", str(tmp_path / "x.ckpt"), "--ablation", "bogus", "--quiet"])
+    assert rc == 1
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_train_exit_codes(tmp_path, capsys):
@@ -375,6 +386,38 @@ def test_ablate_unknown_variant(tmp_path, capsys):
                "--out-dir", str(tmp_path / "a"), "--quiet"])
     assert rc == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_ablate_variants_resolve_to_their_configs():
+    base = {
+        "model": {"hidden_dim": 16},
+        "estimator": {"temperature": 0.2},
+        "mask_rate": 0.5,
+        "ablation": "nfm",
+        "nfm_p_feat": 0.1,
+        "seed": 3,
+    }
+    expected = {
+        "none": base,
+        "no_dropout": {**base, "ablation": "no_dropout"},
+        "nfm": base,
+        "no_stoch_mask": {**base, "ablation": "no_stoch_mask"},
+        "all_mask": {**base, "ablation": "all_mask"},
+        "jsd": {**base, "estimator": {"temperature": 0.2, "kind": "jsd"}},
+        "info_nce": {**base, "estimator": {"temperature": 0.2, "kind": "info_nce"}},
+        "all_off": {
+            **base,
+            "estimator": {"temperature": 0.2, "kind": "jsd"},
+            "mask_rate": 0.0,
+            "ablation": "no_dropout",
+        },
+    }
+    assert list(ABLATE_VARIANTS) == list(expected)
+    for variant, doc in expected.items():
+        assert _config_with(base, ABLATE_VARIANTS[variant]) == TrainConfig.from_dict(doc), variant
+    assert base["estimator"] == {"temperature": 0.2}  # the base config is not mutated
+    with pytest.raises(ConfigError, match="'estimator' must be an object"):
+        _config_with({"estimator": "jsd"}, ABLATE_VARIANTS["jsd"])
 
 
 def test_ablate_explicit_seed_list(tmp_path):

@@ -260,6 +260,23 @@ def test_intermediate_grads_are_released():
     assert mid._parents == ()
 
 
+def test_intermediate_grads_are_released_during_the_pass():
+    x = Parameter(np.ones(3), name="x")
+    mid = dc.scalar_mul(x, 2.0)
+    top = dc.scalar_mul(mid, 3.0)
+    seen = []
+    mid_backward = mid._backward
+
+    def spy(g):
+        seen.append(top.grad)
+        mid_backward(g)
+
+    mid._backward = spy
+    backward(dc.tsum(top))
+    assert len(seen) == 1 and seen[0] is None  # freed before the rest of the tape ran
+    np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+
+
 def test_parameter_grads_accumulate_across_tapes():
     x = Parameter(np.ones(3), name="x")
     backward(dc.tsum(x))

@@ -1,17 +1,21 @@
 """Splits, probe, k-means, partition metrics, histograms, timing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_labeled_graph
 from oracles import homogeneity_oracle, nmi_oracle
 
+from signa import diffcore as dc
 from signa.diffcore import RngStream
 from signa.encoder import ModelSpec
 from signa.errors import AnalysisError, ConfigError, DegenerateEmbeddingError, ShapeError
 from signa.evaluate import (
     KMeansResult,
     ProbeConfig,
+    _probe_gradients,
     accuracy,
     homogeneity,
     kmeans,
@@ -141,6 +145,29 @@ def test_probe_warns_on_missing_train_class():
     split = Split(np.array([0, 1]), np.array([2, 3]), np.array([4, 5]), seed=0, run_index=0)
     with pytest.warns(UserWarning, match="absent from the training split"):
         linear_probe(x, labels, split, ProbeConfig(num_epochs=2))
+
+
+def _tape_probe_gradients(x, onehot, w0, b0):
+    """The autodiff form of the probe's gradient, kept as the closed form's oracle."""
+    w = dc.Parameter(w0.copy(), name="probe.weight")
+    b = dc.Parameter(b0.copy(), name="probe.bias")
+    logits = dc.add(dc.matmul(dc.Tensor(x), w), b)
+    row_max = np.max(logits.data, axis=1, keepdims=True)
+    shifted = dc.sub(logits, dc.Tensor(row_max))
+    log_denom = dc.log(dc.tsum(dc.exp(shifted), axis=1, keepdims=True))
+    log_prob = dc.sub(shifted, log_denom)
+    loss = dc.scalar_mul(dc.tsum(dc.hadamard(dc.Tensor(onehot), log_prob)), -1.0 / x.shape[0])
+    dc.backward(loss)
+    return w.grad, b.grad
+
+
+def test_probe_closed_form_gradient_matches_tape():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(50, 6))
+    onehot = np.eye(4)[rng.integers(0, 4, size=50)]
+    w0, b0 = rng.normal(size=(6, 4)), rng.normal(size=4)
+    for got, want in zip(_probe_gradients(x, onehot, w0, b0), _tape_probe_gradients(x, onehot, w0, b0)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_probe_shape_mismatch():
@@ -324,6 +351,22 @@ def test_histograms_large_graph_requires_subsampling():
     )
     assert h.subsampled and h.num_pairs == 500
     assert h.neighbor.sum() == 0 and h.non_neighbor.sum() == 500
+
+
+def test_full_pair_histograms_need_no_pair_by_dim_arrays():
+    n, d = 1200, 128
+    g = Graph(n, np.zeros(n + 1, dtype=np.int64), np.array([], dtype=np.int64), np.ones((n, 1)))
+    emb = np.random.default_rng(13).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        h = similarity_histograms(emb, g, bins=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.num_pairs == n * (n - 1) // 2
+    assert h.non_neighbor.sum() == h.num_pairs
+    # O(n^2) scalars: far below the 1.5 GB that gathering both rows of every pair takes
+    assert peak < 16 * n * n * 8
 
 
 def test_histograms_shape_mismatch():

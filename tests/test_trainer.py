@@ -70,6 +70,38 @@ def test_from_dict_round_trip():
     assert again == cfg
 
 
+def test_to_dict_keeps_the_v1_schema():
+    # the v1 layout of a default config, without the retired estimator targets
+    golden = {
+        "model": {
+            "num_layers": 2,
+            "base_encoder": "linear",
+            "hidden_dim": 128,
+            "dropout_p": 0.4,
+            "activation": "prelu",
+            "layer_norm_enabled": True,
+            "projector_dim": 64,
+            "projector_activation": "elu",
+        },
+        "estimator": {"kind": "norm_jsd", "temperature": 0.5, "clamp_eps": 1e-7},
+        "mask_rate": 0.3,
+        "learning_rate": 0.001,
+        "weight_decay": 0.0,
+        "num_epochs": 200,
+        "seed": 0,
+        "ablation": "none",
+        "nfm_p_feat": None,
+        "precision": "f64",
+        "log_every": 0,
+    }
+    assert TrainConfig(model=ModelSpec(), estimator=EstimatorSpec()).to_dict() == golden
+
+
+def test_from_dict_rejects_retired_estimator_targets():
+    with pytest.raises(ConfigError, match="estimator.target_pos"):
+        TrainConfig.from_dict({"estimator": {"target_pos": 1.0}})
+
+
 def test_from_dict_reports_all_unknown_keys_at_once():
     raw = _config().to_dict()
     raw["typo_top"] = 1
@@ -214,6 +246,21 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded_cfg == cfg
     for p, q in zip(state.parameters(), loaded_state.parameters()):
         assert p.name == q.name
+        assert p.data.tobytes() == q.data.tobytes()
+
+
+def test_v1_checkpoint_with_estimator_targets_loads(tmp_path):
+    g = _small_graph()
+    cfg = _config(num_epochs=3)
+    state, curve = train(g, cfg)
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(state, cfg, path, final_loss=curve[-1])
+    doc = json.load(open(path))
+    doc["config"]["estimator"].update(target_pos=1.0, target_neg=0.0)
+    json.dump(doc, open(path, "w"))
+    loaded_state, loaded_cfg = load_checkpoint(path)
+    assert loaded_cfg == cfg
+    for p, q in zip(state.parameters(), loaded_state.parameters()):
         assert p.data.tobytes() == q.data.tobytes()
 
 
