@@ -20,6 +20,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
+from .atomic import open_atomic
 from .errors import (
     ConfigError,
     ContractError,
@@ -59,7 +60,7 @@ def _now() -> str:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -136,7 +137,7 @@ def _cmd_homophily(args) -> int:
 
     doc = report.to_json_dict()
     _write_json(args.out_json, doc)
-    with open(args.out_csv, "w", encoding="utf-8") as fh:
+    with open_atomic(args.out_csv) as fh:
         fh.write("histogram,bin,count\n")
         bins = doc["count_hist_bins"]
         for label, count in zip(bins, doc["count_hist"]):
@@ -200,7 +201,7 @@ def _cmd_train(args) -> int:
 
     outputs = [args.out_checkpoint]
     if args.out_loss_curve:
-        with open(args.out_loss_curve, "w", encoding="utf-8") as fh:
+        with open_atomic(args.out_loss_curve) as fh:
             fh.write("epoch,loss\n")
             for epoch, value in enumerate(curve):
                 fh.write(f"{epoch},{value:.17g}\n")
@@ -304,7 +305,7 @@ def _cmd_eval(args) -> int:
         hists = similarity_histograms(
             emb, graph, bins=args.bins, subsample_pairs=args.subsample_pairs, rng=rng
         )
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
+        with open_atomic(args.out_csv) as fh:
             fh.write("population,bin_lo,bin_hi,count\n")
             populations = [("neighbor", hists.neighbor), ("non_neighbor", hists.non_neighbor)]
             if hists.same_label is not None:
@@ -424,7 +425,7 @@ def _cmd_ablate(args) -> int:
         return "" if v is None else f"{v:.6f}"
 
     table_path = os.path.join(args.out_dir, "ablation_table.csv")
-    with open(table_path, "w", encoding="utf-8") as fh:
+    with open_atomic(table_path) as fh:
         fh.write("variant,status,micro_f1_mean,micro_f1_std,accuracy_mean,accuracy_std,error\n")
         for variant, status, f1m, f1s_, accm, accs_, err in rows:
             fh.write(f"{variant},{status},{fmt(f1m)},{fmt(f1s_)},{fmt(accm)},{fmt(accs_)},{err}\n")

@@ -115,31 +115,12 @@ def discriminator_norm(z_u: np.ndarray, z_v: np.ndarray) -> float:
     return (cos + 1.0) / 2.0
 
 
-def _cosine_matrix(z: dc.Tensor) -> dc.Tensor:
-    zn = dc.rows_l2_normalize(z)
-    return dc.matmul(zn, dc.transpose(zn))
+# ---------------------------------------------------------------------------
+# the three estimators, as one row-blocked op
 
-
-def _pair_weights(draw: ContrastDraw):
-    """Constant weight matrices: Wp[u,v]=1/|P_u| on P_u, Wn[u,v]=1/|Q_u| on Q_u."""
-    n = draw.num_nodes
-    pos_counts = draw.pos_counts
-    neg_counts = n - pos_counts
-    if np.any(neg_counts == 0):
-        u = int(np.argmin(neg_counts))
-        raise DegenerateGraphError(f"anchor {u} has an empty negative set (|P_u| = |V|)")
-    m = draw.membership()
-    wp = m / pos_counts[:, None]
-    wn = (~m) / neg_counts[:, None]
-    return wp, wn
-
-
-def _jsd_style_loss(d: dc.Tensor, draw: ContrastDraw, eps: float) -> dc.Tensor:
-    wp, wn = _pair_weights(draw)
-    dcl = dc.clamp(d, eps, 1.0 - eps)
-    pos_term = dc.tsum(dc.hadamard(dc.Tensor(wp), dc.log(dcl)))
-    neg_term = dc.tsum(dc.hadamard(dc.Tensor(wn), dc.log(dc.sub(1.0, dcl))))
-    return dc.scalar_mul(dc.add(pos_term, neg_term), -1.0 / draw.num_nodes)
+# Entries in one block of the score matrix: blocks hold max(1, this // n)
+# anchor rows, so the loss needs O(B*n + n*d) memory and never an n x n array.
+_BLOCK_ELEMS = 2**20
 
 
 def _check_z(z: dc.Tensor, draw: ContrastDraw) -> None:
@@ -147,19 +128,164 @@ def _check_z(z: dc.Tensor, draw: ContrastDraw) -> None:
         raise ShapeError(f"Z must be ({draw.num_nodes}, d), got {z.data.shape}")
 
 
+def _jsd_side(d, log_neg, one_minus, pos, neg_w, axis):
+    """Loss per anchor and dLoss/dD of one side of a JSD strip.
+
+    The anchors are the rows (axis=1) or the columns (axis=0) of the clamped
+    D, log(1-D) and 1-D.  pos = (i, j, w) places their positives, each with
+    weight w = -1/(n|P_u|); anchor k's negatives weigh neg_w[k] = -1/(n|Q_u|).
+    log_neg is overwritten: it becomes the gradient.
+    """
+    i, j, w = pos
+    d_pos = d[i, j]
+    log_neg[i, j] = 0.0  # positives leave the negative sum
+    loss = neg_w * log_neg.sum(axis=axis)
+    loss += np.bincount(j if axis == 0 else i, weights=w * np.log(d_pos), minlength=neg_w.size)
+    g = np.divide(-(neg_w if axis == 0 else neg_w[:, None]), one_minus, out=log_neg)
+    g[i, j] = w / d_pos
+    return loss, g
+
+
+def _jsd_block(s, row_pos, col_pos, neg_w, kind, eps):
+    """Per-anchor loss and dLoss/dS of one strip of the two JSD estimators.
+
+    `s` scores the strip's b anchors against themselves and every later
+    node.  D is symmetric, so an entry right of the first b columns also
+    scores its column's node as anchor against its row's: the strips cover
+    every ordered pair once.  row_pos / col_pos place the row and column
+    anchors' positives (col_pos relative to column b); neg_w[c] is
+    -1/(n|Q_u|) of column c's node.  Returns both sides' losses and dL/dS.
+    """
+    b = s.shape[0]
+    if kind == "norm_jsd":
+        d, slope = (s + 1.0) * 0.5, 0.5
+    else:
+        d = dc.logistic(s)
+        slope = d * (1.0 - d)
+    inside = (d >= eps) & (d <= 1.0 - eps)  # dc.clamp: ends count as inside
+    np.clip(d, eps, 1.0 - eps, out=d)
+    one_minus = 1.0 - d
+    log_neg = np.log(one_minus)
+    right = np.s_[:, b:]
+    col_loss, g_col = _jsd_side(d[right], log_neg[right].copy(), one_minus[right], col_pos, neg_w[b:], axis=0)
+    row_loss, g = _jsd_side(d, log_neg, one_minus, row_pos, neg_w[:b], axis=1)
+    g[right] += g_col
+    g *= inside
+    g *= slope
+    return row_loss, col_loss, g
+
+
+def _info_nce_block(s, r0, rows, cols, pos_w, tau):
+    """Per-anchor loss and dLoss/dS of one InfoNCE block, whose first anchor is r0.
+
+    Each row is whole, so its max and log-sum-exp over w != u are exact.
+    (rows, cols) are the positives other than the anchor, with weight
+    pos_w = -1/(n * max(1, |P_u| - 1)).
+    """
+    b = s.shape[0]
+    logits = s * (1.0 / tau)
+    logits[np.arange(b), np.arange(r0, r0 + b)] = -np.inf  # w != u
+    row_max = logits.max(axis=1)
+    p = np.exp(logits - row_max[:, None])
+    denom = p.sum(axis=1)
+    log_denom = np.log(denom) + row_max
+    loss = np.bincount(rows, weights=pos_w * (logits[rows, cols] - log_denom[rows]), minlength=b)
+    # d/dlogits of sum_v w log softmax = w_v - (sum_v w_v) softmax
+    p *= (-np.bincount(rows, weights=pos_w, minlength=b) / denom).astype(s.dtype)[:, None]
+    p[rows, cols] += pos_w
+    p *= 1.0 / tau
+    return loss, p
+
+
+def _pairwise_loss(z: dc.Tensor, draw: ContrastDraw, kind: str, eps: float = 1e-7, tau: float = 0.5) -> dc.Tensor:
+    """One estimator's loss as a single tape node, streamed in row blocks.
+
+    Each block of B anchors is scored, its loss terms added and dLoss/dS
+    pushed into dLoss/dz in the same pass, so the backward only scales the
+    stored gradient.  InfoNCE scores whole rows.  The JSD kinds' D is
+    symmetric, so their blocks score only the strip from the diagonal on,
+    which halves the matrix products.  Positives come from the CSR draw.
+    """
+    _check_z(z, draw)
+    n = draw.num_nodes
+    x = z.data
+    anchors = np.repeat(np.arange(n), draw.pos_counts)
+    targets = draw.pos_targets
+    if kind == "info_nce":
+        if n < 2:
+            raise DegenerateGraphError("InfoNCE needs at least two nodes")
+        other = targets != anchors
+        anchors, targets = anchors[other], targets[other]
+        w_pos = -1.0 / (n * np.maximum(np.bincount(anchors, minlength=n), 1))
+    else:
+        neg_counts = n - draw.pos_counts
+        if np.any(neg_counts == 0):
+            u = int(np.argmin(neg_counts))
+            raise DegenerateGraphError(f"anchor {u} has an empty negative set (|P_u| = |V|)")
+        w_pos = -1.0 / (n * draw.pos_counts)
+        w_neg = (-1.0 / (n * neg_counts)).astype(x.dtype)
+    w_pos = w_pos.astype(x.dtype)
+
+    if kind == "jsd":
+        zn = x  # raw inner products
+    else:
+        norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+        if np.any(norms < 1e-12):
+            row = int(np.argmin(norms))
+            raise DegenerateEmbeddingError(f"row {row} has near-zero norm ({float(norms[row, 0]):.3e})")
+        zn = x / norms
+
+    if kind != "info_nce":  # positives by target, for the strips' column anchors
+        by_target = np.argsort(targets, kind="stable")
+        t_targets, t_anchors = targets[by_target], anchors[by_target]
+
+    per_anchor = np.zeros(n)
+    dzn = np.zeros_like(x)
+    step = max(1, _BLOCK_ELEMS // n)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        c0 = 0 if kind == "info_nce" else r0
+        lo, hi = np.searchsorted(anchors, (r0, r1))
+        keep = targets[lo:hi] >= c0
+        row_anchors = anchors[lo:hi][keep]
+        row_pos = (row_anchors - r0, targets[lo:hi][keep] - c0, w_pos[row_anchors])
+        s = zn[r0:r1] @ zn[c0:].T
+        dc.check_finite("pairwise scores", s)
+        if kind == "info_nce":
+            per_anchor[r0:r1], g = _info_nce_block(s, r0, *row_pos, tau)
+        else:
+            lo, hi = np.searchsorted(t_targets, (r0, r1))
+            keep = t_anchors[lo:hi] >= r1
+            col_anchors = t_anchors[lo:hi][keep]
+            col_pos = (t_targets[lo:hi][keep] - r0, col_anchors - r1, w_pos[col_anchors])
+            row_loss, col_loss, g = _jsd_block(s, row_pos, col_pos, w_neg[r0:], kind, eps)
+            per_anchor[r0:r1] += row_loss
+            per_anchor[r1:] += col_loss
+        dzn[r0:r1] += g @ zn[c0:]
+        dzn[c0:] += g.T @ zn[r0:r1]
+
+    if kind == "jsd":
+        dz = dzn
+    else:  # through the row normalization, as dc.rows_l2_normalize
+        dz = (dzn - zn * np.sum(dzn * zn, axis=1, keepdims=True)) / norms
+    out = dc.Tensor(per_anchor.sum(), _parents=(z,))
+
+    def _bw(g):
+        dc.accumulate_grad(z, dz * g)
+
+    out._backward = _bw
+    return out
+
+
 def loss_norm_jsd(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> dc.Tensor:
     """Mean over anchors of -(1/|P_u|) sum log D - (1/|Q_u|) sum log(1-D)
     with D = (cos+1)/2 on the projected embeddings."""
-    _check_z(z, draw)
-    d = dc.scalar_mul(dc.add(_cosine_matrix(z), 1.0), 0.5)
-    return _jsd_style_loss(d, draw, eps)
+    return _pairwise_loss(z, draw, "norm_jsd", eps=eps)
 
 
 def loss_jsd_ablation(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> dc.Tensor:
     """Same objective with the unnormalized D = sigmoid(z_u . z_v)."""
-    _check_z(z, draw)
-    d = dc.sigmoid(dc.matmul(z, dc.transpose(z)))
-    return _jsd_style_loss(d, draw, eps)
+    return _pairwise_loss(z, draw, "jsd", eps=eps)
 
 
 def loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 0.5) -> dc.Tensor:
@@ -171,22 +297,7 @@ def loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 0.5) -
     """
     if tau <= 0.0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    _check_z(z, draw)
-    n = draw.num_nodes
-    logits = dc.scalar_mul(_cosine_matrix(z), 1.0 / tau)
-    off_diag = ~np.eye(n, dtype=bool)
-
-    # detached row max over w != u keeps exp in range without touching gradients
-    row_max = np.max(np.where(off_diag, logits.data, -np.inf), axis=1, keepdims=True)
-    shifted = dc.exp(dc.sub(logits, dc.Tensor(row_max)))
-    denom = dc.tsum(dc.hadamard(shifted, dc.Tensor(off_diag.astype(logits.data.dtype))), axis=1, keepdims=True)
-    log_denom = dc.add(dc.log(denom), dc.Tensor(row_max))
-    log_prob = dc.sub(logits, log_denom)
-
-    pos = draw.membership() & off_diag
-    pos_counts = pos.sum(axis=1)
-    weights = pos / np.maximum(pos_counts, 1)[:, None]
-    return dc.scalar_mul(dc.tsum(dc.hadamard(dc.Tensor(weights), log_prob)), -1.0 / n)
+    return _pairwise_loss(z, draw, "info_nce", tau=tau)
 
 
 def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.Tensor:

@@ -26,6 +26,7 @@ from .ops import (
     hadamard,
     layer_norm,
     log,
+    logistic,
     matmul,
     rows_l2_normalize,
     scalar_mul,
@@ -64,6 +65,7 @@ __all__ = [
     "hadamard",
     "layer_norm",
     "log",
+    "logistic",
     "matmul",
     "rows_l2_normalize",
     "scalar_mul",

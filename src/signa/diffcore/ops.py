@@ -189,13 +189,18 @@ def exp(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    d = x.data
+def logistic(d: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-d)) on a plain array, without overflow for large |d|."""
     s = np.empty_like(d)
     pos = d >= 0
     s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ez = np.exp(d[~pos])
     s[~pos] = ez / (1.0 + ez)
+    return s
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    s = logistic(x.data)
     out = Tensor(s, _parents=(x,))
 
     def _bw(g):

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import diffcore as dc
+from .atomic import open_atomic
 from .contrast import EstimatorSpec, draw_masks, estimator_loss
 from .encoder import EncoderState, ModelSpec, encode, inference_embeddings, project
 from .errors import CheckpointError, ConfigError, OptimizationError
@@ -190,7 +191,7 @@ def save_checkpoint(state: EncoderState, config: TrainConfig, path: str, final_l
         "epochs": config.num_epochs,
         "seed": config.seed,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -207,18 +208,20 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
 
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} holds a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint format version {version!r} unsupported (expected {CHECKPOINT_FORMAT_VERSION})"
         )
-    raw = doc["config"]
-    if isinstance(raw, dict) and isinstance(raw.get("estimator"), dict):
+    raw = _field(doc, "config", dict, "checkpoint")
+    if isinstance(raw.get("estimator"), dict):
         for key in _RETIRED_ESTIMATOR_KEYS:
             raw["estimator"].pop(key, None)
     config = TrainConfig.from_dict(raw)
     plan = apply_ablation(config)
-    state = EncoderState(plan.model, int(doc["num_features"]), rng=None)
+    state = EncoderState(plan.model, _field(doc, "num_features", int, "checkpoint"), rng=None)
 
     saved_precision = doc.get("precision")
     if saved_precision != dc.get_precision():
@@ -228,16 +231,19 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
 
     by_name = {p.name: p for p in state.parameters()}
     seen = set()
-    for entry in doc["parameters"]:
+    for entry in _field(doc, "parameters", list, "checkpoint"):
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"checkpoint parameter entry is a {type(entry).__name__}, not an object")
         name = entry.get("name")
         if name not in by_name:
             raise CheckpointError(f"checkpoint parameter {name!r} does not fit the config architecture")
         param = by_name[name]
-        shape = tuple(entry["shape"])
+        shape = tuple(_field(entry, "shape", list, f"parameter {name!r}"))
         if shape != param.data.shape:
             raise CheckpointError(f"parameter {name!r} shape {shape} != expected {param.data.shape}")
+        payload = _field(entry, "data", str, f"parameter {name!r}")
         try:
-            blob = base64.b64decode(entry["data"], validate=True)
+            blob = base64.b64decode(payload, validate=True)
         except Exception as exc:
             raise CheckpointError(f"parameter {name!r} payload is corrupt: {exc}") from None
         flat = np.frombuffer(blob, dtype="<f8")
@@ -253,9 +259,18 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
     return state, config
 
 
+def _field(doc: dict, key: str, kind: type, where: str):
+    """doc[key], which must be a `kind` (a bool does not count as an int)."""
+    value = doc.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise CheckpointError(f"{where} field {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
 def export_embeddings(state: EncoderState, spec: ModelSpec, graph: Graph, path: str) -> np.ndarray:
     """Write inference embeddings as CSV (17 significant digits, header row)."""
     emb = inference_embeddings(state, spec, graph).data
     header = ",".join(f"dim_{j}" for j in range(emb.shape[1]))
-    np.savetxt(path, emb, fmt="%.17g", delimiter=",", header=header, comments="")
+    with open_atomic(path) as fh:
+        np.savetxt(fh, emb, fmt="%.17g", delimiter=",", header=header, comments="")
     return emb

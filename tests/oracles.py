@@ -1,13 +1,22 @@
 """Naive reference implementations used to cross-check the vectorized code.
 
-Everything here is written as plain double loops over nodes or items, on
+Most of this is written as plain double loops over nodes or items, on
 purpose: slow, obvious, and independent of the library's own linear
 algebra.  Tests compare the fast paths against these.
+
+The `dense_loss_*` functions are the library's earlier losses, kept as they
+were: each builds the full n x n score matrix on the autodiff tape, so its
+gradient comes from the generic diffcore ops.  They are the reference for
+the row-blocked loss op's value and dL/dz.
 """
 
 import math
 
 import numpy as np
+
+import signa.diffcore as dc
+from signa.contrast import ContrastDraw
+from signa.errors import ConfigError, DegenerateGraphError, ShapeError
 
 
 def unit_rows(z: np.ndarray) -> np.ndarray:
@@ -58,6 +67,84 @@ def info_nce_loss_oracle(z: np.ndarray, draw, tau: float = 0.5) -> float:
             term += math.log(math.exp(sims[u, v] / tau) / denom)
         total += -term / len(pos)
     return total / n
+
+
+# ---------------------------------------------------------------------------
+# dense tape losses
+
+
+def _cosine_matrix(z: dc.Tensor) -> dc.Tensor:
+    zn = dc.rows_l2_normalize(z)
+    return dc.matmul(zn, dc.transpose(zn))
+
+
+def _pair_weights(draw: ContrastDraw):
+    """Constant weight matrices: Wp[u,v]=1/|P_u| on P_u, Wn[u,v]=1/|Q_u| on Q_u."""
+    n = draw.num_nodes
+    pos_counts = draw.pos_counts
+    neg_counts = n - pos_counts
+    if np.any(neg_counts == 0):
+        u = int(np.argmin(neg_counts))
+        raise DegenerateGraphError(f"anchor {u} has an empty negative set (|P_u| = |V|)")
+    m = draw.membership()
+    wp = m / pos_counts[:, None]
+    wn = (~m) / neg_counts[:, None]
+    return wp, wn
+
+
+def _jsd_style_loss(d: dc.Tensor, draw: ContrastDraw, eps: float) -> dc.Tensor:
+    wp, wn = _pair_weights(draw)
+    dcl = dc.clamp(d, eps, 1.0 - eps)
+    pos_term = dc.tsum(dc.hadamard(dc.Tensor(wp), dc.log(dcl)))
+    neg_term = dc.tsum(dc.hadamard(dc.Tensor(wn), dc.log(dc.sub(1.0, dcl))))
+    return dc.scalar_mul(dc.add(pos_term, neg_term), -1.0 / draw.num_nodes)
+
+
+def _check_z(z: dc.Tensor, draw: ContrastDraw) -> None:
+    if z.data.ndim != 2 or z.data.shape[0] != draw.num_nodes:
+        raise ShapeError(f"Z must be ({draw.num_nodes}, d), got {z.data.shape}")
+
+
+def dense_loss_norm_jsd(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> dc.Tensor:
+    """Mean over anchors of -(1/|P_u|) sum log D - (1/|Q_u|) sum log(1-D)
+    with D = (cos+1)/2 on the projected embeddings."""
+    _check_z(z, draw)
+    d = dc.scalar_mul(dc.add(_cosine_matrix(z), 1.0), 0.5)
+    return _jsd_style_loss(d, draw, eps)
+
+
+def dense_loss_jsd_ablation(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> dc.Tensor:
+    """Same objective with the unnormalized D = sigmoid(z_u . z_v)."""
+    _check_z(z, draw)
+    d = dc.sigmoid(dc.matmul(z, dc.transpose(z)))
+    return _jsd_style_loss(d, draw, eps)
+
+
+def dense_loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 0.5) -> dc.Tensor:
+    """Softmax contrast: positives from P_u \\ {u}, denominator over all w != u.
+
+    Anchors whose only positive is themselves contribute zero; the per-anchor
+    average uses the realized positive count, so equal similarities give
+    exactly log(|V| - 1).
+    """
+    if tau <= 0.0:
+        raise ConfigError(f"temperature must be positive, got {tau}")
+    _check_z(z, draw)
+    n = draw.num_nodes
+    logits = dc.scalar_mul(_cosine_matrix(z), 1.0 / tau)
+    off_diag = ~np.eye(n, dtype=bool)
+
+    # detached row max over w != u keeps exp in range without touching gradients
+    row_max = np.max(np.where(off_diag, logits.data, -np.inf), axis=1, keepdims=True)
+    shifted = dc.exp(dc.sub(logits, dc.Tensor(row_max)))
+    denom = dc.tsum(dc.hadamard(shifted, dc.Tensor(off_diag.astype(logits.data.dtype))), axis=1, keepdims=True)
+    log_denom = dc.add(dc.log(denom), dc.Tensor(row_max))
+    log_prob = dc.sub(logits, log_denom)
+
+    pos = draw.membership() & off_diag
+    pos_counts = pos.sum(axis=1)
+    weights = pos / np.maximum(pos_counts, 1)[:, None]
+    return dc.scalar_mul(dc.tsum(dc.hadamard(dc.Tensor(weights), log_prob)), -1.0 / n)
 
 
 def global_homophily_oracle(graph) -> float:

@@ -454,3 +454,51 @@ def test_threads_flag_validation(tmp_path, capsys):
                "--threads", "0"])
     assert rc == 1
     assert "--threads" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# malformed checkpoints
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+
+    return edit
+
+
+def _edit_first_parameter(edit):
+    def apply(doc):
+        edit(doc["parameters"][0])
+        return doc
+
+    return apply
+
+
+MALFORMED_CHECKPOINTS = {
+    "top-level list": lambda doc: [doc],
+    "no config": _drop("config"),
+    "config not an object": lambda doc: dict(doc, config="norm_jsd"),
+    "no num_features": _drop("num_features"),
+    "num_features null": lambda doc: dict(doc, num_features=None),
+    "no parameters": _drop("parameters"),
+    "parameter entry not an object": lambda doc: dict(doc, parameters=[1]),
+    "parameter without shape": _edit_first_parameter(lambda p: p.pop("shape")),
+    "parameter without data": _edit_first_parameter(lambda p: p.pop("data")),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS.keys())
+def test_eval_malformed_checkpoint_exits_two(edit, tmp_path, capsys):
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    doc = edit(json.loads(open(ckpt).read()))
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+               "--labels", labels, "--mode", "cluster",
+               "--out", str(tmp_path / "x.json"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "checkpoint" in err or "parameter" in err
+    assert "Traceback" not in err

@@ -1,10 +1,13 @@
 """Stochastic neighbor masking, the pair discriminators, the three loss
-estimators against naive double-loop oracles, and the masked-similarity
-expectation check."""
+estimators against naive double-loop oracles and the dense tape losses, and
+the masked-similarity expectation check."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import signa.contrast as contrast
 import signa.diffcore as dc
 from signa.diffcore import Parameter, RngStream, Tensor, backward
 from signa.contrast import (
@@ -19,11 +22,30 @@ from signa.contrast import (
     loss_norm_jsd_sampled,
     verify_theorem,
 )
-from signa.errors import ConfigError, DegenerateEmbeddingError, DegenerateGraphError
+from signa.errors import (
+    ConfigError,
+    DegenerateEmbeddingError,
+    DegenerateGraphError,
+    NumericError,
+    ShapeError,
+)
 from signa.graphdata import from_edges
 
 from conftest import random_labeled_graph
-from oracles import info_nce_loss_oracle, jsd_style_loss_oracle
+from oracles import (
+    dense_loss_info_nce_ablation,
+    dense_loss_jsd_ablation,
+    dense_loss_norm_jsd,
+    info_nce_loss_oracle,
+    jsd_style_loss_oracle,
+)
+
+KINDS = ("norm_jsd", "jsd", "info_nce")
+DENSE_LOSSES = {
+    "norm_jsd": dense_loss_norm_jsd,
+    "jsd": dense_loss_jsd_ablation,
+    "info_nce": dense_loss_info_nce_ablation,
+}
 
 
 def _ring(n: int):
@@ -256,6 +278,141 @@ def test_losses_are_differentiable():
         z = Parameter(rng.standard_normal((5, 4)), name="z")
         report = dc.gradcheck(lambda: fn(z, draw), [z], tol=1e-5)
         assert report.passed, (fn.__name__, report.max_rel_err)
+
+
+# ---------------------------------------------------------------------------
+# the row-blocked loss op against the dense tape losses
+
+
+def _value_and_grad(fn, z: np.ndarray, draw):
+    p = Parameter(z.copy(), name="z")
+    loss = fn(p, draw)
+    backward(loss)
+    return loss.item(), p.grad.copy()
+
+
+def _assert_matches_dense(kind: str, z: np.ndarray, draw, tol: float = 1e-12):
+    spec = EstimatorSpec(kind=kind)
+    value, grad = _value_and_grad(lambda p, d: estimator_loss(p, d, spec), z, draw)
+    ref_value, ref_grad = _value_and_grad(DENSE_LOSSES[kind], z, draw)
+    assert abs(value - ref_value) <= tol * max(1.0, abs(ref_value)), (kind, value, ref_value)
+    scale = max(1.0, float(np.abs(ref_grad).max()))
+    assert float(np.abs(grad - ref_grad).max()) <= tol * scale, kind
+
+
+# rows per block as a function of n: one row, a ragged last block, one block
+BLOCK_ROWS = {
+    "B=1": lambda n: 1,
+    "ragged": lambda n: 3 if n % 3 else 4 if n % 4 else 5,
+    "n<B": lambda n: 10 * n,
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("rows", BLOCK_ROWS.values(), ids=BLOCK_ROWS.keys())
+def test_blocked_loss_matches_dense_on_random_graphs(kind, rows, monkeypatch):
+    rng = np.random.default_rng(11)
+    checked = 0
+    for i in range(12):
+        g = random_labeled_graph(rng, max_nodes=30)
+        draw = draw_masks(g, float(rng.uniform(0.1, 0.9)), RngStream(i, "mask"))
+        if np.any(draw.pos_counts >= g.num_nodes):
+            continue
+        n = g.num_nodes
+        monkeypatch.setattr(contrast, "_BLOCK_ELEMS", rows(n) * n)
+        _assert_matches_dense(kind, rng.standard_normal((n, 5)), draw)
+        checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_loss_antipodal_positive(kind, monkeypatch):
+    # 0 and 1 are neighbors pointing opposite ways: D hits the clamp floor
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMS", 2 * 4)
+    g = from_edges(np.array([[0, 1], [2, 3]]), 4, np.zeros((4, 1)))
+    draw = draw_masks(g, 0.0, RngStream(0, "mask"))
+    z = np.array([[1.0, 0.0], [-1.0, 0.0], [0.3, 1.0], [0.5, -0.2]])
+    _assert_matches_dense(kind, z, draw)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_loss_duplicate_rows(kind, monkeypatch):
+    # identical rows give D at or past the clamp ceiling, where the gradient stops
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMS", 2 * 6)
+    draw = draw_masks(_ring(6), 0.3, RngStream(1, "mask"))
+    z = np.tile([[0.2, -1.0, 3.0]], (6, 1)) * 40.0
+    z[4] = [1.0, 0.5, -0.5]
+    _assert_matches_dense(kind, z, draw)
+
+
+def test_blocked_info_nce_anchor_without_other_positive(monkeypatch):
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMS", 2 * 5)
+    g = from_edges(np.array([[0, 1], [1, 2]]), 5, np.zeros((5, 1)))
+    draw = draw_masks(g, 0.0, RngStream(0, "mask"))
+    z = np.random.default_rng(12).standard_normal((5, 3))
+    _assert_matches_dense("info_nce", z, draw)  # nodes 3 and 4 have no other positive
+    # with no anchor holding another positive, nothing contributes
+    only_self = _self_only_draw(5)
+    value, grad = _value_and_grad(loss_info_nce_ablation, z, only_self)
+    assert value == 0.0
+    assert not grad.any()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_loss_f32_close_to_dense(kind, monkeypatch):
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMS", 7 * 60)
+    dc.set_precision("f32")
+    rng = np.random.default_rng(13)
+    g = random_labeled_graph(rng, max_nodes=60)
+    draw = draw_masks(g, 0.4, RngStream(2, "mask"))
+    z = rng.standard_normal((g.num_nodes, 8))
+    spec = EstimatorSpec(kind=kind)
+    value, grad = _value_and_grad(lambda p, d: estimator_loss(p, d, spec), z, draw)
+    ref_value, ref_grad = _value_and_grad(DENSE_LOSSES[kind], z, draw)
+    assert grad.dtype == np.float32
+    assert abs(value - ref_value) <= 1e-5 * abs(ref_value)
+    assert np.linalg.norm(grad - ref_grad) <= 1e-5 * np.linalg.norm(ref_grad)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_loss_gradcheck_across_blocks(kind, monkeypatch):
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMS", 2 * 7)  # blocks of 2, 2, 2, 1 rows
+    draw = draw_masks(_ring(7), 0.4, RngStream(3, "mask"))
+    z = Parameter(np.random.default_rng(14).standard_normal((7, 4)), name="z")
+    spec = EstimatorSpec(kind=kind)
+    report = dc.gradcheck(lambda: estimator_loss(z, draw, spec), [z], tol=1e-5)
+    assert report.passed, (kind, report.max_rel_err)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_blocked_loss_memory_is_not_quadratic(kind):
+    # a dense n x n f64 matrix here is 32 MB, and the dense tape held ~15 of them
+    n, d = 2000, 64
+    rng = np.random.default_rng(15)
+    src = rng.integers(0, n, 5 * n)
+    dst = (src + rng.integers(1, n, 5 * n)) % n
+    edges = np.unique(np.sort(np.stack([src, dst], axis=1), axis=1), axis=0)
+    g = from_edges(edges, n, np.zeros((n, 1)))
+    draw = draw_masks(g, 0.3, RngStream(4, "mask"))
+    z = Parameter(rng.standard_normal((n, d)), name="z")
+    tracemalloc.start()
+    try:
+        backward(estimator_loss(z, draw, EstimatorSpec(kind=kind)))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 128.0, peak_mb
+    assert np.all(np.isfinite(z.grad))
+
+
+def test_blocked_loss_keeps_input_checks():
+    draw = draw_masks(_ring(4), 0.0, RngStream(0, "mask"))
+    with pytest.raises(DegenerateEmbeddingError):
+        loss_norm_jsd(Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])), draw)
+    with pytest.raises(NumericError):
+        loss_jsd_ablation(Tensor(np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]])), draw)
+    with pytest.raises(ShapeError):
+        loss_info_nce_ablation(Tensor(np.ones((3, 2))), draw)
 
 
 # ---------------------------------------------------------------------------
