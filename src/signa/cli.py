@@ -263,6 +263,8 @@ def _cmd_eval(args) -> int:
     )
 
     started = _now()
+    if args.mode == "classify" and args.runs < 1:
+        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     need_labels = args.mode in ("classify", "cluster")
     state, config, graph = _load_for_eval(args, need_labels)
     seed = args.seed if args.seed is not None else config.seed
@@ -382,6 +384,10 @@ def _cmd_ablate(args) -> int:
         raise ConfigError(
             f"unknown ablation variants: {', '.join(bad)} (choose from {', '.join(ABLATE_VARIANTS)})"
         )
+    if args.probe_runs < 1:
+        raise ConfigError(f"--probe-runs must be >= 1, got {args.probe_runs}")
+    if not args.seeds and args.num_seeds < 1:
+        raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     raw = _load_config_dict(args.config)
     base_seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     seeds = (

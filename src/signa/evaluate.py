@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import diffcore as dc
 from .encoder import EncoderState, ModelSpec, encode
@@ -114,6 +113,10 @@ def linear_probe(
     """Softmax regression on frozen embeddings; returns (micro_f1, accuracy)
     on the test set at the epoch with the best validation micro-F1.
 
+    For single-label data the validation micro-F1 is (correct predictions)
+    / |val|, so each epoch only counts correct predictions; the first epoch
+    with the highest count wins, and the test split is scored once.
+
     Deterministic: weights start at zero and the objective is convex, so no
     randomness enters the probe itself.
     """
@@ -136,22 +139,17 @@ def linear_probe(
     onehot = np.zeros((x_train.shape[0], num_classes), dtype=w.data.dtype)
     onehot[np.arange(x_train.shape[0]), y[split.train]] = 1.0
 
-    def predict(idx: np.ndarray) -> np.ndarray:
-        logits = x[idx] @ w.data + b.data
-        return np.argmax(logits, axis=1)
-
-    best_val, best_snapshot = -1.0, (w.data.copy(), b.data.copy())
+    # validation rows stay f64, so f32 runs score with f64 logits
+    x_val, y_val = x[split.val], y[split.val]
+    best_correct, best_w, best_b = -1, w.data.copy(), b.data.copy()
     for _ in range(config.num_epochs):
         w.grad[...], b.grad[...] = _probe_gradients(x_train, onehot, w.data, b.data)
         dc.adam_step(adam)
-        val_f1 = micro_f1(y[split.val], predict(split.val))
-        if val_f1 > best_val:
-            best_val = val_f1
-            best_snapshot = (w.data.copy(), b.data.copy())
+        correct = np.count_nonzero(np.argmax(x_val @ w.data + b.data, axis=1) == y_val)
+        if correct > best_correct:
+            best_correct, best_w, best_b = correct, w.data.copy(), b.data.copy()
 
-    w.data[...] = best_snapshot[0]
-    b.data[...] = best_snapshot[1]
-    test_pred = predict(split.test)
+    test_pred = np.argmax(x[split.test] @ best_w + best_b, axis=1)
     return micro_f1(y[split.test], test_pred), accuracy(y[split.test], test_pred)
 
 
@@ -332,6 +330,8 @@ def similarity_histograms(
     subsample_pairs: int | None = None,
     rng=None,
 ) -> SimilarityHistograms:
+    import scipy.sparse as sp
+
     x = np.asarray(embeddings, dtype=np.float64)
     n = graph.num_nodes
     if x.shape[0] != n:

@@ -8,15 +8,25 @@ The `dense_loss_*` functions are the library's earlier losses, kept as they
 were: each builds the full n x n score matrix on the autodiff tape, so its
 gradient comes from the generic diffcore ops.  They are the reference for
 the row-blocked loss op's value and dL/dz.
+
+`sbm_generate_oracle` is the library's earlier SBM generator, which draws
+all n^2/2 pairs at once; it is the reference for the row-blocked one.
+
+`linear_probe_oracle` is the library's earlier probe loop, kept as it was:
+it scores every epoch's validation split with `micro_f1`.  It is the
+reference for the probe's (micro-F1, accuracy).
 """
 
 import math
+import warnings
 
 import numpy as np
 
 import signa.diffcore as dc
 from signa.contrast import ContrastDraw
 from signa.errors import ConfigError, DegenerateGraphError, ShapeError
+from signa.evaluate import ProbeConfig, Split, _probe_gradients, accuracy, micro_f1
+from signa.graphdata import Graph, from_edges
 
 
 def unit_rows(z: np.ndarray) -> np.ndarray:
@@ -147,6 +157,80 @@ def dense_loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 
     return dc.scalar_mul(dc.tsum(dc.hadamard(dc.Tensor(weights), log_prob)), -1.0 / n)
 
 
+# ---------------------------------------------------------------------------
+# linear probe
+
+
+def linear_probe_oracle(
+    embeddings: np.ndarray,
+    labels: np.ndarray,
+    split: Split,
+    config: ProbeConfig | None = None,
+) -> tuple[float, float]:
+    """Softmax regression on frozen embeddings; returns (micro_f1, accuracy)
+    on the test set at the epoch with the best validation micro-F1.
+
+    Deterministic: weights start at zero and the objective is convex, so no
+    randomness enters the probe itself.
+    """
+    if config is None:
+        config = ProbeConfig()
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ShapeError(f"embeddings {x.shape} do not match {y.shape[0]} labels")
+    num_classes = int(y.max()) + 1
+    missing = sorted(set(range(num_classes)) - set(y[split.train].tolist()))
+    if missing:
+        warnings.warn(f"classes {missing} absent from the training split; they get zero prior")
+
+    w = dc.Parameter(np.zeros((x.shape[1], num_classes)), name="probe.weight")
+    b = dc.Parameter(np.zeros(num_classes), name="probe.bias")
+    adam = dc.AdamState([w, b], lr=config.learning_rate, weight_decay=config.weight_decay)
+
+    x_train = x[split.train].astype(w.data.dtype)
+    onehot = np.zeros((x_train.shape[0], num_classes), dtype=w.data.dtype)
+    onehot[np.arange(x_train.shape[0]), y[split.train]] = 1.0
+
+    def predict(idx: np.ndarray) -> np.ndarray:
+        logits = x[idx] @ w.data + b.data
+        return np.argmax(logits, axis=1)
+
+    best_val, best_snapshot = -1.0, (w.data.copy(), b.data.copy())
+    for _ in range(config.num_epochs):
+        w.grad[...], b.grad[...] = _probe_gradients(x_train, onehot, w.data, b.data)
+        dc.adam_step(adam)
+        val_f1 = micro_f1(y[split.val], predict(split.val))
+        if val_f1 > best_val:
+            best_val = val_f1
+            best_snapshot = (w.data.copy(), b.data.copy())
+
+    w.data[...] = best_snapshot[0]
+    b.data[...] = best_snapshot[1]
+    test_pred = predict(split.test)
+    return micro_f1(y[split.test], test_pred), accuracy(y[split.test], test_pred)
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+def adjacency_error_oracle(num_nodes, offsets, targets):
+    """The first ShapeError message Graph's adjacency checks raise, or None:
+    self-loops, then the first row that is not strictly increasing, then
+    symmetry, checked pair by pair."""
+    rows = [list(targets[offsets[u] : offsets[u + 1]]) for u in range(num_nodes)]
+    if any(v == u for u, row in enumerate(rows) for v in row):
+        return "adjacency contains self-loops"
+    for u, row in enumerate(rows):
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return f"row {u} is not strictly sorted (duplicates?)"
+    pairs = {(u, v) for u, row in enumerate(rows) for v in row}
+    if any((v, u) not in pairs for u, v in pairs):
+        return "adjacency is not symmetric"
+    return None
+
+
 def global_homophily_oracle(graph) -> float:
     same = total = 0
     for u in range(graph.num_nodes):
@@ -222,6 +306,39 @@ def homogeneity_oracle(assignments, labels) -> float:
     for (x, y), c in table.items():
         h_ck -= (c / n) * math.log(c / col[y])
     return min(max(1.0 - h_ck / h_c, 0.0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# synthetic data
+
+
+def sbm_generate_oracle(block_sizes, p_in, p_out, feature_means, noise_sigma, rng) -> Graph:
+    """Stochastic block model with Gaussian features centered per block.
+
+    Each unordered pair is an edge with probability p_in (same block) or
+    p_out (different blocks); labels are block indices.
+    """
+    if not 0.0 <= p_out <= p_in <= 1.0:
+        raise ConfigError(f"need 0 <= p_out <= p_in <= 1, got p_in={p_in}, p_out={p_out}")
+    if noise_sigma < 0:
+        raise ConfigError(f"noise_sigma must be non-negative, got {noise_sigma}")
+    sizes = [int(s) for s in block_sizes]
+    if not sizes or any(s <= 0 for s in sizes):
+        raise ConfigError(f"block sizes must be positive, got {block_sizes}")
+    means = np.asarray(feature_means, dtype=np.float64)
+    if means.ndim != 2 or means.shape[0] != len(sizes):
+        raise ShapeError(
+            f"feature_means must be (num_blocks, F), got {means.shape} for {len(sizes)} blocks"
+        )
+
+    n = sum(sizes)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    iu, iv = np.triu_indices(n, k=1)
+    probs = np.where(labels[iu] == labels[iv], p_in, p_out)
+    keep = rng.uniform(size=iu.size) < probs
+    edges = np.stack([iu[keep], iv[keep]], axis=1)
+    features = means[labels] + noise_sigma * rng.normal(size=(n, means.shape[1]))
+    return from_edges(edges, n, features, labels, num_classes=len(sizes))
 
 
 def canonical_partitions(n: int, max_cells: int = 3) -> list:

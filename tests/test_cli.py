@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import signa
 from signa.cli import ABLATE_VARIANTS, _config_with, main
 from signa.errors import ConfigError
 from signa.trainer import TrainConfig
@@ -259,6 +263,36 @@ def test_eval_classify_requires_labels(tmp_path, capsys):
     assert "--labels" in capsys.readouterr().err
 
 
+def test_eval_zero_runs_exits_one(tmp_path, capsys):
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    out = tmp_path / "classify.json"
+    rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+               "--labels", labels, "--mode", "classify", "--runs", "0",
+               "--out", str(out), "--quiet"])
+    assert rc == 1
+    assert "--runs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_linear_classify_does_not_import_scipy(tmp_path):
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    out = str(tmp_path / "classify.json")
+    argv = ["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+            "--labels", labels, "--mode", "classify", "--runs", "2", "--out", out, "--quiet"]
+    script = (
+        "import sys\n"
+        "from signa.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(signa.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "[]"]
+    assert len(json.loads(open(out).read())["micro_f1"]["per_run"]) == 2
+
+
 def test_eval_cluster_report(tmp_path):
     edges, feats, labels, config, ckpt = _train(tmp_path)
     out = str(tmp_path / "cluster.json")
@@ -386,6 +420,20 @@ def test_ablate_unknown_variant(tmp_path, capsys):
                "--out-dir", str(tmp_path / "a"), "--quiet"])
     assert rc == 1
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--probe-runs", "--num-seeds"])
+def test_ablate_zero_counts_exit_one(flag, tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path, num_epochs=2)
+    out_dir = tmp_path / "ablation"
+    other = "--num-seeds" if flag == "--probe-runs" else "--probe-runs"
+    rc = main(["ablate", "--config", config, "--edges", edges, "--features", feats,
+               "--labels", labels, "--variants", "none", flag, "0", other, "1",
+               "--out-dir", str(out_dir), "--quiet"])
+    assert rc == 1
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_ablate_variants_resolve_to_their_configs():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_labeled_graph
-from oracles import homogeneity_oracle, nmi_oracle
+from oracles import homogeneity_oracle, linear_probe_oracle, nmi_oracle
 
 from signa import diffcore as dc
 from signa.diffcore import RngStream
@@ -15,6 +15,7 @@ from signa.errors import AnalysisError, ConfigError, DegenerateEmbeddingError, S
 from signa.evaluate import (
     KMeansResult,
     ProbeConfig,
+    Split,
     _probe_gradients,
     accuracy,
     homogeneity,
@@ -145,6 +146,78 @@ def test_probe_warns_on_missing_train_class():
     split = Split(np.array([0, 1]), np.array([2, 3]), np.array([4, 5]), seed=0, run_index=0)
     with pytest.warns(UserWarning, match="absent from the training split"):
         linear_probe(x, labels, split, ProbeConfig(num_epochs=2))
+
+
+def _probe_data(seed, n=240, num_features=12, num_classes=4):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, num_classes, size=n)
+    means = rng.normal(size=(num_classes, num_features))
+    return means[labels] + 1.5 * rng.normal(size=(n, num_features)), labels
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_probe_matches_oracle(precision):
+    dc.set_precision(precision)
+    for seed in range(3):
+        x, labels = _probe_data(seed)
+        for split in make_splits(labels, num_runs=4, rng=RngStream(seed, "split")):
+            config = ProbeConfig(num_epochs=80)
+            assert linear_probe(x, labels, split, config) == linear_probe_oracle(x, labels, split, config)
+
+
+def test_probe_first_of_tied_validation_epochs_wins():
+    # validation points sit far from the boundary, so every epoch from the
+    # first on gets all of them right; the test points sit near it, so the
+    # test score moves after epoch 1.  The first epoch must be the one kept.
+    rng = np.random.default_rng(0)
+    y_train = np.repeat([0, 1], 10)
+    x_train = np.c_[np.where(y_train == 1, 1.0, -1.0) + 0.8 * rng.normal(size=20), rng.normal(size=20)]
+    y_val = np.repeat([0, 1], 3)
+    x_val = np.c_[np.where(y_val == 1, 5.0, -5.0), np.zeros(6)]
+    y_test = rng.integers(0, 2, size=40)
+    x_test = np.c_[np.where(y_test == 1, 0.3, -0.3) + 0.5 * rng.normal(size=40), rng.normal(size=40)]
+    x = np.r_[x_train, x_val, x_test]
+    labels = np.r_[y_train, y_val, y_test]
+    idx = np.arange(labels.size)
+    split = Split(idx[:20], idx[20:26], idx[26:], seed=0, run_index=0)
+    config = ProbeConfig(num_epochs=300)
+
+    first_epoch = linear_probe(x, labels, split, ProbeConfig(num_epochs=1))
+    assert linear_probe(x, labels, split, config) == first_epoch
+    assert linear_probe_oracle(x, labels, split, config) == first_epoch
+    # choosing by test score instead shows that later epochs score differently
+    by_test = Split(split.train, split.test, split.test, seed=0, run_index=0)
+    assert linear_probe(x, labels, by_test, config)[1] > first_epoch[1]
+
+
+def test_probe_matches_oracle_with_missing_train_class():
+    x, labels = _probe_data(5, n=60, num_classes=3)
+    idx = np.arange(60)
+    train = idx[labels != 2][:20]
+    rest = np.setdiff1d(idx, train)
+    split = Split(train, rest[:10], rest[10:], seed=0, run_index=0)
+    config = ProbeConfig(num_epochs=50)
+    with pytest.warns(UserWarning, match=r"classes \[2\] absent"):
+        got = linear_probe(x, labels, split, config)
+    with pytest.warns(UserWarning, match=r"classes \[2\] absent"):
+        want = linear_probe_oracle(x, labels, split, config)
+    assert got == want
+
+
+def test_probe_scores_micro_f1_once(monkeypatch):
+    import signa.evaluate as evaluate
+
+    calls = []
+
+    def counting_micro_f1(y_true, y_pred):
+        calls.append(len(y_true))
+        return micro_f1(y_true, y_pred)
+
+    monkeypatch.setattr(evaluate, "micro_f1", counting_micro_f1)
+    x, labels = _probe_data(1)
+    (split,) = make_splits(labels, rng=RngStream(1, "split"))
+    linear_probe(x, labels, split, ProbeConfig(num_epochs=40))
+    assert calls == [split.test.size]
 
 
 def _tape_probe_gradients(x, onehot, w0, b0):

@@ -1,10 +1,13 @@
 """Graph construction, file ingestion, normalized adjacency, spmm, the
 homophily statistics, and the block-model generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import signa.diffcore as dc
+import signa.graphdata as graphdata
 from signa.diffcore import Parameter, RngStream, Tensor, backward
 from signa.errors import AnalysisError, IngestionError, ShapeError
 from signa.graphdata import (
@@ -21,7 +24,12 @@ from signa.graphdata import (
 )
 
 from conftest import random_labeled_graph
-from oracles import global_homophily_oracle, local_homophily_oracle
+from oracles import (
+    adjacency_error_oracle,
+    global_homophily_oracle,
+    local_homophily_oracle,
+    sbm_generate_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +67,41 @@ def test_graph_rejects_self_loop_adjacency():
 def test_graph_rejects_asymmetry():
     with pytest.raises(ShapeError):
         Graph(3, [0, 1, 1, 1], [1], np.zeros((3, 1)))
+
+
+def test_graph_names_the_first_unsorted_row():
+    # rows 1 and 3 both repeat a neighbor; the error names row 1
+    with pytest.raises(ShapeError, match=r"^row 1 is not strictly sorted"):
+        Graph(4, [0, 1, 3, 4, 6], [1, 0, 0, 3, 2, 2], np.zeros((4, 1)))
+    with pytest.raises(ShapeError, match="not symmetric"):
+        Graph(4, [0, 1, 2, 3, 4], [1, 2, 3, 0], np.zeros((4, 1)))  # directed 4-cycle
+
+
+def test_adjacency_checks_match_oracle():
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        if rng.random() < 0.5:  # symmetric base, sometimes with one edge dropped
+            upper = np.triu(rng.random((n, n)) < 0.5, k=1)
+            dense = upper | upper.T
+            if dense.any() and rng.random() < 0.3:
+                u, v = np.argwhere(dense)[0]
+                dense[u, v] = False
+            offsets = np.r_[0, np.cumsum(dense.sum(axis=1))]
+            targets = np.nonzero(dense)[1]
+        else:
+            offsets = np.r_[0, np.cumsum(rng.integers(0, 4, size=n))]
+            targets = rng.integers(0, n, size=offsets[-1])
+        want = adjacency_error_oracle(n, offsets, targets)
+        verdicts.add(want)
+        try:
+            Graph(n, offsets, targets, np.zeros((n, 1)))
+            got = None
+        except ShapeError as exc:
+            got = str(exc)
+        assert got == want
+    assert len(verdicts) > 3  # every verdict kind is exercised, row ids vary
 
 
 def test_graph_rejects_bad_offsets_and_targets():
@@ -362,3 +405,36 @@ def test_sbm_is_deterministic_per_seed():
     b = sbm_generate([10, 10], 0.3, 0.1, means, 1.0, RngStream(7, "split"))
     np.testing.assert_array_equal(a.csr_targets, b.csr_targets)
     np.testing.assert_array_equal(a.features, b.features)
+
+
+@pytest.mark.parametrize("block_pairs", [5, 1 << 18])
+def test_sbm_matches_oracle(block_pairs, monkeypatch):
+    monkeypatch.setattr(graphdata, "_SBM_BLOCK_PAIRS", block_pairs)
+    cases = [[1], [2], [1, 1], [3, 4], [20, 7, 13], [300, 400], [500, 650]]
+    for sizes in cases:
+        for seed in range(3):
+            means = np.random.default_rng(seed).normal(size=(len(sizes), 3))
+            for make in (np.random.default_rng, lambda s: RngStream(s, "split")):
+                rng, rng_oracle = make(seed), make(seed)
+                g = sbm_generate(sizes, 0.3, 0.02, means, 0.5, rng)
+                want = sbm_generate_oracle(sizes, 0.3, 0.02, means, 0.5, rng_oracle)
+                np.testing.assert_array_equal(g.csr_offsets, want.csr_offsets)
+                np.testing.assert_array_equal(g.csr_targets, want.csr_targets)
+                np.testing.assert_array_equal(g.labels, want.labels)
+                assert g.features.tobytes() == want.features.tobytes()
+                if isinstance(rng, RngStream):
+                    assert rng.draws == rng_oracle.draws
+                # both streams are left in the same state
+                np.testing.assert_array_equal(rng.uniform(size=4), rng_oracle.uniform(size=4))
+
+
+def test_sbm_memory_is_not_quadratic():
+    # the all-pairs draw peaked at ~140 MB here; row blocks need ~10 MB
+    tracemalloc.start()
+    try:
+        g = sbm_generate([600] * 5, 7 / 599, 3 / 2400, np.zeros((5, 4)), 1.0, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_nodes == 3000 and g.num_edges > 0
+    assert peak < 40 * 2**20
