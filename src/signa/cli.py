@@ -371,6 +371,16 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+def _parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for entry in text.split(","):
+        try:
+            seeds.append(int(entry))
+        except ValueError:
+            raise ConfigError(f"--seeds entry {entry!r} is not an integer") from None
+    return seeds
+
+
 def _cmd_ablate(args) -> int:
     from . import diffcore as dc
     from .encoder import inference_embeddings
@@ -390,11 +400,7 @@ def _cmd_ablate(args) -> int:
         raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     raw = _load_config_dict(args.config)
     base_seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    seeds = (
-        [int(s) for s in args.seeds.split(",")]
-        if args.seeds
-        else [base_seed + i for i in range(args.num_seeds)]
-    )
+    seeds = _parse_seeds(args.seeds) if args.seeds else [base_seed + i for i in range(args.num_seeds)]
 
     graph = load_graph(args.edges, args.features, args.labels)
     os.makedirs(args.out_dir, exist_ok=True)

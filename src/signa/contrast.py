@@ -309,64 +309,6 @@ def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.
 
 
 # ---------------------------------------------------------------------------
-# sampled-negative variant (for graphs too large for the dense pair matrix)
-
-
-def loss_norm_jsd_sampled(
-    z: dc.Tensor,
-    draw: ContrastDraw,
-    num_negatives: int,
-    rng: dc.RngStream,
-    eps: float = 1e-7,
-) -> dc.Tensor:
-    """loss_norm_jsd with the negative term averaged over a uniform sample
-    (without replacement) of min(num_negatives, |Q_u|) negatives per anchor.
-
-    With num_negatives >= |Q_u| for every anchor this equals the full loss.
-    The positive term is never sampled.  Memory is O(pairs), not O(|V|^2).
-    """
-    if num_negatives < 1:
-        raise ConfigError(f"num_negatives must be >= 1, got {num_negatives}")
-    _check_z(z, draw)
-    n = draw.num_nodes
-    pos_counts = draw.pos_counts
-    if np.any(pos_counts >= n):
-        raise DegenerateGraphError("an anchor has an empty negative set")
-
-    neg_anchor, neg_target = [], []
-    neg_weight = []
-    all_nodes = np.arange(n)
-    for u in range(n):
-        q_u = np.setdiff1d(all_nodes, draw.positives(u), assume_unique=True)
-        k = min(num_negatives, q_u.size)
-        idx = rng.choice(q_u.size, size=k, replace=False)
-        neg_anchor.append(np.full(k, u))
-        neg_target.append(q_u[idx])
-        neg_weight.append(np.full(k, 1.0 / k))
-    neg_anchor = np.concatenate(neg_anchor)
-    neg_target = np.concatenate(neg_target)
-    neg_weight = np.concatenate(neg_weight)
-
-    pos_anchor = np.repeat(np.arange(n), pos_counts)
-    pos_weight = 1.0 / pos_counts[pos_anchor]
-
-    zn = dc.rows_l2_normalize(z)
-
-    def pair_d(anchor_idx, target_idx):
-        dots = dc.tsum(
-            dc.hadamard(dc.take_rows(zn, anchor_idx), dc.take_rows(zn, target_idx)),
-            axis=1,
-        )
-        return dc.clamp(dc.scalar_mul(dc.add(dots, 1.0), 0.5), eps, 1.0 - eps)
-
-    pos_term = dc.tsum(dc.hadamard(dc.Tensor(pos_weight), dc.log(pair_d(pos_anchor, draw.pos_targets))))
-    neg_term = dc.tsum(
-        dc.hadamard(dc.Tensor(neg_weight), dc.log(dc.sub(1.0, pair_d(neg_anchor, neg_target))))
-    )
-    return dc.scalar_mul(dc.add(pos_term, neg_term), -1.0 / n)
-
-
-# ---------------------------------------------------------------------------
 # expectation check for the masking scheme
 
 

@@ -30,7 +30,6 @@ from .ops import (
     matmul,
     rows_l2_normalize,
     scalar_mul,
-    set_finite_checks,
     sigmoid,
     sub,
     take_rows,
@@ -69,7 +68,6 @@ __all__ = [
     "matmul",
     "rows_l2_normalize",
     "scalar_mul",
-    "set_finite_checks",
     "set_precision",
     "sigmoid",
     "sub",

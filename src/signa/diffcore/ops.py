@@ -11,8 +11,7 @@ Conventions:
     with gradients summed back down to each input's shape;
   * `log` demands strictly positive input; callers clamp first;
   * operations that can manufacture non-finite values from finite input
-    (matmul, exp, layer_norm) verify finiteness of their output unless
-    `set_finite_checks(False)` has been called.
+    (matmul, exp, layer_norm) verify finiteness of their output.
 """
 
 from __future__ import annotations
@@ -29,18 +28,9 @@ from ..errors import (
 )
 from .tensor import Parameter, Tensor
 
-_finite_checks = True
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf verification on op outputs (on by default)."""
-    global _finite_checks
-    _finite_checks = bool(enabled)
-
-
 def check_finite(name: str, arr: np.ndarray) -> None:
-    """Raise if arr holds NaN/Inf and finite checks are enabled."""
-    if _finite_checks and not np.all(np.isfinite(arr)):
+    """Raise if arr holds NaN/Inf."""
+    if not np.all(np.isfinite(arr)):
         raise NumericError(f"{name} produced non-finite values")
 
 

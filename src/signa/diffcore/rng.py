@@ -52,10 +52,6 @@ class RngStream:
         self.draws += self._count(size)
         return self._gen.standard_normal(size=size, dtype=np.float64)
 
-    def bernoulli(self, p: float, size=None) -> np.ndarray | bool:
-        """True with probability p (exact under uniform < p)."""
-        return self.uniform(size=size) < p
-
     def integers(self, low: int, high: int, size=None) -> np.ndarray | int:
         self.draws += self._count(size)
         return self._gen.integers(low, high, size=size)
@@ -63,10 +59,6 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         self.draws += int(n)
         return self._gen.permutation(n)
-
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        self.draws += int(size)
-        return self._gen.choice(n, size=size, replace=replace)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, purpose={self.purpose!r}, path={self._path})"

@@ -80,18 +80,13 @@ class Parameter(Tensor):
     """A trainable leaf tensor with a persistent, named gradient buffer.
 
     The gradient is allocated at construction and is all-zeros until a
-    backward pass accumulates into it; `value` aliases the underlying
-    array for callers that think in (value, grad, name) terms.
+    backward pass accumulates into it.
     """
 
     def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
         self.grad = np.zeros_like(self.data)
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.data
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0

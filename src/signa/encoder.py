@@ -8,12 +8,16 @@ consumed downstream; the projector exists only for the contrastive loss.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, ShapeError
-from .graphdata import Graph, NormalizedAdjacency, normalized_adjacency, spmm
+from .graphdata import Graph, normalized_adjacency, spmm
+
+if TYPE_CHECKING:  # linear-encoder processes never import scipy
+    import scipy.sparse as sp
 
 BASE_ENCODERS = ("linear", "gconv")
 # rrelu runs as a fixed-slope leaky relu (midpoint of the usual random range)
@@ -64,73 +68,52 @@ def _resolve_activation(kind: str) -> tuple[str, float | None]:
 class EncoderState:
     """Named parameters for the encoder layers and the projector.
 
-    Naming is stable ("layers.0.weight", "projector.1.weight", ...) so that
-    checkpoints and optimizer state address parameters unambiguously.
-    Base-encoder layers carry a bias only when layer norm is off.
+    `params` maps each stable name ("layers.0.weight", "projector.1.weight",
+    ...) to its Parameter, in checkpoint and optimizer order.  Base-encoder
+    layers carry a bias only when layer norm is off; a prelu activation adds
+    its slope.
     """
 
     def __init__(self, spec: ModelSpec, num_features: int, rng: dc.RngStream | None):
         # rng=None leaves the weights zero (checkpoint loading overwrites them)
         self.spec = spec
         self.num_features = int(num_features)
-        self.layer_weights: list[dc.Parameter] = []
-        self.layer_biases: list[dc.Parameter] = []
-        self.ln_gains: list[dc.Parameter] = []
-        self.ln_biases: list[dc.Parameter] = []
-        self.prelu_slopes: list[dc.Parameter] = []
+        self.params: dict[str, dc.Parameter] = {}
 
         dims = [self.num_features] + [spec.hidden_dim] * spec.num_layers
         for l in range(spec.num_layers):
-            self.layer_weights.append(self._glorot(f"layers.{l}.weight", dims[l], dims[l + 1], rng))
+            self._glorot(f"layers.{l}.weight", dims[l], dims[l + 1], rng)
             if not spec.layer_norm_enabled:
-                self.layer_biases.append(
-                    dc.Parameter(np.zeros(dims[l + 1]), name=f"layers.{l}.bias")
-                )
+                self._add(f"layers.{l}.bias", np.zeros(dims[l + 1]))
             if spec.activation == "prelu":
-                self.prelu_slopes.append(
-                    dc.Parameter(np.full(1, PRELU_INIT_SLOPE), name=f"layers.{l}.prelu_slope")
-                )
+                self._add(f"layers.{l}.prelu_slope", np.full(1, PRELU_INIT_SLOPE))
             if spec.layer_norm_enabled:
-                self.ln_gains.append(dc.Parameter(np.ones(dims[l + 1]), name=f"layers.{l}.ln_gain"))
-                self.ln_biases.append(dc.Parameter(np.zeros(dims[l + 1]), name=f"layers.{l}.ln_bias"))
-
-        self.proj_w1 = self._glorot("projector.0.weight", spec.hidden_dim, spec.projector_dim, rng)
-        self.proj_w2 = self._glorot("projector.1.weight", spec.projector_dim, spec.projector_dim, rng)
+                self._add(f"layers.{l}.ln_gain", np.ones(dims[l + 1]))
+                self._add(f"layers.{l}.ln_bias", np.zeros(dims[l + 1]))
+        self._glorot("projector.0.weight", spec.hidden_dim, spec.projector_dim, rng)
+        self._glorot("projector.1.weight", spec.projector_dim, spec.projector_dim, rng)
         if spec.projector_activation == "prelu":
-            self.proj_slope = dc.Parameter(np.full(1, PRELU_INIT_SLOPE), name="projector.prelu_slope")
-        else:
-            self.proj_slope = None
+            self._add("projector.prelu_slope", np.full(1, PRELU_INIT_SLOPE))
 
-    @staticmethod
-    def _glorot(name: str, fan_in: int, fan_out: int, rng: dc.RngStream | None) -> dc.Parameter:
+    def _add(self, name: str, data: np.ndarray) -> None:
+        self.params[name] = dc.Parameter(data, name=name)
+
+    def _glorot(self, name: str, fan_in: int, fan_out: int, rng: dc.RngStream | None) -> None:
         if rng is None:
-            return dc.Parameter(np.zeros((fan_in, fan_out)), name=name)
+            self._add(name, np.zeros((fan_in, fan_out)))
+            return
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return dc.Parameter((2.0 * rng.uniform(size=(fan_in, fan_out)) - 1.0) * bound, name=name)
+        self._add(name, (2.0 * rng.uniform(size=(fan_in, fan_out)) - 1.0) * bound)
 
     def parameters(self) -> list[dc.Parameter]:
-        params: list[dc.Parameter] = []
-        for l in range(self.spec.num_layers):
-            params.append(self.layer_weights[l])
-            if not self.spec.layer_norm_enabled:
-                params.append(self.layer_biases[l])
-            if self.spec.activation == "prelu":
-                params.append(self.prelu_slopes[l])
-            if self.spec.layer_norm_enabled:
-                params.append(self.ln_gains[l])
-                params.append(self.ln_biases[l])
-        params.append(self.proj_w1)
-        params.append(self.proj_w2)
-        if self.proj_slope is not None:
-            params.append(self.proj_slope)
-        return params
+        return list(self.params.values())
 
 
 def encode(
     state: EncoderState,
     spec: ModelSpec,
     graph: Graph,
-    adj: NormalizedAdjacency | None = None,
+    adj: sp.csr_matrix | None = None,
     training: bool = False,
     rng: dc.RngStream | None = None,
     features_override: np.ndarray | None = None,
@@ -153,36 +136,32 @@ def encode(
         raise ShapeError(f"features must be {(graph.num_nodes, graph.num_features)}, got {feats.shape}")
     act_kind, act_slope = _resolve_activation(spec.activation)
 
+    params = state.params
     h = dc.Tensor(feats)
     for l in range(spec.num_layers):
         h = dc.dropout(h, spec.dropout_p, rng, training)
-        h = dc.matmul(h, state.layer_weights[l])
+        h = dc.matmul(h, params[f"layers.{l}.weight"])
         if spec.base_encoder == "gconv":
             h = spmm(adj, h)
         if not spec.layer_norm_enabled:
-            h = dc.add(h, state.layer_biases[l])
-        if act_kind == "prelu":
-            h = dc.activation(h, "prelu", state.prelu_slopes[l])
-        else:
-            h = dc.activation(h, act_kind, act_slope)
+            h = dc.add(h, params[f"layers.{l}.bias"])
+        h = dc.activation(h, act_kind, params.get(f"layers.{l}.prelu_slope", act_slope))
         if spec.layer_norm_enabled:
-            h = dc.layer_norm(h, state.ln_gains[l], state.ln_biases[l])
+            h = dc.layer_norm(h, params[f"layers.{l}.ln_gain"], params[f"layers.{l}.ln_bias"])
     return h
 
 
 def project(state: EncoderState, h: dc.Tensor) -> dc.Tensor:
     """Two-layer MLP z = W2 sigma(W1 h); no activation after the last layer."""
     act_kind, act_slope = _resolve_activation(state.spec.projector_activation)
-    z = dc.matmul(h, state.proj_w1)
-    if act_kind == "prelu":
-        z = dc.activation(z, "prelu", state.proj_slope)
-    else:
-        z = dc.activation(z, act_kind, act_slope)
-    return dc.matmul(z, state.proj_w2)
+    params = state.params
+    z = dc.matmul(h, params["projector.0.weight"])
+    z = dc.activation(z, act_kind, params.get("projector.prelu_slope", act_slope))
+    return dc.matmul(z, params["projector.1.weight"])
 
 
 def inference_embeddings(
-    state: EncoderState, spec: ModelSpec, graph: Graph, adj: NormalizedAdjacency | None = None
+    state: EncoderState, spec: ModelSpec, graph: Graph, adj: sp.csr_matrix | None = None
 ) -> dc.Tensor:
     """Frozen-encoder representations: encode with training off, no projector."""
     if spec.base_encoder == "gconv" and adj is None:

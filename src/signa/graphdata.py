@@ -214,31 +214,12 @@ def load_graph(edge_path, feature_path, label_path=None, skip_feature_header=Fal
 # normalized adjacency and its differentiable product
 
 
-class NormalizedAdjacency:
+def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     """Symmetric CSR matrix Dhat^{-1/2} (A+I) Dhat^{-1/2}, dhat = degree in A+I.
 
     Row u holds the neighbors of u plus the self-loop, each entry equal to
     1/sqrt(dhat_u * dhat_v).
     """
-
-    def __init__(self, matrix: sp.csr_matrix):
-        self.matrix = matrix
-        self.num_nodes = matrix.shape[0]
-
-    @property
-    def csr_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def csr_targets(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
-
-
-def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     import scipy.sparse as sp
 
     n = g.num_nodes
@@ -249,19 +230,20 @@ def normalized_adjacency(g: Graph) -> NormalizedAdjacency:
     vals = 1.0 / np.sqrt(dhat[rows] * dhat[cols])
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     mat.sort_indices()
-    return NormalizedAdjacency(mat)
+    return mat
 
 
-def spmm(adj: NormalizedAdjacency, x: Tensor) -> Tensor:
+def spmm(adj: sp.csr_matrix, x: Tensor) -> Tensor:
     """Differentiable sparse-dense product adj @ x (gradient w.r.t. x only)."""
-    if x.data.ndim != 2 or x.data.shape[0] != adj.num_nodes:
-        raise ShapeError(f"spmm expects ({adj.num_nodes}, d) input, got {x.data.shape}")
-    out = Tensor(adj.matrix @ x.data, _parents=(x,))
+    n = adj.shape[0]
+    if x.data.ndim != 2 or x.data.shape[0] != n:
+        raise ShapeError(f"spmm expects ({n}, d) input, got {x.data.shape}")
+    out = Tensor(adj @ x.data, _parents=(x,))
     check_finite("spmm", out.data)
 
     def _bw(g):
         # the adjacency is symmetric, so A^T g == A g
-        accumulate_grad(x, adj.matrix @ g)
+        accumulate_grad(x, adj @ g)
 
     out._backward = _bw
     return out

@@ -229,15 +229,14 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
             f"checkpoint saved under {saved_precision}, loading under {dc.get_precision()}: converting"
         )
 
-    by_name = {p.name: p for p in state.parameters()}
     seen = set()
     for entry in _field(doc, "parameters", list, "checkpoint"):
         if not isinstance(entry, dict):
             raise CheckpointError(f"checkpoint parameter entry is a {type(entry).__name__}, not an object")
         name = entry.get("name")
-        if name not in by_name:
+        if name not in state.params:
             raise CheckpointError(f"checkpoint parameter {name!r} does not fit the config architecture")
-        param = by_name[name]
+        param = state.params[name]
         shape = tuple(_field(entry, "shape", list, f"parameter {name!r}"))
         if shape != param.data.shape:
             raise CheckpointError(f"parameter {name!r} shape {shape} != expected {param.data.shape}")
@@ -253,7 +252,7 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
             )
         param.data[...] = flat.reshape(shape).astype(dc.active_dtype())
         seen.add(name)
-    missing = set(by_name) - seen
+    missing = set(state.params) - seen
     if missing:
         raise CheckpointError(f"checkpoint missing parameters: {', '.join(sorted(missing))}")
     return state, config

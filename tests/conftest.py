@@ -12,7 +12,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from signa.diffcore import set_finite_checks, set_precision
+from signa.diffcore import set_precision
 from signa.graphdata import Graph, from_edges
 
 # filled by test_acceptance; echoed after the run, outside pytest's capture
@@ -28,12 +28,10 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def _reset_numeric_state():
-    """Tests that flip precision or finite checks must not leak state."""
+    """Tests that flip precision must not leak state."""
     set_precision("f64")
-    set_finite_checks(True)
     yield
     set_precision("f64")
-    set_finite_checks(True)
 
 
 @pytest.fixture

@@ -480,6 +480,20 @@ def test_ablate_explicit_seed_list(tmp_path):
     assert doc["seeds"] == [3, 9]
 
 
+@pytest.mark.parametrize("seeds, bad", [("1,", "''"), ("a", "'a'"), ("1,2.5", "'2.5'")])
+def test_ablate_bad_seed_entry_exits_one(seeds, bad, tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path, num_epochs=2)
+    out_dir = tmp_path / "ablation"
+    rc = main(["ablate", "--config", config, "--edges", edges, "--features", feats,
+               "--labels", labels, "--variants", "none", "--seeds", seeds,
+               "--probe-runs", "1", "--out-dir", str(out_dir), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"--seeds entry {bad} is not an integer" in err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # top-level argument handling
 

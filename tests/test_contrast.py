@@ -19,7 +19,6 @@ from signa.contrast import (
     loss_info_nce_ablation,
     loss_jsd_ablation,
     loss_norm_jsd,
-    loss_norm_jsd_sampled,
     verify_theorem,
 )
 from signa.errors import (
@@ -413,44 +412,6 @@ def test_blocked_loss_keeps_input_checks():
         loss_jsd_ablation(Tensor(np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]])), draw)
     with pytest.raises(ShapeError):
         loss_info_nce_ablation(Tensor(np.ones((3, 2))), draw)
-
-
-# ---------------------------------------------------------------------------
-# sampled negatives
-
-
-def test_sampled_loss_equals_full_when_sample_covers():
-    rng = np.random.default_rng(9)
-    g = random_labeled_graph(rng, max_nodes=16)
-    draw = draw_masks(g, 0.5, RngStream(4, "mask"))
-    if np.any(draw.pos_counts >= g.num_nodes):
-        pytest.skip("degenerate draw")
-    z = Tensor(rng.standard_normal((g.num_nodes, 5)))
-    full = loss_norm_jsd(z, draw).item()
-    sampled = loss_norm_jsd_sampled(
-        Tensor(z.data), draw, num_negatives=g.num_nodes, rng=RngStream(0, "mask")
-    ).item()
-    assert sampled == pytest.approx(full, abs=1e-12)
-
-
-def test_sampled_loss_is_unbiased_estimate():
-    g = _ring(10)
-    draw = draw_masks(g, 0.0, RngStream(5, "mask"))
-    rng = np.random.default_rng(10)
-    z = rng.standard_normal((10, 4))
-    full = loss_norm_jsd(Tensor(z), draw).item()
-    estimates = [
-        loss_norm_jsd_sampled(Tensor(z), draw, num_negatives=3, rng=RngStream(s, "mask")).item()
-        for s in range(300)
-    ]
-    assert abs(np.mean(estimates) - full) < 0.01
-
-
-def test_sampled_loss_rejects_bad_count():
-    g = _ring(5)
-    draw = draw_masks(g, 0.0, RngStream(0, "mask"))
-    with pytest.raises(ConfigError):
-        loss_norm_jsd_sampled(Tensor(np.ones((5, 2))), draw, 0, RngStream(0, "mask"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from signa.diffcore import (
     Tensor,
     backward,
     gradcheck,
-    set_finite_checks,
     set_precision,
 )
 from signa.errors import (
@@ -315,9 +314,6 @@ def test_finite_check_catches_overflow():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError):
             dc.exp(Tensor([1000.0]))
-        set_finite_checks(False)
-        out = dc.exp(Tensor([1000.0]))
-    assert np.isinf(out.data[0])
 
 
 # ---------------------------------------------------------------------------

@@ -53,35 +53,58 @@ def test_model_spec_dict_round_trip():
     assert ModelSpec(**spec.to_dict()) == spec
 
 
-def test_parameter_names_and_shapes():
+# per-layer parameter suffixes, in checkpoint order, by (layer_norm, activation)
+_LAYER_LAYOUT = {
+    (True, "prelu"): ["weight", "prelu_slope", "ln_gain", "ln_bias"],
+    (True, "elu"): ["weight", "ln_gain", "ln_bias"],
+    (True, "rrelu"): ["weight", "ln_gain", "ln_bias"],
+    (False, "prelu"): ["weight", "bias", "prelu_slope"],
+    (False, "elu"): ["weight", "bias"],
+    (False, "rrelu"): ["weight", "bias"],
+}
+_PROJECTOR_LAYOUT = {
+    "prelu": ["projector.0.weight", "projector.1.weight", "projector.prelu_slope"],
+    "elu": ["projector.0.weight", "projector.1.weight"],
+}
+
+
+@pytest.mark.parametrize("num_layers", [1, 2], ids=lambda v: f"L{v}")
+@pytest.mark.parametrize("projector_activation", ["prelu", "elu"], ids=lambda v: f"proj_{v}")
+@pytest.mark.parametrize("activation", ["prelu", "elu", "rrelu"])
+@pytest.mark.parametrize("layer_norm", [True, False], ids=["ln", "no_ln"])
+def test_parameter_names_and_shapes(layer_norm, activation, projector_activation, num_layers):
     spec = ModelSpec(
-        num_layers=2,
+        num_layers=num_layers,
         hidden_dim=8,
-        activation="prelu",
-        layer_norm_enabled=True,
+        activation=activation,
+        layer_norm_enabled=layer_norm,
         projector_dim=4,
-        projector_activation="elu",
+        projector_activation=projector_activation,
     )
-    state = EncoderState(spec, 5, RngStream(0, "init"))
-    names = [p.name for p in state.parameters()]
-    assert names == [
-        "layers.0.weight",
-        "layers.0.prelu_slope",
-        "layers.0.ln_gain",
-        "layers.0.ln_bias",
-        "layers.1.weight",
-        "layers.1.prelu_slope",
-        "layers.1.ln_gain",
-        "layers.1.ln_bias",
-        "projector.0.weight",
-        "projector.1.weight",
-    ]
-    shapes = {p.name: p.data.shape for p in state.parameters()}
-    assert shapes["layers.0.weight"] == (5, 8)
-    assert shapes["layers.1.weight"] == (8, 8)
-    assert shapes["projector.0.weight"] == (8, 4)
-    assert shapes["projector.1.weight"] == (4, 4)
-    assert state.prelu_slopes[0].data[0] == PRELU_INIT_SLOPE
+    state = EncoderState(spec, 5, RngStream(7, "init"))
+    expected = [
+        f"layers.{l}.{suffix}" for l in range(num_layers) for suffix in _LAYER_LAYOUT[layer_norm, activation]
+    ] + _PROJECTOR_LAYOUT[projector_activation]
+    assert list(state.params) == expected
+    assert [p.name for p in state.parameters()] == expected
+    assert all(p is state.params[p.name] for p in state.parameters())
+
+    # the Glorot weights are one sequential draw from the init stream
+    rng = RngStream(7, "init")
+    weight_shapes = [(5, 8)] + [(8, 8)] * (num_layers - 1) + [(8, 4), (4, 4)]
+    weight_names = [name for name in expected if name.endswith(".weight")]
+    for name, (fan_in, fan_out) in zip(weight_names, weight_shapes, strict=True):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        redraw = (2.0 * rng.uniform(size=(fan_in, fan_out)) - 1.0) * bound
+        np.testing.assert_array_equal(state.params[name].data, redraw, err_msg=name)
+    for name in expected:
+        data = state.params[name].data
+        if name.endswith("prelu_slope"):
+            np.testing.assert_array_equal(data, [PRELU_INIT_SLOPE])
+        elif name.endswith("ln_gain"):
+            np.testing.assert_array_equal(data, np.ones(8))
+        elif name.endswith("bias"):  # also ln_bias
+            np.testing.assert_array_equal(data, np.zeros(8))
 
 
 def test_bias_only_without_layer_norm():
@@ -103,21 +126,21 @@ def test_init_is_seeded_and_bounded():
     a = EncoderState(spec, 8, RngStream(3, "init"))
     b = EncoderState(spec, 8, RngStream(3, "init"))
     c = EncoderState(spec, 8, RngStream(4, "init"))
-    np.testing.assert_array_equal(a.layer_weights[0].data, b.layer_weights[0].data)
-    assert not np.array_equal(a.layer_weights[0].data, c.layer_weights[0].data)
+    np.testing.assert_array_equal(a.params["layers.0.weight"].data, b.params["layers.0.weight"].data)
+    assert not np.array_equal(a.params["layers.0.weight"].data, c.params["layers.0.weight"].data)
     bound = np.sqrt(6.0 / (8 + 16))
-    assert np.abs(a.layer_weights[0].data).max() <= bound
+    assert np.abs(a.params["layers.0.weight"].data).max() <= bound
 
 
 def test_state_without_rng_is_zeroed():
     state = EncoderState(_plain_spec(hidden_dim=4), 3, None)
-    assert not state.layer_weights[0].data.any()
+    assert not state.params["layers.0.weight"].data.any()
 
 
 def test_gconv_layer_equals_spmm(two_node_graph):
     spec = _plain_spec(base_encoder="gconv")
     state = EncoderState(spec, 1, RngStream(0, "init"))
-    state.layer_weights[0].data[...] = 1.0
+    state.params["layers.0.weight"].data[...] = 1.0
     adj = normalized_adjacency(two_node_graph)
     out = encode(state, spec, two_node_graph, adj=adj)
     np.testing.assert_allclose(out.data, [[3.0], [3.0]], atol=1e-15)
@@ -126,7 +149,7 @@ def test_gconv_layer_equals_spmm(two_node_graph):
 def test_linear_layer_ignores_graph(two_node_graph):
     spec = _plain_spec()
     state = EncoderState(spec, 1, RngStream(0, "init"))
-    state.layer_weights[0].data[...] = 1.0
+    state.params["layers.0.weight"].data[...] = 1.0
     out = encode(state, spec, two_node_graph)
     np.testing.assert_allclose(out.data, [[2.0], [4.0]], atol=1e-15)
 
@@ -180,8 +203,8 @@ def test_rrelu_uses_fixed_slope(two_node_graph):
     # the negative branch scales by the fixed mid-range slope
     spec = _plain_spec(activation="rrelu")
     state = EncoderState(spec, 1, RngStream(0, "init"))
-    state.layer_weights[0].data[...] = -1.0
-    state.layer_biases[0].data[...] = 0.0
+    state.params["layers.0.weight"].data[...] = -1.0
+    state.params["layers.0.bias"].data[...] = 0.0
     out = encode(state, spec, two_node_graph)
     np.testing.assert_allclose(out.data, [[-2.0 * RRELU_SLOPE], [-4.0 * RRELU_SLOPE]], atol=1e-15)
 
@@ -202,7 +225,7 @@ def test_projector_shape_and_composition(two_node_graph):
     z = project(state, h)
     assert z.data.shape == (2, 2)
     # zeroing the last projector weight zeroes the output
-    state.proj_w2.data[...] = 0.0
+    state.params["projector.1.weight"].data[...] = 0.0
     z = project(state, encode(state, spec, two_node_graph))
     assert not z.data.any()
 
@@ -210,7 +233,7 @@ def test_projector_shape_and_composition(two_node_graph):
 def test_inference_embeddings_builds_adjacency(two_node_graph):
     spec = _plain_spec(base_encoder="gconv")
     state = EncoderState(spec, 1, RngStream(0, "init"))
-    state.layer_weights[0].data[...] = 1.0
+    state.params["layers.0.weight"].data[...] = 1.0
     out = inference_embeddings(state, spec, two_node_graph)
     np.testing.assert_allclose(out.data, [[3.0], [3.0]], atol=1e-15)
 
@@ -220,7 +243,7 @@ def test_multi_layer_composition_by_hand(two_node_graph):
     # stay positive under relu): output = x * 2 * 2
     spec = _plain_spec(num_layers=2)
     state = EncoderState(spec, 1, RngStream(0, "init"))
-    for w in state.layer_weights:
-        w.data[...] = 2.0
+    for name in ("layers.0.weight", "layers.1.weight"):
+        state.params[name].data[...] = 2.0
     out = encode(state, spec, two_node_graph)
     np.testing.assert_allclose(out.data, [[8.0], [16.0]], atol=1e-15)

@@ -209,13 +209,13 @@ def test_edgeless_file_gives_edgeless_graph(tmp_path):
 
 def test_normalized_adjacency_two_nodes(two_node_graph):
     adj = normalized_adjacency(two_node_graph)
-    dense = adj.matrix.toarray()
+    dense = adj.toarray()
     np.testing.assert_allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_normalized_adjacency_path3():
     g = from_edges(np.array([[0, 1], [1, 2]]), 3, np.zeros((3, 1)))
-    dense = normalized_adjacency(g).matrix.toarray()
+    dense = normalized_adjacency(g).toarray()
     np.testing.assert_allclose(dense[0, 1], 1.0 / np.sqrt(6.0), atol=1e-15)
     np.testing.assert_allclose(dense[0, 0], 0.5, atol=1e-15)
     np.testing.assert_allclose(dense[1, 1], 1.0 / 3.0, atol=1e-15)
@@ -233,7 +233,7 @@ def test_normalized_adjacency_matches_dense_oracle():
         ahat_oracle = a + np.eye(n)
         dhat = ahat_oracle.sum(axis=1)
         ahat_oracle /= np.sqrt(np.outer(dhat, dhat))
-        dense = normalized_adjacency(g).matrix.toarray()
+        dense = normalized_adjacency(g).toarray()
         np.testing.assert_allclose(dense, ahat_oracle, atol=1e-12)
 
 
@@ -250,7 +250,7 @@ def test_spmm_matches_dense_product():
         adj = normalized_adjacency(g)
         x = rng.standard_normal((g.num_nodes, 5))
         np.testing.assert_allclose(
-            spmm(adj, Tensor(x)).data, adj.matrix.toarray() @ x, atol=1e-12
+            spmm(adj, Tensor(x)).data, adj.toarray() @ x, atol=1e-12
         )
 
 
@@ -260,7 +260,7 @@ def test_spmm_backward_is_transpose_product():
     x = Parameter(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), name="x")
     w = np.array([[1.0, -1.0], [0.5, 2.0], [0.0, 1.0]])
     backward(dc.tsum(dc.hadamard(spmm(adj, x), Tensor(w))))
-    np.testing.assert_allclose(x.grad, adj.matrix.toarray().T @ w, atol=1e-12)
+    np.testing.assert_allclose(x.grad, adj.toarray().T @ w, atol=1e-12)
 
 
 def test_spmm_gradcheck():

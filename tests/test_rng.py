@@ -54,20 +54,6 @@ def test_draw_counter_counts_scalars():
     assert s.draws == 13
     s.permutation(5)
     assert s.draws == 18
-    s.choice(10, size=4)
-    assert s.draws == 22
-
-
-def test_bernoulli_rate():
-    s = RngStream(11, "dropout")
-    hits = s.bernoulli(0.3, size=200_000)
-    assert abs(hits.mean() - 0.3) < 0.01
-
-
-def test_bernoulli_edge_probabilities():
-    s = RngStream(2, "dropout")
-    assert not s.bernoulli(0.0, size=1000).any()
-    assert s.bernoulli(1.0, size=1000).all()
 
 
 def test_unknown_purpose_rejected():
