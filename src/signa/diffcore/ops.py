@@ -4,7 +4,8 @@ Each operation computes its forward value eagerly and attaches a closure
 that maps the output gradient to gradient contributions for its inputs.
 `backward` replays those closures in reverse topological order from a
 scalar loss.  The recorded graph is single-use: after `backward` the links
-are released and a second call on the same loss raises.
+are released and a second call on the same loss raises.  Only tensors that
+`needs_grad` (Parameters and what is computed from them) take part.
 
 Conventions:
   * elementwise ops (`add`, `sub`, `hadamard`) follow numpy broadcasting,
@@ -39,7 +40,12 @@ def _as_tensor(x) -> Tensor:
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add a gradient contribution to a tensor (public for custom ops)."""
+    """Add a gradient contribution to a tensor (public for custom ops).
+
+    A tensor that needs no gradient drops the contribution.
+    """
+    if not t.needs_grad:
+        return
     if isinstance(t, Parameter):
         t.grad += g
     elif t.grad is None:
@@ -63,7 +69,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b with gradients dL/da = g bT, dL/db = aT g."""
+    """Matrix product a @ b with gradients dL/da = g bT, dL/db = aT g.
+
+    Backward forms each side only when that input needs it.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
@@ -71,8 +80,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     check_finite("matmul", out.data)
 
     def _bw(g):
-        accumulate_grad(a, g @ b.data.T)
-        accumulate_grad(b, a.data.T @ g)
+        if a.needs_grad:
+            accumulate_grad(a, g @ b.data.T)
+        if b.needs_grad:
+            accumulate_grad(b, a.data.T @ g)
 
     out._backward = _bw
     return out
@@ -245,7 +256,9 @@ def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
     """Inverted dropout: zero entries with probability p, scale by 1/(1-p).
 
     Inference mode is the exact identity and consumes no randomness; the
-    same holds for p == 0 in training mode.
+    same holds for p == 0 in training mode.  Dropout on a tensor that needs
+    no gradient (the input features) draws the same mask but records no
+    backward.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
@@ -254,6 +267,8 @@ def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
     keep = rng.uniform(size=x.data.shape) >= p
     scale = 1.0 / (1.0 - p)
     out = Tensor(x.data * keep * scale, _parents=(x,))
+    if not out.needs_grad:
+        return out
 
     def _bw(g):
         accumulate_grad(x, g * keep * scale)
@@ -294,6 +309,12 @@ def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, eps: float = 1e-5) -
 ACTIVATIONS = ("relu", "elu", "prelu", "leaky_relu")
 
 
+def _leaky_factor(d: np.ndarray, s: float) -> np.ndarray:
+    """d out / d in of a leaky relu with slope s, in d's dtype (a float
+    factor would make an f32 gradient f64)."""
+    return np.where(d > 0, d.dtype.type(1.0), d.dtype.type(s))
+
+
 def activation(x: Tensor, kind: str, slope=None) -> Tensor:
     """Elementwise nonlinearity.
 
@@ -319,7 +340,7 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
         out = Tensor(np.where(d > 0, d, s * d), _parents=(x,))
 
         def _bw(g):
-            accumulate_grad(x, g * np.where(d > 0, 1.0, s))
+            accumulate_grad(x, g * _leaky_factor(d, s))
 
     elif kind == "prelu":
         if not isinstance(slope, Parameter):
@@ -328,7 +349,7 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
         out = Tensor(np.where(d > 0, d, s * d), _parents=(x, slope))
 
         def _bw(g):
-            accumulate_grad(x, g * np.where(d > 0, 1.0, s))
+            accumulate_grad(x, g * _leaky_factor(d, s))
             accumulate_grad(slope, np.array([np.sum(g * d * (d <= 0))], dtype=d.dtype).reshape(slope.data.shape))
 
     else:
@@ -367,13 +388,18 @@ def rows_l2_normalize(x: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dParam into every reachable Parameter's grad.
 
-    The tape is consumed: graph links are dropped afterwards and calling
-    backward twice on the same loss raises a ContractError.
+    Only nodes that need a gradient are visited; a tensor that needs none
+    keeps no parent links, so the walk never reaches past it.  The tape is
+    consumed: graph links are dropped afterwards and calling backward twice
+    on the same loss raises a ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if loss._consumed:
         raise ContractError("backward called on an already-consumed tape")
+    if not loss.needs_grad:  # no Parameter reaches the loss
+        loss._consumed = True
+        return
 
     topo: list[Tensor] = []
     seen: set[int] = set()
@@ -388,7 +414,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent.needs_grad and id(parent) not in seen:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)

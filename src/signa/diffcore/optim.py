@@ -45,6 +45,13 @@ class AdamState:
 
 
 def adam_step(state: AdamState) -> None:
+    """One Adam update of every parameter, then zero its gradient.
+
+    The arithmetic is m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order, computed in two
+    scratch arrays per parameter with the gradient squared in place (it is
+    zeroed at the end anyway).
+    """
     for p in state.params:
         if not np.all(np.isfinite(p.grad)):
             raise OptimizationError(f"non-finite gradient for parameter {p.name!r}")
@@ -57,11 +64,19 @@ def adam_step(state: AdamState) -> None:
             p.data *= 1.0 - state.lr * state.weight_decay
         m = state.m[p.name]
         v = state.v[p.name]
+        g = p.grad
+        step = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * p.grad
+        m += step
         v *= state.beta2
-        v += (1.0 - state.beta2) * (p.grad * p.grad)
-        mhat = m / bc1
-        vhat = v / bc2
-        p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
-        p.grad[...] = 0.0
+        g *= g
+        g *= 1.0 - state.beta2
+        v += g
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, bc1, out=step)
+        step *= state.lr
+        step /= denom
+        p.data -= step
+        g[...] = 0.0

@@ -6,6 +6,11 @@ pushes an upstream gradient into them.  Leaf tensors (inputs, constants)
 have no links.  Parameter is a named leaf whose gradient buffer persists
 across backward passes so an optimizer can consume it.
 
+A tensor needs a gradient iff it is a Parameter or one of its parents needs
+one; this is fixed at construction.  A tensor that needs none keeps no links,
+`ops.backward` never visits it and `ops.accumulate_grad` drops what is pushed
+into it, so constants and input features cost nothing in the backward pass.
+
 Precision is a process-global switch: float64 by default (required for
 gradient checking), float32 selectable for speed.  Arrays are coerced to
 the active dtype at construction time, so the switch must be thrown before
@@ -43,13 +48,15 @@ class Tensor:
 
     `_parents` and `_backward` are filled in by the operations in
     `signa.diffcore.ops`; user code never touches them directly.  `grad`
-    is populated by `ops.backward` and holds dLoss/dself.
+    is populated by `ops.backward` and holds dLoss/dself; it stays None on
+    a tensor that does not `needs_grad`.
     """
 
     def __init__(self, data, _parents: tuple = (), _backward=None):
         self.data = np.asarray(data, dtype=active_dtype())
         self.grad: np.ndarray | None = None
-        self._parents = _parents
+        self.needs_grad = any(p.needs_grad for p in _parents)
+        self._parents = _parents if self.needs_grad else ()
         self._backward = _backward
         self._consumed = False
 
@@ -85,6 +92,7 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str):
         super().__init__(data)
+        self.needs_grad = True
         self.name = name
         self.grad = np.zeros_like(self.data)
 

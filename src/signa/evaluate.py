@@ -412,7 +412,9 @@ def timing_harness(
     """Median single-pass inference wall time for each base encoder.
 
     The normalized adjacency is built once outside the timed region; only
-    the forward pass is measured.
+    the forward pass is measured.  After each encoder's warmup the repeats
+    alternate between the two encoders, each going first every other time,
+    so a burst of machine load lands on both sides alike.
     """
     if spec_mlp.base_encoder != "linear" or spec_gconv.base_encoder != "gconv":
         raise ConfigError("timing_harness expects (linear spec, gconv spec) in that order")
@@ -422,17 +424,20 @@ def timing_harness(
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
 
     adj = normalized_adjacency(graph)
-    medians = []
+    runs = []
     for spec, use_adj in ((spec_mlp, None), (spec_gconv, adj)):
         state = EncoderState(spec, graph.num_features, dc.RngStream(seed, "init"))
         for _ in range(warmup):
             encode(state, spec, graph, adj=use_adj, training=False)
-        times = []
-        for _ in range(repeats):
+        runs.append((state, spec, use_adj))
+    times: list[list[float]] = [[], []]
+    for i in range(repeats):
+        for k in (0, 1) if i % 2 == 0 else (1, 0):
+            state, spec, use_adj = runs[k]
             t0 = time.perf_counter()
             encode(state, spec, graph, adj=use_adj, training=False)
-            times.append((time.perf_counter() - t0) * 1000.0)
-        medians.append(float(np.median(times)))
+            times[k].append((time.perf_counter() - t0) * 1000.0)
+    medians = [float(np.median(t)) for t in times]
     entries = [TimingEntry("linear", medians[0]), TimingEntry("gconv", medians[1])]
     ratio = medians[1] / medians[0] if medians[0] > 0 else float("inf")
     return TimingReport(entries=entries, ratio_gconv_over_linear=ratio, repeats=repeats, warmup=warmup)

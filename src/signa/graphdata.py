@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diffcore import Tensor, accumulate_grad, check_finite
+from .diffcore import Tensor, accumulate_grad, active_dtype, check_finite
 from .errors import AnalysisError, ConfigError, IngestionError, ShapeError
 
 if TYPE_CHECKING:  # scipy is imported only where a sparse matrix is built
@@ -218,7 +218,8 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     """Symmetric CSR matrix Dhat^{-1/2} (A+I) Dhat^{-1/2}, dhat = degree in A+I.
 
     Row u holds the neighbors of u plus the self-loop, each entry equal to
-    1/sqrt(dhat_u * dhat_v).
+    1/sqrt(dhat_u * dhat_v), computed in f64 and stored in the active
+    precision so that `spmm` runs in it forward and backward.
     """
     import scipy.sparse as sp
 
@@ -227,7 +228,7 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
     src = np.repeat(np.arange(n), g.degrees)
     rows = np.concatenate([src, np.arange(n)])
     cols = np.concatenate([g.csr_targets, np.arange(n)])
-    vals = 1.0 / np.sqrt(dhat[rows] * dhat[cols])
+    vals = (1.0 / np.sqrt(dhat[rows] * dhat[cols])).astype(active_dtype(), copy=False)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     mat.sort_indices()
     return mat

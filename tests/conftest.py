@@ -48,6 +48,18 @@ def path4_graph() -> Graph:
     return from_edges(edges, 4, feats, labels=np.array([0, 0, 1, 1]))
 
 
+class CountsTranspose(np.ndarray):
+    """An array that counts, in a class attribute, how often `.T` is taken
+    of it or of its views; a spy for which matrix products a backward forms."""
+
+    transposes = 0
+
+    @property
+    def T(self):
+        CountsTranspose.transposes += 1
+        return super().T
+
+
 def random_labeled_graph(rng: np.random.Generator, max_nodes: int = 50) -> Graph:
     """Random undirected graph with at least one edge and random labels."""
     while True:

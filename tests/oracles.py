@@ -15,6 +15,9 @@ all n^2/2 pairs at once; it is the reference for the row-blocked one.
 `linear_probe_oracle` is the library's earlier probe loop, kept as it was:
 it scores every epoch's validation split with `micro_f1`.  It is the
 reference for the probe's (micro-F1, accuracy).
+
+`adam_step_oracle` is the library's earlier Adam step, which allocates its
+temporaries afresh; the lean step must match it bit for bit.
 """
 
 import math
@@ -24,7 +27,7 @@ import numpy as np
 
 import signa.diffcore as dc
 from signa.contrast import ContrastDraw
-from signa.errors import ConfigError, DegenerateGraphError, ShapeError
+from signa.errors import ConfigError, DegenerateGraphError, OptimizationError, ShapeError
 from signa.evaluate import ProbeConfig, Split, _probe_gradients, accuracy, micro_f1
 from signa.graphdata import Graph, from_edges
 
@@ -357,3 +360,28 @@ def canonical_partitions(n: int, max_cells: int = 3) -> list:
 
     grow(0, 0)
     return out
+
+
+def adam_step_oracle(state: dc.AdamState) -> None:
+    """The library's earlier Adam step, kept as it was: six temporaries per
+    parameter.  The reference for `dc.adam_step`'s bits."""
+    for p in state.params:
+        if not np.all(np.isfinite(p.grad)):
+            raise OptimizationError(f"non-finite gradient for parameter {p.name!r}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for p in state.params:
+        if state.weight_decay != 0.0:
+            p.data *= 1.0 - state.lr * state.weight_decay
+        m = state.m[p.name]
+        v = state.v[p.name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * p.grad
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (p.grad * p.grad)
+        mhat = m / bc1
+        vhat = v / bc2
+        p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.grad[...] = 0.0

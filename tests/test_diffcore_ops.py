@@ -8,6 +8,8 @@ instances, relative error under 1e-5 in 64-bit mode.
 import numpy as np
 import pytest
 
+from conftest import CountsTranspose
+
 import signa.diffcore as dc
 from signa.diffcore import (
     Parameter,
@@ -290,6 +292,84 @@ def test_reused_node_receives_summed_gradient():
     y = dc.scalar_mul(x, 1.0)
     backward(dc.tsum(dc.add(y, y)))
     np.testing.assert_array_equal(x.grad, [2.0])
+
+
+def test_needs_grad_follows_parameters():
+    x = Tensor(np.ones((2, 2)))
+    w = Parameter(np.ones((2, 2)), name="w")
+    assert not x.needs_grad and w.needs_grad
+    const = dc.matmul(x, x)
+    assert not const.needs_grad and const._parents == ()
+    assert dc.matmul(x, w).needs_grad and dc.add(dc.matmul(x, w), x).needs_grad
+
+
+def test_accumulate_grad_drops_what_nothing_reads():
+    x = Tensor(np.ones(3))
+    dc.accumulate_grad(x, np.ones(3))
+    assert x.grad is None
+
+
+def test_backward_visits_only_nodes_that_need_a_gradient():
+    x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
+    w = Parameter(np.ones((3, 2)), name="w")
+    calls = []
+    left = dc.scalar_mul(x, 2.0)  # constant subtree: its closure never runs
+    left_backward = left._backward
+
+    def spy(g):
+        calls.append(g)
+        left_backward(g)
+
+    left._backward = spy
+    backward(dc.tsum(dc.matmul(left, w)))
+    assert calls == []
+    assert x.grad is None and left.grad is None
+    np.testing.assert_array_equal(w.grad, np.tile((2.0 * x.data).sum(axis=0)[:, None], (1, 2)))
+
+
+def test_matmul_forms_only_the_needed_side():
+    w = Parameter(np.ones((3, 2)), name="w")
+    w.data = w.data.view(CountsTranspose)
+    CountsTranspose.transposes = 0
+    x = Parameter(np.ones((4, 3)), name="x")
+    backward(dc.tsum(dc.matmul(Tensor(np.ones((4, 3))), w)))
+    assert CountsTranspose.transposes == 0  # dL/da = g @ w.T is not formed
+    backward(dc.tsum(dc.matmul(x, w)))
+    assert CountsTranspose.transposes == 1
+    np.testing.assert_array_equal(x.grad, np.full((4, 3), 2.0))
+
+
+def test_backward_of_a_constant_loss_is_a_noop():
+    loss = dc.tsum(Tensor(np.ones(3)))
+    backward(loss)
+    assert loss.grad is None
+    with pytest.raises(ContractError):
+        backward(loss)
+
+
+def test_dropout_on_a_constant_records_no_backward():
+    x = Tensor(np.ones((4, 5)))
+    rng = RngStream(0, "dropout")
+    out = dc.dropout(x, 0.5, rng, training=True)
+    assert rng.draws == 20
+    assert not out.needs_grad and out._backward is None
+
+
+@pytest.mark.parametrize("kind", ["leaky_relu", "prelu", "elu", "relu"])
+def test_activation_backward_keeps_f32(monkeypatch, kind):
+    set_precision("f32")
+    x = Parameter(np.array([[-1.5, 0.5], [2.0, -0.25]]), name="x")
+    slope = Parameter(np.array([0.25]), name="slope") if kind == "prelu" else 0.2
+    pushed = []
+    original = dc.ops.accumulate_grad
+
+    def spy(t, g):
+        pushed.append(np.asarray(g).dtype)
+        original(t, g)
+
+    monkeypatch.setattr(dc.ops, "accumulate_grad", spy)
+    backward(dc.tsum(dc.activation(x, kind, slope)))
+    assert pushed and set(pushed) == {np.dtype(np.float32)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,19 @@
 """Encoder forward semantics: layer composition, both base encoders,
-deterministic inference, and parameter bookkeeping."""
+deterministic inference, parameter bookkeeping, and what one training step
+computes (f32 throughout under f32, no gradient for the input features)."""
 
 import numpy as np
 import pytest
 
-from signa.diffcore import RngStream
+from conftest import CountsTranspose
+
+import signa.diffcore as dc
+import signa.diffcore.ops as ops
+import signa.graphdata as graphdata
+from signa.contrast import EstimatorSpec, draw_masks, estimator_loss
+from signa.diffcore import RngStream, backward
 from signa.encoder import (
+    ACTIVATION_KINDS,
     PRELU_INIT_SLOPE,
     RRELU_SLOPE,
     EncoderState,
@@ -15,7 +23,8 @@ from signa.encoder import (
     project,
 )
 from signa.errors import ConfigError
-from signa.graphdata import from_edges, normalized_adjacency
+from signa.graphdata import Graph, from_edges, normalized_adjacency
+from signa.trainer import TrainConfig, train
 
 
 def _plain_spec(**kw) -> ModelSpec:
@@ -247,3 +256,112 @@ def test_multi_layer_composition_by_hand(two_node_graph):
         state.params[name].data[...] = 2.0
     out = encode(state, spec, two_node_graph)
     np.testing.assert_allclose(out.data, [[8.0], [16.0]], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# one training step: precision and where gradients flow
+
+
+def _step_graph() -> Graph:
+    rng = np.random.default_rng(5)
+    n = 12
+    edges = np.array([[u, (u + k) % n] for u in range(n) for k in (1, 3)])
+    return from_edges(edges, n, rng.standard_normal((n, 6)))
+
+
+def _record_grads(monkeypatch) -> list:
+    """Record every gradient handed to accumulate_grad, whichever module calls it."""
+    pushed = []
+    original = ops.accumulate_grad
+
+    def spy(t, g):
+        pushed.append((t, np.asarray(g)))
+        original(t, g)
+
+    for module in (ops, dc, graphdata):
+        monkeypatch.setattr(module, "accumulate_grad", spy)
+    return pushed
+
+
+@pytest.mark.parametrize("projector", ["prelu", "elu"])
+@pytest.mark.parametrize("activation", ACTIVATION_KINDS)
+@pytest.mark.parametrize("base", ["linear", "gconv"])
+def test_f32_training_step_stays_f32(monkeypatch, base, activation, projector):
+    # every array an op puts on the tape (before Tensor's cast) and every
+    # gradient pushed is float32; the scalar loss value alone is summed in f64
+    made = []
+    tensor_init = dc.Tensor.__init__
+
+    def record(self, data, _parents=(), _backward=None):
+        if _parents and np.size(data) > 1:
+            made.append(np.asarray(data).dtype)
+        tensor_init(self, data, _parents, _backward)
+
+    monkeypatch.setattr(dc.Tensor, "__init__", record)
+    pushed = _record_grads(monkeypatch)
+    spec = ModelSpec(
+        num_layers=2,
+        base_encoder=base,
+        hidden_dim=8,
+        dropout_p=0.3,
+        activation=activation,
+        projector_dim=4,
+        projector_activation=projector,
+    )
+    config = TrainConfig(model=spec, estimator=EstimatorSpec(), num_epochs=1, precision="f32")
+    state, _ = train(_step_graph(), config)
+    assert made and pushed
+    assert {str(d) for d in made} == {"float32"}
+    assert {str(g.dtype) for _, g in pushed} == {"float32"}
+    assert {str(p.data.dtype) for p in state.parameters()} == {"float32"}
+
+
+def _leaf_step(spec: ModelSpec, graph: Graph, monkeypatch, input_is_parameter: bool):
+    """One f64 training step by hand; returns (state, dropout calls, transposes of W0).
+
+    With `input_is_parameter` the input features enter as a Parameter, so the
+    backward forms dL/dX as it did before a leaf could opt out of gradients.
+    """
+    calls = []
+    dropout = dc.dropout
+
+    def spy(x, p, rng, training):
+        if not calls and input_is_parameter:
+            x = dc.Parameter(x.data, name="features")
+        out = dropout(x, p, rng, training)
+        calls.append((x, out))
+        return out
+
+    monkeypatch.setattr(dc, "dropout", spy)
+    state = EncoderState(spec, graph.num_features, RngStream(4, "init"))
+    w0 = state.params["layers.0.weight"]
+    w0.data = w0.data.view(CountsTranspose)
+    CountsTranspose.transposes = 0
+    adj = normalized_adjacency(graph) if spec.base_encoder == "gconv" else None
+    h = encode(state, spec, graph, adj=adj, training=True, rng=RngStream(4, "dropout"))
+    z = project(state, h)
+    draw = draw_masks(graph, 0.3, RngStream(4, "mask"))
+    backward(estimator_loss(z, draw, EstimatorSpec()))
+    return state, calls, CountsTranspose.transposes
+
+
+@pytest.mark.parametrize("base", ["linear", "gconv"])
+def test_input_features_receive_no_gradient(monkeypatch, base):
+    spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, projector_dim=4)
+    graph = _step_graph()
+    state, calls, transposes = _leaf_step(spec, graph, monkeypatch, input_is_parameter=False)
+    features, dropped = calls[0]
+    for t in (features, dropped):
+        assert not t.needs_grad
+        assert t.grad is None
+    assert dropped._backward is None and dropped._parents == ()
+    assert transposes == 0  # the first layer never forms g @ W0.T
+    grads = {name: p.grad.copy() for name, p in state.params.items()}
+
+    # the same step with dL/dX formed: the spy sees W0.T, and every
+    # parameter gradient is bit-identical
+    full, calls, transposes = _leaf_step(spec, graph, monkeypatch, input_is_parameter=True)
+    assert transposes == 1
+    assert calls[0][0].grad is not None
+    for name, p in full.params.items():
+        assert np.array_equal(p.grad, grads[name]), name

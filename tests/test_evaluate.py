@@ -8,6 +8,7 @@ import pytest
 from conftest import random_labeled_graph
 from oracles import homogeneity_oracle, linear_probe_oracle, nmi_oracle
 
+import signa.evaluate as evaluate
 from signa import diffcore as dc
 from signa.diffcore import RngStream
 from signa.encoder import ModelSpec
@@ -468,6 +469,22 @@ def test_timing_harness_reports_medians():
     assert all(e.wall_millis > 0 for e in report.entries)
     assert report.ratio_gconv_over_linear > 0
     assert report.repeats == 5 and report.warmup == 1
+
+
+def test_timing_harness_interleaves_the_repeats(monkeypatch):
+    # each encoder warms up as before, then the timed passes alternate,
+    # with the encoder that goes first swapping every repeat
+    order = []
+    encode = evaluate.encode
+
+    def spy(state, spec, graph, **kw):
+        order.append(spec.base_encoder[0])
+        return encode(state, spec, graph, **kw)
+
+    monkeypatch.setattr(evaluate, "encode", spy)
+    g = random_labeled_graph(np.random.default_rng(16), max_nodes=20)
+    timing_harness(g, *_timing_specs(), repeats=5, warmup=2)
+    assert "".join(order) == "llgg" + "lg" + "gl" + "lg" + "gl" + "lg"
 
 
 def test_timing_harness_validates_specs():

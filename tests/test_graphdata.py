@@ -438,3 +438,16 @@ def test_sbm_memory_is_not_quadratic():
         tracemalloc.stop()
     assert g.num_nodes == 3000 and g.num_edges > 0
     assert peak < 40 * 2**20
+
+
+def test_normalized_adjacency_is_built_in_the_active_precision():
+    g = random_labeled_graph(np.random.default_rng(4), max_nodes=30)
+    ref = normalized_adjacency(g)
+    assert ref.dtype == np.float64
+    dc.set_precision("f32")
+    adj = normalized_adjacency(g)
+    assert adj.dtype == np.float32
+    np.testing.assert_array_equal(adj.indptr, ref.indptr)
+    np.testing.assert_array_equal(adj.indices, ref.indices)
+    assert np.array_equal(adj.data, ref.data.astype(np.float32))  # f64 values, rounded once
+    assert (adj @ np.ones((g.num_nodes, 2), dtype=np.float32)).dtype == np.float32  # spmm's product

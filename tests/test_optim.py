@@ -1,11 +1,13 @@
-"""Adam update semantics: bias correction, decoupled weight decay, and
-gradient hygiene after each step."""
+"""Adam update semantics: bias correction, decoupled weight decay,
+gradient hygiene after each step, and bit-identity with the earlier step."""
 
 import numpy as np
 import pytest
 
-from signa.diffcore import AdamState, Parameter, adam_step
+from signa.diffcore import AdamState, Parameter, active_dtype, adam_step, set_precision
 from signa.errors import ConfigError, OptimizationError
+
+from oracles import adam_step_oracle
 
 
 def _single(value=0.0, grad=1.0, **kw):
@@ -96,3 +98,35 @@ def test_validation_errors():
     q = Parameter(np.array([0.0]), name="w")
     with pytest.raises(ConfigError):
         AdamState([p, q], lr=0.1)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_step_is_bit_identical_to_the_oracle(precision, weight_decay):
+    set_precision(precision)
+    rng = np.random.default_rng(3)
+    shapes = {"w": (7, 5), "b": (5,), "s": (1,)}
+    init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+
+    def make():
+        params = [Parameter(init[name], name=name) for name in shapes]
+        return params, AdamState(params, lr=0.01, weight_decay=weight_decay)
+
+    lean, lean_state = make()
+    ref, ref_state = make()
+    for _ in range(5):
+        for a, b in zip(lean, ref):
+            # magnitudes from 1e-6 to 1e3, with exact zeros mixed in
+            g = rng.standard_normal(a.data.shape) * 10.0 ** rng.integers(-6, 4, size=a.data.shape)
+            g[rng.random(a.data.shape) < 0.2] = 0.0
+            a.grad[...] = g
+            b.grad[...] = g
+        adam_step(lean_state)
+        adam_step_oracle(ref_state)
+        for a, b in zip(lean, ref):
+            assert a.data.dtype == b.data.dtype == active_dtype()
+            assert np.array_equal(a.data, b.data), a.name
+            assert np.array_equal(lean_state.m[a.name], ref_state.m[b.name]), a.name
+            assert np.array_equal(lean_state.v[a.name], ref_state.v[b.name]), a.name
+            assert not a.grad.any()
+    assert lean_state.step_count == ref_state.step_count == 5
