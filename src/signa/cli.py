@@ -74,7 +74,11 @@ def _write_manifest(
     outputs: list[str],
     config_path: str | None = None,
     extra: dict | None = None,
+    digests: dict[str, str] | None = None,
 ) -> str:
+    """Write `<primary_out>.manifest.json`; `digests` holds sha256 values
+    already computed for some inputs, so those files are not read twice."""
+    digests = digests or {}
     doc = {
         "command": command,
         "toolkit_version": __version__,
@@ -82,7 +86,7 @@ def _write_manifest(
         "config": None
         if config_path is None
         else {"path": config_path, "sha256": _sha256(config_path)},
-        "inputs": [{"path": p, "sha256": _sha256(p)} for p in inputs],
+        "inputs": [{"path": p, "sha256": digests.get(p) or _sha256(p)} for p in inputs],
         "outputs": [{"path": p, "sha256": _sha256(p)} for p in outputs],
         "started_at": started,
         "finished_at": _now(),
@@ -268,10 +272,11 @@ def _cmd_eval(args) -> int:
     need_labels = args.mode in ("classify", "cluster")
     state, config, graph = _load_for_eval(args, need_labels)
     seed = args.seed if args.seed is not None else config.seed
+    checkpoint_sha256 = _sha256(args.checkpoint)
     report: dict = {
         "mode": args.mode,
         "seed": seed,
-        "checkpoint_sha256": _sha256(args.checkpoint),
+        "checkpoint_sha256": checkpoint_sha256,
         "config": config.to_dict(),
     }
     outputs = [args.out]
@@ -346,7 +351,15 @@ def _cmd_eval(args) -> int:
     inputs = [args.checkpoint, args.edges, args.features]
     if args.labels:
         inputs.append(args.labels)
-    _write_manifest(args.out, "eval", started, seed=seed, inputs=inputs, outputs=outputs)
+    _write_manifest(
+        args.out,
+        "eval",
+        started,
+        seed=seed,
+        inputs=inputs,
+        outputs=outputs,
+        digests={args.checkpoint: checkpoint_sha256},
+    )
     if not args.quiet:
         print(f"wrote {args.mode} report to {args.out}")
     return 0

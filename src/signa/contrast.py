@@ -273,8 +273,7 @@ def _pairwise_loss(z: dc.Tensor, draw: ContrastDraw, kind: str, eps: float = 1e-
     def _bw(g):
         dc.accumulate_grad(z, dz * g)
 
-    out._backward = _bw
-    return out
+    return dc.record_backward(out, _bw)
 
 
 def loss_norm_jsd(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> dc.Tensor:

@@ -28,6 +28,7 @@ from .ops import (
     log,
     logistic,
     matmul,
+    record_backward,
     rows_l2_normalize,
     scalar_mul,
     sigmoid,
@@ -66,6 +67,7 @@ __all__ = [
     "log",
     "logistic",
     "matmul",
+    "record_backward",
     "rows_l2_normalize",
     "scalar_mul",
     "set_precision",

@@ -5,7 +5,8 @@ that maps the output gradient to gradient contributions for its inputs.
 `backward` replays those closures in reverse topological order from a
 scalar loss.  The recorded graph is single-use: after `backward` the links
 are released and a second call on the same loss raises.  Only tensors that
-`needs_grad` (Parameters and what is computed from them) take part.
+`needs_grad` (Parameters and what is computed from them) take part; the
+others get no closure, so a forward over constants keeps nothing alive.
 
 Conventions:
   * elementwise ops (`add`, `sub`, `hadamard`) follow numpy broadcasting,
@@ -54,6 +55,18 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
+def record_backward(out: Tensor, backward_fn) -> Tensor:
+    """Attach `backward_fn` (upstream gradient -> contributions to the
+    parents) to `out` and return it (public for custom ops).
+
+    A tensor that needs no gradient gets none: nothing would call it, and
+    its closure would keep the op's inputs and temporaries alive.
+    """
+    if out.needs_grad:
+        out._backward = backward_fn
+    return out
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to `shape`, undoing numpy broadcasting."""
     while g.ndim > len(shape):
@@ -85,8 +98,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.needs_grad:
             accumulate_grad(b, a.data.T @ g)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -97,8 +109,7 @@ def transpose(x: Tensor) -> Tensor:
     def _bw(g):
         accumulate_grad(x, g.T)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
@@ -111,8 +122,7 @@ def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
         np.add.at(dx, idx, g)
         accumulate_grad(x, dx)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +137,7 @@ def add(a, b) -> Tensor:
         accumulate_grad(a, _unbroadcast(g, a.data.shape))
         accumulate_grad(b, _unbroadcast(g, b.data.shape))
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def sub(a, b) -> Tensor:
@@ -139,8 +148,7 @@ def sub(a, b) -> Tensor:
         accumulate_grad(a, _unbroadcast(g, a.data.shape))
         accumulate_grad(b, _unbroadcast(-g, b.data.shape))
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def hadamard(a, b) -> Tensor:
@@ -152,8 +160,7 @@ def hadamard(a, b) -> Tensor:
         accumulate_grad(a, _unbroadcast(g * b.data, a.data.shape))
         accumulate_grad(b, _unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
@@ -163,8 +170,7 @@ def scalar_mul(x: Tensor, c: float) -> Tensor:
     def _bw(g):
         accumulate_grad(x, g * c)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def log(x: Tensor) -> Tensor:
@@ -175,8 +181,7 @@ def log(x: Tensor) -> Tensor:
     def _bw(g):
         accumulate_grad(x, g / x.data)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -186,8 +191,7 @@ def exp(x: Tensor) -> Tensor:
     def _bw(g):
         accumulate_grad(x, g * out.data)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def logistic(d: np.ndarray) -> np.ndarray:
@@ -207,8 +211,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def _bw(g):
         accumulate_grad(x, g * s * (1.0 - s))
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -219,8 +222,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     def _bw(g):
         accumulate_grad(x, g * inside)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -231,8 +233,7 @@ def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         accumulate_grad(x, np.broadcast_to(g, x.data.shape).copy())
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -244,8 +245,7 @@ def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         accumulate_grad(x, np.broadcast_to(g / count, x.data.shape).copy())
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +257,7 @@ def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
 
     Inference mode is the exact identity and consumes no randomness; the
     same holds for p == 0 in training mode.  Dropout on a tensor that needs
-    no gradient (the input features) draws the same mask but records no
-    backward.
+    no gradient (the input features) draws the same mask.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
@@ -267,14 +266,11 @@ def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
     keep = rng.uniform(size=x.data.shape) >= p
     scale = 1.0 / (1.0 - p)
     out = Tensor(x.data * keep * scale, _parents=(x,))
-    if not out.needs_grad:
-        return out
 
     def _bw(g):
         accumulate_grad(x, g * keep * scale)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, eps: float = 1e-5) -> Tensor:
@@ -302,8 +298,7 @@ def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, eps: float = 1e-5) -
         m2 = np.mean(gx * xhat, axis=1, keepdims=True)
         accumulate_grad(x, inv * (gx - m1 - xhat * m2))
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 ACTIVATIONS = ("relu", "elu", "prelu", "leaky_relu")
@@ -318,8 +313,9 @@ def _leaky_factor(d: np.ndarray, s: float) -> np.ndarray:
 def activation(x: Tensor, kind: str, slope=None) -> Tensor:
     """Elementwise nonlinearity.
 
-    `prelu` takes a learnable slope Parameter (shared scalar) that receives
-    gradient; `leaky_relu` takes a fixed float slope.
+    `prelu` takes its slope as a one-element Tensor: a Parameter receives
+    a gradient, a constant (a frozen encoder's) does not; `leaky_relu` takes
+    a fixed float slope.
     """
     d = x.data
     if kind == "relu":
@@ -343,8 +339,8 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
             accumulate_grad(x, g * _leaky_factor(d, s))
 
     elif kind == "prelu":
-        if not isinstance(slope, Parameter):
-            raise ConfigError("prelu requires a slope Parameter")
+        if not isinstance(slope, Tensor):
+            raise ConfigError("prelu requires a slope Tensor")
         s = float(slope.data.reshape(-1)[0])
         out = Tensor(np.where(d > 0, d, s * d), _parents=(x, slope))
 
@@ -354,8 +350,7 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
 
     else:
         raise ConfigError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 def rows_l2_normalize(x: Tensor) -> Tensor:
@@ -377,8 +372,7 @@ def rows_l2_normalize(x: Tensor) -> Tensor:
         dots = np.sum(g * y, axis=1, keepdims=True)
         accumulate_grad(x, (g - y * dots) / norms)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ consumed downstream; the projector exists only for the contrastive loss.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -108,6 +109,16 @@ class EncoderState:
     def parameters(self) -> list[dc.Parameter]:
         return list(self.params.values())
 
+    def frozen(self) -> EncoderState:
+        """This state with every parameter as a constant over the same array.
+
+        A forward through it records no tape, so each intermediate is freed
+        as soon as the next op has read it.
+        """
+        view = copy.copy(self)
+        view.params = {name: dc.Tensor(p.data) for name, p in self.params.items()}
+        return view
+
 
 def encode(
     state: EncoderState,
@@ -163,7 +174,8 @@ def project(state: EncoderState, h: dc.Tensor) -> dc.Tensor:
 def inference_embeddings(
     state: EncoderState, spec: ModelSpec, graph: Graph, adj: sp.csr_matrix | None = None
 ) -> dc.Tensor:
-    """Frozen-encoder representations: encode with training off, no projector."""
+    """Frozen-encoder representations: encode with training off and the
+    parameters as constants (no tape), no projector."""
     if spec.base_encoder == "gconv" and adj is None:
         adj = normalized_adjacency(graph)
-    return encode(state, spec, graph, adj=adj, training=False)
+    return encode(state.frozen(), spec, graph, adj=adj, training=False)

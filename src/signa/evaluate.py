@@ -165,57 +165,112 @@ class KMeansResult:
     inertia_trace: list[float] = field(default_factory=list)
 
 
-def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(centroids * centroids, axis=1)[None, :]
-        - 2.0 * (x @ centroids.T)
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(a: np.ndarray, aa: np.ndarray, b: np.ndarray, bb: np.ndarray) -> np.ndarray:
+    """Squared distances (len(a), len(b)) between the rows of a and of b,
+    given their squared row norms: |a|^2 + |b|^2 - 2 a.b, clamped at zero."""
+    prod = a @ b.T
+    prod *= 2.0
+    d2 = np.add.outer(aa, bb)
+    d2 -= prod
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def _kmeans_once(x: np.ndarray, k: int, max_iters: int, tol: float, rng) -> KMeansResult:
+def _assign(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray):
+    """Score m restarts' centroids (m, k, d) with one distance product.
+
+    Returns the distances (n, m, k), each restart's nearest centroid per
+    point (n, m) and each restart's inertia (m,).  An inertia is summed over
+    a contiguous row, as a 1-D sum over the points would be.
+    """
+    m, k, d = centroids.shape
+    flat = centroids.reshape(m * k, d)
+    d2 = _sq_dists(x, xx, flat, np.sum(flat * flat, axis=1)).reshape(-1, m, k)
+    assignments = np.argmin(d2, axis=2)
+    inertias = np.ascontiguousarray(np.min(d2, axis=2).T).sum(axis=1)
+    return d2, assignments, inertias
+
+
+def _row_sq_norms(x: np.ndarray, block_elems: int = 1 << 16) -> np.ndarray:
+    """np.sum(x * x, axis=1), a block of rows at a time (no n x d temporary)."""
+    step = max(1, block_elems // max(x.shape[1], 1))
+    xx = np.empty(x.shape[0])
+    for i in range(0, x.shape[0], step):
+        b = x[i : i + step]
+        xx[i : i + step] = np.sum(b * b, axis=1)
+    return xx
+
+
+# below this fraction of |x|^2 + |c|^2 the expansion cannot tell a squared
+# distance from zero; such entries of the seeding weights are recomputed exactly
+_SEED_EXACT_BELOW = 1e-8
+
+
+def _seed_dists(x: np.ndarray, xx: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Squared distances (len(picks), n) from the picked rows to every row.
+
+    Entries the expansion cannot tell from zero (the picked rows themselves,
+    their duplicates) are recomputed as sums of squared differences, so a
+    duplicate of a chosen centroid weighs exactly zero.
+    """
+    d2 = _sq_dists(x[picks], xx[picks], x, xx)
+    rows, cols = np.nonzero(d2 <= _SEED_EXACT_BELOW * np.add.outer(xx[picks], xx))
+    d2[rows, cols] = np.sum((x[cols] - x[picks[rows]]) ** 2, axis=1)
+    return d2
+
+
+def _kmeans_pp(x: np.ndarray, xx: np.ndarray, k: int, rngs: list) -> np.ndarray:
+    """k-means++ seeds (R, k, d), restart r drawing from rngs[r].
+
+    The first centroid is uniform, each further one is drawn with weight the
+    squared distance to the nearest centroid chosen so far; once every weight
+    is zero the remaining centroids repeat the first.  The restarts take each
+    step together, so a step is one (R, d) x (d, n) product.
+    """
     n = x.shape[0]
-    # k-means++ seeding: first centroid uniform, then distance^2-weighted
-    centroids = np.empty((k, x.shape[1]))
-    first = int(rng.integers(0, n))
-    centroids[0] = x[first]
-    closest = np.sum((x - centroids[0]) ** 2, axis=1)
+    first = np.array([int(rng.integers(0, n)) for rng in rngs])
+    centroids = np.empty((len(rngs), k, x.shape[1]))
+    centroids[:, 0] = x[first]
+    seeding = np.arange(len(rngs))
+    closest = _seed_dists(x, xx, first)  # (R, n)
     for j in range(1, k):
-        total = float(closest.sum())
-        if total <= 0.0:
-            centroids[j:] = x[first]
+        totals = closest[seeding].sum(axis=1)
+        live = totals > 0.0
+        for r in seeding[~live]:
+            centroids[r, j:] = x[first[r]]
+        seeding, totals = seeding[live], totals[live]
+        if seeding.size == 0:
             break
-        r = rng.uniform() * total
-        idx = int(np.searchsorted(np.cumsum(closest), r))
-        centroids[j] = x[min(idx, n - 1)]
-        closest = np.minimum(closest, np.sum((x - centroids[j]) ** 2, axis=1))
+        cums = np.cumsum(closest[seeding], axis=1)
+        picks = np.array(
+            [
+                min(int(np.searchsorted(cum, rngs[r].uniform() * float(total))), n - 1)
+                for r, cum, total in zip(seeding, cums, totals)
+            ]
+        )
+        centroids[seeding, j] = x[picks]
+        if j < k - 1:
+            closest[seeding] = np.minimum(closest[seeding], _seed_dists(x, xx, picks))
+    return centroids
 
-    trace: list[float] = []
-    assignments = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iters):
-        d2 = _sq_dists(x, centroids)
-        assignments = np.argmin(d2, axis=1)
-        trace.append(float(d2[np.arange(n), assignments].sum()))
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = assignments == j
-            if members.any():
-                new_centroids[j] = x[members].mean(axis=0)
-            else:
-                # empty cluster: re-seed at the point farthest from its centroid
-                far = int(np.argmax(d2[np.arange(n), assignments]))
-                new_centroids[j] = x[far]
-                assignments[far] = j
-        shift = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
-        centroids = new_centroids
-        if shift < tol:
-            break
-    d2 = _sq_dists(x, centroids)
-    assignments = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), assignments].sum())
-    trace.append(inertia)
-    return KMeansResult(assignments, centroids, inertia, trace)
+
+def _update_one_by_one(
+    x: np.ndarray, d2: np.ndarray, assignments: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """One restart's centroid update, cluster by cluster, for an iteration in
+    which one of its clusters is empty: that cluster is re-seeded at the
+    point farthest from its centroid, and the point leaves its old cluster
+    (whose mean, if still to come, no longer counts it)."""
+    n = x.shape[0]
+    new_centroids = centroids.copy()
+    for j in range(centroids.shape[0]):
+        members = assignments == j
+        if members.any():
+            new_centroids[j] = x[members].mean(axis=0)
+        else:
+            far = int(np.argmax(d2[np.arange(n), assignments]))
+            new_centroids[j] = x[far]
+            assignments[far] = j
+    return new_centroids
 
 
 def kmeans(
@@ -226,20 +281,59 @@ def kmeans(
     tol: float = 1e-6,
     rng=None,
 ) -> KMeansResult:
-    """Lloyd's algorithm with k-means++ seeding; best of `restarts` by inertia."""
+    """Lloyd's algorithm with k-means++ seeding; best of `restarts` by inertia.
+
+    Restart r seeds from `rng.child(r)`.  The restarts run in lockstep: one
+    iteration scores the centroids of every restart still moving with one
+    distance product and sums their clusters with one one-hot product.  A
+    restart stops once none of its centroids moved by `tol`.  The first
+    restart with the lowest final inertia wins; `inertia_trace` is its
+    inertia before each iteration, then the final one.
+    """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"embeddings must be a matrix, got shape {x.shape}")
-    if not 1 <= k <= x.shape[0]:
-        raise AnalysisError(f"k must be in [1, {x.shape[0]}], got {k}")
+    n = x.shape[0]
+    if not 1 <= k <= n:
+        raise AnalysisError(f"k must be in [1, {n}], got {k}")
+    if restarts < 1:
+        raise AnalysisError(f"restarts must be >= 1, got {restarts}")
     if rng is None:
         rng = dc.RngStream(0, "kmeans")
-    best: KMeansResult | None = None
+    xx = _row_sq_norms(x)
+    centroids = _kmeans_pp(x, xx, k, [rng.child(r) for r in range(restarts)])
+    traces: list[list[float]] = [[] for _ in range(restarts)]
+
+    active = np.arange(restarts)
+    for _ in range(max_iters):
+        if active.size == 0:
+            break
+        m = active.size
+        old = centroids[active]
+        d2, assignments, inertias = _assign(x, xx, old)
+        cells = (assignments + k * np.arange(m)).T  # (m, n) cluster ids across restarts
+        counts = np.bincount(cells.ravel(), minlength=m * k).reshape(m, k)
+        onehot = np.zeros((m * k, n))
+        onehot[cells, np.arange(n)] = 1.0
+        new = (onehot @ x).reshape(m, k, -1)
+        new /= np.maximum(counts, 1)[:, :, None]
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            new[a] = _update_one_by_one(x, d2[:, a], assignments[:, a].copy(), old[a])
+        shifts = np.max(np.sqrt(np.sum((new - old) ** 2, axis=2)), axis=1)
+        centroids[active] = new
+        for r, inertia in zip(active, inertias):
+            traces[r].append(float(inertia))
+        active = active[~(shifts < tol)]
+
+    _, assignments, inertias = _assign(x, xx, centroids)
+    best = 0
     for r in range(restarts):
-        result = _kmeans_once(x, k, max_iters, tol, rng.child(r))
-        if best is None or result.inertia < best.inertia:
-            best = result
-    return best
+        traces[r].append(float(inertias[r]))
+        if inertias[r] < inertias[best]:
+            best = r
+    return KMeansResult(
+        np.ascontiguousarray(assignments[:, best]), centroids[best], float(inertias[best]), traces[best]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +506,10 @@ def timing_harness(
     """Median single-pass inference wall time for each base encoder.
 
     The normalized adjacency is built once outside the timed region; only
-    the forward pass is measured.  After each encoder's warmup the repeats
-    alternate between the two encoders, each going first every other time,
-    so a burst of machine load lands on both sides alike.
+    the forward pass, with the parameters as constants, is measured.  After
+    each encoder's warmup the repeats alternate between the two encoders,
+    each going first every other time, so a burst of machine load lands on
+    both sides alike.
     """
     if spec_mlp.base_encoder != "linear" or spec_gconv.base_encoder != "gconv":
         raise ConfigError("timing_harness expects (linear spec, gconv spec) in that order")
@@ -426,7 +521,7 @@ def timing_harness(
     adj = normalized_adjacency(graph)
     runs = []
     for spec, use_adj in ((spec_mlp, None), (spec_gconv, adj)):
-        state = EncoderState(spec, graph.num_features, dc.RngStream(seed, "init"))
+        state = EncoderState(spec, graph.num_features, dc.RngStream(seed, "init")).frozen()
         for _ in range(warmup):
             encode(state, spec, graph, adj=use_adj, training=False)
         runs.append((state, spec, use_adj))

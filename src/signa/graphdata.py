@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diffcore import Tensor, accumulate_grad, active_dtype, check_finite
+from .diffcore import Tensor, accumulate_grad, active_dtype, check_finite, record_backward
 from .errors import AnalysisError, ConfigError, IngestionError, ShapeError
 
 if TYPE_CHECKING:  # scipy is imported only where a sparse matrix is built
@@ -246,8 +246,7 @@ def spmm(adj: sp.csr_matrix, x: Tensor) -> Tensor:
         # the adjacency is symmetric, so A^T g == A g
         accumulate_grad(x, adj @ g)
 
-    out._backward = _bw
-    return out
+    return record_backward(out, _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ reference for the probe's (micro-F1, accuracy).
 
 `adam_step_oracle` is the library's earlier Adam step, which allocates its
 temporaries afresh; the lean step must match it bit for bit.
+
+`kmeans_oracle` is the library's earlier k-means, which runs its restarts
+one after another; the lockstep one must give the same assignments.
 """
 
 import math
@@ -27,8 +30,14 @@ import numpy as np
 
 import signa.diffcore as dc
 from signa.contrast import ContrastDraw
-from signa.errors import ConfigError, DegenerateGraphError, OptimizationError, ShapeError
-from signa.evaluate import ProbeConfig, Split, _probe_gradients, accuracy, micro_f1
+from signa.errors import (
+    AnalysisError,
+    ConfigError,
+    DegenerateGraphError,
+    OptimizationError,
+    ShapeError,
+)
+from signa.evaluate import KMeansResult, ProbeConfig, Split, _probe_gradients, accuracy, micro_f1
 from signa.graphdata import Graph, from_edges
 
 
@@ -385,3 +394,86 @@ def adam_step_oracle(state: dc.AdamState) -> None:
         vhat = v / bc2
         p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
         p.grad[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# k-means
+
+
+def _sq_dists_oracle(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    d2 = (
+        np.sum(x * x, axis=1)[:, None]
+        + np.sum(centroids * centroids, axis=1)[None, :]
+        - 2.0 * (x @ centroids.T)
+    )
+    return np.maximum(d2, 0.0)
+
+
+def _kmeans_once_oracle(x: np.ndarray, k: int, max_iters: int, tol: float, rng) -> KMeansResult:
+    n = x.shape[0]
+    # k-means++ seeding: first centroid uniform, then distance^2-weighted
+    centroids = np.empty((k, x.shape[1]))
+    first = int(rng.integers(0, n))
+    centroids[0] = x[first]
+    closest = np.sum((x - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(closest.sum())
+        if total <= 0.0:
+            centroids[j:] = x[first]
+            break
+        r = rng.uniform() * total
+        idx = int(np.searchsorted(np.cumsum(closest), r))
+        centroids[j] = x[min(idx, n - 1)]
+        closest = np.minimum(closest, np.sum((x - centroids[j]) ** 2, axis=1))
+
+    trace: list[float] = []
+    assignments = np.zeros(n, dtype=np.int64)
+    for _ in range(max_iters):
+        d2 = _sq_dists_oracle(x, centroids)
+        assignments = np.argmin(d2, axis=1)
+        trace.append(float(d2[np.arange(n), assignments].sum()))
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = assignments == j
+            if members.any():
+                new_centroids[j] = x[members].mean(axis=0)
+            else:
+                # empty cluster: re-seed at the point farthest from its centroid
+                far = int(np.argmax(d2[np.arange(n), assignments]))
+                new_centroids[j] = x[far]
+                assignments[far] = j
+        shift = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    d2 = _sq_dists_oracle(x, centroids)
+    assignments = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(n), assignments].sum())
+    trace.append(inertia)
+    return KMeansResult(assignments, centroids, inertia, trace)
+
+
+def kmeans_oracle(
+    embeddings: np.ndarray,
+    k: int,
+    restarts: int = 10,
+    max_iters: int = 300,
+    tol: float = 1e-6,
+    rng=None,
+) -> KMeansResult:
+    """The library's earlier k-means, kept as it was: restarts run one after
+    another, each iteration scores its k centroids with its own product and
+    averages each cluster separately.  The reference for the lockstep one."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"embeddings must be a matrix, got shape {x.shape}")
+    if not 1 <= k <= x.shape[0]:
+        raise AnalysisError(f"k must be in [1, {x.shape[0]}], got {k}")
+    if rng is None:
+        rng = dc.RngStream(0, "kmeans")
+    best: KMeansResult | None = None
+    for r in range(restarts):
+        result = _kmeans_once_oracle(x, k, max_iters, tol, rng.child(r))
+        if best is None or result.inertia < best.inertia:
+            best = result
+    return best

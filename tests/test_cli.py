@@ -255,6 +255,24 @@ def test_eval_classify_report(tmp_path):
     assert ckpt in {e["path"] for e in manifest["inputs"]}
 
 
+def test_eval_hashes_the_checkpoint_once(tmp_path, monkeypatch):
+    import signa.cli as cli
+
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    hashed = []
+    sha256 = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+    out = str(tmp_path / "cluster.json")
+    rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+               "--labels", labels, "--mode", "cluster", "--out", out, "--quiet"])
+    assert rc == 0
+    assert hashed.count(ckpt) == 1
+    manifest = json.loads(open(out + ".manifest.json").read())
+    digests = {e["path"]: e["sha256"] for e in manifest["inputs"] + manifest["outputs"]}
+    assert digests == {p: _sha(p) for p in (ckpt, edges, feats, labels, out)}
+    assert json.loads(open(out).read())["checkpoint_sha256"] == _sha(ckpt)
+
+
 def test_eval_classify_requires_labels(tmp_path, capsys):
     edges, feats, labels, config, ckpt = _train(tmp_path)
     rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
@@ -275,22 +293,25 @@ def test_eval_zero_runs_exits_one(tmp_path, capsys):
 
 
 def test_linear_classify_does_not_import_scipy(tmp_path):
+    # nor does a linear cluster run: k-means sums its clusters densely
     edges, feats, labels, config, ckpt = _train(tmp_path)
-    out = str(tmp_path / "classify.json")
-    argv = ["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
-            "--labels", labels, "--mode", "classify", "--runs", "2", "--out", out, "--quiet"]
-    script = (
-        "import sys\n"
-        "from signa.cli import main\n"
-        f"rc = main({argv!r})\n"
-        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
-    )
     src = os.path.dirname(os.path.dirname(signa.__file__))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "[]"]
-    assert len(json.loads(open(out).read())["micro_f1"]["per_run"]) == 2
+    for mode, extra in (("classify", ["--runs", "2"]), ("cluster", [])):
+        out = str(tmp_path / f"{mode}.json")
+        argv = ["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+                "--labels", labels, "--mode", mode, *extra, "--out", out, "--quiet"]
+        script = (
+            "import sys\n"
+            "from signa.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "[]"], mode
+    assert len(json.loads(open(str(tmp_path / "classify.json")).read())["micro_f1"]["per_run"]) == 2
+    assert json.loads(open(str(tmp_path / "cluster.json")).read())["k"] == 2
 
 
 def test_eval_cluster_report(tmp_path):

@@ -355,6 +355,59 @@ def test_dropout_on_a_constant_records_no_backward():
     assert not out.needs_grad and out._backward is None
 
 
+_OP_CASES = {
+    "matmul": lambda a, b, s: dc.matmul(a, b),
+    "transpose": lambda a, b, s: dc.transpose(a),
+    "take_rows": lambda a, b, s: dc.take_rows(a, [1, 0]),
+    "add": lambda a, b, s: dc.add(a, b),
+    "sub": lambda a, b, s: dc.sub(a, b),
+    "hadamard": lambda a, b, s: dc.hadamard(a, b),
+    "scalar_mul": lambda a, b, s: dc.scalar_mul(a, 2.0),
+    "log": lambda a, b, s: dc.log(b),
+    "exp": lambda a, b, s: dc.exp(a),
+    "sigmoid": lambda a, b, s: dc.sigmoid(a),
+    "clamp": lambda a, b, s: dc.clamp(a, -0.5, 0.5),
+    "tsum": lambda a, b, s: dc.tsum(a),
+    "tmean": lambda a, b, s: dc.tmean(a, axis=0),
+    "dropout": lambda a, b, s: dc.dropout(a, 0.5, RngStream(0, "dropout"), training=True),
+    "layer_norm": lambda a, b, s: dc.layer_norm(a, s, s),
+    "relu": lambda a, b, s: dc.activation(a, "relu"),
+    "elu": lambda a, b, s: dc.activation(a, "elu"),
+    "leaky_relu": lambda a, b, s: dc.activation(a, "leaky_relu", 0.1),
+    "prelu": lambda a, b, s: dc.activation(a, "prelu", s),
+    "rows_l2_normalize": lambda a, b, s: dc.rows_l2_normalize(b),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OP_CASES))
+def test_ops_on_constants_record_no_backward(op):
+    # a closure on a tensor that needs no gradient would only keep the
+    # op's inputs alive; with a Parameter among the inputs it is recorded
+    for cls in (Tensor, Parameter):
+
+        def make(data):
+            return cls(data, name="p") if cls is Parameter else cls(data)
+
+        a = make(np.array([[-1.0, 0.5], [2.0, -0.25]]))
+        b = make(np.array([[1.0, 2.0], [0.5, 3.0]]))
+        s = make(np.array([0.25]) if op == "prelu" else np.full(2, 0.25))
+        out = _OP_CASES[op](a, b, s)
+        assert out.needs_grad == (cls is Parameter)
+        assert (out._backward is not None) == (cls is Parameter)
+
+
+def test_prelu_takes_a_constant_slope():
+    x = Parameter(np.array([-2.0, 0.0, 2.0]), name="x")
+    const = Tensor(np.array([0.25]))
+    param = Parameter(np.array([0.25]), name="s")
+    out = dc.activation(x, "prelu", const)
+    np.testing.assert_array_equal(out.data, dc.activation(x, "prelu", param).data)
+    backward(dc.tsum(out))
+    np.testing.assert_array_equal(x.grad, [0.25, 0.25, 1.0])
+    assert const.grad is None
+    assert not dc.activation(Tensor(x.data), "prelu", const).needs_grad
+
+
 @pytest.mark.parametrize("kind", ["leaky_relu", "prelu", "elu", "relu"])
 def test_activation_backward_keeps_f32(monkeypatch, kind):
     set_precision("f32")

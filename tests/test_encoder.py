@@ -2,6 +2,8 @@
 deterministic inference, parameter bookkeeping, and what one training step
 computes (f32 throughout under f32, no gradient for the input features)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,58 @@ def test_inference_embeddings_builds_adjacency(two_node_graph):
     state.params["layers.0.weight"].data[...] = 1.0
     out = inference_embeddings(state, spec, two_node_graph)
     np.testing.assert_allclose(out.data, [[3.0], [3.0]], atol=1e-15)
+
+
+def _chain_graph(n: int, num_features: int) -> Graph:
+    edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    return from_edges(edges, n, np.random.default_rng(0).normal(size=(n, num_features)))
+
+
+@pytest.mark.parametrize("layer_norm", [True, False], ids=["ln", "no_ln"])
+@pytest.mark.parametrize("activation", ["prelu", "elu"])
+@pytest.mark.parametrize("base", ["linear", "gconv"])
+def test_inference_embeddings_equal_the_taped_forward(base, activation, layer_norm):
+    graph = _chain_graph(40, 5)
+    spec = ModelSpec(
+        num_layers=2, base_encoder=base, hidden_dim=8, activation=activation,
+        layer_norm_enabled=layer_norm, projector_dim=4,
+    )
+    state = EncoderState(spec, 5, RngStream(4, "init"))
+    adj = normalized_adjacency(graph) if base == "gconv" else None
+    taped = encode(state, spec, graph, adj=adj)
+    frozen = inference_embeddings(state, spec, graph, adj=adj)
+    assert taped.needs_grad and taped._backward is not None
+    assert not frozen.needs_grad and frozen._backward is None and frozen._parents == ()
+    np.testing.assert_array_equal(frozen.data, taped.data)
+    assert frozen.data.dtype == taped.data.dtype
+    # the frozen view shares the parameter arrays and leaves their gradients alone
+    view = state.frozen()
+    assert all(view.params[k].data is p.data for k, p in state.params.items())
+    assert all(not p.grad.any() for p in state.parameters())
+
+
+@pytest.mark.parametrize("base", ["linear", "gconv"])
+def test_inference_embeddings_keep_no_tape(base):
+    # without a tape each intermediate dies once the next op has read it, so
+    # the peak is a few n x hidden arrays however deep the encoder is; with
+    # one, every layer's activations stay alive until the forward returns
+    n, hidden = 1000, 64
+    graph = _chain_graph(n, 16)
+    spec = ModelSpec(num_layers=4, base_encoder=base, hidden_dim=hidden, activation="prelu")
+    state = EncoderState(spec, 16, RngStream(5, "init"))
+    adj = normalized_adjacency(graph) if base == "gconv" else None
+    peaks = []
+    for forward in (encode, inference_embeddings):
+        tracemalloc.start()
+        try:
+            forward(state, spec, graph, adj=adj)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    taped, frozen = peaks
+    unit = n * hidden * 8
+    assert frozen < 6 * unit
+    assert taped > 2 * frozen
 
 
 def test_multi_layer_composition_by_hand(two_node_graph):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_labeled_graph
-from oracles import homogeneity_oracle, linear_probe_oracle, nmi_oracle
+from oracles import homogeneity_oracle, kmeans_oracle, linear_probe_oracle, nmi_oracle
 
 import signa.evaluate as evaluate
 from signa import diffcore as dc
@@ -302,6 +302,91 @@ def test_kmeans_validation():
         kmeans(x, 6)
     with pytest.raises(ShapeError):
         kmeans(np.zeros(5), 2)
+    with pytest.raises(AnalysisError):
+        kmeans(x, 2, restarts=0)
+
+
+def _assert_matches_oracle(x, k, restarts, seed, max_iters=300):
+    """Lockstep k-means against the restart-by-restart oracle: the same
+    assignments, the same number of Lloyd iterations in the kept restart,
+    and inertia and centroids equal up to the reassociated cluster sums."""
+    new = kmeans(x, k, restarts=restarts, max_iters=max_iters, rng=RngStream(seed, "kmeans"))
+    old = kmeans_oracle(x, k, restarts=restarts, max_iters=max_iters, rng=RngStream(seed, "kmeans"))
+    np.testing.assert_array_equal(new.assignments, old.assignments)
+    assert new.assignments.dtype == old.assignments.dtype
+    assert len(new.inertia_trace) == len(old.inertia_trace)
+    assert abs(new.inertia - old.inertia) <= 1e-12 * abs(old.inertia)
+    np.testing.assert_allclose(new.inertia_trace, old.inertia_trace, rtol=1e-12, atol=0.0)
+    scale = max(1.0, float(np.abs(x).max()))
+    np.testing.assert_allclose(new.centroids, old.centroids, rtol=0.0, atol=1e-12 * scale)
+    return new
+
+
+@pytest.mark.parametrize(
+    "n,d,k,restarts",
+    [(40, 2, 3, 1), (120, 5, 4, 10), (300, 16, 6, 3), (500, 32, 5, 10), (64, 3, 10, 7)],
+)
+def test_kmeans_matches_oracle_on_random_clouds(n, d, k, restarts):
+    for seed in range(4):
+        rng = np.random.default_rng([n, d, k, seed])
+        centers = 3.0 * rng.normal(size=(k, d))
+        x = centers[rng.integers(0, k, size=n)] + rng.normal(size=(n, d))
+        _assert_matches_oracle(x, k, restarts, seed)
+
+
+def test_kmeans_matches_oracle_when_max_iters_stops_it():
+    x = np.random.default_rng(21).normal(size=(200, 4))
+    result = _assert_matches_oracle(x, 5, restarts=4, seed=2, max_iters=2)
+    assert len(result.inertia_trace) == 3
+
+
+def test_kmeans_reseeds_an_empty_cluster_like_the_oracle(monkeypatch):
+    # three distinct points, each repeated, and k = 4: seeding runs out of
+    # distinct points (a duplicate of a chosen one weighs exactly zero), a
+    # centroid repeats, and its cluster comes out empty
+    calls = []
+    update = evaluate._update_one_by_one
+    monkeypatch.setattr(
+        evaluate, "_update_one_by_one", lambda *args: calls.append(1) or update(*args)
+    )
+    for trial in range(8):
+        rng = np.random.default_rng(trial)
+        x = rng.normal(size=(3, 5))[rng.integers(0, 3, size=30)]
+        for seed in range(3):
+            _assert_matches_oracle(x, 4, restarts=3, seed=seed)
+    assert calls
+
+
+def test_kmeans_identical_points_take_the_zero_weight_seeding_branch():
+    for trial in range(12):
+        x = np.tile(np.random.default_rng(trial).normal(size=(1, 4)), (12, 1))
+        rng = RngStream(3, "kmeans").child(0)
+        seeds = evaluate._kmeans_pp(x, evaluate._row_sq_norms(x), 3, [rng])
+        assert rng.draws == 1  # the first centroid only: every later weight is zero
+        np.testing.assert_array_equal(seeds[0], np.tile(x[0], (3, 1)))
+        assert _assert_matches_oracle(x, 3, restarts=2, seed=3).inertia == 0.0
+
+
+def test_kmeans_with_k_equal_to_n_matches_oracle():
+    x = np.random.default_rng(24).normal(size=(9, 3))
+    result = _assert_matches_oracle(x, 9, restarts=3, seed=4)
+    assert sorted(result.assignments.tolist()) == list(range(9))
+    assert result.inertia == 0.0
+
+
+def test_kmeans_temporaries_scale_with_points_restarts_and_k():
+    # the lockstep iteration holds a few (n, restarts * k) arrays; nothing of
+    # size n x d beyond the input (the oracle makes several)
+    n, d, k, restarts = 4000, 1000, 4, 3
+    x = np.random.default_rng(25).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        kmeans(x, k, restarts=restarts, rng=RngStream(9, "kmeans"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * restarts * k * 8
+    assert peak < n * d * 8 / 8
 
 
 # ---------------------------------------------------------------------------
