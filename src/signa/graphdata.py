@@ -7,6 +7,7 @@ edge endpoints must index into it.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -124,7 +125,162 @@ def from_edges(edges, num_nodes, features, labels=None, num_classes=None) -> Gra
 # file ingestion
 
 
+_BLOCK_BYTES = 1 << 18  # feature CSV bytes the kernel reads per block
+_TOKEN_BYTES = 24  # longest token the kernel converts itself: three 8-digit words
+
+# The kernel is exact only where np.longdouble is the x87 80-bit format: its
+# 64-bit significand holds every mantissa below 10^19 and 10^0..10^27, so
+# mantissa / 10^k is one correctly rounded division, and rounding that to a
+# double gives float()'s double except on a midpoint (see _midpoints).
+_X87_LONGDOUBLE = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+_WORD_STARTS = np.arange(-_TOKEN_BYTES, 0, 8)[:, None]  # a token's three words, from its end
+# _BYTE_MASKS[:, c]: the three words with the first c bytes set
+_BYTE_MASKS = np.array(
+    [[(1 << 8 * min(max(c - 8 * w, 0), 8)) - 1 for c in range(_TOKEN_BYTES + 1)] for w in range(3)],
+    dtype=np.uint64,
+)
+# _SCALES[split + 25 * negative]: the signed divisor of a token whose dot
+# sits left of column split (split 0: no dot)
+_TENS = np.multiply.accumulate(np.array([1] + [10] * (_TOKEN_BYTES - 1), dtype=np.longdouble))
+_SCALES = np.concatenate([[1], _TENS[::-1], [-1], -_TENS[::-1]])
+_WINDOW_PAD = b"0" * (_TOKEN_BYTES + 1)  # before a block, so its first tokens have full words
+
+
 def _read_features(path: str, skip_header: bool) -> np.ndarray:
+    """Parse a feature CSV, bit for bit as `float()` parses each token.
+
+    The vectorized kernel takes a file of comma-separated rows of equal width
+    whose bytes are all in `0-9 . , - + e E` and newlines; every other file,
+    and every file whose errors need a line number, goes through the line loop.
+    """
+    if _X87_LONGDOUBLE:
+        features = _parse_features(path, skip_header)
+        if features is not None:
+            return features
+    return _read_features_lines(path, skip_header)
+
+
+def _parse_features(path: str, skip_header: bool) -> np.ndarray | None:
+    """The kernel: the parsed features, or None to leave the file to the loop."""
+    # it reads a file twice, so a pipe goes to the loop unopened
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        if skip_header:
+            header = fh.readline()
+            # the loop's text mode also ends a line at a lone CR and decodes it
+            if b"\r" in header:
+                return None
+            try:
+                header.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+        body = fh.tell()
+        width = fh.readline().count(b",") + 1
+        fh.seek(body)
+        rows, last = 0, b"\n"
+        while block := fh.read(_BLOCK_BYTES):
+            rows += block.count(b"\n")
+            last = block[-1:]
+        rows += last != b"\n"
+        if rows == 0:
+            return None
+        fh.seek(body)
+
+        out = np.empty(rows * width)
+        filled = 0
+        while data := fh.read(_BLOCK_BYTES):
+            chunk = _WINDOW_PAD + data + fh.readline()  # whole lines only
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+            count = _parse_block(chunk, width, out[filled:])
+            if count is None:
+                return None
+            filled += count
+    # short or long only if the file changed between the two passes
+    return out.reshape(rows, width) if filled == out.size else None
+
+
+def _parse_block(chunk: bytes, width: int, out: np.ndarray) -> int | None:
+    """Parse the lines in chunk[25:] into out[:count] and return count, or
+    return None if the loop must take the file."""
+    pad = len(_WINDOW_PAD)
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    body = buf[pad:]
+    # '+' to '9', 'e', 'E' and newline; '/' among them fails float() below
+    allowed = (body - np.uint8(43)) <= 14
+    allowed |= (body | 32) == 101
+    allowed |= body == 10
+    if not allowed.all():
+        return None
+    ends = np.flatnonzero((buf == 44) | (buf == 10))
+    count = ends.size
+    starts = np.empty_like(ends)
+    starts[0] = pad
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    if count % width or count > out.size:
+        return None
+    newline = buf[ends] == 10
+    if np.count_nonzero(newline) * width != count or not newline[width - 1 :: width].all():
+        return None
+
+    # the dot splits a token's last 24 bytes at column `split` (0: no dot)
+    dots = np.flatnonzero(body == 46) + pad
+    dot_token = np.searchsorted(ends, dots)
+    split = np.zeros(count, dtype=np.intp)
+    split[dot_token] = dots + (_TOKEN_BYTES + 1) - ends[dot_token]
+    long = lengths > _TOKEN_BYTES
+    split[long] = 0
+    negative = buf[starts] == 45
+    num_digits = np.minimum(lengths, _TOKEN_BYTES) - negative - (split > 0)
+
+    # those bytes as three rows of little-endian words, the first byte lowest;
+    # the bytes left of the dot move one column right over it, and the
+    # columns left of the digits become '0'
+    unaligned = np.ndarray((len(chunk) - 7,), dtype=np.uint64, buffer=chunk, strides=(1,))
+    words = unaligned.take(ends + _WORD_STARTS)
+    shifted = words << 8
+    shifted[1:] |= words[:-1] >> 56
+    words ^= (shifted ^ words) & _BYTE_MASKS.take(split, axis=1)
+    words ^= (words ^ 0x3030303030303030) & _BYTE_MASKS.take(_TOKEN_BYTES - num_digits, axis=1)
+
+    not_digit = ((words + 0x4646464646464646) | (words - 0x3030303030303030)) & 0x8080808080808080
+    chunks = _eight_digits(words)
+    mantissa = chunks[0] * 10**16 + chunks[1] * 10**8 + chunks[2]
+    quotient = mantissa.astype(np.longdouble)
+    quotient /= _SCALES[split + negative * (_TOKEN_BYTES + 1)]
+    values = out[:count]
+    values[...] = quotient
+
+    slow = long | (num_digits == 0) | (chunks[0] >= 1000)
+    slow |= (not_digit[0] | not_digit[1] | not_digit[2]) != 0
+    slow |= _midpoints(quotient)
+    for i in np.flatnonzero(slow):
+        try:
+            values[i] = float(chunk[starts[i] : ends[i]])
+        except ValueError:
+            return None
+    return count
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The integer each uint64 of 8 ASCII digits spells (SWAR multiply-shifts)."""
+    words = ((words & 0x0F0F0F0F0F0F0F0F) * 2561) >> 8
+    words = ((words & 0x00FF00FF00FF00FF) * 6553601) >> 16
+    return ((words & 0x0000FFFF0000FFFF) * 42949672960001) >> 32
+
+
+def _midpoints(quotient: np.ndarray) -> np.ndarray:
+    """Where a 64-bit significand lies halfway between two doubles.
+
+    Rounding the correctly rounded quotient to a double again gives the
+    correctly rounded double everywhere else; there it may not.
+    """
+    return (quotient.view(np.uint64)[::2] & 0x7FF) == 0x400
+
+
+def _read_features_lines(path: str, skip_header: bool) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -201,13 +357,23 @@ def load_graph(edge_path, feature_path, label_path=None, skip_feature_header=Fal
     valid row index.  Directed input edges are symmetrized.
     """
     try:
-        features = _read_features(feature_path, skip_feature_header)
+        features = _decoding(_read_features, feature_path, skip_feature_header)
         num_nodes = features.shape[0]
-        edges = _read_edges(edge_path, num_nodes)
-        labels = _read_labels(label_path, num_nodes) if label_path is not None else None
+        edges = _decoding(_read_edges, edge_path, num_nodes)
+        labels = _decoding(_read_labels, label_path, num_nodes) if label_path is not None else None
     except OSError as exc:
         raise IngestionError(f"cannot read {exc.filename}: {exc.strerror}") from None
     return from_edges(edges, num_nodes, features, labels)
+
+
+def _decoding(read, path, *args):
+    """read(path, *args), with a file that is not UTF-8 text as an IngestionError."""
+    try:
+        return read(path, *args)
+    except UnicodeDecodeError as exc:
+        raise IngestionError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,20 @@ def test_homophily_quiet_and_missing_file(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("which", ["edges", "features", "labels"])
+def test_input_that_is_not_utf8_exits_two(which, tmp_path, capsys):
+    paths = dict(zip(("edges", "features", "labels"), _write_dataset(tmp_path)))
+    with open(paths[which], "ab") as fh:
+        fh.write(b"\xff\n")
+    rc = main(
+        ["homophily", "--edges", paths["edges"], "--features", paths["features"],
+         "--labels", paths["labels"], "--out-json", str(tmp_path / "h.json"),
+         "--out-csv", str(tmp_path / "h.csv")]
+    )
+    assert rc == 2
+    assert f"{paths[which]}: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 
