@@ -28,6 +28,7 @@ from .errors import (
     NumericError,
     ShapeError,
     SignaError,
+    not_utf8,
 )
 
 # `ablate` variants and the config overrides each merges into the base config
@@ -106,6 +107,8 @@ def _load_config_dict(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {not_utf8(path, exc)}") from None
 
 
 def _mean_std(values: list[float]) -> tuple[float, float | None]:

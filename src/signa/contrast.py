@@ -53,16 +53,6 @@ class ContrastDraw:
         m[src, self.pos_targets] = True
         return m
 
-    def validate(self, graph: Graph) -> None:
-        """Check the P_u invariants against the generating graph."""
-        for u in range(self.num_nodes):
-            pos = self.positives(u)
-            if u not in pos:
-                raise ConfigError(f"anchor {u} missing from its own positive set")
-            rest = pos[pos != u]
-            if not np.isin(rest, graph.neighbors(u)).all():
-                raise ConfigError(f"anchor {u} has a non-neighbor positive")
-
 
 def draw_masks(graph: Graph, alpha: float, rng: dc.RngStream, epoch: int = 0) -> ContrastDraw:
     """Sample one epoch's positive sets: keep each directed neighbor pair
@@ -98,21 +88,6 @@ class EstimatorSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-# ---------------------------------------------------------------------------
-# discriminators
-
-
-def discriminator_norm(z_u: np.ndarray, z_v: np.ndarray) -> float:
-    """D = (cos(z_u, z_v) + 1) / 2, the [0, 1]-ranged cosine discriminator."""
-    z_u = np.asarray(z_u, dtype=np.float64).reshape(-1)
-    z_v = np.asarray(z_v, dtype=np.float64).reshape(-1)
-    nu, nv = np.linalg.norm(z_u), np.linalg.norm(z_v)
-    if nu < 1e-12 or nv < 1e-12:
-        raise DegenerateEmbeddingError(f"discriminator input has near-zero norm ({nu:.3e}, {nv:.3e})")
-    cos = float(np.dot(z_u, z_v) / (nu * nv))
-    return (cos + 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +137,7 @@ def _jsd_block(s, row_pos, col_pos, neg_w, kind, eps):
     else:
         d = dc.logistic(s)
         slope = d * (1.0 - d)
-    inside = (d >= eps) & (d <= 1.0 - eps)  # dc.clamp: ends count as inside
+    inside = (d >= eps) & (d <= 1.0 - eps)  # the clamp's ends count as inside
     np.clip(d, eps, 1.0 - eps, out=d)
     one_minus = 1.0 - d
     log_neg = np.log(one_minus)
@@ -266,7 +241,7 @@ def _pairwise_loss(z: dc.Tensor, draw: ContrastDraw, kind: str, eps: float = 1e-
 
     if kind == "jsd":
         dz = dzn
-    else:  # through the row normalization, as dc.rows_l2_normalize
+    else:  # through the row normalization: (dzn - zn <dzn, zn>_row) / ||z||
         dz = (dzn - zn * np.sum(dzn * zn, axis=1, keepdims=True)) / norms
     out = dc.Tensor(per_anchor.sum(), _parents=(z,))
 
@@ -276,35 +251,20 @@ def _pairwise_loss(z: dc.Tensor, draw: ContrastDraw, kind: str, eps: float = 1e-
     return dc.record_backward(out, _bw)
 
 
-def loss_norm_jsd(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> dc.Tensor:
-    """Mean over anchors of -(1/|P_u|) sum log D - (1/|Q_u|) sum log(1-D)
-    with D = (cos+1)/2 on the projected embeddings."""
-    return _pairwise_loss(z, draw, "norm_jsd", eps=eps)
-
-
-def loss_jsd_ablation(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> dc.Tensor:
-    """Same objective with the unnormalized D = sigmoid(z_u . z_v)."""
-    return _pairwise_loss(z, draw, "jsd", eps=eps)
-
-
-def loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 0.5) -> dc.Tensor:
-    """Softmax contrast: positives from P_u \\ {u}, denominator over all w != u.
-
-    Anchors whose only positive is themselves contribute zero; the per-anchor
-    average uses the realized positive count, so equal similarities give
-    exactly log(|V| - 1).
-    """
-    if tau <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
-    return _pairwise_loss(z, draw, "info_nce", tau=tau)
-
-
 def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.Tensor:
-    if spec.kind == "norm_jsd":
-        return loss_norm_jsd(z, draw, eps=spec.clamp_eps)
-    if spec.kind == "jsd":
-        return loss_jsd_ablation(z, draw, eps=spec.clamp_eps)
-    return loss_info_nce_ablation(z, draw, tau=spec.temperature)
+    """The mean anchor loss of `spec.kind` on the projected embeddings z.
+
+    * norm_jsd: the mean over anchors of -(1/|P_u|) sum_{v in P_u} log D
+      - (1/|Q_u|) sum_{v in Q_u} log(1-D), with D = (cos(z_u, z_v)+1)/2,
+      clamped to [clamp_eps, 1-clamp_eps].
+    * jsd: the same objective with the unnormalized D = sigmoid(z_u . z_v).
+    * info_nce: softmax contrast at temperature tau: positives from
+      P_u \\ {u}, denominator over all w != u.  Anchors whose only positive
+      is themselves contribute zero; the per-anchor average uses the
+      realized positive count, so equal similarities give exactly
+      log(|V| - 1).
+    """
+    return _pairwise_loss(z, draw, spec.kind, eps=spec.clamp_eps, tau=spec.temperature)
 
 
 # ---------------------------------------------------------------------------

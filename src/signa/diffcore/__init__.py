@@ -1,8 +1,11 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Everything the models need and nothing more: a Tensor wrapper recording
-parent links and backward closures, a fixed set of differentiable ops,
-Adam, finite-difference gradient checking, and a seeded RNG tree.
+Everything training needs and nothing more: a Tensor wrapper recording
+parent links and backward closures, the ops the training tape records
+(`matmul`, `add`, `dropout`, `layer_norm`, `activation`), the custom-op
+API that `graphdata.spmm` and the contrastive loss build on, Adam, and a
+seeded RNG tree.  Finite-difference gradient checking and the generic ops
+the test oracles need live with the tests.
 """
 
 from .tensor import (
@@ -11,7 +14,6 @@ from .tensor import (
     active_dtype,
     get_precision,
     set_precision,
-    zero_grads,
 )
 from .ops import (
     ACTIVATIONS,
@@ -20,32 +22,18 @@ from .ops import (
     add,
     backward,
     check_finite,
-    clamp,
     dropout,
-    exp,
-    hadamard,
     layer_norm,
-    log,
     logistic,
     matmul,
     record_backward,
-    rows_l2_normalize,
-    scalar_mul,
-    sigmoid,
-    sub,
-    take_rows,
-    tmean,
-    transpose,
-    tsum,
 )
 from .optim import AdamState, adam_step
-from .gradcheck import GradCheckReport, gradcheck
 from .rng import PURPOSES, RngStream
 
 __all__ = [
     "ACTIVATIONS",
     "AdamState",
-    "GradCheckReport",
     "PURPOSES",
     "Parameter",
     "RngStream",
@@ -57,25 +45,11 @@ __all__ = [
     "add",
     "backward",
     "check_finite",
-    "clamp",
     "dropout",
-    "exp",
     "get_precision",
-    "gradcheck",
-    "hadamard",
     "layer_norm",
-    "log",
     "logistic",
     "matmul",
     "record_backward",
-    "rows_l2_normalize",
-    "scalar_mul",
     "set_precision",
-    "sigmoid",
-    "sub",
-    "take_rows",
-    "tmean",
-    "transpose",
-    "tsum",
-    "zero_grads",
 ]

@@ -8,26 +8,23 @@ are released and a second call on the same loss raises.  Only tensors that
 `needs_grad` (Parameters and what is computed from them) take part; the
 others get no closure, so a forward over constants keeps nothing alive.
 
+These are the ops the training tape records, together with the
+custom-op API (`Tensor`, `record_backward`, `accumulate_grad`,
+`check_finite`, `logistic`) through which `graphdata.spmm` and the
+blocked contrastive loss add their own.
+
 Conventions:
-  * elementwise ops (`add`, `sub`, `hadamard`) follow numpy broadcasting,
-    with gradients summed back down to each input's shape;
-  * `log` demands strictly positive input; callers clamp first;
+  * `add` follows numpy broadcasting, with gradients summed back down to
+    each input's shape;
   * operations that can manufacture non-finite values from finite input
-    (matmul, exp, layer_norm) verify finiteness of their output.
+    (matmul, layer_norm) verify finiteness of their output.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import (
-    ConfigError,
-    ContractError,
-    DegenerateEmbeddingError,
-    DomainError,
-    NumericError,
-    ShapeError,
-)
+from ..errors import ConfigError, ContractError, NumericError, ShapeError
 from .tensor import Parameter, Tensor
 
 def check_finite(name: str, arr: np.ndarray) -> None:
@@ -101,32 +98,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_backward(out, _bw)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.data.shape}")
-    out = Tensor(x.data.T, _parents=(x,))
-
-    def _bw(g):
-        accumulate_grad(x, g.T)
-
-    return record_backward(out, _bw)
-
-
-def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows by index; backward scatter-adds into the source."""
-    idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor(x.data[idx], _parents=(x,))
-
-    def _bw(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, g)
-        accumulate_grad(x, dx)
-
-    return record_backward(out, _bw)
-
-
 # ---------------------------------------------------------------------------
-# elementwise suite
+# elementwise
 
 
 def add(a, b) -> Tensor:
@@ -140,60 +113,6 @@ def add(a, b) -> Tensor:
     return record_backward(out, _bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data - b.data, _parents=(a, b))
-
-    def _bw(g):
-        accumulate_grad(a, _unbroadcast(g, a.data.shape))
-        accumulate_grad(b, _unbroadcast(-g, b.data.shape))
-
-    return record_backward(out, _bw)
-
-
-def hadamard(a, b) -> Tensor:
-    """Elementwise product (with broadcasting)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, _parents=(a, b))
-
-    def _bw(g):
-        accumulate_grad(a, _unbroadcast(g * b.data, a.data.shape))
-        accumulate_grad(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return record_backward(out, _bw)
-
-
-def scalar_mul(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(x.data * c, _parents=(x,))
-
-    def _bw(g):
-        accumulate_grad(x, g * c)
-
-    return record_backward(out, _bw)
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0.0):
-        raise DomainError("log requires strictly positive input; clamp before taking logs")
-    out = Tensor(np.log(x.data), _parents=(x,))
-
-    def _bw(g):
-        accumulate_grad(x, g / x.data)
-
-    return record_backward(out, _bw)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data), _parents=(x,))
-    check_finite("exp", out.data)
-
-    def _bw(g):
-        accumulate_grad(x, g * out.data)
-
-    return record_backward(out, _bw)
-
-
 def logistic(d: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-d)) on a plain array, without overflow for large |d|."""
     s = np.empty_like(d)
@@ -202,50 +121,6 @@ def logistic(d: np.ndarray) -> np.ndarray:
     ez = np.exp(d[~pos])
     s[~pos] = ez / (1.0 + ez)
     return s
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = logistic(x.data)
-    out = Tensor(s, _parents=(x,))
-
-    def _bw(g):
-        accumulate_grad(x, g * s * (1.0 - s))
-
-    return record_backward(out, _bw)
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip values into [lo, hi]; gradient is zero outside the interval."""
-    out = Tensor(np.clip(x.data, lo, hi), _parents=(x,))
-    inside = (x.data >= lo) & (x.data <= hi)
-
-    def _bw(g):
-        accumulate_grad(x, g * inside)
-
-    return record_backward(out, _bw)
-
-
-def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = Tensor(np.sum(x.data, axis=axis, keepdims=keepdims), _parents=(x,))
-
-    def _bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        accumulate_grad(x, np.broadcast_to(g, x.data.shape).copy())
-
-    return record_backward(out, _bw)
-
-
-def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = x.data.size if axis is None else x.data.shape[axis]
-    out = Tensor(np.mean(x.data, axis=axis, keepdims=keepdims), _parents=(x,))
-
-    def _bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        accumulate_grad(x, np.broadcast_to(g / count, x.data.shape).copy())
-
-    return record_backward(out, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +225,6 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
 
     else:
         raise ConfigError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
-    return record_backward(out, _bw)
-
-
-def rows_l2_normalize(x: Tensor) -> Tensor:
-    """Scale each row to unit Euclidean norm.
-
-    Backward accounts for the norm's dependence on the whole row:
-    dL/dx = (g - y * <g, y>_row) / ||x||.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"rows_l2_normalize expects a matrix, got shape {x.data.shape}")
-    norms = np.sqrt(np.sum(x.data * x.data, axis=1, keepdims=True))
-    if np.any(norms < 1e-12):
-        row = int(np.argmin(norms))
-        raise DegenerateEmbeddingError(f"row {row} has near-zero norm ({float(norms[row, 0]):.3e})")
-    y = x.data / norms
-    out = Tensor(y, _parents=(x,))
-
-    def _bw(g):
-        dots = np.sum(g * y, axis=1, keepdims=True)
-        accumulate_grad(x, (g - y * dots) / norms)
-
     return record_backward(out, _bw)
 
 

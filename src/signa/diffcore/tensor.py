@@ -102,8 +102,3 @@ class Parameter(Tensor):
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
-
-def zero_grads(params) -> None:
-    """Reset the gradient buffer of every parameter to exactly zero."""
-    for p in params:
-        p.zero_grad()

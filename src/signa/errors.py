@@ -37,10 +37,6 @@ class NumericError(SignaError):
     """A numeric invariant was violated (NaN/Inf, degenerate input)."""
 
 
-class DomainError(NumericError):
-    """Input outside the mathematical domain of an operation."""
-
-
 class DegenerateEmbeddingError(NumericError):
     """An embedding row has (near-)zero norm and cannot be normalized."""
 
@@ -55,3 +51,8 @@ class OptimizationError(NumericError):
 
 class AnalysisError(DataError):
     """An analytics routine is missing required inputs (e.g. labels)."""
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The message for a file that does not decode as UTF-8."""
+    return f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"

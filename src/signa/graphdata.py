@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .diffcore import Tensor, accumulate_grad, active_dtype, check_finite, record_backward
-from .errors import AnalysisError, ConfigError, IngestionError, ShapeError
+from .errors import AnalysisError, ConfigError, IngestionError, ShapeError, not_utf8
 
 if TYPE_CHECKING:  # scipy is imported only where a sparse matrix is built
     import scipy.sparse as sp
@@ -146,7 +146,7 @@ _SCALES = np.concatenate([[1], _TENS[::-1], [-1], -_TENS[::-1]])
 _WINDOW_PAD = b"0" * (_TOKEN_BYTES + 1)  # before a block, so its first tokens have full words
 
 
-def _read_features(path: str, skip_header: bool) -> np.ndarray:
+def _read_features(path: str) -> np.ndarray:
     """Parse a feature CSV, bit for bit as `float()` parses each token.
 
     The vectorized kernel takes a file of comma-separated rows of equal width
@@ -154,30 +154,20 @@ def _read_features(path: str, skip_header: bool) -> np.ndarray:
     and every file whose errors need a line number, goes through the line loop.
     """
     if _X87_LONGDOUBLE:
-        features = _parse_features(path, skip_header)
+        features = _parse_features(path)
         if features is not None:
             return features
-    return _read_features_lines(path, skip_header)
+    return _read_features_lines(path)
 
 
-def _parse_features(path: str, skip_header: bool) -> np.ndarray | None:
+def _parse_features(path: str) -> np.ndarray | None:
     """The kernel: the parsed features, or None to leave the file to the loop."""
     # it reads a file twice, so a pipe goes to the loop unopened
     if not os.path.isfile(path):
         return None
     with open(path, "rb") as fh:
-        if skip_header:
-            header = fh.readline()
-            # the loop's text mode also ends a line at a lone CR and decodes it
-            if b"\r" in header:
-                return None
-            try:
-                header.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-        body = fh.tell()
         width = fh.readline().count(b",") + 1
-        fh.seek(body)
+        fh.seek(0)
         rows, last = 0, b"\n"
         while block := fh.read(_BLOCK_BYTES):
             rows += block.count(b"\n")
@@ -185,7 +175,7 @@ def _parse_features(path: str, skip_header: bool) -> np.ndarray | None:
         rows += last != b"\n"
         if rows == 0:
             return None
-        fh.seek(body)
+        fh.seek(0)
 
         out = np.empty(rows * width)
         filled = 0
@@ -280,13 +270,11 @@ def _midpoints(quotient: np.ndarray) -> np.ndarray:
     return (quotient.view(np.uint64)[::2] & 0x7FF) == 0x400
 
 
-def _read_features_lines(path: str, skip_header: bool) -> np.ndarray:
+def _read_features_lines(path: str) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
             line = line.strip()
             if not line:
                 continue
@@ -309,7 +297,7 @@ def _read_features_lines(path: str, skip_header: bool) -> np.ndarray:
 
 def _read_edges(path: str, num_nodes: int) -> np.ndarray:
     pairs: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -333,7 +321,7 @@ def _read_edges(path: str, num_nodes: int) -> np.ndarray:
 
 def _read_labels(path: str, num_nodes: int) -> np.ndarray:
     values: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -350,14 +338,15 @@ def _read_labels(path: str, num_nodes: int) -> np.ndarray:
     return arr
 
 
-def load_graph(edge_path, feature_path, label_path=None, skip_feature_header=False) -> Graph:
+def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     """Load a graph from an edge list, a feature CSV, and optional labels.
 
     The feature file fixes the node count; every edge endpoint must be a
-    valid row index.  Directed input edges are symmetrized.
+    valid row index.  Directed input edges are symmetrized.  Each file is
+    UTF-8 text and may start with a byte-order mark.
     """
     try:
-        features = _decoding(_read_features, feature_path, skip_feature_header)
+        features = _decoding(_read_features, feature_path)
         num_nodes = features.shape[0]
         edges = _decoding(_read_edges, edge_path, num_nodes)
         labels = _decoding(_read_labels, label_path, num_nodes) if label_path is not None else None
@@ -371,9 +360,7 @@ def _decoding(read, path, *args):
     try:
         return read(path, *args)
     except UnicodeDecodeError as exc:
-        raise IngestionError(
-            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
-        ) from None
+        raise IngestionError(not_utf8(path, exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import diffcore as dc
 from .atomic import open_atomic
 from .contrast import EstimatorSpec, draw_masks, estimator_loss
 from .encoder import EncoderState, ModelSpec, encode, inference_embeddings, project
-from .errors import CheckpointError, ConfigError, OptimizationError
+from .errors import CheckpointError, ConfigError, OptimizationError, not_utf8
 from .graphdata import Graph, normalized_adjacency
 
 ABLATIONS = ("none", "no_dropout", "nfm", "no_stoch_mask", "all_mask")
@@ -207,6 +207,8 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint {not_utf8(path, exc)}") from None
 
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} holds a JSON {type(doc).__name__}, not an object")

@@ -6,7 +6,7 @@ algebra.  Tests compare the fast paths against these.
 
 The `dense_loss_*` functions are the library's earlier losses, kept as they
 were: each builds the full n x n score matrix on the autodiff tape, so its
-gradient comes from the generic diffcore ops.  They are the reference for
+gradient comes from the generic tape ops of `tape_ops.py`.  They are the reference for
 the row-blocked loss op's value and dL/dz.
 
 `sbm_generate_oracle` is the library's earlier SBM generator, which draws
@@ -29,6 +29,7 @@ import warnings
 import numpy as np
 
 import signa.diffcore as dc
+import tape_ops as kit
 from signa.contrast import ContrastDraw
 from signa.errors import (
     AnalysisError,
@@ -96,8 +97,8 @@ def info_nce_loss_oracle(z: np.ndarray, draw, tau: float = 0.5) -> float:
 
 
 def _cosine_matrix(z: dc.Tensor) -> dc.Tensor:
-    zn = dc.rows_l2_normalize(z)
-    return dc.matmul(zn, dc.transpose(zn))
+    zn = kit.rows_l2_normalize(z)
+    return dc.matmul(zn, kit.transpose(zn))
 
 
 def _pair_weights(draw: ContrastDraw):
@@ -116,10 +117,10 @@ def _pair_weights(draw: ContrastDraw):
 
 def _jsd_style_loss(d: dc.Tensor, draw: ContrastDraw, eps: float) -> dc.Tensor:
     wp, wn = _pair_weights(draw)
-    dcl = dc.clamp(d, eps, 1.0 - eps)
-    pos_term = dc.tsum(dc.hadamard(dc.Tensor(wp), dc.log(dcl)))
-    neg_term = dc.tsum(dc.hadamard(dc.Tensor(wn), dc.log(dc.sub(1.0, dcl))))
-    return dc.scalar_mul(dc.add(pos_term, neg_term), -1.0 / draw.num_nodes)
+    dcl = kit.clamp(d, eps, 1.0 - eps)
+    pos_term = kit.tsum(kit.hadamard(dc.Tensor(wp), kit.log(dcl)))
+    neg_term = kit.tsum(kit.hadamard(dc.Tensor(wn), kit.log(kit.sub(1.0, dcl))))
+    return kit.scalar_mul(dc.add(pos_term, neg_term), -1.0 / draw.num_nodes)
 
 
 def _check_z(z: dc.Tensor, draw: ContrastDraw) -> None:
@@ -131,14 +132,14 @@ def dense_loss_norm_jsd(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> 
     """Mean over anchors of -(1/|P_u|) sum log D - (1/|Q_u|) sum log(1-D)
     with D = (cos+1)/2 on the projected embeddings."""
     _check_z(z, draw)
-    d = dc.scalar_mul(dc.add(_cosine_matrix(z), 1.0), 0.5)
+    d = kit.scalar_mul(dc.add(_cosine_matrix(z), 1.0), 0.5)
     return _jsd_style_loss(d, draw, eps)
 
 
 def dense_loss_jsd_ablation(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> dc.Tensor:
     """Same objective with the unnormalized D = sigmoid(z_u . z_v)."""
     _check_z(z, draw)
-    d = dc.sigmoid(dc.matmul(z, dc.transpose(z)))
+    d = kit.sigmoid(dc.matmul(z, kit.transpose(z)))
     return _jsd_style_loss(d, draw, eps)
 
 
@@ -149,24 +150,22 @@ def dense_loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 
     average uses the realized positive count, so equal similarities give
     exactly log(|V| - 1).
     """
-    if tau <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
     _check_z(z, draw)
     n = draw.num_nodes
-    logits = dc.scalar_mul(_cosine_matrix(z), 1.0 / tau)
+    logits = kit.scalar_mul(_cosine_matrix(z), 1.0 / tau)
     off_diag = ~np.eye(n, dtype=bool)
 
     # detached row max over w != u keeps exp in range without touching gradients
     row_max = np.max(np.where(off_diag, logits.data, -np.inf), axis=1, keepdims=True)
-    shifted = dc.exp(dc.sub(logits, dc.Tensor(row_max)))
-    denom = dc.tsum(dc.hadamard(shifted, dc.Tensor(off_diag.astype(logits.data.dtype))), axis=1, keepdims=True)
-    log_denom = dc.add(dc.log(denom), dc.Tensor(row_max))
-    log_prob = dc.sub(logits, log_denom)
+    shifted = kit.exp(kit.sub(logits, dc.Tensor(row_max)))
+    denom = kit.tsum(kit.hadamard(shifted, dc.Tensor(off_diag.astype(logits.data.dtype))), axis=1, keepdims=True)
+    log_denom = dc.add(kit.log(denom), dc.Tensor(row_max))
+    log_prob = kit.sub(logits, log_denom)
 
     pos = draw.membership() & off_diag
     pos_counts = pos.sum(axis=1)
     weights = pos / np.maximum(pos_counts, 1)[:, None]
-    return dc.scalar_mul(dc.tsum(dc.hadamard(dc.Tensor(weights), log_prob)), -1.0 / n)
+    return kit.scalar_mul(kit.tsum(kit.hadamard(dc.Tensor(weights), log_prob)), -1.0 / n)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,19 @@ def test_train_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+def test_train_config_that_is_not_utf8_exits_one(tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path)
+    with open(config, "ab") as fh:
+        fh.write(b"\xff\n")
+    rc = main(["train", "--config", config, "--edges", edges, "--features", feats,
+               "--out-checkpoint", str(tmp_path / "x.ckpt"), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"config {config}: not UTF-8 text: byte 0xff" in err
+    assert "Traceback" not in err
+
+
 def test_train_numeric_failure_exits_three(tmp_path, capsys):
     # a triangle plus self-positives makes every negative set empty
     edges = tmp_path / "tri.txt"
@@ -598,4 +611,17 @@ def test_eval_malformed_checkpoint_exits_two(edit, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "checkpoint" in err or "parameter" in err
+    assert "Traceback" not in err
+
+
+def test_eval_checkpoint_that_is_not_utf8_exits_two(tmp_path, capsys):
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    with open(ckpt, "ab") as fh:
+        fh.write(b"\xff\n")
+    rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+               "--labels", labels, "--mode", "cluster",
+               "--out", str(tmp_path / "x.json"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: not UTF-8 text: byte 0xff" in err
     assert "Traceback" not in err

@@ -13,12 +13,8 @@ from signa.diffcore import Parameter, RngStream, Tensor, backward
 from signa.contrast import (
     ContrastDraw,
     EstimatorSpec,
-    discriminator_norm,
     draw_masks,
     estimator_loss,
-    loss_info_nce_ablation,
-    loss_jsd_ablation,
-    loss_norm_jsd,
     verify_theorem,
 )
 from signa.errors import (
@@ -38,6 +34,8 @@ from oracles import (
     info_nce_loss_oracle,
     jsd_style_loss_oracle,
 )
+import tape_ops as kit
+from tape_ops import discriminator_norm, validate_draw
 
 KINDS = ("norm_jsd", "jsd", "info_nce")
 DENSE_LOSSES = {
@@ -45,6 +43,10 @@ DENSE_LOSSES = {
     "jsd": dense_loss_jsd_ablation,
     "info_nce": dense_loss_info_nce_ablation,
 }
+
+
+def _loss(z, draw, kind):
+    return estimator_loss(z, draw, EstimatorSpec(kind=kind))
 
 
 def _ring(n: int):
@@ -61,7 +63,7 @@ def test_alpha_zero_keeps_every_neighbor(path4_graph):
     for u in range(4):
         expected = np.sort(np.append(path4_graph.neighbors(u), u))
         np.testing.assert_array_equal(draw.positives(u), expected)
-    draw.validate(path4_graph)
+    validate_draw(draw, path4_graph)
 
 
 def test_alpha_one_keeps_only_self(path4_graph):
@@ -75,7 +77,7 @@ def test_draw_invariants_on_random_graphs():
     for i in range(20):
         g = random_labeled_graph(rng, max_nodes=30)
         draw = draw_masks(g, 0.5, RngStream(i, "mask"))
-        draw.validate(g)
+        validate_draw(draw, g)
         m = draw.membership()
         assert m.diagonal().all()
         # membership agrees with the CSR view
@@ -163,7 +165,7 @@ def _self_only_draw(n: int) -> ContrastDraw:
 def test_two_isolated_orthogonal_nodes_give_log2():
     # P_u = {u}: positive term ~ 0 (clamped), negative: -log(1 - 1/2)
     z = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    loss = loss_norm_jsd(z, _self_only_draw(2))
+    loss = _loss(z, _self_only_draw(2), "norm_jsd")
     assert abs(loss.item() - np.log(2.0)) < 1e-6
 
 
@@ -172,7 +174,7 @@ def test_norm_jsd_prefers_aligned_positives():
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     aligned = Tensor(np.array([[1.0, 0.01], [1.0, -0.01], [0.0, 1.0]]))
     opposed = Tensor(np.array([[1.0, 0.0], [-1.0, 0.1], [0.0, 1.0]]))
-    assert loss_norm_jsd(aligned, draw).item() < loss_norm_jsd(opposed, draw).item()
+    assert _loss(aligned, draw, "norm_jsd").item() < _loss(opposed, draw, "norm_jsd").item()
 
 
 def test_empty_negative_set_rejected():
@@ -180,7 +182,7 @@ def test_empty_negative_set_rejected():
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DegenerateGraphError):
-        loss_norm_jsd(z, draw)
+        _loss(z, draw, "norm_jsd")
 
 
 def test_losses_match_double_loop_oracles():
@@ -192,31 +194,15 @@ def test_losses_match_double_loop_oracles():
             continue
         z = rng.standard_normal((g.num_nodes, 6))
         zt = Tensor(z)
-        assert loss_norm_jsd(zt, draw).item() == pytest.approx(
+        assert _loss(zt, draw, "norm_jsd").item() == pytest.approx(
             jsd_style_loss_oracle(z, draw, "norm_jsd"), abs=1e-9
         )
-        assert loss_jsd_ablation(Tensor(z), draw).item() == pytest.approx(
+        assert _loss(Tensor(z), draw, "jsd").item() == pytest.approx(
             jsd_style_loss_oracle(z, draw, "jsd"), abs=1e-9
         )
-        assert loss_info_nce_ablation(Tensor(z), draw).item() == pytest.approx(
+        assert _loss(Tensor(z), draw, "info_nce").item() == pytest.approx(
             info_nce_loss_oracle(z, draw), abs=1e-9
         )
-
-
-def test_estimator_loss_dispatch():
-    rng = np.random.default_rng(7)
-    g = _ring(6)
-    draw = draw_masks(g, 0.3, RngStream(0, "mask"))
-    z = rng.standard_normal((6, 4))
-    for kind, fn in (
-        ("norm_jsd", loss_norm_jsd),
-        ("jsd", loss_jsd_ablation),
-        ("info_nce", loss_info_nce_ablation),
-    ):
-        spec = EstimatorSpec(kind=kind)
-        direct = fn(Tensor(z), draw)
-        via = estimator_loss(Tensor(z), draw, spec)
-        assert via.item() == pytest.approx(direct.item(), abs=1e-12)
 
 
 def test_estimator_spec_validation():
@@ -233,7 +219,7 @@ def test_info_nce_two_nodes_is_zero():
     g = from_edges(np.array([[0, 1]]), 2, np.zeros((2, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = np.array([[1.0, 0.2], [0.3, -1.0]])
-    assert abs(loss_info_nce_ablation(Tensor(z), draw).item()) < 1e-12
+    assert abs(_loss(Tensor(z), draw, "info_nce").item()) < 1e-12
 
 
 def test_info_nce_equal_similarities_give_log_n_minus_1():
@@ -243,7 +229,7 @@ def test_info_nce_equal_similarities_give_log_n_minus_1():
     g = _ring(n)
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = np.tile([[1.0, 2.0, 3.0]], (n, 1))
-    loss = loss_info_nce_ablation(Tensor(z), draw)
+    loss = _loss(Tensor(z), draw, "info_nce")
     assert loss.item() == pytest.approx(np.log(n - 1), abs=1e-9)
 
 
@@ -252,7 +238,7 @@ def test_info_nce_anchor_without_positives_contributes_zero():
     g = from_edges(np.array([[0, 1]]), 3, np.zeros((3, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
-    full = loss_info_nce_ablation(Tensor(z), draw).item()
+    full = _loss(Tensor(z), draw, "info_nce").item()
     oracle = info_nce_loss_oracle(z, draw)
     assert full == pytest.approx(oracle, abs=1e-12)
 
@@ -262,7 +248,7 @@ def test_clamp_keeps_antipodal_positive_finite():
     g = from_edges(np.array([[0, 1]]), 3, np.zeros((3, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = Parameter(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), name="z")
-    loss = loss_norm_jsd(z, draw)
+    loss = _loss(z, draw, "norm_jsd")
     assert np.isfinite(loss.item())
     assert loss.item() > 5.0  # log(eps)/|P| dominates
     backward(loss)
@@ -273,10 +259,10 @@ def test_losses_are_differentiable():
     g = _ring(5)
     draw = draw_masks(g, 0.4, RngStream(3, "mask"))
     rng = np.random.default_rng(8)
-    for fn in (loss_norm_jsd, loss_jsd_ablation, loss_info_nce_ablation):
+    for kind in KINDS:
         z = Parameter(rng.standard_normal((5, 4)), name="z")
-        report = dc.gradcheck(lambda: fn(z, draw), [z], tol=1e-5)
-        assert report.passed, (fn.__name__, report.max_rel_err)
+        report = kit.gradcheck(lambda: _loss(z, draw, kind), [z], tol=1e-5)
+        assert report.passed, (kind, report.max_rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +338,7 @@ def test_blocked_info_nce_anchor_without_other_positive(monkeypatch):
     _assert_matches_dense("info_nce", z, draw)  # nodes 3 and 4 have no other positive
     # with no anchor holding another positive, nothing contributes
     only_self = _self_only_draw(5)
-    value, grad = _value_and_grad(loss_info_nce_ablation, z, only_self)
+    value, grad = _value_and_grad(lambda p, d: _loss(p, d, "info_nce"), z, only_self)
     assert value == 0.0
     assert not grad.any()
 
@@ -379,7 +365,7 @@ def test_blocked_loss_gradcheck_across_blocks(kind, monkeypatch):
     draw = draw_masks(_ring(7), 0.4, RngStream(3, "mask"))
     z = Parameter(np.random.default_rng(14).standard_normal((7, 4)), name="z")
     spec = EstimatorSpec(kind=kind)
-    report = dc.gradcheck(lambda: estimator_loss(z, draw, spec), [z], tol=1e-5)
+    report = kit.gradcheck(lambda: estimator_loss(z, draw, spec), [z], tol=1e-5)
     assert report.passed, (kind, report.max_rel_err)
 
 
@@ -407,11 +393,11 @@ def test_blocked_loss_memory_is_not_quadratic(kind):
 def test_blocked_loss_keeps_input_checks():
     draw = draw_masks(_ring(4), 0.0, RngStream(0, "mask"))
     with pytest.raises(DegenerateEmbeddingError):
-        loss_norm_jsd(Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])), draw)
+        _loss(Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])), draw, "norm_jsd")
     with pytest.raises(NumericError):
-        loss_jsd_ablation(Tensor(np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]])), draw)
+        _loss(Tensor(np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]])), draw, "jsd")
     with pytest.raises(ShapeError):
-        loss_info_nce_ablation(Tensor(np.ones((3, 2))), draw)
+        _loss(Tensor(np.ones((3, 2))), draw, "info_nce")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_labeled_graph
 from oracles import homogeneity_oracle, kmeans_oracle, linear_probe_oracle, nmi_oracle
+import tape_ops as kit
 
 import signa.evaluate as evaluate
 from signa import diffcore as dc
@@ -227,10 +228,10 @@ def _tape_probe_gradients(x, onehot, w0, b0):
     b = dc.Parameter(b0.copy(), name="probe.bias")
     logits = dc.add(dc.matmul(dc.Tensor(x), w), b)
     row_max = np.max(logits.data, axis=1, keepdims=True)
-    shifted = dc.sub(logits, dc.Tensor(row_max))
-    log_denom = dc.log(dc.tsum(dc.exp(shifted), axis=1, keepdims=True))
-    log_prob = dc.sub(shifted, log_denom)
-    loss = dc.scalar_mul(dc.tsum(dc.hadamard(dc.Tensor(onehot), log_prob)), -1.0 / x.shape[0])
+    shifted = kit.sub(logits, dc.Tensor(row_max))
+    log_denom = kit.log(kit.tsum(kit.exp(shifted), axis=1, keepdims=True))
+    log_prob = kit.sub(shifted, log_denom)
+    loss = kit.scalar_mul(kit.tsum(kit.hadamard(dc.Tensor(onehot), log_prob)), -1.0 / x.shape[0])
     dc.backward(loss)
     return w.grad, b.grad
 

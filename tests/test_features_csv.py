@@ -36,10 +36,10 @@ def _csv(rows) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-def _assert_kernel_matches_loop(path, skip_header=False):
-    kernel = graphdata._parse_features(path, skip_header)
+def _assert_kernel_matches_loop(path):
+    kernel = graphdata._parse_features(path)
     assert kernel is not None, "the kernel declined a file it should take"
-    loop = graphdata._read_features_lines(path, skip_header)
+    loop = graphdata._read_features_lines(path)
     assert kernel.shape == loop.shape
     np.testing.assert_array_equal(kernel.view(np.uint64), loop.view(np.uint64))
     return kernel
@@ -128,11 +128,11 @@ def test_plain_decimals_never_reach_float(tmp_path, monkeypatch):
         return float(token)
 
     monkeypatch.setattr(graphdata, "float", spy, raising=False)
-    kernel = graphdata._parse_features(path, False)
+    kernel = graphdata._parse_features(path)
     monkeypatch.delattr(graphdata, "float")
     # only a quotient on a midpoint between two doubles may take float()
     assert len(calls) <= len(rows) * len(rows[0]) // 100
-    loop = graphdata._read_features_lines(path, False)
+    loop = graphdata._read_features_lines(path)
     np.testing.assert_array_equal(kernel.view(np.uint64), loop.view(np.uint64))
 
 
@@ -222,17 +222,17 @@ def test_benchmark_inputs_parse_bitwise(workload, seed, workloads, tmp_path):
 # files the kernel leaves to the line loop: same array, or the same error
 
 
-def _same_outcome(path, skip_header=False):
+def _same_outcome(path):
     """`_read_features` gives what the line loop gives: the same array, or the
     same error with the same message; returns that message or array."""
     try:
-        expected = graphdata._read_features_lines(path, skip_header)
+        expected = graphdata._read_features_lines(path)
     except (IngestionError, UnicodeDecodeError) as exc:
         with pytest.raises(type(exc)) as got:
-            graphdata._read_features(path, skip_header)
+            graphdata._read_features(path)
         assert str(got.value) == str(exc)
         return str(exc)
-    actual = graphdata._read_features(path, skip_header)
+    actual = graphdata._read_features(path)
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
     return actual
 
@@ -270,30 +270,35 @@ def test_errors_past_the_first_block_keep_their_line(bad_row, message, tmp_path,
         assert blocks[0] is not None and blocks[-1] is None  # declined after a parsed block
 
 
+# each file either holds the rows [1.5, 2] and [-3, 4.25] or is rejected
 @pytest.mark.parametrize(
-    "text, skip_header, kernel_takes",
+    "text, rejected, kernel_takes",
     [
-        ("x,y\n1.5,2\n-3,4.25\n", True, True),
-        ("\ufeffx,y\n1.5,2\n-3,4.25\n", True, True),
         ("1.5,2\n-3,4.25", False, True),
         ("1.5,2\n\n-3,4.25\n", False, False),
         ("1.5,2\n-3,4.25\n\n", False, False),
         ("1.5,2\r\n-3,4.25\r\n", False, False),
+        ("\ufeff1.5,2\n-3,4.25\n", False, False),
+        (" 1.5, 2\n-3 ,4.25\t\n", False, False),
+        ("x,y\n1.5,2\n-3,4.25\n", True, False),
+        ("\ufeffx,y\n1.5,2\n-3,4.25\n", True, False),
         ("x,y\r\n1.5,2\r\n-3,4.25\r\n", True, False),
         ("x,y\r1.5,2\n-3,4.25\n", True, False),
         (b"\xff,y\n1.5,2\n-3,4.25\n", True, False),
-        ("\ufeff1.5,2\n-3,4.25\n", False, False),
-        (" 1.5, 2\n-3 ,4.25\t\n", False, False),
         ("x,y\n", True, False),
-        ("", False, False),
-        (" \n\t\n", False, False),
+        ("", True, False),
+        (" \n\t\n", True, False),
     ],
 )
-def test_loop_files_keep_their_outcome(text, skip_header, kernel_takes, tmp_path):
+def test_loop_files_keep_their_outcome(text, rejected, kernel_takes, tmp_path):
     path = _write(tmp_path, text)
-    _same_outcome(path, skip_header)
+    outcome = _same_outcome(path)
+    if rejected:
+        assert isinstance(outcome, str)
+    else:
+        np.testing.assert_array_equal(outcome, [[1.5, 2.0], [-3.0, 4.25]])
     if graphdata._X87_LONGDOUBLE:
-        assert (graphdata._parse_features(path, skip_header) is not None) == kernel_takes
+        assert (graphdata._parse_features(path) is not None) == kernel_takes
 
 
 def _in_thread(target, fifo):
@@ -316,7 +321,7 @@ def test_a_pipe_is_read_once_by_the_loop(tmp_path):
     os.mkfifo(fifo)
     declined = []
     # the kernel reads a file twice, so it must leave a pipe unopened
-    assert _in_thread(lambda: declined.append(graphdata._parse_features(fifo, False)), fifo)
+    assert _in_thread(lambda: declined.append(graphdata._parse_features(fifo)), fifo)
     assert declined == [None]
 
     def write():
@@ -326,7 +331,7 @@ def test_a_pipe_is_read_once_by_the_loop(tmp_path):
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     parsed = []
-    _in_thread(lambda: parsed.append(graphdata._read_features(fifo, False)), fifo)
+    _in_thread(lambda: parsed.append(graphdata._read_features(fifo)), fifo)
     writer.join(timeout=10)
     assert not writer.is_alive()
     assert parsed[0].tolist() == [[1.5, 2.0], [-3.0, 4.25]]
@@ -343,7 +348,7 @@ def test_parse_memory_stays_near_the_output(tmp_path):
     np.savetxt(path, x, fmt="%.17g", delimiter=",")
     tracemalloc.start()
     try:
-        features = graphdata._read_features(path, False)
+        features = graphdata._read_features(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -356,14 +361,14 @@ def test_parse_memory_stays_near_the_output(tmp_path):
 def test_the_kernel_parses_where_the_gate_is_on(tmp_path, monkeypatch):
     path = _write(tmp_path, _csv(FORMATS["%.17g"](np.random.default_rng(0))))
     monkeypatch.setattr(graphdata, "_read_features_lines", lambda *args: pytest.fail("the line loop ran"))
-    assert graphdata._read_features(path, False).shape == (30, 17)
+    assert graphdata._read_features(path).shape == (30, 17)
     assert [int(v) for v in graphdata._TENS] == [10**k for k in range(graphdata._TOKEN_BYTES)]
 
 
 def test_without_an_x87_long_double_the_loop_parses(tmp_path, monkeypatch):
     path = _write(tmp_path, _csv(FORMATS["%.17g"](np.random.default_rng(0))))
-    expected = graphdata._read_features_lines(path, False)
+    expected = graphdata._read_features_lines(path)
     monkeypatch.setattr(graphdata, "_X87_LONGDOUBLE", False)
     monkeypatch.setattr(graphdata, "_parse_features", lambda *args: pytest.fail("the kernel ran"))
-    actual = graphdata._read_features(path, False)
+    actual = graphdata._read_features(path)
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))

@@ -24,6 +24,7 @@ from signa.graphdata import (
 )
 
 from conftest import random_labeled_graph
+import tape_ops as kit
 from oracles import (
     adjacency_error_oracle,
     global_homophily_oracle,
@@ -150,13 +151,25 @@ def test_load_graph_happy_path(tmp_path):
     np.testing.assert_array_equal(g.labels, [0, 1, 1])
 
 
-def test_load_graph_feature_header_flag(tmp_path):
+def test_load_graph_rejects_a_feature_header(tmp_path):
     feats = _write(tmp_path, "f.csv", "x,y\n1.0,2.0\n3.0,4.0\n")
     edges = _write(tmp_path, "e.txt", "0 1\n")
-    g = load_graph(edges, feats, skip_feature_header=True)
-    assert g.num_nodes == 2
-    with pytest.raises(IngestionError, match=r"f\.csv:1"):
+    with pytest.raises(IngestionError, match=r"f\.csv:1: non-numeric"):
         load_graph(edges, feats)
+
+
+@pytest.mark.parametrize("which", ["features", "edges", "labels"])
+def test_a_byte_order_mark_is_accepted(which, tmp_path):
+    # as spreadsheet "CSV UTF-8" exports write it
+    texts = {"features": "1.0,2.0\n3.0,4.0\n5.0,6.0\n", "edges": "# a comment\n0 1\n\n1 2\n", "labels": "0\n1\n1\n"}
+    plain = {k: _write(tmp_path, f"plain_{k}", text) for k, text in texts.items()}
+    marked = dict(plain, **{which: _write(tmp_path, f"bom_{which}", "\ufeff" + texts[which])})
+    want = load_graph(plain["edges"], plain["features"], plain["labels"])
+    got = load_graph(marked["edges"], marked["features"], marked["labels"])
+    np.testing.assert_array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+    np.testing.assert_array_equal(got.csr_offsets, want.csr_offsets)
+    np.testing.assert_array_equal(got.csr_targets, want.csr_targets)
+    np.testing.assert_array_equal(got.labels, want.labels)
 
 
 def test_ingestion_errors_carry_line_numbers(tmp_path):
@@ -259,7 +272,7 @@ def test_spmm_backward_is_transpose_product():
     adj = normalized_adjacency(g)
     x = Parameter(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), name="x")
     w = np.array([[1.0, -1.0], [0.5, 2.0], [0.0, 1.0]])
-    backward(dc.tsum(dc.hadamard(spmm(adj, x), Tensor(w))))
+    backward(kit.tsum(kit.hadamard(spmm(adj, x), Tensor(w))))
     np.testing.assert_allclose(x.grad, adj.toarray().T @ w, atol=1e-12)
 
 
@@ -269,7 +282,7 @@ def test_spmm_gradcheck():
     rng = np.random.default_rng(2)
     x = Parameter(rng.standard_normal((3, 4)), name="x")
     w = rng.uniform(0.5, 1.5, size=(3, 4))
-    report = dc.gradcheck(lambda: dc.tsum(dc.hadamard(spmm(adj, x), Tensor(w))), [x])
+    report = kit.gradcheck(lambda: kit.tsum(kit.hadamard(spmm(adj, x), Tensor(w))), [x])
     assert report.passed, report.max_rel_err
 
 
