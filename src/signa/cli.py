@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .atomic import open_atomic
@@ -272,6 +271,10 @@ def _cmd_eval(args) -> int:
     started = _now()
     if args.mode == "classify" and args.runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
+    if args.mode == "histograms":
+        for flag, value in (("--bins", args.bins), ("--subsample-pairs", args.subsample_pairs)):
+            if value is not None and value < 1:
+                raise ConfigError(f"{flag} must be >= 1, got {value}")
     need_labels = args.mode in ("classify", "cluster")
     state, config, graph = _load_for_eval(args, need_labels)
     seed = args.seed if args.seed is not None else config.seed
@@ -336,9 +339,7 @@ def _cmd_eval(args) -> int:
             }
         )
     else:  # timing
-        spec_mlp = replace(state.spec, base_encoder="linear")
-        spec_gconv = replace(state.spec, base_encoder="gconv")
-        timing = timing_harness(graph, spec_mlp, spec_gconv, repeats=args.repeats)
+        timing = timing_harness(graph, state.spec, repeats=args.repeats)
         report.update(
             {
                 "repeats": timing.repeats,

@@ -9,7 +9,7 @@ a plain JSD variant (sigmoid of inner products), and an InfoNCE variant.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     DegenerateGraphError,
     ShapeError,
 )
-from .graphdata import Graph, from_edges
+from .graphdata import Graph
 
 ESTIMATOR_KINDS = ("norm_jsd", "jsd", "info_nce")
 
@@ -42,16 +42,6 @@ class ContrastDraw:
     @property
     def pos_counts(self) -> np.ndarray:
         return np.diff(self.pos_offsets)
-
-    def positives(self, u: int) -> np.ndarray:
-        return self.pos_targets[self.pos_offsets[u] : self.pos_offsets[u + 1]]
-
-    def membership(self) -> np.ndarray:
-        """Dense boolean matrix M[u, v] = (v in P_u)."""
-        m = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
-        src = np.repeat(np.arange(self.num_nodes), self.pos_counts)
-        m[src, self.pos_targets] = True
-        return m
 
 
 def draw_masks(graph: Graph, alpha: float, rng: dc.RngStream, epoch: int = 0) -> ContrastDraw:
@@ -86,9 +76,6 @@ class EstimatorSpec:
         if not 0.0 < self.clamp_eps < 0.5:
             raise ConfigError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # ---------------------------------------------------------------------------
 # the three estimators, as one row-blocked op
@@ -96,11 +83,6 @@ class EstimatorSpec:
 # Entries in one block of the score matrix: blocks hold max(1, this // n)
 # anchor rows, so the loss needs O(B*n + n*d) memory and never an n x n array.
 _BLOCK_ELEMS = 2**20
-
-
-def _check_z(z: dc.Tensor, draw: ContrastDraw) -> None:
-    if z.data.ndim != 2 or z.data.shape[0] != draw.num_nodes:
-        raise ShapeError(f"Z must be ({draw.num_nodes}, d), got {z.data.shape}")
 
 
 def _jsd_side(d, log_neg, one_minus, pos, neg_w, axis):
@@ -172,17 +154,30 @@ def _info_nce_block(s, r0, rows, cols, pos_w, tau):
     return loss, p
 
 
-def _pairwise_loss(z: dc.Tensor, draw: ContrastDraw, kind: str, eps: float = 1e-7, tau: float = 0.5) -> dc.Tensor:
-    """One estimator's loss as a single tape node, streamed in row blocks.
+def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.Tensor:
+    """The mean anchor loss of `spec.kind` on the projected embeddings z.
 
-    Each block of B anchors is scored, its loss terms added and dLoss/dS
-    pushed into dLoss/dz in the same pass, so the backward only scales the
-    stored gradient.  InfoNCE scores whole rows.  The JSD kinds' D is
-    symmetric, so their blocks score only the strip from the diagonal on,
-    which halves the matrix products.  Positives come from the CSR draw.
+    * norm_jsd: the mean over anchors of -(1/|P_u|) sum_{v in P_u} log D
+      - (1/|Q_u|) sum_{v in Q_u} log(1-D), with D = (cos(z_u, z_v)+1)/2,
+      clamped to [clamp_eps, 1-clamp_eps].
+    * jsd: the same objective with the unnormalized D = sigmoid(z_u . z_v).
+    * info_nce: softmax contrast at temperature tau: positives from
+      P_u \\ {u}, denominator over all w != u.  Anchors whose only positive
+      is themselves contribute zero; the per-anchor average uses the
+      realized positive count, so equal similarities give exactly
+      log(|V| - 1).
+
+    The loss is one tape node, streamed in row blocks: each block of B
+    anchors is scored, its loss terms added and dLoss/dS pushed into dLoss/dz
+    in the same pass, so the backward only scales the stored gradient.
+    InfoNCE scores whole rows.  The JSD kinds' D is symmetric, so their
+    blocks score only the strip from the diagonal on, which halves the
+    matrix products.  Positives come from the CSR draw.
     """
-    _check_z(z, draw)
     n = draw.num_nodes
+    if z.data.ndim != 2 or z.data.shape[0] != n:
+        raise ShapeError(f"Z must be ({n}, d), got {z.data.shape}")
+    kind, eps, tau = spec.kind, spec.clamp_eps, spec.temperature
     x = z.data
     anchors = np.repeat(np.arange(n), draw.pos_counts)
     targets = draw.pos_targets
@@ -249,101 +244,3 @@ def _pairwise_loss(z: dc.Tensor, draw: ContrastDraw, kind: str, eps: float = 1e-
         dc.accumulate_grad(z, dz * g)
 
     return dc.record_backward(out, _bw)
-
-
-def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.Tensor:
-    """The mean anchor loss of `spec.kind` on the projected embeddings z.
-
-    * norm_jsd: the mean over anchors of -(1/|P_u|) sum_{v in P_u} log D
-      - (1/|Q_u|) sum_{v in Q_u} log(1-D), with D = (cos(z_u, z_v)+1)/2,
-      clamped to [clamp_eps, 1-clamp_eps].
-    * jsd: the same objective with the unnormalized D = sigmoid(z_u . z_v).
-    * info_nce: softmax contrast at temperature tau: positives from
-      P_u \\ {u}, denominator over all w != u.  Anchors whose only positive
-      is themselves contribute zero; the per-anchor average uses the
-      realized positive count, so equal similarities give exactly
-      log(|V| - 1).
-    """
-    return _pairwise_loss(z, draw, spec.kind, eps=spec.clamp_eps, tau=spec.temperature)
-
-
-# ---------------------------------------------------------------------------
-# expectation check for the masking scheme
-
-
-@dataclass
-class TheoremReport:
-    """Empirical vs expected target similarity under repeated mask draws."""
-
-    alpha: float
-    delta: float
-    lam: float
-    num_trials: int
-    neighbor_mean: float
-    non_neighbor_mean: float
-    expected_neighbor: float
-    expected_non_neighbor: float
-    binomial_se: float
-    neighbor_within_3se: bool
-    non_neighbor_exact: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.neighbor_within_3se and self.non_neighbor_exact
-
-
-def verify_theorem(
-    alpha: float,
-    delta: float,
-    lam: float,
-    num_trials: int,
-    rng: dc.RngStream | None = None,
-    ring_size: int = 12,
-) -> TheoremReport:
-    """Monte Carlo check that masked-neighbor target similarity averages to
-    delta*(1-alpha) + lam*alpha for neighbors and lam for non-neighbors.
-
-    Runs real mask draws on a ring graph and reads targets off the realized
-    P_u sets, so the check exercises the actual sampling code path.
-    """
-    if num_trials < 1000:
-        raise ConfigError(f"num_trials must be >= 1000, got {num_trials}")
-    if rng is None:
-        rng = dc.RngStream(seed=0, purpose="mask")
-    n = ring_size
-    ring_edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    graph = from_edges(ring_edges, n, np.zeros((n, 1)))
-
-    adj = np.zeros((n, n), dtype=bool)
-    adj[ring_edges[:, 0], ring_edges[:, 1]] = True
-    adj |= adj.T
-    eye = np.eye(n, dtype=bool)
-    nbr_pairs = np.argwhere(adj)
-    non_pairs = np.argwhere(~adj & ~eye)
-
-    epochs = -(-num_trials // nbr_pairs.shape[0])
-    nbr_samples, non_samples = [], []
-    for epoch in range(epochs):
-        m = draw_masks(graph, alpha, rng, epoch=epoch).membership()
-        nbr_samples.append(np.where(m[nbr_pairs[:, 0], nbr_pairs[:, 1]], delta, lam))
-        non_samples.append(np.where(m[non_pairs[:, 0], non_pairs[:, 1]], delta, lam))
-    nbr = np.concatenate(nbr_samples)[:num_trials]
-    non = np.concatenate(non_samples)[:num_trials]
-
-    expected_nbr = delta * (1.0 - alpha) + lam * alpha
-    se = abs(delta - lam) * np.sqrt(alpha * (1.0 - alpha) / num_trials)
-    nbr_mean = float(nbr.mean())
-    non_mean = float(non.mean())
-    return TheoremReport(
-        alpha=alpha,
-        delta=delta,
-        lam=lam,
-        num_trials=num_trials,
-        neighbor_mean=nbr_mean,
-        non_neighbor_mean=non_mean,
-        expected_neighbor=expected_nbr,
-        expected_non_neighbor=lam,
-        binomial_se=float(se),
-        neighbor_within_3se=abs(nbr_mean - expected_nbr) <= 3.0 * se + 1e-12,
-        non_neighbor_exact=non_mean == lam,
-    )

@@ -60,25 +60,6 @@ class Tensor:
         self._backward = _backward
         self._consumed = False
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_error()
-
-    def _item_error(self):
-        from ..errors import ContractError
-
-        raise ContractError(f"item() requires a scalar tensor, got shape {self.data.shape}")
-
-    def __float__(self) -> float:
-        return self.item()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -95,9 +76,6 @@ class Parameter(Tensor):
         self.needs_grad = True
         self.name = name
         self.grad = np.zeros_like(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"

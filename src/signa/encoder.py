@@ -8,7 +8,7 @@ consumed downstream; the projector exists only for the contrastive loss.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,9 +53,6 @@ class ModelSpec:
             kind = getattr(self, field)
             if kind not in ACTIVATION_KINDS:
                 raise ConfigError(f"{field} must be one of {ACTIVATION_KINDS}, got {kind!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _resolve_activation(kind: str) -> tuple[str, float | None]:
@@ -171,11 +168,8 @@ def project(state: EncoderState, h: dc.Tensor) -> dc.Tensor:
     return dc.matmul(z, params["projector.1.weight"])
 
 
-def inference_embeddings(
-    state: EncoderState, spec: ModelSpec, graph: Graph, adj: sp.csr_matrix | None = None
-) -> dc.Tensor:
+def inference_embeddings(state: EncoderState, spec: ModelSpec, graph: Graph) -> dc.Tensor:
     """Frozen-encoder representations: encode with training off and the
     parameters as constants (no tape), no projector."""
-    if spec.base_encoder == "gconv" and adj is None:
-        adj = normalized_adjacency(graph)
+    adj = normalized_adjacency(graph) if spec.base_encoder == "gconv" else None
     return encode(state.frozen(), spec, graph, adj=adj, training=False)

@@ -259,15 +259,21 @@ def _update_one_by_one(
     """One restart's centroid update, cluster by cluster, for an iteration in
     which one of its clusters is empty: that cluster is re-seeded at the
     point farthest from its centroid, and the point leaves its old cluster
-    (whose mean, if still to come, no longer counts it)."""
+    (whose mean, if still to come, no longer counts it).  If even that
+    distance is below seeding's floor, every point sits on its centroid and
+    the empty cluster keeps its centroid; re-seeding it at rounding noise
+    would move a point back and forth and never converge."""
     n = x.shape[0]
     new_centroids = centroids.copy()
     for j in range(centroids.shape[0]):
         members = assignments == j
         if members.any():
             new_centroids[j] = x[members].mean(axis=0)
-        else:
-            far = int(np.argmax(d2[np.arange(n), assignments]))
+            continue
+        nearest = d2[np.arange(n), assignments]
+        far = int(np.argmax(nearest))
+        c = centroids[assignments[far]]
+        if nearest[far] > _SEED_EXACT_BELOW * (x[far] @ x[far] + c @ c):
             new_centroids[j] = x[far]
             assignments[far] = j
     return new_centroids
@@ -495,32 +501,23 @@ class TimingReport:
     warmup: int
 
 
-def timing_harness(
-    graph: Graph,
-    spec_mlp: ModelSpec,
-    spec_gconv: ModelSpec,
-    repeats: int = 20,
-    warmup: int = 3,
-    seed: int = 0,
-) -> TimingReport:
-    """Median single-pass inference wall time for each base encoder.
+def timing_harness(graph: Graph, spec: ModelSpec, repeats: int = 20, warmup: int = 3, seed: int = 0) -> TimingReport:
+    """Median single-pass inference wall time of `spec` with each base encoder.
 
-    The normalized adjacency is built once outside the timed region; only
-    the forward pass, with the parameters as constants, is measured.  After
+    The linear and gconv models differ only in `base_encoder`.  The
+    normalized adjacency is built once outside the timed region; only the
+    forward pass, with the parameters as constants, is measured.  After
     each encoder's warmup the repeats alternate between the two encoders,
     each going first every other time, so a burst of machine load lands on
     both sides alike.
     """
-    if spec_mlp.base_encoder != "linear" or spec_gconv.base_encoder != "gconv":
-        raise ConfigError("timing_harness expects (linear spec, gconv spec) in that order")
-    if replace(spec_mlp, base_encoder="gconv") != spec_gconv:
-        raise ConfigError("timing specs must differ only in base_encoder")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
 
     adj = normalized_adjacency(graph)
     runs = []
-    for spec, use_adj in ((spec_mlp, None), (spec_gconv, adj)):
+    for kind, use_adj in (("linear", None), ("gconv", adj)):
+        spec = replace(spec, base_encoder=kind)
         state = EncoderState(spec, graph.num_features, dc.RngStream(seed, "init")).frozen()
         for _ in range(warmup):
             encode(state, spec, graph, adj=use_adj, training=False)

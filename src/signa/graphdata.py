@@ -90,9 +90,6 @@ class Graph:
     def num_features(self) -> int:
         return self.features.shape[1]
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.csr_targets[self.csr_offsets[u] : self.csr_offsets[u + 1]]
-
 
 def from_edges(edges, num_nodes, features, labels=None, num_classes=None) -> Graph:
     """Build a Graph from an (m, 2) array of possibly messy directed edges.

@@ -38,7 +38,7 @@ from signa.errors import (
     OptimizationError,
     ShapeError,
 )
-from signa.evaluate import KMeansResult, ProbeConfig, Split, _probe_gradients, accuracy, micro_f1
+from signa.evaluate import _SEED_EXACT_BELOW, KMeansResult, ProbeConfig, Split, _probe_gradients, accuracy, micro_f1
 from signa.graphdata import Graph, from_edges
 
 
@@ -52,7 +52,7 @@ def jsd_style_loss_oracle(z: np.ndarray, draw, mode: str, eps: float = 1e-7) -> 
     zn = unit_rows(z)
     total = 0.0
     for u in range(n):
-        pos = set(int(v) for v in draw.positives(u))
+        pos = set(int(v) for v in kit.positives(draw, u))
         neg = [v for v in range(n) if v not in pos]
         pos_sum = 0.0
         for v in pos:
@@ -81,7 +81,7 @@ def info_nce_loss_oracle(z: np.ndarray, draw, tau: float = 0.5) -> float:
     sims = zn @ zn.T
     total = 0.0
     for u in range(n):
-        pos = [int(v) for v in draw.positives(u) if int(v) != u]
+        pos = [int(v) for v in kit.positives(draw, u) if int(v) != u]
         if not pos:
             continue
         denom = sum(math.exp(sims[u, w] / tau) for w in range(n) if w != u)
@@ -109,7 +109,7 @@ def _pair_weights(draw: ContrastDraw):
     if np.any(neg_counts == 0):
         u = int(np.argmin(neg_counts))
         raise DegenerateGraphError(f"anchor {u} has an empty negative set (|P_u| = |V|)")
-    m = draw.membership()
+    m = kit.membership(draw)
     wp = m / pos_counts[:, None]
     wn = (~m) / neg_counts[:, None]
     return wp, wn
@@ -162,7 +162,7 @@ def dense_loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 
     log_denom = dc.add(kit.log(denom), dc.Tensor(row_max))
     log_prob = kit.sub(logits, log_denom)
 
-    pos = draw.membership() & off_diag
+    pos = kit.membership(draw) & off_diag
     pos_counts = pos.sum(axis=1)
     weights = pos / np.maximum(pos_counts, 1)[:, None]
     return kit.scalar_mul(kit.tsum(kit.hadamard(dc.Tensor(weights), log_prob)), -1.0 / n)
@@ -245,7 +245,7 @@ def adjacency_error_oracle(num_nodes, offsets, targets):
 def global_homophily_oracle(graph) -> float:
     same = total = 0
     for u in range(graph.num_nodes):
-        for v in graph.neighbors(u):
+        for v in kit.neighbors(graph, u):
             total += 1
             if graph.labels[u] == graph.labels[v]:
                 same += 1
@@ -255,7 +255,7 @@ def global_homophily_oracle(graph) -> float:
 def local_homophily_oracle(graph):
     counts, ratios = [], []
     for u in range(graph.num_nodes):
-        nbrs = graph.neighbors(u)
+        nbrs = kit.neighbors(graph, u)
         c = sum(1 for v in nbrs if graph.labels[u] == graph.labels[v])
         counts.append(c)
         ratios.append(c / nbrs.size if nbrs.size else float("nan"))
@@ -437,10 +437,14 @@ def _kmeans_once_oracle(x: np.ndarray, k: int, max_iters: int, tol: float, rng) 
             if members.any():
                 new_centroids[j] = x[members].mean(axis=0)
             else:
-                # empty cluster: re-seed at the point farthest from its centroid
-                far = int(np.argmax(d2[np.arange(n), assignments]))
-                new_centroids[j] = x[far]
-                assignments[far] = j
+                # empty cluster: re-seed at the point farthest from its
+                # centroid, unless that distance is rounding noise
+                nearest = d2[np.arange(n), assignments]
+                far = int(np.argmax(nearest))
+                c = centroids[assignments[far]]
+                if nearest[far] > _SEED_EXACT_BELOW * (x[far] @ x[far] + c @ c):
+                    new_centroids[j] = x[far]
+                    assignments[far] = j
         shift = float(np.max(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1))))
         centroids = new_centroids
         if shift < tol:

@@ -1,5 +1,5 @@
-"""Test-side autodiff kit: the tape ops, gradient check and draw checks
-that only the tests use.
+"""Test-side autodiff kit: the tape ops, gradient check, graph and draw
+accessors and draw checks that only the tests use.
 
 The ops use only the public custom-op API of `signa.diffcore` (`Tensor`,
 `record_backward`, `accumulate_grad`, `check_finite`, `logistic`), as
@@ -185,11 +185,11 @@ def gradcheck(fn, params: list[dc.Parameter], tol=1e-5, h=1e-6, abs_floor=1e-5) 
         raise ContractError("gradcheck requires f64 precision")
 
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
     dc.backward(fn())
     analytic = {p.name: p.grad.copy() for p in params}
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0.0
 
     report = GradCheckReport(max_rel_err=0.0, passed=True)
     for p in params:
@@ -214,17 +214,32 @@ def gradcheck(fn, params: list[dc.Parameter], tol=1e-5, h=1e-6, abs_floor=1e-5) 
 
 
 # ---------------------------------------------------------------------------
-# mask draws and the discriminator
+# graphs, mask draws and the discriminator
+
+
+def neighbors(graph: Graph, u: int) -> np.ndarray:
+    return graph.csr_targets[graph.csr_offsets[u] : graph.csr_offsets[u + 1]]
+
+
+def positives(draw: ContrastDraw, u: int) -> np.ndarray:
+    return draw.pos_targets[draw.pos_offsets[u] : draw.pos_offsets[u + 1]]
+
+
+def membership(draw: ContrastDraw) -> np.ndarray:
+    """Dense boolean matrix M[u, v] = (v in P_u)."""
+    m = np.zeros((draw.num_nodes, draw.num_nodes), dtype=bool)
+    m[np.repeat(np.arange(draw.num_nodes), draw.pos_counts), draw.pos_targets] = True
+    return m
 
 
 def validate_draw(draw: ContrastDraw, graph: Graph) -> None:
     """Check the P_u invariants of a draw against the generating graph."""
     for u in range(draw.num_nodes):
-        pos = draw.positives(u)
+        pos = positives(draw, u)
         if u not in pos:
             raise ConfigError(f"anchor {u} missing from its own positive set")
         rest = pos[pos != u]
-        if not np.isin(rest, graph.neighbors(u)).all():
+        if not np.isin(rest, neighbors(graph, u)).all():
             raise ConfigError(f"anchor {u} has a non-neighbor positive")
 
 

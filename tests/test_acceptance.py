@@ -35,7 +35,6 @@ from signa.contrast import (
     EstimatorSpec,
     draw_masks,
     estimator_loss,
-    verify_theorem,
 )
 from signa.encoder import EncoderState, ModelSpec, encode, inference_embeddings, project
 from signa.evaluate import (
@@ -51,6 +50,7 @@ from signa.evaluate import (
 )
 from signa.graphdata import (
     Graph,
+    from_edges,
     global_homophily,
     local_homophily,
     normalized_adjacency,
@@ -195,6 +195,7 @@ def test_op_cases_cover_every_differentiable_op():
     modules = [kit] + [importlib.import_module(m.name) for m in pkgutil.walk_packages(signa.__path__, "signa.")]
     ops = set().union(*map(_differentiable_ops, modules))
     covered = {"activation" if name in dc.ACTIVATIONS else name for name, _, _ in _op_cases()}
+    covered.add("estimator_loss")  # the composed cases: every kind, both encoders
     assert covered == ops
 
 
@@ -291,13 +292,28 @@ def test_criterion_02_loss_oracles():
 
 
 def test_criterion_03_mask_expectation():
+    # real draws on a 12-ring: the first 100000 (epoch, neighbor pair)
+    # samples keep their pair at rate 1 - alpha, and no draw ever holds a
+    # non-neighbor.  A target similarity of 1 for kept pairs and 0 otherwise
+    # makes the kept fraction the mean target.
+    n, trials = 12, 100000
+    graph = from_edges(np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1), n, np.zeros((n, 1)))
+    pairs = np.repeat(np.arange(n), graph.degrees) * n + graph.csr_targets  # row-major (u, v)
     details = []
     ok = True
     for alpha in (0.2, 0.4, 0.8):
-        rep = verify_theorem(alpha, 1.0, 0.0, 100000, rng=dc.RngStream(3, "mask"))
-        gap = abs(rep.neighbor_mean - (1.0 - alpha))
-        ok &= gap <= 3.0 * rep.binomial_se and rep.non_neighbor_mean == 0.0
-        details.append(f"a={alpha}: |{rep.neighbor_mean:.4f}-{1 - alpha:.1f}|<=3se")
+        rng = dc.RngStream(3, "mask")
+        kept, strays = [], 0
+        for epoch in range(-(-trials // pairs.size)):
+            draw = draw_masks(graph, alpha, rng, epoch=epoch)
+            anchors = np.repeat(np.arange(n), draw.pos_counts)
+            drawn = anchors * n + draw.pos_targets
+            kept.append(np.isin(pairs, drawn))
+            strays += np.count_nonzero(~np.isin(drawn, pairs) & (draw.pos_targets != anchors))
+        neighbor_mean = np.concatenate(kept)[:trials].mean()
+        se = np.sqrt(alpha * (1.0 - alpha) / trials)
+        ok &= abs(neighbor_mean - (1.0 - alpha)) <= 3.0 * se and strays == 0
+        details.append(f"a={alpha}: |{neighbor_mean:.4f}-{1 - alpha:.1f}|<=3se")
     _verdict(3, ok, "; ".join(details) + "; non-neighbor mean exactly 0")
 
 
@@ -516,13 +532,8 @@ def test_criterion_09_timing_direction():
     mean_degree = graph.csr_targets.size / graph.num_nodes
     assert mean_degree >= 20.0, f"fixture too sparse: mean degree {mean_degree:.1f}"
 
-    base = dict(num_layers=2, hidden_dim=64, dropout_p=0.0, projector_dim=32)
-    report = timing_harness(
-        graph,
-        ModelSpec(base_encoder="linear", **base),
-        ModelSpec(base_encoder="gconv", **base),
-        repeats=30,
-    )
+    spec = ModelSpec(num_layers=2, hidden_dim=64, dropout_p=0.0, projector_dim=32)
+    report = timing_harness(graph, spec, repeats=30)
     by_kind = {e.encoder_kind: e.wall_millis for e in report.entries}
     ok = by_kind["gconv"] >= by_kind["linear"]
     _verdict(

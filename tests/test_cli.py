@@ -376,6 +376,20 @@ def test_eval_histograms_csv(tmp_path, capsys):
     assert not doc["subsampled"]
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--bins", "0"), ("--bins", "-3"), ("--subsample-pairs", "0"), ("--subsample-pairs", "-5")]
+)
+def test_eval_histograms_count_below_one_exits_one(tmp_path, capsys, flag, value):
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    out, out_csv = tmp_path / "hist.json", tmp_path / "hist.csv"
+    rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+               "--labels", labels, "--mode", "histograms", flag, value,
+               "--out", str(out), "--out-csv", str(out_csv), "--quiet"])
+    assert rc == 1
+    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists() and not out_csv.exists()
+
+
 def test_eval_timing_report(tmp_path):
     edges, feats, labels, config, ckpt = _train(tmp_path)
     out = str(tmp_path / "timing.json")
