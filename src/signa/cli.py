@@ -21,6 +21,7 @@ import sys
 from . import __version__
 from .atomic import open_atomic
 from .errors import (
+    AnalysisError,
     ConfigError,
     ContractError,
     DataError,
@@ -134,11 +135,12 @@ def _probe_scores(emb, labels, runs: int, seed: int) -> tuple[list[float], list[
 
 
 def _cmd_homophily(args) -> int:
-    from .graphdata import global_homophily, load_graph, local_homophily
+    from .graphdata import load_graph, local_homophily
 
     started = _now()
     graph = load_graph(args.edges, args.features, args.labels)
-    global_ratio = global_homophily(graph)
+    if graph.num_edges == 0:
+        raise AnalysisError("global homophily is undefined on an edgeless graph")
     report = local_homophily(graph)
 
     doc = report.to_json_dict()
@@ -161,7 +163,7 @@ def _cmd_homophily(args) -> int:
         outputs=[args.out_json, args.out_csv],
     )
     if not args.quiet:
-        print(f"global homophily {global_ratio:.6f}  ({report.num_isolated} isolated nodes)")
+        print(f"global homophily {report.global_ratio:.6f}  ({report.num_isolated} isolated nodes)")
     return 0
 
 
@@ -194,13 +196,11 @@ def _config_with(raw: dict, overrides: dict):
 
 
 def _cmd_train(args) -> int:
-    from . import diffcore as dc
     from .graphdata import load_graph
     from .trainer import apply_ablation, save_checkpoint, train
 
     started = _now()
     config = _config_with(_load_config_dict(args.config), _flag_overrides(args, args.seed))
-    dc.set_precision(config.precision)
     graph = load_graph(args.edges, args.features)
     state, curve = train(graph, config)
     save_checkpoint(state, config, args.out_checkpoint, final_loss=curve[-1])
@@ -213,7 +213,7 @@ def _cmd_train(args) -> int:
                 fh.write(f"{epoch},{value:.17g}\n")
         outputs.append(args.out_loss_curve)
 
-    plan = apply_ablation(config)
+    effective = apply_ablation(config)
     _write_manifest(
         args.out_checkpoint,
         "train",
@@ -224,10 +224,10 @@ def _cmd_train(args) -> int:
         config_path=args.config,
         extra={
             "effective": {
-                "mask_rate": plan.mask_rate,
-                "dropout_p": plan.model.dropout_p,
-                "nfm_p_feat": plan.nfm_p_feat,
-                "estimator_kind": plan.estimator.kind,
+                "mask_rate": effective.mask_rate,
+                "dropout_p": effective.model.dropout_p,
+                "nfm_p_feat": effective.nfm_p_feat,
+                "estimator_kind": effective.estimator.kind,
             }
         },
     )
@@ -236,7 +236,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_for_eval(args, need_labels: bool):
+def _load_for_eval(args):
     from . import diffcore as dc
     from .errors import CheckpointError
     from .graphdata import load_graph
@@ -244,10 +244,7 @@ def _load_for_eval(args, need_labels: bool):
 
     dc.set_precision(args.precision or "f64")
     state, config = load_checkpoint(args.checkpoint)
-    labels = getattr(args, "labels", None)
-    if need_labels and labels is None:
-        raise ConfigError("this mode requires --labels")
-    graph = load_graph(args.edges, args.features, labels)
+    graph = load_graph(args.edges, args.features, getattr(args, "labels", None))
     if graph.num_features != state.num_features:
         raise CheckpointError(
             f"checkpoint expects {state.num_features} features, graph has {graph.num_features}"
@@ -271,12 +268,15 @@ def _cmd_eval(args) -> int:
     started = _now()
     if args.mode == "classify" and args.runs < 1:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
+    if args.mode in ("classify", "cluster") and args.labels is None:
+        raise ConfigError(f"{args.mode} mode requires --labels")
     if args.mode == "histograms":
+        if args.out_csv is None:
+            raise ConfigError("histograms mode requires --out-csv")
         for flag, value in (("--bins", args.bins), ("--subsample-pairs", args.subsample_pairs)):
             if value is not None and value < 1:
                 raise ConfigError(f"{flag} must be >= 1, got {value}")
-    need_labels = args.mode in ("classify", "cluster")
-    state, config, graph = _load_for_eval(args, need_labels)
+    state, config, graph = _load_for_eval(args)
     seed = args.seed if args.seed is not None else config.seed
     checkpoint_sha256 = _sha256(args.checkpoint)
     report: dict = {
@@ -312,11 +312,8 @@ def _cmd_eval(args) -> int:
             }
         )
     elif args.mode == "histograms":
-        if args.out_csv is None:
-            raise ConfigError("histograms mode requires --out-csv")
-        rng = dc.RngStream(seed, "split") if args.subsample_pairs else None
         hists = similarity_histograms(
-            emb, graph, bins=args.bins, subsample_pairs=args.subsample_pairs, rng=rng
+            emb, graph, dc.RngStream(seed, "split"), bins=args.bins, subsample_pairs=args.subsample_pairs
         )
         with open_atomic(args.out_csv) as fh:
             fh.write("population,bin_lo,bin_hi,count\n")
@@ -370,11 +367,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    from .trainer import export_embeddings
+    import numpy as np
+
+    from .encoder import inference_embeddings
 
     started = _now()
-    state, config, graph = _load_for_eval(args, need_labels=False)
-    export_embeddings(state, state.spec, graph, args.out)
+    state, config, graph = _load_for_eval(args)
+    emb = inference_embeddings(state, state.spec, graph).data
+    header = ",".join(f"dim_{j}" for j in range(emb.shape[1]))
+    with open_atomic(args.out) as fh:
+        np.savetxt(fh, emb, fmt="%.17g", delimiter=",", header=header, comments="")
     _write_manifest(
         args.out,
         "embed",
@@ -399,13 +401,14 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_ablate(args) -> int:
-    from . import diffcore as dc
     from .encoder import inference_embeddings
     from .graphdata import load_graph
     from .trainer import train
 
     started = _now()
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants:
+        raise ConfigError(f"--variants names no variant: {args.variants!r}")
     bad = [v for v in variants if v not in ABLATE_VARIANTS]
     if bad:
         raise ConfigError(
@@ -429,7 +432,6 @@ def _cmd_ablate(args) -> int:
         try:
             for seed in seeds:
                 config = _config_with(raw, {**ABLATE_VARIANTS[variant], **_flag_overrides(args, seed)})
-                dc.set_precision(config.precision)
                 state, _curve = train(graph, config)
                 emb = inference_embeddings(state, state.spec, graph).data
                 f1s, accs = _probe_scores(emb, graph.labels, args.probe_runs, seed)

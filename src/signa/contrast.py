@@ -36,7 +36,6 @@ class ContrastDraw:
     num_nodes: int
     pos_offsets: np.ndarray
     pos_targets: np.ndarray
-    alpha: float
     epoch: int = 0
 
     @property
@@ -57,7 +56,7 @@ def draw_masks(graph: Graph, alpha: float, rng: dc.RngStream, epoch: int = 0) ->
     order = np.lexsort((all_tgt, all_src))
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(all_src, minlength=n), out=offsets[1:])
-    return ContrastDraw(n, offsets, all_tgt[order], float(alpha), epoch)
+    return ContrastDraw(n, offsets, all_tgt[order], epoch)
 
 
 @dataclass

@@ -13,21 +13,15 @@ import numpy as np
 from ..errors import ConfigError, OptimizationError
 from .tensor import Parameter
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamState:
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: list[Parameter], lr: float, weight_decay: float = 0.0):
         if lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
         if weight_decay < 0.0:
             raise ConfigError(f"weight decay must be non-negative, got {weight_decay}")
         names = [p.name for p in params]
@@ -35,9 +29,6 @@ class AdamState:
             raise ConfigError("duplicate parameter names in optimizer state")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.data) for p in params}
@@ -57,24 +48,24 @@ def adam_step(state: AdamState) -> None:
             raise OptimizationError(f"non-finite gradient for parameter {p.name!r}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for p in state.params:
         if state.weight_decay != 0.0:
             p.data *= 1.0 - state.lr * state.weight_decay
         m = state.m[p.name]
         v = state.v[p.name]
         g = p.grad
-        step = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
+        step = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
         m += step
-        v *= state.beta2
+        v *= BETA2
         g *= g
-        g *= 1.0 - state.beta2
+        g *= 1.0 - BETA2
         v += g
         denom = np.divide(v, bc2)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += EPS
         np.divide(m, bc1, out=step)
         step *= state.lr
         step /= denom

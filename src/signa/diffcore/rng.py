@@ -48,10 +48,6 @@ class RngStream:
         self.draws += self._count(size)
         return self._gen.random(size=size, dtype=np.float64)
 
-    def normal(self, size=None) -> np.ndarray | float:
-        self.draws += self._count(size)
-        return self._gen.standard_normal(size=size, dtype=np.float64)
-
     def integers(self, low: int, high: int, size=None) -> np.ndarray | int:
         self.draws += self._count(size)
         return self._gen.integers(low, high, size=size)

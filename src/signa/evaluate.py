@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,22 +26,18 @@ class Split:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    seed: int
-    run_index: int
 
 
-def make_splits(labels, ratios=(0.1, 0.1, 0.8), num_runs=1, rng=None) -> list[Split]:
+def make_splits(labels, rng: dc.RngStream, ratios=(0.1, 0.1, 0.8), num_runs=1) -> list[Split]:
     """Independent random train/val/test splits over all labeled nodes.
 
-    Sizes are round(n * ratio) for train and val, remainder test; each run
-    uses its own child stream so runs are independent yet reproducible.
+    Sizes are round(n * ratio) for train and val, remainder test; run r
+    draws from `rng.child(r)`, so runs are independent yet reproducible.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
     if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3 or any(r < 0 for r in ratios):
         raise ConfigError(f"ratios must be three non-negative numbers summing to 1, got {ratios}")
-    if rng is None:
-        rng = dc.RngStream(0, "split")
     n_train = int(round(n * ratios[0]))
     n_val = int(round(n * ratios[1]))
     if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
@@ -54,8 +50,6 @@ def make_splits(labels, ratios=(0.1, 0.1, 0.8), num_runs=1, rng=None) -> list[Sp
                 train=np.sort(perm[:n_train]),
                 val=np.sort(perm[n_train : n_train + n_val]),
                 test=np.sort(perm[n_train + n_val :]),
-                seed=rng.seed,
-                run_index=run,
             )
         )
     return splits
@@ -108,7 +102,7 @@ def linear_probe(
     embeddings: np.ndarray,
     labels: np.ndarray,
     split: Split,
-    config: ProbeConfig | None = None,
+    config: ProbeConfig,
 ) -> tuple[float, float]:
     """Softmax regression on frozen embeddings; returns (micro_f1, accuracy)
     on the test set at the epoch with the best validation micro-F1.
@@ -120,8 +114,6 @@ def linear_probe(
     Deterministic: weights start at zero and the objective is convex, so no
     randomness enters the probe itself.
     """
-    if config is None:
-        config = ProbeConfig()
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -160,9 +152,8 @@ def linear_probe(
 @dataclass
 class KMeansResult:
     assignments: np.ndarray
-    centroids: np.ndarray
     inertia: float
-    inertia_trace: list[float] = field(default_factory=list)
+    inertia_trace: list[float]
 
 
 def _sq_dists(a: np.ndarray, aa: np.ndarray, b: np.ndarray, bb: np.ndarray) -> np.ndarray:
@@ -190,9 +181,10 @@ def _assign(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray):
     return d2, assignments, inertias
 
 
-def _row_sq_norms(x: np.ndarray, block_elems: int = 1 << 16) -> np.ndarray:
-    """np.sum(x * x, axis=1), a block of rows at a time (no n x d temporary)."""
-    step = max(1, block_elems // max(x.shape[1], 1))
+def _row_sq_norms(x: np.ndarray) -> np.ndarray:
+    """np.sum(x * x, axis=1), a block of 2^16 entries at a time (no n x d
+    temporary)."""
+    step = max(1, (1 << 16) // max(x.shape[1], 1))
     xx = np.empty(x.shape[0])
     for i in range(0, x.shape[0], step):
         b = x[i : i + step]
@@ -279,20 +271,22 @@ def _update_one_by_one(
     return new_centroids
 
 
+_KMEANS_TOL = 1e-6
+
+
 def kmeans(
     embeddings: np.ndarray,
     k: int,
+    rng: dc.RngStream,
     restarts: int = 10,
     max_iters: int = 300,
-    tol: float = 1e-6,
-    rng=None,
 ) -> KMeansResult:
     """Lloyd's algorithm with k-means++ seeding; best of `restarts` by inertia.
 
     Restart r seeds from `rng.child(r)`.  The restarts run in lockstep: one
     iteration scores the centroids of every restart still moving with one
     distance product and sums their clusters with one one-hot product.  A
-    restart stops once none of its centroids moved by `tol`.  The first
+    restart stops once none of its centroids moved by `_KMEANS_TOL`.  The first
     restart with the lowest final inertia wins; `inertia_trace` is its
     inertia before each iteration, then the final one.
     """
@@ -304,8 +298,6 @@ def kmeans(
         raise AnalysisError(f"k must be in [1, {n}], got {k}")
     if restarts < 1:
         raise AnalysisError(f"restarts must be >= 1, got {restarts}")
-    if rng is None:
-        rng = dc.RngStream(0, "kmeans")
     xx = _row_sq_norms(x)
     centroids = _kmeans_pp(x, xx, k, [rng.child(r) for r in range(restarts)])
     traces: list[list[float]] = [[] for _ in range(restarts)]
@@ -329,7 +321,7 @@ def kmeans(
         centroids[active] = new
         for r, inertia in zip(active, inertias):
             traces[r].append(float(inertia))
-        active = active[~(shifts < tol)]
+        active = active[~(shifts < _KMEANS_TOL)]
 
     _, assignments, inertias = _assign(x, xx, centroids)
     best = 0
@@ -337,9 +329,7 @@ def kmeans(
         traces[r].append(float(inertias[r]))
         if inertias[r] < inertias[best]:
             best = r
-    return KMeansResult(
-        np.ascontiguousarray(assignments[:, best]), centroids[best], float(inertias[best]), traces[best]
-    )
+    return KMeansResult(np.ascontiguousarray(assignments[:, best]), float(inertias[best]), traces[best])
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +416,9 @@ class SimilarityHistograms:
 def similarity_histograms(
     embeddings: np.ndarray,
     graph: Graph,
+    rng: dc.RngStream,
     bins: int = 50,
     subsample_pairs: int | None = None,
-    rng=None,
 ) -> SimilarityHistograms:
     import scipy.sparse as sp
 
@@ -449,8 +439,6 @@ def similarity_histograms(
         sims = (xn @ xn.T)[iu, iv]
         subsampled = False
     else:
-        if rng is None:
-            rng = dc.RngStream(0, "split")
         iu = rng.integers(0, n, size=subsample_pairs)
         iv = rng.integers(0, n - 1, size=subsample_pairs)
         iv = np.where(iv >= iu, iv + 1, iv)  # never a self-pair
@@ -498,10 +486,9 @@ class TimingReport:
     entries: list[TimingEntry]
     ratio_gconv_over_linear: float
     repeats: int
-    warmup: int
 
 
-def timing_harness(graph: Graph, spec: ModelSpec, repeats: int = 20, warmup: int = 3, seed: int = 0) -> TimingReport:
+def timing_harness(graph: Graph, spec: ModelSpec, repeats: int = 20, warmup: int = 3) -> TimingReport:
     """Median single-pass inference wall time of `spec` with each base encoder.
 
     The linear and gconv models differ only in `base_encoder`.  The
@@ -518,7 +505,7 @@ def timing_harness(graph: Graph, spec: ModelSpec, repeats: int = 20, warmup: int
     runs = []
     for kind, use_adj in (("linear", None), ("gconv", adj)):
         spec = replace(spec, base_encoder=kind)
-        state = EncoderState(spec, graph.num_features, dc.RngStream(seed, "init")).frozen()
+        state = EncoderState(spec, graph.num_features, dc.RngStream(0, "init")).frozen()
         for _ in range(warmup):
             encode(state, spec, graph, adj=use_adj, training=False)
         runs.append((state, spec, use_adj))
@@ -532,4 +519,4 @@ def timing_harness(graph: Graph, spec: ModelSpec, repeats: int = 20, warmup: int
     medians = [float(np.median(t)) for t in times]
     entries = [TimingEntry("linear", medians[0]), TimingEntry("gconv", medians[1])]
     ratio = medians[1] / medians[0] if medians[0] > 0 else float("inf")
-    return TimingReport(entries=entries, ratio_gconv_over_linear=ratio, repeats=repeats, warmup=warmup)
+    return TimingReport(entries=entries, ratio_gconv_over_linear=ratio, repeats=repeats)

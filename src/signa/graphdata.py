@@ -434,17 +434,6 @@ class HomophilyReport:
         }
 
 
-def global_homophily(g: Graph) -> float:
-    """Fraction of undirected edges whose endpoints share a label."""
-    if g.labels is None:
-        raise AnalysisError("global homophily requires labels")
-    if g.num_edges == 0:
-        raise AnalysisError("global homophily is undefined on an edgeless graph")
-    src = np.repeat(np.arange(g.num_nodes), g.degrees)
-    same = g.labels[src] == g.labels[g.csr_targets]
-    return float(same.sum() / same.size)
-
-
 def local_homophily(g: Graph) -> HomophilyReport:
     """Per-node same-label neighbor counts and ratios, with histograms."""
     if g.labels is None:

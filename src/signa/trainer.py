@@ -17,7 +17,7 @@ import numpy as np
 from . import diffcore as dc
 from .atomic import open_atomic
 from .contrast import EstimatorSpec, draw_masks, estimator_loss
-from .encoder import EncoderState, ModelSpec, encode, inference_embeddings, project
+from .encoder import EncoderState, ModelSpec, encode, project
 from .errors import CheckpointError, ConfigError, OptimizationError, not_utf8
 from .graphdata import Graph, normalized_adjacency
 
@@ -76,6 +76,9 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         top = {k: v for k, v in raw.items() if k not in ("model", "estimator")}
+        _check_types(cls, top, "")
+        _check_types(ModelSpec, model_raw, "model.")
+        _check_types(EstimatorSpec, est_raw, "estimator.")
         return cls(model=ModelSpec(**model_raw), estimator=EstimatorSpec(**est_raw), **top)
 
     def to_dict(self) -> dict:
@@ -87,22 +90,28 @@ def _unknown_keys(cls, raw: dict, prefix: str) -> list[str]:
     return [prefix + k for k in raw if k not in names]
 
 
-@dataclass
-class ResolvedPlan:
-    """Effective settings after ablation rewriting."""
-
-    model: ModelSpec
-    estimator: EstimatorSpec
-    mask_rate: float
-    nfm_p_feat: float | None  # None unless the nfm ablation is active
+# The JSON values each declared field type accepts: an int is a float, a
+# bool is not an int.  Field types are read as the annotation strings.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "None": type(None)}
 
 
-def apply_ablation(config: TrainConfig) -> ResolvedPlan:
-    """Rewrite model/mask settings per the requested ablation variant.
+def _check_types(cls, raw: dict, prefix: str) -> None:
+    declared = {f.name: f.type for f in fields(cls)}
+    for key, value in raw.items():
+        kinds = declared[key].split(" | ")
+        if not any(isinstance(value, _JSON_TYPES[k]) for k in kinds) or (
+            isinstance(value, bool) and "bool" not in kinds
+        ):
+            raise ConfigError(f"config key {prefix + key!r} must be {declared[key]}, got {value!r}")
+
+
+def apply_ablation(config: TrainConfig) -> TrainConfig:
+    """The effective config of the requested ablation variant.
 
     no_dropout zeroes encoder dropout; nfm swaps encoder dropout for input
     feature masking (zeroing without rescale); no_stoch_mask / all_mask pin
     the mask rate to 0 / 1.  Estimator swaps are plain config choices.
+    `nfm_p_feat` is None unless the nfm ablation is active.
     """
     model = config.model
     mask_rate = config.mask_rate
@@ -115,7 +124,7 @@ def apply_ablation(config: TrainConfig) -> ResolvedPlan:
         mask_rate = 0.0
     if config.ablation == "all_mask":
         mask_rate = 1.0
-    return ResolvedPlan(model=model, estimator=config.estimator, mask_rate=mask_rate, nfm_p_feat=nfm_p)
+    return replace(config, model=model, mask_rate=mask_rate, nfm_p_feat=nfm_p)
 
 
 def train(graph: Graph, config: TrainConfig) -> tuple[EncoderState, list[float]]:
@@ -125,27 +134,27 @@ def train(graph: Graph, config: TrainConfig) -> tuple[EncoderState, list[float]]
     gradient the step applied).  A non-finite loss aborts immediately.
     """
     dc.set_precision(config.precision)
-    plan = apply_ablation(config)
+    effective = apply_ablation(config)
     init_rng = dc.RngStream(config.seed, "init")
     dropout_rng = dc.RngStream(config.seed, "dropout")
     mask_rng = dc.RngStream(config.seed, "mask")
 
-    adj = normalized_adjacency(graph) if plan.model.base_encoder == "gconv" else None
-    state = EncoderState(plan.model, graph.num_features, init_rng)
+    adj = normalized_adjacency(graph) if effective.model.base_encoder == "gconv" else None
+    state = EncoderState(effective.model, graph.num_features, init_rng)
     params = state.parameters()
     adam = dc.AdamState(params, lr=config.learning_rate, weight_decay=config.weight_decay)
 
     curve: list[float] = []
     for epoch in range(config.num_epochs):
         features_override = None
-        if plan.nfm_p_feat is not None and plan.nfm_p_feat > 0.0:
+        if effective.nfm_p_feat is not None and effective.nfm_p_feat > 0.0:
             # input feature masking: zero entries, no rescale
-            keep = dropout_rng.uniform(size=graph.features.shape) >= plan.nfm_p_feat
+            keep = dropout_rng.uniform(size=graph.features.shape) >= effective.nfm_p_feat
             features_override = graph.features * keep
-        draw = draw_masks(graph, plan.mask_rate, mask_rng, epoch=epoch)
+        draw = draw_masks(graph, effective.mask_rate, mask_rng, epoch=epoch)
         h = encode(
             state,
-            plan.model,
+            effective.model,
             graph,
             adj=adj,
             training=True,
@@ -153,7 +162,7 @@ def train(graph: Graph, config: TrainConfig) -> tuple[EncoderState, list[float]]
             features_override=features_override,
         )
         z = project(state, h)
-        loss = estimator_loss(z, draw, plan.estimator)
+        loss = estimator_loss(z, draw, effective.estimator)
         value = float(loss.data)
         if not np.isfinite(value):
             raise OptimizationError(f"non-finite loss at epoch {epoch}")
@@ -222,8 +231,11 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
         for key in _RETIRED_ESTIMATOR_KEYS:
             raw["estimator"].pop(key, None)
     config = TrainConfig.from_dict(raw)
-    plan = apply_ablation(config)
-    state = EncoderState(plan.model, _field(doc, "num_features", int, "checkpoint"), rng=None)
+    num_features = _field(doc, "num_features", int, "checkpoint")
+    if num_features < 1:
+        raise CheckpointError(f"checkpoint field 'num_features' must be >= 1, got {num_features}")
+    # no ablation: dropout_p shapes no parameter, and inference never drops out
+    state = EncoderState(config.model, num_features, rng=None)
 
     saved_precision = doc.get("precision")
     if saved_precision != dc.get_precision():
@@ -266,12 +278,3 @@ def _field(doc: dict, key: str, kind: type, where: str):
     if not isinstance(value, kind) or isinstance(value, bool):
         raise CheckpointError(f"{where} field {key!r} is missing or not a {kind.__name__}")
     return value
-
-
-def export_embeddings(state: EncoderState, spec: ModelSpec, graph: Graph, path: str) -> np.ndarray:
-    """Write inference embeddings as CSV (17 significant digits, header row)."""
-    emb = inference_embeddings(state, spec, graph).data
-    header = ",".join(f"dim_{j}" for j in range(emb.shape[1]))
-    with open_atomic(path) as fh:
-        np.savetxt(fh, emb, fmt="%.17g", delimiter=",", header=header, comments="")
-    return emb

@@ -12,7 +12,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from signa.diffcore import set_precision
+from signa.diffcore import RngStream, set_precision
 from signa.graphdata import Graph, from_edges
 
 # filled by test_acceptance; echoed after the run, outside pytest's capture
@@ -46,6 +46,15 @@ def path4_graph() -> Graph:
     edges = np.array([[0, 1], [1, 2], [2, 3]])
     feats = np.arange(8, dtype=np.float64).reshape(4, 2)
     return from_edges(edges, 4, feats, labels=np.array([0, 0, 1, 1]))
+
+
+def split_generator(seed: int) -> np.random.Generator:
+    """The numpy generator behind RngStream(seed, "split"), for sbm_generate.
+
+    The SBM fixtures draw from it: its `uniform` and `normal` give the bits
+    the stream's own draws would.
+    """
+    return RngStream(seed, "split")._gen
 
 
 class CountsTranspose(np.ndarray):

@@ -31,6 +31,7 @@ import numpy as np
 import signa.diffcore as dc
 import tape_ops as kit
 from signa.contrast import ContrastDraw
+from signa.diffcore.optim import BETA1, BETA2, EPS
 from signa.errors import (
     AnalysisError,
     ConfigError,
@@ -378,20 +379,20 @@ def adam_step_oracle(state: dc.AdamState) -> None:
             raise OptimizationError(f"non-finite gradient for parameter {p.name!r}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for p in state.params:
         if state.weight_decay != 0.0:
             p.data *= 1.0 - state.lr * state.weight_decay
         m = state.m[p.name]
         v = state.v[p.name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * p.grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (p.grad * p.grad)
+        m *= BETA1
+        m += (1.0 - BETA1) * p.grad
+        v *= BETA2
+        v += (1.0 - BETA2) * (p.grad * p.grad)
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.data -= state.lr * mhat / (np.sqrt(vhat) + EPS)
         p.grad[...] = 0.0
 
 
@@ -453,7 +454,7 @@ def _kmeans_once_oracle(x: np.ndarray, k: int, max_iters: int, tol: float, rng) 
     assignments = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(n), assignments].sum())
     trace.append(inertia)
-    return KMeansResult(assignments, centroids, inertia, trace)
+    return KMeansResult(assignments, inertia, trace)
 
 
 def kmeans_oracle(

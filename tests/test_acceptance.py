@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 import conftest
-from conftest import random_labeled_graph
+from conftest import random_labeled_graph, split_generator
 from oracles import (
     canonical_partitions,
     global_homophily_oracle,
@@ -51,7 +51,6 @@ from signa.evaluate import (
 from signa.graphdata import (
     Graph,
     from_edges,
-    global_homophily,
     local_homophily,
     normalized_adjacency,
     sbm_generate,
@@ -203,7 +202,7 @@ def _composed_fixture(base_encoder: str, kind: str):
     """Frozen 6-node fixture; seed 20 keeps all non-twin embedding pairs away
     from cos = +/-1 so central differences stay conditioned."""
     means = np.array([[0.0, 1.0], [1.0, 0.0]])
-    graph = sbm_generate([3, 3], 0.8, 0.2, means, 0.5, dc.RngStream(20, "split"))
+    graph = sbm_generate([3, 3], 0.8, 0.2, means, 0.5, split_generator(20))
     spec = ModelSpec(
         num_layers=2,
         base_encoder=base_encoder,
@@ -325,8 +324,8 @@ def test_criterion_04_homophily_oracles():
     rng = np.random.default_rng(4)
     for _ in range(100):
         graph = random_labeled_graph(rng, max_nodes=50)
-        assert global_homophily(graph) == global_homophily_oracle(graph)
         report = local_homophily(graph)
+        assert report.global_ratio == global_homophily_oracle(graph)
         counts, ratios = local_homophily_oracle(graph)
         assert np.array_equal(report.local_counts, counts)
         nan_want = np.isnan(ratios)
@@ -340,7 +339,7 @@ def test_criterion_04_homophily_oracles():
         np.zeros((4, 1)),
         np.array([0, 0, 1, 1]),
     )
-    fixture_ok = global_homophily(path) == 2 / 3
+    fixture_ok = local_homophily(path).global_ratio == 2 / 3
     _verdict(4, fixture_ok, "100 random graphs exact; path fixture global ratio = 2/3")
 
 
@@ -352,7 +351,7 @@ def test_criterion_05_end_to_end():
     t0 = time.perf_counter()
     means = np.zeros((2, 1024))
     means[1, 0] = 1.0  # unit mean separation
-    graph = sbm_generate([100, 100], 0.1, 0.01, means, 1.0, dc.RngStream(0, "split"))
+    graph = sbm_generate([100, 100], 0.1, 0.01, means, 1.0, split_generator(0))
 
     config = TrainConfig(
         model=ModelSpec(
@@ -465,7 +464,7 @@ def test_criterion_07_discriminator_bounds():
 def _write_sbm_dataset(dirpath):
     means = np.zeros((2, 6))
     means[1, 0] = 2.0
-    graph = sbm_generate([15, 15], 0.3, 0.05, means, 0.5, dc.RngStream(8, "split"))
+    graph = sbm_generate([15, 15], 0.3, 0.05, means, 0.5, split_generator(8))
     edges = dirpath / "edges.txt"
     with open(edges, "w") as fh:
         for u in range(graph.num_nodes):
@@ -528,7 +527,7 @@ def test_criterion_08_determinism(tmp_path):
 def test_criterion_09_timing_direction():
     means = np.zeros((2, 64))
     means[1, 0] = 1.0
-    graph = sbm_generate([100, 100], 0.2, 0.02, means, 1.0, dc.RngStream(9, "split"))
+    graph = sbm_generate([100, 100], 0.2, 0.02, means, 1.0, split_generator(9))
     mean_degree = graph.csr_targets.size / graph.num_nodes
     assert mean_degree >= 20.0, f"fixture too sparse: mean degree {mean_degree:.1f}"
 
@@ -551,7 +550,7 @@ def test_criterion_09_timing_direction():
 def test_criterion_10_ablation_direction():
     means = np.zeros((2, 1024))
     means[1, 0] = 1.0
-    graph = sbm_generate([100, 100], 0.1, 0.01, means, 1.0, dc.RngStream(0, "split"))
+    graph = sbm_generate([100, 100], 0.1, 0.01, means, 1.0, split_generator(0))
 
     def run(seed: int, all_off: bool) -> float:
         model = ModelSpec(

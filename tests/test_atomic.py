@@ -9,10 +9,11 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import split_generator
+
 from signa.atomic import open_atomic
 from signa.cli import _write_json
 from signa.contrast import EstimatorSpec
-from signa.diffcore import RngStream
 from signa.encoder import ModelSpec
 from signa.graphdata import sbm_generate
 from signa.trainer import TrainConfig, save_checkpoint, train
@@ -21,7 +22,7 @@ from signa.trainer import TrainConfig, save_checkpoint, train
 def _trained():
     means = np.zeros((2, 4))
     means[1, 0] = 1.0
-    graph = sbm_generate([8, 8], 0.4, 0.05, means, 0.5, RngStream(0, "split"))
+    graph = sbm_generate([8, 8], 0.4, 0.05, means, 0.5, split_generator(0))
     config = TrainConfig(
         model=ModelSpec(num_layers=1, hidden_dim=6, projector_dim=3),
         estimator=EstimatorSpec(),

@@ -11,8 +11,10 @@ import pytest
 
 import signa
 from signa.cli import ABLATE_VARIANTS, _config_with, main
+from signa.encoder import inference_embeddings
 from signa.errors import ConfigError
-from signa.trainer import TrainConfig
+from signa.graphdata import load_graph
+from signa.trainer import TrainConfig, load_checkpoint
 
 
 EDGES = """# two loose 4-cliques joined by one bridge
@@ -115,6 +117,19 @@ def test_homophily_outputs_and_manifest(tmp_path, capsys):
     assert {e["path"] for e in manifest["inputs"]} == {edges, feats, labels}
     for entry in manifest["outputs"]:
         assert entry["sha256"] == _sha(entry["path"])
+
+
+def test_homophily_on_an_edgeless_graph_exits_two(tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    open(edges, "w").close()
+    out_json = tmp_path / "hom.json"
+    rc = main(
+        ["homophily", "--edges", edges, "--features", feats, "--labels", labels,
+         "--out-json", str(out_json), "--out-csv", str(tmp_path / "hom.csv")]
+    )
+    assert rc == 2
+    assert "error: global homophily is undefined on an edgeless graph" in capsys.readouterr().err
+    assert not out_json.exists()
 
 
 def test_homophily_quiet_and_missing_file(tmp_path, capsys):
@@ -235,6 +250,20 @@ def test_train_exit_codes(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "override,key",
+    [({"model": {"num_layers": "2"}}, "model.num_layers"), ({"mask_rate": None}, "mask_rate")],
+    ids=["num_layers-string", "mask_rate-null"],
+)
+def test_train_config_value_of_the_wrong_type_exits_one(override, key, tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path, **override)
+    rc = main(["train", "--config", config, "--edges", edges, "--features", feats,
+               "--out-checkpoint", str(tmp_path / "x.ckpt"), "--quiet"])
+    assert rc == 1
+    assert f"config key '{key}' must be " in capsys.readouterr().err
+
+
 def test_train_config_that_is_not_utf8_exits_one(tmp_path, capsys):
     edges, feats, labels = _write_dataset(tmp_path)
     config = _write_config(tmp_path)
@@ -306,6 +335,17 @@ def test_eval_classify_requires_labels(tmp_path, capsys):
                "--mode", "classify", "--out", str(tmp_path / "x.json"), "--quiet"])
     assert rc == 1
     assert "--labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode,flag", [("classify", "--labels"), ("cluster", "--labels"), ("histograms", "--out-csv")]
+)
+def test_eval_flag_errors_come_before_the_checkpoint(mode, flag, tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    rc = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), "--edges", edges,
+               "--features", feats, "--mode", mode, "--out", str(tmp_path / "x.json"), "--quiet"])
+    assert rc == 1
+    assert f"{mode} mode requires {flag}" in capsys.readouterr().err
 
 
 def test_eval_zero_runs_exits_one(tmp_path, capsys):
@@ -425,9 +465,12 @@ def test_embed_csv_shape(tmp_path):
     assert rc == 0
     lines = open(out).read().splitlines()
     assert lines[0].startswith("dim_0,")
+    assert lines[0] == ",".join(f"dim_{j}" for j in range(6))  # hidden_dim columns
     assert len(lines) == 9  # header + 8 nodes
-    emb = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert emb.shape == (8, 6)  # hidden_dim columns
+    # 17 significant digits round-trip doubles exactly
+    state, _ = load_checkpoint(ckpt)
+    want = inference_embeddings(state, state.spec, load_graph(edges, feats)).data
+    assert np.loadtxt(out, delimiter=",", skiprows=1).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +525,17 @@ def test_ablate_unknown_variant(tmp_path, capsys):
                "--out-dir", str(tmp_path / "a"), "--quiet"])
     assert rc == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_ablate_empty_variant_list_exits_one(tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path)
+    out_dir = tmp_path / "ablation"
+    rc = main(["ablate", "--config", config, "--edges", edges, "--features", feats,
+               "--labels", labels, "--variants", ",", "--out-dir", str(out_dir), "--quiet"])
+    assert rc == 1
+    assert "--variants names no variant" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--probe-runs", "--num-seeds"])
@@ -606,6 +660,7 @@ MALFORMED_CHECKPOINTS = {
     "config not an object": lambda doc: dict(doc, config="norm_jsd"),
     "no num_features": _drop("num_features"),
     "num_features null": lambda doc: dict(doc, num_features=None),
+    "num_features below one": lambda doc: dict(doc, num_features=-1),
     "no parameters": _drop("parameters"),
     "parameter entry not an object": lambda doc: dict(doc, parameters=[1]),
     "parameter without shape": _edit_first_parameter(lambda p: p.pop("shape")),
@@ -626,6 +681,19 @@ def test_eval_malformed_checkpoint_exits_two(edit, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "checkpoint" in err or "parameter" in err
     assert "Traceback" not in err
+
+
+def test_eval_checkpoint_config_value_of_the_wrong_type_exits_one(tmp_path, capsys):
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    doc = json.loads(open(ckpt).read())
+    doc["config"]["model"]["num_layers"] = "2"
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+               "--labels", labels, "--mode", "cluster",
+               "--out", str(tmp_path / "x.json"), "--quiet"])
+    assert rc == 1
+    assert "config key 'model.num_layers' must be int, got '2'" in capsys.readouterr().err
 
 
 def test_eval_checkpoint_that_is_not_utf8_exits_two(tmp_path, capsys):

@@ -155,7 +155,7 @@ def test_discriminator_norm_rejects_zero_vector():
 
 
 def _self_only_draw(n: int) -> ContrastDraw:
-    return ContrastDraw(n, np.arange(n + 1), np.arange(n), alpha=1.0)
+    return ContrastDraw(n, np.arange(n + 1), np.arange(n))
 
 
 def test_two_isolated_orthogonal_nodes_give_log2():

@@ -15,7 +15,6 @@ from signa.graphdata import (
     RATIO_HIST_BINS,
     Graph,
     from_edges,
-    global_homophily,
     load_graph,
     local_homophily,
     normalized_adjacency,
@@ -23,7 +22,7 @@ from signa.graphdata import (
     spmm,
 )
 
-from conftest import random_labeled_graph
+from conftest import random_labeled_graph, split_generator
 import tape_ops as kit
 from oracles import (
     adjacency_error_oracle,
@@ -291,8 +290,8 @@ def test_spmm_gradcheck():
 
 
 def test_path_fixture_homophily(path4_graph):
-    assert global_homophily(path4_graph) == pytest.approx(2.0 / 3.0, abs=1e-15)
     rep = local_homophily(path4_graph)
+    assert rep.global_ratio == pytest.approx(2.0 / 3.0, abs=1e-15)
     np.testing.assert_array_equal(rep.local_counts, [1, 1, 1, 1])
     np.testing.assert_allclose(rep.local_ratios, [1.0, 0.5, 0.5, 1.0], atol=1e-15)
     assert rep.num_isolated == 0
@@ -300,15 +299,11 @@ def test_path_fixture_homophily(path4_graph):
 
 def test_homophily_requires_labels(two_node_graph):
     with pytest.raises(AnalysisError):
-        global_homophily(two_node_graph)
-    with pytest.raises(AnalysisError):
         local_homophily(two_node_graph)
 
 
 def test_global_homophily_undefined_without_edges():
     g = from_edges(np.zeros((0, 2)), 3, np.zeros((3, 1)), labels=[0, 1, 0])
-    with pytest.raises(AnalysisError):
-        global_homophily(g)
     rep = local_homophily(g)
     assert np.isnan(rep.global_ratio)
     assert rep.num_isolated == 3
@@ -318,8 +313,8 @@ def test_homophily_matches_oracles_on_random_graphs():
     rng = np.random.default_rng(3)
     for _ in range(100):
         g = random_labeled_graph(rng, max_nodes=50)
-        assert global_homophily(g) == global_homophily_oracle(g)
         rep = local_homophily(g)
+        assert rep.global_ratio == global_homophily_oracle(g)
         counts, ratios = local_homophily_oracle(g)
         np.testing.assert_array_equal(rep.local_counts, counts)
         np.testing.assert_array_equal(
@@ -334,7 +329,7 @@ def test_local_counts_sum_identity():
         g = random_labeled_graph(rng, max_nodes=40)
         rep = local_homophily(g)
         total = rep.local_counts.sum()
-        assert total == pytest.approx(2 * g.num_edges * global_homophily(g), abs=1e-9)
+        assert total == pytest.approx(2 * g.num_edges * rep.global_ratio, abs=1e-9)
 
 
 def test_isolated_nodes_excluded_from_histograms():
@@ -380,7 +375,7 @@ def test_report_json_replaces_nan_with_none():
 
 
 def test_sbm_shapes_and_labels():
-    rng = RngStream(0, "split")
+    rng = split_generator(0)
     means = np.array([[0.0, 0.0], [1.0, 1.0]])
     g = sbm_generate([30, 20], 0.3, 0.05, means, 0.5, rng)
     assert g.num_nodes == 50
@@ -390,7 +385,7 @@ def test_sbm_shapes_and_labels():
 
 
 def test_sbm_feature_means():
-    rng = RngStream(1, "split")
+    rng = split_generator(1)
     means = np.array([[0.0], [10.0]])
     g = sbm_generate([500, 500], 0.01, 0.01, means, 1.0, rng)
     assert abs(g.features[:500].mean() - 0.0) < 0.2
@@ -398,15 +393,15 @@ def test_sbm_feature_means():
 
 
 def test_sbm_extreme_probabilities_give_cliques():
-    rng = RngStream(2, "split")
+    rng = split_generator(2)
     g = sbm_generate([4, 3], 1.0, 0.0, np.zeros((2, 1)), 1.0, rng)
     # two disjoint cliques: C(4,2) + C(3,2) edges, no cross edges
     assert g.num_edges == 6 + 3
-    assert global_homophily(g) == 1.0
+    assert local_homophily(g).global_ratio == 1.0
 
 
 def test_sbm_edge_count_near_expectation():
-    rng = RngStream(3, "split")
+    rng = split_generator(3)
     g = sbm_generate([100, 100], 0.1, 0.01, np.zeros((2, 1)), 1.0, rng)
     expected = 2 * (100 * 99 / 2) * 0.1 + 100 * 100 * 0.01
     assert abs(g.num_edges - expected) / expected < 0.15
@@ -414,8 +409,8 @@ def test_sbm_edge_count_near_expectation():
 
 def test_sbm_is_deterministic_per_seed():
     means = np.zeros((2, 2))
-    a = sbm_generate([10, 10], 0.3, 0.1, means, 1.0, RngStream(7, "split"))
-    b = sbm_generate([10, 10], 0.3, 0.1, means, 1.0, RngStream(7, "split"))
+    a = sbm_generate([10, 10], 0.3, 0.1, means, 1.0, split_generator(7))
+    b = sbm_generate([10, 10], 0.3, 0.1, means, 1.0, split_generator(7))
     np.testing.assert_array_equal(a.csr_targets, b.csr_targets)
     np.testing.assert_array_equal(a.features, b.features)
 
@@ -427,7 +422,7 @@ def test_sbm_matches_oracle(block_pairs, monkeypatch):
     for sizes in cases:
         for seed in range(3):
             means = np.random.default_rng(seed).normal(size=(len(sizes), 3))
-            for make in (np.random.default_rng, lambda s: RngStream(s, "split")):
+            for make in (np.random.default_rng, split_generator):
                 rng, rng_oracle = make(seed), make(seed)
                 g = sbm_generate(sizes, 0.3, 0.02, means, 0.5, rng)
                 want = sbm_generate_oracle(sizes, 0.3, 0.02, means, 0.5, rng_oracle)
@@ -435,10 +430,8 @@ def test_sbm_matches_oracle(block_pairs, monkeypatch):
                 np.testing.assert_array_equal(g.csr_targets, want.csr_targets)
                 np.testing.assert_array_equal(g.labels, want.labels)
                 assert g.features.tobytes() == want.features.tobytes()
-                if isinstance(rng, RngStream):
-                    assert rng.draws == rng_oracle.draws
-                # both streams are left in the same state
-                np.testing.assert_array_equal(rng.uniform(size=4), rng_oracle.uniform(size=4))
+                # both generators are left in the same state
+                assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
 
 def test_sbm_memory_is_not_quadratic():

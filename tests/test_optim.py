@@ -92,8 +92,6 @@ def test_validation_errors():
     with pytest.raises(ConfigError):
         AdamState([p], lr=0.0)
     with pytest.raises(ConfigError):
-        AdamState([p], lr=0.1, beta1=1.0)
-    with pytest.raises(ConfigError):
         AdamState([p], lr=0.1, weight_decay=-1.0)
     q = Parameter(np.array([0.0]), name="w")
     with pytest.raises(ConfigError):

@@ -50,7 +50,7 @@ def test_draw_counter_counts_scalars():
     assert s.draws == 0
     s.uniform()
     assert s.draws == 1
-    s.normal(size=(3, 4))
+    s.integers(0, 5, size=(3, 4))
     assert s.draws == 13
     s.permutation(5)
     assert s.draws == 18

@@ -7,15 +7,17 @@ import json
 import numpy as np
 import pytest
 
+from conftest import split_generator
+
 from signa.contrast import EstimatorSpec
-from signa.diffcore import RngStream, set_precision
+from signa.diffcore import set_precision
+from signa.cli import main
 from signa.encoder import ModelSpec, inference_embeddings
 from signa.errors import CheckpointError, ConfigError
 from signa.graphdata import sbm_generate
 from signa.trainer import (
     TrainConfig,
     apply_ablation,
-    export_embeddings,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -25,7 +27,7 @@ from signa.trainer import (
 def _small_graph(seed=0, blocks=(12, 12), f=6):
     means = np.zeros((2, f))
     means[1, 0] = 1.0
-    return sbm_generate(list(blocks), 0.4, 0.05, means, 0.5, RngStream(seed, "split"))
+    return sbm_generate(list(blocks), 0.4, 0.05, means, 0.5, split_generator(seed))
 
 
 def _config(**kw) -> TrainConfig:
@@ -115,6 +117,25 @@ def test_from_dict_reports_all_unknown_keys_at_once():
     assert "estimator.typo_est" in msg
 
 
+def test_from_dict_checks_value_types():
+    # a bool is not an int, an int is a float, and nfm_p_feat may be null
+    for raw, key in (
+        ({"model": {"num_layers": "2"}}, "model.num_layers"),
+        ({"model": {"layer_norm_enabled": 1}}, "model.layer_norm_enabled"),
+        ({"estimator": {"temperature": None}}, "estimator.temperature"),
+        ({"mask_rate": None}, "mask_rate"),
+        ({"num_epochs": True}, "num_epochs"),
+        ({"num_epochs": 10.0}, "num_epochs"),
+        ({"ablation": ["none"]}, "ablation"),
+    ):
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be "):
+            TrainConfig.from_dict(raw)
+    cfg = TrainConfig.from_dict(
+        {"mask_rate": 0, "learning_rate": 1, "nfm_p_feat": None, "model": {"dropout_p": 0}}
+    )
+    assert (cfg.mask_rate, cfg.learning_rate, cfg.nfm_p_feat, cfg.model.dropout_p) == (0, 1, None, 0)
+
+
 def test_from_dict_rejects_non_object():
     with pytest.raises(ConfigError):
         TrainConfig.from_dict([1, 2, 3])
@@ -133,10 +154,9 @@ def test_partial_dict_uses_defaults():
 
 def test_ablation_none_changes_nothing():
     cfg = _config()
-    plan = apply_ablation(cfg)
-    assert plan.model == cfg.model
-    assert plan.mask_rate == cfg.mask_rate
-    assert plan.nfm_p_feat is None
+    assert apply_ablation(cfg) == cfg
+    # nfm_p_feat takes effect only under the nfm ablation
+    assert apply_ablation(_config(nfm_p_feat=0.8)).nfm_p_feat is None
 
 
 def test_ablation_no_dropout():
@@ -348,16 +368,23 @@ def test_checkpoint_precision_conversion_warns(tmp_path):
 
 
 def test_export_embeddings_format(tmp_path):
+    # a freshly trained state, exported through its checkpoint by `signa embed`
     g = _small_graph()
     cfg = _config(num_epochs=3)
-    state, _ = train(g, cfg)
+    state, curve = train(g, cfg)
+    ckpt = str(tmp_path / "ck.json")
+    save_checkpoint(state, cfg, ckpt, final_loss=curve[-1])
+    edges, feats = tmp_path / "edges.txt", tmp_path / "features.csv"
+    src = np.repeat(np.arange(g.num_nodes), np.diff(g.csr_offsets))
+    edges.write_text("".join(f"{u} {v}\n" for u, v in zip(src, g.csr_targets) if u < v))
+    np.savetxt(feats, g.features, fmt="%.17g", delimiter=",")
     path = str(tmp_path / "emb.csv")
-    emb = export_embeddings(state, cfg.model, g, path)
+    assert main(["embed", "--checkpoint", ckpt, "--edges", str(edges), "--features", str(feats),
+                 "--out", path, "--quiet"]) == 0
     lines = open(path).read().strip().split("\n")
-    assert lines[0] == ",".join(f"dim_{j}" for j in range(emb.shape[1]))
+    assert lines[0] == ",".join(f"dim_{j}" for j in range(cfg.model.hidden_dim))
     assert len(lines) == g.num_nodes + 1
     parsed = np.loadtxt(path, delimiter=",", skiprows=1)
     # 17 significant digits round-trip doubles exactly
-    np.testing.assert_array_equal(parsed, emb)
     expected = inference_embeddings(state, cfg.model, g).data
-    np.testing.assert_array_equal(emb, expected)
+    np.testing.assert_array_equal(parsed, expected)
