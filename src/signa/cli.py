@@ -20,16 +20,7 @@ import sys
 
 from . import __version__
 from .atomic import open_atomic
-from .errors import (
-    AnalysisError,
-    ConfigError,
-    ContractError,
-    DataError,
-    NumericError,
-    ShapeError,
-    SignaError,
-    not_utf8,
-)
+from .errors import AnalysisError, ConfigError, SignaError, not_utf8
 
 # `ablate` variants and the config overrides each merges into the base config
 ABLATE_VARIANTS = {
@@ -253,29 +244,23 @@ def _load_for_eval(args):
 
 
 def _cmd_eval(args) -> int:
-    import numpy as np
-
     from . import diffcore as dc
     from .encoder import inference_embeddings
-    from .evaluate import (
-        kmeans,
-        homogeneity,
-        nmi,
-        similarity_histograms,
-        timing_harness,
-    )
+    from .evaluate import homogeneity, kmeans, nmi, similarity_histograms, timing_harness
 
     started = _now()
-    if args.mode == "classify" and args.runs < 1:
-        raise ConfigError(f"--runs must be >= 1, got {args.runs}")
+    counts = {
+        "classify": (("--runs", args.runs),),
+        "timing": (("--repeats", args.repeats),),
+        "histograms": (("--bins", args.bins), ("--subsample-pairs", args.subsample_pairs)),
+    }
+    for flag, value in counts.get(args.mode, ()):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     if args.mode in ("classify", "cluster") and args.labels is None:
         raise ConfigError(f"{args.mode} mode requires --labels")
-    if args.mode == "histograms":
-        if args.out_csv is None:
-            raise ConfigError("histograms mode requires --out-csv")
-        for flag, value in (("--bins", args.bins), ("--subsample-pairs", args.subsample_pairs)):
-            if value is not None and value < 1:
-                raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.mode == "histograms" and args.out_csv is None:
+        raise ConfigError("histograms mode requires --out-csv")
     state, config, graph = _load_for_eval(args)
     seed = args.seed if args.seed is not None else config.seed
     checkpoint_sha256 = _sha256(args.checkpoint)
@@ -567,15 +552,9 @@ def main(argv=None) -> int:
 
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
+    except SignaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 def run() -> None:

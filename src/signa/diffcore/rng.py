@@ -18,11 +18,7 @@ _PURPOSE_INDEX = {name: i for i, name in enumerate(PURPOSES)}
 
 
 class RngStream:
-    """One deterministic stream of randomness for a single purpose.
-
-    `draws` counts how many scalar values have been consumed; tests use it
-    to prove that deterministic code paths never touch the stream.
-    """
+    """One deterministic stream of randomness for a single purpose."""
 
     def __init__(self, seed: int, purpose: str, _path: tuple = ()):
         if purpose not in _PURPOSE_INDEX:
@@ -32,28 +28,19 @@ class RngStream:
         self._path = tuple(int(i) for i in _path)
         key = (_PURPOSE_INDEX[purpose],) + self._path
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=key)))
-        self.draws = 0
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent substream, e.g. one per evaluation run."""
         return RngStream(self.seed, self.purpose, self._path + (int(index),))
 
-    def _count(self, size) -> int:
-        if size is None:
-            return 1
-        return int(np.prod(size))
-
     def uniform(self, size=None) -> np.ndarray | float:
         """Uniform draws in [0, 1)."""
-        self.draws += self._count(size)
         return self._gen.random(size=size, dtype=np.float64)
 
     def integers(self, low: int, high: int, size=None) -> np.ndarray | int:
-        self.draws += self._count(size)
         return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
-        self.draws += int(n)
         return self._gen.permutation(n)
 
     def __repr__(self) -> str:

@@ -1,28 +1,37 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 1, data/ingestion problems with 2, numeric failures with 3.
+Each error class carries the process exit code the CLI returns for it:
+configuration problems exit with 1, data/ingestion problems with 2,
+numeric failures with 3.
 """
 
 
 class SignaError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; subclasses set `exit_code`."""
 
 
 class ConfigError(SignaError):
     """Invalid configuration value, flag, or argument."""
 
+    exit_code = 1
+
 
 class ShapeError(SignaError):
     """Tensor or graph dimensions do not line up."""
+
+    exit_code = 2
 
 
 class ContractError(SignaError):
     """An API was used outside its documented contract."""
 
+    exit_code = 3
+
 
 class DataError(SignaError):
     """Problem with user-supplied data files or payloads."""
+
+    exit_code = 2
 
 
 class IngestionError(DataError):
@@ -35,6 +44,8 @@ class CheckpointError(DataError):
 
 class NumericError(SignaError):
     """A numeric invariant was violated (NaN/Inf, degenerate input)."""
+
+    exit_code = 3
 
 
 class DegenerateEmbeddingError(NumericError):

@@ -413,6 +413,11 @@ class SimilarityHistograms:
     subsampled: bool
 
 
+# Entries in one strip of the similarity matrix: full-pair histograms score
+# max(1, this // n) rows at a time, so they need O(B*n + n*d) memory.
+_BLOCK_ELEMS = 2**20
+
+
 def similarity_histograms(
     embeddings: np.ndarray,
     graph: Graph,
@@ -420,54 +425,59 @@ def similarity_histograms(
     bins: int = 50,
     subsample_pairs: int | None = None,
 ) -> SimilarityHistograms:
-    import scipy.sparse as sp
+    """Histograms of the cosine similarity of every node pair i < j, or of
+    `subsample_pairs` pairs drawn with replacement from `rng`.
 
+    All pairs stream in strips of B = max(1, _BLOCK_ELEMS // n) rows: a
+    strip scores its rows against themselves and every later node, marks
+    its adjacent pairs from its rows of the CSR arrays and adds its counts.
+    """
     x = np.asarray(embeddings, dtype=np.float64)
     n = graph.num_nodes
     if x.shape[0] != n:
         raise ShapeError(f"embeddings rows {x.shape[0]} != |V| {n}")
-    if n > 5000 and subsample_pairs is None:
-        raise AnalysisError("graphs over 5000 nodes require explicit pair subsampling")
+    dc.check_finite("embeddings", x)
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms < 1e-12):
         raise DegenerateEmbeddingError(f"row {int(np.argmin(norms))} has near-zero norm")
     xn = x / norms[:, None]
-
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+    labels, offsets, targets = graph.labels, graph.csr_offsets, graph.csr_targets
+    # A pair's cell is the bin np.histogram gives its clipped similarity, plus
+    # `bins` if it is adjacent and 2 * `bins` if its labels match.  The last
+    # cell collects the strip entries that are not pairs i < j.
+    counts = np.zeros(4 * bins + 1, dtype=np.int64)
     if subsample_pairs is None:
-        iu, iv = np.triu_indices(n, k=1)
-        # O(n^2) scalars: index the Gram matrix instead of gathering pair rows
-        sims = (xn @ xn.T)[iu, iv]
-        subsampled = False
+        step = max(1, _BLOCK_ELEMS // n)
+        for r0 in range(0, n, step):
+            r1 = min(n, r0 + step)
+            cell = np.searchsorted(edges[1:-1], xn[r0:r1] @ xn[r0:].T, side="right")
+            rows = np.repeat(np.arange(r1 - r0), np.diff(offsets[r0 : r1 + 1]))
+            cols = targets[offsets[r0] : offsets[r1]] - r0
+            cell[rows[cols >= 0], cols[cols >= 0]] += bins
+            if labels is not None:
+                np.add(cell, 2 * bins, out=cell, where=labels[r0:r1, None] == labels[r0:])
+            cell[np.tril_indices(r1 - r0)] = 4 * bins
+            counts += np.bincount(cell.ravel(), minlength=4 * bins + 1)
     else:
         iu = rng.integers(0, n, size=subsample_pairs)
         iv = rng.integers(0, n - 1, size=subsample_pairs)
         iv = np.where(iv >= iu, iv + 1, iv)  # never a self-pair
-        sims = np.einsum("ij,ij->i", xn[iu], xn[iv])
-        subsampled = True
-    sims = np.clip(sims, -1.0, 1.0)
+        cell = np.searchsorted(edges[1:-1], np.einsum("ij,ij->i", xn[iu], xn[iv]), side="right")
+        cell[np.isin(iu * n + iv, np.repeat(np.arange(n), np.diff(offsets)) * n + targets)] += bins
+        if labels is not None:
+            cell[labels[iu] == labels[iv]] += 2 * bins
+        counts += np.bincount(cell, minlength=4 * bins + 1)
 
-    ones = np.ones(graph.csr_targets.size, dtype=np.int8)
-    a = sp.csr_matrix((ones, graph.csr_targets, graph.csr_offsets), shape=(n, n))
-    adjacent = np.asarray(a[iu, iv]).ravel() > 0
-
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-
-    def hist(values: np.ndarray) -> np.ndarray:
-        return np.histogram(values, bins=edges)[0]
-
-    same = diff = None
-    if graph.labels is not None:
-        label_match = graph.labels[iu] == graph.labels[iv]
-        same = hist(sims[label_match])
-        diff = hist(sims[~label_match])
+    counts = counts[:-1].reshape(2, 2, bins)  # (label match, adjacent, bin)
     return SimilarityHistograms(
         bin_edges=edges,
-        neighbor=hist(sims[adjacent]),
-        non_neighbor=hist(sims[~adjacent]),
-        same_label=same,
-        diff_label=diff,
-        num_pairs=int(iu.shape[0]),
-        subsampled=subsampled,
+        neighbor=counts[:, 1].sum(axis=0),
+        non_neighbor=counts[:, 0].sum(axis=0),
+        same_label=None if labels is None else counts[1].sum(axis=0),
+        diff_label=None if labels is None else counts[0].sum(axis=0),
+        num_pairs=int(counts.sum()),
+        subsampled=subsample_pairs is not None,
     )
 
 

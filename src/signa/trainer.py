@@ -230,7 +230,10 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
     if isinstance(raw.get("estimator"), dict):
         for key in _RETIRED_ESTIMATOR_KEYS:
             raw["estimator"].pop(key, None)
-    config = TrainConfig.from_dict(raw)
+    try:
+        config = TrainConfig.from_dict(raw)
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
     num_features = _field(doc, "num_features", int, "checkpoint")
     if num_features < 1:
         raise CheckpointError(f"checkpoint field 'num_features' must be >= 1, got {num_features}")

@@ -57,6 +57,16 @@ def split_generator(seed: int) -> np.random.Generator:
     return RngStream(seed, "split")._gen
 
 
+def assert_drew(stream: RngStream, draws=None) -> None:
+    """Assert that `stream` has made exactly the draws that `draws(ref)`
+    makes on a fresh stream `ref` of the same key, or none if `draws` is
+    None: the two generators must stand in the same state."""
+    ref = RngStream(stream.seed, stream.purpose, stream._path)
+    if draws is not None:
+        draws(ref)
+    assert stream._gen.bit_generator.state == ref._gen.bit_generator.state
+
+
 class CountsTranspose(np.ndarray):
     """An array that counts, in a class attribute, how often `.T` is taken
     of it or of its views; a spy for which matrix products a backward forms."""

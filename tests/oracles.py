@@ -21,6 +21,11 @@ temporaries afresh; the lean step must match it bit for bit.
 
 `kmeans_oracle` is the library's earlier k-means, which runs its restarts
 one after another; the lockstep one must give the same assignments.
+
+`similarity_histograms_oracle` is the library's earlier histogram routine,
+which indexes the full n x n Gram matrix with all n(n-1)/2 pairs and looks
+adjacency up in a scipy CSR matrix; the strip-streamed one must give the
+same counts.
 """
 
 import math
@@ -35,11 +40,21 @@ from signa.diffcore.optim import BETA1, BETA2, EPS
 from signa.errors import (
     AnalysisError,
     ConfigError,
+    DegenerateEmbeddingError,
     DegenerateGraphError,
     OptimizationError,
     ShapeError,
 )
-from signa.evaluate import _SEED_EXACT_BELOW, KMeansResult, ProbeConfig, Split, _probe_gradients, accuracy, micro_f1
+from signa.evaluate import (
+    _SEED_EXACT_BELOW,
+    KMeansResult,
+    ProbeConfig,
+    SimilarityHistograms,
+    Split,
+    _probe_gradients,
+    accuracy,
+    micro_f1,
+)
 from signa.graphdata import Graph, from_edges
 
 
@@ -481,3 +496,58 @@ def kmeans_oracle(
         if best is None or result.inertia < best.inertia:
             best = result
     return best
+
+
+def similarity_histograms_oracle(
+    embeddings: np.ndarray, graph: Graph, rng, bins: int = 50, subsample_pairs: int | None = None
+) -> SimilarityHistograms:
+    """The library's earlier similarity histograms, kept as they were apart
+    from their refusal of full pairs above 5000 nodes: the full-pair path
+    indexes the n x n Gram matrix with np.triu_indices, adjacency comes
+    from a scipy CSR matrix, and np.histogram bins each population."""
+    import scipy.sparse as sp
+
+    x = np.asarray(embeddings, dtype=np.float64)
+    n = graph.num_nodes
+    if x.shape[0] != n:
+        raise ShapeError(f"embeddings rows {x.shape[0]} != |V| {n}")
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms < 1e-12):
+        raise DegenerateEmbeddingError(f"row {int(np.argmin(norms))} has near-zero norm")
+    xn = x / norms[:, None]
+
+    if subsample_pairs is None:
+        iu, iv = np.triu_indices(n, k=1)
+        sims = (xn @ xn.T)[iu, iv]
+        subsampled = False
+    else:
+        iu = rng.integers(0, n, size=subsample_pairs)
+        iv = rng.integers(0, n - 1, size=subsample_pairs)
+        iv = np.where(iv >= iu, iv + 1, iv)
+        sims = np.einsum("ij,ij->i", xn[iu], xn[iv])
+        subsampled = True
+    sims = np.clip(sims, -1.0, 1.0)
+
+    ones = np.ones(graph.csr_targets.size, dtype=np.int8)
+    a = sp.csr_matrix((ones, graph.csr_targets, graph.csr_offsets), shape=(n, n))
+    adjacent = np.asarray(a[iu, iv]).ravel() > 0
+
+    edges = np.linspace(-1.0, 1.0, bins + 1)
+
+    def hist(values: np.ndarray) -> np.ndarray:
+        return np.histogram(values, bins=edges)[0]
+
+    same = diff = None
+    if graph.labels is not None:
+        label_match = graph.labels[iu] == graph.labels[iv]
+        same = hist(sims[label_match])
+        diff = hist(sims[~label_match])
+    return SimilarityHistograms(
+        bin_edges=edges,
+        neighbor=hist(sims[adjacent]),
+        non_neighbor=hist(sims[~adjacent]),
+        same_label=same,
+        diff_label=diff,
+        num_pairs=int(iu.shape[0]),
+        subsampled=subsampled,
+    )

@@ -9,10 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import similarity_histograms_oracle
+
 import signa
+import signa.errors as errors
 from signa.cli import ABLATE_VARIANTS, _config_with, main
+from signa.diffcore import RngStream
 from signa.encoder import inference_embeddings
-from signa.errors import ConfigError
+from signa.errors import ConfigError, ContractError, DataError, NumericError, ShapeError, SignaError
 from signa.graphdata import load_graph
 from signa.trainer import TrainConfig, load_checkpoint
 
@@ -338,14 +342,20 @@ def test_eval_classify_requires_labels(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mode,flag", [("classify", "--labels"), ("cluster", "--labels"), ("histograms", "--out-csv")]
+    "mode,flag",
+    [("classify", "--labels"), ("cluster", "--labels"), ("histograms", "--out-csv"),
+     ("classify", "--runs"), ("timing", "--repeats")],
 )
 def test_eval_flag_errors_come_before_the_checkpoint(mode, flag, tmp_path, capsys):
+    # a count flag is given as 0; any other flag is left out
     edges, feats, labels = _write_dataset(tmp_path)
+    count = flag in ("--runs", "--repeats")
     rc = main(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"), "--edges", edges,
-               "--features", feats, "--mode", mode, "--out", str(tmp_path / "x.json"), "--quiet"])
+               "--features", feats, "--mode", mode, *([flag, "0"] if count else []),
+               "--out", str(tmp_path / "x.json"), "--quiet"])
     assert rc == 1
-    assert f"{mode} mode requires {flag}" in capsys.readouterr().err
+    message = f"{flag} must be >= 1, got 0" if count else f"{mode} mode requires {flag}"
+    assert message in capsys.readouterr().err
 
 
 def test_eval_zero_runs_exits_one(tmp_path, capsys):
@@ -360,11 +370,13 @@ def test_eval_zero_runs_exits_one(tmp_path, capsys):
 
 
 def test_linear_classify_does_not_import_scipy(tmp_path):
-    # nor does a linear cluster run: k-means sums its clusters densely
+    # nor does a linear cluster run (k-means sums its clusters densely) or a
+    # histograms run (adjacency comes from the graph's CSR arrays)
     edges, feats, labels, config, ckpt = _train(tmp_path)
     src = os.path.dirname(os.path.dirname(signa.__file__))
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    for mode, extra in (("classify", ["--runs", "2"]), ("cluster", [])):
+    hist = ["--out-csv", str(tmp_path / "hist.csv")]
+    for mode, extra in (("classify", ["--runs", "2"]), ("cluster", []), ("histograms", hist)):
         out = str(tmp_path / f"{mode}.json")
         argv = ["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
                 "--labels", labels, "--mode", mode, *extra, "--out", out, "--quiet"]
@@ -414,6 +426,22 @@ def test_eval_histograms_csv(tmp_path, capsys):
     assert doc["num_pairs"] == 28  # C(8, 2)
     assert doc["neighbor_total"] + doc["non_neighbor_total"] == 28
     assert not doc["subsampled"]
+
+    # the counts are the earlier Gram-matrix routine's, with full and sampled pairs
+    state, _ = load_checkpoint(ckpt)
+    graph = load_graph(edges, feats, labels)
+    emb = inference_embeddings(state, state.spec, graph).data
+    for subsample in (None, 40):
+        if subsample is not None:
+            rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+                       "--labels", labels, "--mode", "histograms", "--bins", "10",
+                       "--subsample-pairs", str(subsample), "--out", out, "--out-csv", out_csv,
+                       "--quiet"])
+            assert rc == 0
+        ref = similarity_histograms_oracle(emb, graph, RngStream(0, "split"), 10, subsample)
+        want = np.concatenate([ref.neighbor, ref.non_neighbor, ref.same_label, ref.diff_label])
+        counts = [int(line.rsplit(",", 1)[1]) for line in open(out_csv).read().splitlines()[1:]]
+        assert counts == want.tolist()
 
 
 @pytest.mark.parametrize(
@@ -620,6 +648,34 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_every_error_class_exits_with_its_code(monkeypatch, capsys):
+    import signa.cli as cli
+
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, SignaError) and c is not SignaError
+    ]
+    assert len(classes) == 11
+    for cls in classes:
+        # the exit code main() mapped each class to before the classes carried one
+        if issubclass(cls, ConfigError):
+            want = 1
+        elif issubclass(cls, (DataError, ShapeError)):
+            want = 2
+        else:
+            assert issubclass(cls, (NumericError, ContractError)), cls
+            want = 3
+
+        def handler(args, cls=cls):
+            raise cls(f"{cls.__name__} raised")
+
+        monkeypatch.setitem(cli._HANDLERS, "homophily", handler)
+        rc = main(["homophily", "--edges", "e", "--features", "f", "--labels", "l",
+                   "--out-json", "o.json", "--out-csv", "o.csv"])
+        assert (cls.__name__, rc) == (cls.__name__, want)
+        assert capsys.readouterr().err == f"error: {cls.__name__} raised\n"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "homophily" in capsys.readouterr().out
@@ -683,7 +739,7 @@ def test_eval_malformed_checkpoint_exits_two(edit, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_eval_checkpoint_config_value_of_the_wrong_type_exits_one(tmp_path, capsys):
+def test_eval_checkpoint_config_value_of_the_wrong_type_exits_two(tmp_path, capsys):
     edges, feats, labels, config, ckpt = _train(tmp_path)
     doc = json.loads(open(ckpt).read())
     doc["config"]["model"]["num_layers"] = "2"
@@ -692,8 +748,9 @@ def test_eval_checkpoint_config_value_of_the_wrong_type_exits_one(tmp_path, caps
     rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
                "--labels", labels, "--mode", "cluster",
                "--out", str(tmp_path / "x.json"), "--quiet"])
-    assert rc == 1
-    assert "config key 'model.num_layers' must be int, got '2'" in capsys.readouterr().err
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: config key 'model.num_layers' must be int, got '2'" in err
 
 
 def test_eval_checkpoint_that_is_not_utf8_exits_two(tmp_path, capsys):

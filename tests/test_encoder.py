@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import CountsTranspose
+from conftest import CountsTranspose, assert_drew
 
 import signa.diffcore as dc
 import signa.diffcore.ops as ops
@@ -192,7 +192,7 @@ def test_inference_is_deterministic_and_draws_nothing(two_node_graph):
     a = encode(state, spec, two_node_graph, rng=rng)
     b = encode(state, spec, two_node_graph)
     np.testing.assert_array_equal(a.data, b.data)
-    assert rng.draws == 0
+    assert_drew(rng)
 
 
 def test_zero_dropout_training_equals_inference(two_node_graph):

@@ -6,15 +6,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_labeled_graph, split_generator
-from oracles import homogeneity_oracle, kmeans_oracle, linear_probe_oracle, nmi_oracle
+from conftest import assert_drew, random_labeled_graph, split_generator
+from oracles import (
+    homogeneity_oracle,
+    kmeans_oracle,
+    linear_probe_oracle,
+    nmi_oracle,
+    similarity_histograms_oracle,
+)
 import tape_ops as kit
 
 import signa.evaluate as evaluate
 from signa import diffcore as dc
 from signa.diffcore import RngStream
 from signa.encoder import ModelSpec
-from signa.errors import AnalysisError, ConfigError, DegenerateEmbeddingError, ShapeError
+from signa.errors import AnalysisError, ConfigError, DegenerateEmbeddingError, NumericError, ShapeError
 from signa.evaluate import (
     KMeansResult,
     ProbeConfig,
@@ -30,7 +36,7 @@ from signa.evaluate import (
     similarity_histograms,
     timing_harness,
 )
-from signa.graphdata import Graph, sbm_generate
+from signa.graphdata import Graph, from_edges, sbm_generate
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +378,8 @@ def test_kmeans_identical_points_take_the_zero_weight_seeding_branch():
         x = np.tile(np.random.default_rng(trial).normal(size=(1, 4)), (12, 1))
         rng = RngStream(3, "kmeans").child(0)
         seeds = evaluate._kmeans_pp(x, evaluate._row_sq_norms(x), 3, [rng])
-        assert rng.draws == 1  # the first centroid only: every later weight is zero
+        # the first centroid only: every later weight is zero
+        assert_drew(rng, lambda r: r.integers(0, 12))
         np.testing.assert_array_equal(seeds[0], np.tile(x[0], (3, 1)))
         assert _assert_matches_oracle(x, 3, restarts=2, seed=3).inertia == 0.0
 
@@ -485,11 +492,30 @@ def _labeled_path4():
     return Graph(4, offs, tgts, feats, np.array([0, 0, 1, 1]))
 
 
+def _histograms_match_oracle(emb, g, bins, subsample_pairs=None, seed=0):
+    """similarity_histograms on (emb, g), after checking that its counts, its
+    other fields and its draws from the stream are the oracle's."""
+    rng, ref_rng = RngStream(seed, "split"), RngStream(seed, "split")
+    h = similarity_histograms(emb, g, rng, bins=bins, subsample_pairs=subsample_pairs)
+    ref = similarity_histograms_oracle(emb, g, ref_rng, bins=bins, subsample_pairs=subsample_pairs)
+    np.testing.assert_array_equal(h.bin_edges, ref.bin_edges)
+    for name in ("neighbor", "non_neighbor", "same_label", "diff_label"):
+        got, want = getattr(h, name), getattr(ref, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+    assert (h.num_pairs, h.subsampled) == (ref.num_pairs, ref.subsampled)
+    assert rng._gen.bit_generator.state == ref_rng._gen.bit_generator.state
+    return h
+
+
 def test_histograms_partition_all_pairs():
     g = _labeled_path4()
     rng = np.random.default_rng(12)
     emb = rng.normal(size=(4, 3))
-    h = similarity_histograms(emb, g, RngStream(0, "split"), bins=10)
+    h = _histograms_match_oracle(emb, g, bins=10)
     assert h.num_pairs == 6
     assert not h.subsampled
     assert h.neighbor.sum() + h.non_neighbor.sum() == 6
@@ -503,25 +529,71 @@ def test_histograms_partition_all_pairs():
 def test_histograms_no_labels_and_zero_row():
     g = _labeled_path4()
     unlabeled = Graph(4, g.csr_offsets, g.csr_targets, g.features)
-    h = similarity_histograms(np.eye(4), unlabeled, RngStream(0, "split"), bins=4)
+    h = _histograms_match_oracle(np.eye(4), unlabeled, bins=4)
     assert h.same_label is None and h.diff_label is None
     with pytest.raises(DegenerateEmbeddingError):
         similarity_histograms(np.zeros((4, 2)), unlabeled, RngStream(0, "split"))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="embeddings"):
+            similarity_histograms(np.array([[1.0], [bad], [1.0], [2.0]]), unlabeled, RngStream(0, "split"))
 
 
-def test_histograms_large_graph_requires_subsampling():
+def test_histograms_match_oracle_on_random_graphs():
+    rng = np.random.default_rng(14)
+    for trial in range(30):
+        g = random_labeled_graph(rng, max_nodes=60)
+        n = g.num_nodes
+        gaussian = rng.normal(size=(n, int(rng.integers(1, 9))))
+        # rows +-e_k: every similarity is -1, 0 or 1, on a bin edge when bins is even
+        axes = np.eye(3)[rng.integers(0, 3, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
+        bins = int(rng.integers(1, 30))
+        unlabeled = Graph(n, g.csr_offsets, g.csr_targets, g.features)
+        edgeless = Graph(n, np.zeros(n + 1, dtype=np.int64), [], g.features, g.labels)
+        for graph in (g, unlabeled, edgeless):
+            for emb in (gaussian, axes):
+                _histograms_match_oracle(emb, graph, bins)
+                _histograms_match_oracle(emb, graph, bins, subsample_pairs=int(rng.integers(1, 200)), seed=trial)
+
+
+def test_histograms_of_two_nodes_match_oracle():
+    g = from_edges(np.array([[0, 1]]), 2, np.ones((2, 1)), labels=np.array([0, 1]))
+    for emb in (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0], [-3.0, 0.5]])):
+        h = _histograms_match_oracle(emb, g, bins=7)
+        assert h.num_pairs == 1 and h.neighbor.sum() == 1 and h.diff_label.sum() == 1
+        edgeless = Graph(2, np.zeros(3, dtype=np.int64), [], g.features)
+        assert _histograms_match_oracle(emb, edgeless, bins=7).non_neighbor.sum() == 1
+
+
+@pytest.mark.parametrize("rows", [1, 5, 36])
+def test_histograms_with_small_strips_match_oracle(monkeypatch, rows):
+    # n = 37 in strips of 1 row, or of 5 or 36 rows with a ragged last strip
+    n = 37
+    monkeypatch.setattr(evaluate, "_BLOCK_ELEMS", rows * n)
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        iu, iv = np.triu_indices(n, k=1)
+        keep = rng.random(iu.size) < 0.2
+        labels = rng.integers(0, 3, size=n)
+        g = from_edges(np.stack([iu[keep], iv[keep]], axis=1), n, np.ones((n, 1)), labels=labels)
+        _histograms_match_oracle(rng.normal(size=(n, 4)), g, bins=13)
+
+
+def test_histograms_large_graph_runs_full_pairs():
     n = 5001
     offs = np.zeros(n + 1, dtype=np.int64)
     g = Graph(n, offs, np.array([], dtype=np.int64), np.ones((n, 1)))
-    with pytest.raises(AnalysisError):
-        similarity_histograms(np.ones((n, 2)), g, RngStream(0, "split"))
+    h = similarity_histograms(np.ones((n, 2)), g, RngStream(0, "split"))
+    assert not h.subsampled and h.num_pairs == n * (n - 1) // 2
+    assert h.neighbor.sum() == 0 and h.non_neighbor[-1] == h.num_pairs
     h = similarity_histograms(np.ones((n, 2)), g, RngStream(0, "split"), subsample_pairs=500)
     assert h.subsampled and h.num_pairs == 500
     assert h.neighbor.sum() == 0 and h.non_neighbor.sum() == 500
 
 
 def test_full_pair_histograms_need_no_pair_by_dim_arrays():
-    n, d = 1200, 128
+    # strips of B = 2^20 // n rows: O(B*n + n*d) memory, where the n x n Gram
+    # matrix and the n(n-1)/2 index pairs took ~330 MB
+    n, d = 4000, 256
     g = Graph(n, np.zeros(n + 1, dtype=np.int64), np.array([], dtype=np.int64), np.ones((n, 1)))
     emb = np.random.default_rng(13).normal(size=(n, d))
     tracemalloc.start()
@@ -532,8 +604,7 @@ def test_full_pair_histograms_need_no_pair_by_dim_arrays():
         tracemalloc.stop()
     assert h.num_pairs == n * (n - 1) // 2
     assert h.non_neighbor.sum() == h.num_pairs
-    # O(n^2) scalars: far below the 1.5 GB that gathering both rows of every pair takes
-    assert peak < 16 * n * n * 8
+    assert peak <= 64 * 2**20
 
 
 def test_histograms_shape_mismatch():

@@ -4,6 +4,8 @@ children independent, and the draw counter reflecting consumption."""
 import numpy as np
 import pytest
 
+from conftest import assert_drew
+
 from signa.diffcore import RngStream
 from signa.errors import ConfigError
 
@@ -45,15 +47,23 @@ def test_consuming_one_purpose_leaves_others_untouched():
     np.testing.assert_array_equal(first, RngStream(9, "mask").uniform(size=10))
 
 
-def test_draw_counter_counts_scalars():
+def test_generator_state_tells_the_draws_made_apart():
+    # the tests' "draws nothing" and "draws exactly these" checks rest on this
     s = RngStream(0, "init")
-    assert s.draws == 0
+    assert_drew(s)
     s.uniform()
-    assert s.draws == 1
+    assert_drew(s, lambda r: r.uniform())
+    with pytest.raises(AssertionError):
+        assert_drew(s)
     s.integers(0, 5, size=(3, 4))
-    assert s.draws == 13
+    assert_drew(s, lambda r: (r.uniform(), r.integers(0, 5, size=(3, 4))))
+    with pytest.raises(AssertionError):
+        assert_drew(s, lambda r: (r.uniform(), r.integers(0, 5, size=(3, 3))))
     s.permutation(5)
-    assert s.draws == 18
+    assert_drew(s, lambda r: (r.uniform(), r.integers(0, 5, size=(3, 4)), r.permutation(5)))
+    with pytest.raises(AssertionError):
+        assert_drew(s, lambda r: (r.uniform(), r.integers(0, 5, size=(3, 4)), r.permutation(4)))
+    assert_drew(s.child(0))
 
 
 def test_unknown_purpose_rejected():
