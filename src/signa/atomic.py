@@ -9,6 +9,7 @@ imports this before numpy loads.
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 from contextlib import contextmanager
@@ -58,3 +59,10 @@ def open_atomic(path: str):
         except OSError:
             pass
         raise
+
+
+def write_json(path: str, doc) -> None:
+    """Write `doc` as indented, key-sorted JSON and a newline, atomically."""
+    with open_atomic(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .atomic import open_atomic
+from .atomic import open_atomic, write_json
 from .errors import AnalysisError, ConfigError, SignaError, not_utf8
 
 # `ablate` variants and the config overrides each merges into the base config
@@ -51,12 +51,6 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open_atomic(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(
     primary_out: str,
     command: str,
@@ -86,7 +80,7 @@ def _write_manifest(
     if extra:
         doc.update(extra)
     path = primary_out + ".manifest.json"
-    _write_json(path, doc)
+    write_json(path, doc)
     return path
 
 
@@ -135,7 +129,7 @@ def _cmd_homophily(args) -> int:
     report = local_homophily(graph)
 
     doc = report.to_json_dict()
-    _write_json(args.out_json, doc)
+    write_json(args.out_json, doc)
     with open_atomic(args.out_csv) as fh:
         fh.write("histogram,bin,count\n")
         bins = doc["count_hist_bins"]
@@ -257,6 +251,7 @@ def _cmd_eval(args) -> int:
     for flag, value in counts.get(args.mode, ()):
         if value is not None and value < 1:
             raise ConfigError(f"{flag} must be >= 1, got {value}")
+    _check_seed("--seed", args.seed)
     if args.mode in ("classify", "cluster") and args.labels is None:
         raise ConfigError(f"{args.mode} mode requires --labels")
     if args.mode == "histograms" and args.out_csv is None:
@@ -333,7 +328,7 @@ def _cmd_eval(args) -> int:
             }
         )
 
-    _write_json(args.out, report)
+    write_json(args.out, report)
     inputs = [args.checkpoint, args.edges, args.features]
     if args.labels:
         inputs.append(args.labels)
@@ -375,6 +370,11 @@ def _cmd_embed(args) -> int:
     return 0
 
 
+def _check_seed(flag: str, seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {seed}")
+
+
 def _parse_seeds(text: str) -> list[int]:
     seeds = []
     for entry in text.split(","):
@@ -382,6 +382,7 @@ def _parse_seeds(text: str) -> list[int]:
             seeds.append(int(entry))
         except ValueError:
             raise ConfigError(f"--seeds entry {entry!r} is not an integer") from None
+        _check_seed("--seeds entry", seeds[-1])
     return seeds
 
 
@@ -403,9 +404,12 @@ def _cmd_ablate(args) -> int:
         raise ConfigError(f"--probe-runs must be >= 1, got {args.probe_runs}")
     if not args.seeds and args.num_seeds < 1:
         raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
+    _check_seed("--seed", args.seed)
+    seeds = _parse_seeds(args.seeds) if args.seeds else None
     raw = _load_config_dict(args.config)
-    base_seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-    seeds = _parse_seeds(args.seeds) if args.seeds else [base_seed + i for i in range(args.num_seeds)]
+    if seeds is None:
+        base_seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+        seeds = [base_seed + i for i in range(args.num_seeds)]
 
     graph = load_graph(args.edges, args.features, args.labels)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -446,7 +450,7 @@ def _cmd_ablate(args) -> int:
         for variant, status, f1m, f1s_, accm, accs_, err in rows:
             fh.write(f"{variant},{status},{fmt(f1m)},{fmt(f1s_)},{fmt(accm)},{fmt(accs_)},{err}\n")
     report_path = os.path.join(args.out_dir, "ablation_report.json")
-    _write_json(report_path, {"seeds": seeds, "variants": details, "base_config": raw})
+    write_json(report_path, {"seeds": seeds, "variants": details, "base_config": raw})
 
     _write_manifest(
         report_path,

@@ -49,9 +49,8 @@ def draw_masks(graph: Graph, alpha: float, rng: dc.RngStream, epoch: int = 0) ->
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"mask rate must be in [0, 1], got {alpha}")
     n = graph.num_nodes
-    src = np.repeat(np.arange(n), graph.degrees)
     keep = rng.uniform(size=graph.csr_targets.size) >= alpha
-    all_src = np.concatenate([src[keep], np.arange(n)])
+    all_src = np.concatenate([graph.csr_sources[keep], np.arange(n)])
     all_tgt = np.concatenate([graph.csr_targets[keep], np.arange(n)])
     order = np.lexsort((all_tgt, all_src))
     offsets = np.zeros(n + 1, dtype=np.int64)

@@ -442,7 +442,8 @@ def similarity_histograms(
         raise DegenerateEmbeddingError(f"row {int(np.argmin(norms))} has near-zero norm")
     xn = x / norms[:, None]
     edges = np.linspace(-1.0, 1.0, bins + 1)
-    labels, offsets, targets = graph.labels, graph.csr_offsets, graph.csr_targets
+    labels, offsets = graph.labels, graph.csr_offsets
+    sources, targets = graph.csr_sources, graph.csr_targets
     # A pair's cell is the bin np.histogram gives its clipped similarity, plus
     # `bins` if it is adjacent and 2 * `bins` if its labels match.  The last
     # cell collects the strip entries that are not pairs i < j.
@@ -452,7 +453,7 @@ def similarity_histograms(
         for r0 in range(0, n, step):
             r1 = min(n, r0 + step)
             cell = np.searchsorted(edges[1:-1], xn[r0:r1] @ xn[r0:].T, side="right")
-            rows = np.repeat(np.arange(r1 - r0), np.diff(offsets[r0 : r1 + 1]))
+            rows = sources[offsets[r0] : offsets[r1]] - r0
             cols = targets[offsets[r0] : offsets[r1]] - r0
             cell[rows[cols >= 0], cols[cols >= 0]] += bins
             if labels is not None:
@@ -460,11 +461,13 @@ def similarity_histograms(
             cell[np.tril_indices(r1 - r0)] = 4 * bins
             counts += np.bincount(cell.ravel(), minlength=4 * bins + 1)
     else:
+        if n < 2:
+            raise AnalysisError(f"subsampled pairs need at least 2 nodes, got {n}")
         iu = rng.integers(0, n, size=subsample_pairs)
         iv = rng.integers(0, n - 1, size=subsample_pairs)
         iv = np.where(iv >= iu, iv + 1, iv)  # never a self-pair
         cell = np.searchsorted(edges[1:-1], np.einsum("ij,ij->i", xn[iu], xn[iv]), side="right")
-        cell[np.isin(iu * n + iv, np.repeat(np.arange(n), np.diff(offsets)) * n + targets)] += bins
+        cell[np.isin(iu * n + iv, sources * n + targets)] += bins
         if labels is not None:
             cell[labels[iu] == labels[iv]] += 2 * bins
         counts += np.bincount(cell, minlength=4 * bins + 1)

@@ -24,58 +24,46 @@ if TYPE_CHECKING:  # scipy is imported only where a sparse matrix is built
 class Graph:
     """Immutable undirected graph with node features and optional labels.
 
+    Built from an (m, 2) array of possibly messy directed edges: self-loops
+    are dropped and duplicate/reverse duplicates collapse into one undirected
+    edge; a warning reports how many of each were discarded.  The feature
+    rows fix the node count, and labels, when given, are class indices in
+    [0, num_classes) with num_classes = max(label) + 1.
+
     `csr_targets[csr_offsets[u]:csr_offsets[u+1]]` lists the neighbors of u
-    in increasing order.  `features` is a float matrix with one row per node;
-    `labels`, when given, are class indices in [0, num_classes).
+    in increasing order; `csr_sources` holds the row u of each entry.
     """
 
-    def __init__(self, num_nodes, csr_offsets, csr_targets, features, labels=None, num_classes=None):
-        self.num_nodes = int(num_nodes)
-        self.csr_offsets = np.asarray(csr_offsets, dtype=np.int64)
-        self.csr_targets = np.asarray(csr_targets, dtype=np.int64)
+    def __init__(self, edges, features, labels=None):
         self.features = np.asarray(features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.num_nodes:
-            raise ShapeError(
-                f"features must be (num_nodes, F), got {self.features.shape} for {self.num_nodes} nodes"
-            )
-        if self.csr_offsets.shape != (self.num_nodes + 1,):
-            raise ShapeError("csr_offsets must have length num_nodes + 1")
-        if self.csr_offsets[0] != 0 or self.csr_offsets[-1] != self.csr_targets.size:
-            raise ShapeError("csr_offsets do not span csr_targets")
-        if np.any(np.diff(self.csr_offsets) < 0):
-            raise ShapeError("csr_offsets must be non-decreasing")
-        if self.csr_targets.size and (
-            self.csr_targets.min() < 0 or self.csr_targets.max() >= self.num_nodes
-        ):
-            raise ShapeError("csr_targets contain out-of-range node ids")
+        if self.features.ndim != 2:
+            raise ShapeError(f"features must be (num_nodes, F), got {self.features.shape}")
+        n = self.num_nodes = self.features.shape[0]
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ShapeError(f"edge endpoints must lie in [0, {n})")
 
-        if labels is None:
-            self.labels = None
-            self.num_classes = None
-        else:
-            self.labels = np.asarray(labels, dtype=np.int64)
-            if self.labels.shape != (self.num_nodes,):
-                raise ShapeError(f"labels must have length {self.num_nodes}, got {self.labels.shape}")
-            inferred = int(self.labels.max()) + 1 if self.num_nodes else 0
-            self.num_classes = int(num_classes) if num_classes is not None else inferred
-            if self.num_nodes and (self.labels.min() < 0 or inferred > self.num_classes):
-                raise ShapeError(f"labels must lie in [0, {self.num_classes})")
+        # each undirected edge is the key lo*n+hi; with its reverse added,
+        # the sorted keys are the CSR entries in row-major order
+        lo, hi = edges.min(axis=1), edges.max(axis=1)
+        loops = lo == hi
+        keys = np.unique(lo[~loops] * n + hi[~loops])
+        num_loops = int(loops.sum())
+        num_dupes = edges.shape[0] - num_loops - keys.size
+        if num_loops or num_dupes:
+            warnings.warn(f"dropped {num_loops} self-loop(s) and {num_dupes} duplicate edge(s)")
+        lo, hi = np.divmod(keys, n)
+        self.csr_sources, self.csr_targets = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
+        self.csr_offsets = np.searchsorted(self.csr_sources, np.arange(n + 1))
 
-        self._validate_adjacency()
-
-    def _validate_adjacency(self) -> None:
-        n = self.num_nodes
-        src = np.repeat(np.arange(n), self.degrees)
-        dst = self.csr_targets
-        if np.any(src == dst):
-            raise ShapeError("adjacency contains self-loops")
-        unsorted = (np.diff(dst) <= 0) & (src[1:] == src[:-1])
-        if np.any(unsorted):
-            raise ShapeError(f"row {int(src[np.argmax(unsorted)])} is not strictly sorted (duplicates?)")
-        # rows are strictly sorted, so src*n+dst is sorted and duplicate-free;
-        # the graph is symmetric iff the reversed keys are the same set
-        if not np.array_equal(src * n + dst, np.sort(dst * n + src)):
-            raise ShapeError("adjacency is not symmetric")
+        self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
+        self.num_classes = None
+        if self.labels is not None:
+            if self.labels.shape != (n,):
+                raise ShapeError(f"labels must have length {n}, got {self.labels.shape}")
+            if n and self.labels.min() < 0:
+                raise ShapeError("labels must be non-negative")
+            self.num_classes = int(self.labels.max()) + 1 if n else 0
 
     @property
     def degrees(self) -> np.ndarray:
@@ -89,33 +77,6 @@ class Graph:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-
-def from_edges(edges, num_nodes, features, labels=None, num_classes=None) -> Graph:
-    """Build a Graph from an (m, 2) array of possibly messy directed edges.
-
-    Self-loops are dropped and duplicate/reverse duplicates collapse into one
-    undirected edge; a warning reports how many of each were discarded.
-    """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
-        raise ShapeError(f"edge endpoints must lie in [0, {num_nodes})")
-    loops = edges[:, 0] == edges[:, 1]
-    num_loops = int(loops.sum())
-    edges = edges[~loops]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    undirected = np.unique(np.stack([lo, hi], axis=1), axis=0) if edges.size else edges.reshape(0, 2)
-    num_dupes = edges.shape[0] - undirected.shape[0]
-    if num_loops or num_dupes:
-        warnings.warn(f"dropped {num_loops} self-loop(s) and {num_dupes} duplicate edge(s)")
-
-    directed = np.concatenate([undirected, undirected[:, ::-1]], axis=0)
-    order = np.lexsort((directed[:, 1], directed[:, 0]))
-    directed = directed[order]
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(directed[:, 0], minlength=num_nodes), out=offsets[1:])
-    return Graph(num_nodes, offsets, directed[:, 1], features, labels, num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +310,7 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
         labels = _decoding(_read_labels, label_path, num_nodes) if label_path is not None else None
     except OSError as exc:
         raise IngestionError(f"cannot read {exc.filename}: {exc.strerror}") from None
-    return from_edges(edges, num_nodes, features, labels)
+    return Graph(edges, features, labels)
 
 
 def _decoding(read, path, *args):
@@ -375,8 +336,7 @@ def normalized_adjacency(g: Graph) -> sp.csr_matrix:
 
     n = g.num_nodes
     dhat = g.degrees + 1
-    src = np.repeat(np.arange(n), g.degrees)
-    rows = np.concatenate([src, np.arange(n)])
+    rows = np.concatenate([g.csr_sources, np.arange(n)])
     cols = np.concatenate([g.csr_targets, np.arange(n)])
     vals = (1.0 / np.sqrt(dhat[rows] * dhat[cols])).astype(active_dtype(), copy=False)
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
@@ -440,9 +400,8 @@ def local_homophily(g: Graph) -> HomophilyReport:
         raise AnalysisError("local homophily requires labels")
     n = g.num_nodes
     deg = g.degrees
-    src = np.repeat(np.arange(n), deg)
-    same = (g.labels[src] == g.labels[g.csr_targets]).astype(np.int64)
-    counts = np.bincount(src, weights=same, minlength=n).astype(np.int64)
+    same = (g.labels[g.csr_sources] == g.labels[g.csr_targets]).astype(np.int64)
+    counts = np.bincount(g.csr_sources, weights=same, minlength=n).astype(np.int64)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(deg > 0, counts / np.maximum(deg, 1), np.nan)
 
@@ -501,4 +460,4 @@ def sbm_generate(block_sizes, p_in, p_out, feature_means, noise_sigma, rng) -> G
         edges.append(np.stack([iu[keep], iv[keep]], axis=1))
     edges = np.concatenate(edges)
     features = means[labels] + noise_sigma * rng.normal(size=(n, means.shape[1]))
-    return from_edges(edges, n, features, labels, num_classes=len(sizes))
+    return Graph(edges, features, labels)

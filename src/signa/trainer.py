@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import diffcore as dc
-from .atomic import open_atomic
+from .atomic import write_json
 from .contrast import EstimatorSpec, draw_masks, estimator_loss
 from .encoder import EncoderState, ModelSpec, encode, project
 from .errors import CheckpointError, ConfigError, OptimizationError, not_utf8
@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.num_epochs < 1:
             raise ConfigError(f"num_epochs must be >= 1, got {self.num_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.ablation not in ABLATIONS:
             raise ConfigError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         if self.nfm_p_feat is not None and not 0.0 <= self.nfm_p_feat < 1.0:
@@ -200,9 +202,7 @@ def save_checkpoint(state: EncoderState, config: TrainConfig, path: str, final_l
         "epochs": config.num_epochs,
         "seed": config.seed,
     }
-    with open_atomic(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from signa.diffcore import RngStream, set_precision
-from signa.graphdata import Graph, from_edges
+from signa.graphdata import Graph
 
 # filled by test_acceptance; echoed after the run, outside pytest's capture
 ACCEPTANCE_LINES: list[str] = []
@@ -37,7 +37,7 @@ def _reset_numeric_state():
 @pytest.fixture
 def two_node_graph() -> Graph:
     """Single undirected edge 0-1, scalar features [2, 4]."""
-    return from_edges(np.array([[0, 1]]), 2, np.array([[2.0], [4.0]]))
+    return Graph(np.array([[0, 1]]), np.array([[2.0], [4.0]]))
 
 
 @pytest.fixture
@@ -45,7 +45,13 @@ def path4_graph() -> Graph:
     """Path 0-1-2-3 with labels [0, 0, 1, 1]."""
     edges = np.array([[0, 1], [1, 2], [2, 3]])
     feats = np.arange(8, dtype=np.float64).reshape(4, 2)
-    return from_edges(edges, 4, feats, labels=np.array([0, 0, 1, 1]))
+    return Graph(edges, feats, labels=np.array([0, 0, 1, 1]))
+
+
+def edge_list(g: Graph) -> np.ndarray:
+    """Each undirected edge of g once, as a row (u, v) with u < v."""
+    upper = g.csr_sources < g.csr_targets
+    return np.stack([g.csr_sources[upper], g.csr_targets[upper]], axis=1)
 
 
 def split_generator(seed: int) -> np.random.Generator:
@@ -91,4 +97,4 @@ def random_labeled_graph(rng: np.random.Generator, max_nodes: int = 50) -> Graph
         edges = np.stack([iu[keep], iv[keep]], axis=1)
         feats = rng.standard_normal((n, 3))
         labels = rng.integers(0, int(rng.integers(2, 5)), size=n)
-        return from_edges(edges, n, feats, labels=labels)
+        return Graph(edges, feats, labels=labels)

@@ -55,7 +55,7 @@ from signa.evaluate import (
     accuracy,
     micro_f1,
 )
-from signa.graphdata import Graph, from_edges
+from signa.graphdata import Graph
 
 
 def unit_rows(z: np.ndarray) -> np.ndarray:
@@ -242,20 +242,28 @@ def linear_probe_oracle(
 # graphs
 
 
-def adjacency_error_oracle(num_nodes, offsets, targets):
-    """The first ShapeError message Graph's adjacency checks raise, or None:
-    self-loops, then the first row that is not strictly increasing, then
-    symmetry, checked pair by pair."""
-    rows = [list(targets[offsets[u] : offsets[u + 1]]) for u in range(num_nodes)]
-    if any(v == u for u, row in enumerate(rows) for v in row):
-        return "adjacency contains self-loops"
-    for u, row in enumerate(rows):
-        if any(a >= b for a, b in zip(row, row[1:])):
-            return f"row {u} is not strictly sorted (duplicates?)"
-    pairs = {(u, v) for u, row in enumerate(rows) for v in row}
-    if any((v, u) not in pairs for u, v in pairs):
-        return "adjacency is not symmetric"
-    return None
+def csr_oracle(edges, num_nodes):
+    """The CSR arrays (offsets, sources, targets) of the undirected graph on
+    `edges`, built pair by pair through a set, and the number of self-loops
+    and of duplicate edges that were dropped."""
+    seen: set = set()
+    loops = dupes = 0
+    for u, v in edges.tolist():
+        if u == v:
+            loops += 1
+        elif (min(u, v), max(u, v)) in seen:
+            dupes += 1
+        else:
+            seen.add((min(u, v), max(u, v)))
+    rows: list[list[int]] = [[] for _ in range(num_nodes)]
+    for u, v in seen:
+        rows[u].append(v)
+        rows[v].append(u)
+    rows = [sorted(row) for row in rows]
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    sources = [u for u, row in enumerate(rows) for _ in row]
+    targets = [v for row in rows for v in row]
+    return offsets, sources, targets, loops, dupes
 
 
 def global_homophily_oracle(graph) -> float:
@@ -365,7 +373,7 @@ def sbm_generate_oracle(block_sizes, p_in, p_out, feature_means, noise_sigma, rn
     keep = rng.uniform(size=iu.size) < probs
     edges = np.stack([iu[keep], iv[keep]], axis=1)
     features = means[labels] + noise_sigma * rng.normal(size=(n, means.shape[1]))
-    return from_edges(edges, n, features, labels, num_classes=len(sizes))
+    return Graph(edges, features, labels)
 
 
 def canonical_partitions(n: int, max_cells: int = 3) -> list:

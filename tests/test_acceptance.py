@@ -50,7 +50,6 @@ from signa.evaluate import (
 )
 from signa.graphdata import (
     Graph,
-    from_edges,
     local_homophily,
     normalized_adjacency,
     sbm_generate,
@@ -168,9 +167,7 @@ def _op_cases():
     cases.append(("rows_l2_normalize", lambda: _h15(kit.rows_l2_normalize(nz)), [nz]))
 
     ring = np.stack([np.arange(5), (np.arange(5) + 1) % 5], axis=1)
-    from signa.graphdata import from_edges
-
-    adj = normalized_adjacency(from_edges(ring, 5, np.zeros((5, 2))))
+    adj = normalized_adjacency(Graph(ring, np.zeros((5, 2))))
     sx = param((5, 3))
     cases.append(("spmm", lambda: _h16(spmm(adj, sx)), [sx]))
 
@@ -296,8 +293,8 @@ def test_criterion_03_mask_expectation():
     # non-neighbor.  A target similarity of 1 for kept pairs and 0 otherwise
     # makes the kept fraction the mean target.
     n, trials = 12, 100000
-    graph = from_edges(np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1), n, np.zeros((n, 1)))
-    pairs = np.repeat(np.arange(n), graph.degrees) * n + graph.csr_targets  # row-major (u, v)
+    graph = Graph(np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1), np.zeros((n, 1)))
+    pairs = graph.csr_sources * n + graph.csr_targets  # row-major (u, v)
     details = []
     ok = True
     for alpha in (0.2, 0.4, 0.8):
@@ -332,13 +329,7 @@ def test_criterion_04_homophily_oracles():
         assert np.array_equal(np.isnan(report.local_ratios), nan_want)
         assert np.array_equal(report.local_ratios[~nan_want], ratios[~nan_want])
 
-    path = Graph(
-        4,
-        np.array([0, 1, 3, 5, 6]),
-        np.array([1, 0, 2, 1, 3, 2]),
-        np.zeros((4, 1)),
-        np.array([0, 0, 1, 1]),
-    )
+    path = Graph(np.array([[0, 1], [1, 2], [2, 3]]), np.zeros((4, 1)), np.array([0, 0, 1, 1]))
     fixture_ok = local_homophily(path).global_ratio == 2 / 3
     _verdict(4, fixture_ok, "100 random graphs exact; path fixture global ratio = 2/3")
 

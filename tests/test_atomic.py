@@ -11,8 +11,7 @@ import pytest
 
 from conftest import split_generator
 
-from signa.atomic import open_atomic
-from signa.cli import _write_json
+from signa.atomic import open_atomic, write_json
 from signa.contrast import EstimatorSpec
 from signa.encoder import ModelSpec
 from signa.graphdata import sbm_generate
@@ -38,7 +37,7 @@ def _write_checkpoint(path, final_loss):
 
 
 def _write_report(path, final_loss):
-    _write_json(path, {"final_loss": final_loss, "rows": list(range(50))})
+    write_json(path, {"final_loss": final_loss, "rows": list(range(50))})
 
 
 @pytest.mark.parametrize("write", [_write_checkpoint, _write_report], ids=["checkpoint", "json"])

@@ -638,6 +638,35 @@ def test_ablate_bad_seed_entry_exits_one(seeds, bad, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+NEGATIVE_SEEDS = {
+    "train": (["--seed", "-1"], "seed must be >= 0, got -1"),
+    "eval": (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    "ablate-seeds": (["--seeds", "2,-1"], "--seeds entry must be >= 0, got -1"),
+    "ablate-seed": (["--seed", "-1"], "--seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", NEGATIVE_SEEDS)
+def test_negative_seed_exits_one(case, tmp_path, capsys):
+    # train checks it in its config; eval and ablate check the flag before
+    # any file is read, so their checkpoint and config need not exist
+    edges, feats, labels = _write_dataset(tmp_path)
+    missing = str(tmp_path / "missing")
+    command = case.split("-")[0]
+    args = {
+        "train": ["--config", _write_config(tmp_path), "--out-checkpoint", str(tmp_path / "x.ckpt")],
+        "eval": ["--checkpoint", missing, "--labels", labels, "--mode", "classify",
+                 "--out", str(tmp_path / "x.json")],
+        "ablate": ["--config", missing, "--labels", labels, "--out-dir", str(tmp_path / "a")],
+    }[command]
+    flags, message = NEGATIVE_SEEDS[case]
+    rc = main([command, "--edges", edges, "--features", feats, *args, *flags, "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "x.ckpt").exists() and not (tmp_path / "a").exists()
+
+
 # ---------------------------------------------------------------------------
 # top-level argument handling
 

@@ -22,7 +22,7 @@ from signa.errors import (
     NumericError,
     ShapeError,
 )
-from signa.graphdata import from_edges
+from signa.graphdata import Graph
 
 from conftest import random_labeled_graph
 from oracles import (
@@ -49,7 +49,7 @@ def _loss(z, draw, kind):
 
 def _ring(n: int):
     edges = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    return from_edges(edges, n, np.zeros((n, 1)))
+    return Graph(edges, np.zeros((n, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_two_isolated_orthogonal_nodes_give_log2():
 
 
 def test_norm_jsd_prefers_aligned_positives():
-    g = from_edges(np.array([[0, 1]]), 3, np.zeros((3, 1)))
+    g = Graph(np.array([[0, 1]]), np.zeros((3, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     aligned = Tensor(np.array([[1.0, 0.01], [1.0, -0.01], [0.0, 1.0]]))
     opposed = Tensor(np.array([[1.0, 0.0], [-1.0, 0.1], [0.0, 1.0]]))
@@ -174,7 +174,7 @@ def test_norm_jsd_prefers_aligned_positives():
 
 
 def test_empty_negative_set_rejected():
-    g = from_edges(np.array([[0, 1]]), 2, np.zeros((2, 1)))
+    g = Graph(np.array([[0, 1]]), np.zeros((2, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(DegenerateGraphError):
@@ -212,7 +212,7 @@ def test_estimator_spec_validation():
 
 def test_info_nce_two_nodes_is_zero():
     # the only off-diagonal node is also the only positive: -log(1) = 0
-    g = from_edges(np.array([[0, 1]]), 2, np.zeros((2, 1)))
+    g = Graph(np.array([[0, 1]]), np.zeros((2, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = np.array([[1.0, 0.2], [0.3, -1.0]])
     assert abs(float(_loss(Tensor(z), draw, "info_nce").data)) < 1e-12
@@ -231,7 +231,7 @@ def test_info_nce_equal_similarities_give_log_n_minus_1():
 
 def test_info_nce_anchor_without_positives_contributes_zero():
     # node 2 is isolated; with alpha=0 its P_u = {u} so it adds nothing
-    g = from_edges(np.array([[0, 1]]), 3, np.zeros((3, 1)))
+    g = Graph(np.array([[0, 1]]), np.zeros((3, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
     full = float(_loss(Tensor(z), draw, "info_nce").data)
@@ -241,7 +241,7 @@ def test_info_nce_anchor_without_positives_contributes_zero():
 
 def test_clamp_keeps_antipodal_positive_finite():
     # a fully opposed positive pair hits the clamp floor, not -inf
-    g = from_edges(np.array([[0, 1]]), 3, np.zeros((3, 1)))
+    g = Graph(np.array([[0, 1]]), np.zeros((3, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = Parameter(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), name="z")
     loss = _loss(z, draw, "norm_jsd")
@@ -310,7 +310,7 @@ def test_blocked_loss_matches_dense_on_random_graphs(kind, rows, monkeypatch):
 def test_blocked_loss_antipodal_positive(kind, monkeypatch):
     # 0 and 1 are neighbors pointing opposite ways: D hits the clamp floor
     monkeypatch.setattr(contrast, "_BLOCK_ELEMS", 2 * 4)
-    g = from_edges(np.array([[0, 1], [2, 3]]), 4, np.zeros((4, 1)))
+    g = Graph(np.array([[0, 1], [2, 3]]), np.zeros((4, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = np.array([[1.0, 0.0], [-1.0, 0.0], [0.3, 1.0], [0.5, -0.2]])
     _assert_matches_dense(kind, z, draw)
@@ -328,7 +328,7 @@ def test_blocked_loss_duplicate_rows(kind, monkeypatch):
 
 def test_blocked_info_nce_anchor_without_other_positive(monkeypatch):
     monkeypatch.setattr(contrast, "_BLOCK_ELEMS", 2 * 5)
-    g = from_edges(np.array([[0, 1], [1, 2]]), 5, np.zeros((5, 1)))
+    g = Graph(np.array([[0, 1], [1, 2]]), np.zeros((5, 1)))
     draw = draw_masks(g, 0.0, RngStream(0, "mask"))
     z = np.random.default_rng(12).standard_normal((5, 3))
     _assert_matches_dense("info_nce", z, draw)  # nodes 3 and 4 have no other positive
@@ -373,7 +373,7 @@ def test_blocked_loss_memory_is_not_quadratic(kind):
     src = rng.integers(0, n, 5 * n)
     dst = (src + rng.integers(1, n, 5 * n)) % n
     edges = np.unique(np.sort(np.stack([src, dst], axis=1), axis=1), axis=0)
-    g = from_edges(edges, n, np.zeros((n, 1)))
+    g = Graph(edges, np.zeros((n, 1)))
     draw = draw_masks(g, 0.3, RngStream(4, "mask"))
     z = Parameter(rng.standard_normal((n, d)), name="z")
     tracemalloc.start()

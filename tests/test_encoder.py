@@ -26,7 +26,7 @@ from signa.encoder import (
     project,
 )
 from signa.errors import ConfigError
-from signa.graphdata import Graph, from_edges, normalized_adjacency
+from signa.graphdata import Graph, normalized_adjacency
 from signa.trainer import TrainConfig, train
 
 
@@ -252,7 +252,7 @@ def test_inference_embeddings_builds_adjacency(two_node_graph):
 
 def _chain_graph(n: int, num_features: int) -> Graph:
     edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-    return from_edges(edges, n, np.random.default_rng(0).normal(size=(n, num_features)))
+    return Graph(edges, np.random.default_rng(0).normal(size=(n, num_features)))
 
 
 @pytest.mark.parametrize("layer_norm", [True, False], ids=["ln", "no_ln"])
@@ -322,7 +322,7 @@ def _step_graph() -> Graph:
     rng = np.random.default_rng(5)
     n = 12
     edges = np.array([[u, (u + k) % n] for u in range(n) for k in (1, 3)])
-    return from_edges(edges, n, rng.standard_normal((n, 6)))
+    return Graph(edges, rng.standard_normal((n, 6)))
 
 
 def _record_grads(monkeypatch) -> list:

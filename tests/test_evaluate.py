@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_drew, random_labeled_graph, split_generator
+from conftest import assert_drew, edge_list, random_labeled_graph, split_generator
 from oracles import (
     homogeneity_oracle,
     kmeans_oracle,
@@ -36,7 +36,7 @@ from signa.evaluate import (
     similarity_histograms,
     timing_harness,
 )
-from signa.graphdata import Graph, from_edges, sbm_generate
+from signa.graphdata import Graph, sbm_generate
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +486,9 @@ def test_metrics_match_scikit_learn():
 
 
 def _labeled_path4():
-    offs = np.array([0, 1, 3, 5, 6])
-    tgts = np.array([1, 0, 2, 1, 3, 2])
+    edges = np.array([[0, 1], [1, 2], [2, 3]])
     feats = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-1.0, 0.0]])
-    return Graph(4, offs, tgts, feats, np.array([0, 0, 1, 1]))
+    return Graph(edges, feats, np.array([0, 0, 1, 1]))
 
 
 def _histograms_match_oracle(emb, g, bins, subsample_pairs=None, seed=0):
@@ -528,7 +527,7 @@ def test_histograms_partition_all_pairs():
 
 def test_histograms_no_labels_and_zero_row():
     g = _labeled_path4()
-    unlabeled = Graph(4, g.csr_offsets, g.csr_targets, g.features)
+    unlabeled = Graph(edge_list(g), g.features)
     h = _histograms_match_oracle(np.eye(4), unlabeled, bins=4)
     assert h.same_label is None and h.diff_label is None
     with pytest.raises(DegenerateEmbeddingError):
@@ -547,8 +546,8 @@ def test_histograms_match_oracle_on_random_graphs():
         # rows +-e_k: every similarity is -1, 0 or 1, on a bin edge when bins is even
         axes = np.eye(3)[rng.integers(0, 3, size=n)] * rng.choice([-1.0, 1.0], size=(n, 1))
         bins = int(rng.integers(1, 30))
-        unlabeled = Graph(n, g.csr_offsets, g.csr_targets, g.features)
-        edgeless = Graph(n, np.zeros(n + 1, dtype=np.int64), [], g.features, g.labels)
+        unlabeled = Graph(edge_list(g), g.features)
+        edgeless = Graph([], g.features, g.labels)
         for graph in (g, unlabeled, edgeless):
             for emb in (gaussian, axes):
                 _histograms_match_oracle(emb, graph, bins)
@@ -556,12 +555,21 @@ def test_histograms_match_oracle_on_random_graphs():
 
 
 def test_histograms_of_two_nodes_match_oracle():
-    g = from_edges(np.array([[0, 1]]), 2, np.ones((2, 1)), labels=np.array([0, 1]))
+    g = Graph(np.array([[0, 1]]), np.ones((2, 1)), labels=np.array([0, 1]))
     for emb in (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 2.0], [-3.0, 0.5]])):
         h = _histograms_match_oracle(emb, g, bins=7)
         assert h.num_pairs == 1 and h.neighbor.sum() == 1 and h.diff_label.sum() == 1
-        edgeless = Graph(2, np.zeros(3, dtype=np.int64), [], g.features)
+        edgeless = Graph([], g.features)
         assert _histograms_match_oracle(emb, edgeless, bins=7).non_neighbor.sum() == 1
+
+
+def test_subsampled_histograms_of_one_node_fail_before_drawing():
+    g = Graph([], np.ones((1, 1)))
+    rng = RngStream(0, "split")
+    with pytest.raises(AnalysisError, match="at least 2 nodes, got 1"):
+        similarity_histograms(np.ones((1, 2)), g, rng, subsample_pairs=10)
+    assert_drew(rng)
+    assert similarity_histograms(np.ones((1, 2)), g, rng).num_pairs == 0
 
 
 @pytest.mark.parametrize("rows", [1, 5, 36])
@@ -574,14 +582,13 @@ def test_histograms_with_small_strips_match_oracle(monkeypatch, rows):
         iu, iv = np.triu_indices(n, k=1)
         keep = rng.random(iu.size) < 0.2
         labels = rng.integers(0, 3, size=n)
-        g = from_edges(np.stack([iu[keep], iv[keep]], axis=1), n, np.ones((n, 1)), labels=labels)
+        g = Graph(np.stack([iu[keep], iv[keep]], axis=1), np.ones((n, 1)), labels=labels)
         _histograms_match_oracle(rng.normal(size=(n, 4)), g, bins=13)
 
 
 def test_histograms_large_graph_runs_full_pairs():
     n = 5001
-    offs = np.zeros(n + 1, dtype=np.int64)
-    g = Graph(n, offs, np.array([], dtype=np.int64), np.ones((n, 1)))
+    g = Graph([], np.ones((n, 1)))
     h = similarity_histograms(np.ones((n, 2)), g, RngStream(0, "split"))
     assert not h.subsampled and h.num_pairs == n * (n - 1) // 2
     assert h.neighbor.sum() == 0 and h.non_neighbor[-1] == h.num_pairs
@@ -594,7 +601,7 @@ def test_full_pair_histograms_need_no_pair_by_dim_arrays():
     # strips of B = 2^20 // n rows: O(B*n + n*d) memory, where the n x n Gram
     # matrix and the n(n-1)/2 index pairs took ~330 MB
     n, d = 4000, 256
-    g = Graph(n, np.zeros(n + 1, dtype=np.int64), np.array([], dtype=np.int64), np.ones((n, 1)))
+    g = Graph([], np.ones((n, 1)))
     emb = np.random.default_rng(13).normal(size=(n, d))
     tracemalloc.start()
     try:

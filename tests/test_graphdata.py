@@ -2,6 +2,7 @@
 homophily statistics, and the block-model generator."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from signa.graphdata import (
     COUNT_HIST_CAP,
     RATIO_HIST_BINS,
     Graph,
-    from_edges,
     load_graph,
     local_homophily,
     normalized_adjacency,
@@ -25,7 +25,7 @@ from signa.graphdata import (
 from conftest import random_labeled_graph, split_generator
 import tape_ops as kit
 from oracles import (
-    adjacency_error_oracle,
+    csr_oracle,
     global_homophily_oracle,
     local_homophily_oracle,
     sbm_generate_oracle,
@@ -47,7 +47,7 @@ def test_path_graph_structure(path4_graph):
 def test_from_edges_drops_loops_and_duplicates():
     edges = np.array([[0, 1], [1, 0], [1, 1]])
     with pytest.warns(UserWarning, match="1 self-loop.*1 duplicate"):
-        g = from_edges(edges, 2, np.zeros((2, 1)))
+        g = Graph(edges, np.zeros((2, 1)))
     assert g.num_edges == 1
     np.testing.assert_array_equal(kit.neighbors(g, 0), [1])
     np.testing.assert_array_equal(kit.neighbors(g, 1), [0])
@@ -55,76 +55,50 @@ def test_from_edges_drops_loops_and_duplicates():
 
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ShapeError):
-        from_edges(np.array([[0, 5]]), 3, np.zeros((3, 1)))
+        Graph(np.array([[0, 5]]), np.zeros((3, 1)))
 
 
-def test_graph_rejects_self_loop_adjacency():
-    # csr with a self-loop at node 0
-    with pytest.raises(ShapeError):
-        Graph(2, [0, 2, 3], [0, 1, 0], np.zeros((2, 1)))
-
-
-def test_graph_rejects_asymmetry():
-    with pytest.raises(ShapeError):
-        Graph(3, [0, 1, 1, 1], [1], np.zeros((3, 1)))
-
-
-def test_graph_names_the_first_unsorted_row():
-    # rows 1 and 3 both repeat a neighbor; the error names row 1
-    with pytest.raises(ShapeError, match=r"^row 1 is not strictly sorted"):
-        Graph(4, [0, 1, 3, 4, 6], [1, 0, 0, 3, 2, 2], np.zeros((4, 1)))
-    with pytest.raises(ShapeError, match="not symmetric"):
-        Graph(4, [0, 1, 2, 3, 4], [1, 2, 3, 0], np.zeros((4, 1)))  # directed 4-cycle
-
-
-def test_adjacency_checks_match_oracle():
+def test_csr_matches_edge_set_oracle():
     rng = np.random.default_rng(11)
-    verdicts = set()
+    dropped = set()
     for _ in range(400):
-        n = int(rng.integers(1, 7))
-        if rng.random() < 0.5:  # symmetric base, sometimes with one edge dropped
-            upper = np.triu(rng.random((n, n)) < 0.5, k=1)
-            dense = upper | upper.T
-            if dense.any() and rng.random() < 0.3:
-                u, v = np.argwhere(dense)[0]
-                dense[u, v] = False
-            offsets = np.r_[0, np.cumsum(dense.sum(axis=1))]
-            targets = np.nonzero(dense)[1]
-        else:
-            offsets = np.r_[0, np.cumsum(rng.integers(0, 4, size=n))]
-            targets = rng.integers(0, n, size=offsets[-1])
-        want = adjacency_error_oracle(n, offsets, targets)
-        verdicts.add(want)
-        try:
-            Graph(n, offsets, targets, np.zeros((n, 1)))
-            got = None
-        except ShapeError as exc:
-            got = str(exc)
-        assert got == want
-    assert len(verdicts) > 3  # every verdict kind is exercised, row ids vary
+        n = int(rng.integers(1, 13))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        edges = np.concatenate([edges, edges[rng.random(len(edges)) < 0.3, ::-1]])  # reversed pairs
+        offsets, sources, targets, loops, dupes = csr_oracle(edges, n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = Graph(edges, np.zeros((n, 1)))
+        want = [f"dropped {loops} self-loop(s) and {dupes} duplicate edge(s)"] if loops or dupes else []
+        assert [str(w.message) for w in caught] == want
+        dropped.add((loops > 0, dupes > 0))
 
-
-def test_graph_rejects_bad_offsets_and_targets():
-    with pytest.raises(ShapeError):
-        Graph(2, [0, 1], [1, 0], np.zeros((2, 1)))
-    with pytest.raises(ShapeError):
-        Graph(2, [0, 1, 2], [5, 0], np.zeros((2, 1)))
+        src, dst = g.csr_sources, g.csr_targets
+        assert not np.any(src == dst)
+        same_row = src[1:] == src[:-1]
+        assert np.all(np.diff(dst)[same_row] > 0)  # rows strictly increasing
+        assert set(zip(src.tolist(), dst.tolist())) == set(zip(dst.tolist(), src.tolist()))
+        for got, want in ((g.csr_offsets, offsets), (src, sources), (dst, targets)):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64))
+        assert g.num_nodes == n and g.num_edges == len(targets) // 2
+    assert dropped == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_graph_rejects_bad_labels():
     with pytest.raises(ShapeError):
-        from_edges(np.array([[0, 1]]), 2, np.zeros((2, 1)), labels=[0])
-    with pytest.raises(ShapeError):
-        from_edges(np.array([[0, 1]]), 2, np.zeros((2, 1)), labels=[0, 3], num_classes=2)
+        Graph(np.array([[0, 1]]), np.zeros((2, 1)), labels=[0])
+    with pytest.raises(ShapeError, match="non-negative"):
+        Graph(np.array([[0, 1]]), np.zeros((2, 1)), labels=[0, -1])
 
 
-def test_graph_rejects_feature_row_mismatch():
-    with pytest.raises(ShapeError):
-        from_edges(np.array([[0, 1]]), 2, np.zeros((3, 1)))
+def test_graph_rejects_features_that_are_not_a_matrix():
+    with pytest.raises(ShapeError, match=r"features must be \(num_nodes, F\)"):
+        Graph([], np.zeros(3))
 
 
 def test_empty_graph_allowed():
-    g = from_edges(np.zeros((0, 2)), 3, np.zeros((3, 2)))
+    g = Graph(np.zeros((0, 2)), np.zeros((3, 2)))
     assert g.num_edges == 0
     np.testing.assert_array_equal(g.degrees, [0, 0, 0])
 
@@ -226,7 +200,7 @@ def test_normalized_adjacency_two_nodes(two_node_graph):
 
 
 def test_normalized_adjacency_path3():
-    g = from_edges(np.array([[0, 1], [1, 2]]), 3, np.zeros((3, 1)))
+    g = Graph(np.array([[0, 1], [1, 2]]), np.zeros((3, 1)))
     dense = normalized_adjacency(g).toarray()
     np.testing.assert_allclose(dense[0, 1], 1.0 / np.sqrt(6.0), atol=1e-15)
     np.testing.assert_allclose(dense[0, 0], 0.5, atol=1e-15)
@@ -267,7 +241,7 @@ def test_spmm_matches_dense_product():
 
 
 def test_spmm_backward_is_transpose_product():
-    g = from_edges(np.array([[0, 1], [1, 2]]), 3, np.zeros((3, 1)))
+    g = Graph(np.array([[0, 1], [1, 2]]), np.zeros((3, 1)))
     adj = normalized_adjacency(g)
     x = Parameter(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), name="x")
     w = np.array([[1.0, -1.0], [0.5, 2.0], [0.0, 1.0]])
@@ -276,7 +250,7 @@ def test_spmm_backward_is_transpose_product():
 
 
 def test_spmm_gradcheck():
-    g = from_edges(np.array([[0, 1], [1, 2], [0, 2]]), 3, np.zeros((3, 1)))
+    g = Graph(np.array([[0, 1], [1, 2], [0, 2]]), np.zeros((3, 1)))
     adj = normalized_adjacency(g)
     rng = np.random.default_rng(2)
     x = Parameter(rng.standard_normal((3, 4)), name="x")
@@ -303,7 +277,7 @@ def test_homophily_requires_labels(two_node_graph):
 
 
 def test_global_homophily_undefined_without_edges():
-    g = from_edges(np.zeros((0, 2)), 3, np.zeros((3, 1)), labels=[0, 1, 0])
+    g = Graph(np.zeros((0, 2)), np.zeros((3, 1)), labels=[0, 1, 0])
     rep = local_homophily(g)
     assert np.isnan(rep.global_ratio)
     assert rep.num_isolated == 3
@@ -334,7 +308,7 @@ def test_local_counts_sum_identity():
 
 def test_isolated_nodes_excluded_from_histograms():
     # node 3 is isolated: NaN ratio, in neither histogram
-    g = from_edges(np.array([[0, 1], [1, 2]]), 4, np.zeros((4, 1)), labels=[0, 0, 1, 1])
+    g = Graph(np.array([[0, 1], [1, 2]]), np.zeros((4, 1)), labels=[0, 0, 1, 1])
     rep = local_homophily(g)
     assert np.isnan(rep.local_ratios[3])
     assert rep.num_isolated == 1
@@ -345,7 +319,7 @@ def test_isolated_nodes_excluded_from_histograms():
 
 
 def test_ratio_one_lands_in_last_bin():
-    g = from_edges(np.array([[0, 1]]), 2, np.zeros((2, 1)), labels=[1, 1])
+    g = Graph(np.array([[0, 1]]), np.zeros((2, 1)), labels=[1, 1])
     rep = local_homophily(g)
     assert rep.ratio_hist[-1] == 2
     assert rep.ratio_hist[:-1].sum() == 0
@@ -355,14 +329,14 @@ def test_count_hist_overflow_bin():
     # a star center with 60 same-label neighbors exceeds the 0..50 bins
     n = 61
     edges = np.stack([np.zeros(60, dtype=int), np.arange(1, 61)], axis=1)
-    g = from_edges(edges, n, np.zeros((n, 1)), labels=np.zeros(n, dtype=int))
+    g = Graph(edges, np.zeros((n, 1)), labels=np.zeros(n, dtype=int))
     rep = local_homophily(g)
     assert rep.count_hist[-1] == 1  # the center
     assert rep.count_hist[1] == 60  # each leaf has one same-label neighbor
 
 
 def test_report_json_replaces_nan_with_none():
-    g = from_edges(np.array([[0, 1]]), 3, np.zeros((3, 1)), labels=[0, 0, 1])
+    g = Graph(np.array([[0, 1]]), np.zeros((3, 1)), labels=[0, 0, 1])
     doc = local_homophily(g).to_json_dict()
     assert doc["local_ratios"][2] is None
     assert doc["local_ratios"][0] == 1.0

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import split_generator
+from conftest import edge_list, split_generator
 
 from signa.contrast import EstimatorSpec
 from signa.diffcore import set_precision
@@ -375,8 +375,7 @@ def test_export_embeddings_format(tmp_path):
     ckpt = str(tmp_path / "ck.json")
     save_checkpoint(state, cfg, ckpt, final_loss=curve[-1])
     edges, feats = tmp_path / "edges.txt", tmp_path / "features.csv"
-    src = np.repeat(np.arange(g.num_nodes), np.diff(g.csr_offsets))
-    edges.write_text("".join(f"{u} {v}\n" for u, v in zip(src, g.csr_targets) if u < v))
+    edges.write_text("".join(f"{u} {v}\n" for u, v in edge_list(g)))
     np.savetxt(feats, g.features, fmt="%.17g", delimiter=",")
     path = str(tmp_path / "emb.csv")
     assert main(["embed", "--checkpoint", ckpt, "--edges", str(edges), "--features", str(feats),
