@@ -407,9 +407,11 @@ def _cmd_ablate(args) -> int:
     _check_seed("--seed", args.seed)
     seeds = _parse_seeds(args.seeds) if args.seeds else None
     raw = _load_config_dict(args.config)
+    # an error every variant would share fails the command before the graph
+    # is read; one that a variant's overrides bring gets that variant's row
+    base = _config_with(raw, _flag_overrides(args, seeds[0] if seeds else args.seed))
     if seeds is None:
-        base_seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
-        seeds = [base_seed + i for i in range(args.num_seeds)]
+        seeds = [base.seed + i for i in range(args.num_seeds)]
 
     graph = load_graph(args.edges, args.features, args.labels)
     os.makedirs(args.out_dir, exist_ok=True)

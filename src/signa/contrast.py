@@ -239,6 +239,6 @@ def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.
     out = dc.Tensor(per_anchor.sum(), _parents=(z,))
 
     def _bw(g):
-        dc.accumulate_grad(z, dz * g)
+        return (dz * g,)
 
     return dc.record_backward(out, _bw)

@@ -1,11 +1,27 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Everything training needs and nothing more: a Tensor wrapper recording
-parent links and backward closures, the ops the training tape records
-(`matmul`, `add`, `dropout`, `layer_norm`, `activation`), the custom-op
-API that `graphdata.spmm` and the contrastive loss build on, Adam, and a
-seeded RNG tree.  Finite-difference gradient checking and the generic ops
-the test oracles need live with the tests.
+Everything training needs and nothing more: a Tensor wrapper whose tape
+node links the parents' nodes to a backward closure, the ops the training
+tape records (`matmul`, `add`, `dropout`, `layer_norm`, `activation`), the
+custom-op API that `graphdata.spmm` and the contrastive loss build on,
+Adam, and a seeded RNG tree.  Finite-difference gradient checking and the
+generic ops the test oracles need live with the tests.
+
+Custom ops: build the output as `Tensor(value, _parents=(x, ...))` and
+attach a closure with `record_backward(out, fn)`.  `fn(g)` returns a tuple
+with one gradient per parent, in `_parents` order (None for a parent that
+needs none); `backward` adds each into its parent.  The closure should
+capture the arrays it reads, never a parent Tensor, so that nothing else
+stays alive until the backward pass.
+
+Memory: the tape keeps only what a backward reads.  Per encoder layer in
+training that is the matmul input, the dropout mask (after the first
+layer; the input features need no gradient), the activation's boolean
+mask (relu, leaky_relu), derivative factor (elu) or input (prelu), and
+layer_norm's standardized input; with gconv, spmm keeps only the shared
+adjacency.  The projector keeps its input, its activation's array and its
+second matmul input; the loss keeps dLoss/dz.  Each is one n x width
+array (booleans for a mask), plus layer_norm's n x 1 inverse deviation.
 """
 
 from .tensor import (
@@ -17,7 +33,6 @@ from .tensor import (
 )
 from .ops import (
     ACTIVATIONS,
-    accumulate_grad,
     activation,
     add,
     backward,
@@ -38,7 +53,6 @@ __all__ = [
     "Parameter",
     "RngStream",
     "Tensor",
-    "accumulate_grad",
     "activation",
     "active_dtype",
     "adam_step",

@@ -1,15 +1,17 @@
 """Tensor and Parameter types for the reverse-mode numeric core.
 
-A Tensor wraps a row-major numpy array together with the links needed to
-replay the chain rule: the tensors it was computed from and a closure that
-pushes an upstream gradient into them.  Leaf tensors (inputs, constants)
-have no links.  Parameter is a named leaf whose gradient buffer persists
-across backward passes so an optimizer can consume it.
+A Tensor wraps a row-major numpy array.  A tensor that needs a gradient
+also has a tape node: the nodes of its parents, a closure that maps the
+upstream gradient to one gradient per parent, and the gradient summed so
+far.  The tape links nodes, never Tensors, so an op's output array lives
+only while a Tensor or a closure still reads it.  Leaf tensors (inputs,
+constants) have no node.  Parameter is a named leaf whose node keeps a
+gradient buffer across backward passes so an optimizer can consume it.
 
 A tensor needs a gradient iff it is a Parameter or one of its parents needs
-one; this is fixed at construction.  A tensor that needs none keeps no links,
-`ops.backward` never visits it and `ops.accumulate_grad` drops what is pushed
-into it, so constants and input features cost nothing in the backward pass.
+one; this is fixed at construction.  A tensor that needs none has no node,
+so `ops.backward` never visits it and constants and input features cost
+nothing in the backward pass.
 
 Precision is a process-global switch: float64 by default (required for
 gradient checking), float32 selectable for speed.  Arrays are coerced to
@@ -43,22 +45,46 @@ def active_dtype() -> type:
     return _PRECISIONS[_active_precision]
 
 
-class Tensor:
-    """A dense array plus the bookkeeping for reverse-mode differentiation.
+class _Node:
+    """One tape entry.
 
-    `_parents` and `_backward` are filled in by the operations in
-    `signa.diffcore.ops`; user code never touches them directly.  `grad`
-    is populated by `ops.backward` and holds dLoss/dself; it stays None on
-    a tensor that does not `needs_grad`.
+    `parents` holds a node per parent tensor, None for a parent that needs
+    no gradient; `backward` maps the upstream gradient to one gradient per
+    parent; `grad` is the gradient summed so far.  A Parameter's node is a
+    leaf whose `grad` buffer persists and is summed into in place.
     """
 
-    def __init__(self, data, _parents: tuple = (), _backward=None):
+    __slots__ = ("parents", "backward", "grad", "persistent")
+
+    def __init__(self, parents: tuple, grad: np.ndarray | None = None):
+        self.parents = parents
+        self.backward = None
+        self.grad = grad
+        self.persistent = grad is not None
+
+
+class Tensor:
+    """A dense array plus, when it needs a gradient, its tape node.
+
+    `_node` is filled in here and by `ops.record_backward`; user code never
+    touches it directly.  `grad` is dLoss/dself while `ops.backward` runs
+    (a Parameter's persists); it is None on a tensor that does not
+    `needs_grad`.
+    """
+
+    def __init__(self, data, _parents: tuple = ()):
         self.data = np.asarray(data, dtype=active_dtype())
-        self.grad: np.ndarray | None = None
-        self.needs_grad = any(p.needs_grad for p in _parents)
-        self._parents = _parents if self.needs_grad else ()
-        self._backward = _backward
+        nodes = tuple(p._node for p in _parents)
+        self._node = _Node(nodes) if any(node is not None for node in nodes) else None
         self._consumed = False
+
+    @property
+    def needs_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -73,10 +99,8 @@ class Parameter(Tensor):
 
     def __init__(self, data, name: str):
         super().__init__(data)
-        self.needs_grad = True
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self._node = _Node((), grad=np.zeros_like(self.data))
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
-

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diffcore import Tensor, accumulate_grad, active_dtype, check_finite, record_backward
+from .diffcore import Tensor, active_dtype, check_finite, record_backward
 from .errors import AnalysisError, ConfigError, IngestionError, ShapeError, not_utf8
 
 if TYPE_CHECKING:  # scipy is imported only where a sparse matrix is built
@@ -354,7 +354,7 @@ def spmm(adj: sp.csr_matrix, x: Tensor) -> Tensor:
 
     def _bw(g):
         # the adjacency is symmetric, so A^T g == A g
-        accumulate_grad(x, adj @ g)
+        return (adj @ g,)
 
     return record_backward(out, _bw)
 

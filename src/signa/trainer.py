@@ -222,7 +222,7 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} holds a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:  # True == 1.0 == 1
         raise CheckpointError(
             f"checkpoint format version {version!r} unsupported (expected {CHECKPOINT_FORMAT_VERSION})"
         )

@@ -22,6 +22,11 @@ temporaries afresh; the lean step must match it bit for bit.
 `kmeans_oracle` is the library's earlier k-means, which runs its restarts
 one after another; the lockstep one must give the same assignments.
 
+`dropout_oracle`, `layer_norm_oracle` and `activation_oracle` are the
+library's earlier training ops, kept as they were: each forms its output in
+fresh temporaries and its backward reads the input, as the tape once kept
+it.  The lean ops must give the same output and gradients bit for bit.
+
 `similarity_histograms_oracle` is the library's earlier histogram routine,
 which indexes the full n x n Gram matrix with all n(n-1)/2 pairs and looks
 adjacency up in a scipy CSR matrix; the strip-streamed one must give the
@@ -182,6 +187,66 @@ def dense_loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 
     pos_counts = pos.sum(axis=1)
     weights = pos / np.maximum(pos_counts, 1)[:, None]
     return kit.scalar_mul(kit.tsum(kit.hadamard(dc.Tensor(weights), log_prob)), -1.0 / n)
+
+
+# ---------------------------------------------------------------------------
+# the earlier training ops
+
+
+def dropout_oracle(x: dc.Tensor, p: float, rng, training: bool) -> dc.Tensor:
+    if not training or p == 0.0:
+        return x
+    keep = rng.uniform(size=x.data.shape) >= p
+    scale = 1.0 / (1.0 - p)
+    out = dc.Tensor(x.data * keep * scale, _parents=(x,))
+    return dc.record_backward(out, lambda g: (g * keep * scale,))
+
+
+def layer_norm_oracle(x: dc.Tensor, gain: dc.Tensor, bias: dc.Tensor, eps: float = 1e-5) -> dc.Tensor:
+    mu = np.mean(x.data, axis=1, keepdims=True)
+    xc = x.data - mu
+    var = np.mean(xc * xc, axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = dc.Tensor(xhat * gain.data + bias.data, _parents=(x, gain, bias))
+    dc.check_finite("layer_norm", out.data)
+
+    def _bw(g):
+        gx = g * gain.data
+        m1 = np.mean(gx, axis=1, keepdims=True)
+        m2 = np.mean(gx * xhat, axis=1, keepdims=True)
+        return inv * (gx - m1 - xhat * m2), np.sum(g * xhat, axis=0), np.sum(g, axis=0)
+
+    return dc.record_backward(out, _bw)
+
+
+def _leaky_factor_oracle(d: np.ndarray, s: float) -> np.ndarray:
+    return np.where(d > 0, d.dtype.type(1.0), d.dtype.type(s))
+
+
+def activation_oracle(x: dc.Tensor, kind: str, slope=None) -> dc.Tensor:
+    d = x.data
+    if kind == "relu":
+        out = dc.Tensor(np.maximum(d, 0.0), _parents=(x,))
+        return dc.record_backward(out, lambda g: (g * (d > 0),))
+    if kind == "elu":
+        neg = np.exp(np.minimum(d, 0.0)) - 1.0
+        out = dc.Tensor(np.where(d > 0, d, neg), _parents=(x,))
+        return dc.record_backward(out, lambda g: (g * np.where(d > 0, 1.0, neg + 1.0),))
+    if kind == "leaky_relu":
+        s = float(slope if slope is not None else 0.01)
+        out = dc.Tensor(np.where(d > 0, d, s * d), _parents=(x,))
+        return dc.record_backward(out, lambda g: (g * _leaky_factor_oracle(d, s),))
+    if kind == "prelu":
+        s = float(slope.data.reshape(-1)[0])
+        out = dc.Tensor(np.where(d > 0, d, s * d), _parents=(x, slope))
+
+        def _bw(g):
+            ds = np.array([np.sum(g * d * (d <= 0))], dtype=d.dtype).reshape(slope.data.shape)
+            return g * _leaky_factor_oracle(d, s), ds
+
+        return dc.record_backward(out, _bw)
+    raise ConfigError(f"unknown activation kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 accessors and draw checks that only the tests use.
 
 The ops use only the public custom-op API of `signa.diffcore` (`Tensor`,
-`record_backward`, `accumulate_grad`, `check_finite`, `logistic`), as
-`graphdata.spmm` and the blocked loss op do: proof that the API suffices.
+`record_backward`, `check_finite`, `logistic`), as `graphdata.spmm` and the
+blocked loss op do: proof that the API suffices.  Each backward closure
+returns one gradient per parent and captures arrays, never Tensors.
 Elementwise ops broadcast as numpy does, with gradients summed back down to
 each input's shape; `log` demands strictly positive input (clamp first).
 """
@@ -44,7 +45,7 @@ def transpose(x: dc.Tensor) -> dc.Tensor:
     out = dc.Tensor(x.data.T, _parents=(x,))
 
     def _bw(g):
-        dc.accumulate_grad(x, g.T)
+        return (g.T,)
 
     return dc.record_backward(out, _bw)
 
@@ -52,10 +53,10 @@ def transpose(x: dc.Tensor) -> dc.Tensor:
 def sub(a, b) -> dc.Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = dc.Tensor(a.data - b.data, _parents=(a, b))
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def _bw(g):
-        dc.accumulate_grad(a, _unbroadcast(g, a.data.shape))
-        dc.accumulate_grad(b, _unbroadcast(-g, b.data.shape))
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return dc.record_backward(out, _bw)
 
@@ -64,10 +65,10 @@ def hadamard(a, b) -> dc.Tensor:
     """Elementwise product (with broadcasting)."""
     a, b = _as_tensor(a), _as_tensor(b)
     out = dc.Tensor(a.data * b.data, _parents=(a, b))
+    a_data, b_data = a.data, b.data
 
     def _bw(g):
-        dc.accumulate_grad(a, _unbroadcast(g * b.data, a.data.shape))
-        dc.accumulate_grad(b, _unbroadcast(g * a.data, b.data.shape))
+        return _unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)
 
     return dc.record_backward(out, _bw)
 
@@ -77,7 +78,7 @@ def scalar_mul(x: dc.Tensor, c: float) -> dc.Tensor:
     out = dc.Tensor(x.data * c, _parents=(x,))
 
     def _bw(g):
-        dc.accumulate_grad(x, g * c)
+        return (g * c,)
 
     return dc.record_backward(out, _bw)
 
@@ -86,19 +87,21 @@ def log(x: dc.Tensor) -> dc.Tensor:
     if np.any(x.data <= 0.0):
         raise NumericError("log requires strictly positive input; clamp before taking logs")
     out = dc.Tensor(np.log(x.data), _parents=(x,))
+    x_data = x.data
 
     def _bw(g):
-        dc.accumulate_grad(x, g / x.data)
+        return (g / x_data,)
 
     return dc.record_backward(out, _bw)
 
 
 def exp(x: dc.Tensor) -> dc.Tensor:
-    out = dc.Tensor(np.exp(x.data), _parents=(x,))
-    dc.check_finite("exp", out.data)
+    e = np.exp(x.data)
+    dc.check_finite("exp", e)
+    out = dc.Tensor(e, _parents=(x,))
 
     def _bw(g):
-        dc.accumulate_grad(x, g * out.data)
+        return (g * e,)
 
     return dc.record_backward(out, _bw)
 
@@ -108,7 +111,7 @@ def sigmoid(x: dc.Tensor) -> dc.Tensor:
     out = dc.Tensor(s, _parents=(x,))
 
     def _bw(g):
-        dc.accumulate_grad(x, g * s * (1.0 - s))
+        return (g * s * (1.0 - s),)
 
     return dc.record_backward(out, _bw)
 
@@ -119,18 +122,19 @@ def clamp(x: dc.Tensor, lo: float, hi: float) -> dc.Tensor:
     inside = (x.data >= lo) & (x.data <= hi)
 
     def _bw(g):
-        dc.accumulate_grad(x, g * inside)
+        return (g * inside,)
 
     return dc.record_backward(out, _bw)
 
 
 def tsum(x: dc.Tensor, axis: int | None = None, keepdims: bool = False) -> dc.Tensor:
     out = dc.Tensor(np.sum(x.data, axis=axis, keepdims=keepdims), _parents=(x,))
+    shape = x.data.shape
 
     def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        dc.accumulate_grad(x, np.broadcast_to(g, x.data.shape).copy())
+        return (np.broadcast_to(g, shape).copy(),)
 
     return dc.record_backward(out, _bw)
 
@@ -152,7 +156,7 @@ def rows_l2_normalize(x: dc.Tensor) -> dc.Tensor:
 
     def _bw(g):
         dots = np.sum(g * y, axis=1, keepdims=True)
-        dc.accumulate_grad(x, (g - y * dots) / norms)
+        return ((g - y * dots) / norms,)
 
     return dc.record_backward(out, _bw)
 

@@ -638,6 +638,24 @@ def test_ablate_bad_seed_entry_exits_one(seeds, bad, tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("seed", -1, "seed must be >= 0, got -1"), ("mask_rate", 2.0, "mask_rate must be in [0, 1], got 2.0")],
+)
+def test_ablate_base_config_error_exits_one(key, value, message, tmp_path, capsys):
+    # an error every variant would share is the command's, found before the
+    # graph is read (the edge file need not exist), not one row per variant
+    _, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path, num_epochs=1, **{key: value})
+    out_dir = tmp_path / "ablation"
+    rc = main(["ablate", "--config", config, "--edges", str(tmp_path / "missing"), "--features", feats,
+               "--labels", labels, "--variants", "none,jsd", "--probe-runs", "1",
+               "--out-dir", str(out_dir), "--quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 NEGATIVE_SEEDS = {
     "train": (["--seed", "-1"], "seed must be >= 0, got -1"),
     "eval": (["--seed", "-1"], "--seed must be >= 0, got -1"),
@@ -750,6 +768,8 @@ MALFORMED_CHECKPOINTS = {
     "parameter entry not an object": lambda doc: dict(doc, parameters=[1]),
     "parameter without shape": _edit_first_parameter(lambda p: p.pop("shape")),
     "parameter without data": _edit_first_parameter(lambda p: p.pop("data")),
+    "format_version true": lambda doc: dict(doc, format_version=True),
+    "format_version float": lambda doc: dict(doc, format_version=1.0),
 }
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import CountsTranspose, assert_drew
+import oracles
 import tape_ops as kit
 from tape_ops import gradcheck
 
@@ -250,7 +251,7 @@ def test_intermediate_grads_are_released():
     mid = kit.scalar_mul(x, 3.0)
     backward(kit.tsum(mid))
     assert mid.grad is None
-    assert mid._parents == ()
+    assert mid._node.parents == () and mid._node.backward is None
 
 
 def test_intermediate_grads_are_released_during_the_pass():
@@ -258,13 +259,13 @@ def test_intermediate_grads_are_released_during_the_pass():
     mid = kit.scalar_mul(x, 2.0)
     top = kit.scalar_mul(mid, 3.0)
     seen = []
-    mid_backward = mid._backward
+    mid_backward = mid._node.backward
 
     def spy(g):
         seen.append(top.grad)
-        mid_backward(g)
+        return mid_backward(g)
 
-    mid._backward = spy
+    mid._node.backward = spy
     backward(kit.tsum(top))
     assert len(seen) == 1 and seen[0] is None  # freed before the rest of the tape ran
     np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
@@ -289,28 +290,36 @@ def test_needs_grad_follows_parameters():
     w = Parameter(np.ones((2, 2)), name="w")
     assert not x.needs_grad and w.needs_grad
     const = dc.matmul(x, x)
-    assert not const.needs_grad and const._parents == ()
+    assert not const.needs_grad and const._node is None
     assert dc.matmul(x, w).needs_grad and dc.add(dc.matmul(x, w), x).needs_grad
 
 
-def test_accumulate_grad_drops_what_nothing_reads():
+def test_backward_drops_gradients_for_constants():
+    # a closure may return a gradient for a parent that needs none; it is
+    # dropped, not stored
     x = Tensor(np.ones(3))
-    dc.accumulate_grad(x, np.ones(3))
+    w = Parameter(np.ones(3), name="w")
+    out = dc.record_backward(Tensor(x.data + w.data, _parents=(x, w)), lambda g: (g, g))
+    backward(kit.tsum(out))
     assert x.grad is None
+    np.testing.assert_array_equal(w.grad, np.ones(3))
+
+
+@pytest.mark.parametrize("returned", [lambda g: g, lambda g: (g,), lambda g: [g, g]], ids=["array", "short", "list"])
+def test_backward_demands_one_gradient_per_parent(returned):
+    w = Parameter(np.ones(3), name="w")
+    out = dc.record_backward(Tensor(2.0 * w.data, _parents=(w, w)), returned)
+    with pytest.raises(ContractError, match="one per parent"):
+        backward(kit.tsum(out))
 
 
 def test_backward_visits_only_nodes_that_need_a_gradient():
     x = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3))
     w = Parameter(np.ones((3, 2)), name="w")
     calls = []
-    left = kit.scalar_mul(x, 2.0)  # constant subtree: its closure never runs
-    left_backward = left._backward
-
-    def spy(g):
-        calls.append(g)
-        left_backward(g)
-
-    left._backward = spy
+    # constant subtree: it gets no node, so a closure attached to it never runs
+    left = dc.record_backward(Tensor(2.0 * x.data, _parents=(x,)), lambda g: calls.append(g) or (g * 2.0,))
+    assert left._node is None
     backward(kit.tsum(dc.matmul(left, w)))
     assert calls == []
     assert x.grad is None and left.grad is None
@@ -342,7 +351,7 @@ def test_dropout_on_a_constant_records_no_backward():
     rng = RngStream(0, "dropout")
     out = dc.dropout(x, 0.5, rng, training=True)
     assert_drew(rng, lambda r: r.uniform(size=(4, 5)))
-    assert not out.needs_grad and out._backward is None
+    assert not out.needs_grad and out._node is None
 
 
 _OP_CASES = {
@@ -381,7 +390,7 @@ def test_ops_on_constants_record_no_backward(op):
         s = make(np.array([0.25]) if op == "prelu" else np.full(2, 0.25))
         out = _OP_CASES[op](a, b, s)
         assert out.needs_grad == (cls is Parameter)
-        assert (out._backward is not None) == (cls is Parameter)
+        assert (out._node is not None and out._node.backward is not None) == (cls is Parameter)
 
 
 def test_prelu_takes_a_constant_slope():
@@ -397,20 +406,84 @@ def test_prelu_takes_a_constant_slope():
 
 
 @pytest.mark.parametrize("kind", ["leaky_relu", "prelu", "elu", "relu"])
-def test_activation_backward_keeps_f32(monkeypatch, kind):
+def test_activation_backward_keeps_f32(kind):
     set_precision("f32")
     x = Parameter(np.array([[-1.5, 0.5], [2.0, -0.25]]), name="x")
     slope = Parameter(np.array([0.25]), name="slope") if kind == "prelu" else 0.2
+    out = dc.activation(x, kind, slope)
     pushed = []
-    original = dc.ops.accumulate_grad
+    original = out._node.backward
 
-    def spy(t, g):
-        pushed.append(np.asarray(g).dtype)
-        original(t, g)
+    def spy(g):
+        grads = original(g)
+        pushed.extend(np.asarray(dg).dtype for dg in grads)
+        return grads
 
-    monkeypatch.setattr(dc.ops, "accumulate_grad", spy)
-    backward(kit.tsum(dc.activation(x, kind, slope)))
+    out._node.backward = spy
+    backward(kit.tsum(out))
     assert pushed and set(pushed) == {np.dtype(np.float32)}
+
+
+# ---------------------------------------------------------------------------
+# the lean training ops against the earlier ones
+
+
+_LEAN_OPS = {
+    "dropout": (
+        lambda x, gain, bias, slope: dc.dropout(x, 0.3, RngStream(7, "dropout"), training=True),
+        lambda x, gain, bias, slope: oracles.dropout_oracle(x, 0.3, RngStream(7, "dropout"), training=True),
+    ),
+    "layer_norm": (
+        lambda x, gain, bias, slope: dc.layer_norm(x, gain, bias),
+        lambda x, gain, bias, slope: oracles.layer_norm_oracle(x, gain, bias),
+    ),
+    "relu": (
+        lambda x, gain, bias, slope: dc.activation(x, "relu"),
+        lambda x, gain, bias, slope: oracles.activation_oracle(x, "relu"),
+    ),
+    "elu": (
+        lambda x, gain, bias, slope: dc.activation(x, "elu"),
+        lambda x, gain, bias, slope: oracles.activation_oracle(x, "elu"),
+    ),
+    "leaky_relu": (
+        lambda x, gain, bias, slope: dc.activation(x, "leaky_relu", 0.23),
+        lambda x, gain, bias, slope: oracles.activation_oracle(x, "leaky_relu", 0.23),
+    ),
+    "prelu": (
+        lambda x, gain, bias, slope: dc.activation(x, "prelu", slope),
+        lambda x, gain, bias, slope: oracles.activation_oracle(x, "prelu", slope),
+    ),
+}
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # bytes, not values: -0.0 == 0.0 would hide a sign flip
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("op", sorted(_LEAN_OPS))
+def test_lean_ops_equal_the_earlier_ops_bitwise(op, precision):
+    set_precision(precision)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(6, 8))
+    special = [0.0, -0.0, 0.0, -0.0, 1e18, -1e18, 3e5, -3e5, 1e-30, -1e-30]
+    x.flat[rng.choice(x.size, size=len(special), replace=False)] = special
+    x[5] = -0.0  # a row with no positive entry, and zero variance for layer_norm
+    gain, bias = rng.uniform(0.5, 1.5, size=8), rng.normal(size=8)
+    upstream = rng.normal(size=x.shape)
+    upstream.flat[:4] = [0.0, -0.0, 1e6, -1e6]
+    results = []
+    for make in _LEAN_OPS[op]:
+        args = [Parameter(x, name="x"), Parameter(gain, name="g"), Parameter(bias, name="b"), Parameter([0.25], name="s")]
+        out = make(*args)
+        grads = out._node.backward(upstream.astype(out.data.dtype))
+        results.append((out.data, grads))
+    (new, new_grads), (old, old_grads) = results
+    assert _same_bits(new, old)
+    assert len(new_grads) == len(old_grads)
+    for a, b in zip(new_grads, old_grads):
+        assert _same_bits(np.asarray(a), np.asarray(b))
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +772,12 @@ def test_gradcheck_flags_a_wrong_gradient():
 
     def fn_bad():
         out = kit.scalar_mul(q, 2.0)
-        real_bw = out._backward
+        real_bw = out._node.backward
 
         def bad_bw(g):
-            real_bw(g * 1.5)
+            return real_bw(g * 1.5)
 
-        out._backward = bad_bw
+        out._node.backward = bad_bw
         return kit.tsum(out)
 
     report = gradcheck(fn_bad, [q])

@@ -3,16 +3,18 @@ deterministic inference, parameter bookkeeping, and what one training step
 computes (f32 throughout under f32, no gradient for the input features)."""
 
 import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import CountsTranspose, assert_drew
+import oracles
 
 import signa.diffcore as dc
 import signa.diffcore.ops as ops
-import signa.graphdata as graphdata
+import signa.encoder as encoder_module
 from signa.contrast import EstimatorSpec, draw_masks, estimator_loss
 from signa.diffcore import RngStream, backward
 from signa.encoder import (
@@ -268,8 +270,8 @@ def test_inference_embeddings_equal_the_taped_forward(base, activation, layer_no
     adj = normalized_adjacency(graph) if base == "gconv" else None
     taped = encode(state, spec, graph, adj=adj)
     frozen = inference_embeddings(state, spec, graph)
-    assert taped.needs_grad and taped._backward is not None
-    assert not frozen.needs_grad and frozen._backward is None and frozen._parents == ()
+    assert taped.needs_grad and taped._node.backward is not None
+    assert not frozen.needs_grad and frozen._node is None
     np.testing.assert_array_equal(frozen.data, taped.data)
     assert frozen.data.dtype == taped.data.dtype
     # the frozen view shares the parameter arrays and leaves their gradients alone
@@ -326,16 +328,16 @@ def _step_graph() -> Graph:
 
 
 def _record_grads(monkeypatch) -> list:
-    """Record every gradient handed to accumulate_grad, whichever module calls it."""
+    """Record every gradient the backward pass adds into a tape node,
+    whichever op's closure returned it."""
     pushed = []
-    original = ops.accumulate_grad
+    original = ops._accumulate
 
-    def spy(t, g):
-        pushed.append((t, np.asarray(g)))
-        original(t, g)
+    def spy(node, g):
+        pushed.append((node, np.asarray(g)))
+        original(node, g)
 
-    for module in (ops, dc, graphdata):
-        monkeypatch.setattr(module, "accumulate_grad", spy)
+    monkeypatch.setattr(ops, "_accumulate", spy)
     return pushed
 
 
@@ -348,10 +350,10 @@ def test_f32_training_step_stays_f32(monkeypatch, base, activation, projector):
     made = []
     tensor_init = dc.Tensor.__init__
 
-    def record(self, data, _parents=(), _backward=None):
+    def record(self, data, _parents=()):
         if _parents and np.size(data) > 1:
             made.append(np.asarray(data).dtype)
-        tensor_init(self, data, _parents, _backward)
+        tensor_init(self, data, _parents)
 
     monkeypatch.setattr(dc.Tensor, "__init__", record)
     pushed = _record_grads(monkeypatch)
@@ -410,7 +412,7 @@ def test_input_features_receive_no_gradient(monkeypatch, base):
     for t in (features, dropped):
         assert not t.needs_grad
         assert t.grad is None
-    assert dropped._backward is None and dropped._parents == ()
+    assert dropped._node is None
     assert transposes == 0  # the first layer never forms g @ W0.T
     grads = {name: p.grad.copy() for name, p in state.params.items()}
 
@@ -421,3 +423,87 @@ def test_input_features_receive_no_gradient(monkeypatch, base):
     assert calls[0][0].grad is not None
     for name, p in full.params.items():
         assert np.array_equal(p.grad, grads[name]), name
+
+
+# ---------------------------------------------------------------------------
+# what the training tape keeps
+
+
+def _spy_inputs(monkeypatch, earlier: bool) -> dict:
+    """Weak references to the input array of every dropout, layer_norm and
+    spmm call, by op.  With `earlier` the ops the lean ones replaced
+    (`oracles.py`) run instead, activations included."""
+    inputs = {"dropout": [], "layer_norm": [], "spmm": []}
+    if earlier:
+        monkeypatch.setattr(dc, "activation", oracles.activation_oracle)
+    runs = {
+        "dropout": oracles.dropout_oracle if earlier else dc.dropout,
+        "layer_norm": oracles.layer_norm_oracle if earlier else dc.layer_norm,
+    }
+    for name, run in runs.items():
+
+        def spy(x, *args, name=name, run=run):
+            inputs[name].append(weakref.ref(x.data))
+            return run(x, *args)
+
+        monkeypatch.setattr(dc, name, spy)
+    spmm = encoder_module.spmm
+
+    def spmm_spy(adj, x):
+        inputs["spmm"].append(weakref.ref(x.data))
+        return spmm(adj, x)
+
+    monkeypatch.setattr(encoder_module, "spmm", spmm_spy)
+    return inputs
+
+
+@pytest.mark.parametrize("base, activation", [("linear", "prelu"), ("gconv", "relu")])
+def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
+    # once encode and project return, the LayerNorm inputs, the dropout
+    # inputs and the gconv matmul outputs are gone: no closure reads them.
+    # The gradients equal those of the earlier ops, which kept them.
+    spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, activation=activation, projector_dim=4)
+    graph = _step_graph()
+    adj = normalized_adjacency(graph) if base == "gconv" else None
+    grads = []
+    for earlier in (True, False):
+        with monkeypatch.context() as m:
+            inputs = _spy_inputs(m, earlier)
+            state = EncoderState(spec, graph.num_features, RngStream(4, "init"))
+            h = encode(state, spec, graph, adj=adj, training=True, rng=RngStream(4, "dropout"))
+            z = project(state, h)
+            if not earlier:
+                assert inputs["dropout"][0]() is graph.features  # layer 0 drops the graph's own array
+                freed = inputs["layer_norm"] + inputs["dropout"][1:] + inputs["spmm"]
+                assert len(freed) == (5 if base == "gconv" else 3)
+                assert [ref() is None for ref in freed] == [True] * len(freed)
+            backward(estimator_loss(z, draw_masks(graph, 0.3, RngStream(4, "mask")), EstimatorSpec()))
+        grads.append({name: p.grad for name, p in state.params.items()})
+    earlier_grads, lean_grads = grads
+    for name, g in lean_grads.items():
+        assert g.tobytes() == earlier_grads[name].tobytes(), name
+
+
+def test_tape_after_project_holds_a_fixed_count_of_arrays():
+    # What the tape holds once project returns, in n x hidden arrays:
+    # layer 0 keeps the dropped features (F = hidden/4), the PReLU input and
+    # LayerNorm's xhat; layer 1 its dropout mask (bool, 1/8), the matmul
+    # input, the PReLU input and xhat; then h, the projector's ELU factor and
+    # second matmul input, and z: 9.375 in all.  The earlier tape also kept
+    # each LayerNorm and dropout input, the ELU input and a second ELU
+    # array: 13.375.
+    n, hidden = 1000, 64
+    graph = _chain_graph(n, hidden // 4)
+    spec = ModelSpec(num_layers=2, hidden_dim=hidden, dropout_p=0.3, activation="prelu", projector_dim=hidden)
+    state = EncoderState(spec, graph.num_features, RngStream(5, "init"))
+    rng = RngStream(5, "dropout")
+    tracemalloc.start()
+    try:
+        h = encode(state, spec, graph, training=True, rng=rng)
+        z = project(state, h)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    unit = n * hidden * 8
+    assert 9.375 * unit <= held < 10 * unit
+    assert z.needs_grad
