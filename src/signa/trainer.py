@@ -22,7 +22,9 @@ from .errors import CheckpointError, ConfigError, OptimizationError, not_utf8
 from .graphdata import Graph, normalized_adjacency
 
 ABLATIONS = ("none", "no_dropout", "nfm", "no_stoch_mask", "all_mask")
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+# v2 stores each parameter blob in the checkpoint's precision; v1 always in f64
+_BLOB_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 # estimator keys that v1 checkpoints written before their removal still carry
 _RETIRED_ESTIMATOR_KEYS = ("target_pos", "target_neg")
 
@@ -181,10 +183,15 @@ def train(graph: Graph, config: TrainConfig) -> tuple[EncoderState, list[float]]
 
 
 def save_checkpoint(state: EncoderState, config: TrainConfig, path: str, final_loss: float | None = None) -> None:
-    """Write a JSON checkpoint with base64 little-endian f64 parameter blobs."""
+    """Write a JSON checkpoint with base64 little-endian parameter blobs.
+
+    Each blob holds the parameter in the active precision, `<f4` under f32
+    and `<f8` under f64; the `precision` field names which.
+    """
+    precision = dc.get_precision()
     params = []
     for p in state.parameters():
-        payload = np.ascontiguousarray(p.data, dtype="<f8")
+        payload = np.ascontiguousarray(p.data, dtype=_BLOB_DTYPES[precision])
         params.append(
             {
                 "name": p.name,
@@ -194,7 +201,7 @@ def save_checkpoint(state: EncoderState, config: TrainConfig, path: str, final_l
         )
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "precision": dc.get_precision(),
+        "precision": precision,
         "config": config.to_dict(),
         "num_features": state.num_features,
         "parameters": params,
@@ -206,10 +213,13 @@ def save_checkpoint(state: EncoderState, config: TrainConfig, path: str, final_l
 
 
 def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
-    """Read a checkpoint back; parameters are bit-exact under f64.
+    """Read a v1 or v2 checkpoint back; parameters are bit-exact under the
+    precision they were trained in.
 
-    Loading under a different active precision converts the parameters and
-    warns.  Corrupt or truncated payloads fail with no partial state.
+    v1 blobs are always `<f8`; v2 blobs are in the checkpoint's precision.
+    Loading under a different active precision converts the parameters
+    (widening f32 to f64 is exact) and warns.  Corrupt or truncated payloads
+    fail with no partial state.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -222,10 +232,17 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} holds a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
-    if type(version) is not int or version != CHECKPOINT_FORMAT_VERSION:  # True == 1.0 == 1
+    if type(version) is not int or version not in (1, CHECKPOINT_FORMAT_VERSION):  # True == 1.0 == 1
         raise CheckpointError(
-            f"checkpoint format version {version!r} unsupported (expected {CHECKPOINT_FORMAT_VERSION})"
+            f"checkpoint format version {version!r} unsupported (expected 1 or {CHECKPOINT_FORMAT_VERSION})"
         )
+    saved_precision = doc.get("precision")
+    if version == 1:
+        blob_dtype = _BLOB_DTYPES["f64"]
+    elif isinstance(saved_precision, str) and saved_precision in _BLOB_DTYPES:
+        blob_dtype = _BLOB_DTYPES[saved_precision]
+    else:
+        raise CheckpointError(f"checkpoint precision {saved_precision!r} is not 'f32' or 'f64'")
     raw = _field(doc, "config", dict, "checkpoint")
     if isinstance(raw.get("estimator"), dict):
         for key in _RETIRED_ESTIMATOR_KEYS:
@@ -240,7 +257,6 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
     # no ablation: dropout_p shapes no parameter, and inference never drops out
     state = EncoderState(config.model, num_features, rng=None)
 
-    saved_precision = doc.get("precision")
     if saved_precision != dc.get_precision():
         warnings.warn(
             f"checkpoint saved under {saved_precision}, loading under {dc.get_precision()}: converting"
@@ -251,23 +267,33 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
         if not isinstance(entry, dict):
             raise CheckpointError(f"checkpoint parameter entry is a {type(entry).__name__}, not an object")
         name = entry.get("name")
-        if name not in state.params:
+        if not isinstance(name, str) or name not in state.params:
             raise CheckpointError(f"checkpoint parameter {name!r} does not fit the config architecture")
+        if name in seen:
+            raise CheckpointError(f"checkpoint parameter {name!r} appears twice")
         param = state.params[name]
-        shape = tuple(_field(entry, "shape", list, f"parameter {name!r}"))
+        shape = _field(entry, "shape", list, f"parameter {name!r}")
+        if not all(type(d) is int for d in shape):
+            raise CheckpointError(f"parameter {name!r} shape {shape} is not a list of integers")
+        shape = tuple(shape)
         if shape != param.data.shape:
             raise CheckpointError(f"parameter {name!r} shape {shape} != expected {param.data.shape}")
         payload = _field(entry, "data", str, f"parameter {name!r}")
         try:
             blob = base64.b64decode(payload, validate=True)
-        except Exception as exc:
+        except ValueError as exc:
             raise CheckpointError(f"parameter {name!r} payload is corrupt: {exc}") from None
-        flat = np.frombuffer(blob, dtype="<f8")
+        if len(blob) % blob_dtype.itemsize:
+            raise CheckpointError(
+                f"parameter {name!r} payload is {len(blob)} bytes,"
+                f" not a whole number of {blob_dtype.itemsize}-byte values"
+            )
+        flat = np.frombuffer(blob, dtype=blob_dtype)
         if flat.size != param.data.size:
             raise CheckpointError(
                 f"parameter {name!r} payload holds {flat.size} values, expected {param.data.size}"
             )
-        param.data[...] = flat.reshape(shape).astype(dc.active_dtype())
+        param.data[...] = flat.reshape(shape)  # the cast rounds as .astype does
         seen.add(name)
     missing = set(state.params) - seen
     if missing:

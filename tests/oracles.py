@@ -31,8 +31,13 @@ it.  The lean ops must give the same output and gradients bit for bit.
 which indexes the full n x n Gram matrix with all n(n-1)/2 pairs and looks
 adjacency up in a scipy CSR matrix; the strip-streamed one must give the
 same counts.
+
+`save_checkpoint_v1_oracle` is the library's earlier checkpoint writer,
+format version 1, which widens every parameter to an `<f8` blob whatever
+the run's precision; the loader must still read its files.
 """
 
+import base64
 import math
 import warnings
 
@@ -40,6 +45,7 @@ import numpy as np
 
 import signa.diffcore as dc
 import tape_ops as kit
+from signa.atomic import write_json
 from signa.contrast import ContrastDraw
 from signa.diffcore.optim import BETA1, BETA2, EPS
 from signa.errors import (
@@ -482,6 +488,36 @@ def adam_step_oracle(state: dc.AdamState) -> None:
         vhat = v / bc2
         p.data -= state.lr * mhat / (np.sqrt(vhat) + EPS)
         p.grad[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+
+
+def save_checkpoint_v1_oracle(state, config, path: str, final_loss: float | None = None) -> None:
+    """The library's earlier checkpoint writer, kept as it was: format
+    version 1, every parameter an `<f8` blob."""
+    params = []
+    for p in state.parameters():
+        payload = np.ascontiguousarray(p.data, dtype="<f8")
+        params.append(
+            {
+                "name": p.name,
+                "shape": list(p.data.shape),
+                "data": base64.b64encode(payload.tobytes()).decode("ascii"),
+            }
+        )
+    doc = {
+        "format_version": 1,
+        "precision": dc.get_precision(),
+        "config": config.to_dict(),
+        "num_features": state.num_features,
+        "parameters": params,
+        "final_loss": final_loss,
+        "epochs": config.num_epochs,
+        "seed": config.seed,
+    }
+    write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end subcommand runs on tiny temp datasets, plus exit-code mapping."""
 
+import base64
 import hashlib
 import json
 import os
@@ -757,6 +758,11 @@ def _edit_first_parameter(edit):
     return apply
 
 
+def _cut_one_byte(entry):
+    blob = base64.b64decode(entry["data"])
+    entry["data"] = base64.b64encode(blob[:-1]).decode("ascii")
+
+
 MALFORMED_CHECKPOINTS = {
     "top-level list": lambda doc: [doc],
     "no config": _drop("config"),
@@ -770,6 +776,12 @@ MALFORMED_CHECKPOINTS = {
     "parameter without data": _edit_first_parameter(lambda p: p.pop("data")),
     "format_version true": lambda doc: dict(doc, format_version=True),
     "format_version float": lambda doc: dict(doc, format_version=1.0),
+    "format_version 3": lambda doc: dict(doc, format_version=3),
+    "precision unknown": lambda doc: dict(doc, precision="f16"),
+    "payload not whole values": _edit_first_parameter(_cut_one_byte),
+    "shape of floats": _edit_first_parameter(lambda p: p.update(shape=[float(d) for d in p["shape"]])),
+    "parameter name not a string": _edit_first_parameter(lambda p: p.update(name=[p["name"]])),
+    "parameter twice": lambda doc: dict(doc, parameters=doc["parameters"][:1] + doc["parameters"]),
 }
 
 

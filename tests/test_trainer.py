@@ -3,11 +3,15 @@ and the embedding export format."""
 
 import base64
 import json
+import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import edge_list, split_generator
+from oracles import save_checkpoint_v1_oracle
 
 from signa.contrast import EstimatorSpec
 from signa.diffcore import set_precision
@@ -258,15 +262,17 @@ def test_log_every_prints(capsys):
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     g = _small_graph()
-    cfg = _config()
-    state, curve = train(g, cfg)
-    path = str(tmp_path / "ck.json")
-    save_checkpoint(state, cfg, path, final_loss=curve[-1])
-    loaded_state, loaded_cfg = load_checkpoint(path)
-    assert loaded_cfg == cfg
-    for p, q in zip(state.parameters(), loaded_state.parameters()):
-        assert p.name == q.name
-        assert p.data.tobytes() == q.data.tobytes()
+    for precision in ("f32", "f64"):
+        cfg = _config(precision=precision)
+        state, curve = train(g, cfg)
+        path = str(tmp_path / f"{precision}.json")
+        save_checkpoint(state, cfg, path, final_loss=curve[-1])
+        loaded_state, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == cfg
+        for p, q in zip(state.parameters(), loaded_state.parameters()):
+            assert p.name == q.name
+            assert p.data.dtype == q.data.dtype
+            assert p.data.tobytes() == q.data.tobytes()
 
 
 def test_v1_checkpoint_with_estimator_targets_loads(tmp_path):
@@ -274,7 +280,7 @@ def test_v1_checkpoint_with_estimator_targets_loads(tmp_path):
     cfg = _config(num_epochs=3)
     state, curve = train(g, cfg)
     path = str(tmp_path / "ck.json")
-    save_checkpoint(state, cfg, path, final_loss=curve[-1])
+    save_checkpoint_v1_oracle(state, cfg, path, final_loss=curve[-1])
     doc = json.load(open(path))
     doc["config"]["estimator"].update(target_pos=1.0, target_neg=0.0)
     json.dump(doc, open(path, "w"))
@@ -282,6 +288,72 @@ def test_v1_checkpoint_with_estimator_targets_loads(tmp_path):
     assert loaded_cfg == cfg
     for p, q in zip(state.parameters(), loaded_state.parameters()):
         assert p.data.tobytes() == q.data.tobytes()
+
+
+def _load_recording_warnings(path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state, _ = load_checkpoint(path)
+    return state, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("trained", ["f32", "f64"])
+@pytest.mark.parametrize("active", ["f32", "f64"])
+def test_v1_and_v2_checkpoints_load_to_the_same_bits(trained, active, tmp_path):
+    g = _small_graph()
+    cfg = _config(num_epochs=3, precision=trained)
+    state, curve = train(g, cfg)
+    v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
+    save_checkpoint_v1_oracle(state, cfg, v1, final_loss=curve[-1])
+    save_checkpoint(state, cfg, v2, final_loss=curve[-1])
+    set_precision(active)
+    (old, old_warned), (new, new_warned) = _load_recording_warnings(v1), _load_recording_warnings(v2)
+    expected = [] if trained == active else [f"checkpoint saved under {trained}, loading under {active}: converting"]
+    assert old_warned == new_warned == expected
+    dtype = np.float32 if active == "f32" else np.float64
+    for p, q, r in zip(state.parameters(), old.parameters(), new.parameters()):
+        assert q.data.dtype == r.data.dtype == dtype
+        assert q.data.tobytes() == r.data.tobytes() == p.data.astype(dtype).tobytes()
+
+
+def test_f32_checkpoint_blobs_are_f4_and_at_most_55_percent_of_v1(tmp_path):
+    g = _small_graph()
+    model = ModelSpec(num_layers=2, hidden_dim=96, dropout_p=0.3, projector_dim=48)
+    cfg = _config(model=model, num_epochs=1, precision="f32")
+    state, curve = train(g, cfg)
+    v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
+    save_checkpoint_v1_oracle(state, cfg, v1, final_loss=curve[-1])
+    save_checkpoint(state, cfg, v2, final_loss=curve[-1])
+    doc = json.load(open(v2))
+    assert (doc["format_version"], doc["precision"]) == (2, "f32")
+    for entry, p in zip(doc["parameters"], state.parameters(), strict=True):
+        assert base64.b64decode(entry["data"]) == p.data.astype("<f4").tobytes()
+    assert os.path.getsize(v2) <= 0.55 * os.path.getsize(v1)
+
+
+def test_f64_checkpoint_differs_from_v1_only_in_format_version(tmp_path):
+    g = _small_graph()
+    cfg = _config(num_epochs=3)
+    state, curve = train(g, cfg)
+    v1, v2 = str(tmp_path / "v1.json"), str(tmp_path / "v2.json")
+    save_checkpoint_v1_oracle(state, cfg, v1, final_loss=curve[-1])
+    save_checkpoint(state, cfg, v2, final_loss=curve[-1])
+    assert json.load(open(v2)) == dict(json.load(open(v1)), format_version=2)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_checkpoint_reads_as_the_benchmark_reads_it(precision, tmp_path):
+    """`perfbench/run.py`'s `check_checkpoint` json-loads every checkpoint
+    as UTF-8 text and needs a finite float `final_loss`, so the file stays
+    JSON until that check can read another format."""
+    g = _small_graph()
+    cfg = _config(num_epochs=3, precision=precision)
+    state, curve = train(g, cfg)
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(state, cfg, path, final_loss=curve[-1])
+    with open(path, "r", encoding="utf-8") as fh:
+        loss = json.load(fh).get("final_loss")
+    assert isinstance(loss, float) and math.isfinite(loss)
 
 
 def test_checkpoint_rerun_is_byte_identical(tmp_path):
@@ -342,6 +414,30 @@ def test_checkpoint_errors(tmp_path):
     bad["parameters"][0]["data"] = base64.b64encode(blob[:-8]).decode()
     json.dump(bad, open(bad_path, "w"))
     with pytest.raises(CheckpointError, match="values"):
+        load_checkpoint(bad_path)
+
+    bad = json.loads(json.dumps(doc))
+    blob = base64.b64decode(bad["parameters"][0]["data"])
+    bad["parameters"][0]["data"] = base64.b64encode(blob[:-1]).decode()
+    json.dump(bad, open(bad_path, "w"))
+    with pytest.raises(CheckpointError, match="not a whole number of 8-byte values"):
+        load_checkpoint(bad_path)
+
+    bad = json.loads(json.dumps(doc))
+    bad["parameters"][0]["shape"] = [float(d) for d in bad["parameters"][0]["shape"]]
+    json.dump(bad, open(bad_path, "w"))
+    with pytest.raises(CheckpointError, match="not a list of integers"):
+        load_checkpoint(bad_path)
+
+    bad = json.loads(json.dumps(doc))
+    bad["parameters"].append(bad["parameters"][0])
+    json.dump(bad, open(bad_path, "w"))
+    with pytest.raises(CheckpointError, match="appears twice"):
+        load_checkpoint(bad_path)
+
+    bad = dict(doc, precision="f16")
+    json.dump(bad, open(bad_path, "w"))
+    with pytest.raises(CheckpointError, match="precision 'f16'"):
         load_checkpoint(bad_path)
 
     bad = json.loads(json.dumps(doc))
