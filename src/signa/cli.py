@@ -240,7 +240,7 @@ def _load_for_eval(args):
 def _cmd_eval(args) -> int:
     from . import diffcore as dc
     from .encoder import inference_embeddings
-    from .evaluate import homogeneity, kmeans, nmi, similarity_histograms, timing_harness
+    from .evaluate import kmeans, partition_metrics, similarity_histograms, timing_harness
 
     started = _now()
     counts = {
@@ -283,11 +283,12 @@ def _cmd_eval(args) -> int:
         )
     elif args.mode == "cluster":
         result = kmeans(emb, graph.num_classes, rng=dc.RngStream(seed, "kmeans"))
+        score, homog = partition_metrics(result.assignments, graph.labels)
         report.update(
             {
                 "k": graph.num_classes,
-                "nmi": nmi(result.assignments, graph.labels),
-                "homogeneity": homogeneity(result.assignments, graph.labels),
+                "nmi": score,
+                "homogeneity": homog,
                 "inertia": result.inertia,
             }
         )

@@ -83,22 +83,30 @@ class EstimatorSpec:
 _BLOCK_ELEMS = 2**20
 
 
-def _jsd_side(d, log_neg, one_minus, pos, neg_w, axis):
-    """Loss per anchor and dLoss/dD of one side of a JSD strip.
+def _side_loss(log_neg, pos, d_pos, neg_w, axis):
+    """Loss per anchor of one side of a JSD strip.
 
-    The anchors are the rows (axis=1) or the columns (axis=0) of the clamped
-    D, log(1-D) and 1-D.  pos = (i, j, w) places their positives, each with
-    weight w = -1/(n|P_u|); anchor k's negatives weigh neg_w[k] = -1/(n|Q_u|).
-    log_neg is overwritten: it becomes the gradient.
+    The anchors are the rows (axis=1) or the columns (axis=0) of log(1-D).
+    pos = (i, j, w) places their positives, each with weight
+    w = -1/(n|P_u|), and d_pos holds their clamped D; anchor k's negatives
+    weigh neg_w[k] = -1/(n|Q_u|).  The positives leave the negative sum
+    while it is taken, and log_neg is left as it was.
     """
     i, j, w = pos
-    d_pos = d[i, j]
-    log_neg[i, j] = 0.0  # positives leave the negative sum
+    kept = log_neg[i, j]
+    log_neg[i, j] = 0.0
     loss = neg_w * log_neg.sum(axis=axis)
+    log_neg[i, j] = kept
     loss += np.bincount(j if axis == 0 else i, weights=w * np.log(d_pos), minlength=neg_w.size)
-    g = np.divide(-(neg_w if axis == 0 else neg_w[:, None]), one_minus, out=log_neg)
+    return loss
+
+
+def _side_grad(one_minus, pos, d_pos, neg_w, axis, out):
+    """dLoss/dD of one side of a JSD strip from its 1-D, written into `out`."""
+    i, j, w = pos
+    g = np.divide(-(neg_w if axis == 0 else neg_w[:, None]), one_minus, out=out)
     g[i, j] = w / d_pos
-    return loss, g
+    return g
 
 
 def _jsd_block(s, row_pos, col_pos, neg_w, kind, eps):
@@ -110,21 +118,33 @@ def _jsd_block(s, row_pos, col_pos, neg_w, kind, eps):
     every ordered pair once.  row_pos / col_pos place the row and column
     anchors' positives (col_pos relative to column b); neg_w[c] is
     -1/(n|Q_u|) of column c's node.  Returns both sides' losses and dL/dS.
+
+    The strip works in two arrays of its size: `s` becomes D, then 1-D,
+    and its right part the column side's gradient; a second array holds
+    log(1-D), then the row side's gradient, then dL/dS.  jsd's sigmoid
+    slope D(1-D) takes a third.
     """
     b = s.shape[0]
     if kind == "norm_jsd":
-        d, slope = (s + 1.0) * 0.5, 0.5
+        s += 1.0
+        s *= 0.5
+        slope = 0.5
     else:
-        d = dc.logistic(s)
-        slope = d * (1.0 - d)
-    inside = (d >= eps) & (d <= 1.0 - eps)  # the clamp's ends count as inside
-    np.clip(d, eps, 1.0 - eps, out=d)
-    one_minus = 1.0 - d
-    log_neg = np.log(one_minus)
+        dc.logistic(s, out=s)
+        slope = 1.0 - s
+        slope *= s
+    inside = s >= eps  # the clamp's ends count as inside
+    inside &= s <= 1.0 - eps
+    np.clip(s, eps, 1.0 - eps, out=s)
     right = np.s_[:, b:]
-    col_loss, g_col = _jsd_side(d[right], log_neg[right].copy(), one_minus[right], col_pos, neg_w[b:], axis=0)
-    row_loss, g = _jsd_side(d, log_neg, one_minus, row_pos, neg_w[:b], axis=1)
-    g[right] += g_col
+    (ri, rj, _), (ci, cj, _) = row_pos, col_pos
+    d_row, d_col = s[ri, rj], s[right][ci, cj]
+    one_minus = np.subtract(1.0, s, out=s)
+    log_neg = np.log(one_minus)
+    col_loss = _side_loss(log_neg[right], col_pos, d_col, neg_w[b:], axis=0)
+    row_loss = _side_loss(log_neg, row_pos, d_row, neg_w[:b], axis=1)
+    g = _side_grad(one_minus, row_pos, d_row, neg_w[:b], axis=1, out=log_neg)
+    g[right] += _side_grad(one_minus[right], col_pos, d_col, neg_w[b:], axis=0, out=one_minus[right])
     g *= inside
     g *= slope
     return row_loss, col_loss, g
@@ -135,16 +155,19 @@ def _info_nce_block(s, r0, rows, cols, pos_w, tau):
 
     Each row is whole, so its max and log-sum-exp over w != u are exact.
     (rows, cols) are the positives other than the anchor, with weight
-    pos_w = -1/(n * max(1, |P_u| - 1)).
+    pos_w = -1/(n * max(1, |P_u| - 1)).  `s` becomes the logits, then their
+    softmax, then dL/dS.
     """
     b = s.shape[0]
-    logits = s * (1.0 / tau)
-    logits[np.arange(b), np.arange(r0, r0 + b)] = -np.inf  # w != u
-    row_max = logits.max(axis=1)
-    p = np.exp(logits - row_max[:, None])
+    s *= 1.0 / tau
+    s[np.arange(b), np.arange(r0, r0 + b)] = -np.inf  # w != u
+    row_max = s.max(axis=1)
+    pos_logits = s[rows, cols]
+    s -= row_max[:, None]
+    p = np.exp(s, out=s)
     denom = p.sum(axis=1)
     log_denom = np.log(denom) + row_max
-    loss = np.bincount(rows, weights=pos_w * (logits[rows, cols] - log_denom[rows]), minlength=b)
+    loss = np.bincount(rows, weights=pos_w * (pos_logits - log_denom[rows]), minlength=b)
     # d/dlogits of sum_v w log softmax = w_v - (sum_v w_v) softmax
     p *= (-np.bincount(rows, weights=pos_w, minlength=b) / denom).astype(s.dtype)[:, None]
     p[rows, cols] += pos_w
@@ -229,16 +252,19 @@ def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.
             row_loss, col_loss, g = _jsd_block(s, row_pos, col_pos, w_neg[r0:], kind, eps)
             per_anchor[r0:r1] += row_loss
             per_anchor[r1:] += col_loss
+        del s  # only dL/dS stays alive through the products
         dzn[r0:r1] += g @ zn[c0:]
         dzn[c0:] += g.T @ zn[r0:r1]
+        del g
 
-    if kind == "jsd":
-        dz = dzn
-    else:  # through the row normalization: (dzn - zn <dzn, zn>_row) / ||z||
-        dz = (dzn - zn * np.sum(dzn * zn, axis=1, keepdims=True)) / norms
+    if kind != "jsd":  # through the row normalization: (dzn - zn <dzn, zn>_row) / ||z||
+        scratch = dzn * zn
+        np.multiply(zn, np.sum(scratch, axis=1, keepdims=True), out=scratch)
+        dzn -= scratch
+        dzn /= norms
     out = dc.Tensor(per_anchor.sum(), _parents=(z,))
 
     def _bw(g):
-        return (dz * g,)
+        return (dzn * g,)
 
     return dc.record_backward(out, _bw)

@@ -22,6 +22,10 @@ layer_norm's standardized input; with gconv, spmm keeps only the shared
 adjacency.  The projector keeps its input, its activation's array and its
 second matmul input; the loss keeps dLoss/dz.  Each is one n x width
 array (booleans for a mask), plus layer_norm's n x 1 inverse deviation.
+While it runs, the blocked contrastive loss holds two B x n strip arrays
+(three for the jsd ablation, whose sigmoid slope is a strip of its own),
+the strip's boolean clamp mask, and three n x d arrays: the unit rows zn,
+their gradient dzn, which becomes dLoss/dz in place, and one scratch.
 """
 
 from .tensor import (

@@ -111,14 +111,21 @@ def add(a, b) -> Tensor:
     return record_backward(out, _bw)
 
 
-def logistic(d: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-d)) on a plain array, without overflow for large |d|."""
-    s = np.empty_like(d)
+def logistic(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-d)) on a plain array, without overflow for large |d|.
+
+    With t = exp(-|d|) this is 1 / (1 + t) where d >= 0 and t / (1 + t)
+    elsewhere.  `out` may be d itself; one array of d's size is allocated
+    for 1 + t.
+    """
     pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    s[~pos] = ez / (1.0 + ez)
-    return s
+    t = np.abs(d, out=out)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    denom = t + 1.0
+    t[pos] = 1.0
+    t /= denom
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -94,13 +94,15 @@ class Parameter(Tensor):
     """A trainable leaf tensor with a persistent, named gradient buffer.
 
     The gradient is allocated at construction and is all-zeros until a
-    backward pass accumulates into it.
+    backward pass accumulates into it.  `np.zeros` leaves its pages
+    untouched until then, so a model that only runs inference (a loaded
+    checkpoint under `signa eval`) never pays for them.
     """
 
     def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
-        self._node = _Node((), grad=np.zeros_like(self.data))
+        self._node = _Node((), grad=np.zeros(self.data.shape, self.data.dtype))
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"

@@ -336,16 +336,27 @@ def kmeans(
 # partition agreement metrics
 
 
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cell_index(v: np.ndarray) -> np.ndarray:
+    """v itself when its values lie in [0, len(v)), else their ranks."""
+    if v.min() < 0 or v.max() >= v.size:
+        return np.unique(v, return_inverse=True)[1]
+    return v
+
+
+def _contingency(a, b) -> np.ndarray:
+    """Counts of each (a, b) value pair, built with one bincount.
+
+    Rows follow a's values and columns b's, in increasing order.  A table
+    indexed by the values themselves can hold empty rows and columns,
+    which neither metric reads.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise AnalysisError("partition metrics need two equal-length non-empty 1-D arrays")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-    return table
+    a, b = _cell_index(a), _cell_index(b)
+    rows, cols = int(a.max()) + 1, int(b.max()) + 1
+    return np.bincount(a * cols + b, minlength=rows * cols).reshape(rows, cols)
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -353,46 +364,56 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def nmi(assignments: np.ndarray, labels: np.ndarray) -> float:
-    """Mutual information normalized by the arithmetic mean of the entropies.
+def partition_metrics(assignments, labels) -> tuple[float, float]:
+    """(nmi, homogeneity) of a clustering against class labels, from one
+    contingency table (rows: clusters, columns: classes).
 
-    Natural log internally.  Two identical nontrivial partitions give 1.0;
-    if both partitions are trivial (single cell) they agree, also 1.0; if
-    exactly one is trivial the MI is 0 and so is the score.
+    NMI is the mutual information normalized by the arithmetic mean of the
+    entropies, natural log internally.  Two identical nontrivial partitions
+    give 1.0; if both partitions are trivial (single cell) they agree, also
+    1.0; if exactly one is trivial the MI is 0 and so is the score.
+    Homogeneity is 1 - H(classes | clusters) / H(classes), and 1.0 when
+    H(classes) = 0.
     """
     table = _contingency(assignments, labels)
     n = table.sum()
-    ha = _entropy(table.sum(axis=1))
-    hb = _entropy(table.sum(axis=0))
-    if ha == 0.0 and hb == 0.0:
-        return 1.0
-    # identical partitions up to relabeling: one nonzero per row and column.
-    # Score exactly 1.0 instead of accumulating rounding in the MI sum.
-    if np.all((table > 0).sum(axis=0) <= 1) and np.all((table > 0).sum(axis=1) <= 1):
-        return 1.0
-    pij = table / n
-    pa = table.sum(axis=1) / n
-    pb = table.sum(axis=0) / n
-    nz = pij > 0
-    mi = float((pij[nz] * np.log(pij[nz] / np.outer(pa, pb)[nz])).sum())
-    value = mi / ((ha + hb) / 2.0)
-    return float(min(max(value, 0.0), 1.0))
+    clusters, classes = table.sum(axis=1), table.sum(axis=0)
+    h_k, h_c = _entropy(clusters), _entropy(classes)
+    nz = table > 0
+    rows, cols = np.nonzero(nz)
+    counts = table[nz]
+
+    if h_k == 0.0 and h_c == 0.0:
+        score = 1.0
+    elif (nz.sum(axis=0) <= 1).all() and (nz.sum(axis=1) <= 1).all():
+        # identical partitions up to relabeling: one nonzero per row and column.
+        # Score exactly 1.0 instead of accumulating rounding in the MI sum.
+        score = 1.0
+    else:
+        pij = counts / n
+        mi = float((pij * np.log(pij / ((clusters / n)[rows] * (classes / n)[cols]))).sum())
+        score = float(min(max(mi / ((h_k + h_c) / 2.0), 0.0), 1.0))
+    if h_c == 0.0:
+        return score, 1.0
+
+    p = counts / clusters[rows]  # each cluster's nonzero class shares, cluster after cluster
+    p *= np.log(p)
+    h_c_given_k, start = 0.0, 0
+    for total, end in zip(clusters, nz.sum(axis=1).cumsum()):
+        if total:  # the cluster's class entropy is -(its p log p).sum()
+            h_c_given_k += (total / n) * float(-p[start:end].sum())
+        start = end
+    return score, float(min(max(1.0 - h_c_given_k / h_c, 0.0), 1.0))
+
+
+def nmi(assignments: np.ndarray, labels: np.ndarray) -> float:
+    """The NMI of `partition_metrics`."""
+    return partition_metrics(assignments, labels)[0]
 
 
 def homogeneity(assignments: np.ndarray, labels: np.ndarray) -> float:
-    """1 - H(classes | clusters) / H(classes); 1.0 when H(classes) = 0."""
-    table = _contingency(assignments, labels)  # rows: clusters, cols: classes
-    n = table.sum()
-    h_c = _entropy(table.sum(axis=0))
-    if h_c == 0.0:
-        return 1.0
-    h_c_given_k = 0.0
-    for row in table:
-        total = row.sum()
-        if total:
-            h_c_given_k += (total / n) * _entropy(row)
-    value = 1.0 - h_c_given_k / h_c
-    return float(min(max(value, 0.0), 1.0))
+    """The homogeneity of `partition_metrics`."""
+    return partition_metrics(assignments, labels)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,18 @@ which indexes the full n x n Gram matrix with all n(n-1)/2 pairs and looks
 adjacency up in a scipy CSR matrix; the strip-streamed one must give the
 same counts.
 
+`estimator_loss_strips_oracle` is the library's earlier row-blocked loss op,
+kept as it was: each strip op forms D, 1-D, log(1-D) and the gradient in
+fresh temporaries.  It reads `signa.contrast._BLOCK_ELEMS` at call time, so
+it cuts the same strips as the library; the in-place strip ops must give
+the same loss value and dL/dz bit for bit.  `logistic_oracle` is the
+earlier `diffcore.logistic`, which gathers each sign's entries apart.
+
+`partition_metrics_oracle` is the library's earlier pair of partition
+metrics, kept as it was: `nmi` and `homogeneity` each rank both label
+vectors with np.unique and fill their own contingency table with
+np.add.at.  The one-table `partition_metrics` must match it bit for bit.
+
 `save_checkpoint_v1_oracle` is the library's earlier checkpoint writer,
 format version 1, which widens every parameter to an `<f8` blob whatever
 the run's precision; the loader must still read its files.
@@ -43,10 +55,11 @@ import warnings
 
 import numpy as np
 
+import signa.contrast as contrast
 import signa.diffcore as dc
 import tape_ops as kit
 from signa.atomic import write_json
-from signa.contrast import ContrastDraw
+from signa.contrast import ContrastDraw, EstimatorSpec
 from signa.diffcore.optim import BETA1, BETA2, EPS
 from signa.errors import (
     AnalysisError,
@@ -193,6 +206,139 @@ def dense_loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 
     pos_counts = pos.sum(axis=1)
     weights = pos / np.maximum(pos_counts, 1)[:, None]
     return kit.scalar_mul(kit.tsum(kit.hadamard(dc.Tensor(weights), log_prob)), -1.0 / n)
+
+
+# ---------------------------------------------------------------------------
+# the earlier row-blocked loss op
+
+
+def logistic_oracle(d: np.ndarray) -> np.ndarray:
+    s = np.empty_like(d)
+    pos = d >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ez = np.exp(d[~pos])
+    s[~pos] = ez / (1.0 + ez)
+    return s
+
+
+def _jsd_side_oracle(d, log_neg, one_minus, pos, neg_w, axis):
+    i, j, w = pos
+    d_pos = d[i, j]
+    log_neg[i, j] = 0.0  # positives leave the negative sum
+    loss = neg_w * log_neg.sum(axis=axis)
+    loss += np.bincount(j if axis == 0 else i, weights=w * np.log(d_pos), minlength=neg_w.size)
+    g = np.divide(-(neg_w if axis == 0 else neg_w[:, None]), one_minus, out=log_neg)
+    g[i, j] = w / d_pos
+    return loss, g
+
+
+def _jsd_block_oracle(s, row_pos, col_pos, neg_w, kind, eps):
+    b = s.shape[0]
+    if kind == "norm_jsd":
+        d, slope = (s + 1.0) * 0.5, 0.5
+    else:
+        d = logistic_oracle(s)
+        slope = d * (1.0 - d)
+    inside = (d >= eps) & (d <= 1.0 - eps)  # the clamp's ends count as inside
+    np.clip(d, eps, 1.0 - eps, out=d)
+    one_minus = 1.0 - d
+    log_neg = np.log(one_minus)
+    right = np.s_[:, b:]
+    col_loss, g_col = _jsd_side_oracle(d[right], log_neg[right].copy(), one_minus[right], col_pos, neg_w[b:], axis=0)
+    row_loss, g = _jsd_side_oracle(d, log_neg, one_minus, row_pos, neg_w[:b], axis=1)
+    g[right] += g_col
+    g *= inside
+    g *= slope
+    return row_loss, col_loss, g
+
+
+def _info_nce_block_oracle(s, r0, rows, cols, pos_w, tau):
+    b = s.shape[0]
+    logits = s * (1.0 / tau)
+    logits[np.arange(b), np.arange(r0, r0 + b)] = -np.inf  # w != u
+    row_max = logits.max(axis=1)
+    p = np.exp(logits - row_max[:, None])
+    denom = p.sum(axis=1)
+    log_denom = np.log(denom) + row_max
+    loss = np.bincount(rows, weights=pos_w * (logits[rows, cols] - log_denom[rows]), minlength=b)
+    p *= (-np.bincount(rows, weights=pos_w, minlength=b) / denom).astype(s.dtype)[:, None]
+    p[rows, cols] += pos_w
+    p *= 1.0 / tau
+    return loss, p
+
+
+def estimator_loss_strips_oracle(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.Tensor:
+    """The earlier `estimator_loss`, cut into the library's current strips."""
+    n = draw.num_nodes
+    if z.data.ndim != 2 or z.data.shape[0] != n:
+        raise ShapeError(f"Z must be ({n}, d), got {z.data.shape}")
+    kind, eps, tau = spec.kind, spec.clamp_eps, spec.temperature
+    x = z.data
+    anchors = np.repeat(np.arange(n), draw.pos_counts)
+    targets = draw.pos_targets
+    if kind == "info_nce":
+        if n < 2:
+            raise DegenerateGraphError("InfoNCE needs at least two nodes")
+        other = targets != anchors
+        anchors, targets = anchors[other], targets[other]
+        w_pos = -1.0 / (n * np.maximum(np.bincount(anchors, minlength=n), 1))
+    else:
+        neg_counts = n - draw.pos_counts
+        if np.any(neg_counts == 0):
+            u = int(np.argmin(neg_counts))
+            raise DegenerateGraphError(f"anchor {u} has an empty negative set (|P_u| = |V|)")
+        w_pos = -1.0 / (n * draw.pos_counts)
+        w_neg = (-1.0 / (n * neg_counts)).astype(x.dtype)
+    w_pos = w_pos.astype(x.dtype)
+
+    if kind == "jsd":
+        zn = x  # raw inner products
+    else:
+        norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+        if np.any(norms < 1e-12):
+            row = int(np.argmin(norms))
+            raise DegenerateEmbeddingError(f"row {row} has near-zero norm ({float(norms[row, 0]):.3e})")
+        zn = x / norms
+
+    if kind != "info_nce":  # positives by target, for the strips' column anchors
+        by_target = np.argsort(targets, kind="stable")
+        t_targets, t_anchors = targets[by_target], anchors[by_target]
+
+    per_anchor = np.zeros(n)
+    dzn = np.zeros_like(x)
+    step = max(1, contrast._BLOCK_ELEMS // n)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        c0 = 0 if kind == "info_nce" else r0
+        lo, hi = np.searchsorted(anchors, (r0, r1))
+        keep = targets[lo:hi] >= c0
+        row_anchors = anchors[lo:hi][keep]
+        row_pos = (row_anchors - r0, targets[lo:hi][keep] - c0, w_pos[row_anchors])
+        s = zn[r0:r1] @ zn[c0:].T
+        dc.check_finite("pairwise scores", s)
+        if kind == "info_nce":
+            per_anchor[r0:r1], g = _info_nce_block_oracle(s, r0, *row_pos, tau)
+        else:
+            lo, hi = np.searchsorted(t_targets, (r0, r1))
+            keep = t_anchors[lo:hi] >= r1
+            col_anchors = t_anchors[lo:hi][keep]
+            col_pos = (t_targets[lo:hi][keep] - r0, col_anchors - r1, w_pos[col_anchors])
+            row_loss, col_loss, g = _jsd_block_oracle(s, row_pos, col_pos, w_neg[r0:], kind, eps)
+            per_anchor[r0:r1] += row_loss
+            per_anchor[r1:] += col_loss
+        dzn[r0:r1] += g @ zn[c0:]
+        dzn[c0:] += g.T @ zn[r0:r1]
+
+    if kind == "jsd":
+        dz = dzn
+    else:  # through the row normalization: (dzn - zn <dzn, zn>_row) / ||z||
+        dz = (dzn - zn * np.sum(dzn * zn, axis=1, keepdims=True)) / norms
+    out = dc.Tensor(per_anchor.sum(), _parents=(z,))
+
+    def _bw(g):
+        return (dz * g,)
+
+    return dc.record_backward(out, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +562,60 @@ def homogeneity_oracle(assignments, labels) -> float:
 
 # ---------------------------------------------------------------------------
 # synthetic data
+
+
+def _contingency_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise AnalysisError("partition metrics need two equal-length non-empty 1-D arrays")
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
+    np.add.at(table, (ai, bi), 1)
+    return table
+
+
+def _entropy_oracle(counts: np.ndarray) -> float:
+    p = counts[counts > 0] / counts.sum()
+    return float(-(p * np.log(p)).sum())
+
+
+def _nmi_earlier(assignments: np.ndarray, labels: np.ndarray) -> float:
+    table = _contingency_oracle(assignments, labels)
+    n = table.sum()
+    ha = _entropy_oracle(table.sum(axis=1))
+    hb = _entropy_oracle(table.sum(axis=0))
+    if ha == 0.0 and hb == 0.0:
+        return 1.0
+    if np.all((table > 0).sum(axis=0) <= 1) and np.all((table > 0).sum(axis=1) <= 1):
+        return 1.0
+    pij = table / n
+    pa = table.sum(axis=1) / n
+    pb = table.sum(axis=0) / n
+    nz = pij > 0
+    mi = float((pij[nz] * np.log(pij[nz] / np.outer(pa, pb)[nz])).sum())
+    value = mi / ((ha + hb) / 2.0)
+    return float(min(max(value, 0.0), 1.0))
+
+
+def _homogeneity_earlier(assignments: np.ndarray, labels: np.ndarray) -> float:
+    table = _contingency_oracle(assignments, labels)
+    n = table.sum()
+    h_c = _entropy_oracle(table.sum(axis=0))
+    if h_c == 0.0:
+        return 1.0
+    h_c_given_k = 0.0
+    for row in table:
+        total = row.sum()
+        if total:
+            h_c_given_k += (total / n) * _entropy_oracle(row)
+    value = 1.0 - h_c_given_k / h_c
+    return float(min(max(value, 0.0), 1.0))
+
+
+def partition_metrics_oracle(assignments, labels) -> tuple[float, float]:
+    return _nmi_earlier(assignments, labels), _homogeneity_earlier(assignments, labels)
 
 
 def sbm_generate_oracle(block_sizes, p_in, p_out, feature_means, noise_sigma, rng) -> Graph:

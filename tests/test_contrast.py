@@ -29,6 +29,7 @@ from oracles import (
     dense_loss_info_nce_ablation,
     dense_loss_jsd_ablation,
     dense_loss_norm_jsd,
+    estimator_loss_strips_oracle,
     info_nce_loss_oracle,
     jsd_style_loss_oracle,
 )
@@ -384,6 +385,82 @@ def test_blocked_loss_memory_is_not_quadratic(kind):
         tracemalloc.stop()
     assert peak_mb < 128.0, peak_mb
     assert np.all(np.isfinite(z.grad))
+
+
+def _memory_case(n: int, d: int):
+    rng = np.random.default_rng(15)
+    src = rng.integers(0, n, 5 * n)
+    dst = (src + rng.integers(1, n, 5 * n)) % n
+    edges = np.unique(np.sort(np.stack([src, dst], axis=1), axis=1), axis=0)
+    draw = draw_masks(Graph(edges, np.zeros((n, 1))), 0.3, RngStream(4, "mask"))
+    return draw, rng.standard_normal((n, d))
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_loss_working_set_is_two_strips(kind, precision):
+    # Above its inputs, the loss and its backward hold two strips (three
+    # for jsd, whose sigmoid slope D(1-D) is a strip of its own) and three
+    # n x d arrays: zn, dzn and one scratch.  The slack is the strip's two
+    # boolean masks (the clamp's `inside` and one transient) and 1 MiB of
+    # O(n + |P|) index and weight arrays.  The earlier strip ops held five
+    # strips at once.
+    dc.set_precision(precision)
+    n, d = 2000, 64
+    draw, z0 = _memory_case(n, d)
+    z = Parameter(z0, name="z")
+    item = z.data.itemsize
+    rows = contrast._BLOCK_ELEMS // n
+    strips = 3 if kind == "jsd" else 2
+    bound = strips * rows * n * item + 3 * n * d * item + 2 * rows * n + 2**20
+    tracemalloc.start()
+    try:
+        backward(estimator_loss(z, draw, EstimatorSpec(kind=kind)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
+    assert z.grad.dtype == z.data.dtype
+
+
+def _bitwise_cases(large: bool) -> list:
+    """(draw, z) pairs: random graphs, the antipodal, duplicate-rows and
+    anchor-without-other-positive fixtures that reach the clamp's ends,
+    and, when `large`, a graph that the default strip height cuts in two."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for i in range(8):
+        g = random_labeled_graph(rng, max_nodes=30)
+        draw = draw_masks(g, float(rng.uniform(0.1, 0.9)), RngStream(i, "mask"))
+        if not np.any(draw.pos_counts >= g.num_nodes):
+            cases.append((draw, 3.0 * rng.standard_normal((g.num_nodes, 5))))
+    antipodal = draw_masks(Graph(np.array([[0, 1], [2, 3]]), np.zeros((4, 1))), 0.0, RngStream(0, "mask"))
+    cases.append((antipodal, np.array([[1.0, 0.0], [-1.0, 0.0], [0.3, 1.0], [0.5, -0.2]])))
+    duplicate = np.tile([[0.2, -1.0, 3.0]], (6, 1)) * 40.0
+    duplicate[4] = [1.0, 0.5, -0.5]
+    cases.append((draw_masks(_ring(6), 0.3, RngStream(1, "mask")), duplicate))
+    lonely = draw_masks(Graph(np.array([[0, 1], [1, 2]]), np.zeros((5, 1))), 0.0, RngStream(0, "mask"))
+    cases.append((lonely, np.random.default_rng(12).standard_normal((5, 3))))
+    if large:
+        n = contrast._BLOCK_ELEMS // 1000 + 100  # two strips of the default height
+        cases.append(_memory_case(n, 6))
+    return cases
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("rows", [1, 2, 7, None], ids=["B=1", "B=2", "B=7", "default"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_in_place_strips_equal_the_earlier_op_bit_for_bit(kind, rows, precision, monkeypatch):
+    dc.set_precision(precision)
+    spec = EstimatorSpec(kind=kind)
+    for draw, z in _bitwise_cases(large=rows is None):
+        if rows is not None:
+            monkeypatch.setattr(contrast, "_BLOCK_ELEMS", rows * draw.num_nodes)
+        value, grad = _value_and_grad(lambda p, d: estimator_loss(p, d, spec), z, draw)
+        ref_value, ref_grad = _value_and_grad(lambda p, d: estimator_loss_strips_oracle(p, d, spec), z, draw)
+        assert value == ref_value, (draw.num_nodes, value, ref_value)
+        assert grad.dtype == ref_grad.dtype == dc.active_dtype()
+        assert grad.tobytes() == ref_grad.tobytes(), draw.num_nodes  # bytes: -0.0 == 0.0
 
 
 def test_blocked_loss_keeps_input_checks():

@@ -486,6 +486,17 @@ def test_lean_ops_equal_the_earlier_ops_bitwise(op, precision):
         assert _same_bits(np.asarray(a), np.asarray(b))
 
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logistic_in_place_equals_the_earlier_logistic_bitwise(dtype):
+    rng = np.random.default_rng(12)
+    x = (rng.normal(size=(40, 33)) * 10.0 ** rng.integers(-3, 4, size=(40, 33))).astype(dtype)
+    x.flat[:8] = [0.0, -0.0, 1e-30, -1e-30, 800.0, -800.0, 1e30, -1e30]
+    old = oracles.logistic_oracle(x)
+    assert _same_bits(dc.logistic(x), old)
+    dc.logistic(x, out=x)
+    assert _same_bits(x, old)
+
 # ---------------------------------------------------------------------------
 # the export list
 

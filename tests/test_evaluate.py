@@ -12,6 +12,7 @@ from oracles import (
     kmeans_oracle,
     linear_probe_oracle,
     nmi_oracle,
+    partition_metrics_oracle,
     similarity_histograms_oracle,
 )
 import tape_ops as kit
@@ -33,6 +34,7 @@ from signa.evaluate import (
     make_splits,
     micro_f1,
     nmi,
+    partition_metrics,
     similarity_histograms,
     timing_harness,
 )
@@ -434,6 +436,22 @@ def test_metrics_match_oracles_on_random_pairs():
         b = rng.integers(0, int(rng.integers(1, 5)) + 1, size=n)
         assert nmi(a, b) == pytest.approx(nmi_oracle(a, b), abs=1e-12)
         assert homogeneity(a, b) == pytest.approx(homogeneity_oracle(a, b), abs=1e-12)
+
+
+def test_partition_metrics_equal_the_earlier_pair_bit_for_bit():
+    # value-indexed tables, and ranked ones for negative or large labels
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        n = int(rng.integers(1, 60))
+        a = rng.integers(0, int(rng.integers(1, 12)), size=n)
+        b = rng.integers(0, int(rng.integers(1, 12)), size=n)
+        if rng.uniform() < 0.3:
+            a = a - int(rng.integers(1, 4))
+        if rng.uniform() < 0.3:
+            b = b * 1000
+        want = partition_metrics_oracle(a, b)
+        assert partition_metrics(a, b) == want, (a, b)
+        assert (nmi(a, b), homogeneity(a, b)) == want
 
 
 def test_metric_degenerate_conventions():

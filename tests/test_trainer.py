@@ -13,10 +13,11 @@ import pytest
 from conftest import edge_list, split_generator
 from oracles import save_checkpoint_v1_oracle
 
-from signa.contrast import EstimatorSpec
+import signa.diffcore as dc
+from signa.contrast import EstimatorSpec, draw_masks, estimator_loss
 from signa.diffcore import set_precision
 from signa.cli import main
-from signa.encoder import ModelSpec, inference_embeddings
+from signa.encoder import ModelSpec, encode, inference_embeddings, project
 from signa.errors import CheckpointError, ConfigError
 from signa.graphdata import sbm_generate
 from signa.trainer import (
@@ -273,6 +274,26 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
             assert p.name == q.name
             assert p.data.dtype == q.data.dtype
             assert p.data.tobytes() == q.data.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_loaded_gradients_are_zero_writable_and_take_a_backward(precision, tmp_path):
+    g = _small_graph()
+    cfg = _config(num_epochs=2, precision=precision)
+    state, curve = train(g, cfg)
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(state, cfg, path, final_loss=curve[-1])
+    loaded, _ = load_checkpoint(path)
+    buffers = []
+    for p in loaded.parameters():
+        assert p.grad.dtype == p.data.dtype and p.grad.shape == p.data.shape
+        assert p.grad.flags.writeable and not p.grad.any()
+        buffers.append(p.grad)
+    z = project(loaded, encode(loaded, cfg.model, g))
+    dc.backward(estimator_loss(z, draw_masks(g, cfg.mask_rate, dc.RngStream(0, "mask")), cfg.estimator))
+    for p, buffer in zip(loaded.parameters(), buffers):
+        assert p.grad is buffer  # summed into in place
+    assert any(p.grad.any() for p in loaded.parameters())
 
 
 def test_v1_checkpoint_with_estimator_targets_loads(tmp_path):
