@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diffcore as dc
-from .encoder import EncoderState, ModelSpec, encode
+from .encoder import EncoderState, ModelSpec, encode, row_blocks
 from .errors import AnalysisError, ConfigError, DegenerateEmbeddingError, ShapeError
 from .graphdata import Graph, normalized_adjacency
 
@@ -113,26 +113,32 @@ def linear_probe(
 
     Deterministic: weights start at zero and the objective is convex, so no
     randomness enters the probe itself.
+
+    Only the split rows are read, each gathered before it is widened to f64
+    (exact from f32); the test rows are scored one block at a time.
     """
-    x = np.asarray(embeddings, dtype=np.float64)
+    emb = np.asarray(embeddings)
     y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ShapeError(f"embeddings {x.shape} do not match {y.shape[0]} labels")
+    if emb.ndim != 2 or emb.shape[0] != y.shape[0]:
+        raise ShapeError(f"embeddings {emb.shape} do not match {y.shape[0]} labels")
     num_classes = int(y.max()) + 1
     missing = sorted(set(range(num_classes)) - set(y[split.train].tolist()))
     if missing:
         warnings.warn(f"classes {missing} absent from the training split; they get zero prior")
 
-    w = dc.Parameter(np.zeros((x.shape[1], num_classes)), name="probe.weight")
+    def rows(idx: np.ndarray) -> np.ndarray:
+        return np.asarray(emb[idx], dtype=np.float64)
+
+    w = dc.Parameter(np.zeros((emb.shape[1], num_classes)), name="probe.weight")
     b = dc.Parameter(np.zeros(num_classes), name="probe.bias")
     adam = dc.AdamState([w, b], lr=config.learning_rate, weight_decay=config.weight_decay)
 
-    x_train = x[split.train].astype(w.data.dtype)
+    x_train = rows(split.train).astype(w.data.dtype)
     onehot = np.zeros((x_train.shape[0], num_classes), dtype=w.data.dtype)
     onehot[np.arange(x_train.shape[0]), y[split.train]] = 1.0
 
     # validation rows stay f64, so f32 runs score with f64 logits
-    x_val, y_val = x[split.val], y[split.val]
+    x_val, y_val = rows(split.val), y[split.val]
     best_correct, best_w, best_b = -1, w.data.copy(), b.data.copy()
     for _ in range(config.num_epochs):
         w.grad[...], b.grad[...] = _probe_gradients(x_train, onehot, w.data, b.data)
@@ -141,7 +147,9 @@ def linear_probe(
         if correct > best_correct:
             best_correct, best_w, best_b = correct, w.data.copy(), b.data.copy()
 
-    test_pred = np.argmax(x[split.test] @ best_w + best_b, axis=1)
+    test_pred = np.empty(split.test.size, dtype=np.intp)
+    for start, stop in row_blocks(split.test.size, max(emb.shape[1], num_classes)):
+        test_pred[start:stop] = np.argmax(rows(split.test[start:stop]) @ best_w + best_b, axis=1)
     return micro_f1(y[split.test], test_pred), accuracy(y[split.test], test_pred)
 
 

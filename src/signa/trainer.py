@@ -8,6 +8,7 @@ effective model/estimator/mask settings before training starts.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
@@ -221,6 +222,8 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
     (widening f32 to f64 is exact) and warns.  Corrupt or truncated payloads
     fail with no partial state.
     """
+    # json.load drops the file's text once parsed; below, each payload string
+    # leaves the document as its blob is decoded
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -278,9 +281,11 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
         shape = tuple(shape)
         if shape != param.data.shape:
             raise CheckpointError(f"parameter {name!r} shape {shape} != expected {param.data.shape}")
-        payload = _field(entry, "data", str, f"parameter {name!r}")
+        _field(entry, "data", str, f"parameter {name!r}")
         try:
-            blob = base64.b64decode(payload, validate=True)
+            # reads the ASCII text in place, where b64decode would copy it to bytes
+            # first; strict_mode is why the package needs Python 3.11
+            blob = binascii.a2b_base64(entry.pop("data"), strict_mode=True)
         except ValueError as exc:
             raise CheckpointError(f"parameter {name!r} payload is corrupt: {exc}") from None
         if len(blob) % blob_dtype.itemsize:
@@ -294,6 +299,7 @@ def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:
                 f"parameter {name!r} payload holds {flat.size} values, expected {param.data.size}"
             )
         param.data[...] = flat.reshape(shape)  # the cast rounds as .astype does
+        del blob, flat
         seen.add(name)
     missing = set(state.params) - seen
     if missing:

@@ -44,6 +44,10 @@ metrics, kept as it was: `nmi` and `homogeneity` each rank both label
 vectors with np.unique and fill their own contingency table with
 np.add.at.  The one-table `partition_metrics` must match it bit for bit.
 
+`inference_embeddings_oracle` is the library's earlier inference: one
+frozen forward over the whole graph, whatever the encoder.  The linear
+encoder's row-blocked inference must match it bit for bit.
+
 `save_checkpoint_v1_oracle` is the library's earlier checkpoint writer,
 format version 1, which widens every parameter to an `<f8` blob whatever
 the run's precision; the loader must still read its files.
@@ -61,6 +65,7 @@ import tape_ops as kit
 from signa.atomic import write_json
 from signa.contrast import ContrastDraw, EstimatorSpec
 from signa.diffcore.optim import BETA1, BETA2, EPS
+from signa.encoder import encode
 from signa.errors import (
     AnalysisError,
     ConfigError,
@@ -79,7 +84,7 @@ from signa.evaluate import (
     accuracy,
     micro_f1,
 )
-from signa.graphdata import Graph
+from signa.graphdata import Graph, normalized_adjacency
 
 
 def unit_rows(z: np.ndarray) -> np.ndarray:
@@ -339,6 +344,15 @@ def estimator_loss_strips_oracle(z: dc.Tensor, draw: ContrastDraw, spec: Estimat
         return (dz * g,)
 
     return dc.record_backward(out, _bw)
+
+
+# ---------------------------------------------------------------------------
+# inference
+
+
+def inference_embeddings_oracle(state, spec, graph) -> dc.Tensor:
+    adj = normalized_adjacency(graph) if spec.base_encoder == "gconv" else None
+    return encode(state.frozen(), spec, graph, adj=adj, training=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import similarity_histograms_oracle
+from oracles import inference_embeddings_oracle, similarity_histograms_oracle
 
 import signa
+import signa.encoder as encoder
 import signa.errors as errors
 from signa.cli import ABLATE_VARIANTS, _config_with, main
 from signa.diffcore import RngStream
@@ -500,6 +501,38 @@ def test_embed_csv_shape(tmp_path):
     state, _ = load_checkpoint(ckpt)
     want = inference_embeddings(state, state.spec, load_graph(edges, feats)).data
     assert np.loadtxt(out, delimiter=",", skiprows=1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_embed_and_histograms_equal_the_full_graph_forward(precision, tmp_path, monkeypatch):
+    # a linear graph of 1025 nodes spans two inference blocks of 512 rows
+    # (F=100, hidden 256), the second taking the one-row tail; every output
+    # must be the one-forward output's bytes
+    n = 1025
+    rng = np.random.default_rng(2)
+    edges, feats, labels = tmp_path / "edges.txt", tmp_path / "features.csv", tmp_path / "labels.txt"
+    edges.write_text("".join(f"{u} {(u + 1) % n}\n{u} {(u + 7) % n}\n" for u in range(n)))
+    feats.write_text("".join(",".join(f"{v:.6f}" for v in row) + "\n" for row in rng.normal(size=(n, 100))))
+    labels.write_text("".join(f"{c}\n" for c in rng.integers(0, 3, size=n)))
+    model = {"num_layers": 2, "base_encoder": "linear", "hidden_dim": 256, "projector_dim": 16}
+    config = _write_config(tmp_path, model=model, num_epochs=2)
+    ckpt = str(tmp_path / "model.ckpt")
+    flags = ["--precision", precision, "--quiet"]
+    assert main(["train", "--config", config, "--edges", str(edges), "--features", str(feats),
+                 "--out-checkpoint", ckpt, *flags]) == 0
+
+    def outputs(name):
+        out = tmp_path / name
+        out.mkdir()
+        inputs = ["--checkpoint", ckpt, "--edges", str(edges), "--features", str(feats)]
+        assert main(["embed", *inputs, "--out", str(out / "emb.csv"), *flags]) == 0
+        assert main(["eval", *inputs, "--labels", str(labels), "--mode", "histograms",
+                     "--out", str(out / "hist.json"), "--out-csv", str(out / "hist.csv"), *flags]) == 0
+        return [(out / f).read_bytes() for f in ("emb.csv", "hist.json", "hist.csv")]
+
+    blocked = outputs("blocked")
+    monkeypatch.setattr(encoder, "inference_embeddings", inference_embeddings_oracle)
+    assert outputs("full") == blocked
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,69 @@ def test_inference_embeddings_keep_no_tape(base):
     assert taped > 2 * frozen
 
 
+def _assert_blocks_equal_the_oracle(spec: ModelSpec, num_features: int) -> None:
+    state = EncoderState(spec, num_features, RngStream(7, "init"))
+    rng = np.random.default_rng(8)
+    for p in state.parameters():  # move slopes, gains and biases off their init values
+        p.data[...] += 0.1 * rng.normal(size=p.data.shape)
+    b = encoder_module._BLOCK_ENTRIES // max(num_features, spec.hidden_dim)  # rows per block
+    # no rows, one row, a short block, one block, a one-row tail, several blocks
+    for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
+        graph = Graph(np.zeros((0, 2)), rng.normal(size=(n, num_features)))
+        got = inference_embeddings(state, spec, graph).data
+        want = oracles.inference_embeddings_oracle(state, spec, graph).data
+        assert got.shape == (n, spec.hidden_dim) and got.dtype == want.dtype == dc.active_dtype()
+        assert got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("layer_norm", [True, False], ids=["ln", "no_ln"])
+@pytest.mark.parametrize("activation", ["prelu", "elu", "relu"])
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_linear_inference_blocks_equal_the_full_graph_forward(precision, activation, layer_norm, num_layers):
+    # row-split GEMMs keeping their bits is a property of the BLAS build, so
+    # it is checked here on the dense-n4k shape class (F=100, hidden 256)
+    dc.set_precision(precision)
+    spec = ModelSpec(num_layers=num_layers, hidden_dim=256, activation=activation, layer_norm_enabled=layer_norm)
+    _assert_blocks_equal_the_oracle(spec, 100)
+
+
+def test_linear_inference_blocks_equal_the_full_graph_forward_when_wide():
+    # the wide-gconv-n1k shape class (F=2000, hidden 1024, f32): 65-row blocks
+    dc.set_precision("f32")
+    _assert_blocks_equal_the_oracle(ModelSpec(hidden_dim=1024, projector_dim=8), 2000)
+
+
+@pytest.mark.parametrize("width", [2**17, 2**17 // 3, 2**17 // 5])
+def test_row_blocks_tile_the_rows_without_a_one_row_block(width):
+    step = max(2, encoder_module._BLOCK_ENTRIES // width)
+    for n in range(4 * step + 3):
+        bounds = list(encoder_module.row_blocks(n, width))
+        edges = [0] + [b for _, b in bounds]
+        assert [a for a, _ in bounds] == edges[:-1] and edges[-1] == n
+        sizes = [b - a for a, b in bounds]
+        assert sizes == [1] if n == 1 else all(2 <= s <= step + 1 for s in sizes)
+
+
+def test_linear_inference_holds_the_output_and_one_block():
+    # the dense-n4k shape: a 7.8 MiB output, filled block by block.  A
+    # block's working set is about three block-sized arrays (its layer input,
+    # the product and LayerNorm's centered copy: 3.15 blocks measured); one
+    # full-graph forward peaked at the output plus 16.7 MiB
+    n, num_features, hidden = 4000, 100, 256
+    graph = Graph(np.zeros((0, 2)), np.random.default_rng(0).normal(size=(n, num_features)))
+    spec = ModelSpec(hidden_dim=hidden)
+    state = EncoderState(spec, num_features, RngStream(5, "init"))
+    tracemalloc.start()
+    try:
+        inference_embeddings(state, spec, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = encoder_module._BLOCK_ENTRIES * 8
+    assert peak <= n * hidden * 8 + 4 * block
+
+
 def test_multi_layer_composition_by_hand(two_node_graph):
     # two linear layers with weight 2 and no nonlinearity effects (inputs
     # stay positive under relu): output = x * 2 * 2

@@ -165,8 +165,12 @@ def _probe_data(seed, n=240, num_features=12, num_classes=4):
 @pytest.mark.parametrize("precision", ["f64", "f32"])
 def test_probe_matches_oracle(precision):
     dc.set_precision(precision)
-    for seed in range(3):
-        x, labels = _probe_data(seed)
+    # the last embeddings are in the active dtype, as eval passes them; their
+    # 1537 test rows are scored in 512-row blocks, the last taking the
+    # one-row tail
+    wide, wide_labels = _probe_data(3, n=1921, num_features=256)
+    cases = [_probe_data(seed) for seed in range(3)] + [(wide.astype(dc.active_dtype()), wide_labels)]
+    for seed, (x, labels) in enumerate(cases):
         for split in make_splits(labels, num_runs=4, rng=RngStream(seed, "split")):
             config = ProbeConfig(num_epochs=80)
             assert linear_probe(x, labels, split, config) == linear_probe_oracle(x, labels, split, config)

@@ -5,6 +5,7 @@ import base64
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ import signa.diffcore as dc
 from signa.contrast import EstimatorSpec, draw_masks, estimator_loss
 from signa.diffcore import set_precision
 from signa.cli import main
-from signa.encoder import ModelSpec, encode, inference_embeddings, project
+from signa.encoder import EncoderState, ModelSpec, encode, inference_embeddings, project
 from signa.errors import CheckpointError, ConfigError
 from signa.graphdata import sbm_generate
 from signa.trainer import (
@@ -335,6 +336,28 @@ def test_v1_and_v2_checkpoints_load_to_the_same_bits(trained, active, tmp_path):
     for p, q, r in zip(state.parameters(), old.parameters(), new.parameters()):
         assert q.data.dtype == r.data.dtype == dtype
         assert q.data.tobytes() == r.data.tobytes() == p.data.astype(dtype).tobytes()
+
+
+def test_loading_a_checkpoint_holds_the_document_once(tmp_path):
+    # While a blob is decoded the loader holds the parsed document, the state
+    # and that blob; tracemalloc counts the state twice over, each parameter
+    # and its gradient buffer, which np.zeros leaves untouched.  No bytes copy
+    # of a payload (what base64.b64decode makes of a str) is alive with
+    # them.  f64 checkpoint loaded under f64, so nothing is converted.
+    model = ModelSpec(num_layers=1, hidden_dim=256, projector_dim=8)
+    state = EncoderState(model, 2000, dc.RngStream(0, "init"))
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(state, _config(model=model), path)
+    params = sum(p.data.nbytes for p in state.parameters())
+    largest = max(p.data.nbytes for p in state.parameters())
+    del state
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= os.path.getsize(path) + 2 * params + largest + 2**20
 
 
 def test_f32_checkpoint_blobs_are_f4_and_at_most_55_percent_of_v1(tmp_path):
