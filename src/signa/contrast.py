@@ -78,9 +78,30 @@ class EstimatorSpec:
 # ---------------------------------------------------------------------------
 # the three estimators, as one row-blocked op
 
-# Entries in one block of the score matrix: blocks hold max(1, this // n)
-# anchor rows, so the loss needs O(B*n + n*d) memory and never an n x n array.
+# Entries in one strip of a pairwise score matrix: strips hold max(1, this // n)
+# rows, so a pass needs O(B*n + n*d) memory and never an n x n array.
 _BLOCK_ELEMS = 2**20
+
+
+def pair_strips(n: int):
+    """Yield the (r0, r1) bounds of the row strips of an n x n score matrix,
+    for the loss and the similarity histograms: `_BLOCK_ELEMS` is read at
+    call time, and the last strip may have one row (the loss's float sums
+    depend on where strips split, so unlike `graphdata.row_blocks` this
+    never moves a split).  n = 0 yields no strip."""
+    step = max(1, _BLOCK_ELEMS // max(n, 1))
+    for r0 in range(0, n, step):
+        yield r0, min(n, r0 + step)
+
+
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x / norms, norms), with norms an (n, 1) column; a row whose norm is
+    below 1e-12 has no direction and raises DegenerateEmbeddingError."""
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    if np.any(norms < 1e-12):
+        row = int(np.argmin(norms))
+        raise DegenerateEmbeddingError(f"row {row} has near-zero norm ({float(norms[row, 0]):.3e})")
+    return x / norms, norms
 
 
 def _side_loss(log_neg, pos, d_pos, neg_w, axis):
@@ -188,7 +209,7 @@ def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.
       realized positive count, so equal similarities give exactly
       log(|V| - 1).
 
-    The loss is one tape node, streamed in row blocks: each block of B
+    The loss is one tape node, streamed in `pair_strips`: each block of B
     anchors is scored, its loss terms added and dLoss/dS pushed into dLoss/dz
     in the same pass, so the backward only scales the stored gradient.
     InfoNCE scores whole rows.  The JSD kinds' D is symmetric, so their
@@ -202,9 +223,9 @@ def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.
     x = z.data
     anchors = np.repeat(np.arange(n), draw.pos_counts)
     targets = draw.pos_targets
+    if n < 2:  # no anchor has a negative
+        raise DegenerateGraphError(f"the {kind} loss needs at least two nodes, got {n}")
     if kind == "info_nce":
-        if n < 2:
-            raise DegenerateGraphError("InfoNCE needs at least two nodes")
         other = targets != anchors
         anchors, targets = anchors[other], targets[other]
         w_pos = -1.0 / (n * np.maximum(np.bincount(anchors, minlength=n), 1))
@@ -220,11 +241,7 @@ def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.
     if kind == "jsd":
         zn = x  # raw inner products
     else:
-        norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-        if np.any(norms < 1e-12):
-            row = int(np.argmin(norms))
-            raise DegenerateEmbeddingError(f"row {row} has near-zero norm ({float(norms[row, 0]):.3e})")
-        zn = x / norms
+        zn, norms = unit_rows(x)
 
     if kind != "info_nce":  # positives by target, for the strips' column anchors
         by_target = np.argsort(targets, kind="stable")
@@ -232,9 +249,7 @@ def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.
 
     per_anchor = np.zeros(n)
     dzn = np.zeros_like(x)
-    step = max(1, _BLOCK_ELEMS // n)
-    for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
+    for r0, r1 in pair_strips(n):
         c0 = 0 if kind == "info_nce" else r0
         lo, hi = np.searchsorted(anchors, (r0, r1))
         keep = targets[lo:hi] >= c0

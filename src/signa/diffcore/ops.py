@@ -230,7 +230,9 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
             return (g * factor,)
 
     elif kind == "leaky_relu":
-        s = float(slope if slope is not None else 0.01)
+        if slope is None:
+            raise ConfigError("leaky_relu requires a float slope")
+        s = float(slope)
         pos = d > 0
         leaky = s * d
         np.copyto(leaky, d, where=pos)

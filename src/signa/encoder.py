@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, ShapeError
-from .graphdata import Graph, normalized_adjacency, spmm
+from .graphdata import Graph, normalized_adjacency, row_blocks, spmm
 
 if TYPE_CHECKING:  # linear-encoder processes never import scipy
     import scipy.sparse as sp
@@ -182,27 +182,6 @@ def project(state: EncoderState, h: dc.Tensor) -> dc.Tensor:
     z = dc.matmul(h, params["projector.0.weight"])
     z = dc.activation(z, act_kind, params.get("projector.prelu_slope", act_slope))
     return dc.matmul(z, params["projector.1.weight"])
-
-
-# Row-blocked passes (linear inference, the probe's test scoring) hold about
-# this many entries of their widest array per block.
-_BLOCK_ENTRIES = 2**17
-
-
-def row_blocks(num_rows: int, width: int):
-    """Yield the (start, stop) bounds of consecutive row blocks, each about
-    `_BLOCK_ENTRIES` entries of a `width`-column array.
-
-    A block has at least two rows unless `num_rows` < 2: numpy runs a
-    one-row product as a matrix-vector product, whose bits can differ from
-    the matrix-matrix one, so a one-row tail joins the block before it.
-    """
-    step = max(2, _BLOCK_ENTRIES // max(width, 1))
-    start = 0
-    while start < num_rows:
-        stop = start + step if num_rows - start - step > 1 else num_rows
-        yield start, stop
-        start = stop
 
 
 def inference_embeddings(state: EncoderState, spec: ModelSpec, graph: Graph) -> dc.Tensor:

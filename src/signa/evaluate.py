@@ -16,9 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diffcore as dc
-from .encoder import EncoderState, ModelSpec, encode, row_blocks
-from .errors import AnalysisError, ConfigError, DegenerateEmbeddingError, ShapeError
-from .graphdata import Graph, normalized_adjacency
+from .contrast import pair_strips, unit_rows
+from .encoder import EncoderState, ModelSpec, encode
+from .errors import AnalysisError, ConfigError, ShapeError
+from .graphdata import Graph, normalized_adjacency, row_blocks
 
 
 @dataclass
@@ -72,10 +73,10 @@ def micro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape or y_true.size == 0:
         raise AnalysisError("micro_f1 needs equal-length non-empty label arrays")
-    classes = np.unique(np.concatenate([y_true, y_pred]))
-    tp = sum(int(np.sum((y_pred == c) & (y_true == c))) for c in classes)
-    fp = sum(int(np.sum((y_pred == c) & (y_true != c))) for c in classes)
-    fn = sum(int(np.sum((y_pred != c) & (y_true == c))) for c in classes)
+    # one label per node: each miss is a false positive of the predicted class
+    # and a false negative of the true one
+    tp = int(np.count_nonzero(y_pred == y_true))
+    fp = fn = y_true.size - tp
     # single integer division keeps the single-label case bit-identical to accuracy
     return 2 * tp / (2 * tp + fp + fn)
 
@@ -190,13 +191,11 @@ def _assign(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray):
 
 
 def _row_sq_norms(x: np.ndarray) -> np.ndarray:
-    """np.sum(x * x, axis=1), a block of 2^16 entries at a time (no n x d
+    """np.sum(x * x, axis=1), one `row_blocks` block at a time (no n x d
     temporary)."""
-    step = max(1, (1 << 16) // max(x.shape[1], 1))
     xx = np.empty(x.shape[0])
-    for i in range(0, x.shape[0], step):
-        b = x[i : i + step]
-        xx[i : i + step] = np.sum(b * b, axis=1)
+    for start, stop in row_blocks(*x.shape):
+        xx[start:stop] = np.sum(np.square(x[start:stop]), axis=1)
     return xx
 
 
@@ -442,11 +441,6 @@ class SimilarityHistograms:
     subsampled: bool
 
 
-# Entries in one strip of the similarity matrix: full-pair histograms score
-# max(1, this // n) rows at a time, so they need O(B*n + n*d) memory.
-_BLOCK_ELEMS = 2**20
-
-
 def similarity_histograms(
     embeddings: np.ndarray,
     graph: Graph,
@@ -457,19 +451,16 @@ def similarity_histograms(
     """Histograms of the cosine similarity of every node pair i < j, or of
     `subsample_pairs` pairs drawn with replacement from `rng`.
 
-    All pairs stream in strips of B = max(1, _BLOCK_ELEMS // n) rows: a
-    strip scores its rows against themselves and every later node, marks
-    its adjacent pairs from its rows of the CSR arrays and adds its counts.
+    All pairs stream in the strips of `contrast.pair_strips`: a strip
+    scores its rows against themselves and every later node, marks its
+    adjacent pairs from its rows of the CSR arrays and adds its counts.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     n = graph.num_nodes
     if x.shape[0] != n:
         raise ShapeError(f"embeddings rows {x.shape[0]} != |V| {n}")
     dc.check_finite("embeddings", x)
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms < 1e-12):
-        raise DegenerateEmbeddingError(f"row {int(np.argmin(norms))} has near-zero norm")
-    xn = x / norms[:, None]
+    xn, _ = unit_rows(x)
     edges = np.linspace(-1.0, 1.0, bins + 1)
     labels, offsets = graph.labels, graph.csr_offsets
     sources, targets = graph.csr_sources, graph.csr_targets
@@ -478,9 +469,7 @@ def similarity_histograms(
     # cell collects the strip entries that are not pairs i < j.
     counts = np.zeros(4 * bins + 1, dtype=np.int64)
     if subsample_pairs is None:
-        step = max(1, _BLOCK_ELEMS // n)
-        for r0 in range(0, n, step):
-            r1 = min(n, r0 + step)
+        for r0, r1 in pair_strips(n):
             cell = np.searchsorted(edges[1:-1], xn[r0:r1] @ xn[r0:].T, side="right")
             rows = sources[offsets[r0] : offsets[r1]] - r0
             cols = targets[offsets[r0] : offsets[r1]] - r0

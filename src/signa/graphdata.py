@@ -79,6 +79,27 @@ class Graph:
         return self.features.shape[1]
 
 
+_BLOCK_ENTRIES = 2**17  # entries of a pass's widest array in one row block
+
+
+def row_blocks(num_rows: int, width: int):
+    """Yield the (start, stop) bounds of consecutive row blocks, each about
+    `_BLOCK_ENTRIES` entries of a `width`-column array, for the passes whose
+    bits do not depend on the block height: linear inference, the probe's
+    test scoring, k-means' row norms and the SBM's rows of node pairs.
+
+    A block has at least two rows unless `num_rows` < 2: numpy runs a
+    one-row product as a matrix-vector product, whose bits can differ from
+    the matrix-matrix one, so a one-row tail joins the block before it.
+    """
+    step = max(2, _BLOCK_ENTRIES // max(width, 1))
+    start = 0
+    while start < num_rows:
+        stop = start + step if num_rows - start - step > 1 else num_rows
+        yield start, stop
+        start = stop
+
+
 # ---------------------------------------------------------------------------
 # file ingestion
 
@@ -300,12 +321,18 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     """Load a graph from an edge list, a feature CSV, and optional labels.
 
     The feature file fixes the node count; every edge endpoint must be a
-    valid row index.  Directed input edges are symmetrized.  Each file is
-    UTF-8 text and may start with a byte-order mark.
+    valid row index, and every feature value must be finite.  Directed
+    input edges are symmetrized.  Each file is UTF-8 text and may start with
+    a byte-order mark.
     """
     try:
         features = _decoding(_read_features, feature_path)
         num_nodes = features.shape[0]
+        for start, stop in row_blocks(*features.shape):
+            bad = ~np.isfinite(features[start:stop]).all(axis=1)
+            if bad.any():
+                row = start + int(np.argmax(bad))
+                raise IngestionError(f"{feature_path}: feature row {row} holds a non-finite value")
         edges = _decoding(_read_edges, edge_path, num_nodes)
         labels = _decoding(_read_labels, label_path, num_nodes) if label_path is not None else None
     except OSError as exc:
@@ -423,9 +450,6 @@ def local_homophily(g: Graph) -> HomophilyReport:
 # ---------------------------------------------------------------------------
 # synthetic data
 
-_SBM_BLOCK_PAIRS = 1 << 18  # node pairs drawn per block of rows
-
-
 def sbm_generate(block_sizes, p_in, p_out, feature_means, noise_sigma, rng) -> Graph:
     """Stochastic block model with Gaussian features centered per block.
 
@@ -450,10 +474,9 @@ def sbm_generate(block_sizes, p_in, p_out, feature_means, noise_sigma, rng) -> G
     # the pairs of np.triu_indices(n, k=1), in that order, one block of rows
     # at a time: the same uniforms as one n^2/2 draw, without O(n^2) arrays
     cols = np.arange(n)
-    block_rows = max(1, _SBM_BLOCK_PAIRS // n)
     edges = [np.empty((0, 2), dtype=np.int64)]
-    for r0 in range(0, n - 1, block_rows):
-        iu, iv = np.nonzero(cols > np.arange(r0, min(r0 + block_rows, n - 1))[:, None])
+    for r0, r1 in row_blocks(n - 1, n):
+        iu, iv = np.nonzero(cols > np.arange(r0, r1)[:, None])
         iu += r0
         probs = np.where(labels[iu] == labels[iv], p_in, p_out)
         keep = rng.uniform(size=iu.size) < probs

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -108,6 +109,8 @@ def _check_types(cls, raw: dict, prefix: str) -> None:
             isinstance(value, bool) and "bool" not in kinds
         ):
             raise ConfigError(f"config key {prefix + key!r} must be {declared[key]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+            raise ConfigError(f"config key {prefix + key!r} must be finite, got {value!r}")
 
 
 def apply_ablation(config: TrainConfig) -> TrainConfig:

@@ -419,6 +419,16 @@ def activation_oracle(x: dc.Tensor, kind: str, slope=None) -> dc.Tensor:
 # linear probe
 
 
+def micro_f1_oracle(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """The earlier micro-F1: true positives, false positives and false
+    negatives summed class by class, then one division."""
+    classes = np.unique(np.concatenate([y_true, y_pred]))
+    tp = sum(int(np.sum((y_pred == c) & (y_true == c))) for c in classes)
+    fp = sum(int(np.sum((y_pred == c) & (y_true != c))) for c in classes)
+    fn = sum(int(np.sum((y_pred != c) & (y_true == c))) for c in classes)
+    return 2 * tp / (2 * tp + fp + fn)
+
+
 def linear_probe_oracle(
     embeddings: np.ndarray,
     labels: np.ndarray,

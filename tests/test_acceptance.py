@@ -13,6 +13,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 import conftest
 from conftest import random_labeled_graph, split_generator
@@ -393,6 +394,7 @@ def test_criterion_05_end_to_end():
 # 6. partition metrics vs brute force, exhaustively
 
 
+@pytest.mark.slow
 def test_criterion_06_metric_oracles():
     worst = 0.0
     pairs = 0
@@ -539,6 +541,7 @@ def test_criterion_09_timing_direction():
 # 10. ablation direction (soft; reported, not gated)
 
 
+@pytest.mark.slow
 def test_criterion_10_ablation_direction():
     means = np.zeros((2, 1024))
     means[1, 0] = 1.0

@@ -138,6 +138,19 @@ def test_homophily_on_an_edgeless_graph_exits_two(tmp_path, capsys):
     assert not out_json.exists()
 
 
+def test_homophily_on_a_non_finite_feature_exits_two(tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    rows = open(feats).read().splitlines()
+    rows[2] = "0.5,nan,1.25"
+    open(feats, "w").write("\n".join(rows) + "\n")
+    out_json = tmp_path / "hom.json"
+    rc = main(["homophily", "--edges", edges, "--features", feats, "--labels", labels,
+               "--out-json", str(out_json), "--out-csv", str(tmp_path / "hom.csv")])
+    assert rc == 2
+    assert f"error: {feats}: feature row 2 holds a non-finite value" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
 def test_homophily_quiet_and_missing_file(tmp_path, capsys):
     edges, feats, labels = _write_dataset(tmp_path)
     rc = main(
@@ -268,6 +281,28 @@ def test_train_config_value_of_the_wrong_type_exits_one(override, key, tmp_path,
                "--out-checkpoint", str(tmp_path / "x.ckpt"), "--quiet"])
     assert rc == 1
     assert f"config key '{key}' must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override,key",
+    [
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"weight_decay": float("inf")}, "weight_decay"),
+        ({"estimator": {"temperature": float("nan")}}, "estimator.temperature"),
+    ],
+    ids=["learning_rate-NaN", "weight_decay-Infinity", "temperature-NaN"],
+)
+def test_train_config_value_that_is_not_finite_exits_one(override, key, tmp_path, capsys):
+    # json reads NaN and Infinity, and a NaN passes every range check
+    edges, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path, num_epochs=1, **override)
+    assert "NaN" in open(config).read() or "Infinity" in open(config).read()
+    ckpt = tmp_path / "x.ckpt"
+    rc = main(["train", "--config", config, "--edges", edges, "--features", feats,
+               "--out-checkpoint", str(ckpt), "--quiet"])
+    assert rc == 1
+    assert f"config key '{key}' must be finite, got " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "edges.txt", "features.csv", "labels.txt"]
 
 
 def test_train_config_that_is_not_utf8_exits_one(tmp_path, capsys):
@@ -845,6 +880,21 @@ def test_eval_checkpoint_config_value_of_the_wrong_type_exits_two(tmp_path, caps
     assert rc == 2
     err = capsys.readouterr().err
     assert f"checkpoint {ckpt}: config key 'model.num_layers' must be int, got '2'" in err
+
+
+def test_eval_checkpoint_config_value_that_is_not_finite_exits_two(tmp_path, capsys):
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    doc = json.loads(open(ckpt).read())
+    doc["config"]["learning_rate"] = float("nan")
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    out = tmp_path / "x.json"
+    rc = main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+               "--labels", labels, "--mode", "cluster", "--out", str(out), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"checkpoint {ckpt}: config key 'learning_rate' must be finite, got nan" in err
+    assert not out.exists()
 
 
 def test_eval_checkpoint_that_is_not_utf8_exits_two(tmp_path, capsys):

@@ -182,6 +182,21 @@ def test_empty_negative_set_rejected():
         _loss(z, draw, "norm_jsd")
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [0, 1])
+def test_loss_on_fewer_than_two_nodes_is_refused(kind, n):
+    # n = 0 yields no strip; no anchor of n < 2 has a negative
+    draw = draw_masks(Graph([], np.zeros((n, 1))), 0.0, RngStream(0, "mask"))
+    with pytest.raises(DegenerateGraphError, match=f"the {kind} loss needs at least two nodes, got {n}"):
+        estimator_loss(Tensor(np.ones((n, 3))), draw, EstimatorSpec(kind=kind))
+
+
+def test_pair_strips_tile_the_rows(monkeypatch):
+    assert list(contrast.pair_strips(0)) == []
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMS", 3 * 7)  # read at call time
+    assert list(contrast.pair_strips(7)) == [(0, 3), (3, 6), (6, 7)]  # the one-row tail stays
+
+
 def test_losses_match_double_loop_oracles():
     rng = np.random.default_rng(6)
     for i in range(30):

@@ -405,6 +405,11 @@ def test_prelu_takes_a_constant_slope():
     assert not dc.activation(Tensor(x.data), "prelu", const).needs_grad
 
 
+def test_leaky_relu_takes_its_slope_explicitly():
+    with pytest.raises(ConfigError, match="leaky_relu requires a float slope"):
+        dc.activation(Tensor([-1.0, 2.0]), "leaky_relu")
+
+
 @pytest.mark.parametrize("kind", ["leaky_relu", "prelu", "elu", "relu"])
 def test_activation_backward_keeps_f32(kind):
     set_precision("f32")
@@ -759,7 +764,7 @@ def test_grad_activations():
         w = _weights(rng, (4, 5))
 
         def fn():
-            out = dc.activation(a, kind, slope=slope if kind == "prelu" else None)
+            out = dc.activation(a, kind, slope=slope if kind == "prelu" else 0.01)
             return _weighted_sum(out, w)
 
         params = [a, slope] if kind == "prelu" else [a]

@@ -11,6 +11,7 @@ from oracles import (
     homogeneity_oracle,
     kmeans_oracle,
     linear_probe_oracle,
+    micro_f1_oracle,
     nmi_oracle,
     partition_metrics_oracle,
     similarity_histograms_oracle,
@@ -18,9 +19,11 @@ from oracles import (
 import tape_ops as kit
 
 import signa.evaluate as evaluate
+import signa.graphdata as graphdata
+from signa import contrast
 from signa import diffcore as dc
 from signa.diffcore import RngStream
-from signa.encoder import ModelSpec
+from signa.encoder import EncoderState, ModelSpec, inference_embeddings
 from signa.errors import AnalysisError, ConfigError, DegenerateEmbeddingError, NumericError, ShapeError
 from signa.evaluate import (
     KMeansResult,
@@ -96,6 +99,17 @@ def test_micro_f1_equals_accuracy_single_label():
         y = rng.integers(0, k, size=n)
         p = rng.integers(0, k, size=n)
         assert micro_f1(y, p) == pytest.approx(accuracy(y, p), abs=0.0)
+
+
+def test_micro_f1_equals_the_per_class_counts():
+    # one comparison in place of three passes per class, with the same division
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        y = rng.integers(-2, 5, size=n)
+        p = rng.integers(-2, 5, size=n)
+        assert micro_f1(y, p) == micro_f1_oracle(y, p)
+        assert micro_f1(y, y) == micro_f1_oracle(y, y) == 1.0
 
 
 def test_micro_f1_extremes_and_validation():
@@ -598,7 +612,7 @@ def test_subsampled_histograms_of_one_node_fail_before_drawing():
 def test_histograms_with_small_strips_match_oracle(monkeypatch, rows):
     # n = 37 in strips of 1 row, or of 5 or 36 rows with a ragged last strip
     n = 37
-    monkeypatch.setattr(evaluate, "_BLOCK_ELEMS", rows * n)
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMS", rows * n)
     rng = np.random.default_rng(15)
     for _ in range(5):
         iu, iv = np.triu_indices(n, k=1)
@@ -606,6 +620,23 @@ def test_histograms_with_small_strips_match_oracle(monkeypatch, rows):
         labels = rng.integers(0, 3, size=n)
         g = Graph(np.stack([iu[keep], iv[keep]], axis=1), np.ones((n, 1)), labels=labels)
         _histograms_match_oracle(rng.normal(size=(n, 4)), g, bins=13)
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_histograms_of_an_empty_graph_count_nothing(labeled):
+    # pair_strips(0) yields no strip, as n = 1 yields one with no pair i < j
+    g = Graph([], np.ones((0, 1)), labels=np.zeros(0, dtype=np.int64) if labeled else None)
+    h = similarity_histograms(np.ones((0, 3)), g, RngStream(0, "split"), bins=5)
+    assert h.num_pairs == 0 and not h.subsampled
+    assert not h.neighbor.any() and not h.non_neighbor.any()
+    assert (h.same_label is None) == (not labeled)
+
+
+def test_histograms_name_the_near_zero_row_and_its_norm():
+    g = Graph([], np.ones((3, 1)))
+    emb = np.array([[1.0, 0.0], [1e-14, 0.0], [0.0, 2.0]])
+    with pytest.raises(DegenerateEmbeddingError, match=r"row 1 has near-zero norm \(1\.000e-14\)"):
+        similarity_histograms(emb, g, RngStream(0, "split"))
 
 
 def test_histograms_large_graph_runs_full_pairs():
@@ -696,3 +727,40 @@ def test_probe_beats_chance_on_informative_features():
     split = make_splits(g.labels, ratios=(0.3, 0.2, 0.5), rng=RngStream(16, "split"))[0]
     f1, acc = linear_probe(g.features, g.labels, split, ProbeConfig(num_epochs=100))
     assert acc > 0.9
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+
+
+def _row_block_passes(monkeypatch, rows):
+    """The bytes of each `graphdata.row_blocks` pass, its budget set to
+    blocks of `rows` rows of that pass's width (None: one block)."""
+
+    def budget(width):
+        monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", width * (rows or 10**6))
+
+    rng = np.random.default_rng(41)
+    n, num_features, hidden = 203, 9, 24
+    spec = ModelSpec(hidden_dim=hidden, projector_dim=4)
+    state = EncoderState(spec, num_features, RngStream(3, "init"))
+    graph = Graph(np.zeros((0, 2)), rng.normal(size=(n, num_features)))
+    x, labels = _probe_data(4, n=n, num_features=hidden)
+    split = make_splits(labels, RngStream(0, "split"))[0]
+    out = []
+    budget(hidden)
+    out.append(inference_embeddings(state, spec, graph).data.tobytes())
+    out.append(evaluate._row_sq_norms(x).tobytes())
+    out.append(linear_probe(x, labels, split, ProbeConfig(num_epochs=30)))
+    sizes = [40, 51, 30]
+    budget(sum(sizes))
+    g = sbm_generate(sizes, 0.3, 0.05, rng.normal(size=(3, 4)), 0.5, np.random.default_rng(5))
+    out.append((g.csr_offsets.tobytes(), g.csr_targets.tobytes(), g.features.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("rows", [2, 3, 64])
+def test_row_block_passes_do_not_depend_on_the_block_height(rows, monkeypatch):
+    # linear inference, the probe's test scoring, k-means' row norms and the
+    # SBM's pair rows, each in blocks of `rows` rows against one block
+    assert _row_block_passes(monkeypatch, rows) == _row_block_passes(monkeypatch, None)

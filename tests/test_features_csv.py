@@ -372,3 +372,26 @@ def test_without_an_x87_long_double_the_loop_parses(tmp_path, monkeypatch):
     monkeypatch.setattr(graphdata, "_parse_features", lambda *args: pytest.fail("the kernel ran"))
     actual = graphdata._read_features(path)
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# non-finite values
+
+
+@pytest.mark.parametrize("block_entries", [6, graphdata._BLOCK_ENTRIES])
+@pytest.mark.parametrize(
+    "token, kernel_takes",
+    [("nan", False), ("-inf", False), ("Infinity", False), ("1e400", True), ("-1e400", True)],
+)
+def test_a_non_finite_feature_value_is_refused(token, kernel_takes, block_entries, tmp_path, monkeypatch):
+    # letters send a file to the line loop; 1e400 is a kernel token that
+    # float() reads as inf.  A budget of 6 entries scans two rows per block.
+    monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", block_entries)
+    good = "1.5,-2.25,3.125\n"
+    feats = _write(tmp_path, good * 5 + f"1,{token},2\n" + good * 4)
+    edges = _write(tmp_path, "0 1\n", name="e.txt")
+    if graphdata._X87_LONGDOUBLE:
+        assert (graphdata._parse_features(feats) is not None) == kernel_takes
+    with pytest.raises(IngestionError) as exc:
+        graphdata.load_graph(edges, feats)
+    assert str(exc.value) == f"{feats}: feature row 5 holds a non-finite value"

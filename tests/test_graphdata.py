@@ -389,9 +389,9 @@ def test_sbm_is_deterministic_per_seed():
     np.testing.assert_array_equal(a.features, b.features)
 
 
-@pytest.mark.parametrize("block_pairs", [5, 1 << 18])
-def test_sbm_matches_oracle(block_pairs, monkeypatch):
-    monkeypatch.setattr(graphdata, "_SBM_BLOCK_PAIRS", block_pairs)
+@pytest.mark.parametrize("block_entries", [5, 1 << 18])
+def test_sbm_matches_oracle(block_entries, monkeypatch):
+    monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", block_entries)
     cases = [[1], [2], [1, 1], [3, 4], [20, 7, 13], [300, 400], [500, 650]]
     for sizes in cases:
         for seed in range(3):
