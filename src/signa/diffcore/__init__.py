@@ -17,15 +17,16 @@ stays alive until the backward pass.
 Memory: the tape keeps only what a backward reads.  Per encoder layer in
 training that is the matmul input, the dropout mask (after the first
 layer; the input features need no gradient), the activation's boolean
-mask (relu, leaky_relu), derivative factor (elu) or input (prelu), and
-layer_norm's standardized input; with gconv, spmm keeps only the shared
-adjacency.  The projector keeps its input, its activation's array and its
-second matmul input; the loss keeps dLoss/dz.  Each is one n x width
-array (booleans for a mask), plus layer_norm's n x 1 inverse deviation.
-While it runs, the blocked contrastive loss holds two B x n strip arrays
-(three for the jsd ablation, whose sigmoid slope is a strip of its own),
-the strip's boolean clamp mask, and three n x d arrays: the unit rows zn,
-their gradient dzn, which becomes dLoss/dz in place, and one scratch.
+mask (relu, leaky_relu), output (elu) or input (prelu), and layer_norm's
+standardized input; with gconv, spmm keeps only the shared adjacency.
+The projector keeps its input h and its activation's array, which for the
+ELU of every preset is its output, also the second matmul's input; the
+loss keeps dLoss/dz.  Each is one n x width array (booleans for a mask),
+plus layer_norm's n x 1 inverse deviation.  While it runs, the blocked
+contrastive loss holds two B x n strip arrays (three for the jsd
+ablation, whose sigmoid slope is a strip of its own), the strip's boolean
+clamp mask, and three n x d arrays: the unit rows zn, their gradient dzn,
+which becomes dLoss/dz in place, and one scratch.
 """
 
 from .tensor import (

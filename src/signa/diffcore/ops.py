@@ -11,8 +11,10 @@ closure, so a forward over constants keeps nothing alive.
 
 A closure captures only the arrays its backward reads, never a Tensor, so
 an op's input lives on only if some backward needs it.  Ops allocate only
-what they keep: an activation keeps a boolean mask or its derivative
-factor, layer_norm its standardized input.
+what they keep: an activation keeps a boolean mask, its input (prelu)
+or its own output (elu, whose derivative is out + 1 below zero), and
+layer_norm its standardized input.  The relu mask is formed only for an
+output that needs a gradient.
 
 These are the ops the training tape records, together with the
 custom-op API (`Tensor`, `record_backward`, `check_finite`, `logistic`)
@@ -204,30 +206,33 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
     `prelu` takes its slope as a one-element Tensor: a Parameter receives
     a gradient, a constant (a frozen encoder's) does not; `leaky_relu` takes
     a fixed float slope.  The tape keeps a boolean mask (relu, leaky_relu),
-    the derivative factor (elu) or the input (prelu, whose slope gradient
-    reads it).
+    the output (elu), which the next op may hold anyway, or the input
+    (prelu, whose slope gradient reads it).
     """
     d = x.data
     dtype = d.dtype
     if kind == "relu":
         out = Tensor(np.maximum(d, 0.0), _parents=(x,))
-        pos = d > 0
+        pos = d > 0 if out.needs_grad else None
 
         def _bw(g):
             return (g * pos,)
 
     elif kind == "elu":
-        pos = d > 0
-        factor = np.exp(np.minimum(d, 0.0))
-        factor -= 1.0
-        out = Tensor(np.where(pos, d, factor), _parents=(x,))
-        # d out / d in: 1 above zero; below, (exp(d) - 1) + 1, which can
-        # differ from exp(d) in the last bit
-        factor += 1.0
-        np.copyto(factor, 1.0, where=pos)
+        elu = np.minimum(d, 0.0)
+        np.exp(elu, out=elu)
+        elu -= 1.0
+        np.copyto(elu, d, where=d > 0)
+        out = Tensor(elu, _parents=(x,))
 
         def _bw(g):
-            return (g * factor,)
+            # d out / d in is out + 1 below zero, (exp(d) - 1) + 1, which can
+            # differ from exp(d) in the last bit; above zero out + 1 >= 1.
+            # The gradient overwrites the factor, so the backward adds one
+            # array of x's size to the tape's, not two.
+            factor = elu + 1.0
+            np.minimum(factor, 1.0, out=factor)
+            return (np.multiply(g, factor, out=factor),)
 
     elif kind == "leaky_relu":
         if slope is None:

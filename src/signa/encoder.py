@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import diffcore as dc
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .graphdata import Graph, normalized_adjacency, row_blocks, spmm
 
 if TYPE_CHECKING:  # linear-encoder processes never import scipy
@@ -73,7 +73,10 @@ class EncoderState:
     """
 
     def __init__(self, spec: ModelSpec, num_features: int, rng: dc.RngStream | None):
-        # rng=None leaves the weights zero (checkpoint loading overwrites them)
+        # rng=None leaves the weights zero (checkpoint loading overwrites them).
+        # Every array but a random draw is built in the active dtype, so no
+        # f64 copy is made under f32.
+        dtype = dc.active_dtype()
         self.spec = spec
         self.num_features = int(num_features)
         self.params: dict[str, dc.Parameter] = {}
@@ -82,24 +85,25 @@ class EncoderState:
         for l in range(spec.num_layers):
             self._glorot(f"layers.{l}.weight", dims[l], dims[l + 1], rng)
             if not spec.layer_norm_enabled:
-                self._add(f"layers.{l}.bias", np.zeros(dims[l + 1]))
+                self._add(f"layers.{l}.bias", np.zeros(dims[l + 1], dtype))
             if spec.activation == "prelu":
-                self._add(f"layers.{l}.prelu_slope", np.full(1, PRELU_INIT_SLOPE))
+                self._add(f"layers.{l}.prelu_slope", np.full(1, PRELU_INIT_SLOPE, dtype))
             if spec.layer_norm_enabled:
-                self._add(f"layers.{l}.ln_gain", np.ones(dims[l + 1]))
-                self._add(f"layers.{l}.ln_bias", np.zeros(dims[l + 1]))
+                self._add(f"layers.{l}.ln_gain", np.ones(dims[l + 1], dtype))
+                self._add(f"layers.{l}.ln_bias", np.zeros(dims[l + 1], dtype))
         self._glorot("projector.0.weight", spec.hidden_dim, spec.projector_dim, rng)
         self._glorot("projector.1.weight", spec.projector_dim, spec.projector_dim, rng)
         if spec.projector_activation == "prelu":
-            self._add("projector.prelu_slope", np.full(1, PRELU_INIT_SLOPE))
+            self._add("projector.prelu_slope", np.full(1, PRELU_INIT_SLOPE, dtype))
 
     def _add(self, name: str, data: np.ndarray) -> None:
         self.params[name] = dc.Parameter(data, name=name)
 
     def _glorot(self, name: str, fan_in: int, fan_out: int, rng: dc.RngStream | None) -> None:
         if rng is None:
-            self._add(name, np.zeros((fan_in, fan_out)))
+            self._add(name, np.zeros((fan_in, fan_out), dc.active_dtype()))
             return
+        # drawn in f64 and then cast, so f32 weights round the f64 draw
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         self._add(name, (2.0 * rng.uniform(size=(fan_in, fan_out)) - 1.0) * bound)
 
@@ -124,13 +128,27 @@ def encode(
     adj: sp.csr_matrix | None = None,
     training: bool = False,
     rng: dc.RngStream | None = None,
-    features_override: np.ndarray | None = None,
 ) -> dc.Tensor:
-    """Forward pass producing the representation matrix H (|V| x d_enc).
+    """`encode_rows` over all of the graph's feature rows (|V| x d_enc)."""
+    return encode_rows(state, spec, graph.features, adj, training, rng)
+
+
+def encode_rows(
+    state: EncoderState,
+    spec: ModelSpec,
+    feats: np.ndarray,
+    adj: sp.csr_matrix | None = None,
+    training: bool = False,
+    rng: dc.RngStream | None = None,
+) -> dc.Tensor:
+    """The L layers on any (m, F) block of feature rows, giving m x d_enc.
 
     Dropout draws from `rng` only in training mode with p > 0; inference
-    consumes no randomness.  `features_override` substitutes the input
-    features (used by the feature-masking ablation).
+    consumes no randomness.  At inference without `adj`, every op acts on
+    each row by itself, so a block of rows gives those rows of the full
+    forward.  With `adj` (gconv only), it is the operator over exactly
+    these m rows.  A width other than the state's F fails in the first
+    matmul.
     """
     if spec.base_encoder == "gconv" and adj is None:
         raise ConfigError("gconv base encoder requires a normalized adjacency")
@@ -139,26 +157,6 @@ def encode(
     if training and spec.dropout_p > 0.0 and rng is None:
         raise ConfigError("training with dropout requires an rng stream")
 
-    feats = graph.features if features_override is None else features_override
-    if feats.shape != (graph.num_nodes, graph.num_features):
-        raise ShapeError(f"features must be {(graph.num_nodes, graph.num_features)}, got {feats.shape}")
-    return _encode_rows(state, spec, feats, adj, training, rng)
-
-
-def _encode_rows(
-    state: EncoderState,
-    spec: ModelSpec,
-    feats: np.ndarray,
-    adj: sp.csr_matrix | None = None,
-    training: bool = False,
-    rng: dc.RngStream | None = None,
-) -> dc.Tensor:
-    """The L layers on any (m, F) block of feature rows.
-
-    At inference without `adj`, every op acts on each row by itself, so a
-    block of rows gives those rows of the full forward.  With `adj`, it is
-    the operator over exactly these m rows.
-    """
     act_kind, act_slope = _resolve_activation(spec.activation)
     params = state.params
     h = dc.Tensor(feats)
@@ -197,8 +195,8 @@ def inference_embeddings(state: EncoderState, spec: ModelSpec, graph: Graph) -> 
     """
     frozen = state.frozen()
     if spec.base_encoder == "gconv":
-        return encode(frozen, spec, graph, adj=normalized_adjacency(graph))
+        return encode_rows(frozen, spec, graph.features, adj=normalized_adjacency(graph))
     out = np.empty((graph.num_nodes, spec.hidden_dim), dtype=dc.active_dtype())
     for start, stop in row_blocks(graph.num_nodes, max(graph.num_features, spec.hidden_dim)):
-        out[start:stop] = _encode_rows(frozen, spec, graph.features[start:stop]).data
+        out[start:stop] = encode_rows(frozen, spec, graph.features[start:stop]).data
     return dc.Tensor(out)

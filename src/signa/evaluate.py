@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .contrast import pair_strips, unit_rows
-from .encoder import EncoderState, ModelSpec, encode
+from .encoder import EncoderState, ModelSpec, encode_rows
 from .errors import AnalysisError, ConfigError, ShapeError
 from .graphdata import Graph, normalized_adjacency, row_blocks
 
@@ -538,14 +538,14 @@ def timing_harness(graph: Graph, spec: ModelSpec, repeats: int = 20, warmup: int
         spec = replace(spec, base_encoder=kind)
         state = EncoderState(spec, graph.num_features, dc.RngStream(0, "init")).frozen()
         for _ in range(warmup):
-            encode(state, spec, graph, adj=use_adj, training=False)
+            encode_rows(state, spec, graph.features, adj=use_adj)
         runs.append((state, spec, use_adj))
     times: list[list[float]] = [[], []]
     for i in range(repeats):
         for k in (0, 1) if i % 2 == 0 else (1, 0):
             state, spec, use_adj = runs[k]
             t0 = time.perf_counter()
-            encode(state, spec, graph, adj=use_adj, training=False)
+            encode_rows(state, spec, graph.features, adj=use_adj)
             times[k].append((time.perf_counter() - t0) * 1000.0)
     medians = [float(np.median(t)) for t in times]
     entries = [TimingEntry("linear", medians[0]), TimingEntry("gconv", medians[1])]

@@ -19,7 +19,7 @@ import numpy as np
 from . import diffcore as dc
 from .atomic import write_json
 from .contrast import EstimatorSpec, draw_masks, estimator_loss
-from .encoder import EncoderState, ModelSpec, encode, project
+from .encoder import EncoderState, ModelSpec, encode_rows, project
 from .errors import CheckpointError, ConfigError, OptimizationError, not_utf8
 from .graphdata import Graph, normalized_adjacency
 
@@ -154,21 +154,12 @@ def train(graph: Graph, config: TrainConfig) -> tuple[EncoderState, list[float]]
 
     curve: list[float] = []
     for epoch in range(config.num_epochs):
-        features_override = None
+        feats = graph.features
         if effective.nfm_p_feat is not None and effective.nfm_p_feat > 0.0:
             # input feature masking: zero entries, no rescale
-            keep = dropout_rng.uniform(size=graph.features.shape) >= effective.nfm_p_feat
-            features_override = graph.features * keep
+            feats = feats * (dropout_rng.uniform(size=feats.shape) >= effective.nfm_p_feat)
         draw = draw_masks(graph, effective.mask_rate, mask_rng, epoch=epoch)
-        h = encode(
-            state,
-            effective.model,
-            graph,
-            adj=adj,
-            training=True,
-            rng=dropout_rng,
-            features_override=features_override,
-        )
+        h = encode_rows(state, effective.model, feats, adj=adj, training=True, rng=dropout_rng)
         z = project(state, h)
         loss = estimator_loss(z, draw, effective.estimator)
         value = float(loss.data)

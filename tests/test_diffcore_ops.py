@@ -7,6 +7,7 @@ instances, relative error under 1e-5 in 64-bit mode.
 """
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -490,6 +491,42 @@ def test_lean_ops_equal_the_earlier_ops_bitwise(op, precision):
     for a, b in zip(new_grads, old_grads):
         assert _same_bits(np.asarray(a), np.asarray(b))
 
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_elu_equals_the_earlier_elu_bitwise_at_the_edges(precision):
+    # the ELU keeps only its output and its backward forms out + 1, capped
+    # at 1: the same bytes as the earlier op's exp(min(d, 0)) - 1 and
+    # (exp(d) - 1) + 1, on signed zeros and subnormals, where exp
+    # underflows (-745, -800), at the infinities, on NaN and on 10,000
+    # random magnitudes
+    set_precision(precision)
+    rng = np.random.default_rng(19)
+    special = [0.0, -0.0, 5e-324, -5e-324, -745.0, -800.0, np.inf, -np.inf, np.nan]
+    magnitudes = rng.normal(size=10_000) * 10.0 ** rng.integers(-40, 4, size=10_000)
+    x = np.concatenate([special, magnitudes]).reshape(1, -1)
+    upstream = rng.normal(size=x.shape).astype(dc.active_dtype())
+    results = []
+    for op in (dc.activation, oracles.activation_oracle):
+        out = op(Parameter(x, name="x"), "elu")
+        (grad,) = out._node.backward(upstream)
+        results.append((out.data, np.asarray(grad)))
+    (new, new_grad), (old, old_grad) = results
+    assert _same_bits(new, old)
+    assert _same_bits(new_grad, old_grad)
+
+
+def test_frozen_relu_allocates_only_its_output():
+    # the boolean mask is the backward's; a forward over constants makes none
+    x = Tensor(np.random.default_rng(20).normal(size=(4000, 256)))
+    tracemalloc.start()
+    try:
+        out = dc.activation(x, "relu")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.needs_grad
+    # a mask would add x.size bytes (1000 KiB)
+    assert peak <= out.data.nbytes + 64 * 1024
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

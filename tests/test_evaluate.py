@@ -696,14 +696,14 @@ def test_timing_harness_interleaves_the_repeats(monkeypatch):
     # with the encoder that goes first swapping every repeat; the two specs
     # differ only in base_encoder
     order = []
-    encode = evaluate.encode
+    encode_rows = evaluate.encode_rows
 
-    def spy(state, spec, graph, **kw):
+    def spy(state, spec, feats, **kw):
         order.append(spec.base_encoder[0])
         assert replace(spec, base_encoder="linear") == _TIMING_SPEC
-        return encode(state, spec, graph, **kw)
+        return encode_rows(state, spec, feats, **kw)
 
-    monkeypatch.setattr(evaluate, "encode", spy)
+    monkeypatch.setattr(evaluate, "encode_rows", spy)
     g = random_labeled_graph(np.random.default_rng(16), max_nodes=20)
     timing_harness(g, _TIMING_SPEC, repeats=5, warmup=2)
     assert "".join(order) == "llgg" + "lg" + "gl" + "lg" + "gl" + "lg"

@@ -2,6 +2,7 @@
 and the embedding export format."""
 
 import base64
+import hashlib
 import json
 import math
 import os
@@ -409,6 +410,36 @@ def test_checkpoint_rerun_is_byte_identical(tmp_path):
     state, curve = train(g, cfg)
     save_checkpoint(state, cfg, p2, final_loss=curve[-1])
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+# sha256 of the checkpoints three small runs wrote while the ELU kept a
+# derivative factor beside its output, relu formed its mask in every
+# forward and the nfm ablation passed its masked rows as a features
+# override.  Each run is 15 epochs on `_small_graph()` with one BLAS thread.
+_EARLIER_CHECKPOINT_SHA256 = {
+    "relu": "e04d3356eecee5a2003358391b09e35b8c2006a7daefd13f0c136221f2906549",
+    "rrelu-f32": "cfb9482f2a67fcc2cf92b66d0a55d595f8dd88dc5bf2e5eeb8a157fcb2d840a5",
+    "nfm": "2e6a851cab70c9618860b1158d06cec407551db5354778b6a23e312134aebae3",
+}
+_SMALL_RUNS = {
+    "relu": dict(model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, activation="relu", projector_dim=4)),
+    "rrelu-f32": dict(
+        model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, activation="rrelu", projector_dim=4),
+        precision="f32",
+    ),
+    "nfm": dict(ablation="nfm"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_SMALL_RUNS))
+def test_small_checkpoints_keep_the_earlier_bytes(run, tmp_path):
+    # every projector here is an ELU; the encoder layers are relu, rrelu
+    # and (nfm) prelu
+    cfg = _config(**_SMALL_RUNS[run])
+    state, curve = train(_small_graph(), cfg)
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(state, cfg, path, final_loss=curve[-1])
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == _EARLIER_CHECKPOINT_SHA256[run]
 
 
 def test_checkpoint_errors(tmp_path):
