@@ -14,6 +14,8 @@ import os
 import stat
 from contextlib import contextmanager
 
+from .errors import OutputError
+
 
 def _replace_target(path: str):
     """(file to replace, its mode or None if new), or None to write in place.
@@ -37,28 +39,33 @@ def open_atomic(path: str):
     """Text-mode (UTF-8) writer that replaces `path` in one step on success.
 
     A replaced file keeps its permission bits; its owner becomes the writer.
+    An OSError while the file is opened, written or moved into place is
+    raised as an OutputError that names `path`.
     """
-    target = _replace_target(path)
-    if target is None:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
-    real, mode = target
-    tmp = f"{real}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        if mode is not None:
-            os.chmod(tmp, mode)
-        os.replace(tmp, real)
-    except BaseException:
+        target = _replace_target(path)
+        if target is None:
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
+            return
+        real, mode = target
+        tmp = f"{real}.{os.getpid()}.tmp"
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with open(tmp, "w", encoding="utf-8") as fh:
+                yield fh
+                fh.flush()
+                os.fsync(fh.fileno())
+            if mode is not None:
+                os.chmod(tmp, mode)
+            os.replace(tmp, real)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_json(path: str, doc) -> None:

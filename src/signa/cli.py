@@ -5,6 +5,8 @@ pin the BLAS thread pools through environment variables before numpy loads.
 Every command writes a run manifest next to its primary output listing
 content hashes of config, inputs, and produced artifacts; timestamps live
 only in the manifest, so reports and checkpoints stay byte-reproducible.
+Only regular files are hashed, and a primary output that is not one gets
+no manifest.  Output directories are checked before any input is read.
 
 Exit codes: 0 success, 1 usage/config, 2 data, 3 numeric failure.
 """
@@ -20,7 +22,7 @@ import sys
 
 from . import __version__
 from .atomic import open_atomic, write_json
-from .errors import AnalysisError, ConfigError, SignaError, not_utf8
+from .errors import AnalysisError, ConfigError, OutputError, SignaError, not_utf8
 
 # `ablate` variants and the config overrides each merges into the base config
 ABLATE_VARIANTS = {
@@ -39,12 +41,26 @@ ABLATE_VARIANTS = {
 # small helpers
 
 
-def _sha256(path: str) -> str:
+def _sha256(path: str) -> str | None:
+    """The file's sha256, or None for anything but a regular file: a pipe
+    or FIFO was drained when it was read or written, and reopening it would
+    wait for another writer or reader forever."""
+    if not os.path.isfile(path):
+        return None
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _check_out_dirs(*paths: str | None) -> None:
+    """Refuse an output (a file, or ablate's directory) whose directory does
+    not exist, before any work."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(os.path.normpath(path)) or "."
+        if not os.path.isdir(folder):
+            raise OutputError(f"cannot write {path}: {folder} is not a directory")
 
 
 def _now() -> str:
@@ -60,10 +76,14 @@ def _write_manifest(
     outputs: list[str],
     config_path: str | None = None,
     extra: dict | None = None,
-    digests: dict[str, str] | None = None,
-) -> str:
+    digests: dict[str, str | None] | None = None,
+) -> None:
     """Write `<primary_out>.manifest.json`; `digests` holds sha256 values
-    already computed for some inputs, so those files are not read twice."""
+    already computed for some inputs, so those files are not read twice.
+    A primary output that is not a regular file (a FIFO, /dev/stdout on a
+    pipe) has no place beside it for a manifest, and gets none."""
+    if not os.path.isfile(primary_out):
+        return
     digests = digests or {}
     doc = {
         "command": command,
@@ -79,9 +99,7 @@ def _write_manifest(
     }
     if extra:
         doc.update(extra)
-    path = primary_out + ".manifest.json"
-    write_json(path, doc)
-    return path
+    write_json(primary_out + ".manifest.json", doc)
 
 
 def _load_config_dict(path: str) -> dict:
@@ -123,6 +141,7 @@ def _cmd_homophily(args) -> int:
     from .graphdata import load_graph, local_homophily
 
     started = _now()
+    _check_out_dirs(args.out_json, args.out_csv)
     graph = load_graph(args.edges, args.features, args.labels)
     if graph.num_edges == 0:
         raise AnalysisError("global homophily is undefined on an edgeless graph")
@@ -185,6 +204,7 @@ def _cmd_train(args) -> int:
     from .trainer import apply_ablation, save_checkpoint, train
 
     started = _now()
+    _check_out_dirs(args.out_checkpoint, args.out_loss_curve)
     config = _config_with(_load_config_dict(args.config), _flag_overrides(args, args.seed))
     graph = load_graph(args.edges, args.features)
     state, curve = train(graph, config)
@@ -256,6 +276,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"{args.mode} mode requires --labels")
     if args.mode == "histograms" and args.out_csv is None:
         raise ConfigError("histograms mode requires --out-csv")
+    _check_out_dirs(args.out, args.out_csv)
     state, config, graph = _load_for_eval(args)
     seed = args.seed if args.seed is not None else config.seed
     checkpoint_sha256 = _sha256(args.checkpoint)
@@ -353,6 +374,7 @@ def _cmd_embed(args) -> int:
     from .encoder import inference_embeddings
 
     started = _now()
+    _check_out_dirs(args.out)
     state, config, graph = _load_for_eval(args)
     emb = inference_embeddings(state, state.spec, graph).data
     header = ",".join(f"dim_{j}" for j in range(emb.shape[1]))
@@ -407,6 +429,7 @@ def _cmd_ablate(args) -> int:
         raise ConfigError(f"--num-seeds must be >= 1, got {args.num_seeds}")
     _check_seed("--seed", args.seed)
     seeds = _parse_seeds(args.seeds) if args.seeds else None
+    _check_out_dirs(args.out_dir)
     raw = _load_config_dict(args.config)
     # an error every variant would share fails the command before the graph
     # is read; one that a variant's overrides bring gets that variant's row
@@ -415,7 +438,10 @@ def _cmd_ablate(args) -> int:
         seeds = [base.seed + i for i in range(args.num_seeds)]
 
     graph = load_graph(args.edges, args.features, args.labels)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot write {args.out_dir}: {exc.strerror or exc}") from None
 
     rows = []
     details: dict = {}

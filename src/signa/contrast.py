@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .errors import (
-    ConfigError,
-    DegenerateEmbeddingError,
-    DegenerateGraphError,
-    ShapeError,
-)
+from .errors import ConfigError, DegenerateGraphError, ShapeError
 from .graphdata import Graph
 
 ESTIMATOR_KINDS = ("norm_jsd", "jsd", "info_nce")
@@ -81,6 +76,8 @@ class EstimatorSpec:
 # Entries in one strip of a pairwise score matrix: strips hold max(1, this // n)
 # rows, so a pass needs O(B*n + n*d) memory and never an n x n array.
 _BLOCK_ELEMS = 2**20
+# rows shorter than this have no direction: `unit_rows` divides them by it
+NORM_FLOOR = 1e-12
 
 
 def pair_strips(n: int):
@@ -95,12 +92,11 @@ def pair_strips(n: int):
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x / norms, norms), with norms an (n, 1) column; a row whose norm is
-    below 1e-12 has no direction and raises DegenerateEmbeddingError."""
+    """(x / norms, norms), with norms = max(||x_i||, NORM_FLOOR) an (n, 1) column,
+    as torch.nn.functional.normalize divides: a zero row (dropout can zero
+    all of a node's features) stays zero and scores 0 against every row."""
     norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-    if np.any(norms < 1e-12):
-        row = int(np.argmin(norms))
-        raise DegenerateEmbeddingError(f"row {row} has near-zero norm ({float(norms[row, 0]):.3e})")
+    np.maximum(norms, NORM_FLOOR, out=norms)
     return x / norms, norms
 
 

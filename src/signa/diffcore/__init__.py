@@ -14,10 +14,14 @@ needs none); `backward` adds each into its parent.  The closure should
 capture the arrays it reads, never a parent Tensor, so that nothing else
 stays alive until the backward pass.
 
-Memory: the tape keeps only what a backward reads.  Per encoder layer in
-training that is the matmul input, the dropout mask (after the first
-layer; the input features need no gradient), the activation's boolean
-mask (relu, leaky_relu), output (elu) or input (prelu), and layer_norm's
+Memory: an array lives until its last reader has run.  `backward` drops
+a node's closure, parent links and (but for a Parameter's) gradient as
+soon as it has visited the node, and the training loop names no
+intermediate past its last reader: z dies with the loss forward and h
+with the projector's backward.  In training the tape holds, per encoder
+layer, the matmul input, the dropout mask (after the first layer; the
+input features need no gradient), the activation's boolean mask (relu,
+leaky_relu), output (elu) or input (prelu), and layer_norm's
 standardized input; with gconv, spmm keeps only the shared adjacency.
 The projector keeps its input h and its activation's array, which for the
 ELU of every preset is its output, also the second matmul's input; the

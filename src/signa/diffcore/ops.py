@@ -4,17 +4,11 @@ Each operation computes its forward value eagerly and attaches a closure
 that maps the output gradient to one gradient per input (None for an input
 that needs none).  `backward` replays those closures in reverse topological
 order from a scalar loss and adds each gradient into its input's node.
-The recorded graph is single-use: after `backward` the links are released
+The recorded graph is single-use: `backward` releases it as it walks it,
 and a second call on the same loss raises.  Only tensors that `needs_grad`
 (Parameters and what is computed from them) take part; the others get no
-closure, so a forward over constants keeps nothing alive.
-
-A closure captures only the arrays its backward reads, never a Tensor, so
-an op's input lives on only if some backward needs it.  Ops allocate only
-what they keep: an activation keeps a boolean mask, its input (prelu)
-or its own output (elu, whose derivative is out + 1 below zero), and
-layer_norm its standardized input.  The relu mask is formed only for an
-output that needs a gradient.
+closure, so a forward over constants keeps nothing alive.  What each op
+keeps, and when it is freed, is the "Memory" note of `signa.diffcore`.
 
 These are the ops the training tape records, together with the
 custom-op API (`Tensor`, `record_backward`, `check_finite`, `logistic`)
@@ -286,8 +280,8 @@ def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dParam into every reachable Parameter's grad.
 
     Only nodes that need a gradient are visited; a tensor that needs none
-    has no node, so the walk never reaches past it.  The tape is consumed:
-    graph links are dropped afterwards and calling backward twice on the
+    has no node, so the walk never reaches past it.  The tape is consumed
+    node by node as the walk visits it, and calling backward twice on the
     same loss raises a ContractError.
     """
     if loss.data.size != 1:
@@ -316,18 +310,20 @@ def backward(loss: Tensor) -> None:
 
     loss._node.grad = np.ones_like(loss.data)
     for node in reversed(topo):
-        if node.backward is None or node.grad is None:
-            continue
-        grads = node.backward(node.grad)
-        node.grad = None  # fully pushed to the parents; free it before the rest runs
-        if not isinstance(grads, tuple) or len(grads) != len(node.parents):
-            raise ContractError(f"a backward must return a tuple of {len(node.parents)} gradients, one per parent")
-        for parent, g in zip(node.parents, grads):
-            if parent is not None and g is not None:
-                _accumulate(parent, g)
+        _visit(node)
 
-    for node in topo:
-        node.backward = None
-        node.parents = ()
-        if not node.persistent:
-            node.grad = None
+
+def _visit(node) -> None:
+    """Run a node's closure; its share of the tape dies before the next one runs."""
+    backward_fn, parents, g = node.backward, node.parents, node.grad
+    node.backward, node.parents = None, ()
+    if not node.persistent:
+        node.grad = None
+    if backward_fn is None or g is None:
+        return
+    grads = backward_fn(g)
+    if not isinstance(grads, tuple) or len(grads) != len(parents):
+        raise ContractError(f"a backward must return a tuple of {len(parents)} gradients, one per parent")
+    for parent, pg in zip(parents, grads):
+        if parent is not None and pg is not None:
+            _accumulate(parent, pg)

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the toolkit.
 
 Each error class carries the process exit code the CLI returns for it:
-configuration problems exit with 1, data/ingestion problems with 2,
-numeric failures with 3.
+configuration problems (an unwritable output path among them) exit with
+1, data/ingestion problems with 2, numeric failures with 3.
 """
 
 
@@ -14,6 +14,10 @@ class ConfigError(SignaError):
     """Invalid configuration value, flag, or argument."""
 
     exit_code = 1
+
+
+class OutputError(ConfigError, OSError):
+    """An output path cannot be written; callers that catch OSError still do."""
 
 
 class ShapeError(SignaError):

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diffcore as dc
-from .contrast import pair_strips, unit_rows
+from .contrast import NORM_FLOOR, pair_strips, unit_rows
 from .encoder import EncoderState, ModelSpec, encode_rows
-from .errors import AnalysisError, ConfigError, ShapeError
+from .errors import AnalysisError, ConfigError, DegenerateEmbeddingError, ShapeError
 from .graphdata import Graph, normalized_adjacency, row_blocks
 
 
@@ -460,7 +460,10 @@ def similarity_histograms(
     if x.shape[0] != n:
         raise ShapeError(f"embeddings rows {x.shape[0]} != |V| {n}")
     dc.check_finite("embeddings", x)
-    xn, _ = unit_rows(x)
+    xn, norms = unit_rows(x)
+    if np.any(norms == NORM_FLOOR):  # a cosine needs a direction
+        row = int(np.argmin(norms))
+        raise DegenerateEmbeddingError(f"row {row} has near-zero norm ({float(np.linalg.norm(x[row])):.3e})")
     edges = np.linspace(-1.0, 1.0, bins + 1)
     labels, offsets = graph.labels, graph.csr_offsets
     sources, targets = graph.csr_sources, graph.csr_targets

@@ -160,8 +160,8 @@ def train(graph: Graph, config: TrainConfig) -> tuple[EncoderState, list[float]]
             feats = feats * (dropout_rng.uniform(size=feats.shape) >= effective.nfm_p_feat)
         draw = draw_masks(graph, effective.mask_rate, mask_rng, epoch=epoch)
         h = encode_rows(state, effective.model, feats, adj=adj, training=True, rng=dropout_rng)
-        z = project(state, h)
-        loss = estimator_loss(z, draw, effective.estimator)
+        loss = estimator_loss(project(state, h), draw, effective.estimator)
+        del feats, draw, h  # now only the tape holds what backward reads ("Memory" in signa.diffcore)
         value = float(loss.data)
         if not np.isfinite(value):
             raise OptimizationError(f"non-finite loss at epoch {epoch}")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -771,7 +772,7 @@ def test_every_error_class_exits_with_its_code(monkeypatch, capsys):
         c for c in vars(errors).values()
         if isinstance(c, type) and issubclass(c, SignaError) and c is not SignaError
     ]
-    assert len(classes) == 11
+    assert len(classes) == 12
     for cls in classes:
         # the exit code main() mapped each class to before the classes carried one
         if issubclass(cls, ConfigError):
@@ -908,3 +909,102 @@ def test_eval_checkpoint_that_is_not_utf8_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"checkpoint {ckpt}: not UTF-8 text: byte 0xff" in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# output paths and manifests
+
+
+def _argv(command, tmp_path, **outs):
+    """`command`'s argv with every input a file that does not exist, so a
+    run that reads one fails with exit 2; `outs` replaces output flags."""
+    none = str(tmp_path / "none")
+    ins = {"--edges": none, "--features": none}
+    flags = {
+        "homophily": {**ins, "--labels": none, "--out-json": "h.json", "--out-csv": "h.csv"},
+        "train": {"--config": none, **ins, "--out-checkpoint": "m.ckpt", "--out-loss-curve": "c.csv"},
+        "eval": {"--checkpoint": none, **ins, "--labels": none, "--mode": "histograms",
+                 "--out": "r.json", "--out-csv": "r.csv"},
+        "embed": {"--checkpoint": none, **ins, "--out": "e.csv"},
+        "ablate": {"--config": none, **ins, "--labels": none, "--out-dir": "out"},
+    }[command]
+    flags.update(outs)
+    return [command, *(x for item in flags.items() for x in item), "--quiet"]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("homophily", "--out-json"), ("homophily", "--out-csv"), ("train", "--out-checkpoint"),
+     ("train", "--out-loss-curve"), ("eval", "--out"), ("eval", "--out-csv"), ("embed", "--out"),
+     ("ablate", "--out-dir")],
+)
+def test_an_output_path_that_cannot_exist_fails_before_any_input_is_read(command, flag, tmp_path, capsys):
+    # a missing directory, or (ablate, which makes its directory) a regular
+    # file where a directory must be
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "out") if command == "ablate" else str(tmp_path / "missing" / "x")
+    assert main(_argv(command, tmp_path, **{flag: out})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and out in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_an_artifact_that_cannot_be_written_is_an_error_line(command, tmp_path, capsys):
+    edges, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path, num_epochs=1)
+    if command == "train":  # a checkpoint path that is a directory
+        out = str(tmp_path)
+        argv = ["train", "--out-checkpoint", out]
+    else:  # an output directory that is a regular file
+        out = labels
+        argv = ["ablate", "--labels", labels, "--variants", "none", "--out-dir", out]
+    rc = main([*argv, "--config", config, "--edges", edges, "--features", feats, "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
+def _run_cli(argv, timeout=60):
+    """The CLI in a child process: a run that hangs fails here instead of
+    hanging the test session."""
+    src = os.path.dirname(os.path.dirname(signa.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    script = "import sys\nfrom signa.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def test_an_input_read_from_a_fifo_is_listed_without_a_hash(tmp_path):
+    edges, feats, labels = _write_dataset(tmp_path)
+    fifo = tmp_path / "features.fifo"
+    os.mkfifo(fifo)
+    payload = open(feats, "rb").read()
+    writer = threading.Thread(target=fifo.write_bytes, args=(payload,), daemon=True)
+    writer.start()
+    out_json = str(tmp_path / "hom.json")
+    result = _run_cli(["homophily", "--edges", edges, "--features", str(fifo), "--labels", labels,
+                       "--out-json", out_json, "--out-csv", str(tmp_path / "hom.csv"), "--quiet"])
+    writer.join(timeout=10)
+    assert result.returncode == 0, result.stderr
+    manifest = json.loads(open(out_json + ".manifest.json").read())
+    digests = {e["path"]: e["sha256"] for e in manifest["inputs"]}
+    assert digests == {edges: _sha(edges), str(fifo): None, labels: _sha(labels)}
+
+
+def test_a_report_written_to_a_fifo_gets_no_manifest(tmp_path):
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    result = _run_cli(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
+                       "--labels", labels, "--mode", "cluster", "--out", str(fifo), "--quiet"])
+    reader.join(timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(received[0])["k"] == 2
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        ["config.json", "edges.txt", "features.csv", "labels.txt", "model.ckpt",
+         "model.ckpt.manifest.json", "report.fifo"]
+    )

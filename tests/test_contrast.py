@@ -480,9 +480,15 @@ def test_in_place_strips_equal_the_earlier_op_bit_for_bit(kind, rows, precision,
 
 def test_blocked_loss_keeps_input_checks():
     draw = draw_masks(_ring(4), 0.0, RngStream(0, "mask"))
-    with pytest.raises(DegenerateEmbeddingError):
-        _loss(Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])), draw, "norm_jsd")
     with pytest.raises(NumericError):
         _loss(Tensor(np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0], [1.0, 1.0]])), draw, "jsd")
     with pytest.raises(ShapeError):
         _loss(Tensor(np.ones((3, 2))), draw, "info_nce")
+
+
+def test_unit_rows_divide_a_zero_row_by_the_floor():
+    # as torch.nn.functional.normalize: the row stays zero, and the loss's
+    # backward divides its gradient by the same floor
+    zn, norms = contrast.unit_rows(np.array([[3.0, 4.0], [0.0, 0.0]]))
+    assert zn.tolist() == [[0.6, 0.8], [0.0, 0.0]]
+    assert norms.tolist() == [[5.0], [contrast.NORM_FLOOR]]

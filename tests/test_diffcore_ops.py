@@ -8,6 +8,7 @@ instances, relative error under 1e-5 in 64-bit mode.
 
 import ast
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,26 @@ def test_intermediate_grads_are_released_during_the_pass():
     mid._node.backward = spy
     backward(kit.tsum(top))
     assert len(seen) == 1 and seen[0] is None  # freed before the rest of the tape ran
+    np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+
+
+def test_arrays_of_a_run_closure_die_before_the_next_closure_runs():
+    x = Parameter(np.ones(3), name="x")
+    mid = kit.scalar_mul(x, 2.0)
+    held = np.full(3, 3.0)  # read by top's closure alone
+    held_ref = weakref.ref(held)
+    top = dc.record_backward(Tensor(held * mid.data, _parents=(mid,)), lambda g, h=held: (g * h,))
+    del held
+    seen = []
+    mid_backward = mid._node.backward
+
+    def spy(g):
+        seen.append((held_ref() is None, top._node.backward is None, top._node.parents == ()))
+        return mid_backward(g)
+
+    mid._node.backward = spy
+    backward(kit.tsum(top))
+    assert seen == [(True, True, True)]
     np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
 
 

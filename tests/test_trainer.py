@@ -15,7 +15,9 @@ import pytest
 from conftest import edge_list, split_generator
 from oracles import save_checkpoint_v1_oracle
 
+import signa.contrast as contrast
 import signa.diffcore as dc
+import signa.trainer as trainer
 from signa.contrast import EstimatorSpec, draw_masks, estimator_loss
 from signa.diffcore import set_precision
 from signa.cli import main
@@ -250,6 +252,50 @@ def test_f32_training_runs():
     state, curve = train(g, _config(precision="f32", num_epochs=5))
     assert state.parameters()[0].data.dtype == np.float32
     assert np.all(np.isfinite(curve))
+
+
+@pytest.mark.parametrize("seed, ablation", [(s, "none") for s in range(6)] + [(0, "nfm")])
+def test_a_node_whose_features_are_all_dropped_still_trains(seed, ablation):
+    # with F = 4 and p = 0.4 dropout (or nfm's masking) zeroes all of some
+    # node's features, which makes its row of z exactly zero at
+    # initialization; the loss scores it with the other rows
+    g = _small_graph(blocks=(30, 30), f=4)
+    model = ModelSpec(hidden_dim=8, projector_dim=8)
+    _, curve = train(g, _config(model=model, num_epochs=50, seed=seed, ablation=ablation))
+    assert np.all(np.isfinite(curve))
+    assert np.mean(curve[-5:]) < np.mean(curve[:5])
+
+
+def test_an_epochs_backward_peaks_below_its_loss(monkeypatch):
+    # backward frees the tape as it walks it, so at this shape it peaks below
+    # the loss forward; it peaked ~0.8 MiB above it while every closure lived
+    # to the end of the pass.  Ten-row loss strips make the n x d arrays, not
+    # the strips, the loss's working set.
+    n = 400
+    monkeypatch.setattr(contrast, "_BLOCK_ELEMS", 10 * n)
+    means = np.zeros((2, 16))
+    means[1, 0] = 1.0
+    graph = sbm_generate([n // 2, n // 2], 0.04, 0.01, means, 1.0, split_generator(0))
+    peaks = {}
+
+    def traced(phase, fn):
+        def run(*args):
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            peaks[phase] = tracemalloc.get_traced_memory()[1]
+            return out
+
+        return run
+
+    monkeypatch.setattr(trainer, "estimator_loss", traced("loss", estimator_loss))
+    monkeypatch.setattr(dc, "backward", traced("backward", dc.backward))
+    model = ModelSpec(hidden_dim=128, projector_dim=128)
+    tracemalloc.start()
+    try:
+        train(graph, _config(model=model, num_epochs=1))
+    finally:
+        tracemalloc.stop()
+    assert peaks["backward"] < peaks["loss"], peaks
 
 
 def test_log_every_prints(capsys):
