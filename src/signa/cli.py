@@ -200,12 +200,14 @@ def _config_with(raw: dict, overrides: dict):
 
 
 def _cmd_train(args) -> int:
+    from . import diffcore as dc
     from .graphdata import load_graph
     from .trainer import apply_ablation, save_checkpoint, train
 
     started = _now()
     _check_out_dirs(args.out_checkpoint, args.out_loss_curve)
     config = _config_with(_load_config_dict(args.config), _flag_overrides(args, args.seed))
+    dc.set_precision(config.precision)  # the graph holds its features in it
     graph = load_graph(args.edges, args.features)
     state, curve = train(graph, config)
     save_checkpoint(state, config, args.out_checkpoint, final_loss=curve[-1])
@@ -410,6 +412,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_ablate(args) -> int:
+    from . import diffcore as dc
     from .encoder import inference_embeddings
     from .graphdata import load_graph
     from .trainer import train
@@ -437,6 +440,7 @@ def _cmd_ablate(args) -> int:
     if seeds is None:
         seeds = [base.seed + i for i in range(args.num_seeds)]
 
+    dc.set_precision(base.precision)  # no variant overrides it
     graph = load_graph(args.edges, args.features, args.labels)
     try:
         os.makedirs(args.out_dir, exist_ok=True)

@@ -238,13 +238,17 @@ def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.
         zn = x  # raw inner products
     else:
         zn, norms = unit_rows(x)
+    # the loss's node, made now so that z's array dies here unless the
+    # caller holds it (jsd scores it as zn); its value is filled in below
+    out = dc.Tensor(0.0, _parents=(z,))
+    del z, x
 
     if kind != "info_nce":  # positives by target, for the strips' column anchors
         by_target = np.argsort(targets, kind="stable")
         t_targets, t_anchors = targets[by_target], anchors[by_target]
 
     per_anchor = np.zeros(n)
-    dzn = np.zeros_like(x)
+    dzn = np.zeros_like(zn)
     for r0, r1 in pair_strips(n):
         c0 = 0 if kind == "info_nce" else r0
         lo, hi = np.searchsorted(anchors, (r0, r1))
@@ -273,7 +277,7 @@ def estimator_loss(z: dc.Tensor, draw: ContrastDraw, spec: EstimatorSpec) -> dc.
         np.multiply(zn, np.sum(scratch, axis=1, keepdims=True), out=scratch)
         dzn -= scratch
         dzn /= norms
-    out = dc.Tensor(per_anchor.sum(), _parents=(z,))
+    out.data[...] = per_anchor.sum()  # rounds as the Tensor cast does
 
     def _bw(g):
         return (dzn * g,)

@@ -2,10 +2,11 @@
 
 Everything training needs and nothing more: a Tensor wrapper whose tape
 node links the parents' nodes to a backward closure, the ops the training
-tape records (`matmul`, `add`, `dropout`, `layer_norm`, `activation`), the
-custom-op API that `graphdata.spmm` and the contrastive loss build on,
-Adam, and a seeded RNG tree.  Finite-difference gradient checking and the
-generic ops the test oracles need live with the tests.
+tape records (`matmul`, `add`, `dropout`, `dropout_matmul`, `layer_norm`,
+`activation`), the custom-op API that `graphdata.spmm` and the
+contrastive loss build on, Adam, and a seeded RNG tree.  Finite-difference
+gradient checking and the generic ops the test oracles need live with the
+tests.
 
 Custom ops: build the output as `Tensor(value, _parents=(x, ...))` and
 attach a closure with `record_backward(out, fn)`.  `fn(g)` returns a tuple
@@ -17,20 +18,25 @@ stays alive until the backward pass.
 Memory: an array lives until its last reader has run.  `backward` drops
 a node's closure, parent links and (but for a Parameter's) gradient as
 soon as it has visited the node, and the training loop names no
-intermediate past its last reader: z dies with the loss forward and h
-with the projector's backward.  In training the tape holds, per encoder
-layer, the matmul input, the dropout mask (after the first layer; the
-input features need no gradient), the activation's boolean mask (relu,
-leaky_relu), output (elu) or input (prelu), and layer_norm's
-standardized input; with gconv, spmm keeps only the shared adjacency.
-The projector keeps its input h and its activation's array, which for the
-ELU of every preset is its output, also the second matmul's input; the
-loss keeps dLoss/dz.  Each is one n x width array (booleans for a mask),
-plus layer_norm's n x 1 inverse deviation.  While it runs, the blocked
-contrastive loss holds two B x n strip arrays (three for the jsd
-ablation, whose sigmoid slope is a strip of its own), the strip's boolean
-clamp mask, and three n x d arrays: the unit rows zn, their gradient dzn,
-which becomes dLoss/dz in place, and one scratch.
+intermediate past its last reader: z dies once the loss has formed its
+unit rows (jsd scores z itself) and h with the projector's backward.
+The input features are held once, by the Graph, in the active precision,
+and layer 0 reads them in place: `dropout_matmul` forms the dropped rows,
+multiplies them and frees them, keeping only the boolean mask (its
+backward forms them again for dL/dW), and every mask is drawn one row
+block of uniforms at a time.  In training the tape holds that mask; per
+later layer, the dropout mask and the matmul input; per layer, the
+activation's boolean mask (relu, leaky_relu), output (elu) or input
+(prelu), and layer_norm's standardized input; with gconv, spmm keeps only
+the shared adjacency.  The projector keeps its input h and its
+activation's array, which for the ELU of every preset is its output, also
+the second matmul's input; the loss keeps dLoss/dz.  Each is one n x
+width array (booleans for a mask), plus layer_norm's n x 1 inverse
+deviation; layer_norm's backward adds two arrays of its width.  While it
+runs, the blocked contrastive loss holds two B x n strip arrays (three
+for the jsd ablation, whose sigmoid slope is a strip of its own), the
+strip's boolean clamp mask, and three n x d arrays: the unit rows zn,
+their gradient dzn, which becomes dLoss/dz in place, and one scratch.
 """
 
 from .tensor import (
@@ -47,6 +53,7 @@ from .ops import (
     backward,
     check_finite,
     dropout,
+    dropout_matmul,
     layer_norm,
     logistic,
     matmul,
@@ -69,6 +76,7 @@ __all__ = [
     "backward",
     "check_finite",
     "dropout",
+    "dropout_matmul",
     "get_precision",
     "layer_norm",
     "logistic",

@@ -128,26 +128,67 @@ def logistic(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # neural-network layers
 
 
+def _dropout_mask(shape: tuple, p: float, rng, training: bool):
+    """(keep, 1/(1-p)) for one dropout draw, or None where dropout is the
+    identity (inference, or p == 0) and draws nothing."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return None
+    from ..graphdata import keep_mask  # graphdata builds on diffcore
+
+    return keep_mask(rng, shape, p), 1.0 / (1.0 - p)
+
+
+def _dropped(data: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
+    kept = data * keep
+    kept *= scale
+    return kept
+
+
 def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
     """Inverted dropout: zero entries with probability p, scale by 1/(1-p).
 
     Inference mode is the exact identity and consumes no randomness; the
     same holds for p == 0 in training mode.  Dropout on a tensor that needs
-    no gradient (the input features) draws the same mask.  The tape keeps
-    the boolean mask, not the input.
+    no gradient draws the same mask.  The tape keeps the boolean mask, not
+    the input.
     """
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    mask = _dropout_mask(x.data.shape, p, rng, training)
+    if mask is None:
         return x
-    keep = rng.uniform(size=x.data.shape) >= p
-    scale = 1.0 / (1.0 - p)
-    kept = x.data * keep
-    kept *= scale
-    out = Tensor(kept, _parents=(x,))
+    keep, scale = mask
+    out = Tensor(_dropped(x.data, keep, scale), _parents=(x,))
 
     def _bw(g):
         return (g * keep * scale,)
+
+    return record_backward(out, _bw)
+
+
+def dropout_matmul(x: Tensor, w: Tensor, p: float, rng, training: bool) -> Tensor:
+    """`matmul(dropout(x, p, rng, training), w)` for an x that needs no
+    gradient (the input features): the same draw and the same bits.
+
+    The dropped rows are formed, multiplied by w and freed.  The tape keeps
+    the boolean mask and x, which its owner holds anyway, and the backward
+    rebuilds the dropped rows to form dL/dw.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.needs_grad:
+        raise ContractError("dropout_matmul forms no gradient for its input; use dropout, then matmul")
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {x.data.shape} @ {w.data.shape}")
+    mask = _dropout_mask(x.data.shape, p, rng, training)
+    if mask is None:
+        return matmul(x, w)
+    keep, scale = mask
+    x_data = x.data
+    out = Tensor(_dropped(x_data, keep, scale) @ w.data, _parents=(x, w))
+    check_finite("matmul", out.data)
+
+    def _bw(g):
+        return None, _dropped(x_data, keep, scale).T @ g
 
     return record_backward(out, _bw)
 
@@ -156,7 +197,7 @@ def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, eps: float = 1e-5) -
     """Per-row standardization (population variance) with affine gain/bias.
 
     The tape keeps the standardized input and the per-row inverse
-    deviation, not the input.
+    deviation, not the input; the backward adds two arrays of its size.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects a matrix, got shape {x.data.shape}")
@@ -177,10 +218,17 @@ def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, eps: float = 1e-5) -
     gain_data = gain.data
 
     def _bw(g):
+        # inv * (gx - m1 - xhat * m2), in the same order, in two arrays of
+        # x's size: gx becomes dL/dx and `t` serves each product with xhat
         gx = g * gain_data
         m1 = np.mean(gx, axis=1, keepdims=True)
-        m2 = np.mean(gx * xhat, axis=1, keepdims=True)
-        return inv * (gx - m1 - xhat * m2), np.sum(g * xhat, axis=0), np.sum(g, axis=0)
+        t = np.multiply(gx, xhat)
+        m2 = np.mean(t, axis=1, keepdims=True)
+        gx -= m1
+        np.multiply(xhat, m2, out=t)
+        gx -= t
+        np.multiply(inv, gx, out=gx)
+        return gx, np.sum(np.multiply(g, xhat, out=t), axis=0), np.sum(g, axis=0)
 
     return record_backward(out, _bw)
 

@@ -144,11 +144,12 @@ def encode_rows(
     """The L layers on any (m, F) block of feature rows, giving m x d_enc.
 
     Dropout draws from `rng` only in training mode with p > 0; inference
-    consumes no randomness.  At inference without `adj`, every op acts on
-    each row by itself, so a block of rows gives those rows of the full
-    forward.  With `adj` (gconv only), it is the operator over exactly
-    these m rows.  A width other than the state's F fails in the first
-    matmul.
+    consumes no randomness.  `feats` is read in place when it is in the
+    active precision, as the Graph's features are, and cast otherwise.  At
+    inference without `adj`, every op acts on each row by itself, so a block
+    of rows gives those rows of the full forward.  With `adj` (gconv only),
+    it is the operator over exactly these m rows.  A width other than the
+    state's F fails in the first matmul.
     """
     if spec.base_encoder == "gconv" and adj is None:
         raise ConfigError("gconv base encoder requires a normalized adjacency")
@@ -161,8 +162,11 @@ def encode_rows(
     params = state.params
     h = dc.Tensor(feats)
     for l in range(spec.num_layers):
-        h = dc.dropout(h, spec.dropout_p, rng, training)
-        h = dc.matmul(h, params[f"layers.{l}.weight"])
+        weight = params[f"layers.{l}.weight"]
+        if not h.needs_grad:  # the input features: the tape keeps the mask alone
+            h = dc.dropout_matmul(h, weight, spec.dropout_p, rng, training)
+        else:
+            h = dc.matmul(dc.dropout(h, spec.dropout_p, rng, training), weight)
         if spec.base_encoder == "gconv":
             h = spmm(adj, h)
         if not spec.layer_norm_enabled:

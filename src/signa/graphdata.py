@@ -7,6 +7,7 @@ edge endpoints must index into it.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -35,7 +36,9 @@ class Graph:
     """
 
     def __init__(self, edges, features, labels=None):
-        self.features = np.asarray(features, dtype=np.float64)
+        # in the active precision: training and inference read these rows in
+        # place, and an array already in it is not copied
+        self.features = np.asarray(features, dtype=active_dtype())
         if self.features.ndim != 2:
             raise ShapeError(f"features must be (num_nodes, F), got {self.features.shape}")
         n = self.num_nodes = self.features.shape[0]
@@ -86,7 +89,8 @@ def row_blocks(num_rows: int, width: int):
     """Yield the (start, stop) bounds of consecutive row blocks, each about
     `_BLOCK_ENTRIES` entries of a `width`-column array, for the passes whose
     bits do not depend on the block height: linear inference, the probe's
-    test scoring, k-means' row norms and the SBM's rows of node pairs.
+    test scoring, k-means' row norms, the SBM's rows of node pairs and the
+    dropout masks' uniforms.
 
     A block has at least two rows unless `num_rows` < 2: numpy runs a
     one-row product as a matrix-vector product, whose bits can differ from
@@ -98,6 +102,17 @@ def row_blocks(num_rows: int, width: int):
         stop = start + step if num_rows - start - step > 1 else num_rows
         yield start, stop
         start = stop
+
+
+def keep_mask(rng, shape: tuple, p: float) -> np.ndarray:
+    """`rng.uniform(size=shape) >= p` as a boolean array, drawn one
+    `row_blocks` block at a time: blocked draws take the same doubles from
+    the stream as one draw, and no float array of the full shape is built."""
+    keep = np.empty(shape, dtype=bool)
+    rows = keep.reshape(shape[0], math.prod(shape[1:]))
+    for start, stop in row_blocks(*rows.shape):
+        np.greater_equal(rng.uniform(size=(stop - start, rows.shape[1])), p, out=rows[start:stop])
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +336,25 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     """Load a graph from an edge list, a feature CSV, and optional labels.
 
     The feature file fixes the node count; every edge endpoint must be a
-    valid row index, and every feature value must be finite.  Directed
+    valid row index, and every feature value must be finite in the active
+    precision (under f32, a value beyond its range overflows).  Directed
     input edges are symmetrized.  Each file is UTF-8 text and may start with
     a byte-order mark.
     """
     try:
         features = _decoding(_read_features, feature_path)
+        # f64 keeps the parser's array itself (no pass, no copy); under f32 a
+        # value beyond its range becomes inf, refused below
+        with np.errstate(over="ignore"):
+            features = features.astype(active_dtype(), copy=False)
         num_nodes = features.shape[0]
         for start, stop in row_blocks(*features.shape):
             bad = ~np.isfinite(features[start:stop]).all(axis=1)
             if bad.any():
                 row = start + int(np.argmax(bad))
-                raise IngestionError(f"{feature_path}: feature row {row} holds a non-finite value")
+                # under f32 the value may be finite in the file and overflow in the cast
+                cast = "" if features.dtype == np.float64 else f" as {features.dtype}"
+                raise IngestionError(f"{feature_path}: feature row {row} holds a non-finite value{cast}")
         edges = _decoding(_read_edges, edge_path, num_nodes)
         labels = _decoding(_read_labels, label_path, num_nodes) if label_path is not None else None
     except OSError as exc:

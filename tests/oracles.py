@@ -25,7 +25,10 @@ one after another; the lockstep one must give the same assignments.
 `dropout_oracle`, `layer_norm_oracle` and `activation_oracle` are the
 library's earlier training ops, kept as they were: each forms its output in
 fresh temporaries and its backward reads the input, as the tape once kept
-it.  The lean ops must give the same output and gradients bit for bit.
+it (layer_norm's reads xhat, and forms each term of dL/dx in a fresh
+array).  The lean ops must give the same output and gradients bit for bit.
+`dropout_oracle` followed by `matmul` is also the reference for the fused
+layer-0 op `dropout_matmul`.
 
 `similarity_histograms_oracle` is the library's earlier histogram routine,
 which indexes the full n x n Gram matrix with all n(n-1)/2 pairs and looks

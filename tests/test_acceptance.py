@@ -172,6 +172,17 @@ def _op_cases():
     sx = param((5, 3))
     cases.append(("spmm", lambda: _h16(spmm(adj, sx)), [sx]))
 
+    _h17 = head((4, 3))
+    fx, fw = dc.Tensor(rng.normal(size=(4, 5))), param((5, 3))
+    fused_seed = int(rng.integers(1 << 30))
+    cases.append(
+        (
+            "dropout_matmul",
+            lambda: _h17(dc.dropout_matmul(fx, fw, 0.4, dc.RngStream(fused_seed, "dropout"), True)),
+            [fw],
+        )
+    )
+
     return cases
 
 

@@ -333,6 +333,27 @@ def test_train_numeric_failure_exits_three(tmp_path, capsys):
     assert "negative set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_feature_beyond_f32_exits_two_at_load_under_f32(command, tmp_path, capsys):
+    # the features are held in the run's precision, cast as they are read:
+    # 1e39 overflows f32 there and is refused at load, naming its row,
+    # rather than at the first matmul (exit 3)
+    edges, feats, labels = _write_dataset(tmp_path)
+    rows = open(feats).read().splitlines()
+    rows[5] = "0.5,1e39,1.25"
+    open(feats, "w").write("\n".join(rows) + "\n")
+    config = _write_config(tmp_path, precision="f32")
+    args = {
+        "train": ["--out-checkpoint", str(tmp_path / "m.ckpt")],
+        "ablate": ["--labels", labels, "--variants", "none", "--num-seeds", "1", "--probe-runs", "1",
+                   "--out-dir", str(tmp_path / "ablation")],
+    }[command]
+    rc = main([command, "--config", config, "--edges", edges, "--features", feats, "--quiet"] + args)
+    assert rc == 2
+    assert f"error: {feats}: feature row 5 holds a non-finite value as float32" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "edges.txt", "features.csv", "labels.txt"]  # wrote nothing
+
+
 # ---------------------------------------------------------------------------
 # eval
 

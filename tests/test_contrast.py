@@ -2,6 +2,7 @@
 estimators against naive double-loop oracles and the dense tape losses."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -436,6 +437,38 @@ def test_loss_working_set_is_two_strips(kind, precision):
         tracemalloc.stop()
     assert peak <= bound, (peak / 2**20, bound / 2**20)
     assert z.grad.dtype == z.data.dtype
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_z_dies_before_the_first_strip(kind, monkeypatch):
+    # with the caller holding no reference, z's array goes once its unit rows
+    # are formed; jsd scores z itself, as zn.  dL/dW is the same either way.
+    draw, x = _memory_case(300, 8)
+    refs, alive, grads = [], [], []
+    strips = contrast.pair_strips
+
+    def spy(n):
+        alive.append(refs[-1]() is not None)
+        return strips(n)
+
+    monkeypatch.setattr(contrast, "pair_strips", spy)
+
+    def projected(w):
+        z = dc.matmul(Tensor(x), w)
+        refs.append(weakref.ref(z.data))
+        return z
+
+    for caller_holds in (False, True):
+        w = Parameter(np.random.default_rng(16).normal(size=(8, 4)), name="w")
+        if caller_holds:
+            z = projected(w)
+            loss = estimator_loss(z, draw, EstimatorSpec(kind=kind))
+        else:
+            loss = estimator_loss(projected(w), draw, EstimatorSpec(kind=kind))
+        backward(loss)
+        grads.append(w.grad.tobytes())
+    assert alive == [kind == "jsd", True]
+    assert grads[0] == grads[1]
 
 
 def _bitwise_cases(large: bool) -> list:

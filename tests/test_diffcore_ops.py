@@ -172,6 +172,89 @@ def test_dropout_rejects_bad_rate():
         dc.dropout(x, -0.1, RngStream(0, "dropout"), training=True)
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_dropout_matmul_equals_matmul_of_dropout_bitwise(precision):
+    # the fused layer-0 op against the two ops it replaces: the same output,
+    # the same dL/dW, and the stream left where dropout leaves it
+    set_precision(precision)
+    rng = np.random.default_rng(21)
+    x, w, upstream = rng.normal(size=(37, 11)), rng.normal(size=(11, 5)), rng.normal(size=(37, 5))
+    results = []
+    for fused in (True, False):
+        stream, weight = RngStream(3, "dropout"), Parameter(w, name="w")
+        if fused:
+            out = dc.dropout_matmul(Tensor(x), weight, 0.4, stream, training=True)
+        else:
+            out = dc.matmul(dc.dropout(Tensor(x), 0.4, stream, training=True), weight)
+        grads = out._node.backward(upstream.astype(out.data.dtype))
+        results.append((out.data, grads, stream.uniform(size=3)))
+    (new, new_grads, new_next), (old, old_grads, old_next) = results
+    assert _same_bits(new, old)
+    assert new_grads[0] is None
+    assert _same_bits(new_grads[1], old_grads[1])
+    assert _same_bits(new_next, old_next)
+
+
+def test_dropout_matmul_without_dropout_is_matmul_and_draws_nothing():
+    x, w = Tensor(np.arange(6.0).reshape(2, 3)), Parameter(np.ones((3, 2)), name="w")
+    for p, training in ((0.4, False), (0.0, True)):
+        rng = RngStream(0, "dropout")
+        out = dc.dropout_matmul(x, w, p, rng, training)
+        assert _same_bits(out.data, x.data @ w.data)
+        assert out.needs_grad
+        assert_drew(rng)
+
+
+def test_dropout_matmul_checks_its_input():
+    rng = RngStream(0, "dropout")
+    with pytest.raises(ShapeError, match="matmul shape mismatch"):
+        dc.dropout_matmul(Tensor(np.ones((4, 3))), Parameter(np.ones((2, 5)), name="w"), 0.5, rng, True)
+    assert_drew(rng)
+    with pytest.raises(ContractError, match="forms no gradient for its input"):
+        dc.dropout_matmul(Parameter(np.ones((4, 2)), name="x"), Parameter(np.ones((2, 5)), name="w"), 0.5, rng, True)
+    with pytest.raises(ConfigError):
+        dc.dropout_matmul(Tensor(np.ones((4, 2))), Parameter(np.ones((2, 5)), name="w"), 1.0, rng, True)
+    out = dc.dropout_matmul(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 5))), 0.5, rng, True)
+    assert not out.needs_grad and out._node is None
+
+
+def test_dropout_matmul_keeps_the_mask_and_no_dropped_rows():
+    # the tape's share is the boolean mask; the dropped rows are formed in
+    # the forward and again in the backward, and freed each time
+    x = Tensor(np.random.default_rng(22).normal(size=(2000, 256)))
+    w = Parameter(np.ones((256, 8)), name="w")
+    tracemalloc.start()
+    try:
+        out = dc.dropout_matmul(x, w, 0.5, RngStream(0, "dropout"), training=True)
+        upstream = np.ones_like(out.data)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        (_, dw) = out._node.backward(upstream)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mask, rows, slack = x.data.size, x.data.nbytes, 64 * 1024
+    assert held <= 2 * out.data.nbytes + mask + slack
+    assert peak <= out.data.nbytes + mask + rows + slack
+    assert backward_peak <= held + rows + dw.nbytes + slack
+
+
+def test_layer_norm_backward_forms_two_arrays_of_its_input_size():
+    # dL/dx is built in place in g * gain, and one scratch array serves each
+    # product with xhat; the earlier closure formed five, three alive at once
+    x = Parameter(np.random.default_rng(23).normal(size=(2000, 256)), name="x")
+    out = dc.layer_norm(x, Parameter(np.ones(256), name="g"), Parameter(np.zeros(256), name="b"))
+    upstream = np.ones_like(out.data)
+    tracemalloc.start()
+    try:
+        grads = out._node.backward(upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * x.data.nbytes + 256 * 1024  # and a few n x 1 columns
+    assert grads[0].shape == x.data.shape
+
+
 def test_layer_norm_constant_row_maps_to_bias():
     x = Tensor(np.full((2, 4), 7.0))
     gain = Parameter(np.ones(4), name="g")
@@ -796,6 +879,22 @@ def test_grad_dropout_fixed_mask():
             return _weighted_sum(out, w)
 
         return fn, [a]
+
+    _run_gradchecks(make)
+
+
+def test_grad_dropout_matmul_fixed_mask():
+    def make(rng):
+        x = rng.uniform(-1.0, 1.0, size=(4, 6))
+        b = _param(rng, (6, 3), "b")
+        seed = int(rng.integers(0, 2**31))
+        w = _weights(rng, (4, 3))
+
+        def fn():
+            out = dc.dropout_matmul(Tensor(x), b, 0.4, RngStream(seed, "dropout"), training=True)
+            return _weighted_sum(out, w)
+
+        return fn, [b]
 
     _run_gradchecks(make)
 

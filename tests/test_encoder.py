@@ -468,22 +468,26 @@ def test_f32_training_step_stays_f32(monkeypatch, base, activation, projector):
 
 
 def _leaf_step(spec: ModelSpec, graph: Graph, monkeypatch, input_is_parameter: bool):
-    """One f64 training step by hand; returns (state, dropout calls, transposes of W0).
+    """One f64 training step by hand; returns (state, layer-0 calls, transposes of W0).
 
-    With `input_is_parameter` the input features enter as a Parameter, so the
-    backward forms dL/dX as it did before a leaf could opt out of gradients.
+    Each call is layer 0's (input, output, the output's tape parents).  With
+    `input_is_parameter` the layer runs as dropout, then matmul, on the input
+    features as a Parameter, so the backward forms dL/dX as it did before a
+    leaf could opt out of gradients.
     """
     calls = []
-    dropout = dc.dropout
+    fused = dc.dropout_matmul
 
-    def spy(x, p, rng, training):
-        if not calls and input_is_parameter:
+    def spy(x, w, p, rng, training):
+        if input_is_parameter:
             x = dc.Parameter(x.data, name="features")
-        out = dropout(x, p, rng, training)
-        calls.append((x, out))
+            out = dc.matmul(dc.dropout(x, p, rng, training), w)
+        else:
+            out = fused(x, w, p, rng, training)
+        calls.append((x, out, out._node.parents))
         return out
 
-    monkeypatch.setattr(dc, "dropout", spy)
+    monkeypatch.setattr(dc, "dropout_matmul", spy)
     state = EncoderState(spec, graph.num_features, RngStream(4, "init"))
     w0 = state.params["layers.0.weight"]
     w0.data = w0.data.view(CountsTranspose)
@@ -501,11 +505,11 @@ def test_input_features_receive_no_gradient(monkeypatch, base):
     spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, projector_dim=4)
     graph = _step_graph()
     state, calls, transposes = _leaf_step(spec, graph, monkeypatch, input_is_parameter=False)
-    features, dropped = calls[0]
-    for t in (features, dropped):
-        assert not t.needs_grad
-        assert t.grad is None
-    assert dropped._node is None
+    [(features, out, parents)] = calls
+    assert features.data is graph.features  # read in place, not copied
+    assert not features.needs_grad
+    assert features.grad is None
+    assert parents == (None, state.params["layers.0.weight"]._node)  # the tape reaches W0 alone
     assert transposes == 0  # the first layer never forms g @ W0.T
     grads = {name: p.grad.copy() for name, p in state.params.items()}
 
@@ -523,13 +527,19 @@ def test_input_features_receive_no_gradient(monkeypatch, base):
 
 
 def _spy_inputs(monkeypatch, earlier: bool) -> dict:
-    """Weak references to the input array of every dropout, layer_norm and
-    spmm call, by op.  With `earlier` the ops the lean ones replaced
-    (`oracles.py`) run instead, activations included."""
-    inputs = {"dropout": [], "layer_norm": [], "spmm": []}
+    """Weak references to the input array of every dropout_matmul, dropout,
+    layer_norm and spmm call, and to each array of dropped rows, by op.  With
+    `earlier` the ops the lean ones replaced (`oracles.py`) run instead,
+    activations included, and layer 0 runs as dropout, then matmul."""
+    inputs = {"dropout_matmul": [], "dropout": [], "layer_norm": [], "spmm": [], "dropped": []}
     if earlier:
         monkeypatch.setattr(dc, "activation", oracles.activation_oracle)
     runs = {
+        "dropout_matmul": (
+            (lambda x, w, p, rng, training: dc.matmul(oracles.dropout_oracle(x, p, rng, training), w))
+            if earlier
+            else dc.dropout_matmul
+        ),
         "dropout": oracles.dropout_oracle if earlier else dc.dropout,
         "layer_norm": oracles.layer_norm_oracle if earlier else dc.layer_norm,
     }
@@ -540,21 +550,28 @@ def _spy_inputs(monkeypatch, earlier: bool) -> dict:
             return run(x, *args)
 
         monkeypatch.setattr(dc, name, spy)
-    spmm = encoder_module.spmm
+    spmm, dropped = encoder_module.spmm, ops._dropped
 
     def spmm_spy(adj, x):
         inputs["spmm"].append(weakref.ref(x.data))
         return spmm(adj, x)
 
+    def dropped_spy(*args):
+        out = dropped(*args)
+        inputs["dropped"].append(weakref.ref(out))
+        return out
+
     monkeypatch.setattr(encoder_module, "spmm", spmm_spy)
+    monkeypatch.setattr(ops, "_dropped", dropped_spy)
     return inputs
 
 
 @pytest.mark.parametrize("base, activation", [("linear", "prelu"), ("gconv", "relu")])
 def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
     # once encode and project return, the LayerNorm inputs, the dropout
-    # inputs and the gconv matmul outputs are gone: no closure reads them.
-    # The gradients equal those of the earlier ops, which kept them.
+    # inputs, the gconv matmul outputs and layer 0's dropped input rows are
+    # gone: no closure reads them.  Layer 0 reads the graph's own feature
+    # array.  The gradients equal those of the earlier ops, which kept them.
     spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, activation=activation, projector_dim=4)
     graph = _step_graph()
     adj = normalized_adjacency(graph) if base == "gconv" else None
@@ -566,9 +583,10 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
             h = encode(state, spec, graph, adj=adj, training=True, rng=RngStream(4, "dropout"))
             z = project(state, h)
             if not earlier:
-                assert inputs["dropout"][0]() is graph.features  # layer 0 drops the graph's own array
-                freed = inputs["layer_norm"] + inputs["dropout"][1:] + inputs["spmm"]
-                assert len(freed) == (5 if base == "gconv" else 3)
+                assert [ref() for ref in inputs["dropout_matmul"]] == [graph.features]
+                assert len(inputs["dropped"]) == 2  # layer 0's rows, then layer 1's dropout output
+                freed = inputs["layer_norm"] + inputs["dropout"] + inputs["spmm"] + inputs["dropped"][:1]
+                assert len(freed) == (6 if base == "gconv" else 4)
                 assert [ref() is None for ref in freed] == [True] * len(freed)
             backward(estimator_loss(z, draw_masks(graph, 0.3, RngStream(4, "mask")), EstimatorSpec()))
         grads.append({name: p.grad for name, p in state.params.items()})
@@ -577,17 +595,11 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
         assert g.tobytes() == earlier_grads[name].tobytes(), name
 
 
-def test_tape_after_project_holds_a_fixed_count_of_arrays():
-    # What the tape holds once project returns, in n x hidden arrays:
-    # layer 0 keeps the dropped features (F = hidden/4), the PReLU input and
-    # LayerNorm's xhat; layer 1 its dropout mask (bool, 1/8), the matmul
-    # input, the PReLU input and xhat; then h, the ELU output (which the
-    # ELU's backward and the second matmul both read), and z: 8.375 in all.
-    # A tape whose ELU kept a derivative factor beside its output held
-    # 9.375; the earlier tape also kept each LayerNorm and dropout input,
-    # the ELU input and a second ELU array: 13.375.
-    n, hidden = 1000, 64
-    graph = _chain_graph(n, hidden // 4)
+def _tape_after_project(n: int, hidden: int, num_features: int) -> tuple[int, list[int]]:
+    """Encode and project one f64 training step under tracemalloc; returns
+    the bytes held once project returns and the sizes of the allocations
+    behind them.  The graph's features come before, so neither counts them."""
+    graph = _chain_graph(n, num_features)
     spec = ModelSpec(num_layers=2, hidden_dim=hidden, dropout_p=0.3, activation="prelu", projector_dim=hidden)
     state = EncoderState(spec, graph.num_features, RngStream(5, "init"))
     rng = RngStream(5, "dropout")
@@ -596,8 +608,37 @@ def test_tape_after_project_holds_a_fixed_count_of_arrays():
         h = encode(state, spec, graph, training=True, rng=rng)
         z = project(state, h)
         held = tracemalloc.get_traced_memory()[0]
+        sizes = [trace.size for trace in tracemalloc.take_snapshot().traces]
     finally:
         tracemalloc.stop()
-    unit = n * hidden * 8
-    assert 8.375 * unit <= held < 9 * unit
     assert z.needs_grad
+    return held, sizes
+
+
+def test_tape_after_project_holds_a_fixed_count_of_arrays():
+    # What the tape holds once project returns, in n x hidden arrays:
+    # layer 0 keeps its dropout mask (bool, F = hidden/4: 1/32), the PReLU
+    # input and LayerNorm's xhat; layer 1 its dropout mask (bool, 1/8), the
+    # matmul input, the PReLU input and xhat; then h, the ELU output (which
+    # the ELU's backward and the second matmul both read), and z: 8.15625
+    # in all.  A layer 0 that kept its dropped input rows held 8.375, a
+    # tape whose ELU kept a derivative factor beside its output 9.375, and
+    # the earlier tape, which also kept each LayerNorm and dropout input,
+    # the ELU input and a second ELU array, 13.375.
+    n, hidden = 1000, 64
+    held, _ = _tape_after_project(n, hidden, hidden // 4)
+    unit = n * hidden * 8
+    assert 8.15625 * unit <= held < 8.25 * unit
+
+
+def test_wide_input_leaves_only_its_mask_on_the_tape():
+    # F = 4 x hidden: layer 0 keeps a bool n x F mask (0.5 units) and no
+    # n x F float array, so the tape holds 8.625 n x hidden f64 units; one
+    # that kept the dropped rows (4 units) held 12.125
+    n, hidden = 1000, 64
+    num_features = 4 * hidden
+    held, sizes = _tape_after_project(n, hidden, num_features)
+    unit = n * hidden * 8
+    assert 8.625 * unit <= held < 8.75 * unit
+    assert sizes.count(n * num_features) == 1  # the mask
+    assert max(sizes) < n * num_features * 4  # no n x F float array, f32 or f64

@@ -17,6 +17,7 @@ from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 import numpy as np
 import pytest
 
+import signa.diffcore as dc
 import signa.graphdata as graphdata
 from signa.errors import IngestionError
 
@@ -395,3 +396,32 @@ def test_a_non_finite_feature_value_is_refused(token, kernel_takes, block_entrie
     with pytest.raises(IngestionError) as exc:
         graphdata.load_graph(edges, feats)
     assert str(exc.value) == f"{feats}: feature row 5 holds a non-finite value"
+
+
+@pytest.mark.parametrize("block_entries", [6, graphdata._BLOCK_ENTRIES])
+def test_a_value_beyond_f32_is_refused_at_load_under_f32(block_entries, tmp_path, monkeypatch):
+    # the features are cast to the active precision before the finite scan,
+    # so 1e39, finite in f64, is refused at load and named by its row
+    monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", block_entries)
+    good = "1.5,-2.25,3.125\n"
+    feats = _write(tmp_path, good * 3 + "1,1e39,2\n" + good * 2)
+    edges = _write(tmp_path, "0 1\n", name="e.txt")
+    assert graphdata.load_graph(edges, feats).features[3, 1] == 1e39
+    dc.set_precision("f32")
+    with pytest.raises(IngestionError) as exc:
+        graphdata.load_graph(edges, feats)
+    assert str(exc.value) == f"{feats}: feature row 3 holds a non-finite value as float32"
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_load_graph_holds_the_features_once_in_the_active_precision(precision, tmp_path, monkeypatch):
+    # f64 keeps the parser's own array: no pass over it and no copy; f32
+    # keeps its rounding, as each epoch's cast once made it
+    parsed = np.random.default_rng(3).normal(size=(6, 4))
+    monkeypatch.setattr(graphdata, "_read_features", lambda path: parsed)
+    dc.set_precision(precision)
+    graph = graphdata.load_graph(_write(tmp_path, "0 1\n", name="e.txt"), "f.csv")
+    if precision == "f64":
+        assert graph.features is parsed
+    else:
+        assert graph.features.tobytes() == parsed.astype(np.float32).tobytes()

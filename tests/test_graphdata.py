@@ -431,3 +431,39 @@ def test_normalized_adjacency_is_built_in_the_active_precision():
     np.testing.assert_array_equal(adj.indices, ref.indices)
     assert np.array_equal(adj.data, ref.data.astype(np.float32))  # f64 values, rounded once
     assert (adj @ np.ones((g.num_nodes, 2), dtype=np.float32)).dtype == np.float32  # spmm's product
+
+
+@pytest.mark.parametrize("block_entries", [5, graphdata._BLOCK_ENTRIES])
+@pytest.mark.parametrize("shape", [(37, 11), (1, 7), (40,), (0, 3), (4, 3, 5)])
+def test_keep_mask_equals_one_draw(shape, block_entries, monkeypatch):
+    # blocked draws take the same doubles from the stream as one draw, and
+    # leave it in the same state
+    monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", block_entries)
+    blocked, whole = RngStream(9, "dropout"), RngStream(9, "dropout")
+    keep = graphdata.keep_mask(blocked, shape, 0.3)
+    assert keep.dtype == bool
+    np.testing.assert_array_equal(keep, whole.uniform(size=shape) >= 0.3)
+    assert blocked._gen.bit_generator.state == whole._gen.bit_generator.state
+
+
+def test_keep_mask_draws_one_block_at_a_time():
+    # the mask (1 MB) and one block of f64 uniforms (1 MB); one draw of the
+    # whole shape would take 8 MB
+    shape = (2000, 512)
+    tracemalloc.start()
+    try:
+        keep = graphdata.keep_mask(RngStream(0, "dropout"), shape, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= keep.nbytes + graphdata._BLOCK_ENTRIES * 8 + 64 * 1024
+
+
+def test_graph_features_are_in_the_active_precision():
+    feats = np.random.default_rng(2).normal(size=(3, 2))
+    edges = np.array([[0, 1]])
+    assert Graph(edges, feats).features is feats  # f64: not copied
+    dc.set_precision("f32")
+    held = Graph(edges, feats).features
+    assert held.dtype == np.float32
+    assert held.tobytes() == feats.astype(np.float32).tobytes()
