@@ -44,7 +44,7 @@ def adam_step(state: AdamState) -> None:
     zeroed at the end anyway).
     """
     for p in state.params:
-        if not np.all(np.isfinite(p.grad)):
+        if not np.isfinite(p.grad).all():
             raise OptimizationError(f"non-finite gradient for parameter {p.name!r}")
     state.step_count += 1
     t = state.step_count

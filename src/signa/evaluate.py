@@ -87,18 +87,6 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def _probe_gradients(
-    x: np.ndarray, onehot: np.ndarray, w: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the mean softmax cross-entropy of logits x @ w + b with
-    respect to (w, b): the closed form x^T (softmax - onehot) / m."""
-    logits = x @ w + b
-    p = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-    p /= np.sum(p, axis=1, keepdims=True)
-    delta = (p - onehot) / x.shape[0]
-    return x.T @ delta, np.sum(delta, axis=0)
-
-
 def linear_probe(
     embeddings: np.ndarray,
     labels: np.ndarray,
@@ -117,6 +105,11 @@ def linear_probe(
 
     Only the split rows are read, each gathered before it is widened to f64
     (exact from f32); the test rows are scored one block at a time.
+
+    The gradient is the closed form x^T (softmax - onehot) / m of the mean
+    cross-entropy, formed in buffers that every epoch reuses.  The weight
+    rows and the bias row are one parameter, so each epoch takes one Adam
+    step; Adam is elementwise, so the bits are those of two parameters.
     """
     emb = np.asarray(embeddings)
     y = np.asarray(labels, dtype=np.int64)
@@ -130,26 +123,60 @@ def linear_probe(
     def rows(idx: np.ndarray) -> np.ndarray:
         return np.asarray(emb[idx], dtype=np.float64)
 
-    w = dc.Parameter(np.zeros((emb.shape[1], num_classes)), name="probe.weight")
-    b = dc.Parameter(np.zeros(num_classes), name="probe.bias")
-    adam = dc.AdamState([w, b], lr=config.learning_rate, weight_decay=config.weight_decay)
+    dim = emb.shape[1]
+    theta = dc.Parameter(np.zeros((dim + 1, num_classes)), name="probe.weight_bias")
+    w, b = theta.data[:dim], theta.data[dim]
+    grad_w, grad_b = theta.grad[:dim], theta.grad[dim]
+    adam = dc.AdamState([theta], lr=config.learning_rate, weight_decay=config.weight_decay)
 
-    x_train = rows(split.train).astype(w.data.dtype)
-    onehot = np.zeros((x_train.shape[0], num_classes), dtype=w.data.dtype)
-    onehot[np.arange(x_train.shape[0]), y[split.train]] = 1.0
-
-    # validation rows stay f64, so f32 runs score with f64 logits
+    # the training rows and targets take the parameter's dtype (f32 runs
+    # train in f32); the validation rows stay f64, so f32 runs score with
+    # f64 logits
+    x_train = rows(split.train).astype(theta.data.dtype)
+    m = x_train.shape[0]
+    onehot = np.zeros((m, num_classes), dtype=theta.data.dtype)
+    onehot[np.arange(m), y[split.train]] = 1.0
     x_val, y_val = rows(split.val), y[split.val]
-    best_correct, best_w, best_b = -1, w.data.copy(), b.data.copy()
-    for _ in range(config.num_epochs):
-        w.grad[...], b.grad[...] = _probe_gradients(x_train, onehot, w.data, b.data)
-        dc.adam_step(adam)
-        correct = np.count_nonzero(np.argmax(x_val @ w.data + b.data, axis=1) == y_val)
-        if correct > best_correct:
-            best_correct, best_w, best_b = correct, w.data.copy(), b.data.copy()
 
+    # every epoch writes into these; views of them are formed once
+    x_train_t = x_train.T
+    probs = np.empty_like(onehot)
+    # the row max is taken column by column: exact, and far cheaper than a
+    # reduction along rows a few entries long
+    columns = [probs[:, j : j + 1] for j in range(num_classes)]
+    row_max = np.empty((m, 1), dtype=probs.dtype)
+    row_sum = np.empty_like(row_max)
+    val_logits = np.empty((y_val.size, num_classes))
+    val_pred = np.empty(y_val.size, dtype=np.intp)
+    val_hit = np.empty(y_val.size, dtype=bool)
+    best_correct, best = -1, theta.data.copy()
+    for _ in range(config.num_epochs):
+        np.matmul(x_train, w, out=probs)
+        probs += b
+        np.maximum(columns[0], columns[-1], out=row_max)
+        for column in columns[1:-1]:
+            np.maximum(row_max, column, out=row_max)
+        probs -= row_max
+        np.exp(probs, out=probs)
+        np.add.reduce(probs, axis=1, keepdims=True, out=row_sum)
+        probs /= row_sum
+        probs -= onehot
+        probs /= m
+        np.matmul(x_train_t, probs, out=grad_w)
+        np.add.reduce(probs, axis=0, out=grad_b)
+        dc.adam_step(adam)
+
+        np.matmul(x_val, w, out=val_logits)
+        val_logits += b
+        np.argmax(val_logits, axis=1, out=val_pred)  # the first maximum on a tie
+        correct = np.count_nonzero(np.equal(val_pred, y_val, out=val_hit))
+        if correct > best_correct:
+            best_correct = correct
+            np.copyto(best, theta.data)
+
+    best_w, best_b = best[:dim], best[dim]
     test_pred = np.empty(split.test.size, dtype=np.intp)
-    for start, stop in row_blocks(split.test.size, max(emb.shape[1], num_classes)):
+    for start, stop in row_blocks(split.test.size, max(dim, num_classes)):
         test_pred[start:stop] = np.argmax(rows(split.test[start:stop]) @ best_w + best_b, axis=1)
     return micro_f1(y[split.test], test_pred), accuracy(y[split.test], test_pred)
 

@@ -144,8 +144,9 @@ def _read_features(path: str) -> np.ndarray:
     """Parse a feature CSV, bit for bit as `float()` parses each token.
 
     The vectorized kernel takes a file of comma-separated rows of equal width
-    whose bytes are all in `0-9 . , - + e E` and newlines; every other file,
-    and every file whose errors need a line number, goes through the line loop.
+    whose bytes are all in `0-9 . , - + e E` and newlines, and returns it in
+    the active precision; every other file, and every file whose errors need
+    a line number, goes through the line loop, which returns f64.
     """
     if _X87_LONGDOUBLE:
         features = _parse_features(path)
@@ -155,7 +156,10 @@ def _read_features(path: str) -> np.ndarray:
 
 
 def _parse_features(path: str) -> np.ndarray | None:
-    """The kernel: the parsed features, or None to leave the file to the loop."""
+    """The kernel: the parsed features in the active precision, or None to
+    leave the file to the loop.  Each block is rounded to f64, as `float()`
+    rounds, and then to the output's dtype, so an f32 parse holds no f64
+    copy of the whole file."""
     # it reads a file twice, so a pipe goes to the loop unopened
     if not os.path.isfile(path):
         return None
@@ -171,7 +175,7 @@ def _parse_features(path: str) -> np.ndarray | None:
             return None
         fh.seek(0)
 
-        out = np.empty(rows * width)
+        out = np.empty(rows * width, dtype=active_dtype())
         filled = 0
         while data := fh.read(_BLOCK_BYTES):
             chunk = _WINDOW_PAD + data + fh.readline()  # whole lines only
@@ -234,8 +238,7 @@ def _parse_block(chunk: bytes, width: int, out: np.ndarray) -> int | None:
     mantissa = chunks[0] * 10**16 + chunks[1] * 10**8 + chunks[2]
     quotient = mantissa.astype(np.longdouble)
     quotient /= _SCALES[split + negative * (_TOKEN_BYTES + 1)]
-    values = out[:count]
-    values[...] = quotient
+    values = quotient.astype(np.float64)
 
     slow = long | (num_digits == 0) | (chunks[0] >= 1000)
     slow |= (not_digit[0] | not_digit[1] | not_digit[2]) != 0
@@ -245,6 +248,9 @@ def _parse_block(chunk: bytes, width: int, out: np.ndarray) -> int | None:
             values[i] = float(chunk[starts[i] : ends[i]])
         except ValueError:
             return None
+    # a value beyond f32's range becomes inf; load_graph refuses it by row
+    with np.errstate(over="ignore"):
+        out[:count] = values
     return count
 
 
@@ -289,7 +295,63 @@ def _read_features_lines(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+_ID_DIGITS = 18  # longest node id the fast path converts: below 2**63
+
+
 def _read_edges(path: str, num_nodes: int) -> np.ndarray:
+    """Parse an edge list into an (m, 2) int64 array.
+
+    The vectorized path takes a file whose bytes are all ASCII digits,
+    spaces, tabs and newlines, with two ids in range on each non-blank line;
+    every other file, and every file whose errors need a line number, goes
+    through the line loop.
+    """
+    edges = _parse_edges(path, num_nodes)
+    return edges if edges is not None else _read_edges_lines(path, num_nodes)
+
+
+def _parse_edges(path: str, num_nodes: int) -> np.ndarray | None:
+    """The vectorized path: the edges, or None to leave the file to the loop."""
+    # the loop reads the file again, so a pipe goes to it unopened
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        buf = np.frombuffer(fh.read(), dtype=np.uint8)
+    digit = (buf - np.uint8(48)) < 10
+    newline = buf == 10
+    if not (digit | newline | (buf == 32) | (buf == 9)).all():
+        return None
+    # an id is a run of digits: it starts after a non-digit and stops before one
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    last = digit.copy()
+    last[:-1] &= ~digit[1:]
+    starts = np.flatnonzero(first)
+    stops = np.flatnonzero(last) + 1
+    if starts.size == 0:
+        return None
+    # every line holds two ids or none
+    line_starts = np.flatnonzero(newline) + 1
+    line_starts = np.r_[0, line_starts[line_starts < buf.size]]
+    if not np.isin(np.add.reduceat(first, line_starts, dtype=np.int64), (0, 2)).all():
+        return None
+    lengths = stops - starts
+    if lengths.max() > _ID_DIGITS:
+        return None
+    ids = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(lengths.max())):
+        # the k-th digit from the right, zero where an id is shorter
+        d = buf.take(stops - 1 - k).astype(np.int64)
+        d -= 48
+        d *= lengths > k
+        d *= 10**k
+        ids += d
+    if ids.max() >= num_nodes:
+        return None
+    return ids.reshape(-1, 2)
+
+
+def _read_edges_lines(path: str, num_nodes: int) -> np.ndarray:
     pairs: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -343,8 +405,9 @@ def load_graph(edge_path, feature_path, label_path=None) -> Graph:
     """
     try:
         features = _decoding(_read_features, feature_path)
-        # f64 keeps the parser's array itself (no pass, no copy); under f32 a
-        # value beyond its range becomes inf, refused below
+        # the kernel's array is already in the active precision and is kept
+        # as it is; the line loop's f64 array is cast here.  Under f32 a value
+        # beyond its range becomes inf, refused below
         with np.errstate(over="ignore"):
             features = features.astype(active_dtype(), copy=False)
         num_nodes = features.shape[0]

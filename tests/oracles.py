@@ -13,8 +13,10 @@ the row-blocked loss op's value and dL/dz.
 all n^2/2 pairs at once; it is the reference for the row-blocked one.
 
 `linear_probe_oracle` is the library's earlier probe loop, kept as it was:
-it scores every epoch's validation split with `micro_f1`.  It is the
-reference for the probe's (micro-F1, accuracy).
+it steps the weight and the bias as two parameters, forms each epoch's
+gradient in fresh arrays (`probe_gradients_oracle`) and scores every epoch's
+validation split with `micro_f1`.  It is the reference for the probe's
+(micro-F1, accuracy).
 
 `adam_step_oracle` is the library's earlier Adam step, which allocates its
 temporaries afresh; the lean step must match it bit for bit.
@@ -83,7 +85,6 @@ from signa.evaluate import (
     ProbeConfig,
     SimilarityHistograms,
     Split,
-    _probe_gradients,
     accuracy,
     micro_f1,
 )
@@ -432,6 +433,18 @@ def micro_f1_oracle(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return 2 * tp / (2 * tp + fp + fn)
 
 
+def probe_gradients_oracle(
+    x: np.ndarray, onehot: np.ndarray, w: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the mean softmax cross-entropy of logits x @ w + b with
+    respect to (w, b): the closed form x^T (softmax - onehot) / m."""
+    logits = x @ w + b
+    p = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    p /= np.sum(p, axis=1, keepdims=True)
+    delta = (p - onehot) / x.shape[0]
+    return x.T @ delta, np.sum(delta, axis=0)
+
+
 def linear_probe_oracle(
     embeddings: np.ndarray,
     labels: np.ndarray,
@@ -469,7 +482,7 @@ def linear_probe_oracle(
 
     best_val, best_snapshot = -1.0, (w.data.copy(), b.data.copy())
     for _ in range(config.num_epochs):
-        w.grad[...], b.grad[...] = _probe_gradients(x_train, onehot, w.data, b.data)
+        w.grad[...], b.grad[...] = probe_gradients_oracle(x_train, onehot, w.data, b.data)
         dc.adam_step(adam)
         val_f1 = micro_f1(y[split.val], predict(split.val))
         if val_f1 > best_val:

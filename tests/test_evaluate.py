@@ -14,6 +14,7 @@ from oracles import (
     micro_f1_oracle,
     nmi_oracle,
     partition_metrics_oracle,
+    probe_gradients_oracle,
     similarity_histograms_oracle,
 )
 import tape_ops as kit
@@ -29,7 +30,6 @@ from signa.evaluate import (
     KMeansResult,
     ProbeConfig,
     Split,
-    _probe_gradients,
     accuracy,
     homogeneity,
     kmeans,
@@ -190,6 +190,109 @@ def test_probe_matches_oracle(precision):
             assert linear_probe(x, labels, split, config) == linear_probe_oracle(x, labels, split, config)
 
 
+def _probe_trajectory(monkeypatch, probe, *args):
+    """probe(*args) and its parameters after every Adam step, the weight
+    rows stacked over the bias row."""
+    steps = []
+    adam_step = dc.adam_step
+
+    def recording(state):
+        adam_step(state)
+        steps.append(np.vstack([p.data for p in state.params]))
+
+    with monkeypatch.context() as m:
+        m.setattr(dc, "adam_step", recording)
+        return probe(*args), steps
+
+
+@pytest.mark.parametrize(
+    "precision, n, dim",
+    [("f64", 4000, 256), ("f32", 1000, 1024)],
+    ids=["dense-n4k-shape", "wide-gconv-n1k-shape"],
+)
+def test_probe_matches_oracle_at_benchmark_shapes(precision, n, dim, monkeypatch):
+    # the shapes `eval --mode classify` probes on the benchmark workloads:
+    # 5 classes, embeddings in the active dtype, full 300-epoch runs.  Every
+    # epoch's parameters match, not only the scores.
+    dc.set_precision(precision)
+    x, labels = _probe_data(4, n=n, num_features=dim, num_classes=5)
+    x = x.astype(dc.active_dtype())
+    for split in make_splits(labels, num_runs=3, rng=RngStream(4, "split")):
+        args = (x, labels, split, ProbeConfig())
+        got, got_steps = _probe_trajectory(monkeypatch, linear_probe, *args)
+        want, want_steps = _probe_trajectory(monkeypatch, linear_probe_oracle, *args)
+        assert got == want
+        assert len(got_steps) == len(want_steps) == 300
+        for a, b in zip(got_steps, want_steps):
+            assert a.dtype == b.dtype == dc.active_dtype() and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("num_classes", [1, 2, 8, 13])
+def test_probe_matches_oracle_for_any_class_count(num_classes, monkeypatch):
+    # from 8 classes on, numpy sums a row's entries in another order than
+    # a chain of column adds would
+    x, labels = _probe_data(6, n=300, num_classes=num_classes)
+    for split in make_splits(labels, num_runs=2, rng=RngStream(6, "split")):
+        args = (x, labels, split, ProbeConfig(num_epochs=60))
+        got, got_steps = _probe_trajectory(monkeypatch, linear_probe, *args)
+        want, want_steps = _probe_trajectory(monkeypatch, linear_probe_oracle, *args)
+        assert got == want
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got_steps, want_steps))
+        if num_classes == 1:
+            assert got == (1.0, 1.0)
+
+
+def test_probe_first_of_tied_logits_wins():
+    # all-zero embeddings leave the weights at zero, so every logit is the
+    # bias; classes 0 and 1 have equally many training rows, so their bias
+    # entries stay bitwise equal and tie above class 2's on every row
+    labels = np.r_[np.repeat([0, 1], 10), [2] * 5, np.tile([0, 1, 2], 20)]
+    x = np.zeros((labels.size, 8))
+    idx = np.arange(labels.size)
+    split = Split(idx[:25], idx[25:45], idx[45:])
+    got = linear_probe(x, labels, split, ProbeConfig(num_epochs=50))
+    assert got == linear_probe_oracle(x, labels, split, ProbeConfig(num_epochs=50))
+    assert got[1] == np.mean(labels[split.test] == 0)
+
+
+def test_probe_first_of_tied_validation_logits_wins(monkeypatch):
+    # classes 3 and 4 are absent from the training split, so their columns
+    # stay bitwise equal and their logits tie; on validation rows far from
+    # the training rows the tie is the maximum.  Half of those rows are
+    # labeled 3, half 4: only the first maximum picks the oracle's epoch.
+    rng = np.random.default_rng(3)
+    means = np.array([[3.0, 0.0], [0.0, 3.0], [3.0, 3.0]])
+    y_train = rng.integers(0, 3, 30)
+    x_train = means[y_train] + 1.5 * rng.normal(size=(30, 2))
+    y_val = rng.integers(0, 5, 20)
+    far = rng.normal(size=(20, 2)) * 2 - 2
+    x_val = np.where(y_val[:, None] >= 3, far, means[np.minimum(y_val, 2)] + 1.5 * rng.normal(size=(20, 2)))
+    y_test = rng.integers(0, 3, 40)
+    x_test = means[y_test] + 2.5 * rng.normal(size=(40, 2))
+    x, labels = np.r_[x_train, x_val, x_test], np.r_[y_train, y_val, y_test]
+    idx = np.arange(labels.size)
+    split = Split(idx[:30], idx[30:50], idx[50:])
+    config = ProbeConfig()
+    with pytest.warns(UserWarning, match=r"classes \[3, 4\] absent"):
+        want, steps = _probe_trajectory(monkeypatch, linear_probe_oracle, x, labels, split, config)
+    with pytest.warns(UserWarning, match=r"classes \[3, 4\] absent"):
+        assert linear_probe(x, labels, split, config) == want
+
+    # the case is one where the tie decides: taking the last maximum on the
+    # validation rows keeps another epoch, with another test accuracy
+    def kept(first):
+        correct = []
+        for theta in steps:
+            logits = x_val @ theta[:2] + theta[2]
+            assert np.all(logits[:, 3] == logits[:, 4])
+            pred = np.argmax(logits, axis=1) if first else 4 - np.argmax(logits[:, ::-1], axis=1)
+            correct.append(np.count_nonzero(pred == y_val))
+        theta = steps[int(np.argmax(correct))]
+        return np.mean(np.argmax(x_test @ theta[:2] + theta[2], axis=1) == y_test)
+
+    assert kept(first=True) == want[1] != kept(first=False)
+
+
 def test_probe_first_of_tied_validation_epochs_wins():
     # validation points sit far from the boundary, so every epoch from the
     # first on gets all of them right; the test points sit near it, so the
@@ -264,7 +367,7 @@ def test_probe_closed_form_gradient_matches_tape():
     x = rng.normal(size=(50, 6))
     onehot = np.eye(4)[rng.integers(0, 4, size=50)]
     w0, b0 = rng.normal(size=(6, 4)), rng.normal(size=4)
-    for got, want in zip(_probe_gradients(x, onehot, w0, b0), _tape_probe_gradients(x, onehot, w0, b0)):
+    for got, want in zip(probe_gradients_oracle(x, onehot, w0, b0), _tape_probe_gradients(x, onehot, w0, b0)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -359,6 +359,55 @@ def test_parse_memory_stays_near_the_output(tmp_path):
 
 
 @needs_kernel
+def test_an_f32_load_holds_no_f64_copy_of_the_features(tmp_path):
+    x = np.random.default_rng(0).standard_normal((1000, 2000))
+    path = str(tmp_path / "wide.csv")
+    np.savetxt(path, x, fmt="%.17g", delimiter=",")
+    edges = _write(tmp_path, "0 1\n", name="e.txt")
+    dc.set_precision("f32")
+    tracemalloc.start()
+    try:
+        graph = graphdata.load_graph(edges, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.features.tobytes() == x.astype(np.float32).tobytes()
+    # the 8 MB output plus a few blocks, below the 16 MB of an f64 parse
+    assert peak < 14e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _f32_midpoint_tokens(rng, count):
+    """19-digit decimals just above the midpoint of two adjacent f32
+    integers, and the upper one of the two.  The kernel converts them
+    itself; they round to the midpoint in f64, and from there to the even
+    f32, where rounding the decimal to f32 once would go up."""
+    shifts = rng.integers(1, 17, size=count)
+    lower = rng.integers(2**23, 2**24, size=count) << shifts  # f32 integers 2**shifts apart
+    mid = lower + (1 << (shifts - 1))
+    tokens = [f"{m}.{'0' * (18 - len(str(m)))}1" for m in mid]
+    return tokens, (lower + (1 << shifts)).astype(np.float32)
+
+
+@needs_kernel
+@pytest.mark.parametrize("block_bytes", [64, graphdata._BLOCK_BYTES])
+def test_the_kernel_rounds_to_f64_then_to_f32(block_bytes, tmp_path, monkeypatch):
+    monkeypatch.setattr(graphdata, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(5)
+    tokens = [f"{v:.9g}" for v in rng.standard_normal(36) * 10.0 ** rng.integers(-40, 40, size=36)]
+    near_ties, upper = _f32_midpoint_tokens(rng, 36)
+    # rounding once would give the upper f32 for all of them; twice, for about half
+    assert 9 < sum(np.float32(float(t)) != u for t, u in zip(near_ties, upper)) < 27
+    tokens += near_ties + ["1e39", "-3.5e38", "1e-50", "0", "-0", "65504"]
+    path = _write(tmp_path, _csv(_rows(tokens, 6)))
+    dc.set_precision("f32")
+    got = graphdata._parse_features(path)
+    assert got is not None and got.dtype == np.float32
+    with np.errstate(over="ignore"):
+        want = graphdata._read_features_lines(path).astype(np.float32)
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@needs_kernel
 def test_the_kernel_parses_where_the_gate_is_on(tmp_path, monkeypatch):
     path = _write(tmp_path, _csv(FORMATS["%.17g"](np.random.default_rng(0))))
     monkeypatch.setattr(graphdata, "_read_features_lines", lambda *args: pytest.fail("the line loop ran"))

@@ -1,6 +1,8 @@
 """Graph construction, file ingestion, normalized adjacency, spmm, the
 homophily statistics, and the block-model generator."""
 
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -187,6 +189,106 @@ def test_edgeless_file_gives_edgeless_graph(tmp_path):
     g = load_graph(edges, feats)
     assert g.num_edges == 0
     assert g.num_nodes == 3
+
+
+def _edge_text(rng, num_edges, num_nodes):
+    """An edge list as `np.savetxt` writes it, with random blank lines,
+    spaces, tabs and leading zeros mixed in, and maybe no final newline."""
+    ids = rng.integers(0, num_nodes, size=(num_edges, 2))
+    gaps = [" ", "\t", "  ", " \t "]
+    lines = []
+    for u, v in ids:
+        width = int(rng.integers(0, 3)) if rng.random() < 0.2 else 0
+        lead = gaps[rng.integers(4)] if rng.random() < 0.1 else ""
+        trail = gaps[rng.integers(4)] if rng.random() < 0.1 else ""
+        lines.append(f"{lead}{u:0{width}d}{gaps[rng.integers(4)] if rng.random() < 0.3 else ' '}{v}{trail}")
+        if rng.random() < 0.05:
+            lines.append(gaps[rng.integers(4)] if rng.random() < 0.5 else "")
+    return "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_vectorized_edge_reader_equals_the_line_loop(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    num_nodes = [2, 10, 4000, 10**6, 10**17, 10**18][seed]
+    path = _write(tmp_path, "e.txt", _edge_text(rng, 300, num_nodes))
+    fast = graphdata._parse_edges(path, num_nodes)
+    assert fast is not None, "the vectorized reader declined a file it should take"
+    loop = graphdata._read_edges_lines(path, num_nodes)
+    assert fast.dtype == loop.dtype == np.int64 and fast.shape == loop.shape
+    np.testing.assert_array_equal(fast, loop)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# a comment\n0 1\n",  # a comment
+        "\ufeff0 1\n",  # a byte-order mark
+        "0 +1\n",  # a sign
+        "0 1_0\n",  # an underscore
+        "0 \u0661\n",  # a non-ASCII digit
+        "0 1\r\n1 2\r\n",  # CRLF line ends
+        "0 1\x0c\n",  # a form feed
+        "0 1\n0000000000000000000012 2\n",  # 22 digits
+    ],
+)
+def test_edge_files_the_vectorized_reader_declines_are_read_by_the_loop(text, tmp_path):
+    path = _write(tmp_path, "e.txt", text)
+    assert graphdata._parse_edges(path, 20) is None
+    np.testing.assert_array_equal(graphdata._read_edges(path, 20), graphdata._read_edges_lines(path, 20))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n0 1 2\n", r"e\.txt:2: expected two node ids, got 3 tokens"),
+        ("0 1\n\n2\n", r"e\.txt:3: expected two node ids, got 1 tokens"),
+        ("0 1\n1 3\n", r"e\.txt:2: node id out of range: 3 >= 3 feature rows"),
+        ("0 1\n-1 2\n", r"e\.txt:2: node ids must be non-negative"),
+        ("0 99999999999999999999\n", r"e\.txt:1: node id out of range"),
+    ],
+)
+def test_edge_errors_keep_their_line_numbers(text, message, tmp_path):
+    path = _write(tmp_path, "e.txt", text)
+    assert graphdata._parse_edges(path, 3) is None
+    with pytest.raises(IngestionError, match=message):
+        graphdata._read_edges(path, 3)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_an_edge_list_from_a_pipe_is_read_once_by_the_loop(tmp_path):
+    # the loop opens a file the vectorized path declines (here for its
+    # comment) again, so that path must leave a pipe unread; a reader stuck
+    # on the reopen gets EOF after 10 s
+    fifo = str(tmp_path / "e.txt")
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write("# two edges\n0 1\n1 2\n")
+
+    feats = _write(tmp_path, "f.csv", "1\n2\n3\n")
+    graphs = []
+    threads = [threading.Thread(target=f, daemon=True) for f in (write, lambda: graphs.append(load_graph(fifo, feats)))]
+    for t in threads:
+        t.start()
+    threads[1].join(timeout=10)
+    if threads[1].is_alive():
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert graphs and graphs[0].num_edges == 2
+
+
+def test_a_benchmark_sized_edge_list_skips_the_line_loop(tmp_path, monkeypatch):
+    g = sbm_generate([1000] * 4, 0.005, 0.0005, np.zeros((4, 2)), 1.0, np.random.default_rng(0))
+    src = np.repeat(np.arange(g.num_nodes), g.degrees)
+    path = str(tmp_path / "e.txt")
+    np.savetxt(path, np.stack([src, g.csr_targets], axis=1), fmt="%d")
+    expected = graphdata._read_edges_lines(path, g.num_nodes)
+    monkeypatch.setattr(graphdata, "_read_edges_lines", lambda *args: pytest.fail("the line loop ran"))
+    np.testing.assert_array_equal(graphdata._read_edges(path, g.num_nodes), expected)
 
 
 # ---------------------------------------------------------------------------
