@@ -15,20 +15,30 @@ needs none); `backward` adds each into its parent.  The closure should
 capture the arrays it reads, never a parent Tensor, so that nothing else
 stays alive until the backward pass.
 
+Gradients are shared, never copied: a node keeps the first gradient it
+receives by reference, and a second one sums into a fresh array.  `add` of
+two inputs of one shape hands both parents the same array, and two
+Parameters can then hold it at once.  So no closure and no Adam step
+writes into a gradient it was given.
+
 Memory: an array lives until its last reader has run.  `backward` drops
 a node's closure, parent links and (but for a Parameter's) gradient as
-soon as it has visited the node, and the training loop names no
-intermediate past its last reader: z dies once the loss has formed its
-unit rows (jsd scores z itself) and h with the projector's backward.
-The input features are held once, by the Graph, in the active precision,
-and layer 0 reads them in place: `dropout_matmul` forms the dropped rows,
-multiplies them and frees them, keeping only the boolean mask (its
-backward forms them again for dL/dW), and every mask is drawn one row
-block of uniforms at a time.  In training the tape holds that mask; per
-later layer, the dropout mask and the matmul input; per layer, the
-activation's boolean mask (relu, leaky_relu), output (elu) or input
-(prelu), and layer_norm's standardized input; with gconv, spmm keeps only
-the shared adjacency.  The projector keeps its input h and its
+soon as it has visited the node.  A Parameter holds no gradient array of
+its own: it keeps the one the backward pass hands it until `adam_step`,
+which releases it, so no gradient is alive in the forward pass or the
+loss, and Adam steps a large parameter one block at a time in two
+block-sized scratch arrays.  The training loop names no intermediate past
+its last reader: z dies once the loss has formed its unit rows (jsd
+scores z itself) and h with the projector's backward.  The input features
+are held once, by the Graph, in the active precision, and layer 0 reads
+them in place: `dropout_matmul` forms the dropped rows (or, for the nfm
+ablation, the masked rows), multiplies them and frees them, keeping only
+the boolean mask (its backward forms them again for dL/dW), and every
+mask is drawn one row block of uniforms at a time.  In training the tape
+holds that mask; per later layer, the dropout mask and the matmul input;
+per layer, the activation's boolean mask (relu, leaky_relu), output (elu)
+or input (prelu), and layer_norm's standardized input; with gconv, spmm
+keeps only the shared adjacency.  The projector keeps its input h and its
 activation's array, which for the ELU of every preset is its output, also
 the second matmul's input; the loss keeps dLoss/dz.  Each is one n x
 width array (booleans for a mask), plus layer_norm's n x 1 inverse

@@ -142,7 +142,8 @@ def _dropout_mask(shape: tuple, p: float, rng, training: bool):
 
 def _dropped(data: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
     kept = data * keep
-    kept *= scale
+    if scale != 1.0:
+        kept *= scale
     return kept
 
 
@@ -166,13 +167,15 @@ def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
     return record_backward(out, _bw)
 
 
-def dropout_matmul(x: Tensor, w: Tensor, p: float, rng, training: bool) -> Tensor:
+def dropout_matmul(x: Tensor, w: Tensor, p: float, rng, training: bool, rescale: bool = True) -> Tensor:
     """`matmul(dropout(x, p, rng, training), w)` for an x that needs no
     gradient (the input features): the same draw and the same bits.
 
     The dropped rows are formed, multiplied by w and freed.  The tape keeps
     the boolean mask and x, which its owner holds anyway, and the backward
-    rebuilds the dropped rows to form dL/dw.
+    rebuilds the dropped rows to form dL/dw.  Without `rescale` the kept
+    entries keep their values (a scale of 1, exact): `matmul(x * keep, w)`
+    for the mask that `dropout` draws, as feature masking needs.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.needs_grad:
@@ -183,6 +186,8 @@ def dropout_matmul(x: Tensor, w: Tensor, p: float, rng, training: bool) -> Tenso
     if mask is None:
         return matmul(x, w)
     keep, scale = mask
+    if not rescale:
+        scale = 1.0
     x_data = x.data
     out = Tensor(_dropped(x_data, keep, scale) @ w.data, _parents=(x, w))
     check_finite("matmul", out.data)
@@ -313,19 +318,14 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
 
 
 def _accumulate(node, g: np.ndarray) -> None:
-    """Add one gradient into a node: in place into a Parameter's buffer,
-    by a fresh sum elsewhere (the first gradient may be an array another
-    node also holds)."""
-    if node.persistent:
-        node.grad += g
-    elif node.grad is None:
-        node.grad = g
-    else:
-        node.grad = node.grad + g
+    """Add one gradient into a node: the first is kept by reference (a
+    Parameter's too), a later one sums into a fresh array, since the first
+    may be an array another node also holds."""
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dParam into every reachable Parameter's grad.
+    """Hand every reachable Parameter dLoss/dParam as its grad.
 
     Only nodes that need a gradient are visited; a tensor that needs none
     has no node, so the walk never reaches past it.  The tape is consumed

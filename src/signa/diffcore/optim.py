@@ -2,8 +2,9 @@
 
 State is held per parameter (first/second moment arrays plus a shared step
 counter).  `adam_step` applies bias-corrected moments, shrinks weights by
-`value *= 1 - lr * weight_decay` before the Adam delta, and zeroes every
-gradient afterwards so the next backward pass starts clean.
+`value *= 1 - lr * weight_decay` before the Adam delta, and then releases
+every gradient, so a gradient lives only from the backward pass that forms
+it to the step that consumes it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .tensor import Parameter
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+BLOCK = 1 << 17  # entries per block of a parameter's update: the scratch arrays stay this small
 
 
 class AdamState:
@@ -36,38 +38,62 @@ class AdamState:
 
 
 def adam_step(state: AdamState) -> None:
-    """One Adam update of every parameter, then zero its gradient.
+    """One Adam update of every parameter, then release its gradient.
 
     The arithmetic is m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order, computed in two
-    scratch arrays per parameter with the gradient squared in place (it is
-    zeroed at the end anyway).
+    scratch arrays.  The gradient is read, never written: it may be an
+    array another parameter adopted too, or a buffer its caller reuses.  A
+    parameter with no gradient steps as if it were zero.  A parameter above
+    BLOCK entries is updated one block of its flattened entries at a time,
+    with scratch arrays of one block; every operation is elementwise, so
+    the bits are those of one pass over the whole array.
     """
     for p in state.params:
-        if not np.isfinite(p.grad).all():
+        g = p.grad
+        if g is not None and not np.isfinite(g).all():
             raise OptimizationError(f"non-finite gradient for parameter {p.name!r}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
     for p in state.params:
+        g = p.grad
         if state.weight_decay != 0.0:
             p.data *= 1.0 - state.lr * state.weight_decay
         m = state.m[p.name]
         v = state.v[p.name]
-        g = p.grad
-        step = np.multiply(g, 1.0 - BETA1)
-        m *= BETA1
-        m += step
-        v *= BETA2
-        g *= g
-        g *= 1.0 - BETA2
-        v += g
-        denom = np.divide(v, bc2)
-        np.sqrt(denom, out=denom)
-        denom += EPS
-        np.divide(m, bc1, out=step)
-        step *= state.lr
-        step /= denom
-        p.data -= step
-        g[...] = 0.0
+        if g is None:
+            g = np.zeros(p.data.shape, p.data.dtype)
+        if p.data.size <= BLOCK or not all(a.flags.c_contiguous for a in (p.data, m, v)):
+            _update(p.data, m, v, g, state.lr, bc1, bc2)
+        else:
+            data, m, v, g = p.data.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
+            step, denom = np.empty(BLOCK, data.dtype), np.empty(BLOCK, data.dtype)
+            for start in range(0, data.size, BLOCK):
+                stop = min(start + BLOCK, data.size)
+                block = slice(start, stop)
+                _update(
+                    data[block], m[block], v[block], g[block], state.lr, bc1, bc2,
+                    step[: stop - start], denom[: stop - start],
+                )
+        p.grad = None
+
+
+def _update(data, m, v, g, lr, bc1, bc2, step=None, denom=None) -> None:
+    """One Adam update of `data` in place; `step` and `denom` are scratch
+    arrays of its size, allocated here when None."""
+    step = np.multiply(g, 1.0 - BETA1, out=step)
+    m *= BETA1
+    m += step
+    v *= BETA2
+    np.multiply(g, g, out=step)
+    step *= 1.0 - BETA2
+    v += step
+    denom = np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    np.divide(m, bc1, out=step)
+    step *= lr
+    step /= denom
+    data -= step

@@ -6,7 +6,8 @@ upstream gradient to one gradient per parent, and the gradient summed so
 far.  The tape links nodes, never Tensors, so an op's output array lives
 only while a Tensor or a closure still reads it.  Leaf tensors (inputs,
 constants) have no node.  Parameter is a named leaf whose node keeps a
-gradient buffer across backward passes so an optimizer can consume it.
+gradient from the backward pass that forms it to the Adam step that
+consumes and releases it.
 
 A tensor needs a gradient iff it is a Parameter or one of its parents needs
 one; this is fixed at construction.  A tensor that needs none has no node,
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ShapeError
 
 _PRECISIONS = {"f32": np.float32, "f64": np.float64}
 _active_precision = "f64"
@@ -50,17 +51,19 @@ class _Node:
 
     `parents` holds a node per parent tensor, None for a parent that needs
     no gradient; `backward` maps the upstream gradient to one gradient per
-    parent; `grad` is the gradient summed so far.  A Parameter's node is a
-    leaf whose `grad` buffer persists and is summed into in place.
+    parent; `grad` is the gradient summed so far: the first gradient the
+    node receives, by reference, then fresh sums.  `backward` drops it once
+    the node's closure has read it, but for a Parameter's node (`persistent`),
+    a leaf that keeps it until the Adam step releases it.
     """
 
     __slots__ = ("parents", "backward", "grad", "persistent")
 
-    def __init__(self, parents: tuple, grad: np.ndarray | None = None):
+    def __init__(self, parents: tuple, persistent: bool = False):
         self.parents = parents
         self.backward = None
-        self.grad = grad
-        self.persistent = grad is not None
+        self.grad = None
+        self.persistent = persistent
 
 
 class Tensor:
@@ -91,18 +94,37 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor with a persistent, named gradient buffer.
+    """A trainable, named leaf tensor.
 
-    The gradient is allocated at construction and is all-zeros until a
-    backward pass accumulates into it.  `np.zeros` leaves its pages
-    untouched until then, so a model that only runs inference (a loaded
-    checkpoint under `signa eval`) never pays for them.
+    It holds no gradient array of its own: `grad` is None until a backward
+    pass hands it one, which it keeps by reference (a second gradient sums
+    into a fresh array), and `adam_step` releases it.  A model that only
+    runs inference (a loaded checkpoint under `signa eval`) never holds one,
+    and in training a gradient lives from the backward pass to the step.
+    Code that forms a gradient itself (the probe, tests) assigns it to
+    `grad`; the step reads it and never writes into it.
     """
 
     def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
-        self._node = _Node((), grad=np.zeros(self.data.shape, self.data.dtype))
+        self._node = _Node((), persistent=True)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        """Hand the next Adam step a gradient of this parameter's shape, in
+        its dtype (cast when it is not), or release it with None."""
+        if value is not None:
+            value = np.asarray(value, dtype=self.data.dtype)
+            if value.shape != self.data.shape:
+                raise ShapeError(
+                    f"gradient shape {value.shape} does not match parameter {self.name!r} {self.data.shape}"
+                )
+        self._node.grad = value
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"

@@ -140,11 +140,15 @@ def encode_rows(
     adj: sp.csr_matrix | None = None,
     training: bool = False,
     rng: dc.RngStream | None = None,
+    feature_mask_p: float = 0.0,
 ) -> dc.Tensor:
     """The L layers on any (m, F) block of feature rows, giving m x d_enc.
 
     Dropout draws from `rng` only in training mode with p > 0; inference
-    consumes no randomness.  `feats` is read in place when it is in the
+    consumes no randomness.  `feature_mask_p` > 0 (the nfm ablation, whose
+    encoder dropout is 0) zeroes each input entry with that probability in
+    training, without rescale: layer 0 draws that mask from `rng` and keeps
+    it alone on the tape.  `feats` is read in place when it is in the
     active precision, as the Graph's features are, and cast otherwise.  At
     inference without `adj`, every op acts on each row by itself, so a block
     of rows gives those rows of the full forward.  With `adj` (gconv only),
@@ -155,15 +159,19 @@ def encode_rows(
         raise ConfigError("gconv base encoder requires a normalized adjacency")
     if spec.base_encoder == "linear" and adj is not None:
         raise ConfigError("linear base encoder does not take an adjacency")
-    if training and spec.dropout_p > 0.0 and rng is None:
+    if training and max(spec.dropout_p, feature_mask_p) > 0.0 and rng is None:
         raise ConfigError("training with dropout requires an rng stream")
+    if feature_mask_p > 0.0 and spec.dropout_p > 0.0:
+        raise ConfigError("feature masking replaces the encoder dropout; set dropout_p to 0")
 
     act_kind, act_slope = _resolve_activation(spec.activation)
     params = state.params
     h = dc.Tensor(feats)
     for l in range(spec.num_layers):
         weight = params[f"layers.{l}.weight"]
-        if not h.needs_grad:  # the input features: the tape keeps the mask alone
+        if l == 0 and feature_mask_p > 0.0:
+            h = dc.dropout_matmul(h, weight, feature_mask_p, rng, training, rescale=False)
+        elif not h.needs_grad:  # the input features: the tape keeps the mask alone
             h = dc.dropout_matmul(h, weight, spec.dropout_p, rng, training)
         else:
             h = dc.matmul(dc.dropout(h, spec.dropout_p, rng, training), weight)

@@ -126,7 +126,8 @@ def linear_probe(
     dim = emb.shape[1]
     theta = dc.Parameter(np.zeros((dim + 1, num_classes)), name="probe.weight_bias")
     w, b = theta.data[:dim], theta.data[dim]
-    grad_w, grad_b = theta.grad[:dim], theta.grad[dim]
+    grad = np.empty_like(theta.data)  # handed to each step, which only reads it
+    grad_w, grad_b = grad[:dim], grad[dim]
     adam = dc.AdamState([theta], lr=config.learning_rate, weight_decay=config.weight_decay)
 
     # the training rows and targets take the parameter's dtype (f32 runs
@@ -164,6 +165,7 @@ def linear_probe(
         probs /= m
         np.matmul(x_train_t, probs, out=grad_w)
         np.add.reduce(probs, axis=0, out=grad_b)
+        theta.grad = grad
         dc.adam_step(adam)
 
         np.matmul(x_val, w, out=val_logits)

@@ -21,7 +21,7 @@ from .atomic import write_json
 from .contrast import EstimatorSpec, draw_masks, estimator_loss
 from .encoder import EncoderState, ModelSpec, encode_rows, project
 from .errors import CheckpointError, ConfigError, OptimizationError, not_utf8
-from .graphdata import Graph, keep_mask, normalized_adjacency
+from .graphdata import Graph, normalized_adjacency
 
 ABLATIONS = ("none", "no_dropout", "nfm", "no_stoch_mask", "all_mask")
 CHECKPOINT_FORMAT_VERSION = 2
@@ -154,14 +154,13 @@ def train(graph: Graph, config: TrainConfig) -> tuple[EncoderState, list[float]]
 
     curve: list[float] = []
     for epoch in range(config.num_epochs):
-        feats = graph.features
-        if effective.nfm_p_feat is not None and effective.nfm_p_feat > 0.0:
-            # input feature masking: zero entries, no rescale
-            feats = feats * keep_mask(dropout_rng, feats.shape, effective.nfm_p_feat)
         draw = draw_masks(graph, effective.mask_rate, mask_rng, epoch=epoch)
-        h = encode_rows(state, effective.model, feats, adj=adj, training=True, rng=dropout_rng)
+        h = encode_rows(
+            state, effective.model, graph.features, adj=adj, training=True, rng=dropout_rng,
+            feature_mask_p=effective.nfm_p_feat or 0.0,
+        )
         loss = estimator_loss(project(state, h), draw, effective.estimator)
-        del feats, draw, h  # now only the tape holds what backward reads ("Memory" in signa.diffcore)
+        del draw, h  # now only the tape holds what backward reads ("Memory" in signa.diffcore)
         value = float(loss.data)
         if not np.isfinite(value):
             raise OptimizationError(f"non-finite loss at epoch {epoch}")

@@ -482,7 +482,7 @@ def linear_probe_oracle(
 
     best_val, best_snapshot = -1.0, (w.data.copy(), b.data.copy())
     for _ in range(config.num_epochs):
-        w.grad[...], b.grad[...] = probe_gradients_oracle(x_train, onehot, w.data, b.data)
+        w.grad, b.grad = probe_gradients_oracle(x_train, onehot, w.data, b.data)
         dc.adam_step(adam)
         val_f1 = micro_f1(y[split.val], predict(split.val))
         if val_f1 > best_val:
@@ -707,8 +707,12 @@ def canonical_partitions(n: int, max_cells: int = 3) -> list:
 
 def adam_step_oracle(state: dc.AdamState) -> None:
     """The library's earlier Adam step, kept as it was: six temporaries per
-    parameter.  The reference for `dc.adam_step`'s bits."""
+    parameter.  The reference for `dc.adam_step`'s bits.  Like it, it steps
+    a parameter with no gradient as if it were zero and then releases
+    every gradient."""
     for p in state.params:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
         if not np.all(np.isfinite(p.grad)):
             raise OptimizationError(f"non-finite gradient for parameter {p.name!r}")
     state.step_count += 1
@@ -727,7 +731,7 @@ def adam_step_oracle(state: dc.AdamState) -> None:
         mhat = m / bc1
         vhat = v / bc2
         p.data -= state.lr * mhat / (np.sqrt(vhat) + EPS)
-        p.grad[...] = 0.0
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------

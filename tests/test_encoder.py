@@ -4,13 +4,14 @@ computes (f32 throughout under f32, no gradient for the input features)."""
 
 import tracemalloc
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from conftest import CountsTranspose, assert_drew
 import oracles
+import tape_ops as kit
 
 import signa.diffcore as dc
 import signa.diffcore.ops as ops
@@ -30,7 +31,7 @@ from signa.encoder import (
     project,
 )
 from signa.errors import ConfigError, ShapeError
-from signa.graphdata import Graph, normalized_adjacency
+from signa.graphdata import Graph, keep_mask, normalized_adjacency
 from signa.trainer import TrainConfig, train
 
 
@@ -307,7 +308,7 @@ def test_inference_embeddings_equal_the_taped_forward(base, activation, layer_no
     # the frozen view shares the parameter arrays and leaves their gradients alone
     view = state.frozen()
     assert all(view.params[k].data is p.data for k, p in state.params.items())
-    assert all(not p.grad.any() for p in state.parameters())
+    assert all(p.grad is None for p in state.parameters())
 
 
 @pytest.mark.parametrize("base", ["linear", "gconv"])
@@ -595,17 +596,21 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
         assert g.tobytes() == earlier_grads[name].tobytes(), name
 
 
-def _tape_after_project(n: int, hidden: int, num_features: int) -> tuple[int, list[int]]:
+def _tape_after_project(n: int, hidden: int, num_features: int, nfm: bool = False) -> tuple[int, list[int]]:
     """Encode and project one f64 training step under tracemalloc; returns
     the bytes held once project returns and the sizes of the allocations
-    behind them.  The graph's features come before, so neither counts them."""
+    behind them.  The graph's features come before, so neither counts them.
+    With `nfm` the encoder has no dropout and masks the input entries at
+    the same rate."""
     graph = _chain_graph(n, num_features)
-    spec = ModelSpec(num_layers=2, hidden_dim=hidden, dropout_p=0.3, activation="prelu", projector_dim=hidden)
+    spec = ModelSpec(
+        num_layers=2, hidden_dim=hidden, dropout_p=0.0 if nfm else 0.3, activation="prelu", projector_dim=hidden
+    )
     state = EncoderState(spec, graph.num_features, RngStream(5, "init"))
     rng = RngStream(5, "dropout")
     tracemalloc.start()
     try:
-        h = encode(state, spec, graph, training=True, rng=rng)
+        h = encode_rows(state, spec, graph.features, training=True, rng=rng, feature_mask_p=0.3 if nfm else 0.0)
         z = project(state, h)
         held = tracemalloc.get_traced_memory()[0]
         sizes = [trace.size for trace in tracemalloc.take_snapshot().traces]
@@ -642,3 +647,50 @@ def test_wide_input_leaves_only_its_mask_on_the_tape():
     assert 8.625 * unit <= held < 8.75 * unit
     assert sizes.count(n * num_features) == 1  # the mask
     assert max(sizes) < n * num_features * 4  # no n x F float array, f32 or f64
+
+
+def test_masked_wide_input_leaves_only_its_mask_on_the_tape():
+    # the nfm ablation: layer 0 keeps the bool n x F feature mask and no
+    # masked n x F float copy of the features (4 units), and layer 1 keeps
+    # no dropout mask, so the tape holds 8.5 units
+    n, hidden = 1000, 64
+    num_features = 4 * hidden
+    held, sizes = _tape_after_project(n, hidden, num_features, nfm=True)
+    unit = n * hidden * 8
+    assert 8.5 * unit <= held < 8.625 * unit
+    assert sizes.count(n * num_features) == 1  # the mask
+    assert max(sizes) < n * num_features * 4  # no n x F float array, f32 or f64
+
+
+def test_feature_masking_is_the_earlier_masked_input_bitwise():
+    # nfm masked the features (no rescale) with a `keep_mask` draw from the
+    # dropout stream and then encoded them without dropout
+    graph = _chain_graph(50, 12)
+    spec = ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.0, activation="prelu", projector_dim=8)
+    outputs = []
+    for masked_outside in (True, False):
+        state = EncoderState(spec, graph.num_features, RngStream(5, "init"))
+        rng = RngStream(5, "dropout")
+        if masked_outside:
+            feats = graph.features * keep_mask(rng, graph.features.shape, 0.3)
+            h = encode_rows(state, spec, feats, training=True, rng=rng)
+        else:
+            h = encode_rows(state, spec, graph.features, training=True, rng=rng, feature_mask_p=0.3)
+        dc.backward(kit.tsum(project(state, h)))
+        outputs.append((h.data, {name: p.grad for name, p in state.params.items()}, rng.uniform()))
+    (h_a, grads_a, next_a), (h_b, grads_b, next_b) = outputs
+    assert h_a.tobytes() == h_b.tobytes()
+    assert grads_a.keys() == grads_b.keys()
+    for name in grads_a:
+        assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+    assert next_a == next_b  # the same draws from the stream
+
+
+def test_feature_masking_replaces_dropout():
+    graph = _chain_graph(10, 4)
+    spec = ModelSpec(num_layers=1, hidden_dim=4, dropout_p=0.3, projector_dim=4)
+    state = EncoderState(spec, graph.num_features, RngStream(5, "init"))
+    with pytest.raises(ConfigError, match="feature masking"):
+        encode_rows(state, spec, graph.features, training=True, rng=RngStream(5, "dropout"), feature_mask_p=0.3)
+    with pytest.raises(ConfigError, match="rng"):
+        encode_rows(state, replace(spec, dropout_p=0.0), graph.features, training=True, feature_mask_p=0.3)

@@ -1,18 +1,24 @@
-"""Adam update semantics: bias correction, decoupled weight decay,
-gradient hygiene after each step, and bit-identity with the earlier step."""
+"""Adam update semantics: bias correction, decoupled weight decay, the
+gradient released after each step and never written, blocks of a large
+parameter, and bit-identity with the earlier step."""
+
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from signa import diffcore as dc
 from signa.diffcore import AdamState, Parameter, active_dtype, adam_step, set_precision
-from signa.errors import ConfigError, OptimizationError
+from signa.diffcore.optim import BLOCK
+from signa.errors import ConfigError, OptimizationError, ShapeError
 
 from oracles import adam_step_oracle
 
 
 def _single(value=0.0, grad=1.0, **kw):
     p = Parameter(np.array([value]), name="w")
-    p.grad[...] = grad
+    p.grad = np.full(1, grad)
     return p, AdamState([p], lr=kw.pop("lr", 0.1), **kw)
 
 
@@ -27,7 +33,7 @@ def test_first_step_matches_hand_trace():
 def test_two_steps_hand_trace():
     p, st = _single(value=0.0, grad=1.0, lr=0.1)
     adam_step(st)
-    p.grad[...] = 1.0
+    p.grad = np.ones(1)
     adam_step(st)
     # constant gradient keeps m_hat = 1, v_hat = 1 after correction
     np.testing.assert_allclose(p.data, [-0.2], atol=1e-7)
@@ -37,7 +43,7 @@ def test_descends_a_quadratic():
     p = Parameter(np.array([3.0]), name="w")
     st = AdamState([p], lr=0.05)
     for _ in range(2000):
-        p.grad[...] = 2.0 * p.data
+        p.grad = 2.0 * p.data
         adam_step(st)
     assert abs(p.data[0]) < 1e-3
 
@@ -61,17 +67,39 @@ def test_parameters_update_independently():
     a = Parameter(np.array([0.0]), name="a")
     b = Parameter(np.array([0.0]), name="b")
     st = AdamState([a, b], lr=0.1)
-    a.grad[...] = 1.0
-    b.grad[...] = 0.0
+    a.grad = np.ones(1)
+    b.grad = np.zeros(1)
     adam_step(st)
     assert a.data[0] != 0.0
     assert b.data[0] == 0.0
 
 
-def test_grads_are_zeroed_after_step():
-    p, st = _single(grad=1.0)
+def test_grads_are_released_after_step():
+    # the parameter keeps the array its backward pass formed, not a copy,
+    # and that array dies at the step
+    p = Parameter(np.array([[0.5], [-1.0], [2.0]]), name="w")
+    st = AdamState([p], lr=0.1)
+    assert p.grad is None
+    dc.backward(dc.matmul(dc.Tensor(np.array([[1.0, 2.0, 3.0]])), p))
+    np.testing.assert_array_equal(p.grad, [[1.0], [2.0], [3.0]])
+    adopted = weakref.ref(p.grad)
     adam_step(st)
-    np.testing.assert_array_equal(p.grad, [0.0])
+    assert p.grad is None
+    assert adopted() is None
+
+
+def test_grad_setter_casts_and_checks_the_shape():
+    set_precision("f32")
+    p = Parameter(np.zeros((2, 3)), name="w")
+    g = np.ones((2, 3), dtype=np.float32)
+    p.grad = g
+    assert p.grad is g  # kept by reference in the parameter's dtype
+    p.grad = np.ones((2, 3))  # f64: cast
+    assert p.grad.dtype == np.float32
+    with pytest.raises(ShapeError, match="'w'"):
+        p.grad = np.ones(3)
+    p.grad = None
+    assert p.grad is None
 
 
 def test_moment_state_is_per_parameter():
@@ -103,7 +131,8 @@ def test_validation_errors():
 def test_step_is_bit_identical_to_the_oracle(precision, weight_decay):
     set_precision(precision)
     rng = np.random.default_rng(3)
-    shapes = {"w": (7, 5), "b": (5,), "s": (1,)}
+    # "big" and "long" are above one block: the last blocks are partial
+    shapes = {"w": (7, 5), "b": (5,), "s": (1,), "big": (387, 353), "long": (2 * BLOCK + 3,)}
     init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
 
     def make():
@@ -117,8 +146,8 @@ def test_step_is_bit_identical_to_the_oracle(precision, weight_decay):
             # magnitudes from 1e-6 to 1e3, with exact zeros mixed in
             g = rng.standard_normal(a.data.shape) * 10.0 ** rng.integers(-6, 4, size=a.data.shape)
             g[rng.random(a.data.shape) < 0.2] = 0.0
-            a.grad[...] = g
-            b.grad[...] = g
+            a.grad = g
+            b.grad = g
         adam_step(lean_state)
         adam_step_oracle(ref_state)
         for a, b in zip(lean, ref):
@@ -126,5 +155,54 @@ def test_step_is_bit_identical_to_the_oracle(precision, weight_decay):
             assert np.array_equal(a.data, b.data), a.name
             assert np.array_equal(lean_state.m[a.name], ref_state.m[b.name]), a.name
             assert np.array_equal(lean_state.v[a.name], ref_state.v[b.name]), a.name
-            assert not a.grad.any()
+            assert a.grad is None
     assert lean_state.step_count == ref_state.step_count == 5
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_parameters_that_share_one_gradient_array_step_as_the_oracle(precision):
+    # `add` of two inputs of one shape hands both parents its own upstream
+    # gradient: both adopt that one array, and neither step may write into
+    # it before the other reads it
+    set_precision(precision)
+    rng = np.random.default_rng(4)
+    shape = (400, 400)  # above one block
+    init = [rng.standard_normal(shape) for _ in range(2)]
+    left, right = (dc.Tensor(rng.standard_normal((1, shape[0]))), dc.Tensor(rng.standard_normal((shape[1], 1))))
+    lean = [Parameter(x, name=name) for x, name in zip(init, "ab")]
+    ref = [Parameter(x, name=name) for x, name in zip(init, "ab")]
+    lean_state = AdamState(lean, lr=0.01, weight_decay=0.01)
+    ref_state = AdamState(ref, lr=0.01, weight_decay=0.01)
+    for _ in range(3):
+        dc.backward(dc.matmul(dc.matmul(left, dc.add(*lean)), right))
+        shared = lean[0].grad
+        assert lean[1].grad is shared
+        before = shared.copy()
+        for p in ref:
+            p.grad = before.copy()
+        adam_step(lean_state)
+        adam_step_oracle(ref_state)
+        assert np.array_equal(shared, before)  # read, never written
+        for a, b in zip(lean, ref):
+            assert np.array_equal(a.data, b.data), a.name
+            assert np.array_equal(lean_state.m[a.name], ref_state.m[b.name]), a.name
+            assert np.array_equal(lean_state.v[a.name], ref_state.v[b.name]), a.name
+            assert a.grad is None
+
+
+def test_a_large_step_needs_scratch_of_one_block():
+    # W0 of a 2000-feature, 1024-wide encoder in f32 (8 MB): the step's two
+    # scratch arrays are one block each, 1 MB together; one pass over the
+    # whole parameter held two 8 MB arrays
+    set_precision("f32")
+    rng = np.random.default_rng(5)
+    p = Parameter(rng.standard_normal((2000, 1024)), name="w")
+    st = AdamState([p], lr=0.01, weight_decay=1e-4)
+    p.grad = rng.standard_normal(p.data.shape)
+    tracemalloc.start()
+    try:
+        adam_step(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

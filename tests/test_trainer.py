@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import edge_list, split_generator
+from memtrace import epoch_phases
 from oracles import save_checkpoint_v1_oracle
 
 import signa.contrast as contrast
@@ -20,6 +21,7 @@ import signa.diffcore as dc
 import signa.trainer as trainer
 from signa.contrast import EstimatorSpec, draw_masks, estimator_loss
 from signa.diffcore import set_precision
+from signa.diffcore.optim import BLOCK
 from signa.cli import main
 from signa.encoder import EncoderState, ModelSpec, encode, inference_embeddings, project
 from signa.errors import CheckpointError, ConfigError
@@ -325,22 +327,19 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_loaded_gradients_are_zero_writable_and_take_a_backward(precision, tmp_path):
+def test_loaded_parameters_hold_no_gradient_until_a_backward(precision, tmp_path):
     g = _small_graph()
     cfg = _config(num_epochs=2, precision=precision)
     state, curve = train(g, cfg)
+    assert all(p.grad is None for p in state.parameters())  # the last step released them
     path = str(tmp_path / "ck.json")
     save_checkpoint(state, cfg, path, final_loss=curve[-1])
     loaded, _ = load_checkpoint(path)
-    buffers = []
-    for p in loaded.parameters():
-        assert p.grad.dtype == p.data.dtype and p.grad.shape == p.data.shape
-        assert p.grad.flags.writeable and not p.grad.any()
-        buffers.append(p.grad)
+    assert all(p.grad is None for p in loaded.parameters())
     z = project(loaded, encode(loaded, cfg.model, g))
     dc.backward(estimator_loss(z, draw_masks(g, cfg.mask_rate, dc.RngStream(0, "mask")), cfg.estimator))
-    for p, buffer in zip(loaded.parameters(), buffers):
-        assert p.grad is buffer  # summed into in place
+    for p in loaded.parameters():
+        assert p.grad.dtype == p.data.dtype and p.grad.shape == p.data.shape
     assert any(p.grad.any() for p in loaded.parameters())
 
 
@@ -486,6 +485,41 @@ def test_small_checkpoints_keep_the_earlier_bytes(run, tmp_path):
     path = str(tmp_path / "ck.json")
     save_checkpoint(state, cfg, path, final_loss=curve[-1])
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == _EARLIER_CHECKPOINT_SHA256[run]
+
+
+def _wide_run(**kw) -> tuple:
+    """A 200-node graph with 1024 features and an f32 linear encoder 256
+    wide: W0 is two Adam blocks."""
+    graph = _small_graph(blocks=(100, 100), f=1024)
+    model = ModelSpec(num_layers=2, hidden_dim=256, dropout_p=0.2, projector_dim=64)
+    return graph, _config(model=model, num_epochs=2, precision="f32", **kw)
+
+
+def test_no_gradient_outlives_its_step():
+    graph, cfg = _wide_run()
+    phases = epoch_phases(graph, cfg)
+    state = EncoderState(cfg.model, graph.num_features, None)
+    param_bytes = sum(p.data.nbytes for p in state.parameters())
+    # the second epoch starts holding the parameters and Adam's two moments,
+    # and no gradient (a parameter that kept a gradient array held 4 x)
+    assert 3 * param_bytes <= phases["encode"].start < 3.1 * param_bytes
+    # the step releases every gradient, and its scratch is two arrays of
+    # one block at most (one pass over W0 held two W0-sized arrays)
+    assert phases["adam"].start - phases["adam"].end >= param_bytes
+    assert phases["adam"].peak - phases["adam"].start <= 2 * BLOCK * 4 + 16384
+
+
+def test_nfm_holds_no_more_than_dropout():
+    # nfm masks the input entries where dropout drops them: both keep the
+    # mask alone of the n x F input (nfm then needs no later dropout mask);
+    # with a masked float copy of the features on its tape, nfm's encode and
+    # loss peaks sat 1.4 MB above the dropout run's
+    graph, plain = _wide_run()
+    _, nfm = _wide_run(ablation="nfm")
+    assert apply_ablation(nfm).nfm_p_feat == plain.model.dropout_p
+    dropout_phases, nfm_phases = epoch_phases(graph, plain), epoch_phases(graph, nfm)
+    for name in ("encode", "loss", "backward"):
+        assert nfm_phases[name].peak <= dropout_phases[name].peak, name
 
 
 def test_checkpoint_errors(tmp_path):
