@@ -36,13 +36,18 @@ ablation, the masked rows), multiplies them and frees them, keeping only
 the boolean mask (its backward forms them again for dL/dW), and every
 mask is drawn one row block of uniforms at a time.  In training the tape
 holds that mask; per later layer, the dropout mask and the matmul input;
-per layer, the activation's boolean mask (relu, leaky_relu), output (elu)
-or input (prelu), and layer_norm's standardized input; with gconv, spmm
-keeps only the shared adjacency.  The projector keeps its input h and its
+per layer with LayerNorm, the activation's input and two n x 1 columns,
+the row mean and inverse deviation: `layer_norm` runs the activation
+before it as one op, whose backward rebuilds the activation's output and
+the standardized rows from that input in the forward's own operations;
+per layer without LayerNorm, the activation's boolean mask (relu,
+leaky_relu), output (elu) or input (prelu); with gconv, spmm keeps only
+the shared adjacency.  The projector keeps its input h and its
 activation's array, which for the ELU of every preset is its output, also
 the second matmul's input; the loss keeps dLoss/dz.  Each is one n x
-width array (booleans for a mask), plus layer_norm's n x 1 inverse
-deviation; layer_norm's backward adds two arrays of its width.  While it
+width array (booleans for a mask); layer_norm's backward forms two arrays
+of its width, which also serve the activation's backward, one row block's
+scratch and, with an activation, the mask d > 0.  While it
 runs, the blocked contrastive loss holds two B x n strip arrays (three
 for the jsd ablation, whose sigmoid slope is a strip of its own), the
 strip's boolean clamp mask, and three n x d arrays: the unit rows zn,

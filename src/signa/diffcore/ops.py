@@ -198,53 +198,89 @@ def dropout_matmul(x: Tensor, w: Tensor, p: float, rng, training: bool, rescale:
     return record_backward(out, _bw)
 
 
-def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization (population variance) with affine gain/bias.
-
-    The tape keeps the standardized input and the per-row inverse
-    deviation, not the input; the backward adds two arrays of its size.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm expects a matrix, got shape {x.data.shape}")
-    d = x.data.shape[1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeError(
-            f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match width {d}"
-        )
-    mu = np.mean(x.data, axis=1, keepdims=True)
-    xhat = x.data - mu  # centered here, standardized in place below
-    var = np.mean(xhat * xhat, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    normed = xhat * gain.data
-    normed += bias.data
-    out = Tensor(normed, _parents=(x, gain, bias))
-    check_finite("layer_norm", out.data)
-    gain_data = gain.data
-
-    def _bw(g):
-        # inv * (gx - m1 - xhat * m2), in the same order, in two arrays of
-        # x's size: gx becomes dL/dx and `t` serves each product with xhat
-        gx = g * gain_data
-        m1 = np.mean(gx, axis=1, keepdims=True)
-        t = np.multiply(gx, xhat)
-        m2 = np.mean(t, axis=1, keepdims=True)
-        gx -= m1
-        np.multiply(xhat, m2, out=t)
-        gx -= t
-        np.multiply(inv, gx, out=gx)
-        return gx, np.sum(np.multiply(g, xhat, out=t), axis=0), np.sum(g, axis=0)
-
-    return record_backward(out, _bw)
-
-
 ACTIVATIONS = ("relu", "elu", "prelu", "leaky_relu")
 
 
-def _leaky_factor(pos: np.ndarray, s: float, dtype: np.dtype) -> np.ndarray:
-    """d out / d in of a leaky relu with slope s where `pos` marks d > 0, in
-    the input's dtype (a float factor would make an f32 gradient f64)."""
-    return np.where(pos, dtype.type(1.0), dtype.type(s))
+def _slope_of(kind: str, slope) -> float | None:
+    """The activation's slope as a float (leaky_relu, prelu), else None.
+
+    Rejects an unknown kind and a slope of the wrong sort: `prelu` takes a
+    one-element Tensor, `leaky_relu` a float.
+    """
+    if kind == "leaky_relu":
+        if slope is None:
+            raise ConfigError("leaky_relu requires a float slope")
+        return float(slope)
+    if kind == "prelu":
+        if not isinstance(slope, Tensor):
+            raise ConfigError("prelu requires a slope Tensor")
+        return float(slope.data.reshape(-1)[0])
+    if kind not in ACTIVATIONS:
+        raise ConfigError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
+    return None
+
+
+def _leaky_factor(pos: np.ndarray, s: float, dtype, out=None) -> np.ndarray:
+    """d out / d in of a leaky relu with slope s, 1 where `pos` (d > 0) and
+    s elsewhere, in the input's dtype (a float factor would make an f32
+    gradient f64), written into `out` (a new array when None).
+
+    It picks one of the two bit patterns without a branch, as
+    (pos * (one ^ s)) ^ s on the unsigned view: np.where and
+    copyto(where=) branch on every entry and run several times slower on
+    the random signs of a layer's pre-activations.
+    """
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    one, slope = np.array([1.0, s], dtype=dtype).view(bits)
+    factor = np.multiply(pos, one ^ slope, out=None if out is None else out.view(bits))
+    factor ^= slope
+    return factor.view(dtype)
+
+
+def _activate(kind: str, d: np.ndarray, s: float | None, pos: np.ndarray | None, out=None) -> np.ndarray:
+    """The activation of d, written into `out` (a new array when None).
+    `pos` is d > 0; relu does not read it."""
+    if kind == "relu":
+        return np.maximum(d, 0.0, out=out)
+    if kind == "elu":
+        a = np.minimum(d, 0.0, out=out)
+        np.exp(a, out=a)
+        a -= 1.0
+        np.copyto(a, d, where=pos)
+        return a
+    # leaky_relu, prelu: d * 1 is d, and d * s is s * d
+    factor = _leaky_factor(pos, s, d.dtype, out)
+    return np.multiply(d, factor, out=factor)
+
+
+def _activation_grad(kind: str, g, s, pos, d=None, a=None, out=None, spare=None):
+    """(dL/d input, dL/d slope) of the activation for the upstream g; the
+    slope's is None but for prelu, an array of shape (1,).
+
+    dL/d input is written into `out` (a new array when None), never into
+    g.  relu, leaky_relu and prelu read `pos`, the input's d > 0 mask.
+    prelu's slope gradient also reads the input d; it forms g * d * (d <= 0)
+    in `spare` (a new array when None, or g itself when the caller owns it:
+    dL/d input has read g by then) and turns pos into d <= 0.  The elu reads
+    its output `a`, or rebuilds it from d and pos into `out`.
+    """
+    if kind == "relu":
+        return np.multiply(g, pos, out=out), None
+    if kind == "elu":
+        # d out / d in is out + 1 below zero, (exp(d) - 1) + 1, which can
+        # differ from exp(d) in the last bit; above zero out + 1 >= 1
+        if a is None:
+            a = _activate(kind, d, s, pos, out=out)
+        factor = np.add(a, 1.0, out=out)
+        np.minimum(factor, 1.0, out=factor)
+        return np.multiply(g, factor, out=factor), None
+    factor = _leaky_factor(pos, s, g.dtype, out)
+    gd = np.multiply(g, factor, out=factor)
+    if kind == "leaky_relu":
+        return gd, None
+    prod = np.multiply(g, d, out=spare)
+    prod *= np.logical_not(pos, out=pos)
+    return gd, np.array([np.sum(prod)], dtype=prod.dtype)
 
 
 def activation(x: Tensor, kind: str, slope=None) -> Tensor:
@@ -254,62 +290,105 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
     a gradient, a constant (a frozen encoder's) does not; `leaky_relu` takes
     a fixed float slope.  The tape keeps a boolean mask (relu, leaky_relu),
     the output (elu), which the next op may hold anyway, or the input
-    (prelu, whose slope gradient reads it).
+    (prelu, whose slope gradient reads it).  An activation that LayerNorm
+    follows runs inside `layer_norm`, which keeps less.
     """
+    s = _slope_of(kind, slope)
     d = x.data
-    dtype = d.dtype
-    if kind == "relu":
-        out = Tensor(np.maximum(d, 0.0), _parents=(x,))
-        pos = d > 0 if out.needs_grad else None
+    pos = None if kind == "relu" else d > 0
+    prelu = kind == "prelu"
+    out = Tensor(_activate(kind, d, s, pos), _parents=(x, slope) if prelu else (x,))
+    if not out.needs_grad:  # a frozen relu forms no mask
+        return out
+    mask = d > 0 if kind == "relu" else pos if kind == "leaky_relu" else None
+    a = out.data if kind == "elu" else None
+    kept = d if prelu else None
+    slope_shape = slope.data.shape if prelu else None
 
-        def _bw(g):
-            return (g * pos,)
+    def _bw(g):
+        gd, ds = _activation_grad(kind, g, s, mask if kept is None else kept > 0, d=kept, a=a)
+        return (gd,) if ds is None else (gd, ds.reshape(slope_shape))
 
-    elif kind == "elu":
-        elu = np.minimum(d, 0.0)
-        np.exp(elu, out=elu)
-        elu -= 1.0
-        np.copyto(elu, d, where=d > 0)
-        out = Tensor(elu, _parents=(x,))
+    return record_backward(out, _bw)
 
-        def _bw(g):
-            # d out / d in is out + 1 below zero, (exp(d) - 1) + 1, which can
-            # differ from exp(d) in the last bit; above zero out + 1 >= 1.
-            # The gradient overwrites the factor, so the backward adds one
-            # array of x's size to the tape's, not two.
-            factor = elu + 1.0
-            np.minimum(factor, 1.0, out=factor)
-            return (np.multiply(g, factor, out=factor),)
 
-    elif kind == "leaky_relu":
-        if slope is None:
-            raise ConfigError("leaky_relu requires a float slope")
-        s = float(slope)
-        pos = d > 0
-        leaky = s * d
-        np.copyto(leaky, d, where=pos)
-        out = Tensor(leaky, _parents=(x,))
+def _centered(kind: str | None, d: np.ndarray, s, pos, mu=None):
+    """(a - mu, mu) for a the activation of d (d itself when kind is None)
+    and mu its row mean, computed when not given; a - mu is one new array."""
+    a = d if kind is None else _activate(kind, d, s, pos)
+    if mu is None:
+        mu = np.mean(a, axis=1, keepdims=True)
+    return np.subtract(a, mu, out=None if a is d else a), mu
 
-        def _bw(g):
-            return (g * _leaky_factor(pos, s, dtype),)
 
-    elif kind == "prelu":
-        if not isinstance(slope, Tensor):
-            raise ConfigError("prelu requires a slope Tensor")
-        s = float(slope.data.reshape(-1)[0])
-        leaky = s * d
-        np.copyto(leaky, d, where=d > 0)
-        out = Tensor(leaky, _parents=(x, slope))
-        slope_shape = slope.data.shape
+def layer_norm(
+    x: Tensor, gain: Parameter, bias: Parameter, kind: str | None = None, slope=None, eps: float = 1e-5
+) -> Tensor:
+    """The activation `kind` (none when None; `slope` as for `activation`),
+    then per-row standardization (population variance) with affine
+    gain/bias, as one op: `layer_norm` after `activation`, bit for bit.
 
-        def _bw(g):
-            return (
-                g * _leaky_factor(d > 0, s, dtype),
-                np.array([np.sum(g * d * (d <= 0))], dtype=dtype).reshape(slope_shape),
-            )
+    The tape keeps the activation's input and two n x 1 columns, the row
+    mean and the inverse deviation: neither the activation's output nor the
+    standardized rows.  The backward rebuilds both with the forward's own
+    operations and forms two arrays of the input's size, which serve the
+    activation's backward too, and one row block's scratch.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm expects a matrix, got shape {x.data.shape}")
+    width = x.data.shape[1]
+    if gain.data.shape != (width,) or bias.data.shape != (width,):
+        raise ShapeError(
+            f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match width {width}"
+        )
+    s = None if kind is None else _slope_of(kind, slope)
+    d = x.data
+    xhat, mu = _centered(kind, d, s, None if kind in (None, "relu") else d > 0)
+    var = np.mean(xhat * xhat, axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    normed = xhat * gain.data
+    normed += bias.data
+    prelu = kind == "prelu"
+    out = Tensor(normed, _parents=(x, gain, bias, slope) if prelu else (x, gain, bias))
+    check_finite("layer_norm", out.data)
+    gain_data = gain.data
+    slope_shape = slope.data.shape if prelu else None
 
-    else:
-        raise ConfigError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
+    def _bw(g):
+        from ..graphdata import row_blocks  # graphdata builds on diffcore
+
+        # one row block's scratch, made before the n x width arrays: made
+        # after them, it sat above them on the heap, and a later epoch's
+        # peak RSS rose by one such array
+        blocks = list(row_blocks(*d.shape))
+        rows = max((stop - start for start, stop in blocks), default=0)
+        scratch = np.empty((rows, width), d.dtype)
+        pos = None if kind is None else d > 0
+        xhat, _ = _centered(kind, d, s, pos, mu)
+        xhat *= inv
+        # inv * (gx - m1 - xhat * m2), in the same order, in gx = g * gain,
+        # which becomes dL/da.  Every term is a row's own, so it runs one row
+        # block at a time, each product with xhat in the scratch; a row's
+        # mean has the same bits in a block as in the whole.
+        gx = g * gain_data
+        for start, stop in blocks:
+            gb, xb, t = gx[start:stop], xhat[start:stop], scratch[: stop - start]
+            m1 = np.mean(gb, axis=1, keepdims=True)
+            np.multiply(gb, xb, out=t)
+            m2 = np.mean(t, axis=1, keepdims=True)
+            gb -= m1
+            np.multiply(xb, m2, out=t)
+            gb -= t
+            np.multiply(inv[start:stop], gb, out=gb)
+        grads = (np.sum(np.multiply(g, xhat, out=xhat), axis=0), np.sum(g, axis=0))
+        if kind is None:
+            return (gx,) + grads
+        # xhat's array is free: dL/dd goes there, and prelu's slope product
+        # into gx once dL/dd has read it
+        gd, ds = _activation_grad(kind, gx, s, pos, d=d, out=xhat, spare=gx)
+        return (gd,) + grads + (() if ds is None else (ds.reshape(slope_shape),))
+
     return record_backward(out, _bw)
 
 

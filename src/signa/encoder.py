@@ -1,8 +1,10 @@
 """Dropout-noised encoder (Linear or GConv base) and the MLP projector.
 
 Each of the L layers applies dropout, then the base encoder, then the
-activation, then LayerNorm (optional).  The output of the last layer is the representation
-consumed downstream; the projector exists only for the contrastive loss.
+activation, then LayerNorm (optional; with it, the activation and LayerNorm
+run as one `layer_norm` op).  The output of the last layer is the
+representation consumed downstream; the projector exists only for the
+contrastive loss.
 """
 
 from __future__ import annotations
@@ -177,11 +179,11 @@ def encode_rows(
             h = dc.matmul(dc.dropout(h, spec.dropout_p, rng, training), weight)
         if spec.base_encoder == "gconv":
             h = spmm(adj, h)
-        if not spec.layer_norm_enabled:
-            h = dc.add(h, params[f"layers.{l}.bias"])
-        h = dc.activation(h, act_kind, params.get(f"layers.{l}.prelu_slope", act_slope))
+        slope = params.get(f"layers.{l}.prelu_slope", act_slope)
         if spec.layer_norm_enabled:
-            h = dc.layer_norm(h, params[f"layers.{l}.ln_gain"], params[f"layers.{l}.ln_bias"])
+            h = dc.layer_norm(h, params[f"layers.{l}.ln_gain"], params[f"layers.{l}.ln_bias"], act_kind, slope)
+        else:
+            h = dc.activation(dc.add(h, params[f"layers.{l}.bias"]), act_kind, slope)
     return h
 
 

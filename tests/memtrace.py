@@ -8,17 +8,25 @@ the training loop, so they follow the loop as it is:
   and the contrastive loss);
 - backward: `dc.backward`;
 - adam: `dc.adam_step`.
+
+Run as a script, it trains on the files `signa train` reads and prints the
+last epoch's phases, in MiB of traced memory, the graph not counted:
+
+    PYTHONPATH=src python tests/memtrace.py --config C --edges E --features F
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
+import json
 import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
 
 from signa import diffcore as dc
 from signa import trainer
+from signa.graphdata import load_graph
 
 
 @dataclass
@@ -71,3 +79,23 @@ def epoch_phases(graph, config) -> dict[str, Phase]:
             if was_enabled:
                 gc.enable()
     return phases
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="the last training epoch's traced memory, phase by phase")
+    parser.add_argument("--config", required=True, help="a `signa train` config file")
+    parser.add_argument("--edges", required=True)
+    parser.add_argument("--features", required=True)
+    args = parser.parse_args(argv)
+    with open(args.config, encoding="utf-8") as fh:
+        config = trainer.TrainConfig.from_dict(json.load(fh))
+    dc.set_precision(config.precision)  # the graph holds its features in it, as in `signa train`
+    phases = epoch_phases(load_graph(args.edges, args.features), config)
+    mib = 1 << 20
+    print(f"{'phase':<9}{'start':>9}{'peak':>9}{'end':>9}  (MiB)")
+    for name, phase in phases.items():
+        print(f"{name:<9}{phase.start / mib:>9.1f}{phase.peak / mib:>9.1f}{phase.end / mib:>9.1f}")
+
+
+if __name__ == "__main__":
+    main()

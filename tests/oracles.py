@@ -28,9 +28,13 @@ one after another; the lockstep one must give the same assignments.
 library's earlier training ops, kept as they were: each forms its output in
 fresh temporaries and its backward reads the input, as the tape once kept
 it (layer_norm's reads xhat, and forms each term of dL/dx in a fresh
-array).  The lean ops must give the same output and gradients bit for bit.
-`dropout_oracle` followed by `matmul` is also the reference for the fused
-layer-0 op `dropout_matmul`.
+array; the leaky activations select with np.where).  The lean ops must give
+the same output and gradients bit for bit.  `dropout_oracle` followed by
+`matmul` is also the reference for the fused layer-0 op `dropout_matmul`,
+and `activated_layer_norm_oracle`, `activation_oracle` followed by
+`layer_norm_oracle` as two tape nodes, the reference for `layer_norm` with
+the activation before it, which keeps neither the activation's output nor
+xhat.
 
 `similarity_histograms_oracle` is the library's earlier histogram routine,
 which indexes the full n x n Gram matrix with all n(n-1)/2 pairs and looks
@@ -388,6 +392,12 @@ def layer_norm_oracle(x: dc.Tensor, gain: dc.Tensor, bias: dc.Tensor, eps: float
         return inv * (gx - m1 - xhat * m2), np.sum(g * xhat, axis=0), np.sum(g, axis=0)
 
     return dc.record_backward(out, _bw)
+
+
+def activated_layer_norm_oracle(x: dc.Tensor, gain: dc.Tensor, bias: dc.Tensor, kind=None, slope=None) -> dc.Tensor:
+    """The earlier activation `kind` (none when None), then the earlier
+    LayerNorm: the reference for `layer_norm` with an activation."""
+    return layer_norm_oracle(x if kind is None else activation_oracle(x, kind, slope), gain, bias)
 
 
 def _leaky_factor_oracle(d: np.ndarray, s: float) -> np.ndarray:

@@ -183,6 +183,19 @@ def _op_cases():
         )
     )
 
+    # layer_norm with the activation before it, one op: each kind
+    for kind in dc.ACTIVATIONS:
+        nvals = rng.normal(size=(3, 5))
+        while np.any(np.abs(nvals) < 0.05):  # keep clear of the origin kink
+            nvals = rng.normal(size=(3, 5))
+        nx, ng, nb = dc.Parameter(nvals, name=f"pn_{kind}"), param((5,), offset=1.0), param((5,))
+        nslope = dc.Parameter(np.array([0.3]), name=f"pn_slope_{kind}") if kind == "prelu" else 0.1
+
+        def normed(nx=nx, ng=ng, nb=nb, kind=kind, nslope=nslope, h=head((3, 5))):
+            return h(dc.layer_norm(nx, ng, nb, kind, nslope))
+
+        cases.append((f"layer_norm+{kind}", normed, [nx, ng, nb] + ([nslope] if kind == "prelu" else [])))
+
     return cases
 
 
@@ -202,7 +215,7 @@ def test_op_cases_cover_every_differentiable_op():
     # an op added to the library or the kit without a gradcheck case fails here
     modules = [kit] + [importlib.import_module(m.name) for m in pkgutil.walk_packages(signa.__path__, "signa.")]
     ops = set().union(*map(_differentiable_ops, modules))
-    covered = {"activation" if name in dc.ACTIVATIONS else name for name, _, _ in _op_cases()}
+    covered = {"activation" if name in dc.ACTIVATIONS else name.split("+")[0] for name, _, _ in _op_cases()}
     covered.add("estimator_loss")  # the composed cases: every kind, both encoders
     assert covered == ops
 

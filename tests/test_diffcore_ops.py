@@ -20,6 +20,7 @@ import tape_ops as kit
 from tape_ops import gradcheck
 
 import signa.diffcore as dc
+from signa import graphdata
 from signa.diffcore import (
     Parameter,
     RngStream,
@@ -239,20 +240,57 @@ def test_dropout_matmul_keeps_the_mask_and_no_dropped_rows():
     assert backward_peak <= held + rows + dw.nbytes + slack
 
 
-def test_layer_norm_backward_forms_two_arrays_of_its_input_size():
-    # dL/dx is built in place in g * gain, and one scratch array serves each
-    # product with xhat; the earlier closure formed five, three alive at once
+def _layer_norm_traced(kind=None, slope=None):
+    """(bytes the forward leaves held, the backward's peak above what it
+    started with, the input, the gradients) of layer_norm on a 2000 x 256
+    f64 input, under tracemalloc."""
     x = Parameter(np.random.default_rng(23).normal(size=(2000, 256)), name="x")
-    out = dc.layer_norm(x, Parameter(np.ones(256), name="g"), Parameter(np.zeros(256), name="b"))
-    upstream = np.ones_like(out.data)
+    gain, bias = Parameter(np.ones(256), name="g"), Parameter(np.zeros(256), name="b")
     tracemalloc.start()
     try:
+        out = dc.layer_norm(x, gain, bias, kind, slope)
+        held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        upstream = np.ones_like(out.data)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         grads = out._node.backward(upstream)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * x.data.nbytes + 256 * 1024  # and a few n x 1 columns
+    return held, peak - before, x, grads
+
+
+# two n x 1 columns, the row mean and inverse deviation, and a few more in
+# the backward
+_COLUMNS, _SLACK = 2 * 2000 * 8, 256 * 1024
+# a row block's product with xhat: 512 rows of 256
+_BLOCK = graphdata._BLOCK_ENTRIES * 8
+
+
+def test_layer_norm_backward_forms_two_arrays_of_its_input_size():
+    # the tape holds the input, which its owner holds anyway, and two n x 1
+    # columns, not the standardized rows.  The backward rebuilds those rows
+    # in one array and builds dL/dx in place in g * gain, one row block at a
+    # time, each product with xhat in a block-sized array; g * xhat, for
+    # the gain's gradient, overwrites xhat.  The closure that kept xhat
+    # formed two arrays and one scratch array of the input's size.
+    held, backward_peak, x, grads = _layer_norm_traced()
+    assert held <= _COLUMNS + _SLACK
+    assert backward_peak <= 2 * x.data.nbytes + _BLOCK + _SLACK
     assert grads[0].shape == x.data.shape
+
+
+@pytest.mark.parametrize("kind", ["relu", "elu", "leaky_relu", "prelu"])
+def test_layer_norm_with_an_activation_keeps_its_input_and_two_columns(kind):
+    # neither the activation's output nor the standardized rows stay on the
+    # tape; the activation's backward writes into the two arrays that
+    # served LayerNorm's, so the backward still forms two, the mask d > 0
+    # and a row block's scratch
+    slope = {"prelu": Parameter(np.array([0.25]), name="s"), "leaky_relu": 0.23}.get(kind)
+    held, backward_peak, x, grads = _layer_norm_traced(kind, slope)
+    assert held <= _COLUMNS + _SLACK
+    assert backward_peak <= 2 * x.data.nbytes + x.data.size + _BLOCK + _SLACK
+    assert len(grads) == (4 if kind == "prelu" else 3)
 
 
 def test_layer_norm_constant_row_maps_to_bias():
@@ -473,6 +511,7 @@ _OP_CASES = {
     "tsum": lambda a, b, s: kit.tsum(a),
     "dropout": lambda a, b, s: dc.dropout(a, 0.5, RngStream(0, "dropout"), training=True),
     "layer_norm": lambda a, b, s: dc.layer_norm(a, s, s),
+    "layer_norm_relu": lambda a, b, s: dc.layer_norm(a, s, s, "relu"),
     "relu": lambda a, b, s: dc.activation(a, "relu"),
     "elu": lambda a, b, s: dc.activation(a, "elu"),
     "leaky_relu": lambda a, b, s: dc.activation(a, "leaky_relu", 0.1),
@@ -594,6 +633,62 @@ def test_lean_ops_equal_the_earlier_ops_bitwise(op, precision):
     assert len(new_grads) == len(old_grads)
     for a, b in zip(new_grads, old_grads):
         assert _same_bits(np.asarray(a), np.asarray(b))
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("kind", [None, "relu", "elu", "leaky_relu", "prelu"])
+@pytest.mark.parametrize("shape", [(6, 8), (1100, 256)], ids=["one_block", "three_blocks"])
+def test_layer_norm_with_its_activation_equals_the_earlier_pair_bitwise(shape, kind, precision):
+    # one op rebuilds the activation's output and the standardized rows in
+    # its backward, and forms dL/dx one row block at a time (1100 rows of
+    # 256 are blocks of 512, 512 and 76); the earlier activation and
+    # LayerNorm kept both and formed dL/dx whole.  The output and every
+    # gradient, the prelu slope's included, are the same bytes.
+    set_precision(precision)
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=shape)
+    special = [0.0, -0.0, 0.0, -0.0, 1e18, -1e18, 3e5, -3e5, 1e-30, -1e-30]
+    x.flat[rng.choice(x.size, size=len(special), replace=False)] = special
+    x[5] = -0.0  # a row with no positive entry, and zero variance
+    gain, bias = rng.uniform(0.5, 1.5, size=shape[1]), rng.normal(size=shape[1])
+    upstream = rng.normal(size=x.shape)
+    upstream.flat[:4] = [0.0, -0.0, 1e6, -1e6]
+    results = []
+    for op in (dc.layer_norm, oracles.activated_layer_norm_oracle):
+        params = [Parameter(x, name="x"), Parameter(gain, name="g"), Parameter(bias, name="b"), Parameter([0.25], name="s")]
+        slope = {"prelu": params[3], "leaky_relu": 0.23}.get(kind)
+        out = op(*params[:3], kind, slope)
+        backward(kit.tsum(kit.hadamard(out, Tensor(upstream))))
+        results.append((out.data, [p.grad for p in params]))
+    (new, new_grads), (old, old_grads) = results
+    assert _same_bits(new, old)
+    formed = 4 if kind == "prelu" else 3  # x, gain, bias and the slope
+    assert [g is not None for g in new_grads] == [g is not None for g in old_grads] == [True] * formed + [False] * (4 - formed)
+    for a, b in zip(new_grads[:formed], old_grads):
+        assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("s", [0.25, 0.23, 0.01, 1.0, 2.5, -0.3, 0.0, -0.0, 1e-40])
+def test_leaky_slopes_equal_the_earlier_ops_bitwise(s, precision):
+    # the leaky factor picks 1 or s by bits, not by np.where: the same bytes
+    # for any slope, a negative, a zero of either sign and (in f32) a
+    # subnormal one included, on signed zeros, infinities and NaN
+    set_precision(precision)
+    rng = np.random.default_rng(17)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-40, -1e-40, np.inf, -np.inf, np.nan]
+    x = np.concatenate([special, rng.normal(size=1000) * 10.0 ** rng.integers(-30, 30, size=1000)]).reshape(1, -1)
+    upstream = rng.normal(size=x.shape).astype(dc.active_dtype())
+    results = []
+    for op in (dc.activation, oracles.activation_oracle):
+        slope = Parameter(np.array([s]), name="s")
+        with np.errstate(all="ignore"):  # inf * 0 and the like, in both ops
+            out = op(Parameter(x, name="x"), "prelu", slope)
+            grads = out._node.backward(upstream)
+            leaky = op(Parameter(x, name="x"), "leaky_relu", float(slope.data[0]))
+            results.append((out.data, leaky.data, *grads, *leaky._node.backward(upstream)))
+    for new, old in zip(*results):
+        assert _same_bits(np.asarray(new), np.asarray(old))
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])

@@ -529,10 +529,11 @@ def test_input_features_receive_no_gradient(monkeypatch, base):
 
 def _spy_inputs(monkeypatch, earlier: bool) -> dict:
     """Weak references to the input array of every dropout_matmul, dropout,
-    layer_norm and spmm call, and to each array of dropped rows, by op.  With
-    `earlier` the ops the lean ones replaced (`oracles.py`) run instead,
-    activations included, and layer 0 runs as dropout, then matmul."""
-    inputs = {"dropout_matmul": [], "dropout": [], "layer_norm": [], "spmm": [], "dropped": []}
+    layer_norm and spmm call, to each array of dropped rows and to each
+    activation output, by op.  With `earlier` the ops the lean ones replaced
+    (`oracles.py`) run instead, activations included, and layer 0 runs as
+    dropout, then matmul."""
+    inputs = {"dropout_matmul": [], "dropout": [], "layer_norm": [], "spmm": [], "dropped": [], "activated": []}
     if earlier:
         monkeypatch.setattr(dc, "activation", oracles.activation_oracle)
     runs = {
@@ -542,7 +543,7 @@ def _spy_inputs(monkeypatch, earlier: bool) -> dict:
             else dc.dropout_matmul
         ),
         "dropout": oracles.dropout_oracle if earlier else dc.dropout,
-        "layer_norm": oracles.layer_norm_oracle if earlier else dc.layer_norm,
+        "layer_norm": oracles.activated_layer_norm_oracle if earlier else dc.layer_norm,
     }
     for name, run in runs.items():
 
@@ -551,28 +552,32 @@ def _spy_inputs(monkeypatch, earlier: bool) -> dict:
             return run(x, *args)
 
         monkeypatch.setattr(dc, name, spy)
-    spmm, dropped = encoder_module.spmm, ops._dropped
+    spmm = encoder_module.spmm
 
     def spmm_spy(adj, x):
         inputs["spmm"].append(weakref.ref(x.data))
         return spmm(adj, x)
 
-    def dropped_spy(*args):
-        out = dropped(*args)
-        inputs["dropped"].append(weakref.ref(out))
-        return out
-
     monkeypatch.setattr(encoder_module, "spmm", spmm_spy)
-    monkeypatch.setattr(ops, "_dropped", dropped_spy)
+    for name, attr in (("dropped", "_dropped"), ("activated", "_activate")):
+
+        def out_spy(*args, name=name, fn=getattr(ops, attr), **kwargs):
+            out = fn(*args, **kwargs)
+            inputs[name].append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(ops, attr, out_spy)
     return inputs
 
 
 @pytest.mark.parametrize("base, activation", [("linear", "prelu"), ("gconv", "relu")])
 def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
-    # once encode and project return, the LayerNorm inputs, the dropout
+    # once encode and project return, the activation outputs, the dropout
     # inputs, the gconv matmul outputs and layer 0's dropped input rows are
-    # gone: no closure reads them.  Layer 0 reads the graph's own feature
-    # array.  The gradients equal those of the earlier ops, which kept them.
+    # gone: no closure reads them.  Each layer's activation input stays, for
+    # layer_norm's backward rebuilds the activation and the standardized
+    # rows from it.  Layer 0 reads the graph's own feature array.  The
+    # gradients equal those of the earlier ops, which kept them.
     spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, activation=activation, projector_dim=4)
     graph = _step_graph()
     adj = normalized_adjacency(graph) if base == "gconv" else None
@@ -586,9 +591,11 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
             if not earlier:
                 assert [ref() for ref in inputs["dropout_matmul"]] == [graph.features]
                 assert len(inputs["dropped"]) == 2  # layer 0's rows, then layer 1's dropout output
-                freed = inputs["layer_norm"] + inputs["dropout"] + inputs["spmm"] + inputs["dropped"][:1]
+                assert len(inputs["activated"]) == 3  # each layer's, then the projector's
+                freed = inputs["activated"][:2] + inputs["dropout"] + inputs["spmm"] + inputs["dropped"][:1]
                 assert len(freed) == (6 if base == "gconv" else 4)
                 assert [ref() is None for ref in freed] == [True] * len(freed)
+                assert [ref() is None for ref in inputs["layer_norm"]] == [False, False]
             backward(estimator_loss(z, draw_masks(graph, 0.3, RngStream(4, "mask")), EstimatorSpec()))
         grads.append({name: p.grad for name, p in state.params.items()})
     earlier_grads, lean_grads = grads
@@ -622,29 +629,32 @@ def _tape_after_project(n: int, hidden: int, num_features: int, nfm: bool = Fals
 
 def test_tape_after_project_holds_a_fixed_count_of_arrays():
     # What the tape holds once project returns, in n x hidden arrays:
-    # layer 0 keeps its dropout mask (bool, F = hidden/4: 1/32), the PReLU
-    # input and LayerNorm's xhat; layer 1 its dropout mask (bool, 1/8), the
-    # matmul input, the PReLU input and xhat; then h, the ELU output (which
-    # the ELU's backward and the second matmul both read), and z: 8.15625
-    # in all.  A layer 0 that kept its dropped input rows held 8.375, a
-    # tape whose ELU kept a derivative factor beside its output 9.375, and
-    # the earlier tape, which also kept each LayerNorm and dropout input,
-    # the ELU input and a second ELU array, 13.375.
+    # layer 0 keeps its dropout mask (bool, F = hidden/4: 1/32) and the
+    # PReLU input; layer 1 its dropout mask (bool, 1/8), the matmul input
+    # and the PReLU input; then h, the ELU output (which the ELU's backward
+    # and the second matmul both read), and z: 6.15625 in all, plus each
+    # layer's two n x 1 columns, the row mean and the inverse deviation.
+    # A tape whose LayerNorm kept its standardized rows beside the PReLU
+    # input held 8.15625, one whose layer 0 kept its dropped input rows
+    # 8.375, a tape whose ELU kept a derivative factor beside its output
+    # 9.375, and the earlier tape, which also kept each LayerNorm and
+    # dropout input, the ELU input and a second ELU array, 13.375.
     n, hidden = 1000, 64
     held, _ = _tape_after_project(n, hidden, hidden // 4)
-    unit = n * hidden * 8
-    assert 8.15625 * unit <= held < 8.25 * unit
+    unit, columns = n * hidden * 8, 2 * 2 * n * 8
+    assert 6.15625 * unit + columns <= held < 6.25 * unit + columns
 
 
 def test_wide_input_leaves_only_its_mask_on_the_tape():
     # F = 4 x hidden: layer 0 keeps a bool n x F mask (0.5 units) and no
-    # n x F float array, so the tape holds 8.625 n x hidden f64 units; one
-    # that kept the dropped rows (4 units) held 12.125
+    # n x F float array, so the tape holds 6.625 n x hidden f64 units and
+    # the four n x 1 columns; keeping the dropped rows (4 units) instead
+    # would make it 10.125
     n, hidden = 1000, 64
     num_features = 4 * hidden
     held, sizes = _tape_after_project(n, hidden, num_features)
-    unit = n * hidden * 8
-    assert 8.625 * unit <= held < 8.75 * unit
+    unit, columns = n * hidden * 8, 2 * 2 * n * 8
+    assert 6.625 * unit + columns <= held < 6.75 * unit + columns
     assert sizes.count(n * num_features) == 1  # the mask
     assert max(sizes) < n * num_features * 4  # no n x F float array, f32 or f64
 
@@ -652,12 +662,13 @@ def test_wide_input_leaves_only_its_mask_on_the_tape():
 def test_masked_wide_input_leaves_only_its_mask_on_the_tape():
     # the nfm ablation: layer 0 keeps the bool n x F feature mask and no
     # masked n x F float copy of the features (4 units), and layer 1 keeps
-    # no dropout mask, so the tape holds 8.5 units
+    # no dropout mask, so the tape holds 6.5 units and the four n x 1
+    # columns
     n, hidden = 1000, 64
     num_features = 4 * hidden
     held, sizes = _tape_after_project(n, hidden, num_features, nfm=True)
-    unit = n * hidden * 8
-    assert 8.5 * unit <= held < 8.625 * unit
+    unit, columns = n * hidden * 8, 2 * 2 * n * 8
+    assert 6.5 * unit + columns <= held < 6.625 * unit + columns
     assert sizes.count(n * num_features) == 1  # the mask
     assert max(sizes) < n * num_features * 4  # no n x F float array, f32 or f64
 

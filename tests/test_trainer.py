@@ -457,14 +457,21 @@ def test_checkpoint_rerun_is_byte_identical(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-# sha256 of the checkpoints three small runs wrote while the ELU kept a
-# derivative factor beside its output, relu formed its mask in every
-# forward and the nfm ablation passed its masked rows as a features
-# override.  Each run is 15 epochs on `_small_graph()` with one BLAS thread.
+# sha256 of the checkpoints small runs wrote with the earlier ops.  The
+# first three were written while the ELU kept a derivative factor beside its
+# output, relu formed its mask in every forward and the nfm ablation passed
+# its masked rows as a features override; the other four while each layer's
+# activation and LayerNorm were two ops, LayerNorm keeping its standardized
+# rows.  Each run is 15 epochs on `_small_graph()` with one BLAS thread, and
+# LayerNorm is on in all of them.
 _EARLIER_CHECKPOINT_SHA256 = {
     "relu": "e04d3356eecee5a2003358391b09e35b8c2006a7daefd13f0c136221f2906549",
     "rrelu-f32": "cfb9482f2a67fcc2cf92b66d0a55d595f8dd88dc5bf2e5eeb8a157fcb2d840a5",
     "nfm": "2e6a851cab70c9618860b1158d06cec407551db5354778b6a23e312134aebae3",
+    "prelu": "5ee7f6afa428a43895311ef70af345e65b195aee83b3976a43d3b41819d81f74",
+    "prelu-f32": "72ae3673a4a70b0ac9094bf53c8c68ea3118c7750be2ab63eab813808fd6bd5e",
+    "elu": "4764a23a6232e9ed087e606e95336eb0d37188d9431c685976f7bea35f45088c",
+    "leaky_relu": "ac8556859162717a08ae11573275aeb39ee6bece9b19e370a71b262a954bdabd",
 }
 _SMALL_RUNS = {
     "relu": dict(model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, activation="relu", projector_dim=4)),
@@ -473,13 +480,19 @@ _SMALL_RUNS = {
         precision="f32",
     ),
     "nfm": dict(ablation="nfm"),
+    "prelu": dict(),
+    "prelu-f32": dict(precision="f32"),
+    "elu": dict(model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, activation="elu", projector_dim=4)),
+    "leaky_relu": dict(
+        model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, activation="leaky_relu", projector_dim=4)
+    ),
 }
 
 
 @pytest.mark.parametrize("run", sorted(_SMALL_RUNS))
 def test_small_checkpoints_keep_the_earlier_bytes(run, tmp_path):
-    # every projector here is an ELU; the encoder layers are relu, rrelu
-    # and (nfm) prelu
+    # every projector here is an ELU; the encoder layers run each
+    # activation kind, and nfm runs prelu
     cfg = _config(**_SMALL_RUNS[run])
     state, curve = train(_small_graph(), cfg)
     path = str(tmp_path / "ck.json")
