@@ -2,7 +2,7 @@
 
 Everything training needs and nothing more: a Tensor wrapper whose tape
 node links the parents' nodes to a backward closure, the ops the training
-tape records (`matmul`, `add`, `dropout`, `dropout_matmul`, `layer_norm`,
+tape records (`matmul`, `add`, `dropout_matmul`, `layer_norm`,
 `activation`), the custom-op API that `graphdata.spmm` and the
 contrastive loss build on, Adam, and a seeded RNG tree.  Finite-difference
 gradient checking and the generic ops the test oracles need live with the
@@ -31,12 +31,13 @@ block-sized scratch arrays.  The training loop names no intermediate past
 its last reader: z dies once the loss has formed its unit rows (jsd
 scores z itself) and h with the projector's backward.  The input features
 are held once, by the Graph, in the active precision, and layer 0 reads
-them in place: `dropout_matmul` forms the dropped rows (or, for the nfm
-ablation, the masked rows), multiplies them and frees them, keeping only
-the boolean mask (its backward forms them again for dL/dW), and every
-mask is drawn one row block of uniforms at a time.  In training the tape
-holds that mask; per later layer, the dropout mask and the matmul input;
-per layer with LayerNorm, the activation's input and two n x 1 columns,
+them in place.  Every layer runs `dropout_matmul`: it forms the dropped
+rows (or, for the nfm ablation, layer 0's masked rows), multiplies them
+and frees them, keeping the boolean mask and its input (its backward
+forms the dropped rows again for dL/dW), and every mask is drawn one row
+block of uniforms at a time.  In training the tape holds, per layer, that
+mask and the layer's input, which at layer 0 are the Graph's features
+and cost the tape nothing; per layer with LayerNorm, the activation's input and two n x 1 columns,
 the row mean and inverse deviation: `layer_norm` runs the activation
 before it as one op, whose backward rebuilds the activation's output and
 the standardized rows from that input in the forward's own operations;
@@ -67,7 +68,6 @@ from .ops import (
     add,
     backward,
     check_finite,
-    dropout,
     dropout_matmul,
     layer_norm,
     logistic,
@@ -90,7 +90,6 @@ __all__ = [
     "add",
     "backward",
     "check_finite",
-    "dropout",
     "dropout_matmul",
     "get_precision",
     "layer_norm",

@@ -13,7 +13,8 @@ keeps, and when it is freed, is the "Memory" note of `signa.diffcore`.
 These are the ops the training tape records, together with the
 custom-op API (`Tensor`, `record_backward`, `check_finite`, `logistic`)
 through which `graphdata.spmm` and the blocked contrastive loss add their
-own.
+own.  Dropout has one op, `dropout_matmul`, which every encoder layer
+runs: it keeps its mask and its input, never a dropped copy.
 
 Conventions:
   * `add` follows numpy broadcasting, with gradients summed back down to
@@ -23,6 +24,8 @@ Conventions:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -128,18 +131,6 @@ def logistic(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # neural-network layers
 
 
-def _dropout_mask(shape: tuple, p: float, rng, training: bool):
-    """(keep, 1/(1-p)) for one dropout draw, or None where dropout is the
-    identity (inference, or p == 0) and draws nothing."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return None
-    from ..graphdata import keep_mask  # graphdata builds on diffcore
-
-    return keep_mask(rng, shape, p), 1.0 / (1.0 - p)
-
-
 def _dropped(data: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
     kept = data * keep
     if scale != 1.0:
@@ -147,53 +138,39 @@ def _dropped(data: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
     return kept
 
 
-def dropout(x: Tensor, p: float, rng, training: bool) -> Tensor:
-    """Inverted dropout: zero entries with probability p, scale by 1/(1-p).
-
-    Inference mode is the exact identity and consumes no randomness; the
-    same holds for p == 0 in training mode.  Dropout on a tensor that needs
-    no gradient draws the same mask.  The tape keeps the boolean mask, not
-    the input.
-    """
-    mask = _dropout_mask(x.data.shape, p, rng, training)
-    if mask is None:
-        return x
-    keep, scale = mask
-    out = Tensor(_dropped(x.data, keep, scale), _parents=(x,))
-
-    def _bw(g):
-        return (g * keep * scale,)
-
-    return record_backward(out, _bw)
-
-
 def dropout_matmul(x: Tensor, w: Tensor, p: float, rng, training: bool, rescale: bool = True) -> Tensor:
-    """`matmul(dropout(x, p, rng, training), w)` for an x that needs no
-    gradient (the input features): the same draw and the same bits.
+    """Inverted dropout of x (each entry zeroed with probability p, the
+    rest scaled by 1/(1-p)), then the product with w.
 
-    The dropped rows are formed, multiplied by w and freed.  The tape keeps
-    the boolean mask and x, which its owner holds anyway, and the backward
-    rebuilds the dropped rows to form dL/dw.  Without `rescale` the kept
-    entries keep their values (a scale of 1, exact): `matmul(x * keep, w)`
-    for the mask that `dropout` draws, as feature masking needs.
+    Inference, and p == 0 in training, is the plain matmul and draws
+    nothing.  The dropped rows are formed, multiplied by w and freed: the
+    tape keeps the boolean mask and x, and the backward rebuilds the rows
+    for dL/dw.  Without `rescale` a kept entry keeps its value (a scale of
+    1, exact), as feature masking needs.
     """
     x, w = _as_tensor(x), _as_tensor(w)
-    if x.needs_grad:
-        raise ContractError("dropout_matmul forms no gradient for its input; use dropout, then matmul")
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {x.data.shape} @ {w.data.shape}")
-    mask = _dropout_mask(x.data.shape, p, rng, training)
-    if mask is None:
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
+    if not training or p == 0.0:
         return matmul(x, w)
-    keep, scale = mask
-    if not rescale:
-        scale = 1.0
-    x_data = x.data
-    out = Tensor(_dropped(x_data, keep, scale) @ w.data, _parents=(x, w))
+    from ..graphdata import keep_mask  # graphdata builds on diffcore
+
+    keep = keep_mask(rng, x.data.shape, p)
+    scale = 1.0 / (1.0 - p) if rescale else 1.0
+    out = Tensor(_dropped(x.data, keep, scale) @ w.data, _parents=(x, w))
     check_finite("matmul", out.data)
+    x_data, w_data = x.data, w.data if x.needs_grad else None  # dL/dx reads w
 
     def _bw(g):
-        return None, _dropped(x_data, keep, scale).T @ g
+        dw = _dropped(x_data, keep, scale).T @ g
+        if w_data is None:
+            return None, dw
+        dx = g @ w_data.T
+        dx *= keep
+        dx *= scale
+        return dx, dw
 
     return record_backward(out, _bw)
 
@@ -237,6 +214,23 @@ def _leaky_factor(pos: np.ndarray, s: float, dtype, out=None) -> np.ndarray:
     return factor.view(dtype)
 
 
+_SELECT_ENTRIES = 2**14  # `_or_where`'s scratch: 128 KiB at f64
+
+
+def _or_where(a: np.ndarray, d: np.ndarray, pos: np.ndarray) -> None:
+    """Write d into a where `pos`, for an `a` that is +0 there, without a
+    branch (see `_leaky_factor`): d's bits times pos are OR-ed into a's on
+    the unsigned views, a few rows at a time in a small scratch."""
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    a_bits, d_bits, pos = np.atleast_1d(a.view(bits), d.view(bits), pos)
+    step = max(1, _SELECT_ENTRIES // max(1, math.prod(a_bits.shape[1:])))
+    scratch = np.empty((min(step, len(a_bits)),) + a_bits.shape[1:], bits)
+    for start in range(0, len(a_bits), step):
+        rows = slice(start, start + step)
+        picked = np.multiply(d_bits[rows], pos[rows], out=scratch[: len(a_bits[rows])])
+        a_bits[rows] |= picked
+
+
 def _activate(kind: str, d: np.ndarray, s: float | None, pos: np.ndarray | None, out=None) -> np.ndarray:
     """The activation of d, written into `out` (a new array when None).
     `pos` is d > 0; relu does not read it."""
@@ -245,8 +239,8 @@ def _activate(kind: str, d: np.ndarray, s: float | None, pos: np.ndarray | None,
     if kind == "elu":
         a = np.minimum(d, 0.0, out=out)
         np.exp(a, out=a)
-        a -= 1.0
-        np.copyto(a, d, where=pos)
+        a -= 1.0  # +0 where d > 0: exp(0) - 1
+        _or_where(a, d, pos)
         return a
     # leaky_relu, prelu: d * 1 is d, and d * s is s * d
     factor = _leaky_factor(pos, s, d.dtype, out)

@@ -1,8 +1,10 @@
 """Dropout-noised encoder (Linear or GConv base) and the MLP projector.
 
-Each of the L layers applies dropout, then the base encoder, then the
-activation, then LayerNorm (optional; with it, the activation and LayerNorm
-run as one `layer_norm` op).  The output of the last layer is the
+Each of the L layers applies dropout and the layer's weights as one
+`dropout_matmul` op, which keeps the mask and the layer's input, then
+gconv's propagation (gconv only), then the activation, then LayerNorm
+(optional; with it, the activation and LayerNorm run as one `layer_norm`
+op).  The output of the last layer is the
 representation consumed downstream; the projector exists only for the
 contrastive loss.
 """
@@ -170,13 +172,9 @@ def encode_rows(
     params = state.params
     h = dc.Tensor(feats)
     for l in range(spec.num_layers):
-        weight = params[f"layers.{l}.weight"]
-        if l == 0 and feature_mask_p > 0.0:
-            h = dc.dropout_matmul(h, weight, feature_mask_p, rng, training, rescale=False)
-        elif not h.needs_grad:  # the input features: the tape keeps the mask alone
-            h = dc.dropout_matmul(h, weight, spec.dropout_p, rng, training)
-        else:
-            h = dc.matmul(dc.dropout(h, spec.dropout_p, rng, training), weight)
+        masked = l == 0 and feature_mask_p > 0.0
+        p = feature_mask_p if masked else spec.dropout_p
+        h = dc.dropout_matmul(h, params[f"layers.{l}.weight"], p, rng, training, rescale=not masked)
         if spec.base_encoder == "gconv":
             h = spmm(adj, h)
         slope = params.get(f"layers.{l}.prelu_slope", act_slope)

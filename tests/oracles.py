@@ -30,8 +30,9 @@ fresh temporaries and its backward reads the input, as the tape once kept
 it (layer_norm's reads xhat, and forms each term of dL/dx in a fresh
 array; the leaky activations select with np.where).  The lean ops must give
 the same output and gradients bit for bit.  `dropout_oracle` followed by
-`matmul` is also the reference for the fused layer-0 op `dropout_matmul`,
-and `activated_layer_norm_oracle`, `activation_oracle` followed by
+`matmul` (`dropout_matmul_oracle` runs the two as one tape node) is the
+reference for `dropout_matmul`, which replaced dropout as an op of its own
+in every layer, and `activated_layer_norm_oracle`, `activation_oracle` followed by
 `layer_norm_oracle` as two tape nodes, the reference for `layer_norm` with
 the activation before it, which keeps neither the activation's output nor
 xhat.
@@ -374,6 +375,23 @@ def dropout_oracle(x: dc.Tensor, p: float, rng, training: bool) -> dc.Tensor:
     scale = 1.0 / (1.0 - p)
     out = dc.Tensor(x.data * keep * scale, _parents=(x,))
     return dc.record_backward(out, lambda g: (g * keep * scale,))
+
+
+def dropout_matmul_oracle(x: dc.Tensor, w: dc.Tensor, p: float, rng, training: bool) -> dc.Tensor:
+    """`matmul(dropout_oracle(x, ...), w)` as one tape node, whose closure
+    runs the matmul's closure and then the dropout's: its gradients are
+    those of the two ops apart."""
+    dropped = dropout_oracle(x, p, rng, training)
+    out = dc.matmul(dropped, w)
+    if dropped is x or dropped._node is None:  # no draw, or no dL/dx
+        return out
+    matmul_bw, dropout_bw = out._node.backward, dropped._node.backward
+
+    def _bw(g):
+        d_dropped, dw = matmul_bw(g)
+        return dropout_bw(d_dropped)[0], dw
+
+    return dc.record_backward(dc.Tensor(out.data, _parents=(x, w)), _bw)
 
 
 def layer_norm_oracle(x: dc.Tensor, gain: dc.Tensor, bias: dc.Tensor, eps: float = 1e-5) -> dc.Tensor:

@@ -142,68 +142,66 @@ def test_sum_mean_values():
     np.testing.assert_array_equal(kit.scalar_mul(kit.tsum(x, axis=1, keepdims=True), 1 / 2).data, [[1.5], [3.5]])
 
 
-def test_dropout_inference_is_identity_and_draws_nothing():
-    x = Tensor(np.ones((5, 5)))
-    rng = RngStream(0, "dropout")
-    out = dc.dropout(x, 0.4, rng, training=False)
-    assert out is x
-    assert_drew(rng)
-    out = dc.dropout(x, 0.0, rng, training=True)
-    assert out is x
-    assert_drew(rng)
-
-
-def test_dropout_keep_rate_and_scale():
+def test_dropout_matmul_keep_rate_and_scale():
     p = 0.4
-    x = Tensor(np.ones((300, 300)))
-    out = dc.dropout(x, p, RngStream(1, "dropout"), training=True)
+    x, eye = Tensor(np.ones((300, 300))), Tensor(np.eye(300))
+    out = dc.dropout_matmul(x, eye, p, RngStream(1, "dropout"), training=True)
     vals = out.data.ravel()
     kept = vals != 0.0
     assert abs(kept.mean() - (1 - p)) < 0.01
     np.testing.assert_allclose(vals[kept], 1.0 / (1 - p))
     # inverted scaling keeps the expected activation unchanged
     assert abs(out.data.mean() - 1.0) < 0.01
+    # without the rescale (feature masking) a kept entry keeps its value
+    out = dc.dropout_matmul(x, eye, p, RngStream(1, "dropout"), training=True, rescale=False)
+    assert set(np.unique(out.data)) == {0.0, 1.0}
 
 
-def test_dropout_rejects_bad_rate():
-    x = Tensor(np.ones(3))
-    with pytest.raises(ConfigError):
-        dc.dropout(x, 1.0, RngStream(0, "dropout"), training=True)
-    with pytest.raises(ConfigError):
-        dc.dropout(x, -0.1, RngStream(0, "dropout"), training=True)
+def test_dropout_matmul_rejects_bad_rate():
+    x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))
+    for p, training in ((1.0, True), (-0.1, True), (1.0, False)):
+        with pytest.raises(ConfigError, match="dropout rate"):
+            dc.dropout_matmul(x, w, p, RngStream(0, "dropout"), training)
 
 
+@pytest.mark.parametrize("input_needs_grad", [True, False])
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_dropout_matmul_equals_matmul_of_dropout_bitwise(precision):
-    # the fused layer-0 op against the two ops it replaces: the same output,
-    # the same dL/dW, and the stream left where dropout leaves it
+def test_dropout_matmul_equals_matmul_of_dropout_bitwise(precision, input_needs_grad):
+    # the one op against the two it replaced: the same output, dL/dx, dL/dW,
+    # and the stream left where dropout leaves it
     set_precision(precision)
     rng = np.random.default_rng(21)
     x, w, upstream = rng.normal(size=(37, 11)), rng.normal(size=(11, 5)), rng.normal(size=(37, 5))
     results = []
-    for fused in (True, False):
+    for op in (dc.dropout_matmul, oracles.dropout_matmul_oracle):
         stream, weight = RngStream(3, "dropout"), Parameter(w, name="w")
-        if fused:
-            out = dc.dropout_matmul(Tensor(x), weight, 0.4, stream, training=True)
-        else:
-            out = dc.matmul(dc.dropout(Tensor(x), 0.4, stream, training=True), weight)
+        features = Parameter(x, name="x") if input_needs_grad else Tensor(x)
+        out = op(features, weight, 0.4, stream, training=True)
         grads = out._node.backward(upstream.astype(out.data.dtype))
         results.append((out.data, grads, stream.uniform(size=3)))
-    (new, new_grads, new_next), (old, old_grads, old_next) = results
+    (new, (new_dx, new_dw), new_next), (old, (old_dx, old_dw), old_next) = results
     assert _same_bits(new, old)
-    assert new_grads[0] is None
-    assert _same_bits(new_grads[1], old_grads[1])
+    if input_needs_grad:
+        assert _same_bits(new_dx, old_dx)
+    else:
+        assert new_dx is None and old_dx is None
+    assert _same_bits(new_dw, old_dw)
     assert _same_bits(new_next, old_next)
 
 
 def test_dropout_matmul_without_dropout_is_matmul_and_draws_nothing():
-    x, w = Tensor(np.arange(6.0).reshape(2, 3)), Parameter(np.ones((3, 2)), name="w")
-    for p, training in ((0.4, False), (0.0, True)):
-        rng = RngStream(0, "dropout")
-        out = dc.dropout_matmul(x, w, p, rng, training)
-        assert _same_bits(out.data, x.data @ w.data)
-        assert out.needs_grad
-        assert_drew(rng)
+    # inference, and p == 0 in training, are the plain matmul: the same
+    # product and, for an input that needs one, the same dL/dx
+    w, upstream = Parameter(np.ones((3, 2)), name="w"), np.arange(4.0).reshape(2, 2)
+    for x in (Tensor(np.arange(6.0).reshape(2, 3)), Parameter(np.arange(6.0).reshape(2, 3), name="x")):
+        for p, training in ((0.4, False), (0.0, True)):
+            rng = RngStream(0, "dropout")
+            out = dc.dropout_matmul(x, w, p, rng, training)
+            assert _same_bits(out.data, x.data @ w.data)
+            dx, dw = out._node.backward(upstream)
+            assert _same_bits(dw, x.data.T @ upstream)
+            assert dx is None if not x.needs_grad else _same_bits(dx, upstream @ w.data.T)
+            assert_drew(rng)
 
 
 def test_dropout_matmul_checks_its_input():
@@ -211,12 +209,13 @@ def test_dropout_matmul_checks_its_input():
     with pytest.raises(ShapeError, match="matmul shape mismatch"):
         dc.dropout_matmul(Tensor(np.ones((4, 3))), Parameter(np.ones((2, 5)), name="w"), 0.5, rng, True)
     assert_drew(rng)
-    with pytest.raises(ContractError, match="forms no gradient for its input"):
-        dc.dropout_matmul(Parameter(np.ones((4, 2)), name="x"), Parameter(np.ones((2, 5)), name="w"), 0.5, rng, True)
-    with pytest.raises(ConfigError):
-        dc.dropout_matmul(Tensor(np.ones((4, 2))), Parameter(np.ones((2, 5)), name="w"), 1.0, rng, True)
-    out = dc.dropout_matmul(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 5))), 0.5, rng, True)
-    assert not out.needs_grad and out._node is None
+    # an input that needs a gradient gets one: the tape reaches it and W
+    x, w = Parameter(np.ones((4, 2)), name="x"), Parameter(np.ones((2, 5)), name="w")
+    out = dc.dropout_matmul(x, w, 0.5, rng, True)
+    assert out._node.parents == (x._node, w._node)
+    backward(kit.tsum(out))
+    assert x.grad is not None and x.grad.shape == (4, 2)
+    assert w.grad is not None and w.grad.shape == (2, 5)
 
 
 def test_dropout_matmul_keeps_the_mask_and_no_dropped_rows():
@@ -489,10 +488,10 @@ def test_backward_of_a_constant_loss_is_a_noop():
         backward(loss)
 
 
-def test_dropout_on_a_constant_records_no_backward():
+def test_dropout_matmul_on_constants_records_no_backward():
     x = Tensor(np.ones((4, 5)))
     rng = RngStream(0, "dropout")
-    out = dc.dropout(x, 0.5, rng, training=True)
+    out = dc.dropout_matmul(x, Tensor(np.ones((5, 2))), 0.5, rng, training=True)
     assert_drew(rng, lambda r: r.uniform(size=(4, 5)))
     assert not out.needs_grad and out._node is None
 
@@ -509,7 +508,6 @@ _OP_CASES = {
     "sigmoid": lambda a, b, s: kit.sigmoid(a),
     "clamp": lambda a, b, s: kit.clamp(a, -0.5, 0.5),
     "tsum": lambda a, b, s: kit.tsum(a),
-    "dropout": lambda a, b, s: dc.dropout(a, 0.5, RngStream(0, "dropout"), training=True),
     "layer_norm": lambda a, b, s: dc.layer_norm(a, s, s),
     "layer_norm_relu": lambda a, b, s: dc.layer_norm(a, s, s, "relu"),
     "relu": lambda a, b, s: dc.activation(a, "relu"),
@@ -577,10 +575,18 @@ def test_activation_backward_keeps_f32(kind):
 # the lean training ops against the earlier ones
 
 
+# dropout_matmul's weight, 8 x 8: its output has the input's shape, which
+# the upstream gradient takes
+_LEAN_WEIGHT = np.random.default_rng(12).normal(size=(8, 8))
+
 _LEAN_OPS = {
-    "dropout": (
-        lambda x, gain, bias, slope: dc.dropout(x, 0.3, RngStream(7, "dropout"), training=True),
-        lambda x, gain, bias, slope: oracles.dropout_oracle(x, 0.3, RngStream(7, "dropout"), training=True),
+    "dropout_matmul": (
+        lambda x, gain, bias, slope: dc.dropout_matmul(
+            x, Parameter(_LEAN_WEIGHT, name="w"), 0.3, RngStream(7, "dropout"), training=True
+        ),
+        lambda x, gain, bias, slope: oracles.dropout_matmul_oracle(
+            x, Parameter(_LEAN_WEIGHT, name="w"), 0.3, RngStream(7, "dropout"), training=True
+        ),
     ),
     "layer_norm": (
         lambda x, gain, bias, slope: dc.layer_norm(x, gain, bias),
@@ -692,22 +698,29 @@ def test_leaky_slopes_equal_the_earlier_ops_bitwise(s, precision):
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_elu_equals_the_earlier_elu_bitwise_at_the_edges(precision):
-    # the ELU keeps only its output and its backward forms out + 1, capped
-    # at 1: the same bytes as the earlier op's exp(min(d, 0)) - 1 and
-    # (exp(d) - 1) + 1, on signed zeros and subnormals, where exp
-    # underflows (-745, -800), at the infinities, on NaN and on 10,000
-    # random magnitudes
+@pytest.mark.parametrize("shape", [(1, 40_360), (1009, 40)], ids=["one_row", "rows"])
+def test_elu_equals_the_earlier_elu_bitwise_at_the_edges(shape, precision):
+    # the ELU forward ORs d's bits into exp(min(d, 0)) - 1, which is +0
+    # where d > 0, a few rows at a time (1009 rows of 40 run as blocks of
+    # 409, the last one short), and its backward forms out + 1, capped at 1:
+    # the same bytes as the earlier op's np.where and (exp(d) - 1) + 1, on
+    # signed zeros and subnormals, where exp underflows (-745, -800), on
+    # large negative values, at the infinities, on NaN, on the slope test's
+    # inputs and on 10,000 random magnitudes
     set_precision(precision)
-    rng = np.random.default_rng(19)
-    special = [0.0, -0.0, 5e-324, -5e-324, -745.0, -800.0, np.inf, -np.inf, np.nan]
+    rng, slope_rng = np.random.default_rng(19), np.random.default_rng(17)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-40, -1e-40, 1e-45, -1e-45, 2.2e-308, -2.2e-308]
+    special += [-745.0, -800.0, -1e5, -3e38, -1e300, np.inf, -np.inf, np.nan]
+    slope_inputs = slope_rng.normal(size=1000) * 10.0 ** slope_rng.integers(-30, 30, size=1000)
     magnitudes = rng.normal(size=10_000) * 10.0 ** rng.integers(-40, 4, size=10_000)
-    x = np.concatenate([special, magnitudes]).reshape(1, -1)
+    x = np.concatenate([special, slope_inputs, magnitudes])
+    x = np.concatenate([x, rng.normal(size=40_360 - x.size)]).reshape(shape)
     upstream = rng.normal(size=x.shape).astype(dc.active_dtype())
     results = []
     for op in (dc.activation, oracles.activation_oracle):
-        out = op(Parameter(x, name="x"), "elu")
-        (grad,) = out._node.backward(upstream)
+        with np.errstate(all="ignore"):  # f32 casts -1e300 to -inf
+            out = op(Parameter(x, name="x"), "elu")
+            (grad,) = out._node.backward(upstream)
         results.append((out.data, np.asarray(grad)))
     (new, new_grad), (old, old_grad) = results
     assert _same_bits(new, old)
@@ -963,17 +976,19 @@ def test_grad_sum_mean_axes():
 
 def test_grad_dropout_fixed_mask():
     # rebuilding the stream from the same seed each call freezes the mask,
-    # making the op deterministic for finite differences
+    # making the op deterministic for finite differences; the input is a
+    # Parameter, as every layer's but the first is
     def make(rng):
         a = _param(rng, (4, 6), "a")
+        b = _param(rng, (6, 3), "b")
         seed = int(rng.integers(0, 2**31))
-        w = _weights(rng, (4, 6))
+        w = _weights(rng, (4, 3))
 
         def fn():
-            out = dc.dropout(a, 0.4, RngStream(seed, "dropout"), training=True)
+            out = dc.dropout_matmul(a, b, 0.4, RngStream(seed, "dropout"), training=True)
             return _weighted_sum(out, w)
 
-        return fn, [a]
+        return fn, [a, b]
 
     _run_gradchecks(make)
 

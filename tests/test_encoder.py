@@ -469,22 +469,25 @@ def test_f32_training_step_stays_f32(monkeypatch, base, activation, projector):
 
 
 def _leaf_step(spec: ModelSpec, graph: Graph, monkeypatch, input_is_parameter: bool):
-    """One f64 training step by hand; returns (state, layer-0 calls, transposes of W0).
+    """One f64 training step by hand; returns (state, dropout_matmul calls,
+    transposes of W0).
 
-    Each call is layer 0's (input, output, the output's tape parents).  With
-    `input_is_parameter` the layer runs as dropout, then matmul, on the input
-    features as a Parameter, so the backward forms dL/dX as it did before a
-    leaf could opt out of gradients.
+    Each call is a layer's (input, output, the output's tape parents), layer
+    0's first.  With `input_is_parameter` each layer runs as the earlier
+    dropout, then matmul (`oracles.py`), on the input features as a
+    Parameter, so the backward forms dL/dX as it did before a leaf could opt
+    out of gradients.
     """
     calls = []
     fused = dc.dropout_matmul
 
-    def spy(x, w, p, rng, training):
+    def spy(x, w, p, rng, training, rescale=True):
         if input_is_parameter:
-            x = dc.Parameter(x.data, name="features")
-            out = dc.matmul(dc.dropout(x, p, rng, training), w)
+            if not x.needs_grad:
+                x = dc.Parameter(x.data, name="features")
+            out = oracles.dropout_matmul_oracle(x, w, p, rng, training)
         else:
-            out = fused(x, w, p, rng, training)
+            out = fused(x, w, p, rng, training, rescale)
         calls.append((x, out, out._node.parents))
         return out
 
@@ -506,7 +509,8 @@ def test_input_features_receive_no_gradient(monkeypatch, base):
     spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, projector_dim=4)
     graph = _step_graph()
     state, calls, transposes = _leaf_step(spec, graph, monkeypatch, input_is_parameter=False)
-    [(features, out, parents)] = calls
+    assert len(calls) == 2  # one per layer
+    features, out, parents = calls[0]
     assert features.data is graph.features  # read in place, not copied
     assert not features.needs_grad
     assert features.grad is None
@@ -528,28 +532,27 @@ def test_input_features_receive_no_gradient(monkeypatch, base):
 
 
 def _spy_inputs(monkeypatch, earlier: bool) -> dict:
-    """Weak references to the input array of every dropout_matmul, dropout,
+    """Weak references to the input array of every dropout_matmul,
     layer_norm and spmm call, to each array of dropped rows and to each
     activation output, by op.  With `earlier` the ops the lean ones replaced
-    (`oracles.py`) run instead, activations included, and layer 0 runs as
-    dropout, then matmul."""
-    inputs = {"dropout_matmul": [], "dropout": [], "layer_norm": [], "spmm": [], "dropped": [], "activated": []}
+    (`oracles.py`) run instead, activations included, and each layer runs
+    as dropout, then matmul."""
+    inputs = {"dropout_matmul": [], "layer_norm": [], "spmm": [], "dropped": [], "activated": []}
     if earlier:
         monkeypatch.setattr(dc, "activation", oracles.activation_oracle)
     runs = {
         "dropout_matmul": (
-            (lambda x, w, p, rng, training: dc.matmul(oracles.dropout_oracle(x, p, rng, training), w))
+            (lambda x, w, p, rng, training, rescale: oracles.dropout_matmul_oracle(x, w, p, rng, training))
             if earlier
             else dc.dropout_matmul
         ),
-        "dropout": oracles.dropout_oracle if earlier else dc.dropout,
         "layer_norm": oracles.activated_layer_norm_oracle if earlier else dc.layer_norm,
     }
     for name, run in runs.items():
 
-        def spy(x, *args, name=name, run=run):
+        def spy(x, *args, name=name, run=run, **kwargs):
             inputs[name].append(weakref.ref(x.data))
-            return run(x, *args)
+            return run(x, *args, **kwargs)
 
         monkeypatch.setattr(dc, name, spy)
     spmm = encoder_module.spmm
@@ -572,12 +575,14 @@ def _spy_inputs(monkeypatch, earlier: bool) -> dict:
 
 @pytest.mark.parametrize("base, activation", [("linear", "prelu"), ("gconv", "relu")])
 def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
-    # once encode and project return, the activation outputs, the dropout
-    # inputs, the gconv matmul outputs and layer 0's dropped input rows are
-    # gone: no closure reads them.  Each layer's activation input stays, for
-    # layer_norm's backward rebuilds the activation and the standardized
-    # rows from it.  Layer 0 reads the graph's own feature array.  The
-    # gradients equal those of the earlier ops, which kept them.
+    # once encode and project return, the activation outputs, the gconv
+    # matmul outputs and each layer's dropped rows are gone: no closure reads
+    # them.  Each layer's activation input stays, for layer_norm's backward
+    # rebuilds the activation and the standardized rows from it, and so does
+    # each dropout_matmul input, from which its backward rebuilds the dropped
+    # rows.  Layer 0 reads the graph's own feature array.  The gradients
+    # equal those of the earlier ops, which kept the dropped rows and the
+    # activation outputs.
     spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, activation=activation, projector_dim=4)
     graph = _step_graph()
     adj = normalized_adjacency(graph) if base == "gconv" else None
@@ -589,13 +594,14 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
             h = encode(state, spec, graph, adj=adj, training=True, rng=RngStream(4, "dropout"))
             z = project(state, h)
             if not earlier:
-                assert [ref() for ref in inputs["dropout_matmul"]] == [graph.features]
-                assert len(inputs["dropped"]) == 2  # layer 0's rows, then layer 1's dropout output
+                assert inputs["dropout_matmul"][0]() is graph.features
+                assert len(inputs["dropped"]) == 2  # layer 0's rows, then layer 1's
                 assert len(inputs["activated"]) == 3  # each layer's, then the projector's
-                freed = inputs["activated"][:2] + inputs["dropout"] + inputs["spmm"] + inputs["dropped"][:1]
+                freed = inputs["activated"][:2] + inputs["spmm"] + inputs["dropped"]
                 assert len(freed) == (6 if base == "gconv" else 4)
                 assert [ref() is None for ref in freed] == [True] * len(freed)
-                assert [ref() is None for ref in inputs["layer_norm"]] == [False, False]
+                kept = inputs["layer_norm"] + inputs["dropout_matmul"]
+                assert [ref() is None for ref in kept] == [False] * 4
             backward(estimator_loss(z, draw_masks(graph, 0.3, RngStream(4, "mask")), EstimatorSpec()))
         grads.append({name: p.grad for name, p in state.params.items()})
     earlier_grads, lean_grads = grads

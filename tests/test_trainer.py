@@ -462,8 +462,9 @@ def test_checkpoint_rerun_is_byte_identical(tmp_path):
 # output, relu formed its mask in every forward and the nfm ablation passed
 # its masked rows as a features override; the other four while each layer's
 # activation and LayerNorm were two ops, LayerNorm keeping its standardized
-# rows.  Each run is 15 epochs on `_small_graph()` with one BLAS thread, and
-# LayerNorm is on in all of them.
+# rows; the last four while dropout was its own op before each later
+# layer's matmul.  Each run is 15 epochs on `_small_graph()` with one BLAS
+# thread, and LayerNorm is on in all of them but "no-layer-norm".
 _EARLIER_CHECKPOINT_SHA256 = {
     "relu": "e04d3356eecee5a2003358391b09e35b8c2006a7daefd13f0c136221f2906549",
     "rrelu-f32": "cfb9482f2a67fcc2cf92b66d0a55d595f8dd88dc5bf2e5eeb8a157fcb2d840a5",
@@ -472,6 +473,10 @@ _EARLIER_CHECKPOINT_SHA256 = {
     "prelu-f32": "72ae3673a4a70b0ac9094bf53c8c68ea3118c7750be2ab63eab813808fd6bd5e",
     "elu": "4764a23a6232e9ed087e606e95336eb0d37188d9431c685976f7bea35f45088c",
     "leaky_relu": "ac8556859162717a08ae11573275aeb39ee6bece9b19e370a71b262a954bdabd",
+    "gconv-info_nce-f32": "264064eeb06304dc8f237327fd82853345017a6ca330147670a82699f81cbd9b",
+    "no-layer-norm": "620a205d9cc4eb88dba00a3561a8bc23b804c313df47b2862b4a234b3d080436",
+    "three-layers": "58e659c550d4698ca6023ef4e41b428598b17e37a52fbf6bf96ef2c1d30aa413",
+    "jsd": "b1110742f8dc518ae38569d018901d808287ec13a62ec7f399ec245282069e58",
 }
 _SMALL_RUNS = {
     "relu": dict(model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, activation="relu", projector_dim=4)),
@@ -486,13 +491,23 @@ _SMALL_RUNS = {
     "leaky_relu": dict(
         model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, activation="leaky_relu", projector_dim=4)
     ),
+    "gconv-info_nce-f32": dict(
+        model=ModelSpec(num_layers=2, base_encoder="gconv", hidden_dim=8, dropout_p=0.3, projector_dim=4),
+        estimator=EstimatorSpec(kind="info_nce"),
+        precision="f32",
+    ),
+    "no-layer-norm": dict(
+        model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, layer_norm_enabled=False, projector_dim=4)
+    ),
+    "three-layers": dict(model=ModelSpec(num_layers=3, hidden_dim=8, dropout_p=0.3, projector_dim=4)),
+    "jsd": dict(estimator=EstimatorSpec(kind="jsd")),
 }
 
 
 @pytest.mark.parametrize("run", sorted(_SMALL_RUNS))
 def test_small_checkpoints_keep_the_earlier_bytes(run, tmp_path):
     # every projector here is an ELU; the encoder layers run each
-    # activation kind, and nfm runs prelu
+    # activation kind, and the other runs prelu
     cfg = _config(**_SMALL_RUNS[run])
     state, curve = train(_small_graph(), cfg)
     path = str(tmp_path / "ck.json")
