@@ -27,32 +27,44 @@ soon as it has visited the node.  A Parameter holds no gradient array of
 its own: it keeps the one the backward pass hands it until `adam_step`,
 which releases it, so no gradient is alive in the forward pass or the
 loss, and Adam steps a large parameter one block at a time in two
-block-sized scratch arrays.  The training loop names no intermediate past
-its last reader: z dies once the loss has formed its unit rows (jsd
-scores z itself) and h with the projector's backward.  The input features
-are held once, by the Graph, in the active precision, and layer 0 reads
-them in place.  Every layer runs `dropout_matmul`: it forms the dropped
-rows (or, for the nfm ablation, layer 0's masked rows), multiplies them
-and frees them, keeping the boolean mask and its input (its backward
-forms the dropped rows again for dL/dW), and every mask is drawn one row
-block of uniforms at a time.  In training the tape holds, per layer, that
-mask and the layer's input, which at layer 0 are the Graph's features
-and cost the tape nothing; per layer with LayerNorm, the activation's input and two n x 1 columns,
-the row mean and inverse deviation: `layer_norm` runs the activation
-before it as one op, whose backward rebuilds the activation's output and
-the standardized rows from that input in the forward's own operations;
-per layer without LayerNorm, the activation's boolean mask (relu,
-leaky_relu), output (elu) or input (prelu); with gconv, spmm keeps only
-the shared adjacency.  The projector keeps its input h and its
-activation's array, which for the ELU of every preset is its output, also
-the second matmul's input; the loss keeps dLoss/dz.  Each is one n x
-width array (booleans for a mask); layer_norm's backward forms two arrays
-of its width, which also serve the activation's backward, one row block's
-scratch and, with an activation, the mask d > 0.  While it
-runs, the blocked contrastive loss holds two B x n strip arrays (three
-for the jsd ablation, whose sigmoid slope is a strip of its own), the
-strip's boolean clamp mask, and three n x d arrays: the unit rows zn,
-their gradient dzn, which becomes dLoss/dz in place, and one scratch.
+block-sized scratch arrays.  The training loop names no intermediate: h
+dies when the projector returns and z once the loss has formed its unit
+rows (jsd scores z itself).  The input features are held once, by the
+Graph, in the active precision, and layer 0 reads them in place.
+
+Every layer runs `dropout_matmul`.  Its forward forms the dropped rows (or,
+for the nfm ablation, layer 0's masked rows) 1024 rows at a time, each
+block multiplied and freed; it keeps the boolean mask and its input, and
+its backward forms the dropped input again 512 columns at a time for
+dL/dW.  Every mask is drawn one row block of uniforms at a time.
+`layer_norm` runs the activation before it as one op and keeps that
+activation's input and two n x 1 columns, the row mean and inverse
+deviation; its backward rebuilds the activation's output and the
+standardized rows from them in the forward's own operations.  Its output
+carries a `rebuild` of any column block from the same arrays, and an op
+that reads the output for dL/dW (the next layer's `dropout_matmul`, the
+projector's `matmul`) keeps that rebuild, not the array, and forms X^T g
+one column block at a time.  The rebuild and the backward read gain, bias
+and the prelu slope as they are then, so a parameter must not change
+between the forward and the backward (Adam steps after the backward).
+
+So in training the tape holds, per layer, the mask and, with LayerNorm,
+the activation's input and the two n x 1 columns; the layer's input is the
+graph's features at layer 0 and a rebuild after it, which cost the tape
+nothing.  Per layer without LayerNorm it holds the mask, the layer's input
+(the activation output of the layer before) and the activation's boolean
+mask (relu, leaky_relu), output (elu) or input (prelu); with gconv, spmm
+keeps only the shared adjacency.  The projector keeps its activation's
+array, which for the ELU of every preset is its output, also the second
+matmul's input; the loss keeps dLoss/dz.  Each is one n x width array
+(booleans for a mask).  A dL/dW forms one n x 512 column block at a time;
+layer_norm's backward forms two arrays of its width, which also serve the
+activation's backward, one row block's scratch and, with an activation,
+the mask d > 0.  While it runs, the blocked contrastive loss holds two B x
+n strip arrays (three for the jsd ablation, whose sigmoid slope is a strip
+of its own), the strip's boolean clamp mask, and three n x d arrays: the
+unit rows zn, their gradient dzn, which becomes dLoss/dz in place, and one
+scratch.
 """
 
 from .tensor import (

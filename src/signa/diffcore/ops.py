@@ -14,7 +14,8 @@ These are the ops the training tape records, together with the
 custom-op API (`Tensor`, `record_backward`, `check_finite`, `logistic`)
 through which `graphdata.spmm` and the blocked contrastive loss add their
 own.  Dropout has one op, `dropout_matmul`, which every encoder layer
-runs: it keeps its mask and its input, never a dropped copy.
+runs: it keeps its mask and its input (for a `layer_norm` output, the
+output's rebuild), and forms its dropped input one block at a time.
 
 Conventions:
   * `add` follows numpy broadcasting, with gradients summed back down to
@@ -72,24 +73,61 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # linear algebra
 
 
+_FORWARD_ROWS = 1024  # rows of its dropped input `dropout_matmul` forms at a time
+_GRAD_COLUMNS = 512  # columns of X a weight gradient X^T g forms at a time
+
+
+def _operand(x: Tensor):
+    """What an op keeps of its input x to form dL/dW = x^T g: x's rebuild
+    when it has one (a `layer_norm` output), so the tape keeps no array of
+    x's, else x's array."""
+    return x.data if x.rebuild is None else x.rebuild
+
+
+def _weight_grad(x, width: int, dtype, g: np.ndarray, keep=None, scale: float = 1.0) -> np.ndarray:
+    """dL/dW = X^T g, one block of `_GRAD_COLUMNS` columns of X at a time,
+    into one preallocated array.  X is the `width`-column input of `dtype`
+    that `_operand` kept, times `keep` and `scale` (see `_dropped`) when a
+    mask is given.  Each block is rebuilt, or cut from the held array, then
+    dropped in place and freed before the next, so the whole dropped X is
+    never formed.  A column block of X gives those rows of the product
+    with the whole product's bits, but for a one-column block, which numpy
+    runs as a matrix-vector product; `spans` cuts none.
+    """
+    from ..graphdata import spans  # graphdata builds on diffcore
+
+    dw = np.empty((width, g.shape[1]), np.result_type(dtype, g))
+    for c0, c1 in spans(width, _GRAD_COLUMNS):
+        if callable(x):
+            block = x(c0, c1)
+            if keep is not None:
+                _dropped(block, keep[:, c0:c1], scale, out=block)
+        else:
+            block = x[:, c0:c1] if keep is None else _dropped(x[:, c0:c1], keep[:, c0:c1], scale)
+        np.matmul(block.T, g, out=dw[c0:c1])
+        del block
+    return dw
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product a @ b with gradients dL/da = g bT, dL/db = aT g.
 
     Each side is formed, and its operand kept, only when that input needs
-    a gradient.
+    a gradient; dL/db is formed by `_weight_grad`.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     out = Tensor(a.data @ b.data, _parents=(a, b))
     check_finite("matmul", out.data)
-    a_data = a.data if b.needs_grad else None  # dL/db reads a
+    a_kept = _operand(a) if b.needs_grad else None  # dL/db reads a
     b_data = b.data if a.needs_grad else None  # dL/da reads b
+    width, dtype = a.data.shape[1], a.data.dtype
 
     def _bw(g):
         return (
             None if b_data is None else g @ b_data.T,
-            None if a_data is None else a_data.T @ g,
+            None if a_kept is None else _weight_grad(a_kept, width, dtype, g),
         )
 
     return record_backward(out, _bw)
@@ -131,8 +169,8 @@ def logistic(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # neural-network layers
 
 
-def _dropped(data: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
-    kept = data * keep
+def _dropped(data: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.ndarray:
+    kept = np.multiply(data, keep, out=out)
     if scale != 1.0:
         kept *= scale
     return kept
@@ -143,10 +181,14 @@ def dropout_matmul(x: Tensor, w: Tensor, p: float, rng, training: bool, rescale:
     rest scaled by 1/(1-p)), then the product with w.
 
     Inference, and p == 0 in training, is the plain matmul and draws
-    nothing.  The dropped rows are formed, multiplied by w and freed: the
-    tape keeps the boolean mask and x, and the backward rebuilds the rows
-    for dL/dw.  Without `rescale` a kept entry keeps its value (a scale of
-    1, exact), as feature masking needs.
+    nothing.  The dropped rows are formed `_FORWARD_ROWS` at a time,
+    multiplied by w and freed, so no dropped copy of the whole x is formed:
+    a row block of the product has the whole product's bits, but for a
+    one-row block, which `spans` never cuts.  The tape keeps the boolean
+    mask and x (x's rebuild, for a `layer_norm` output), and the backward
+    forms the dropped x again one column block at a time for dL/dw
+    (`_weight_grad`).  Without `rescale` a kept entry keeps its value (a
+    scale of 1, exact), as feature masking needs.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
@@ -155,16 +197,20 @@ def dropout_matmul(x: Tensor, w: Tensor, p: float, rng, training: bool, rescale:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return matmul(x, w)
-    from ..graphdata import keep_mask  # graphdata builds on diffcore
+    from ..graphdata import keep_mask, spans  # graphdata builds on diffcore
 
     keep = keep_mask(rng, x.data.shape, p)
     scale = 1.0 / (1.0 - p) if rescale else 1.0
-    out = Tensor(_dropped(x.data, keep, scale) @ w.data, _parents=(x, w))
+    product = np.empty((x.data.shape[0], w.data.shape[1]), np.result_type(x.data, w.data))
+    for r0, r1 in spans(len(product), _FORWARD_ROWS):
+        np.matmul(_dropped(x.data[r0:r1], keep[r0:r1], scale), w.data, out=product[r0:r1])
+    out = Tensor(product, _parents=(x, w))
     check_finite("matmul", out.data)
-    x_data, w_data = x.data, w.data if x.needs_grad else None  # dL/dx reads w
+    x_kept, w_data = _operand(x), w.data if x.needs_grad else None  # dL/dx reads w
+    width, dtype = x.data.shape[1], x.data.dtype
 
     def _bw(g):
-        dw = _dropped(x_data, keep, scale).T @ g
+        dw = _weight_grad(x_kept, width, dtype, g, keep, scale)
         if w_data is None:
             return None, dw
         dx = g @ w_data.T
@@ -327,6 +373,12 @@ def layer_norm(
     standardized rows.  The backward rebuilds both with the forward's own
     operations and forms two arrays of the input's size, which serve the
     activation's backward too, and one row block's scratch.
+
+    The output carries a `rebuild` of any column block from the same
+    arrays, in the same operations, so an op that reads the output in its
+    backward (`matmul`, `dropout_matmul`) keeps that instead of the output
+    array.  Both read gain, bias and the slope as they are in the backward:
+    a parameter must not change between the forward and the backward.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects a matrix, got shape {x.data.shape}")
@@ -346,8 +398,21 @@ def layer_norm(
     prelu = kind == "prelu"
     out = Tensor(normed, _parents=(x, gain, bias, slope) if prelu else (x, gain, bias))
     check_finite("layer_norm", out.data)
-    gain_data = gain.data
+    gain_data, bias_data = gain.data, bias.data
     slope_shape = slope.data.shape if prelu else None
+
+    def rebuild(c0: int, c1: int) -> np.ndarray:
+        """Columns c0:c1 of the output, a new array with the forward's bits:
+        every step but the row mean, which is kept, acts entry by entry."""
+        db = d[:, c0:c1]
+        block, _ = _centered(kind, db, s, None if kind in (None, "relu") else db > 0, mu)
+        block *= inv
+        block *= gain_data[c0:c1]
+        block += bias_data[c0:c1]
+        return block
+
+    if out.needs_grad:  # a frozen forward keeps nothing alive through its output
+        out.rebuild = rebuild
 
     def _bw(g):
         from ..graphdata import row_blocks  # graphdata builds on diffcore

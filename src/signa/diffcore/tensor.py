@@ -72,7 +72,10 @@ class Tensor:
     `_node` is filled in here and by `ops.record_backward`; user code never
     touches it directly.  `grad` is dLoss/dself while `ops.backward` runs
     (a Parameter's persists); it is None on a tensor that does not
-    `needs_grad`.
+    `needs_grad`.  `rebuild`, when an op sets it (`layer_norm`), maps
+    (c0, c1) to a new array equal bit for bit to `data[:, c0:c1]`, formed
+    from what the op's own tape node keeps; an op that reads this tensor in
+    its backward keeps it instead of `data`.
     """
 
     def __init__(self, data, _parents: tuple = ()):
@@ -80,6 +83,7 @@ class Tensor:
         nodes = tuple(p._node for p in _parents)
         self._node = _Node(nodes) if any(node is not None for node in nodes) else None
         self._consumed = False
+        self.rebuild = None
 
     @property
     def needs_grad(self) -> bool:

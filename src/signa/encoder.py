@@ -1,10 +1,10 @@
 """Dropout-noised encoder (Linear or GConv base) and the MLP projector.
 
 Each of the L layers applies dropout and the layer's weights as one
-`dropout_matmul` op, which keeps the mask and the layer's input, then
-gconv's propagation (gconv only), then the activation, then LayerNorm
-(optional; with it, the activation and LayerNorm run as one `layer_norm`
-op).  The output of the last layer is the
+`dropout_matmul` op, which keeps the mask and the layer's input (after
+layer 0 with LayerNorm, a rebuild of it), then gconv's propagation (gconv
+only), then the activation, then LayerNorm (optional; with it, the
+activation and LayerNorm run as one `layer_norm` op).  The output of the last layer is the
 representation consumed downstream; the projector exists only for the
 contrastive loss.
 """

@@ -85,23 +85,29 @@ class Graph:
 _BLOCK_ENTRIES = 2**17  # entries of a pass's widest array in one row block
 
 
-def row_blocks(num_rows: int, width: int):
-    """Yield the (start, stop) bounds of consecutive row blocks, each about
-    `_BLOCK_ENTRIES` entries of a `width`-column array, for the passes whose
-    bits do not depend on the block height: linear inference, the probe's
-    test scoring, k-means' row norms, the SBM's rows of node pairs and the
-    dropout masks' uniforms.
+def spans(count: int, step: int):
+    """Yield the (start, stop) bounds of consecutive spans of `step` (at
+    least 2) out of `count` rows or columns.
 
-    A block has at least two rows unless `num_rows` < 2: numpy runs a
-    one-row product as a matrix-vector product, whose bits can differ from
-    the matrix-matrix one, so a one-row tail joins the block before it.
+    A span is at least two wide unless `count` < 2: numpy runs a product
+    with one row (or, in X^T G, one column of X) as a matrix-vector
+    product, whose bits can differ from the matrix-matrix one, so a
+    one-wide tail joins the span before it.
     """
-    step = max(2, _BLOCK_ENTRIES // max(width, 1))
+    step = max(2, step)
     start = 0
-    while start < num_rows:
-        stop = start + step if num_rows - start - step > 1 else num_rows
+    while start < count:
+        stop = start + step if count - start - step > 1 else count
         yield start, stop
         start = stop
+
+
+def row_blocks(num_rows: int, width: int):
+    """The `spans` of row blocks, each about `_BLOCK_ENTRIES` entries of a
+    `width`-column array, for the passes whose bits do not depend on the
+    block height: linear inference, the probe's test scoring, k-means' row
+    norms, the SBM's rows of node pairs and the dropout masks' uniforms."""
+    return spans(num_rows, _BLOCK_ENTRIES // max(width, 1))
 
 
 def keep_mask(rng, shape: tuple, p: float) -> np.ndarray:

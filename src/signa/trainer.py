@@ -155,12 +155,18 @@ def train(graph: Graph, config: TrainConfig) -> tuple[EncoderState, list[float]]
     curve: list[float] = []
     for epoch in range(config.num_epochs):
         draw = draw_masks(graph, effective.mask_rate, mask_rng, epoch=epoch)
-        h = encode_rows(
-            state, effective.model, graph.features, adj=adj, training=True, rng=dropout_rng,
-            feature_mask_p=effective.nfm_p_feat or 0.0,
+        # neither h nor z is named: h dies when project returns, z inside the
+        # loss, and then only the tape holds what backward reads ("Memory" in
+        # signa.diffcore)
+        loss = estimator_loss(
+            project(state, encode_rows(
+                state, effective.model, graph.features, adj=adj, training=True, rng=dropout_rng,
+                feature_mask_p=effective.nfm_p_feat or 0.0,
+            )),
+            draw,
+            effective.estimator,
         )
-        loss = estimator_loss(project(state, h), draw, effective.estimator)
-        del draw, h  # now only the tape holds what backward reads ("Memory" in signa.diffcore)
+        del draw
         value = float(loss.data)
         if not np.isfinite(value):
             raise OptimizationError(f"non-finite loss at epoch {epoch}")

@@ -21,6 +21,7 @@ from tape_ops import gradcheck
 
 import signa.diffcore as dc
 from signa import graphdata
+from signa.diffcore import ops
 from signa.diffcore import (
     Parameter,
     RngStream,
@@ -219,10 +220,12 @@ def test_dropout_matmul_checks_its_input():
 
 
 def test_dropout_matmul_keeps_the_mask_and_no_dropped_rows():
-    # the tape's share is the boolean mask; the dropped rows are formed in
-    # the forward and again in the backward, and freed each time
-    x = Tensor(np.random.default_rng(22).normal(size=(2000, 256)))
-    w = Parameter(np.ones((256, 8)), name="w")
+    # the tape's share is the boolean mask; the dropped input is formed one
+    # row block at a time in the forward and one column block at a time in
+    # the backward, each block freed before the next.  The earlier op formed
+    # the whole dropped input (17.6 MB here) both times.
+    x = Tensor(np.random.default_rng(22).normal(size=(2000, 1100)))
+    w = Parameter(np.ones((1100, 8)), name="w")
     tracemalloc.start()
     try:
         out = dc.dropout_matmul(x, w, 0.5, RngStream(0, "dropout"), training=True)
@@ -233,10 +236,57 @@ def test_dropout_matmul_keeps_the_mask_and_no_dropped_rows():
         backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    mask, rows, slack = x.data.size, x.data.nbytes, 64 * 1024
+    (n, width), mask, slack = x.data.shape, x.data.size, 16 * 1024
+    row_block, column_block = ops._FORWARD_ROWS * width * 8, n * ops._GRAD_COLUMNS * 8
+    # numpy multiplies by the bool mask through a buffer of 8192 entries per
+    # operand it must cast or, in a column block, gather
+    buffer = 8192 * 8
     assert held <= 2 * out.data.nbytes + mask + slack
-    assert peak <= out.data.nbytes + mask + rows + slack
-    assert backward_peak <= held + rows + dw.nbytes + slack
+    assert peak <= out.data.nbytes + mask + row_block + buffer + slack
+    assert backward_peak <= held + column_block + dw.nbytes + 2 * buffer + slack
+
+
+# the encoder's shape classes (n, F, hidden): dense-n4k's layers 0 and 1
+# at f64; wide-gconv-n1k's layers 0 and 1 and the Photo preset's layer 0 at
+# f32; then widths of two blocks and a column (a one-column block would
+# make a matrix-vector product) and of three columns
+_PRODUCT_SHAPES = [
+    ((4000, 100, 256), "f64"),
+    ((4000, 256, 256), "f64"),
+    ((1000, 2000, 1024), "f32"),
+    ((1000, 1024, 1024), "f32"),
+    ((7650, 745, 1024), "f32"),
+    ((1000, 2 * 512 + 1, 1024), "f32"),
+    ((300, 2 * 512 + 1, 7), "f64"),
+    ((300, 3, 7), "f64"),
+    ((2 * 1024 + 1, 3, 7), "f64"),
+]
+
+
+@pytest.mark.parametrize("shape, precision", _PRODUCT_SHAPES, ids=["x".join(map(str, s)) + f"-{p}" for s, p in _PRODUCT_SHAPES])
+def test_blocked_products_equal_the_whole_products(shape, precision):
+    # dropout_matmul's forward in row blocks and every dL/dW in column
+    # blocks of X, from the held array, through a rebuild, dropped or not,
+    # have the bytes of the whole products.  That is a property of the BLAS
+    # build, so it is checked here for each shape class the encoder uses.
+    set_precision(precision)
+    n, width, hidden = shape
+    rng = np.random.default_rng(31)
+    dtype = dc.active_dtype()
+    x = rng.normal(size=(n, width)).astype(dtype)
+    w = rng.normal(size=(width, hidden)).astype(dtype)
+    g = rng.normal(size=(n, hidden)).astype(dtype)
+    keep = graphdata.keep_mask(RngStream(3, "dropout"), x.shape, 0.4)
+    dropped = x * keep
+    dropped *= 1.0 / (1.0 - 0.4)
+    rebuilt = Tensor(x)
+    rebuilt.rebuild = lambda c0, c1: x[:, c0:c1].copy()
+    for source in (Tensor(x), rebuilt):
+        out = dc.dropout_matmul(source, Parameter(w, name="w"), 0.4, RngStream(3, "dropout"), True)
+        assert _same_bits(out.data, dropped @ w)
+        assert _same_bits(out._node.backward(g)[1], dropped.T @ g)
+        plain = dc.matmul(source, Parameter(w, name="w"))
+        assert _same_bits(plain._node.backward(g)[1], x.T @ g)
 
 
 def _layer_norm_traced(kind=None, slope=None):
@@ -675,6 +725,33 @@ def test_layer_norm_with_its_activation_equals_the_earlier_pair_bitwise(shape, k
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("kind", [None, "relu", "elu", "leaky_relu", "prelu"])
+def test_layer_norm_rebuilds_each_column_block_of_its_output_bitwise(kind, precision):
+    # the rebuild runs the forward's own entrywise steps on a block of the
+    # kept input with the kept row mean and inverse deviation: any block,
+    # one column, the block widths dL/dW cuts and the whole, has the
+    # output's bytes, on the special values of the bitwise tests above
+    set_precision(precision)
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(40, 1100))
+    special = [0.0, -0.0, 0.0, -0.0, 1e18, -1e18, 3e5, -3e5, 1e-30, -1e-30]
+    x.flat[rng.choice(x.size, size=len(special), replace=False)] = special
+    x[5] = -0.0  # a row with no positive entry, and zero variance
+    gain = Parameter(rng.uniform(0.5, 1.5, size=1100), name="g")
+    bias = Parameter(rng.normal(size=1100), name="b")
+    slope = {"prelu": Parameter([0.25], name="s"), "leaky_relu": 0.23}.get(kind)
+    out = dc.layer_norm(Parameter(x, name="x"), gain, bias, kind, slope)
+    bounds = [(0, 1100), (0, 1), (1099, 1100), (7, 300), (0, 512), (512, 1024), (1024, 1100)]
+    for c0, c1 in bounds:
+        block = out.rebuild(c0, c1)
+        assert _same_bits(block, np.ascontiguousarray(out.data[:, c0:c1])), (c0, c1)
+    # a frozen forward carries no rebuild, which would keep its input alive
+    frozen_slope = Tensor([0.25]) if kind == "prelu" else slope
+    frozen = dc.layer_norm(Tensor(x), Tensor(gain.data), Tensor(bias.data), kind, frozen_slope)
+    assert frozen.rebuild is None
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
 @pytest.mark.parametrize("s", [0.25, 0.23, 0.01, 1.0, 2.5, -0.3, 0.0, -0.0, 1e-40])
 def test_leaky_slopes_equal_the_earlier_ops_bitwise(s, precision):
     # the leaky factor picks 1 or s by bits, not by np.where: the same bytes
@@ -1016,6 +1093,31 @@ def test_grad_layer_norm():
         b = _param(rng, (6,), "b")
         w = _weights(rng, (4, 6))
         return lambda: _weighted_sum(dc.layer_norm(a, g, b), w), [a, g, b]
+
+    _run_gradchecks(make)
+
+
+@pytest.mark.parametrize("kind", [None, "prelu"])
+@pytest.mark.parametrize("dropout", [True, False], ids=["dropout_matmul", "matmul"])
+def test_grad_of_a_product_that_reads_a_layer_norm_output(dropout, kind):
+    # the product's dL/dW reads the rebuilt output, not the output array
+    def make(rng):
+        a = _param(rng, (4, 6), "a", lo=-2.0, hi=2.0)
+        g = _param(rng, (6,), "g", lo=0.5, hi=1.5)
+        b = _param(rng, (6,), "b")
+        s = Parameter(np.array([0.25]), name="s")
+        v = _param(rng, (6, 3), "v")
+        seed = int(rng.integers(0, 2**31))
+        w = _weights(rng, (4, 3))
+
+        def fn():
+            h = dc.layer_norm(a, g, b, kind, s if kind else None)
+            assert h.rebuild is not None
+            if dropout:
+                return _weighted_sum(dc.dropout_matmul(h, v, 0.4, RngStream(seed, "dropout"), training=True), w)
+            return _weighted_sum(dc.matmul(h, v), w)
+
+        return fn, [a, g, b, v] + ([s] if kind else [])
 
     _run_gradchecks(make)
 

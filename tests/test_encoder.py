@@ -315,25 +315,26 @@ def test_inference_embeddings_equal_the_taped_forward(base, activation, layer_no
 def test_inference_embeddings_keep_no_tape(base):
     # without a tape each intermediate dies once the next op has read it, so
     # the peak is a few n x hidden arrays however deep the encoder is; with
-    # one, every layer's activations stay alive until the forward returns
+    # one, every layer's LayerNorm input stays alive until the forward
+    # returns, and with the output that is more than the frozen peak
     n, hidden = 1000, 64
     graph = _chain_graph(n, 16)
     spec = ModelSpec(num_layers=4, base_encoder=base, hidden_dim=hidden, activation="prelu")
     state = EncoderState(spec, 16, RngStream(5, "init"))
     adj = normalized_adjacency(graph) if base == "gconv" else None
-    peaks = []
+    held = []
     # inference_embeddings builds its own adjacency, a few n-sized arrays
     for forward in (lambda: encode(state, spec, graph, adj=adj), lambda: inference_embeddings(state, spec, graph)):
         tracemalloc.start()
         try:
-            forward()
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            out = forward()
+            held.append(tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-    taped, frozen = peaks
+        del out
+    (taped, _), (_, frozen) = held
     unit = n * hidden * 8
-    assert frozen < 6 * unit
-    assert taped > 2 * frozen
+    assert frozen < 4.5 * unit < (spec.num_layers + 1) * unit <= taped
 
 
 def _assert_blocks_equal_the_oracle(spec: ModelSpec, num_features: int) -> None:
@@ -533,11 +534,11 @@ def test_input_features_receive_no_gradient(monkeypatch, base):
 
 def _spy_inputs(monkeypatch, earlier: bool) -> dict:
     """Weak references to the input array of every dropout_matmul,
-    layer_norm and spmm call, to each array of dropped rows and to each
-    activation output, by op.  With `earlier` the ops the lean ones replaced
-    (`oracles.py`) run instead, activations included, and each layer runs
-    as dropout, then matmul."""
-    inputs = {"dropout_matmul": [], "layer_norm": [], "spmm": [], "dropped": [], "activated": []}
+    layer_norm and spmm call, to each layer_norm output ("normalized"), to
+    each array of dropped rows and to each activation output, by op.  With
+    `earlier` the ops the lean ones replaced (`oracles.py`) run instead,
+    activations included, and each layer runs as dropout, then matmul."""
+    inputs = {"dropout_matmul": [], "layer_norm": [], "normalized": [], "spmm": [], "dropped": [], "activated": []}
     if earlier:
         monkeypatch.setattr(dc, "activation", oracles.activation_oracle)
     runs = {
@@ -552,7 +553,10 @@ def _spy_inputs(monkeypatch, earlier: bool) -> dict:
 
         def spy(x, *args, name=name, run=run, **kwargs):
             inputs[name].append(weakref.ref(x.data))
-            return run(x, *args, **kwargs)
+            out = run(x, *args, **kwargs)
+            if name == "layer_norm":
+                inputs["normalized"].append(weakref.ref(out.data))
+            return out
 
         monkeypatch.setattr(dc, name, spy)
     spmm = encoder_module.spmm
@@ -576,13 +580,14 @@ def _spy_inputs(monkeypatch, earlier: bool) -> dict:
 @pytest.mark.parametrize("base, activation", [("linear", "prelu"), ("gconv", "relu")])
 def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
     # once encode and project return, the activation outputs, the gconv
-    # matmul outputs and each layer's dropped rows are gone: no closure reads
+    # matmul outputs, each layer's dropped rows and each layer_norm output
+    # (layer 1's dropout_matmul input, and h) are gone: no closure reads
     # them.  Each layer's activation input stays, for layer_norm's backward
-    # rebuilds the activation and the standardized rows from it, and so does
-    # each dropout_matmul input, from which its backward rebuilds the dropped
-    # rows.  Layer 0 reads the graph's own feature array.  The gradients
-    # equal those of the earlier ops, which kept the dropped rows and the
-    # activation outputs.
+    # rebuilds the activation and the standardized rows from it, and so do
+    # its output's columns for the dL/dW of the op that reads it.  Layer 0's
+    # dropout_matmul input, the graph's own feature array, stays.  The
+    # gradients equal those of the earlier ops, which kept the dropped rows,
+    # the activation outputs and the layer_norm outputs.
     spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, activation=activation, projector_dim=4)
     graph = _step_graph()
     adj = normalized_adjacency(graph) if base == "gconv" else None
@@ -591,17 +596,18 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
         with monkeypatch.context() as m:
             inputs = _spy_inputs(m, earlier)
             state = EncoderState(spec, graph.num_features, RngStream(4, "init"))
-            h = encode(state, spec, graph, adj=adj, training=True, rng=RngStream(4, "dropout"))
-            z = project(state, h)
+            z = project(state, encode(state, spec, graph, adj=adj, training=True, rng=RngStream(4, "dropout")))
             if not earlier:
                 assert inputs["dropout_matmul"][0]() is graph.features
                 assert len(inputs["dropped"]) == 2  # layer 0's rows, then layer 1's
                 assert len(inputs["activated"]) == 3  # each layer's, then the projector's
-                freed = inputs["activated"][:2] + inputs["spmm"] + inputs["dropped"]
-                assert len(freed) == (6 if base == "gconv" else 4)
+                assert len(inputs["normalized"]) == 2  # layer 0's, then h
+                freed = inputs["activated"][:2] + inputs["spmm"] + inputs["dropped"] + inputs["dropout_matmul"][1:]
+                freed += inputs["normalized"]
+                assert len(freed) == (9 if base == "gconv" else 7)
                 assert [ref() is None for ref in freed] == [True] * len(freed)
-                kept = inputs["layer_norm"] + inputs["dropout_matmul"]
-                assert [ref() is None for ref in kept] == [False] * 4
+                kept = inputs["layer_norm"] + inputs["dropout_matmul"][:1]
+                assert [ref() is None for ref in kept] == [False] * 3
             backward(estimator_loss(z, draw_masks(graph, 0.3, RngStream(4, "mask")), EstimatorSpec()))
         grads.append({name: p.grad for name, p in state.params.items()})
     earlier_grads, lean_grads = grads
@@ -613,6 +619,7 @@ def _tape_after_project(n: int, hidden: int, num_features: int, nfm: bool = Fals
     """Encode and project one f64 training step under tracemalloc; returns
     the bytes held once project returns and the sizes of the allocations
     behind them.  The graph's features come before, so neither counts them.
+    As in `trainer.train`, h is not named, so it dies when project returns.
     With `nfm` the encoder has no dropout and masks the input entries at
     the same rate."""
     graph = _chain_graph(n, num_features)
@@ -623,8 +630,7 @@ def _tape_after_project(n: int, hidden: int, num_features: int, nfm: bool = Fals
     rng = RngStream(5, "dropout")
     tracemalloc.start()
     try:
-        h = encode_rows(state, spec, graph.features, training=True, rng=rng, feature_mask_p=0.3 if nfm else 0.0)
-        z = project(state, h)
+        z = project(state, encode_rows(state, spec, graph.features, training=True, rng=rng, feature_mask_p=0.3 if nfm else 0.0))
         held = tracemalloc.get_traced_memory()[0]
         sizes = [trace.size for trace in tracemalloc.take_snapshot().traces]
     finally:
@@ -636,31 +642,33 @@ def _tape_after_project(n: int, hidden: int, num_features: int, nfm: bool = Fals
 def test_tape_after_project_holds_a_fixed_count_of_arrays():
     # What the tape holds once project returns, in n x hidden arrays:
     # layer 0 keeps its dropout mask (bool, F = hidden/4: 1/32) and the
-    # PReLU input; layer 1 its dropout mask (bool, 1/8), the matmul input
-    # and the PReLU input; then h, the ELU output (which the ELU's backward
-    # and the second matmul both read), and z: 6.15625 in all, plus each
-    # layer's two n x 1 columns, the row mean and the inverse deviation.
-    # A tape whose LayerNorm kept its standardized rows beside the PReLU
-    # input held 8.15625, one whose layer 0 kept its dropped input rows
-    # 8.375, a tape whose ELU kept a derivative factor beside its output
-    # 9.375, and the earlier tape, which also kept each LayerNorm and
-    # dropout input, the ELU input and a second ELU array, 13.375.
+    # PReLU input; layer 1 its dropout mask (bool, 1/8) and the PReLU
+    # input; then the ELU output (which the ELU's backward and the second
+    # matmul both read), and z: 4.15625 in all, plus each layer's two n x 1
+    # columns, the row mean and the inverse deviation.  Layer 1's matmul
+    # input and h, the two LayerNorm outputs, are rebuilt in the backward
+    # from what LayerNorm keeps.  A tape that kept them held 6.15625, one
+    # whose LayerNorm kept its standardized rows beside the PReLU input
+    # 8.15625, one whose layer 0 kept its dropped input rows 8.375, a tape
+    # whose ELU kept a derivative factor beside its output 9.375, and the
+    # earlier tape, which also kept each LayerNorm and dropout input, the
+    # ELU input and a second ELU array, 13.375.
     n, hidden = 1000, 64
     held, _ = _tape_after_project(n, hidden, hidden // 4)
     unit, columns = n * hidden * 8, 2 * 2 * n * 8
-    assert 6.15625 * unit + columns <= held < 6.25 * unit + columns
+    assert 4.15625 * unit + columns <= held < 4.25 * unit + columns
 
 
 def test_wide_input_leaves_only_its_mask_on_the_tape():
     # F = 4 x hidden: layer 0 keeps a bool n x F mask (0.5 units) and no
-    # n x F float array, so the tape holds 6.625 n x hidden f64 units and
+    # n x F float array, so the tape holds 4.625 n x hidden f64 units and
     # the four n x 1 columns; keeping the dropped rows (4 units) instead
-    # would make it 10.125
+    # would make it 8.125
     n, hidden = 1000, 64
     num_features = 4 * hidden
     held, sizes = _tape_after_project(n, hidden, num_features)
     unit, columns = n * hidden * 8, 2 * 2 * n * 8
-    assert 6.625 * unit + columns <= held < 6.75 * unit + columns
+    assert 4.625 * unit + columns <= held < 4.75 * unit + columns
     assert sizes.count(n * num_features) == 1  # the mask
     assert max(sizes) < n * num_features * 4  # no n x F float array, f32 or f64
 
@@ -668,13 +676,13 @@ def test_wide_input_leaves_only_its_mask_on_the_tape():
 def test_masked_wide_input_leaves_only_its_mask_on_the_tape():
     # the nfm ablation: layer 0 keeps the bool n x F feature mask and no
     # masked n x F float copy of the features (4 units), and layer 1 keeps
-    # no dropout mask, so the tape holds 6.5 units and the four n x 1
+    # no dropout mask, so the tape holds 4.5 units and the four n x 1
     # columns
     n, hidden = 1000, 64
     num_features = 4 * hidden
     held, sizes = _tape_after_project(n, hidden, num_features, nfm=True)
     unit, columns = n * hidden * 8, 2 * 2 * n * 8
-    assert 6.5 * unit + columns <= held < 6.625 * unit + columns
+    assert 4.5 * unit + columns <= held < 4.625 * unit + columns
     assert sizes.count(n * num_features) == 1  # the mask
     assert max(sizes) < n * num_features * 4  # no n x F float array, f32 or f64
 

@@ -8,11 +8,13 @@ import math
 import os
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import edge_list, split_generator
+import memtrace
 from memtrace import epoch_phases
 from oracles import save_checkpoint_v1_oracle
 
@@ -548,6 +550,54 @@ def test_nfm_holds_no_more_than_dropout():
     dropout_phases, nfm_phases = epoch_phases(graph, plain), epoch_phases(graph, nfm)
     for name in ("encode", "loss", "backward"):
         assert nfm_phases[name].peak <= dropout_phases[name].peak, name
+
+
+@pytest.mark.parametrize("base", ["linear", "gconv"])
+def test_no_layer_norm_output_outlives_project(monkeypatch, base):
+    # an op that reads a layer_norm output in its backward keeps the
+    # output's rebuild, not its array, and the loop does not name h: in each
+    # epoch, once project has returned (at the loss's start), every
+    # layer_norm output and h are gone.  Before, the next layer's
+    # dropout_matmul and the projector's matmul kept each of them, and the
+    # loop kept h through the loss.
+    layer_norm, encode_rows = dc.layer_norm, trainer.encode_rows
+    outputs, alive = [], []
+
+    def layer_norm_spy(*args, **kwargs):
+        out = layer_norm(*args, **kwargs)
+        outputs.append(weakref.ref(out.data))
+        return out
+
+    def encode_spy(*args, **kwargs):
+        h = encode_rows(*args, **kwargs)
+        outputs.append(weakref.ref(h.data))
+        return h
+
+    def loss_spy(*args):
+        alive.append((len(outputs), sum(ref() is not None for ref in outputs)))
+        outputs.clear()
+        return estimator_loss(*args)
+
+    monkeypatch.setattr(dc, "layer_norm", layer_norm_spy)
+    monkeypatch.setattr(trainer, "encode_rows", encode_spy)
+    monkeypatch.setattr(trainer, "estimator_loss", loss_spy)
+    model = ModelSpec(num_layers=3, base_encoder=base, hidden_dim=8, dropout_p=0.3, projector_dim=4)
+    train(_small_graph(), _config(model=model, num_epochs=2))
+    # per epoch: three layer_norm outputs, then h (the last of them), none alive
+    assert alive == [(4, 0), (4, 0)]
+
+
+def test_memtrace_runs_a_preset_on_an_sbm_of_the_given_shape(capsys):
+    # the shape mode trains the preset's model on an in-process SBM, no
+    # file needed, for two epochs, and prints the four phases
+    graph = memtrace.sbm_graph(60, 12)
+    assert graph.features.shape == (60, 12) and graph.features.dtype == np.float64
+    assert graph.num_edges > 0 and sorted(set(graph.labels)) == [0, 1, 2, 3, 4]
+    memtrace.main(["--preset", "photo", "--nodes", "60", "--features", "12"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["phase", "encode", "loss", "backward", "adam"]
+    with pytest.raises(SystemExit):
+        memtrace.main(["--preset", "photo", "--nodes", "60", "--features", "12", "--edges", "e.txt"])
 
 
 def test_checkpoint_errors(tmp_path):
