@@ -2,11 +2,11 @@
 
 Everything training needs and nothing more: a Tensor wrapper whose tape
 node links the parents' nodes to a backward closure, the ops the training
-tape records (`matmul`, `add`, `dropout_matmul`, `layer_norm`,
-`activation`), the custom-op API that `graphdata.spmm` and the
-contrastive loss build on, Adam, and a seeded RNG tree.  Finite-difference
-gradient checking and the generic ops the test oracles need live with the
-tests.
+tape records (`matmul`, which takes the dropout of its left operand,
+`add`, `activation` and `layer_norm`), the custom-op API that
+`graphdata.spmm` and the contrastive loss build on, Adam, and a seeded RNG
+tree.  Finite-difference gradient checking and the generic ops the test
+oracles need live with the tests.
 
 Custom ops: build the output as `Tensor(value, _parents=(x, ...))` and
 attach a closure with `record_backward(out, fn)`.  `fn(g)` returns a tuple
@@ -32,39 +32,37 @@ dies when the projector returns and z once the loss has formed its unit
 rows (jsd scores z itself).  The input features are held once, by the
 Graph, in the active precision, and layer 0 reads them in place.
 
-Every layer runs `dropout_matmul`.  Its forward forms the dropped rows (or,
-for the nfm ablation, layer 0's masked rows) 1024 rows at a time, each
-block multiplied and freed; it keeps the boolean mask and its input, and
-its backward forms the dropped input again 512 columns at a time for
-dL/dW.  Every mask is drawn one row block of uniforms at a time.
-`layer_norm` runs the activation before it as one op and keeps that
-activation's input and two n x 1 columns, the row mean and inverse
-deviation; its backward rebuilds the activation's output and the
-standardized rows from them in the forward's own operations.  Its output
-carries a `rebuild` of any column block from the same arrays, and an op
-that reads the output for dL/dW (the next layer's `dropout_matmul`, the
-projector's `matmul`) keeps that rebuild, not the array, and forms X^T g
-one column block at a time.  The rebuild and the backward read gain, bias
-and the prelu slope as they are then, so a parameter must not change
-between the forward and the backward (Adam steps after the backward).
+One keep rule per op.  `matmul` keeps its boolean dropout mask and its
+left operand for dL/dW: the operand's `rebuild` when it has one, else its
+array.  Every layer runs it with the layer's dropout (the nfm ablation's
+feature mask at layer 0); the forward forms the dropped rows 1024 at a
+time, each block multiplied and freed, and the backward forms them again
+512 columns at a time for dL/dW = X^T g.  Every mask is drawn one row
+block of uniforms at a time.  `activation` and `layer_norm` keep their
+input; `layer_norm` runs the activation before it as one op and also
+keeps two n x 1 columns, the row mean and inverse deviation.  Each
+backward rebuilds what it reads from those in the forward's own
+operations, and each output carries a `rebuild` of any column block from
+the same arrays, which the product that reads it keeps in place of the
+output.  A standalone ELU keeps its output instead, which its derivative
+reads.  A leaky relu is a prelu with a constant slope.  The rebuilds and
+the backward read gain, bias and the prelu slope as they are then, so a
+parameter must not change between the forward and the backward (Adam
+steps after the backward).
 
-So in training the tape holds, per layer, the mask and, with LayerNorm,
-the activation's input and the two n x 1 columns; the layer's input is the
+So in training the tape holds, per layer, the mask and the activation's
+input, and with LayerNorm the two n x 1 columns; the layer's input is the
 graph's features at layer 0 and a rebuild after it, which cost the tape
-nothing.  Per layer without LayerNorm it holds the mask, the layer's input
-(the activation output of the layer before) and the activation's boolean
-mask (relu, leaky_relu), output (elu) or input (prelu); with gconv, spmm
-keeps only the shared adjacency.  The projector keeps its activation's
-array, which for the ELU of every preset is its output, also the second
-matmul's input; the loss keeps dLoss/dz.  Each is one n x width array
-(booleans for a mask).  A dL/dW forms one n x 512 column block at a time;
-layer_norm's backward forms two arrays of its width, which also serve the
-activation's backward, one row block's scratch and, with an activation,
-the mask d > 0.  While it runs, the blocked contrastive loss holds two B x
-n strip arrays (three for the jsd ablation, whose sigmoid slope is a strip
-of its own), the strip's boolean clamp mask, and three n x d arrays: the
-unit rows zn, their gradient dzn, which becomes dLoss/dz in place, and one
-scratch.
+nothing.  With gconv, spmm keeps only the shared adjacency.  The projector
+keeps its activation's input or, for the ELU of every preset, its output,
+which the second matmul reads too; the loss keeps dLoss/dz.  Each is one n x width array (booleans for a mask).  A dL/dW
+forms one n x 512 column block at a time.  layer_norm's backward forms
+two arrays of its width, which also serve the activation's backward, one
+row block's scratch and, with an activation, the mask d > 0.  While it
+runs, the blocked contrastive loss holds two B x n strip arrays (three
+for the jsd ablation, whose sigmoid slope is a strip of its own), the
+strip's boolean clamp mask, and three n x d arrays: the unit rows zn,
+their gradient dzn, which becomes dLoss/dz in place, and one scratch.
 """
 
 from .tensor import (
@@ -80,7 +78,6 @@ from .ops import (
     add,
     backward,
     check_finite,
-    dropout_matmul,
     layer_norm,
     logistic,
     matmul,
@@ -102,7 +99,6 @@ __all__ = [
     "add",
     "backward",
     "check_finite",
-    "dropout_matmul",
     "get_precision",
     "layer_norm",
     "logistic",

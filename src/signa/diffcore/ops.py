@@ -13,9 +13,12 @@ keeps, and when it is freed, is the "Memory" note of `signa.diffcore`.
 These are the ops the training tape records, together with the
 custom-op API (`Tensor`, `record_backward`, `check_finite`, `logistic`)
 through which `graphdata.spmm` and the blocked contrastive loss add their
-own.  Dropout has one op, `dropout_matmul`, which every encoder layer
-runs: it keeps its mask and its input (for a `layer_norm` output, the
-output's rebuild), and forms its dropped input one block at a time.
+own.  There is one product op, `matmul`, which takes the dropout of its
+left operand: it keeps the mask and that operand (the operand's rebuild,
+when it has one), and forms the dropped operand one block at a time.  The
+nonlinearities, `activation` and `layer_norm`, keep one rule: the op keeps
+its input and gives its output a rebuild from it.  A standalone ELU keeps
+its output instead, which its derivative reads.
 
 Conventions:
   * `add` follows numpy broadcasting, with gradients summed back down to
@@ -73,15 +76,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # linear algebra
 
 
-_FORWARD_ROWS = 1024  # rows of its dropped input `dropout_matmul` forms at a time
+_FORWARD_ROWS = 1024  # rows of its dropped input `matmul` forms at a time
 _GRAD_COLUMNS = 512  # columns of X a weight gradient X^T g forms at a time
 
 
 def _operand(x: Tensor):
     """What an op keeps of its input x to form dL/dW = x^T g: x's rebuild
-    when it has one (a `layer_norm` output), so the tape keeps no array of
-    x's, else x's array."""
+    when it has one (a `layer_norm` or `activation` output), so the tape
+    keeps no array of x's, else x's array."""
     return x.data if x.rebuild is None else x.rebuild
+
+
+def _dropped(data: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.ndarray:
+    kept = np.multiply(data, keep, out=out)
+    if scale != 1.0:
+        kept *= scale
+    return kept
 
 
 def _weight_grad(x, width: int, dtype, g: np.ndarray, keep=None, scale: float = 1.0) -> np.ndarray:
@@ -109,26 +119,51 @@ def _weight_grad(x, width: int, dtype, g: np.ndarray, keep=None, scale: float = 
     return dw
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b with gradients dL/da = g bT, dL/db = aT g.
+def matmul(x: Tensor, w: Tensor, p: float = 0.0, rng=None, training: bool = False, rescale: bool = True) -> Tensor:
+    """The product x @ w; in training with p > 0, of x under inverted
+    dropout (each entry zeroed with probability p, the rest scaled by
+    1/(1-p)), and otherwise the plain product, which draws nothing.
 
-    Each side is formed, and its operand kept, only when that input needs
-    a gradient; dL/db is formed by `_weight_grad`.
+    The dropped rows are formed `_FORWARD_ROWS` at a time, multiplied by w
+    and freed, so no dropped copy of the whole x is formed: a row block of
+    the product has the whole product's bits, but for a one-row block,
+    which `spans` never cuts.  Without `rescale` a kept entry keeps its
+    value (a scale of 1, exact), as feature masking needs.  The tape keeps
+    the boolean mask, x (its rebuild, when it has one) when w needs a
+    gradient, and w when x needs one.  The backward forms dL/dw with
+    `_weight_grad`, then dL/dx = g w^T, times the mask and the scale.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, _parents=(a, b))
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {x.data.shape} @ {w.data.shape}")
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
+    keep, scale = None, 1.0
+    if training and p > 0.0:
+        from ..graphdata import keep_mask, spans  # graphdata builds on diffcore
+
+        keep = keep_mask(rng, x.data.shape, p)
+        scale = 1.0 / (1.0 - p) if rescale else 1.0
+        product = np.empty((x.data.shape[0], w.data.shape[1]), np.result_type(x.data, w.data))
+        for r0, r1 in spans(len(product), _FORWARD_ROWS):
+            np.matmul(_dropped(x.data[r0:r1], keep[r0:r1], scale), w.data, out=product[r0:r1])
+    else:
+        product = x.data @ w.data
+    out = Tensor(product, _parents=(x, w))
     check_finite("matmul", out.data)
-    a_kept = _operand(a) if b.needs_grad else None  # dL/db reads a
-    b_data = b.data if a.needs_grad else None  # dL/da reads b
-    width, dtype = a.data.shape[1], a.data.dtype
+    x_kept = _operand(x) if w.needs_grad else None  # dL/dw reads x
+    w_data = w.data if x.needs_grad else None  # dL/dx reads w
+    width, dtype = x.data.shape[1], x.data.dtype
 
     def _bw(g):
-        return (
-            None if b_data is None else g @ b_data.T,
-            None if a_kept is None else _weight_grad(a_kept, width, dtype, g),
-        )
+        dw = None if x_kept is None else _weight_grad(x_kept, width, dtype, g, keep, scale)
+        if w_data is None:
+            return None, dw
+        dx = g @ w_data.T
+        if keep is not None:
+            dx *= keep
+            dx *= scale
+        return dx, dw
 
     return record_backward(out, _bw)
 
@@ -169,82 +204,26 @@ def logistic(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 # neural-network layers
 
 
-def _dropped(data: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.ndarray:
-    kept = np.multiply(data, keep, out=out)
-    if scale != 1.0:
-        kept *= scale
-    return kept
-
-
-def dropout_matmul(x: Tensor, w: Tensor, p: float, rng, training: bool, rescale: bool = True) -> Tensor:
-    """Inverted dropout of x (each entry zeroed with probability p, the
-    rest scaled by 1/(1-p)), then the product with w.
-
-    Inference, and p == 0 in training, is the plain matmul and draws
-    nothing.  The dropped rows are formed `_FORWARD_ROWS` at a time,
-    multiplied by w and freed, so no dropped copy of the whole x is formed:
-    a row block of the product has the whole product's bits, but for a
-    one-row block, which `spans` never cuts.  The tape keeps the boolean
-    mask and x (x's rebuild, for a `layer_norm` output), and the backward
-    forms the dropped x again one column block at a time for dL/dw
-    (`_weight_grad`).  Without `rescale` a kept entry keeps its value (a
-    scale of 1, exact), as feature masking needs.
-    """
-    x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {x.data.shape} @ {w.data.shape}")
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return matmul(x, w)
-    from ..graphdata import keep_mask, spans  # graphdata builds on diffcore
-
-    keep = keep_mask(rng, x.data.shape, p)
-    scale = 1.0 / (1.0 - p) if rescale else 1.0
-    product = np.empty((x.data.shape[0], w.data.shape[1]), np.result_type(x.data, w.data))
-    for r0, r1 in spans(len(product), _FORWARD_ROWS):
-        np.matmul(_dropped(x.data[r0:r1], keep[r0:r1], scale), w.data, out=product[r0:r1])
-    out = Tensor(product, _parents=(x, w))
-    check_finite("matmul", out.data)
-    x_kept, w_data = _operand(x), w.data if x.needs_grad else None  # dL/dx reads w
-    width, dtype = x.data.shape[1], x.data.dtype
-
-    def _bw(g):
-        dw = _weight_grad(x_kept, width, dtype, g, keep, scale)
-        if w_data is None:
-            return None, dw
-        dx = g @ w_data.T
-        dx *= keep
-        dx *= scale
-        return dx, dw
-
-    return record_backward(out, _bw)
-
-
-ACTIVATIONS = ("relu", "elu", "prelu", "leaky_relu")
+ACTIVATIONS = ("relu", "elu", "prelu")
 
 
 def _slope_of(kind: str, slope) -> float | None:
-    """The activation's slope as a float (leaky_relu, prelu), else None.
+    """The prelu's slope as a float, else None.
 
-    Rejects an unknown kind and a slope of the wrong sort: `prelu` takes a
-    one-element Tensor, `leaky_relu` a float.
+    Rejects an unknown kind, and a prelu slope that is not a one-element
+    Tensor: a Parameter, or a constant for a fixed slope.
     """
-    if kind == "leaky_relu":
-        if slope is None:
-            raise ConfigError("leaky_relu requires a float slope")
-        return float(slope)
-    if kind == "prelu":
-        if not isinstance(slope, Tensor):
-            raise ConfigError("prelu requires a slope Tensor")
-        return float(slope.data.reshape(-1)[0])
     if kind not in ACTIVATIONS:
         raise ConfigError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
-    return None
+    if kind != "prelu":
+        return None
+    if not isinstance(slope, Tensor):
+        raise ConfigError("prelu requires a slope Tensor")
+    return float(slope.data.reshape(-1)[0])
 
 
 def _leaky_factor(pos: np.ndarray, s: float, dtype, out=None) -> np.ndarray:
-    """d out / d in of a leaky relu with slope s, 1 where `pos` (d > 0) and
+    """d out / d in of a prelu with slope s, 1 where `pos` (d > 0) and
     s elsewhere, in the input's dtype (a float factor would make an f32
     gradient f64), written into `out` (a new array when None).
 
@@ -288,24 +267,25 @@ def _activate(kind: str, d: np.ndarray, s: float | None, pos: np.ndarray | None,
         a -= 1.0  # +0 where d > 0: exp(0) - 1
         _or_where(a, d, pos)
         return a
-    # leaky_relu, prelu: d * 1 is d, and d * s is s * d
+    # prelu: d * 1 is d, and d * s is s * d
     factor = _leaky_factor(pos, s, d.dtype, out)
     return np.multiply(d, factor, out=factor)
 
 
-def _activation_grad(kind: str, g, s, pos, d=None, a=None, out=None, spare=None):
-    """(dL/d input, dL/d slope) of the activation for the upstream g; the
-    slope's is None but for prelu, an array of shape (1,).
+def _activation_grad(kind: str, g, s, pos, d=None, a=None, out=None, spare=None, slope_shape=None) -> tuple:
+    """The activation's gradients for the upstream g: (dL/d input,), and
+    for prelu (dL/d input, dL/d slope), the slope's None unless
+    `slope_shape` is given (a slope that needs a gradient).
 
     dL/d input is written into `out` (a new array when None), never into
-    g.  relu, leaky_relu and prelu read `pos`, the input's d > 0 mask.
-    prelu's slope gradient also reads the input d; it forms g * d * (d <= 0)
-    in `spare` (a new array when None, or g itself when the caller owns it:
-    dL/d input has read g by then) and turns pos into d <= 0.  The elu reads
-    its output `a`, or rebuilds it from d and pos into `out`.
+    g.  relu and prelu read `pos`, the input's d > 0 mask.  The slope
+    gradient also reads the input d; it forms g * d * (d <= 0) in `spare`
+    (a new array when None, or g itself when the caller owns it: dL/d input
+    has read g by then) and turns pos into d <= 0.  The elu reads its
+    output `a`, or rebuilds it from d and pos into `out`.
     """
     if kind == "relu":
-        return np.multiply(g, pos, out=out), None
+        return (np.multiply(g, pos, out=out),)
     if kind == "elu":
         # d out / d in is out + 1 below zero, (exp(d) - 1) + 1, which can
         # differ from exp(d) in the last bit; above zero out + 1 >= 1
@@ -313,41 +293,48 @@ def _activation_grad(kind: str, g, s, pos, d=None, a=None, out=None, spare=None)
             a = _activate(kind, d, s, pos, out=out)
         factor = np.add(a, 1.0, out=out)
         np.minimum(factor, 1.0, out=factor)
-        return np.multiply(g, factor, out=factor), None
+        return (np.multiply(g, factor, out=factor),)
     factor = _leaky_factor(pos, s, g.dtype, out)
     gd = np.multiply(g, factor, out=factor)
-    if kind == "leaky_relu":
+    if slope_shape is None:
         return gd, None
     prod = np.multiply(g, d, out=spare)
     prod *= np.logical_not(pos, out=pos)
-    return gd, np.array([np.sum(prod)], dtype=prod.dtype)
+    return gd, np.array([np.sum(prod)], dtype=prod.dtype).reshape(slope_shape)
 
 
 def activation(x: Tensor, kind: str, slope=None) -> Tensor:
-    """Elementwise nonlinearity.
+    """Elementwise nonlinearity: relu, the ELU, or prelu, whose slope is a
+    one-element Tensor.  A Parameter slope receives a gradient; a constant
+    one (a frozen encoder's, or a fixed leaky slope) gets none, and none is
+    formed.
 
-    `prelu` takes its slope as a one-element Tensor: a Parameter receives
-    a gradient, a constant (a frozen encoder's) does not; `leaky_relu` takes
-    a fixed float slope.  The tape keeps a boolean mask (relu, leaky_relu),
-    the output (elu), which the next op may hold anyway, or the input
-    (prelu, whose slope gradient reads it).  An activation that LayerNorm
-    follows runs inside `layer_norm`, which keeps less.
+    The tape keeps the input, as `layer_norm` does, and the output carries
+    a `rebuild` of any column block from it, so an op that reads the output
+    in its backward keeps that instead of the output array.  The ELU keeps
+    its output, which its derivative reads, and carries no rebuild.  An
+    activation that LayerNorm follows runs inside `layer_norm`.
     """
     s = _slope_of(kind, slope)
-    d = x.data
-    pos = None if kind == "relu" else d > 0
-    prelu = kind == "prelu"
-    out = Tensor(_activate(kind, d, s, pos), _parents=(x, slope) if prelu else (x,))
-    if not out.needs_grad:  # a frozen relu forms no mask
+    prelu, elu = kind == "prelu", kind == "elu"
+    value = _activate(kind, x.data, s, None if kind == "relu" else x.data > 0)
+    out = Tensor(value, _parents=(x, slope) if prelu else (x,))
+    if not out.needs_grad:  # a frozen forward keeps nothing alive through its output
         return out
-    mask = d > 0 if kind == "relu" else pos if kind == "leaky_relu" else None
-    a = out.data if kind == "elu" else None
-    kept = d if prelu else None
-    slope_shape = slope.data.shape if prelu else None
+    d = None if elu else x.data
+    a = out.data if elu else None
+    slope_shape = slope.data.shape if prelu and slope.needs_grad else None
+
+    def rebuild(c0: int, c1: int) -> np.ndarray:
+        """Columns c0:c1 of the output, a new array with the forward's bits."""
+        db = d[:, c0:c1]
+        return _activate(kind, db, s, None if kind == "relu" else db > 0)
+
+    if not elu:
+        out.rebuild = rebuild
 
     def _bw(g):
-        gd, ds = _activation_grad(kind, g, s, mask if kept is None else kept > 0, d=kept, a=a)
-        return (gd,) if ds is None else (gd, ds.reshape(slope_shape))
+        return _activation_grad(kind, g, s, None if elu else d > 0, d=d, a=a, slope_shape=slope_shape)
 
     return record_backward(out, _bw)
 
@@ -376,9 +363,9 @@ def layer_norm(
 
     The output carries a `rebuild` of any column block from the same
     arrays, in the same operations, so an op that reads the output in its
-    backward (`matmul`, `dropout_matmul`) keeps that instead of the output
-    array.  Both read gain, bias and the slope as they are in the backward:
-    a parameter must not change between the forward and the backward.
+    backward (`matmul`) keeps that instead of the output array.  Both read
+    gain, bias and the slope as they are in the backward: a parameter must
+    not change between the forward and the backward.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm expects a matrix, got shape {x.data.shape}")
@@ -399,7 +386,7 @@ def layer_norm(
     out = Tensor(normed, _parents=(x, gain, bias, slope) if prelu else (x, gain, bias))
     check_finite("layer_norm", out.data)
     gain_data, bias_data = gain.data, bias.data
-    slope_shape = slope.data.shape if prelu else None
+    slope_shape = slope.data.shape if prelu and slope.needs_grad else None
 
     def rebuild(c0: int, c1: int) -> np.ndarray:
         """Columns c0:c1 of the output, a new array with the forward's bits:
@@ -445,8 +432,8 @@ def layer_norm(
             return (gx,) + grads
         # xhat's array is free: dL/dd goes there, and prelu's slope product
         # into gx once dL/dd has read it
-        gd, ds = _activation_grad(kind, gx, s, pos, d=d, out=xhat, spare=gx)
-        return (gd,) + grads + (() if ds is None else (ds.reshape(slope_shape),))
+        gd, *ds = _activation_grad(kind, gx, s, pos, d=d, out=xhat, spare=gx, slope_shape=slope_shape)
+        return (gd,) + grads + tuple(ds)
 
     return record_backward(out, _bw)
 

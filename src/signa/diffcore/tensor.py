@@ -72,10 +72,10 @@ class Tensor:
     `_node` is filled in here and by `ops.record_backward`; user code never
     touches it directly.  `grad` is dLoss/dself while `ops.backward` runs
     (a Parameter's persists); it is None on a tensor that does not
-    `needs_grad`.  `rebuild`, when an op sets it (`layer_norm`), maps
-    (c0, c1) to a new array equal bit for bit to `data[:, c0:c1]`, formed
-    from what the op's own tape node keeps; an op that reads this tensor in
-    its backward keeps it instead of `data`.
+    `needs_grad`.  `rebuild`, when an op sets it (`activation`,
+    `layer_norm`), maps (c0, c1) to a new array equal bit for bit to
+    `data[:, c0:c1]`, formed from what the op's own tape node keeps; an op
+    that reads this tensor in its backward keeps it instead of `data`.
     """
 
     def __init__(self, data, _parents: tuple = ()):

@@ -1,12 +1,12 @@
 """Dropout-noised encoder (Linear or GConv base) and the MLP projector.
 
 Each of the L layers applies dropout and the layer's weights as one
-`dropout_matmul` op, which keeps the mask and the layer's input (after
-layer 0 with LayerNorm, a rebuild of it), then gconv's propagation (gconv
-only), then the activation, then LayerNorm (optional; with it, the
-activation and LayerNorm run as one `layer_norm` op).  The output of the last layer is the
-representation consumed downstream; the projector exists only for the
-contrastive loss.
+`matmul` op, which keeps the mask and the layer's input (after layer 0, a
+rebuild of it), then gconv's propagation (gconv only), then the activation
+(leaky relu and rrelu as prelu with a constant slope), then LayerNorm
+(optional; with it, the activation and LayerNorm run as one `layer_norm`
+op).  The output of the last layer is the representation consumed
+downstream; the projector exists only for the contrastive loss.
 """
 
 from __future__ import annotations
@@ -59,12 +59,10 @@ class ModelSpec:
                 raise ConfigError(f"{field} must be one of {ACTIVATION_KINDS}, got {kind!r}")
 
 
-def _resolve_activation(kind: str) -> tuple[str, float | None]:
-    if kind == "rrelu":
-        return "leaky_relu", RRELU_SLOPE
-    if kind == "leaky_relu":
-        return "leaky_relu", 0.01
-    return kind, None
+def _resolve_activation(kind: str) -> tuple[str, dc.Tensor | None]:
+    # a leaky relu is a prelu whose slope is a constant, in the active dtype
+    slope = {"leaky_relu": 0.01, "rrelu": RRELU_SLOPE}.get(kind)
+    return (kind, None) if slope is None else ("prelu", dc.Tensor(np.full(1, slope)))
 
 
 class EncoderState:
@@ -174,7 +172,7 @@ def encode_rows(
     for l in range(spec.num_layers):
         masked = l == 0 and feature_mask_p > 0.0
         p = feature_mask_p if masked else spec.dropout_p
-        h = dc.dropout_matmul(h, params[f"layers.{l}.weight"], p, rng, training, rescale=not masked)
+        h = dc.matmul(h, params[f"layers.{l}.weight"], p, rng, training, rescale=not masked)
         if spec.base_encoder == "gconv":
             h = spmm(adj, h)
         slope = params.get(f"layers.{l}.prelu_slope", act_slope)

@@ -31,11 +31,12 @@ it (layer_norm's reads xhat, and forms each term of dL/dx in a fresh
 array; the leaky activations select with np.where).  The lean ops must give
 the same output and gradients bit for bit.  `dropout_oracle` followed by
 `matmul` (`dropout_matmul_oracle` runs the two as one tape node) is the
-reference for `dropout_matmul`, which replaced dropout as an op of its own
-in every layer, and `activated_layer_norm_oracle`, `activation_oracle` followed by
+reference for `matmul` with dropout, which replaced dropout as an op of its
+own in every layer, and `activated_layer_norm_oracle`, `activation_oracle` followed by
 `layer_norm_oracle` as two tape nodes, the reference for `layer_norm` with
 the activation before it, which keeps neither the activation's output nor
-xhat.
+xhat.  `activation_oracle`'s leaky_relu, whose slope is a float, is the
+reference for a prelu with a constant slope Tensor, which replaced it.
 
 `similarity_histograms_oracle` is the library's earlier histogram routine,
 which indexes the full n x n Gram matrix with all n(n-1)/2 pairs and looks

@@ -138,13 +138,15 @@ def _op_cases():
     lx, lg, lb = param((3, 5)), param((5,), offset=1.0), param((5,))
     cases.append(("layer_norm", lambda: _h12(dc.layer_norm(lx, lg, lb)), [lx, lg, lb]))
 
-    for kind in ("relu", "elu", "leaky_relu"):
+    # a leaky relu is a prelu with a constant slope, as the encoder runs it
+    for name, kind, slope in (("relu", "relu", None), ("elu", "elu", None), ("prelu+constant_slope", "prelu", 0.1)):
         avals = rng.normal(size=(3, 4))
         while np.any(np.abs(avals) < 0.05):  # keep clear of the origin kink
             avals = rng.normal(size=(3, 4))
         ap = dc.Parameter(avals, name=f"pa_{kind}")
+        aslope = None if slope is None else dc.Tensor([slope])
         cases.append(
-            (kind, (lambda ap=ap, kind=kind: _h13(dc.activation(ap, kind, slope=0.1))), [ap])
+            (name, (lambda ap=ap, kind=kind, aslope=aslope: _h13(dc.activation(ap, kind, slope=aslope))), [ap])
         )
     pvals = rng.normal(size=(3, 4))
     while np.any(np.abs(pvals) < 0.05):
@@ -166,24 +168,27 @@ def _op_cases():
     fused_seed = int(rng.integers(1 << 30))
     cases.append(
         (
-            "dropout_matmul",
-            lambda: _h17(dc.dropout_matmul(fx, fw, 0.4, dc.RngStream(fused_seed, "dropout"), True)),
+            "matmul+dropout",
+            lambda: _h17(dc.matmul(fx, fw, p=0.4, rng=dc.RngStream(fused_seed, "dropout"), training=True)),
             [fx, fw],
         )
     )
 
-    # layer_norm with the activation before it, one op: each kind
-    for kind in dc.ACTIVATIONS:
+    # layer_norm with the activation before it, one op: each kind, and prelu
+    # with a constant slope
+    for name in dc.ACTIVATIONS + ("prelu+constant_slope",):
+        kind = name.split("+")[0]
         nvals = rng.normal(size=(3, 5))
         while np.any(np.abs(nvals) < 0.05):  # keep clear of the origin kink
             nvals = rng.normal(size=(3, 5))
-        nx, ng, nb = dc.Parameter(nvals, name=f"pn_{kind}"), param((5,), offset=1.0), param((5,))
-        nslope = dc.Parameter(np.array([0.3]), name=f"pn_slope_{kind}") if kind == "prelu" else 0.1
+        nx, ng, nb = dc.Parameter(nvals, name=f"pn_{name}"), param((5,), offset=1.0), param((5,))
+        learned = name == "prelu"
+        nslope = dc.Parameter(np.array([0.3]), name=f"pn_slope_{name}") if learned else dc.Tensor([0.1])
 
         def normed(nx=nx, ng=ng, nb=nb, kind=kind, nslope=nslope, h=head((3, 5))):
             return h(dc.layer_norm(nx, ng, nb, kind, nslope))
 
-        cases.append((f"layer_norm+{kind}", normed, [nx, ng, nb] + ([nslope] if kind == "prelu" else [])))
+        cases.append((f"layer_norm+{name}", normed, [nx, ng, nb] + ([nslope] if learned else [])))
 
     return cases
 
@@ -204,7 +209,8 @@ def test_op_cases_cover_every_differentiable_op():
     # an op added to the library or the kit without a gradcheck case fails here
     modules = [kit] + [importlib.import_module(m.name) for m in pkgutil.walk_packages(signa.__path__, "signa.")]
     ops = set().union(*map(_differentiable_ops, modules))
-    covered = {"activation" if name in dc.ACTIVATIONS else name.split("+")[0] for name, _, _ in _op_cases()}
+    heads = {name.split("+")[0] for name, _, _ in _op_cases()}
+    covered = {"activation" if head in dc.ACTIVATIONS else head for head in heads}
     covered.add("estimator_loss")  # the composed cases: every kind, both encoders
     assert covered == ops
 

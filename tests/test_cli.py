@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import inference_embeddings_oracle, similarity_histograms_oracle
+import rss_spread
 
 import signa
 import signa.encoder as encoder
@@ -1029,3 +1030,24 @@ def test_a_report_written_to_a_fifo_gets_no_manifest(tmp_path):
         ["config.json", "edges.txt", "features.csv", "labels.txt", "model.ckpt",
          "model.ckpt.manifest.json", "report.fifo"]
     )
+
+
+def test_rss_spread_reads_each_padded_run(tmp_path, capsys):
+    # one fresh child per padding: a line with its peak RSS each, then the
+    # range; a child that fails makes the tool exit 1
+    edges, feats, labels = _write_dataset(tmp_path)
+    config = _write_config(tmp_path)
+    ckpt = str(tmp_path / "model.ckpt")
+    argv = ["train", "--config", config, "--edges", edges, "--features", feats, "--out-checkpoint", ckpt, "--quiet"]
+    assert rss_spread.main(["--paddings", "2", "--", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines[:2]] == [["padding", "0", "peak"], ["padding", "1000", "peak"]]
+    peaks = [float(line.split()[3]) for line in lines[:2]]
+    assert all(10.0 < mb < 1000.0 for mb in peaks)
+    assert lines[2:] == [f"range {min(peaks):.1f}-{max(peaks):.1f} MB"]
+    assert os.path.exists(ckpt)
+    assert len(rss_spread.padded_env(1000)[rss_spread.PAD_VAR]) == 1000
+    assert rss_spread.PAD_VAR not in rss_spread.padded_env(0)
+    missing = ["train", "--config", str(tmp_path / "missing.json"), "--edges", edges, "--features", feats,
+               "--out-checkpoint", ckpt, "--quiet"]
+    assert rss_spread.main(["--paddings", "1", "--", *missing]) == 1

@@ -55,6 +55,13 @@ def _weights(rng, shape) -> np.ndarray:
     return rng.uniform(0.5, 1.5, size=shape)
 
 
+def _as_prelu(kind, slope):
+    """The library's (kind, slope) for a test's: a leaky relu with a float
+    slope runs as a prelu with that slope as a constant Tensor, as the
+    encoder runs it."""
+    return ("prelu", Tensor([slope])) if kind == "leaky_relu" else (kind, slope)
+
+
 def _run_gradchecks(make_fn_and_params, n=N_INSTANCES):
     for i in range(n):
         rng = np.random.default_rng(1000 + i)
@@ -146,7 +153,7 @@ def test_sum_mean_values():
 def test_dropout_matmul_keep_rate_and_scale():
     p = 0.4
     x, eye = Tensor(np.ones((300, 300))), Tensor(np.eye(300))
-    out = dc.dropout_matmul(x, eye, p, RngStream(1, "dropout"), training=True)
+    out = dc.matmul(x, eye, p=p, rng=RngStream(1, "dropout"), training=True)
     vals = out.data.ravel()
     kept = vals != 0.0
     assert abs(kept.mean() - (1 - p)) < 0.01
@@ -154,7 +161,7 @@ def test_dropout_matmul_keep_rate_and_scale():
     # inverted scaling keeps the expected activation unchanged
     assert abs(out.data.mean() - 1.0) < 0.01
     # without the rescale (feature masking) a kept entry keeps its value
-    out = dc.dropout_matmul(x, eye, p, RngStream(1, "dropout"), training=True, rescale=False)
+    out = dc.matmul(x, eye, p=p, rng=RngStream(1, "dropout"), training=True, rescale=False)
     assert set(np.unique(out.data)) == {0.0, 1.0}
 
 
@@ -162,7 +169,7 @@ def test_dropout_matmul_rejects_bad_rate():
     x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))
     for p, training in ((1.0, True), (-0.1, True), (1.0, False)):
         with pytest.raises(ConfigError, match="dropout rate"):
-            dc.dropout_matmul(x, w, p, RngStream(0, "dropout"), training)
+            dc.matmul(x, w, p=p, rng=RngStream(0, "dropout"), training=training)
 
 
 @pytest.mark.parametrize("input_needs_grad", [True, False])
@@ -174,7 +181,7 @@ def test_dropout_matmul_equals_matmul_of_dropout_bitwise(precision, input_needs_
     rng = np.random.default_rng(21)
     x, w, upstream = rng.normal(size=(37, 11)), rng.normal(size=(11, 5)), rng.normal(size=(37, 5))
     results = []
-    for op in (dc.dropout_matmul, oracles.dropout_matmul_oracle):
+    for op in (dc.matmul, oracles.dropout_matmul_oracle):
         stream, weight = RngStream(3, "dropout"), Parameter(w, name="w")
         features = Parameter(x, name="x") if input_needs_grad else Tensor(x)
         out = op(features, weight, 0.4, stream, training=True)
@@ -197,7 +204,7 @@ def test_dropout_matmul_without_dropout_is_matmul_and_draws_nothing():
     for x in (Tensor(np.arange(6.0).reshape(2, 3)), Parameter(np.arange(6.0).reshape(2, 3), name="x")):
         for p, training in ((0.4, False), (0.0, True)):
             rng = RngStream(0, "dropout")
-            out = dc.dropout_matmul(x, w, p, rng, training)
+            out = dc.matmul(x, w, p=p, rng=rng, training=training)
             assert _same_bits(out.data, x.data @ w.data)
             dx, dw = out._node.backward(upstream)
             assert _same_bits(dw, x.data.T @ upstream)
@@ -208,11 +215,11 @@ def test_dropout_matmul_without_dropout_is_matmul_and_draws_nothing():
 def test_dropout_matmul_checks_its_input():
     rng = RngStream(0, "dropout")
     with pytest.raises(ShapeError, match="matmul shape mismatch"):
-        dc.dropout_matmul(Tensor(np.ones((4, 3))), Parameter(np.ones((2, 5)), name="w"), 0.5, rng, True)
+        dc.matmul(Tensor(np.ones((4, 3))), Parameter(np.ones((2, 5)), name="w"), p=0.5, rng=rng, training=True)
     assert_drew(rng)
     # an input that needs a gradient gets one: the tape reaches it and W
     x, w = Parameter(np.ones((4, 2)), name="x"), Parameter(np.ones((2, 5)), name="w")
-    out = dc.dropout_matmul(x, w, 0.5, rng, True)
+    out = dc.matmul(x, w, p=0.5, rng=rng, training=True)
     assert out._node.parents == (x._node, w._node)
     backward(kit.tsum(out))
     assert x.grad is not None and x.grad.shape == (4, 2)
@@ -228,7 +235,7 @@ def test_dropout_matmul_keeps_the_mask_and_no_dropped_rows():
     w = Parameter(np.ones((1100, 8)), name="w")
     tracemalloc.start()
     try:
-        out = dc.dropout_matmul(x, w, 0.5, RngStream(0, "dropout"), training=True)
+        out = dc.matmul(x, w, p=0.5, rng=RngStream(0, "dropout"), training=True)
         upstream = np.ones_like(out.data)
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
@@ -265,7 +272,7 @@ _PRODUCT_SHAPES = [
 
 @pytest.mark.parametrize("shape, precision", _PRODUCT_SHAPES, ids=["x".join(map(str, s)) + f"-{p}" for s, p in _PRODUCT_SHAPES])
 def test_blocked_products_equal_the_whole_products(shape, precision):
-    # dropout_matmul's forward in row blocks and every dL/dW in column
+    # matmul's dropped forward in row blocks and every dL/dW in column
     # blocks of X, from the held array, through a rebuild, dropped or not,
     # have the bytes of the whole products.  That is a property of the BLAS
     # build, so it is checked here for each shape class the encoder uses.
@@ -282,7 +289,7 @@ def test_blocked_products_equal_the_whole_products(shape, precision):
     rebuilt = Tensor(x)
     rebuilt.rebuild = lambda c0, c1: x[:, c0:c1].copy()
     for source in (Tensor(x), rebuilt):
-        out = dc.dropout_matmul(source, Parameter(w, name="w"), 0.4, RngStream(3, "dropout"), True)
+        out = dc.matmul(source, Parameter(w, name="w"), p=0.4, rng=RngStream(3, "dropout"), training=True)
         assert _same_bits(out.data, dropped @ w)
         assert _same_bits(out._node.backward(g)[1], dropped.T @ g)
         plain = dc.matmul(source, Parameter(w, name="w"))
@@ -336,10 +343,38 @@ def test_layer_norm_with_an_activation_keeps_its_input_and_two_columns(kind):
     # served LayerNorm's, so the backward still forms two, the mask d > 0
     # and a row block's scratch
     slope = {"prelu": Parameter(np.array([0.25]), name="s"), "leaky_relu": 0.23}.get(kind)
-    held, backward_peak, x, grads = _layer_norm_traced(kind, slope)
+    held, backward_peak, x, grads = _layer_norm_traced(*_as_prelu(kind, slope))
     assert held <= _COLUMNS + _SLACK
     assert backward_peak <= 2 * x.data.nbytes + x.data.size + _BLOCK + _SLACK
-    assert len(grads) == (4 if kind == "prelu" else 3)
+    assert len(grads) == (4 if kind in ("prelu", "leaky_relu") else 3)
+    assert (kind == "leaky_relu") == (grads[-1] is None)  # a constant slope gets no gradient
+
+
+@pytest.mark.parametrize("kind", ["relu", "elu", "leaky_relu", "prelu"])
+def test_taped_activation_holds_its_input_or_the_elus_output(kind):
+    # once the caller has let go of the input and the output, the tape holds
+    # one array of their size: the input, from which the backward forms
+    # d > 0 and a product rebuilds the output's columns, or the ELU's
+    # output, which its derivative reads.  Before, relu and leaky relu kept
+    # a bool mask and prelu its input, and the next product kept the output
+    # beside either.
+    slope = {"prelu": Parameter(np.array([0.25]), name="s"), "leaky_relu": 0.23}.get(kind)
+    tracemalloc.start()
+    try:
+        x = Parameter(np.random.default_rng(23).normal(size=(2000, 256)), name="x")
+        out = dc.activation(x, *_as_prelu(kind, slope))
+        refs = weakref.ref(x.data), weakref.ref(out.data)
+        loss = kit.tsum(out)
+        del x, out
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [ref() is not None for ref in refs] == ([False, True] if kind == "elu" else [True, False])
+    array = 2000 * 256 * 8
+    assert array <= held < array + _SLACK
+    backward(loss)
+    if kind == "prelu":
+        assert slope.grad is not None
 
 
 def test_layer_norm_constant_row_maps_to_bias():
@@ -366,7 +401,7 @@ def test_activation_values():
         dc.activation(x, "elu").data, [np.exp(-1.0) - 1.0, 0.0, 2.0], atol=1e-15
     )
     np.testing.assert_allclose(
-        dc.activation(x, "leaky_relu", slope=0.1).data, [-0.1, 0.0, 2.0], atol=1e-15
+        dc.activation(x, "prelu", slope=Tensor([0.1])).data, [-0.1, 0.0, 2.0], atol=1e-15
     )
     slope = Parameter(np.array([0.25]), name="s")
     np.testing.assert_allclose(
@@ -541,7 +576,7 @@ def test_backward_of_a_constant_loss_is_a_noop():
 def test_dropout_matmul_on_constants_records_no_backward():
     x = Tensor(np.ones((4, 5)))
     rng = RngStream(0, "dropout")
-    out = dc.dropout_matmul(x, Tensor(np.ones((5, 2))), 0.5, rng, training=True)
+    out = dc.matmul(x, Tensor(np.ones((5, 2))), p=0.5, rng=rng, training=True)
     assert_drew(rng, lambda r: r.uniform(size=(4, 5)))
     assert not out.needs_grad and out._node is None
 
@@ -562,7 +597,7 @@ _OP_CASES = {
     "layer_norm_relu": lambda a, b, s: dc.layer_norm(a, s, s, "relu"),
     "relu": lambda a, b, s: dc.activation(a, "relu"),
     "elu": lambda a, b, s: dc.activation(a, "elu"),
-    "leaky_relu": lambda a, b, s: dc.activation(a, "leaky_relu", 0.1),
+    "leaky_relu": lambda a, b, s: dc.activation(a, "prelu", Tensor([0.1])),
     "prelu": lambda a, b, s: dc.activation(a, "prelu", s),
     "rows_l2_normalize": lambda a, b, s: kit.rows_l2_normalize(b),
 }
@@ -598,8 +633,13 @@ def test_prelu_takes_a_constant_slope():
 
 
 def test_leaky_relu_takes_its_slope_explicitly():
-    with pytest.raises(ConfigError, match="leaky_relu requires a float slope"):
-        dc.activation(Tensor([-1.0, 2.0]), "leaky_relu")
+    # a leaky relu is a prelu with a constant slope Tensor: no kind of its
+    # own, and no default or float slope
+    for slope in (None, 0.01):
+        with pytest.raises(ConfigError, match="prelu requires a slope Tensor"):
+            dc.activation(Tensor([-1.0, 2.0]), "prelu", slope)
+    with pytest.raises(ConfigError, match="unknown activation kind"):
+        dc.activation(Tensor([-1.0, 2.0]), "leaky_relu", Tensor([0.01]))
 
 
 @pytest.mark.parametrize("kind", ["leaky_relu", "prelu", "elu", "relu"])
@@ -607,13 +647,13 @@ def test_activation_backward_keeps_f32(kind):
     set_precision("f32")
     x = Parameter(np.array([[-1.5, 0.5], [2.0, -0.25]]), name="x")
     slope = Parameter(np.array([0.25]), name="slope") if kind == "prelu" else 0.2
-    out = dc.activation(x, kind, slope)
+    out = dc.activation(x, *_as_prelu(kind, slope))
     pushed = []
     original = out._node.backward
 
     def spy(g):
         grads = original(g)
-        pushed.extend(np.asarray(dg).dtype for dg in grads)
+        pushed.extend(np.asarray(dg).dtype for dg in grads if dg is not None)  # a constant slope's is None
         return grads
 
     out._node.backward = spy
@@ -625,14 +665,14 @@ def test_activation_backward_keeps_f32(kind):
 # the lean training ops against the earlier ones
 
 
-# dropout_matmul's weight, 8 x 8: its output has the input's shape, which
+# the dropped product's weight, 8 x 8: its output has the input's shape, which
 # the upstream gradient takes
 _LEAN_WEIGHT = np.random.default_rng(12).normal(size=(8, 8))
 
 _LEAN_OPS = {
     "dropout_matmul": (
-        lambda x, gain, bias, slope: dc.dropout_matmul(
-            x, Parameter(_LEAN_WEIGHT, name="w"), 0.3, RngStream(7, "dropout"), training=True
+        lambda x, gain, bias, slope: dc.matmul(
+            x, Parameter(_LEAN_WEIGHT, name="w"), p=0.3, rng=RngStream(7, "dropout"), training=True
         ),
         lambda x, gain, bias, slope: oracles.dropout_matmul_oracle(
             x, Parameter(_LEAN_WEIGHT, name="w"), 0.3, RngStream(7, "dropout"), training=True
@@ -651,7 +691,7 @@ _LEAN_OPS = {
         lambda x, gain, bias, slope: oracles.activation_oracle(x, "elu"),
     ),
     "leaky_relu": (
-        lambda x, gain, bias, slope: dc.activation(x, "leaky_relu", 0.23),
+        lambda x, gain, bias, slope: dc.activation(x, "prelu", Tensor([0.23])),
         lambda x, gain, bias, slope: oracles.activation_oracle(x, "leaky_relu", 0.23),
     ),
     "prelu": (
@@ -683,7 +723,7 @@ def test_lean_ops_equal_the_earlier_ops_bitwise(op, precision):
         args = [Parameter(x, name="x"), Parameter(gain, name="g"), Parameter(bias, name="b"), Parameter([0.25], name="s")]
         out = make(*args)
         grads = out._node.backward(upstream.astype(out.data.dtype))
-        results.append((out.data, grads))
+        results.append((out.data, [g for g in grads if g is not None]))  # a constant slope's is None
     (new, new_grads), (old, old_grads) = results
     assert _same_bits(new, old)
     assert len(new_grads) == len(old_grads)
@@ -713,7 +753,7 @@ def test_layer_norm_with_its_activation_equals_the_earlier_pair_bitwise(shape, k
     for op in (dc.layer_norm, oracles.activated_layer_norm_oracle):
         params = [Parameter(x, name="x"), Parameter(gain, name="g"), Parameter(bias, name="b"), Parameter([0.25], name="s")]
         slope = {"prelu": params[3], "leaky_relu": 0.23}.get(kind)
-        out = op(*params[:3], kind, slope)
+        out = op(*params[:3], *(_as_prelu(kind, slope) if op is dc.layer_norm else (kind, slope)))
         backward(kit.tsum(kit.hadamard(out, Tensor(upstream))))
         results.append((out.data, [p.grad for p in params]))
     (new, new_grads), (old, old_grads) = results
@@ -724,13 +764,19 @@ def test_layer_norm_with_its_activation_equals_the_earlier_pair_bitwise(shape, k
         assert _same_bits(a, b)
 
 
+_REBUILT = [pytest.param("layer_norm", kind, id=str(kind)) for kind in (None, "relu", "elu", "leaky_relu", "prelu")]
+_REBUILT += [pytest.param("activation", kind, id=f"activation-{kind}") for kind in ("relu", "elu", "leaky_relu", "prelu")]
+
+
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("kind", [None, "relu", "elu", "leaky_relu", "prelu"])
-def test_layer_norm_rebuilds_each_column_block_of_its_output_bitwise(kind, precision):
+@pytest.mark.parametrize("op, kind", _REBUILT)
+def test_layer_norm_rebuilds_each_column_block_of_its_output_bitwise(op, kind, precision):
     # the rebuild runs the forward's own entrywise steps on a block of the
-    # kept input with the kept row mean and inverse deviation: any block,
-    # one column, the block widths dL/dW cuts and the whole, has the
-    # output's bytes, on the special values of the bitwise tests above
+    # kept input (for layer_norm with the kept row mean and inverse
+    # deviation): any block, one column, the block widths dL/dW cuts and
+    # the whole, has the output's bytes, on the special values of the
+    # bitwise tests above.  A standalone ELU keeps its output and carries
+    # no rebuild.
     set_precision(precision)
     rng = np.random.default_rng(29)
     x = rng.normal(size=(40, 1100))
@@ -740,15 +786,25 @@ def test_layer_norm_rebuilds_each_column_block_of_its_output_bitwise(kind, preci
     gain = Parameter(rng.uniform(0.5, 1.5, size=1100), name="g")
     bias = Parameter(rng.normal(size=1100), name="b")
     slope = {"prelu": Parameter([0.25], name="s"), "leaky_relu": 0.23}.get(kind)
-    out = dc.layer_norm(Parameter(x, name="x"), gain, bias, kind, slope)
+
+    def run(x, gain, bias, slope):
+        if op == "activation":
+            return dc.activation(x, *_as_prelu(kind, slope))
+        return dc.layer_norm(x, gain, bias, *_as_prelu(kind, slope))
+
+    out = run(Parameter(x, name="x"), gain, bias, slope)
+    assert out.needs_grad
     bounds = [(0, 1100), (0, 1), (1099, 1100), (7, 300), (0, 512), (512, 1024), (1024, 1100)]
-    for c0, c1 in bounds:
-        block = out.rebuild(c0, c1)
-        assert _same_bits(block, np.ascontiguousarray(out.data[:, c0:c1])), (c0, c1)
+    if op == "activation" and kind == "elu":
+        assert out.rebuild is None
+    else:
+        for c0, c1 in bounds:
+            block = out.rebuild(c0, c1)
+            assert _same_bits(block, np.ascontiguousarray(out.data[:, c0:c1])), (c0, c1)
     # a frozen forward carries no rebuild, which would keep its input alive
     frozen_slope = Tensor([0.25]) if kind == "prelu" else slope
-    frozen = dc.layer_norm(Tensor(x), Tensor(gain.data), Tensor(bias.data), kind, frozen_slope)
-    assert frozen.rebuild is None
+    frozen = run(Tensor(x), Tensor(gain.data), Tensor(bias.data), frozen_slope)
+    assert not frozen.needs_grad and frozen.rebuild is None
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -765,12 +821,16 @@ def test_leaky_slopes_equal_the_earlier_ops_bitwise(s, precision):
     results = []
     for op in (dc.activation, oracles.activation_oracle):
         slope = Parameter(np.array([s]), name="s")
+        # the earlier leaky relu took a float slope; the library's is a
+        # prelu with a constant slope, whose gradient entry is None
+        leaky_kind = ("leaky_relu", float(slope.data[0]))
         with np.errstate(all="ignore"):  # inf * 0 and the like, in both ops
             out = op(Parameter(x, name="x"), "prelu", slope)
             grads = out._node.backward(upstream)
-            leaky = op(Parameter(x, name="x"), "leaky_relu", float(slope.data[0]))
-            results.append((out.data, leaky.data, *grads, *leaky._node.backward(upstream)))
-    for new, old in zip(*results):
+            leaky = op(Parameter(x, name="x"), *(_as_prelu(*leaky_kind) if op is dc.activation else leaky_kind))
+            leaky_grads = [g for g in leaky._node.backward(upstream) if g is not None]
+            results.append((out.data, leaky.data, *grads, *leaky_grads))
+    for new, old in zip(*results, strict=True):
         assert _same_bits(np.asarray(new), np.asarray(old))
 
 
@@ -1062,7 +1122,7 @@ def test_grad_dropout_fixed_mask():
         w = _weights(rng, (4, 3))
 
         def fn():
-            out = dc.dropout_matmul(a, b, 0.4, RngStream(seed, "dropout"), training=True)
+            out = dc.matmul(a, b, p=0.4, rng=RngStream(seed, "dropout"), training=True)
             return _weighted_sum(out, w)
 
         return fn, [a, b]
@@ -1078,7 +1138,7 @@ def test_grad_dropout_matmul_fixed_mask():
         w = _weights(rng, (4, 3))
 
         def fn():
-            out = dc.dropout_matmul(Tensor(x), b, 0.4, RngStream(seed, "dropout"), training=True)
+            out = dc.matmul(Tensor(x), b, p=0.4, rng=RngStream(seed, "dropout"), training=True)
             return _weighted_sum(out, w)
 
         return fn, [b]
@@ -1114,7 +1174,7 @@ def test_grad_of_a_product_that_reads_a_layer_norm_output(dropout, kind):
             h = dc.layer_norm(a, g, b, kind, s if kind else None)
             assert h.rebuild is not None
             if dropout:
-                return _weighted_sum(dc.dropout_matmul(h, v, 0.4, RngStream(seed, "dropout"), training=True), w)
+                return _weighted_sum(dc.matmul(h, v, p=0.4, rng=RngStream(seed, "dropout"), training=True), w)
             return _weighted_sum(dc.matmul(h, v), w)
 
         return fn, [a, g, b, v] + ([s] if kind else [])
@@ -1133,7 +1193,7 @@ def test_grad_activations():
         w = _weights(rng, (4, 5))
 
         def fn():
-            out = dc.activation(a, kind, slope=slope if kind == "prelu" else 0.01)
+            out = dc.activation(a, *_as_prelu(kind, slope if kind == "prelu" else 0.01))
             return _weighted_sum(out, w)
 
         params = [a, slope] if kind == "prelu" else [a]

@@ -470,8 +470,8 @@ def test_f32_training_step_stays_f32(monkeypatch, base, activation, projector):
 
 
 def _leaf_step(spec: ModelSpec, graph: Graph, monkeypatch, input_is_parameter: bool):
-    """One f64 training step by hand; returns (state, dropout_matmul calls,
-    transposes of W0).
+    """One f64 training step by hand; returns (state, the layers' matmul
+    calls, transposes of W0).
 
     Each call is a layer's (input, output, the output's tape parents), layer
     0's first.  With `input_is_parameter` each layer runs as the earlier
@@ -480,19 +480,21 @@ def _leaf_step(spec: ModelSpec, graph: Graph, monkeypatch, input_is_parameter: b
     out of gradients.
     """
     calls = []
-    fused = dc.dropout_matmul
+    matmul = dc.matmul
 
-    def spy(x, w, p, rng, training, rescale=True):
+    def spy(x, w, p=0.0, rng=None, training=False, rescale=True):
+        if not training:  # the projector's products, and the oracle's own
+            return matmul(x, w)
         if input_is_parameter:
             if not x.needs_grad:
                 x = dc.Parameter(x.data, name="features")
             out = oracles.dropout_matmul_oracle(x, w, p, rng, training)
         else:
-            out = fused(x, w, p, rng, training, rescale)
+            out = matmul(x, w, p, rng, training, rescale)
         calls.append((x, out, out._node.parents))
         return out
 
-    monkeypatch.setattr(dc, "dropout_matmul", spy)
+    monkeypatch.setattr(dc, "matmul", spy)
     state = EncoderState(spec, graph.num_features, RngStream(4, "init"))
     w0 = state.params["layers.0.weight"]
     w0.data = w0.data.view(CountsTranspose)
@@ -533,32 +535,33 @@ def test_input_features_receive_no_gradient(monkeypatch, base):
 
 
 def _spy_inputs(monkeypatch, earlier: bool) -> dict:
-    """Weak references to the input array of every dropout_matmul,
-    layer_norm and spmm call, to each layer_norm output ("normalized"), to
-    each array of dropped rows and to each activation output, by op.  With
-    `earlier` the ops the lean ones replaced (`oracles.py`) run instead,
-    activations included, and each layer runs as dropout, then matmul."""
-    inputs = {"dropout_matmul": [], "layer_norm": [], "normalized": [], "spmm": [], "dropped": [], "activated": []}
+    """Weak references to the input array of every layer's matmul and of
+    every layer_norm and spmm call, to each layer_norm output
+    ("normalized"), to each array of dropped rows and to each activation
+    output, by op.  With `earlier` the ops the lean ones replaced
+    (`oracles.py`) run instead, activations included, and each layer runs
+    as dropout, then matmul."""
+    inputs = {"matmul": [], "layer_norm": [], "normalized": [], "spmm": [], "dropped": [], "activated": []}
     if earlier:
         monkeypatch.setattr(dc, "activation", oracles.activation_oracle)
-    runs = {
-        "dropout_matmul": (
-            (lambda x, w, p, rng, training, rescale: oracles.dropout_matmul_oracle(x, w, p, rng, training))
-            if earlier
-            else dc.dropout_matmul
-        ),
-        "layer_norm": oracles.activated_layer_norm_oracle if earlier else dc.layer_norm,
-    }
-    for name, run in runs.items():
+    matmul, layer_norm = dc.matmul, oracles.activated_layer_norm_oracle if earlier else dc.layer_norm
 
-        def spy(x, *args, name=name, run=run, **kwargs):
-            inputs[name].append(weakref.ref(x.data))
-            out = run(x, *args, **kwargs)
-            if name == "layer_norm":
-                inputs["normalized"].append(weakref.ref(out.data))
-            return out
+    def matmul_spy(x, w, p=0.0, rng=None, training=False, rescale=True):
+        if not training:  # the projector's products, and the oracle's own
+            return matmul(x, w)
+        inputs["matmul"].append(weakref.ref(x.data))
+        if earlier:
+            return oracles.dropout_matmul_oracle(x, w, p, rng, training)
+        return matmul(x, w, p, rng, training, rescale)
 
-        monkeypatch.setattr(dc, name, spy)
+    def layer_norm_spy(x, *args):
+        inputs["layer_norm"].append(weakref.ref(x.data))
+        out = layer_norm(x, *args)
+        inputs["normalized"].append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(dc, "matmul", matmul_spy)
+    monkeypatch.setattr(dc, "layer_norm", layer_norm_spy)
     spmm = encoder_module.spmm
 
     def spmm_spy(adj, x):
@@ -581,11 +584,11 @@ def _spy_inputs(monkeypatch, earlier: bool) -> dict:
 def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
     # once encode and project return, the activation outputs, the gconv
     # matmul outputs, each layer's dropped rows and each layer_norm output
-    # (layer 1's dropout_matmul input, and h) are gone: no closure reads
+    # (layer 1's matmul input, and h) are gone: no closure reads
     # them.  Each layer's activation input stays, for layer_norm's backward
     # rebuilds the activation and the standardized rows from it, and so do
     # its output's columns for the dL/dW of the op that reads it.  Layer 0's
-    # dropout_matmul input, the graph's own feature array, stays.  The
+    # matmul input, the graph's own feature array, stays.  The
     # gradients equal those of the earlier ops, which kept the dropped rows,
     # the activation outputs and the layer_norm outputs.
     spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, activation=activation, projector_dim=4)
@@ -598,15 +601,15 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
             state = EncoderState(spec, graph.num_features, RngStream(4, "init"))
             z = project(state, encode(state, spec, graph, adj=adj, training=True, rng=RngStream(4, "dropout")))
             if not earlier:
-                assert inputs["dropout_matmul"][0]() is graph.features
+                assert inputs["matmul"][0]() is graph.features
                 assert len(inputs["dropped"]) == 2  # layer 0's rows, then layer 1's
                 assert len(inputs["activated"]) == 3  # each layer's, then the projector's
                 assert len(inputs["normalized"]) == 2  # layer 0's, then h
-                freed = inputs["activated"][:2] + inputs["spmm"] + inputs["dropped"] + inputs["dropout_matmul"][1:]
+                freed = inputs["activated"][:2] + inputs["spmm"] + inputs["dropped"] + inputs["matmul"][1:]
                 freed += inputs["normalized"]
                 assert len(freed) == (9 if base == "gconv" else 7)
                 assert [ref() is None for ref in freed] == [True] * len(freed)
-                kept = inputs["layer_norm"] + inputs["dropout_matmul"][:1]
+                kept = inputs["layer_norm"] + inputs["matmul"][:1]
                 assert [ref() is None for ref in kept] == [False] * 3
             backward(estimator_loss(z, draw_masks(graph, 0.3, RngStream(4, "mask")), EstimatorSpec()))
         grads.append({name: p.grad for name, p in state.params.items()})
@@ -615,7 +618,9 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
         assert g.tobytes() == earlier_grads[name].tobytes(), name
 
 
-def _tape_after_project(n: int, hidden: int, num_features: int, nfm: bool = False) -> tuple[int, list[int]]:
+def _tape_after_project(
+    n: int, hidden: int, num_features: int, nfm: bool = False, activation: str = "prelu", layer_norm: bool = True
+) -> tuple[int, list[int]]:
     """Encode and project one f64 training step under tracemalloc; returns
     the bytes held once project returns and the sizes of the allocations
     behind them.  The graph's features come before, so neither counts them.
@@ -624,7 +629,12 @@ def _tape_after_project(n: int, hidden: int, num_features: int, nfm: bool = Fals
     the same rate."""
     graph = _chain_graph(n, num_features)
     spec = ModelSpec(
-        num_layers=2, hidden_dim=hidden, dropout_p=0.0 if nfm else 0.3, activation="prelu", projector_dim=hidden
+        num_layers=2,
+        hidden_dim=hidden,
+        dropout_p=0.0 if nfm else 0.3,
+        activation=activation,
+        layer_norm_enabled=layer_norm,
+        projector_dim=hidden,
     )
     state = EncoderState(spec, graph.num_features, RngStream(5, "init"))
     rng = RngStream(5, "dropout")
@@ -657,6 +667,22 @@ def test_tape_after_project_holds_a_fixed_count_of_arrays():
     held, _ = _tape_after_project(n, hidden, hidden // 4)
     unit, columns = n * hidden * 8, 2 * 2 * n * 8
     assert 4.15625 * unit + columns <= held < 4.25 * unit + columns
+
+
+@pytest.mark.parametrize("activation", ["prelu", "relu"])
+def test_tape_without_layer_norm_holds_a_fixed_count_of_arrays(activation):
+    # Without LayerNorm each layer's activation keeps its input, the output
+    # of the bias add, and the product that reads its output (layer 1's
+    # matmul, the projector's first) keeps a rebuild from that input.  So
+    # the tape holds, in n x hidden arrays: layer 0's dropout mask (1/32)
+    # and activation input, layer 1's mask (1/8) and activation input, the
+    # ELU output and z: 4.15625, for either kind.  A tape whose products
+    # kept each activation output held 6.15625 with prelu, which also kept
+    # its input, and 4.40625 with relu, which kept a bool mask (1/8).
+    n, hidden = 1000, 64
+    held, _ = _tape_after_project(n, hidden, hidden // 4, activation=activation, layer_norm=False)
+    unit, biases = n * hidden * 8, 2 * hidden * 8
+    assert 4.15625 * unit <= held < 4.25 * unit + biases
 
 
 def test_wide_input_leaves_only_its_mask_on_the_tape():

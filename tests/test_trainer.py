@@ -464,9 +464,11 @@ def test_checkpoint_rerun_is_byte_identical(tmp_path):
 # output, relu formed its mask in every forward and the nfm ablation passed
 # its masked rows as a features override; the other four while each layer's
 # activation and LayerNorm were two ops, LayerNorm keeping its standardized
-# rows; the last four while dropout was its own op before each later
-# layer's matmul.  Each run is 15 epochs on `_small_graph()` with one BLAS
-# thread, and LayerNorm is on in all of them but "no-layer-norm".
+# rows; the next four while dropout was its own op before each later
+# layer's matmul; the last three while a standalone relu or leaky relu kept
+# a bool mask and the product after it the activation's output.  Each run
+# is 15 epochs on `_small_graph()` with one BLAS thread, and LayerNorm is on
+# in all of them but the "no-layer-norm" ones.
 _EARLIER_CHECKPOINT_SHA256 = {
     "relu": "e04d3356eecee5a2003358391b09e35b8c2006a7daefd13f0c136221f2906549",
     "rrelu-f32": "cfb9482f2a67fcc2cf92b66d0a55d595f8dd88dc5bf2e5eeb8a157fcb2d840a5",
@@ -479,7 +481,18 @@ _EARLIER_CHECKPOINT_SHA256 = {
     "no-layer-norm": "620a205d9cc4eb88dba00a3561a8bc23b804c313df47b2862b4a234b3d080436",
     "three-layers": "58e659c550d4698ca6023ef4e41b428598b17e37a52fbf6bf96ef2c1d30aa413",
     "jsd": "b1110742f8dc518ae38569d018901d808287ec13a62ec7f399ec245282069e58",
+    "no-layer-norm-relu": "0d9143361f9925d3895b1942cf6bbec4b8fc680601b3a1856aa2d5eb5fa92e48",
+    "no-layer-norm-leaky_relu-f32": "a6964812c99b12563081246d04f1ba1e748e06238487ea68e77a73251395e973",
+    "no-layer-norm-rrelu": "a3f9a477e88205f465a2c35537a62ad00cbec4d0431edb397357c8e2f7afa6fc",
 }
+
+
+def _no_layer_norm(activation: str) -> ModelSpec:
+    return ModelSpec(
+        num_layers=2, hidden_dim=8, dropout_p=0.3, activation=activation, layer_norm_enabled=False, projector_dim=4
+    )
+
+
 _SMALL_RUNS = {
     "relu": dict(model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, activation="relu", projector_dim=4)),
     "rrelu-f32": dict(
@@ -503,6 +516,9 @@ _SMALL_RUNS = {
     ),
     "three-layers": dict(model=ModelSpec(num_layers=3, hidden_dim=8, dropout_p=0.3, projector_dim=4)),
     "jsd": dict(estimator=EstimatorSpec(kind="jsd")),
+    "no-layer-norm-relu": dict(model=_no_layer_norm("relu")),
+    "no-layer-norm-leaky_relu-f32": dict(model=_no_layer_norm("leaky_relu"), precision="f32"),
+    "no-layer-norm-rrelu": dict(model=_no_layer_norm("rrelu")),
 }
 
 
