@@ -292,9 +292,14 @@ def _cmd_eval(args) -> int:
 
     if args.mode in ("classify", "cluster", "histograms"):
         emb = inference_embeddings(state, state.spec, graph).data
+    if args.mode in ("classify", "cluster"):
+        # the probe and k-means read only the labels: the graph and its
+        # features die here, before either runs
+        labels, num_classes = graph.labels, graph.num_classes
+        del graph
 
     if args.mode == "classify":
-        f1s, accs = _probe_scores(emb, graph.labels, args.runs, seed)
+        f1s, accs = _probe_scores(emb, labels, args.runs, seed)
         f1_mean, f1_std = _mean_std(f1s)
         acc_mean, acc_std = _mean_std(accs)
         report.update(
@@ -305,11 +310,11 @@ def _cmd_eval(args) -> int:
             }
         )
     elif args.mode == "cluster":
-        result = kmeans(emb, graph.num_classes, rng=dc.RngStream(seed, "kmeans"))
-        score, homog = partition_metrics(result.assignments, graph.labels)
+        result = kmeans(emb, num_classes, rng=dc.RngStream(seed, "kmeans"))
+        score, homog = partition_metrics(result.assignments, labels)
         report.update(
             {
-                "k": graph.num_classes,
+                "k": num_classes,
                 "nmi": score,
                 "homogeneity": homog,
                 "inertia": result.inertia,

@@ -196,12 +196,19 @@ class KMeansResult:
 
 def _sq_dists(a: np.ndarray, aa: np.ndarray, b: np.ndarray, bb: np.ndarray) -> np.ndarray:
     """Squared distances (len(a), len(b)) between the rows of a and of b,
-    given their squared row norms: |a|^2 + |b|^2 - 2 a.b, clamped at zero."""
-    prod = a @ b.T
-    prod *= 2.0
-    d2 = np.add.outer(aa, bb)
-    d2 -= prod
-    return np.maximum(d2, 0.0, out=d2)
+    given their squared row norms: |a|^2 + |b|^2 - 2 a.b, clamped at zero.
+
+    They are written into the one product a.b, one `row_blocks` block at a
+    time, so no other array of the result's size is formed; each entry
+    takes the same operations in the same order as a whole-array pass.
+    """
+    d2 = a @ b.T
+    for start, stop in row_blocks(*d2.shape):
+        block = d2[start:stop]
+        block *= 2.0
+        np.subtract(np.add.outer(aa[start:stop], bb), block, out=block)
+        np.maximum(block, 0.0, out=block)
+    return d2
 
 
 def _assign(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray):
@@ -209,7 +216,8 @@ def _assign(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray):
 
     Returns the distances (n, m, k), each restart's nearest centroid per
     point (n, m) and each restart's inertia (m,).  An inertia is summed over
-    a contiguous row, as a 1-D sum over the points would be.
+    a contiguous row, as a 1-D sum over the points would be.  The distances
+    are the only (n, m, k) array formed.
     """
     m, k, d = centroids.shape
     flat = centroids.reshape(m * k, d)
@@ -325,6 +333,10 @@ def kmeans(
     restart stops once none of its centroids moved by `_KMEANS_TOL`.  The first
     restart with the lowest final inertia wins; `inertia_trace` is its
     inertia before each iteration, then the final one.
+
+    Besides x, one (n, restarts * k) array lives at a time: an iteration's
+    distances die before its one-hot is made, and the one-hot before the
+    next iteration's distance product; the rest is O(n * restarts).
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2:
@@ -347,12 +359,21 @@ def kmeans(
         d2, assignments, inertias = _assign(x, xx, old)
         cells = (assignments + k * np.arange(m)).T  # (m, n) cluster ids across restarts
         counts = np.bincount(cells.ravel(), minlength=m * k).reshape(m, k)
+        # a restart with an empty cluster reads its own distance columns;
+        # then the distances die, before the one-hot of the same size is made
+        reseeded = [
+            (a, _update_one_by_one(x, d2[:, a], assignments[:, a].copy(), old[a]))
+            for a in np.flatnonzero((counts == 0).any(axis=1))
+        ]
+        del d2, assignments
         onehot = np.zeros((m * k, n))
         onehot[cells, np.arange(n)] = 1.0
+        del cells
         new = (onehot @ x).reshape(m, k, -1)
+        del onehot
         new /= np.maximum(counts, 1)[:, :, None]
-        for a in np.flatnonzero((counts == 0).any(axis=1)):
-            new[a] = _update_one_by_one(x, d2[:, a], assignments[:, a].copy(), old[a])
+        for a, centroids_a in reseeded:
+            new[a] = centroids_a
         shifts = np.max(np.sqrt(np.sum((new - old) ** 2, axis=2)), axis=1)
         centroids[active] = new
         for r, inertia in zip(active, inertias):

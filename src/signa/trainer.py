@@ -140,7 +140,16 @@ def train(graph: Graph, config: TrainConfig) -> tuple[EncoderState, list[float]]
 
     The loss recorded per epoch is the pre-update value (the one whose
     gradient the step applied).  A non-finite loss aborts immediately.
+
+    A graph holds its features in the precision it was built under.  An
+    f64 graph under an f32 run is cast at layer 0, but f32 features under an
+    f64 run are refused: widening them cannot undo their rounding.
     """
+    if config.precision == "f64" and graph.features.dtype != np.float64:
+        raise ConfigError(
+            f"the graph's features are {graph.features.dtype} but the run's precision is f64: "
+            "build the graph under f64"
+        )
     dc.set_precision(config.precision)
     effective = apply_ablation(config)
     init_rng = dc.RngStream(config.seed, "init")

@@ -1,13 +1,23 @@
-"""Per-phase `tracemalloc` figures of a `trainer.train` epoch.
+"""Per-phase `tracemalloc` figures of a `trainer.train` epoch, or of one
+`signa eval` run.
 
 The phases are read by spying on the calls that bound them, not by copying
-the training loop, so they follow the loop as it is:
+the training loop or the eval command, so they follow the code as it is.
+An epoch's phases:
 
 - encode: `encode_rows`;
 - loss: from `encode_rows`'s return to the backward pass (the projector
   and the contrastive loss);
 - backward: `dc.backward`;
 - adam: `dc.adam_step`.
+
+An eval run's phases, each the call that `signa eval` makes:
+
+- checkpoint: `trainer.load_checkpoint`;
+- graph: `graphdata.load_graph`;
+- forward: `encoder.inference_embeddings`, the frozen forward;
+- probe (classify mode): `cli._probe_scores`, the 20 probe runs;
+- kmeans (cluster mode): `evaluate.kmeans`.
 
 Run as a script, it trains on the files `signa train` reads and prints the
 last epoch's phases, in MiB of traced memory, the graph not counted:
@@ -19,22 +29,31 @@ process (`sbm_graph`), no file needed, for 2 epochs of a config file or of
 a packaged preset's config:
 
     PYTHONPATH=src python tests/memtrace.py --preset photo --nodes 7650 --features 745
+
+or, with `--eval MODE`, runs `signa eval --mode MODE` on a checkpoint and
+prints its phases, in MiB traced since the command began (the report goes
+to a temporary directory):
+
+    PYTHONPATH=src python tests/memtrace.py --eval cluster --checkpoint C \
+        --edges E --features F --labels L
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
+import tempfile
 import tracemalloc
 from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
 
+from signa import cli, encoder, evaluate, graphdata, trainer
 from signa import diffcore as dc
-from signa import trainer
 from signa.graphdata import Graph, load_graph, sbm_generate
 
 PRESETS = os.path.join(os.path.dirname(trainer.__file__), "presets")
@@ -47,13 +66,14 @@ class Phase:
     end: int  # bytes traced when it ended
 
 
-def epoch_phases(graph, config) -> dict[str, Phase]:
-    """Run `trainer.train(graph, config)` under `tracemalloc` and return the
-    last epoch's phases by name.  Only what the run allocates is counted:
-    the graph and anything else made before the call are not.  Earlier
+def traced_phases(run, spies) -> dict[str, Phase]:
+    """Call `run()` under `tracemalloc` and return its phases by name, the
+    last of each name.  Each spy is (module, attribute, phase, then): a
+    call to that function opens `phase`, and its return opens `then` (None
+    closes the phase).  Only what the run allocates is counted.  Earlier
     garbage is collected first and automatic collection is off during the
     run, so no finalizer of another object allocates inside a phase (the
-    loop frees its arrays by reference counting)."""
+    code frees its arrays by reference counting)."""
     phases: dict[str, Phase] = {}
     running: list = [None, 0]  # the phase open now and the bytes traced when it began
 
@@ -74,21 +94,50 @@ def epoch_phases(graph, config) -> dict[str, Phase]:
 
         return call
 
-    with (
-        mock.patch.object(trainer, "encode_rows", spy(trainer.encode_rows, "encode", "loss")),
-        mock.patch.object(dc, "backward", spy(dc.backward, "backward", None)),
-        mock.patch.object(dc, "adam_step", spy(dc.adam_step, "adam", None)),
-    ):
+    with contextlib.ExitStack() as patches:
+        for module, attribute, name, then in spies:
+            patches.enter_context(
+                mock.patch.object(module, attribute, spy(getattr(module, attribute), name, then))
+            )
         gc.collect()
         was_enabled = gc.isenabled()
         gc.disable()
         tracemalloc.start()
         try:
-            trainer.train(graph, config)
+            run()
         finally:
             tracemalloc.stop()
             if was_enabled:
                 gc.enable()
+    return phases
+
+
+def epoch_phases(graph, config) -> dict[str, Phase]:
+    """The last epoch's phases of `trainer.train(graph, config)`; the graph
+    and anything else made before the call are not counted."""
+    spies = [
+        (trainer, "encode_rows", "encode", "loss"),
+        (dc, "backward", "backward", None),
+        (dc, "adam_step", "adam", None),
+    ]
+    return traced_phases(lambda: trainer.train(graph, config), spies)
+
+
+def eval_phases(argv: list[str]) -> dict[str, Phase]:
+    """The phases of `signa eval` with the command line `argv` (without the
+    leading "eval").  A failing command, whose error the CLI has printed,
+    exits with its code."""
+    spies = [
+        (trainer, "load_checkpoint", "checkpoint", None),
+        (graphdata, "load_graph", "graph", None),
+        (encoder, "inference_embeddings", "forward", None),
+        (cli, "_probe_scores", "probe", None),
+        (evaluate, "kmeans", "kmeans", None),
+    ]
+    code: list = []
+    phases = traced_phases(lambda: code.append(cli.main(["eval", *argv])), spies)
+    if code != [0]:
+        raise SystemExit(code[0])
     return phases
 
 
@@ -109,15 +158,36 @@ def sbm_graph(nodes: int, features: int) -> Graph:
     return sbm_generate(sizes, p_in, p_out, 0.5 * rng.normal(size=(blocks, features)), 1.0, rng)
 
 
+def _print(phases: dict[str, Phase]) -> None:
+    mib = 1 << 20
+    print(f"{'phase':<11}{'start':>9}{'peak':>9}{'end':>9}  (MiB)")
+    for name, phase in phases.items():
+        print(f"{name:<11}{phase.start / mib:>9.1f}{phase.peak / mib:>9.1f}{phase.end / mib:>9.1f}")
+
+
 def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description="the last training epoch's traced memory, phase by phase")
+    parser = argparse.ArgumentParser(description="traced memory, phase by phase, of a training epoch or an eval")
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="a `signa train` config file")
     source.add_argument("--preset", help=f"the name of a config in {PRESETS}, such as photo")
+    source.add_argument("--eval", choices=("classify", "cluster"), help="trace `signa eval` in this mode")
     parser.add_argument("--edges", help="the edge list (without --nodes)")
     parser.add_argument("--features", required=True, help="the feature CSV, or with --nodes the feature count")
     parser.add_argument("--nodes", type=int, help="train 2 epochs on an in-process SBM of this many nodes")
+    parser.add_argument("--checkpoint", help="the checkpoint to evaluate (with --eval)")
+    parser.add_argument("--labels", help="the label file (with --eval)")
     args = parser.parse_args(argv)
+    if args.eval:
+        if None in (args.checkpoint, args.edges, args.labels) or args.nodes is not None:
+            parser.error("--eval takes --checkpoint, --edges, --features and --labels, and no --nodes")
+        with tempfile.TemporaryDirectory() as out:
+            command = ["--mode", args.eval, "--checkpoint", args.checkpoint, "--edges", args.edges,
+                       "--features", args.features, "--labels", args.labels, "--quiet",
+                       "--out", os.path.join(out, "report.json")]
+            _print(eval_phases(command))
+        return
+    if args.checkpoint or args.labels:
+        parser.error("--checkpoint and --labels go with --eval")
     if (args.nodes is None) == (args.edges is None):
         parser.error("give either --edges (with a feature CSV) or --nodes (with a feature count)")
     path = args.config or os.path.join(PRESETS, f"{args.preset}.json")
@@ -129,11 +199,7 @@ def main(argv=None) -> None:
     else:
         graph = sbm_graph(args.nodes, int(args.features))
         config = replace(config, num_epochs=2, log_every=0)
-    phases = epoch_phases(graph, config)
-    mib = 1 << 20
-    print(f"{'phase':<9}{'start':>9}{'peak':>9}{'end':>9}  (MiB)")
-    for name, phase in phases.items():
-        print(f"{name:<9}{phase.start / mib:>9.1f}{phase.peak / mib:>9.1f}{phase.end / mib:>9.1f}")
+    _print(epoch_phases(graph, config))
 
 
 if __name__ == "__main__":

@@ -21,8 +21,12 @@ validation split with `micro_f1`.  It is the reference for the probe's
 `adam_step_oracle` is the library's earlier Adam step, which allocates its
 temporaries afresh; the lean step must match it bit for bit.
 
-`kmeans_oracle` is the library's earlier k-means, which runs its restarts
-one after another; the lockstep one must give the same assignments.
+`kmeans_serial_oracle` is the library's first k-means, which runs its
+restarts one after another; the lockstep one must give the same
+assignments.  `kmeans_oracle` is the library's earlier lockstep k-means,
+kept as it was: it forms the squared distances beside their product as a
+second array of that size, and keeps an iteration's distances and one-hot
+alive into the next; k-means must match it bit for bit.
 
 `dropout_oracle`, `layer_norm_oracle` and `activation_oracle` are the
 library's earlier training ops, kept as they were: each forms its output in
@@ -94,7 +98,7 @@ from signa.evaluate import (
     accuracy,
     micro_f1,
 )
-from signa.graphdata import Graph, normalized_adjacency
+from signa.graphdata import Graph, normalized_adjacency, row_blocks
 
 
 def unit_rows(z: np.ndarray) -> np.ndarray:
@@ -854,7 +858,7 @@ def _kmeans_once_oracle(x: np.ndarray, k: int, max_iters: int, tol: float, rng) 
     return KMeansResult(assignments, inertia, trace)
 
 
-def kmeans_oracle(
+def kmeans_serial_oracle(
     embeddings: np.ndarray,
     k: int,
     restarts: int = 10,
@@ -862,7 +866,7 @@ def kmeans_oracle(
     tol: float = 1e-6,
     rng=None,
 ) -> KMeansResult:
-    """The library's earlier k-means, kept as it was: restarts run one after
+    """The library's first k-means, kept as it was: restarts run one after
     another, each iteration scores its k centroids with its own product and
     averages each cluster separately.  The reference for the lockstep one."""
     x = np.asarray(embeddings, dtype=np.float64)
@@ -878,6 +882,119 @@ def kmeans_oracle(
         if best is None or result.inertia < best.inertia:
             best = result
     return best
+
+
+def _sq_dists_lockstep_oracle(a, aa, b, bb):
+    prod = a @ b.T
+    prod *= 2.0
+    d2 = np.add.outer(aa, bb)
+    d2 -= prod
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _assign_lockstep_oracle(x, xx, centroids):
+    m, k, d = centroids.shape
+    flat = centroids.reshape(m * k, d)
+    d2 = _sq_dists_lockstep_oracle(x, xx, flat, np.sum(flat * flat, axis=1)).reshape(-1, m, k)
+    assignments = np.argmin(d2, axis=2)
+    inertias = np.ascontiguousarray(np.min(d2, axis=2).T).sum(axis=1)
+    return d2, assignments, inertias
+
+
+def _seed_dists_lockstep_oracle(x, xx, picks):
+    d2 = _sq_dists_lockstep_oracle(x[picks], xx[picks], x, xx)
+    rows, cols = np.nonzero(d2 <= _SEED_EXACT_BELOW * np.add.outer(xx[picks], xx))
+    d2[rows, cols] = np.sum((x[cols] - x[picks[rows]]) ** 2, axis=1)
+    return d2
+
+
+def _kmeans_pp_lockstep_oracle(x, xx, k, rngs):
+    n = x.shape[0]
+    first = np.array([int(rng.integers(0, n)) for rng in rngs])
+    centroids = np.empty((len(rngs), k, x.shape[1]))
+    centroids[:, 0] = x[first]
+    seeding = np.arange(len(rngs))
+    closest = _seed_dists_lockstep_oracle(x, xx, first)
+    for j in range(1, k):
+        totals = closest[seeding].sum(axis=1)
+        live = totals > 0.0
+        for r in seeding[~live]:
+            centroids[r, j:] = x[first[r]]
+        seeding, totals = seeding[live], totals[live]
+        if seeding.size == 0:
+            break
+        cums = np.cumsum(closest[seeding], axis=1)
+        picks = np.array(
+            [
+                min(int(np.searchsorted(cum, rngs[r].uniform() * float(total))), n - 1)
+                for r, cum, total in zip(seeding, cums, totals)
+            ]
+        )
+        centroids[seeding, j] = x[picks]
+        if j < k - 1:
+            closest[seeding] = np.minimum(closest[seeding], _seed_dists_lockstep_oracle(x, xx, picks))
+    return centroids
+
+
+def _update_one_by_one_lockstep_oracle(x, d2, assignments, centroids):
+    n = x.shape[0]
+    new_centroids = centroids.copy()
+    for j in range(centroids.shape[0]):
+        members = assignments == j
+        if members.any():
+            new_centroids[j] = x[members].mean(axis=0)
+            continue
+        nearest = d2[np.arange(n), assignments]
+        far = int(np.argmax(nearest))
+        c = centroids[assignments[far]]
+        if nearest[far] > _SEED_EXACT_BELOW * (x[far] @ x[far] + c @ c):
+            new_centroids[j] = x[far]
+            assignments[far] = j
+    return new_centroids
+
+
+def kmeans_oracle(
+    embeddings: np.ndarray, k: int, rng, restarts: int = 10, max_iters: int = 300
+) -> KMeansResult:
+    """The library's earlier lockstep k-means, kept as it was (with its
+    seeding and empty-cluster update): one distance product and one one-hot
+    product per iteration over every restart still moving."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    n = x.shape[0]
+    xx = np.empty(n)
+    for start, stop in row_blocks(*x.shape):
+        xx[start:stop] = np.sum(np.square(x[start:stop]), axis=1)
+    centroids = _kmeans_pp_lockstep_oracle(x, xx, k, [rng.child(r) for r in range(restarts)])
+    traces: list[list[float]] = [[] for _ in range(restarts)]
+
+    active = np.arange(restarts)
+    for _ in range(max_iters):
+        if active.size == 0:
+            break
+        m = active.size
+        old = centroids[active]
+        d2, assignments, inertias = _assign_lockstep_oracle(x, xx, old)
+        cells = (assignments + k * np.arange(m)).T
+        counts = np.bincount(cells.ravel(), minlength=m * k).reshape(m, k)
+        onehot = np.zeros((m * k, n))
+        onehot[cells, np.arange(n)] = 1.0
+        new = (onehot @ x).reshape(m, k, -1)
+        new /= np.maximum(counts, 1)[:, :, None]
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            new[a] = _update_one_by_one_lockstep_oracle(x, d2[:, a], assignments[:, a].copy(), old[a])
+        shifts = np.max(np.sqrt(np.sum((new - old) ** 2, axis=2)), axis=1)
+        centroids[active] = new
+        for r, inertia in zip(active, inertias):
+            traces[r].append(float(inertia))
+        active = active[~(shifts < 1e-6)]
+
+    _, assignments, inertias = _assign_lockstep_oracle(x, xx, centroids)
+    best = 0
+    for r in range(restarts):
+        traces[r].append(float(inertias[r]))
+        if inertias[r] < inertias[best]:
+            best = r
+    return KMeansResult(np.ascontiguousarray(assignments[:, best]), float(inertias[best]), traces[best])
 
 
 def similarity_histograms_oracle(

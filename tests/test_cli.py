@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from oracles import inference_embeddings_oracle, similarity_histograms_oracle
+import memtrace
 import rss_spread
 
 import signa
@@ -464,6 +466,54 @@ def test_eval_cluster_report(tmp_path):
     assert 0.0 <= doc["nmi"] <= 1.0
     assert 0.0 <= doc["homogeneity"] <= 1.0
     assert doc["inertia"] >= 0.0
+
+
+@pytest.mark.parametrize("mode", ["classify", "cluster"])
+def test_eval_frees_the_graph_before_the_probe_and_kmeans(tmp_path, monkeypatch, mode):
+    # they read only the labels: the graph and its features are freed once
+    # the frozen forward returns
+    import signa.cli as cli
+    import signa.evaluate as evaluate
+    import signa.graphdata as graphdata
+
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    graphs, alive = [], []
+
+    def load_spy(*args, load=graphdata.load_graph):
+        graph = load(*args)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(graphdata, "load_graph", load_spy)
+    for owner, name in ((cli, "_probe_scores"), (evaluate, "kmeans")):
+        def spy(*args, fn=getattr(owner, name), **kwargs):
+            alive.append([ref() is not None for ref in graphs])
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    assert main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats, "--labels", labels,
+                 "--mode", mode, "--runs", "2", "--out", str(tmp_path / "report.json"), "--quiet"]) == 0
+    assert alive == [[False]]
+
+
+def test_memtrace_reads_each_phase_of_an_eval(tmp_path, capsys):
+    # it spies on the calls `signa eval` makes: the two loads, the frozen
+    # forward, then the probe runs or k-means
+    edges, feats, labels, config, ckpt = _train(tmp_path)
+    files = sorted(os.listdir(tmp_path))
+    argv = ["--checkpoint", ckpt, "--edges", edges, "--features", feats, "--labels", labels]
+    for mode, last in (("classify", "probe"), ("cluster", "kmeans")):
+        memtrace.main(["--eval", mode, *argv])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["phase", "checkpoint", "graph", "forward", last]
+        peaks = [float(line.split()[2]) for line in lines[1:]]
+        assert all(0.0 < mib < 100.0 for mib in peaks)
+    assert sorted(os.listdir(tmp_path)) == files  # the report went to a temporary directory
+    with pytest.raises(SystemExit) as failed:  # a command that fails exits as signa eval does
+        memtrace.main(["--eval", "cluster", *argv[:-1], str(tmp_path / "missing.txt")])
+    assert failed.value.code == 2
+    with pytest.raises(SystemExit):
+        memtrace.main(["--eval", "cluster", *argv[2:]])  # no checkpoint
 
 
 def test_eval_histograms_csv(tmp_path, capsys):

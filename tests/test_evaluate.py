@@ -10,6 +10,7 @@ from conftest import assert_drew, edge_list, random_labeled_graph, split_generat
 from oracles import (
     homogeneity_oracle,
     kmeans_oracle,
+    kmeans_serial_oracle,
     linear_probe_oracle,
     micro_f1_oracle,
     nmi_oracle,
@@ -438,7 +439,7 @@ def _assert_matches_oracle(x, k, restarts, seed, max_iters=300):
     assignments, the same number of Lloyd iterations in the kept restart,
     and inertia equal up to the reassociated cluster sums."""
     new = kmeans(x, k, restarts=restarts, max_iters=max_iters, rng=RngStream(seed, "kmeans"))
-    old = kmeans_oracle(x, k, restarts=restarts, max_iters=max_iters, rng=RngStream(seed, "kmeans"))
+    old = kmeans_serial_oracle(x, k, restarts=restarts, max_iters=max_iters, rng=RngStream(seed, "kmeans"))
     np.testing.assert_array_equal(new.assignments, old.assignments)
     assert new.assignments.dtype == old.assignments.dtype
     assert len(new.inertia_trace) == len(old.inertia_trace)
@@ -515,8 +516,8 @@ def test_kmeans_with_k_equal_to_n_matches_oracle():
 
 
 def test_kmeans_temporaries_scale_with_points_restarts_and_k():
-    # the lockstep iteration holds a few (n, restarts * k) arrays; nothing of
-    # size n x d beyond the input (the oracle makes several)
+    # the lockstep iteration's arrays are of size n x restarts x k; nothing
+    # of size n x d beyond the input (the serial oracle makes several)
     n, d, k, restarts = 4000, 1000, 4, 3
     x = np.random.default_rng(25).normal(size=(n, d))
     tracemalloc.start()
@@ -527,6 +528,54 @@ def test_kmeans_temporaries_scale_with_points_restarts_and_k():
         tracemalloc.stop()
     assert peak < 8 * n * restarts * k * 8
     assert peak < n * d * 8 / 8
+
+
+# eight points on a line on which Lloyd empties a cluster at its third
+# iteration: in seed 67's one restart, and in one of seed 7's ten
+EMPTIES_MID_RUN = np.array([8.662, 7.192, 4.464, 4.556, 4.049, 3.987, 1.398, 7.304])[:, None]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("restarts", [1, 10])
+def test_kmeans_equals_the_earlier_lockstep_kmeans_bitwise(monkeypatch, dtype, restarts):
+    # each `_update_one_by_one` call records how many distance products came
+    # before it in this k-means run
+    products, reseeds = [], []
+    assign, update = evaluate._assign, evaluate._update_one_by_one
+    monkeypatch.setattr(evaluate, "_assign", lambda *a: products.append(1) or assign(*a))
+    monkeypatch.setattr(evaluate, "_update_one_by_one", lambda *a: reseeds.append(len(products)) or update(*a))
+    rng = np.random.default_rng(restarts)
+    cases = [(EMPTIES_MID_RUN, 3, 67 if restarts == 1 else 7)]
+    for n, d, k, seed in ((300, 16, 6, 0), (30000, 4, 5, 1)):  # the second spans several row blocks
+        x = 3.0 * rng.normal(size=(k, d))[rng.integers(0, k, size=n)] + rng.normal(size=(n, d))
+        cases.append((x, k, seed))
+    for x, k, seed in cases:
+        products.clear()
+        reseeds.clear()
+        emb = x.astype(dtype)
+        new = kmeans(emb, k, RngStream(seed, "kmeans"), restarts=restarts)
+        old = kmeans_oracle(emb, k, RngStream(seed, "kmeans"), restarts=restarts)
+        assert new.assignments.dtype == old.assignments.dtype
+        assert new.assignments.tobytes() == old.assignments.tobytes()
+        assert np.float64(new.inertia).tobytes() == np.float64(old.inertia).tobytes()
+        assert np.array(new.inertia_trace).tobytes() == np.array(old.inertia_trace).tobytes()
+        if x is EMPTIES_MID_RUN:  # its empty cluster comes after the first iteration
+            assert reseeds and min(reseeds) > 1
+
+
+def test_kmeans_holds_one_distance_sized_array():
+    # above its input: one (n, restarts * k) f64 array (the distances, later
+    # the one-hot), four n x restarts columns and one row block; the earlier
+    # k-means held about 4.5 such arrays
+    n, d, k, restarts = 8000, 4, 8, 10
+    x = np.random.default_rng(26).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        kmeans(x, k, restarts=restarts, rng=RngStream(9, "kmeans"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * restarts * k * 8 + 4 * n * restarts * 8 + graphdata._BLOCK_ENTRIES * 8
 
 
 # ---------------------------------------------------------------------------

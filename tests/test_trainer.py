@@ -533,6 +533,18 @@ def test_small_checkpoints_keep_the_earlier_bytes(run, tmp_path):
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == _EARLIER_CHECKPOINT_SHA256[run]
 
 
+def test_f32_features_refuse_an_f64_run(monkeypatch):
+    # a graph holds its features in the precision it was built under; f32
+    # features would train an f64 run on their rounding, so the run refuses
+    # them before any work
+    set_precision("f32")
+    graph = _small_graph()
+    monkeypatch.setattr(trainer, "EncoderState", None)  # no work: not even the weights
+    with pytest.raises(ConfigError, match="features are float32 but the run's precision is f64"):
+        train(graph, _config())
+    assert dc.get_precision() == "f32"
+
+
 def _wide_run(**kw) -> tuple:
     """A 200-node graph with 1024 features and an f32 linear encoder 256
     wide: W0 is two Adam blocks."""
