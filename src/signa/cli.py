@@ -293,10 +293,11 @@ def _cmd_eval(args) -> int:
     if args.mode in ("classify", "cluster", "histograms"):
         emb = inference_embeddings(state, state.spec, graph).data
     if args.mode in ("classify", "cluster"):
-        # the probe and k-means read only the labels: the graph and its
-        # features die here, before either runs
+        # the probe and k-means read only the labels: the graph with its
+        # features and the encoder state with its weights die here, before
+        # either runs
         labels, num_classes = graph.labels, graph.num_classes
-        del graph
+        del graph, state
 
     if args.mode == "classify":
         f1s, accs = _probe_scores(emb, labels, args.runs, seed)

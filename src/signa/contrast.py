@@ -84,8 +84,8 @@ def pair_strips(n: int):
     """Yield the (r0, r1) bounds of the row strips of an n x n score matrix,
     for the loss and the similarity histograms: `_BLOCK_ELEMS` is read at
     call time, and the last strip may have one row (the loss's float sums
-    depend on where strips split, so unlike `graphdata.row_blocks` this
-    never moves a split).  n = 0 yields no strip."""
+    depend on where strips split, so unlike `dc.row_blocks` this never
+    moves a split).  n = 0 yields no strip."""
     step = max(1, _BLOCK_ELEMS // max(n, 1))
     for r0 in range(0, n, step):
         yield r0, min(n, r0 + step)

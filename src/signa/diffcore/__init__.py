@@ -2,11 +2,13 @@
 
 Everything training needs and nothing more: a Tensor wrapper whose tape
 node links the parents' nodes to a backward closure, the ops the training
-tape records (`matmul`, which takes the dropout of its left operand,
-`add`, `activation` and `layer_norm`), the custom-op API that
-`graphdata.spmm` and the contrastive loss build on, Adam, and a seeded RNG
-tree.  Finite-difference gradient checking and the generic ops the test
-oracles need live with the tests.
+tape records (`matmul`, which takes the dropout of its left operand, and
+the nonlinearities `activation` and `layer_norm`, which take the layer's
+bias or affine parameters), the custom-op API that `graphdata.spmm` and
+the contrastive loss build on, Adam, a seeded RNG tree and the row blocks
+(`row_blocks`) that the blocked passes of signa cut.  It imports nothing
+of signa but `signa.errors`.  Finite-difference gradient checking and the
+generic ops the test oracles need live with the tests.
 
 Custom ops: build the output as `Tensor(value, _parents=(x, ...))` and
 attach a closure with `record_backward(out, fn)`.  `fn(g)` returns a tuple
@@ -16,10 +18,11 @@ capture the arrays it reads, never a parent Tensor, so that nothing else
 stays alive until the backward pass.
 
 Gradients are shared, never copied: a node keeps the first gradient it
-receives by reference, and a second one sums into a fresh array.  `add` of
-two inputs of one shape hands both parents the same array, and two
-Parameters can then hold it at once.  So no closure and no Adam step
-writes into a gradient it was given.
+receives by reference, and a second one sums into a fresh array.  An op
+whose gradient for two parents is its upstream gradient (a sum of two
+inputs of one shape) hands both the same array, and two Parameters can
+then hold it at once.  So no closure and no Adam step writes into a
+gradient it was given.
 
 Memory: an array lives until its last reader has run.  `backward` drops
 a node's closure, parent links and (but for a Parameter's) gradient as
@@ -27,7 +30,8 @@ soon as it has visited the node.  A Parameter holds no gradient array of
 its own: it keeps the one the backward pass hands it until `adam_step`,
 which releases it, so no gradient is alive in the forward pass or the
 loss, and Adam steps a large parameter one block at a time in two
-block-sized scratch arrays.  The training loop names no intermediate: h
+block-sized scratch arrays.  One budget, 2^17 entries, sizes those blocks
+and every `row_blocks` block.  The training loop names no intermediate: h
 dies when the projector returns and z once the loss has formed its unit
 rows (jsd scores z itself).  The input features are held once, by the
 Graph, in the active precision, and layer 0 reads them in place.
@@ -39,7 +43,8 @@ feature mask at layer 0); the forward forms the dropped rows 1024 at a
 time, each block multiplied and freed, and the backward forms them again
 512 columns at a time for dL/dW = X^T g.  Every mask is drawn one row
 block of uniforms at a time.  `activation` and `layer_norm` keep their
-input; `layer_norm` runs the activation before it as one op and also
+input: `activation` forms x + bias itself when given a bias and keeps
+that sum; `layer_norm` runs the activation before it as one op and also
 keeps two n x 1 columns, the row mean and inverse deviation.  Each
 backward rebuilds what it reads from those in the forward's own
 operations, and each output carries a `rebuild` of any column block from
@@ -51,17 +56,18 @@ parameter must not change between the forward and the backward (Adam
 steps after the backward).
 
 So in training the tape holds, per layer, the mask and the activation's
-input, and with LayerNorm the two n x 1 columns; the layer's input is the
-graph's features at layer 0 and a rebuild after it, which cost the tape
-nothing.  With gconv, spmm keeps only the shared adjacency.  The projector
-keeps its activation's input or, for the ELU of every preset, its output,
-which the second matmul reads too; the loss keeps dLoss/dz.  Each is one n x width array (booleans for a mask).  A dL/dW
-forms one n x 512 column block at a time.  layer_norm's backward forms
-two arrays of its width, which also serve the activation's backward, one
-row block's scratch and, with an activation, the mask d > 0.  While it
-runs, the blocked contrastive loss holds two B x n strip arrays (three
-for the jsd ablation, whose sigmoid slope is a strip of its own), the
-strip's boolean clamp mask, and three n x d arrays: the unit rows zn,
+input (h + bias without LayerNorm), and with LayerNorm the two n x 1
+columns; the layer's input is the graph's features at layer 0 and a
+rebuild after it, which cost the tape nothing.  With gconv, spmm keeps
+only the shared adjacency.  The projector keeps its activation's input or,
+for the ELU of every preset, its output, which the second matmul reads
+too; the loss keeps dLoss/dz.  Each is one n x width array (booleans for a
+mask).  A dL/dW forms one n x 512 column block at a time.  layer_norm's
+backward forms two arrays of its width, which also serve the activation's
+backward, one row block's scratch and, with an activation, the mask d > 0.
+While it runs, the blocked contrastive loss holds two B x n strip arrays
+(three for the jsd ablation, whose sigmoid slope is a strip of its own),
+the strip's boolean clamp mask, and three n x d arrays: the unit rows zn,
 their gradient dzn, which becomes dLoss/dz in place, and one scratch.
 """
 
@@ -75,13 +81,13 @@ from .tensor import (
 from .ops import (
     ACTIVATIONS,
     activation,
-    add,
     backward,
     check_finite,
     layer_norm,
     logistic,
     matmul,
     record_backward,
+    row_blocks,
 )
 from .optim import AdamState, adam_step
 from .rng import PURPOSES, RngStream
@@ -96,7 +102,6 @@ __all__ = [
     "activation",
     "active_dtype",
     "adam_step",
-    "add",
     "backward",
     "check_finite",
     "get_precision",
@@ -104,5 +109,6 @@ __all__ = [
     "logistic",
     "matmul",
     "record_backward",
+    "row_blocks",
     "set_precision",
 ]

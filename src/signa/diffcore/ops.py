@@ -13,18 +13,16 @@ keeps, and when it is freed, is the "Memory" note of `signa.diffcore`.
 These are the ops the training tape records, together with the
 custom-op API (`Tensor`, `record_backward`, `check_finite`, `logistic`)
 through which `graphdata.spmm` and the blocked contrastive loss add their
-own.  There is one product op, `matmul`, which takes the dropout of its
-left operand: it keeps the mask and that operand (the operand's rebuild,
-when it has one), and forms the dropped operand one block at a time.  The
-nonlinearities, `activation` and `layer_norm`, keep one rule: the op keeps
-its input and gives its output a rebuild from it.  A standalone ELU keeps
-its output instead, which its derivative reads.
-
-Conventions:
-  * `add` follows numpy broadcasting, with gradients summed back down to
-    each input's shape;
-  * operations that can manufacture non-finite values from finite input
-    (matmul, layer_norm) verify finiteness of their output.
+own, and the block schedules (`spans`, `row_blocks`, `keep_mask`) that the
+products and the rest of signa cut.  There is one product op, `matmul`,
+which takes the dropout of its left operand: it keeps the mask and that
+operand (the operand's rebuild, when it has one), and forms the dropped
+operand one block at a time.  The nonlinearities, `activation` (with the
+layer's bias) and `layer_norm` (with its gain and bias), keep one rule:
+the op keeps its input and gives its output a rebuild from it.  A
+standalone ELU keeps its output instead, which its derivative reads.
+Operations that can manufacture non-finite values from finite input
+(matmul, layer_norm) verify finiteness of their output.
 """
 
 from __future__ import annotations
@@ -62,18 +60,48 @@ def record_backward(out: Tensor, backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to `shape`, undoing numpy broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
+
+
+_BLOCK_ENTRIES = 2**17  # entries of a row block's widest array, and of an Adam block
+
+
+def spans(count: int, step: int):
+    """Yield the (start, stop) bounds of consecutive spans of `step` (at
+    least 2) out of `count` rows or columns.
+
+    A span is at least two wide unless `count` < 2: numpy runs a product
+    with one row (or, in X^T G, one column of X) as a matrix-vector
+    product, whose bits can differ from the matrix-matrix one, so a
+    one-wide tail joins the span before it.
+    """
+    step = max(2, step)
+    start = 0
+    while start < count:
+        stop = start + step if count - start - step > 1 else count
+        yield start, stop
+        start = stop
+
+
+def row_blocks(num_rows: int, width: int):
+    """The `spans` of row blocks, each about `_BLOCK_ENTRIES` entries of a
+    `width`-column array, for the passes whose bits do not depend on the
+    block height: linear inference, the probe's test scoring, k-means'
+    distances and row norms, the features' finite scan, the SBM's rows of
+    node pairs, the dropout masks' uniforms and `layer_norm`'s backward."""
+    return spans(num_rows, _BLOCK_ENTRIES // max(width, 1))
+
+
+def keep_mask(rng, shape: tuple, p: float) -> np.ndarray:
+    """`rng.uniform(size=shape) >= p` as a boolean array, drawn one
+    `row_blocks` block at a time: blocked draws take the same doubles from
+    the stream as one draw, and no float array of the full shape is built."""
+    keep = np.empty(shape, dtype=bool)
+    rows = keep.reshape(shape[0], math.prod(shape[1:]))
+    for start, stop in row_blocks(*rows.shape):
+        np.greater_equal(rng.uniform(size=(stop - start, rows.shape[1])), p, out=rows[start:stop])
+    return keep
 
 
 _FORWARD_ROWS = 1024  # rows of its dropped input `matmul` forms at a time
@@ -104,8 +132,6 @@ def _weight_grad(x, width: int, dtype, g: np.ndarray, keep=None, scale: float = 
     with the whole product's bits, but for a one-column block, which numpy
     runs as a matrix-vector product; `spans` cuts none.
     """
-    from ..graphdata import spans  # graphdata builds on diffcore
-
     dw = np.empty((width, g.shape[1]), np.result_type(dtype, g))
     for c0, c1 in spans(width, _GRAD_COLUMNS):
         if callable(x):
@@ -140,8 +166,6 @@ def matmul(x: Tensor, w: Tensor, p: float = 0.0, rng=None, training: bool = Fals
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
     keep, scale = None, 1.0
     if training and p > 0.0:
-        from ..graphdata import keep_mask, spans  # graphdata builds on diffcore
-
         keep = keep_mask(rng, x.data.shape, p)
         scale = 1.0 / (1.0 - p) if rescale else 1.0
         product = np.empty((x.data.shape[0], w.data.shape[1]), np.result_type(x.data, w.data))
@@ -170,17 +194,6 @@ def matmul(x: Tensor, w: Tensor, p: float = 0.0, rng=None, training: bool = Fals
 
 # ---------------------------------------------------------------------------
 # elementwise
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data, _parents=(a, b))
-    a_shape, b_shape = a.data.shape, b.data.shape
-
-    def _bw(g):
-        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
-
-    return record_backward(out, _bw)
 
 
 def logistic(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -303,27 +316,34 @@ def _activation_grad(kind: str, g, s, pos, d=None, a=None, out=None, spare=None,
     return gd, np.array([np.sum(prod)], dtype=prod.dtype).reshape(slope_shape)
 
 
-def activation(x: Tensor, kind: str, slope=None) -> Tensor:
-    """Elementwise nonlinearity: relu, the ELU, or prelu, whose slope is a
-    one-element Tensor.  A Parameter slope receives a gradient; a constant
-    one (a frozen encoder's, or a fixed leaky slope) gets none, and none is
-    formed.
+def activation(x: Tensor, kind: str, slope=None, bias=None) -> Tensor:
+    """Elementwise nonlinearity of x + bias (of x when `bias` is None):
+    relu, the ELU, or prelu, whose slope is a one-element Tensor.  A
+    Parameter slope receives a gradient; a constant one (a frozen
+    encoder's, or a fixed leaky slope) gets none, and none is formed.  The
+    bias is a row the sum broadcasts; its gradient is the column sums of
+    dL/d(x + bias).
 
-    The tape keeps the input, as `layer_norm` does, and the output carries
-    a `rebuild` of any column block from it, so an op that reads the output
-    in its backward keeps that instead of the output array.  The ELU keeps
-    its output, which its derivative reads, and carries no rebuild.  An
-    activation that LayerNorm follows runs inside `layer_norm`.
+    The tape keeps the input x + bias, as `layer_norm` keeps its input, and
+    the output carries a `rebuild` of any column block from it, so an op
+    that reads the output in its backward keeps that instead of the output
+    array.  The ELU keeps its output, which its derivative reads, and
+    carries no rebuild.  An activation that LayerNorm follows runs inside
+    `layer_norm`.
     """
     s = _slope_of(kind, slope)
     prelu, elu = kind == "prelu", kind == "elu"
-    value = _activate(kind, x.data, s, None if kind == "relu" else x.data > 0)
-    out = Tensor(value, _parents=(x, slope) if prelu else (x,))
+    d = x.data if bias is None else x.data + bias.data
+    value = _activate(kind, d, s, None if kind == "relu" else d > 0)
+    parents = ((x, slope) if prelu else (x,)) + (() if bias is None else (bias,))
+    out = Tensor(value, _parents=parents)
     if not out.needs_grad:  # a frozen forward keeps nothing alive through its output
         return out
-    d = None if elu else x.data
+    if elu:
+        d = None
     a = out.data if elu else None
     slope_shape = slope.data.shape if prelu and slope.needs_grad else None
+    biased = bias is not None
 
     def rebuild(c0: int, c1: int) -> np.ndarray:
         """Columns c0:c1 of the output, a new array with the forward's bits."""
@@ -334,7 +354,8 @@ def activation(x: Tensor, kind: str, slope=None) -> Tensor:
         out.rebuild = rebuild
 
     def _bw(g):
-        return _activation_grad(kind, g, s, None if elu else d > 0, d=d, a=a, slope_shape=slope_shape)
+        grads = _activation_grad(kind, g, s, None if elu else d > 0, d=d, a=a, slope_shape=slope_shape)
+        return grads + (np.sum(grads[0], axis=0),) if biased else grads
 
     return record_backward(out, _bw)
 
@@ -402,8 +423,6 @@ def layer_norm(
         out.rebuild = rebuild
 
     def _bw(g):
-        from ..graphdata import row_blocks  # graphdata builds on diffcore
-
         # one row block's scratch, made before the n x width arrays: made
         # after them, it sat above them on the heap, and a later epoch's
         # peak RSS rose by one such array

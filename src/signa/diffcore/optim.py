@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, OptimizationError
+from .ops import _BLOCK_ENTRIES
 from .tensor import Parameter
 
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-BLOCK = 1 << 17  # entries per block of a parameter's update: the scratch arrays stay this small
 
 
 class AdamState:
@@ -45,9 +45,10 @@ def adam_step(state: AdamState) -> None:
     scratch arrays.  The gradient is read, never written: it may be an
     array another parameter adopted too, or a buffer its caller reuses.  A
     parameter with no gradient steps as if it were zero.  A parameter above
-    BLOCK entries is updated one block of its flattened entries at a time,
-    with scratch arrays of one block; every operation is elementwise, so
-    the bits are those of one pass over the whole array.
+    diffcore's block budget, `_BLOCK_ENTRIES` entries, is updated one block
+    of its flattened entries at a time, with scratch arrays of one block;
+    every operation is elementwise, so the bits are those of one pass over
+    the whole array.
     """
     for p in state.params:
         g = p.grad
@@ -65,13 +66,13 @@ def adam_step(state: AdamState) -> None:
         v = state.v[p.name]
         if g is None:
             g = np.zeros(p.data.shape, p.data.dtype)
-        if p.data.size <= BLOCK or not all(a.flags.c_contiguous for a in (p.data, m, v)):
+        if p.data.size <= _BLOCK_ENTRIES or not all(a.flags.c_contiguous for a in (p.data, m, v)):
             _update(p.data, m, v, g, state.lr, bc1, bc2)
         else:
             data, m, v, g = p.data.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
-            step, denom = np.empty(BLOCK, data.dtype), np.empty(BLOCK, data.dtype)
-            for start in range(0, data.size, BLOCK):
-                stop = min(start + BLOCK, data.size)
+            step, denom = np.empty(_BLOCK_ENTRIES, data.dtype), np.empty(_BLOCK_ENTRIES, data.dtype)
+            for start in range(0, data.size, _BLOCK_ENTRIES):
+                stop = min(start + _BLOCK_ENTRIES, data.size)
                 block = slice(start, stop)
                 _update(
                     data[block], m[block], v[block], g[block], state.lr, bc1, bc2,

@@ -1,12 +1,14 @@
 """Dropout-noised encoder (Linear or GConv base) and the MLP projector.
 
-Each of the L layers applies dropout and the layer's weights as one
-`matmul` op, which keeps the mask and the layer's input (after layer 0, a
-rebuild of it), then gconv's propagation (gconv only), then the activation
-(leaky relu and rrelu as prelu with a constant slope), then LayerNorm
-(optional; with it, the activation and LayerNorm run as one `layer_norm`
-op).  The output of the last layer is the representation consumed
-downstream; the projector exists only for the contrastive loss.
+Each of the L layers is three ops at most: dropout and the layer's
+weights as one `matmul`, which keeps the mask and the layer's input (after
+layer 0, a rebuild of it); gconv's propagation `spmm` (gconv only); and one
+nonlinearity op that holds the layer's affine parameters.  That op is
+`layer_norm`, the activation and then LayerNorm, when LayerNorm is on, and
+otherwise `activation` of the sum with the layer's bias.  Leaky relu and
+rrelu run as prelu with a constant slope.  The output of the last layer is
+the representation consumed downstream; the projector exists only for the
+contrastive loss.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError
-from .graphdata import Graph, normalized_adjacency, row_blocks, spmm
+from .graphdata import Graph, normalized_adjacency, spmm
 
 if TYPE_CHECKING:  # linear-encoder processes never import scipy
     import scipy.sparse as sp
@@ -179,7 +181,7 @@ def encode_rows(
         if spec.layer_norm_enabled:
             h = dc.layer_norm(h, params[f"layers.{l}.ln_gain"], params[f"layers.{l}.ln_bias"], act_kind, slope)
         else:
-            h = dc.activation(dc.add(h, params[f"layers.{l}.bias"]), act_kind, slope)
+            h = dc.activation(h, act_kind, slope, params[f"layers.{l}.bias"])
     return h
 
 
@@ -207,6 +209,6 @@ def inference_embeddings(state: EncoderState, spec: ModelSpec, graph: Graph) -> 
     if spec.base_encoder == "gconv":
         return encode_rows(frozen, spec, graph.features, adj=normalized_adjacency(graph))
     out = np.empty((graph.num_nodes, spec.hidden_dim), dtype=dc.active_dtype())
-    for start, stop in row_blocks(graph.num_nodes, max(graph.num_features, spec.hidden_dim)):
+    for start, stop in dc.row_blocks(graph.num_nodes, max(graph.num_features, spec.hidden_dim)):
         out[start:stop] = encode_rows(frozen, spec, graph.features[start:stop]).data
     return dc.Tensor(out)

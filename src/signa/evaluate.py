@@ -19,7 +19,7 @@ from . import diffcore as dc
 from .contrast import NORM_FLOOR, pair_strips, unit_rows
 from .encoder import EncoderState, ModelSpec, encode_rows
 from .errors import AnalysisError, ConfigError, DegenerateEmbeddingError, ShapeError
-from .graphdata import Graph, normalized_adjacency, row_blocks
+from .graphdata import Graph, normalized_adjacency
 
 
 @dataclass
@@ -178,7 +178,7 @@ def linear_probe(
 
     best_w, best_b = best[:dim], best[dim]
     test_pred = np.empty(split.test.size, dtype=np.intp)
-    for start, stop in row_blocks(split.test.size, max(dim, num_classes)):
+    for start, stop in dc.row_blocks(split.test.size, max(dim, num_classes)):
         test_pred[start:stop] = np.argmax(rows(split.test[start:stop]) @ best_w + best_b, axis=1)
     return micro_f1(y[split.test], test_pred), accuracy(y[split.test], test_pred)
 
@@ -203,7 +203,7 @@ def _sq_dists(a: np.ndarray, aa: np.ndarray, b: np.ndarray, bb: np.ndarray) -> n
     takes the same operations in the same order as a whole-array pass.
     """
     d2 = a @ b.T
-    for start, stop in row_blocks(*d2.shape):
+    for start, stop in dc.row_blocks(*d2.shape):
         block = d2[start:stop]
         block *= 2.0
         np.subtract(np.add.outer(aa[start:stop], bb), block, out=block)
@@ -231,7 +231,7 @@ def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     """np.sum(x * x, axis=1), one `row_blocks` block at a time (no n x d
     temporary)."""
     xx = np.empty(x.shape[0])
-    for start, stop in row_blocks(*x.shape):
+    for start, stop in dc.row_blocks(*x.shape):
         xx[start:stop] = np.sum(np.square(x[start:stop]), axis=1)
     return xx
 

@@ -7,7 +7,6 @@ edge endpoints must index into it.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diffcore import Tensor, active_dtype, check_finite, record_backward
+from .diffcore import Tensor, active_dtype, check_finite, record_backward, row_blocks
 from .errors import AnalysisError, ConfigError, IngestionError, ShapeError, not_utf8
 
 if TYPE_CHECKING:  # scipy is imported only where a sparse matrix is built
@@ -80,45 +79,6 @@ class Graph:
     @property
     def num_features(self) -> int:
         return self.features.shape[1]
-
-
-_BLOCK_ENTRIES = 2**17  # entries of a pass's widest array in one row block
-
-
-def spans(count: int, step: int):
-    """Yield the (start, stop) bounds of consecutive spans of `step` (at
-    least 2) out of `count` rows or columns.
-
-    A span is at least two wide unless `count` < 2: numpy runs a product
-    with one row (or, in X^T G, one column of X) as a matrix-vector
-    product, whose bits can differ from the matrix-matrix one, so a
-    one-wide tail joins the span before it.
-    """
-    step = max(2, step)
-    start = 0
-    while start < count:
-        stop = start + step if count - start - step > 1 else count
-        yield start, stop
-        start = stop
-
-
-def row_blocks(num_rows: int, width: int):
-    """The `spans` of row blocks, each about `_BLOCK_ENTRIES` entries of a
-    `width`-column array, for the passes whose bits do not depend on the
-    block height: linear inference, the probe's test scoring, k-means' row
-    norms, the SBM's rows of node pairs and the dropout masks' uniforms."""
-    return spans(num_rows, _BLOCK_ENTRIES // max(width, 1))
-
-
-def keep_mask(rng, shape: tuple, p: float) -> np.ndarray:
-    """`rng.uniform(size=shape) >= p` as a boolean array, drawn one
-    `row_blocks` block at a time: blocked draws take the same doubles from
-    the stream as one draw, and no float array of the full shape is built."""
-    keep = np.empty(shape, dtype=bool)
-    rows = keep.reshape(shape[0], math.prod(shape[1:]))
-    for start, stop in row_blocks(*rows.shape):
-        np.greater_equal(rng.uniform(size=(stop - start, rows.shape[1])), p, out=rows[start:stop])
-    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ from signa.evaluate import (
     accuracy,
     micro_f1,
 )
-from signa.graphdata import Graph, normalized_adjacency, row_blocks
+from signa.graphdata import Graph, normalized_adjacency
 
 
 def unit_rows(z: np.ndarray) -> np.ndarray:
@@ -179,7 +179,7 @@ def _jsd_style_loss(d: dc.Tensor, draw: ContrastDraw, eps: float) -> dc.Tensor:
     dcl = kit.clamp(d, eps, 1.0 - eps)
     pos_term = kit.tsum(kit.hadamard(dc.Tensor(wp), kit.log(dcl)))
     neg_term = kit.tsum(kit.hadamard(dc.Tensor(wn), kit.log(kit.sub(1.0, dcl))))
-    return kit.scalar_mul(dc.add(pos_term, neg_term), -1.0 / draw.num_nodes)
+    return kit.scalar_mul(kit.add(pos_term, neg_term), -1.0 / draw.num_nodes)
 
 
 def _check_z(z: dc.Tensor, draw: ContrastDraw) -> None:
@@ -191,7 +191,7 @@ def dense_loss_norm_jsd(z: dc.Tensor, draw: ContrastDraw, eps: float = 1e-7) -> 
     """Mean over anchors of -(1/|P_u|) sum log D - (1/|Q_u|) sum log(1-D)
     with D = (cos+1)/2 on the projected embeddings."""
     _check_z(z, draw)
-    d = kit.scalar_mul(dc.add(_cosine_matrix(z), 1.0), 0.5)
+    d = kit.scalar_mul(kit.add(_cosine_matrix(z), 1.0), 0.5)
     return _jsd_style_loss(d, draw, eps)
 
 
@@ -218,7 +218,7 @@ def dense_loss_info_nce_ablation(z: dc.Tensor, draw: ContrastDraw, tau: float = 
     row_max = np.max(np.where(off_diag, logits.data, -np.inf), axis=1, keepdims=True)
     shifted = kit.exp(kit.sub(logits, dc.Tensor(row_max)))
     denom = kit.tsum(kit.hadamard(shifted, dc.Tensor(off_diag.astype(logits.data.dtype))), axis=1, keepdims=True)
-    log_denom = dc.add(kit.log(denom), dc.Tensor(row_max))
+    log_denom = kit.add(kit.log(denom), dc.Tensor(row_max))
     log_prob = kit.sub(logits, log_denom)
 
     pos = kit.membership(draw) & off_diag
@@ -962,7 +962,7 @@ def kmeans_oracle(
     x = np.asarray(embeddings, dtype=np.float64)
     n = x.shape[0]
     xx = np.empty(n)
-    for start, stop in row_blocks(*x.shape):
+    for start, stop in dc.row_blocks(*x.shape):
         xx[start:stop] = np.sum(np.square(x[start:stop]), axis=1)
     centroids = _kmeans_pp_lockstep_oracle(x, xx, k, [rng.child(r) for r in range(restarts)])
     traces: list[list[float]] = [[] for _ in range(restarts)]

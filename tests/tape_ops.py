@@ -50,6 +50,19 @@ def transpose(x: dc.Tensor) -> dc.Tensor:
     return dc.record_backward(out, _bw)
 
 
+def add(a, b) -> dc.Tensor:
+    """a + b with broadcasting: the encoder's bias sum before `dc.activation`
+    took the bias, and the reference its fused sum is checked against."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    out = dc.Tensor(a.data + b.data, _parents=(a, b))
+    a_shape, b_shape = a.data.shape, b.data.shape
+
+    def _bw(g):
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+
+    return dc.record_backward(out, _bw)
+
+
 def sub(a, b) -> dc.Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = dc.Tensor(a.data - b.data, _parents=(a, b))

@@ -110,7 +110,7 @@ def _op_cases():
     cases.append(("transpose", lambda: _h1(kit.transpose(t)), [t]))
 
     x1, b1 = param((3, 4)), param((4,))
-    cases.append(("add", lambda: _h2(dc.add(x1, b1)), [x1, b1]))
+    cases.append(("add", lambda: _h2(kit.add(x1, b1)), [x1, b1]))
     x2, b2 = param((3, 4)), param((4,))
     cases.append(("sub", lambda: _h3(kit.sub(x2, b2)), [x2, b2]))
     x3, b3 = param((3, 4)), param((3, 1))
@@ -189,6 +189,23 @@ def _op_cases():
             return h(dc.layer_norm(nx, ng, nb, kind, nslope))
 
         cases.append((f"layer_norm+{name}", normed, [nx, ng, nb] + ([nslope] if learned else [])))
+
+    # the activation with the layer's bias, as a layer without LayerNorm runs
+    # it: each kind, and prelu with a constant slope
+    for name in dc.ACTIVATIONS + ("prelu+constant_slope",):
+        kind = name.split("+")[0]
+        bvals = rng.normal(size=(3, 5))
+        bb = param((5,), scale=0.1)
+        while np.any(np.abs(bvals + bb.data) < 0.05):  # keep x + bias clear of the origin kink
+            bvals = rng.normal(size=(3, 5))
+        bx = dc.Parameter(bvals, name=f"pb_{name}")
+        learned = name == "prelu"
+        bslope = dc.Parameter(np.array([0.3]), name="pb_slope") if learned else dc.Tensor([0.1])
+
+        def biased(bx=bx, bb=bb, kind=kind, bslope=bslope, h=head((3, 5))):
+            return h(dc.activation(bx, kind, bslope, bb))
+
+        cases.append((f"{name}+bias", biased, [bx, bb] + ([bslope] if learned else [])))
 
     return cases
 

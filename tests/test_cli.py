@@ -470,30 +470,37 @@ def test_eval_cluster_report(tmp_path):
 
 @pytest.mark.parametrize("mode", ["classify", "cluster"])
 def test_eval_frees_the_graph_before_the_probe_and_kmeans(tmp_path, monkeypatch, mode):
-    # they read only the labels: the graph and its features are freed once
-    # the frozen forward returns
+    # they read only the labels: the graph and its features, and the encoder
+    # state and its weights, are freed once the frozen forward returns
     import signa.cli as cli
     import signa.evaluate as evaluate
     import signa.graphdata as graphdata
+    import signa.trainer as trainer
 
     edges, feats, labels, config, ckpt = _train(tmp_path)
-    graphs, alive = [], []
+    loaded, alive = [], []
 
     def load_spy(*args, load=graphdata.load_graph):
         graph = load(*args)
-        graphs.append(weakref.ref(graph))
+        loaded.append(weakref.ref(graph))
         return graph
 
+    def checkpoint_spy(*args, load=trainer.load_checkpoint):
+        state, config = load(*args)
+        loaded.append(weakref.ref(state.params["layers.0.weight"].data))
+        return state, config
+
     monkeypatch.setattr(graphdata, "load_graph", load_spy)
+    monkeypatch.setattr(trainer, "load_checkpoint", checkpoint_spy)
     for owner, name in ((cli, "_probe_scores"), (evaluate, "kmeans")):
         def spy(*args, fn=getattr(owner, name), **kwargs):
-            alive.append([ref() is not None for ref in graphs])
+            alive.append([ref() is not None for ref in loaded])
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, spy)
     assert main(["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats, "--labels", labels,
                  "--mode", mode, "--runs", "2", "--out", str(tmp_path / "report.json"), "--quiet"]) == 0
-    assert alive == [[False]]
+    assert alive == [[False, False]]
 
 
 def test_memtrace_reads_each_phase_of_an_eval(tmp_path, capsys):

@@ -20,7 +20,6 @@ import tape_ops as kit
 from tape_ops import gradcheck
 
 import signa.diffcore as dc
-from signa import graphdata
 from signa.diffcore import ops
 from signa.diffcore import (
     Parameter,
@@ -99,7 +98,7 @@ def test_transpose_value():
 def test_elementwise_values_and_broadcasting():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([10.0, 20.0])
-    np.testing.assert_array_equal(dc.add(a, b).data, [[11.0, 22.0], [13.0, 24.0]])
+    np.testing.assert_array_equal(kit.add(a, b).data, [[11.0, 22.0], [13.0, 24.0]])
     np.testing.assert_array_equal(kit.sub(a, b).data, [[-9.0, -18.0], [-7.0, -16.0]])
     np.testing.assert_array_equal(kit.hadamard(a, b).data, [[10.0, 40.0], [30.0, 80.0]])
     np.testing.assert_array_equal(kit.scalar_mul(a, -2.0).data, [[-2.0, -4.0], [-6.0, -8.0]])
@@ -108,7 +107,7 @@ def test_elementwise_values_and_broadcasting():
 def test_broadcast_backward_sums_down():
     a = Parameter(np.ones((3, 4)), name="a")
     b = Parameter(np.ones(4), name="b")
-    backward(kit.tsum(dc.add(a, b)))
+    backward(kit.tsum(kit.add(a, b)))
     np.testing.assert_array_equal(a.grad, np.ones((3, 4)))
     np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
 
@@ -283,7 +282,7 @@ def test_blocked_products_equal_the_whole_products(shape, precision):
     x = rng.normal(size=(n, width)).astype(dtype)
     w = rng.normal(size=(width, hidden)).astype(dtype)
     g = rng.normal(size=(n, hidden)).astype(dtype)
-    keep = graphdata.keep_mask(RngStream(3, "dropout"), x.shape, 0.4)
+    keep = ops.keep_mask(RngStream(3, "dropout"), x.shape, 0.4)
     dropped = x * keep
     dropped *= 1.0 / (1.0 - 0.4)
     rebuilt = Tensor(x)
@@ -320,7 +319,7 @@ def _layer_norm_traced(kind=None, slope=None):
 # the backward
 _COLUMNS, _SLACK = 2 * 2000 * 8, 256 * 1024
 # a row block's product with xhat: 512 rows of 256
-_BLOCK = graphdata._BLOCK_ENTRIES * 8
+_BLOCK = ops._BLOCK_ENTRIES * 8
 
 
 def test_layer_norm_backward_forms_two_arrays_of_its_input_size():
@@ -508,7 +507,7 @@ def test_parameter_grads_accumulate_across_tapes():
 def test_reused_node_receives_summed_gradient():
     x = Parameter(np.array([2.0]), name="x")
     y = kit.scalar_mul(x, 1.0)
-    backward(kit.tsum(dc.add(y, y)))
+    backward(kit.tsum(kit.add(y, y)))
     np.testing.assert_array_equal(x.grad, [2.0])
 
 
@@ -518,7 +517,7 @@ def test_needs_grad_follows_parameters():
     assert not x.needs_grad and w.needs_grad
     const = dc.matmul(x, x)
     assert not const.needs_grad and const._node is None
-    assert dc.matmul(x, w).needs_grad and dc.add(dc.matmul(x, w), x).needs_grad
+    assert dc.matmul(x, w).needs_grad and kit.add(dc.matmul(x, w), x).needs_grad
 
 
 def test_backward_drops_gradients_for_constants():
@@ -584,7 +583,7 @@ def test_dropout_matmul_on_constants_records_no_backward():
 _OP_CASES = {
     "matmul": lambda a, b, s: dc.matmul(a, b),
     "transpose": lambda a, b, s: kit.transpose(a),
-    "add": lambda a, b, s: dc.add(a, b),
+    "add": lambda a, b, s: kit.add(a, b),
     "sub": lambda a, b, s: kit.sub(a, b),
     "hadamard": lambda a, b, s: kit.hadamard(a, b),
     "scalar_mul": lambda a, b, s: kit.scalar_mul(a, 2.0),
@@ -596,6 +595,7 @@ _OP_CASES = {
     "layer_norm": lambda a, b, s: dc.layer_norm(a, s, s),
     "layer_norm_relu": lambda a, b, s: dc.layer_norm(a, s, s, "relu"),
     "relu": lambda a, b, s: dc.activation(a, "relu"),
+    "relu+bias": lambda a, b, s: dc.activation(a, "relu", None, s),
     "elu": lambda a, b, s: dc.activation(a, "elu"),
     "leaky_relu": lambda a, b, s: dc.activation(a, "prelu", Tensor([0.1])),
     "prelu": lambda a, b, s: dc.activation(a, "prelu", s),
@@ -808,6 +808,54 @@ def test_layer_norm_rebuilds_each_column_block_of_its_output_bitwise(op, kind, p
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("kind", ["relu", "elu", "prelu", "prelu+constant_slope"])
+def test_activation_with_a_bias_equals_the_earlier_add_bitwise(kind, precision):
+    # a layer without LayerNorm sums its bias inside the activation; before,
+    # `add` summed it as an op of its own.  The output, each column block of
+    # its rebuild (one column, the blocks dL/dW cuts, the whole) and every
+    # gradient, the bias's column sums included, keep their bytes, on signed
+    # zeros and sums that cancel to +0
+    set_precision(precision)
+    rng = np.random.default_rng(37)
+    x, bias = rng.normal(size=(40, 1100)), rng.normal(size=1100)
+    special = [0.0, -0.0, 0.0, -0.0, 1e18, -1e18, 3e5, -3e5, 1e-30, -1e-30]
+    x.flat[rng.choice(x.size, size=len(special), replace=False)] = special
+    bias[:2] = -0.0
+    x[5] = -bias  # a row whose sums are +0 or -0
+    x[6, :2] = 0.0  # +0 + -0: +0
+    upstream = rng.normal(size=x.shape)
+    upstream.flat[:4] = [0.0, -0.0, 1e6, -1e6]
+    results = []
+    for fused in (True, False):
+        xp, bp = Parameter(x, name="x"), Parameter(bias, name="b")
+        slope = {"prelu": Parameter([0.25], name="s"), "prelu+constant_slope": Tensor([0.1])}.get(kind)
+        g = upstream.astype(dc.active_dtype())
+        if fused:
+            out = dc.activation(xp, kind.split("+")[0], slope, bp)
+            grads = out._node.backward(g)
+        else:
+            summed = kit.add(xp, bp)
+            out = dc.activation(summed, kind.split("+")[0], slope)
+            gd, *ds = out._node.backward(g)
+            dx, db = summed._node.backward(gd)
+            grads = (dx, *ds, db)  # in the fused op's parent order: x, slope, bias
+        results.append((out, [grad for grad in grads if grad is not None]))  # a constant slope's is None
+    (new, new_grads), (old, old_grads) = results
+    assert _same_bits(new.data, old.data)
+    assert len(new_grads) == len(old_grads) == (3 if kind == "prelu" else 2)
+    for a, b in zip(new_grads, old_grads, strict=True):
+        assert _same_bits(np.asarray(a), np.asarray(b))
+    assert new_grads[-1].shape == bias.shape
+    if kind == "elu":
+        assert new.rebuild is None and old.rebuild is None
+        return
+    for c0, c1 in [(0, 1100), (0, 1), (1099, 1100), (7, 300), (0, 512), (512, 1024), (1024, 1100)]:
+        block = new.rebuild(c0, c1)
+        assert _same_bits(block, np.ascontiguousarray(new.data[:, c0:c1])), (c0, c1)
+        assert _same_bits(block, old.rebuild(c0, c1)), (c0, c1)
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
 @pytest.mark.parametrize("s", [0.25, 0.23, 0.01, 1.0, 2.5, -0.3, 0.0, -0.0, 1e-40])
 def test_leaky_slopes_equal_the_earlier_ops_bitwise(s, precision):
     # the leaky factor picks 1 or s by bits, not by np.where: the same bytes
@@ -978,6 +1026,34 @@ def test_every_export_has_a_caller():
     assert set(dc.__all__) - dc_used == set()
 
 
+def _imported_modules(path: Path, package: str) -> list[str]:
+    """The absolute names of the modules a file of `package` imports, at
+    the top or inside a function; `from . import x` names the module x."""
+    parts, names = package.split("."), []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[: len(parts) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names += [module] if node.module else [f"{module}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_diffcore_imports_nothing_of_signa_but_its_errors():
+    # the rest of signa builds on diffcore, never the other way round: the
+    # block schedules its products cut live in it, not in graphdata
+    root = Path(dc.__file__).parent
+    outside = [
+        f"{path.name}: {name}"
+        for path in sorted(root.rglob("*.py"))
+        for name in _imported_modules(path, "signa.diffcore")
+        if name.split(".")[0] == "signa" and name.split(".")[:2] != ["signa", "diffcore"] and name != "signa.errors"
+    ]
+    assert outside == []
+    assert "signa.errors" in _imported_modules(root / "ops.py", "signa.diffcore")
+
+
 # ---------------------------------------------------------------------------
 # precision and finite checks
 
@@ -1033,7 +1109,7 @@ def test_grad_add_sub_hadamard_broadcast():
         w = _weights(rng, (3, 4))
 
         def fn():
-            t = dc.add(a, b)
+            t = kit.add(a, b)
             t = kit.sub(t, c)
             t = kit.hadamard(t, b)
             return _weighted_sum(t, w)
@@ -1104,7 +1180,7 @@ def test_grad_sum_mean_axes():
         def fn():
             t = kit.scalar_mul(kit.tsum(a, axis=axis, keepdims=keep), 1.0 / count)
             s = kit.tsum(a, axis=axis, keepdims=keep)
-            return dc.add(kit.tsum(t), kit.tsum(kit.scalar_mul(s, 0.3)))
+            return kit.add(kit.tsum(t), kit.tsum(kit.scalar_mul(s, 0.3)))
 
         return fn, [a]
 

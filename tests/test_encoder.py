@@ -16,7 +16,6 @@ import tape_ops as kit
 import signa.diffcore as dc
 import signa.diffcore.ops as ops
 import signa.encoder as encoder_module
-import signa.graphdata as graphdata
 from signa.contrast import EstimatorSpec, draw_masks, estimator_loss
 from signa.diffcore import RngStream, backward
 from signa.encoder import (
@@ -31,7 +30,7 @@ from signa.encoder import (
     project,
 )
 from signa.errors import ConfigError, ShapeError
-from signa.graphdata import Graph, keep_mask, normalized_adjacency
+from signa.graphdata import Graph, normalized_adjacency
 from signa.trainer import TrainConfig, train
 
 
@@ -342,7 +341,7 @@ def _assert_blocks_equal_the_oracle(spec: ModelSpec, num_features: int) -> None:
     rng = np.random.default_rng(8)
     for p in state.parameters():  # move slopes, gains and biases off their init values
         p.data[...] += 0.1 * rng.normal(size=p.data.shape)
-    b = graphdata._BLOCK_ENTRIES // max(num_features, spec.hidden_dim)  # rows per block
+    b = ops._BLOCK_ENTRIES // max(num_features, spec.hidden_dim)  # rows per block
     # no rows, one row, a short block, one block, a one-row tail, several blocks
     for n in (0, 1, b - 1, b, b + 1, 3 * b + 7):
         graph = Graph(np.zeros((0, 2)), rng.normal(size=(n, num_features)))
@@ -372,9 +371,9 @@ def test_linear_inference_blocks_equal_the_full_graph_forward_when_wide():
 
 @pytest.mark.parametrize("width", [2**17, 2**17 // 3, 2**17 // 5])
 def test_row_blocks_tile_the_rows_without_a_one_row_block(width):
-    step = max(2, graphdata._BLOCK_ENTRIES // width)
+    step = max(2, ops._BLOCK_ENTRIES // width)
     for n in range(4 * step + 3):
-        bounds = list(graphdata.row_blocks(n, width))
+        bounds = list(dc.row_blocks(n, width))
         edges = [0] + [b for _, b in bounds]
         assert [a for a, _ in bounds] == edges[:-1] and edges[-1] == n
         sizes = [b - a for a, b in bounds]
@@ -396,7 +395,7 @@ def test_linear_inference_holds_the_output_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = graphdata._BLOCK_ENTRIES * 8
+    block = ops._BLOCK_ENTRIES * 8
     assert peak <= n * hidden * 8 + 4 * block
 
 
@@ -723,7 +722,7 @@ def test_feature_masking_is_the_earlier_masked_input_bitwise():
         state = EncoderState(spec, graph.num_features, RngStream(5, "init"))
         rng = RngStream(5, "dropout")
         if masked_outside:
-            feats = graph.features * keep_mask(rng, graph.features.shape, 0.3)
+            feats = graph.features * ops.keep_mask(rng, graph.features.shape, 0.3)
             h = encode_rows(state, spec, feats, training=True, rng=rng)
         else:
             h = encode_rows(state, spec, graph.features, training=True, rng=rng, feature_mask_p=0.3)

@@ -21,7 +21,7 @@ from oracles import (
 import tape_ops as kit
 
 import signa.evaluate as evaluate
-import signa.graphdata as graphdata
+import signa.diffcore.ops as ops
 from signa import contrast
 from signa import diffcore as dc
 from signa.diffcore import RngStream
@@ -353,7 +353,7 @@ def _tape_probe_gradients(x, onehot, w0, b0):
     """The autodiff form of the probe's gradient, kept as the closed form's oracle."""
     w = dc.Parameter(w0.copy(), name="probe.weight")
     b = dc.Parameter(b0.copy(), name="probe.bias")
-    logits = dc.add(dc.matmul(dc.Tensor(x), w), b)
+    logits = kit.add(dc.matmul(dc.Tensor(x), w), b)
     row_max = np.max(logits.data, axis=1, keepdims=True)
     shifted = kit.sub(logits, dc.Tensor(row_max))
     log_denom = kit.log(kit.tsum(kit.exp(shifted), axis=1, keepdims=True))
@@ -575,7 +575,7 @@ def test_kmeans_holds_one_distance_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * restarts * k * 8 + 4 * n * restarts * 8 + graphdata._BLOCK_ENTRIES * 8
+    assert peak < n * restarts * k * 8 + 4 * n * restarts * 8 + ops._BLOCK_ENTRIES * 8
 
 
 # ---------------------------------------------------------------------------
@@ -886,11 +886,11 @@ def test_probe_beats_chance_on_informative_features():
 
 
 def _row_block_passes(monkeypatch, rows):
-    """The bytes of each `graphdata.row_blocks` pass, its budget set to
+    """The bytes of each `dc.row_blocks` pass, its budget set to
     blocks of `rows` rows of that pass's width (None: one block)."""
 
     def budget(width):
-        monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", width * (rows or 10**6))
+        monkeypatch.setattr(ops, "_BLOCK_ENTRIES", width * (rows or 10**6))
 
     rng = np.random.default_rng(41)
     n, num_features, hidden = 203, 9, 24

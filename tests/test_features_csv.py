@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import signa.diffcore as dc
+import signa.diffcore.ops as ops
 import signa.graphdata as graphdata
 from signa.errors import IngestionError
 
@@ -428,7 +429,7 @@ def test_without_an_x87_long_double_the_loop_parses(tmp_path, monkeypatch):
 # non-finite values
 
 
-@pytest.mark.parametrize("block_entries", [6, graphdata._BLOCK_ENTRIES])
+@pytest.mark.parametrize("block_entries", [6, ops._BLOCK_ENTRIES])
 @pytest.mark.parametrize(
     "token, kernel_takes",
     [("nan", False), ("-inf", False), ("Infinity", False), ("1e400", True), ("-1e400", True)],
@@ -436,7 +437,7 @@ def test_without_an_x87_long_double_the_loop_parses(tmp_path, monkeypatch):
 def test_a_non_finite_feature_value_is_refused(token, kernel_takes, block_entries, tmp_path, monkeypatch):
     # letters send a file to the line loop; 1e400 is a kernel token that
     # float() reads as inf.  A budget of 6 entries scans two rows per block.
-    monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(ops, "_BLOCK_ENTRIES", block_entries)
     good = "1.5,-2.25,3.125\n"
     feats = _write(tmp_path, good * 5 + f"1,{token},2\n" + good * 4)
     edges = _write(tmp_path, "0 1\n", name="e.txt")
@@ -447,11 +448,11 @@ def test_a_non_finite_feature_value_is_refused(token, kernel_takes, block_entrie
     assert str(exc.value) == f"{feats}: feature row 5 holds a non-finite value"
 
 
-@pytest.mark.parametrize("block_entries", [6, graphdata._BLOCK_ENTRIES])
+@pytest.mark.parametrize("block_entries", [6, ops._BLOCK_ENTRIES])
 def test_a_value_beyond_f32_is_refused_at_load_under_f32(block_entries, tmp_path, monkeypatch):
     # the features are cast to the active precision before the finite scan,
     # so 1e39, finite in f64, is refused at load and named by its row
-    monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(ops, "_BLOCK_ENTRIES", block_entries)
     good = "1.5,-2.25,3.125\n"
     feats = _write(tmp_path, good * 3 + "1,1e39,2\n" + good * 2)
     edges = _write(tmp_path, "0 1\n", name="e.txt")

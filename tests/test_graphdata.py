@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import signa.diffcore as dc
+import signa.diffcore.ops as ops
 import signa.graphdata as graphdata
 from signa.diffcore import Parameter, RngStream, Tensor, backward
 from signa.errors import AnalysisError, IngestionError, ShapeError
@@ -493,7 +494,7 @@ def test_sbm_is_deterministic_per_seed():
 
 @pytest.mark.parametrize("block_entries", [5, 1 << 18])
 def test_sbm_matches_oracle(block_entries, monkeypatch):
-    monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(ops, "_BLOCK_ENTRIES", block_entries)
     cases = [[1], [2], [1, 1], [3, 4], [20, 7, 13], [300, 400], [500, 650]]
     for sizes in cases:
         for seed in range(3):
@@ -535,14 +536,14 @@ def test_normalized_adjacency_is_built_in_the_active_precision():
     assert (adj @ np.ones((g.num_nodes, 2), dtype=np.float32)).dtype == np.float32  # spmm's product
 
 
-@pytest.mark.parametrize("block_entries", [5, graphdata._BLOCK_ENTRIES])
+@pytest.mark.parametrize("block_entries", [5, ops._BLOCK_ENTRIES])
 @pytest.mark.parametrize("shape", [(37, 11), (1, 7), (40,), (0, 3), (4, 3, 5)])
 def test_keep_mask_equals_one_draw(shape, block_entries, monkeypatch):
     # blocked draws take the same doubles from the stream as one draw, and
     # leave it in the same state
-    monkeypatch.setattr(graphdata, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(ops, "_BLOCK_ENTRIES", block_entries)
     blocked, whole = RngStream(9, "dropout"), RngStream(9, "dropout")
-    keep = graphdata.keep_mask(blocked, shape, 0.3)
+    keep = ops.keep_mask(blocked, shape, 0.3)
     assert keep.dtype == bool
     np.testing.assert_array_equal(keep, whole.uniform(size=shape) >= 0.3)
     assert blocked._gen.bit_generator.state == whole._gen.bit_generator.state
@@ -554,11 +555,11 @@ def test_keep_mask_draws_one_block_at_a_time():
     shape = (2000, 512)
     tracemalloc.start()
     try:
-        keep = graphdata.keep_mask(RngStream(0, "dropout"), shape, 0.5)
+        keep = ops.keep_mask(RngStream(0, "dropout"), shape, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= keep.nbytes + graphdata._BLOCK_ENTRIES * 8 + 64 * 1024
+    assert peak <= keep.nbytes + ops._BLOCK_ENTRIES * 8 + 64 * 1024
 
 
 def test_graph_features_are_in_the_active_precision():

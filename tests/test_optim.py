@@ -10,9 +10,10 @@ import pytest
 
 from signa import diffcore as dc
 from signa.diffcore import AdamState, Parameter, active_dtype, adam_step, set_precision
-from signa.diffcore.optim import BLOCK
+from signa.diffcore.ops import _BLOCK_ENTRIES
 from signa.errors import ConfigError, OptimizationError, ShapeError
 
+import tape_ops as kit
 from oracles import adam_step_oracle
 
 
@@ -132,7 +133,7 @@ def test_step_is_bit_identical_to_the_oracle(precision, weight_decay):
     set_precision(precision)
     rng = np.random.default_rng(3)
     # "big" and "long" are above one block: the last blocks are partial
-    shapes = {"w": (7, 5), "b": (5,), "s": (1,), "big": (387, 353), "long": (2 * BLOCK + 3,)}
+    shapes = {"w": (7, 5), "b": (5,), "s": (1,), "big": (387, 353), "long": (2 * _BLOCK_ENTRIES + 3,)}
     init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
 
     def make():
@@ -161,7 +162,7 @@ def test_step_is_bit_identical_to_the_oracle(precision, weight_decay):
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_parameters_that_share_one_gradient_array_step_as_the_oracle(precision):
-    # `add` of two inputs of one shape hands both parents its own upstream
+    # the kit's `add` of two inputs of one shape hands both parents its upstream
     # gradient: both adopt that one array, and neither step may write into
     # it before the other reads it
     set_precision(precision)
@@ -174,7 +175,7 @@ def test_parameters_that_share_one_gradient_array_step_as_the_oracle(precision):
     lean_state = AdamState(lean, lr=0.01, weight_decay=0.01)
     ref_state = AdamState(ref, lr=0.01, weight_decay=0.01)
     for _ in range(3):
-        dc.backward(dc.matmul(dc.matmul(left, dc.add(*lean)), right))
+        dc.backward(dc.matmul(dc.matmul(left, kit.add(*lean)), right))
         shared = lean[0].grad
         assert lean[1].grad is shared
         before = shared.copy()

@@ -23,7 +23,7 @@ import signa.diffcore as dc
 import signa.trainer as trainer
 from signa.contrast import EstimatorSpec, draw_masks, estimator_loss
 from signa.diffcore import set_precision
-from signa.diffcore.optim import BLOCK
+from signa.diffcore.ops import _BLOCK_ENTRIES
 from signa.cli import main
 from signa.encoder import EncoderState, ModelSpec, encode, inference_embeddings, project
 from signa.errors import CheckpointError, ConfigError
@@ -465,9 +465,10 @@ def test_checkpoint_rerun_is_byte_identical(tmp_path):
 # its masked rows as a features override; the other four while each layer's
 # activation and LayerNorm were two ops, LayerNorm keeping its standardized
 # rows; the next four while dropout was its own op before each later
-# layer's matmul; the last three while a standalone relu or leaky relu kept
-# a bool mask and the product after it the activation's output.  Each run
-# is 15 epochs on `_small_graph()` with one BLAS thread, and LayerNorm is on
+# layer's matmul; the next three while a standalone relu or leaky relu kept
+# a bool mask and the product after it the activation's output; the last
+# two while a layer without LayerNorm summed its bias in an `add` op of its
+# own before the activation.  Each run is 15 epochs on `_small_graph()` with one BLAS thread, and LayerNorm is on
 # in all of them but the "no-layer-norm" ones.
 _EARLIER_CHECKPOINT_SHA256 = {
     "relu": "e04d3356eecee5a2003358391b09e35b8c2006a7daefd13f0c136221f2906549",
@@ -484,12 +485,20 @@ _EARLIER_CHECKPOINT_SHA256 = {
     "no-layer-norm-relu": "0d9143361f9925d3895b1942cf6bbec4b8fc680601b3a1856aa2d5eb5fa92e48",
     "no-layer-norm-leaky_relu-f32": "a6964812c99b12563081246d04f1ba1e748e06238487ea68e77a73251395e973",
     "no-layer-norm-rrelu": "a3f9a477e88205f465a2c35537a62ad00cbec4d0431edb397357c8e2f7afa6fc",
+    "no-layer-norm-elu": "57c682712b852128be5055f96d7b96d88bd3ceb959b0a9f4aa6304c74d28f692",
+    "no-layer-norm-prelu-gconv": "26938e54b2b4d365d98912070f693a00f7400e2599b2e3bd901994d17f00be81",
 }
 
 
-def _no_layer_norm(activation: str) -> ModelSpec:
+def _no_layer_norm(activation: str, base_encoder: str = "linear") -> ModelSpec:
     return ModelSpec(
-        num_layers=2, hidden_dim=8, dropout_p=0.3, activation=activation, layer_norm_enabled=False, projector_dim=4
+        num_layers=2,
+        base_encoder=base_encoder,
+        hidden_dim=8,
+        dropout_p=0.3,
+        activation=activation,
+        layer_norm_enabled=False,
+        projector_dim=4,
     )
 
 
@@ -519,6 +528,9 @@ _SMALL_RUNS = {
     "no-layer-norm-relu": dict(model=_no_layer_norm("relu")),
     "no-layer-norm-leaky_relu-f32": dict(model=_no_layer_norm("leaky_relu"), precision="f32"),
     "no-layer-norm-rrelu": dict(model=_no_layer_norm("rrelu")),
+    # the ELU keeps its output; with gconv the bias follows spmm
+    "no-layer-norm-elu": dict(model=_no_layer_norm("elu")),
+    "no-layer-norm-prelu-gconv": dict(model=_no_layer_norm("prelu", "gconv")),
 }
 
 
@@ -564,7 +576,7 @@ def test_no_gradient_outlives_its_step():
     # the step releases every gradient, and its scratch is two arrays of
     # one block at most (one pass over W0 held two W0-sized arrays)
     assert phases["adam"].start - phases["adam"].end >= param_bytes
-    assert phases["adam"].peak - phases["adam"].start <= 2 * BLOCK * 4 + 16384
+    assert phases["adam"].peak - phases["adam"].start <= 2 * _BLOCK_ENTRIES * 4 + 16384
 
 
 def test_nfm_holds_no_more_than_dropout():
