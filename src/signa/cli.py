@@ -513,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the config/default seed")
     common.add_argument("--precision", choices=("f32", "f64"), default=None)
-    common.add_argument("--threads", type=int, default=None, help="pin BLAS thread pools")
+    common.add_argument("--threads", type=int, default=None, help="pin BLAS thread pools (at most the core count)")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     parser = argparse.ArgumentParser(
@@ -587,8 +587,10 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
 
     if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
+        cores = os.cpu_count() or 1
+        if not 1 <= args.threads <= cores:
+            print(f"error: --threads must be from 1 to the {cores} cores of this machine, got {args.threads}",
+                  file=sys.stderr)
             return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)

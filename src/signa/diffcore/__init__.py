@@ -29,9 +29,9 @@ a node's closure, parent links and (but for a Parameter's) gradient as
 soon as it has visited the node.  A Parameter holds no gradient array of
 its own: it keeps the one the backward pass hands it until `adam_step`,
 which releases it, so no gradient is alive in the forward pass or the
-loss, and Adam steps a large parameter one block at a time in two
-block-sized scratch arrays.  One budget, 2^17 entries, sizes those blocks
-and every `row_blocks` block.  The training loop names no intermediate: h
+loss, and Adam steps every parameter one block at a time in two scratch
+arrays of one block (of the parameter, when it is smaller).  One budget,
+2^17 entries, sizes those blocks and every `row_blocks` block.  The training loop names no intermediate: h
 dies when the projector returns and z once the loss has formed its unit
 rows (jsd scores z itself).  The input features are held once, by the
 Graph, in the active precision, and layer 0 reads them in place.
@@ -64,7 +64,7 @@ for the ELU of every preset, its output, which the second matmul reads
 too; the loss keeps dLoss/dz.  Each is one n x width array (booleans for a
 mask).  A dL/dW forms one n x 512 column block at a time.  layer_norm's
 backward forms two arrays of its width, which also serve the activation's
-backward, one row block's scratch and, with an activation, the mask d > 0.
+backward, one row block's scratch and the mask d > 0.
 While it runs, the blocked contrastive loss holds two B x n strip arrays
 (three for the jsd ablation, whose sigmoid slope is a strip of its own),
 the strip's boolean clamp mask, and three n x d arrays: the unit rows zn,

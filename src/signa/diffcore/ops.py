@@ -360,27 +360,28 @@ def activation(x: Tensor, kind: str, slope=None, bias=None) -> Tensor:
     return record_backward(out, _bw)
 
 
-def _centered(kind: str | None, d: np.ndarray, s, pos, mu=None):
-    """(a - mu, mu) for a the activation of d (d itself when kind is None)
-    and mu its row mean, computed when not given; a - mu is one new array."""
-    a = d if kind is None else _activate(kind, d, s, pos)
+def _centered(kind: str, d: np.ndarray, s, pos, mu=None):
+    """(a - mu, mu) for a the activation of d and mu its row mean, computed
+    when not given; a - mu is written into a, one new array."""
+    a = _activate(kind, d, s, pos)
     if mu is None:
         mu = np.mean(a, axis=1, keepdims=True)
-    return np.subtract(a, mu, out=None if a is d else a), mu
+    return np.subtract(a, mu, out=a), mu
 
 
-def layer_norm(
-    x: Tensor, gain: Parameter, bias: Parameter, kind: str | None = None, slope=None, eps: float = 1e-5
-) -> Tensor:
-    """The activation `kind` (none when None; `slope` as for `activation`),
-    then per-row standardization (population variance) with affine
-    gain/bias, as one op: `layer_norm` after `activation`, bit for bit.
+_LAYER_NORM_EPS = 1e-5  # added to each row's variance
+
+
+def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, kind: str, slope=None) -> Tensor:
+    """The activation `kind` (`slope` as for `activation`), then per-row
+    standardization (population variance) with affine gain/bias, as one
+    op: a LayerNorm after `activation`, bit for bit.
 
     The tape keeps the activation's input and two n x 1 columns, the row
     mean and the inverse deviation: neither the activation's output nor the
     standardized rows.  The backward rebuilds both with the forward's own
     operations and forms two arrays of the input's size, which serve the
-    activation's backward too, and one row block's scratch.
+    activation's backward too, the mask d > 0 and one row block's scratch.
 
     The output carries a `rebuild` of any column block from the same
     arrays, in the same operations, so an op that reads the output in its
@@ -395,11 +396,11 @@ def layer_norm(
         raise ShapeError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} do not match width {width}"
         )
-    s = None if kind is None else _slope_of(kind, slope)
+    s = _slope_of(kind, slope)
     d = x.data
-    xhat, mu = _centered(kind, d, s, None if kind in (None, "relu") else d > 0)
+    xhat, mu = _centered(kind, d, s, None if kind == "relu" else d > 0)
     var = np.mean(xhat * xhat, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat *= inv
     normed = xhat * gain.data
     normed += bias.data
@@ -413,7 +414,7 @@ def layer_norm(
         """Columns c0:c1 of the output, a new array with the forward's bits:
         every step but the row mean, which is kept, acts entry by entry."""
         db = d[:, c0:c1]
-        block, _ = _centered(kind, db, s, None if kind in (None, "relu") else db > 0, mu)
+        block, _ = _centered(kind, db, s, None if kind == "relu" else db > 0, mu)
         block *= inv
         block *= gain_data[c0:c1]
         block += bias_data[c0:c1]
@@ -429,7 +430,7 @@ def layer_norm(
         blocks = list(row_blocks(*d.shape))
         rows = max((stop - start for start, stop in blocks), default=0)
         scratch = np.empty((rows, width), d.dtype)
-        pos = None if kind is None else d > 0
+        pos = d > 0
         xhat, _ = _centered(kind, d, s, pos, mu)
         xhat *= inv
         # inv * (gx - m1 - xhat * m2), in the same order, in gx = g * gain,
@@ -447,8 +448,6 @@ def layer_norm(
             gb -= t
             np.multiply(inv[start:stop], gb, out=gb)
         grads = (np.sum(np.multiply(g, xhat, out=xhat), axis=0), np.sum(g, axis=0))
-        if kind is None:
-            return (gx,) + grads
         # xhat's array is free: dL/dd goes there, and prelu's slope product
         # into gx once dL/dd has read it
         gd, *ds = _activation_grad(kind, gx, s, pos, d=d, out=xhat, spare=gx, slope_shape=slope_shape)

@@ -41,14 +41,13 @@ def adam_step(state: AdamState) -> None:
     """One Adam update of every parameter, then release its gradient.
 
     The arithmetic is m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order, computed in two
-    scratch arrays.  The gradient is read, never written: it may be an
-    array another parameter adopted too, or a buffer its caller reuses.  A
-    parameter with no gradient steps as if it were zero.  A parameter above
-    diffcore's block budget, `_BLOCK_ENTRIES` entries, is updated one block
-    of its flattened entries at a time, with scratch arrays of one block;
-    every operation is elementwise, so the bits are those of one pass over
-    the whole array.
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order.  The gradient is
+    read, never written: it may be an array another parameter adopted too,
+    or a buffer its caller reuses.  A parameter with no gradient steps as
+    if it were zero.  Every parameter, C-contiguous as are its moments, is
+    updated one block of `_BLOCK_ENTRIES` flattened entries at a time in
+    two scratch arrays of at most one block; every operation is
+    elementwise, so the bits are those of one pass over the whole array.
     """
     for p in state.params:
         g = p.grad
@@ -62,36 +61,28 @@ def adam_step(state: AdamState) -> None:
         g = p.grad
         if state.weight_decay != 0.0:
             p.data *= 1.0 - state.lr * state.weight_decay
-        m = state.m[p.name]
-        v = state.v[p.name]
         if g is None:
             g = np.zeros(p.data.shape, p.data.dtype)
-        if p.data.size <= _BLOCK_ENTRIES or not all(a.flags.c_contiguous for a in (p.data, m, v)):
-            _update(p.data, m, v, g, state.lr, bc1, bc2)
-        else:
-            data, m, v, g = p.data.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
-            step, denom = np.empty(_BLOCK_ENTRIES, data.dtype), np.empty(_BLOCK_ENTRIES, data.dtype)
-            for start in range(0, data.size, _BLOCK_ENTRIES):
-                stop = min(start + _BLOCK_ENTRIES, data.size)
-                block = slice(start, stop)
-                _update(
-                    data[block], m[block], v[block], g[block], state.lr, bc1, bc2,
-                    step[: stop - start], denom[: stop - start],
-                )
+        data, m, v, g = p.data.reshape(-1), state.m[p.name].reshape(-1), state.v[p.name].reshape(-1), g.reshape(-1)
+        step, denom = (np.empty(min(data.size, _BLOCK_ENTRIES), data.dtype) for _ in range(2))
+        for start in range(0, data.size, _BLOCK_ENTRIES):
+            block = slice(start, start + _BLOCK_ENTRIES)
+            size = len(data[block])
+            _update(data[block], m[block], v[block], g[block], state.lr, bc1, bc2, step[:size], denom[:size])
         p.grad = None
 
 
-def _update(data, m, v, g, lr, bc1, bc2, step=None, denom=None) -> None:
+def _update(data, m, v, g, lr, bc1, bc2, step, denom) -> None:
     """One Adam update of `data` in place; `step` and `denom` are scratch
-    arrays of its size, allocated here when None."""
-    step = np.multiply(g, 1.0 - BETA1, out=step)
+    arrays of its size."""
+    np.multiply(g, 1.0 - BETA1, out=step)
     m *= BETA1
     m += step
     v *= BETA2
     np.multiply(g, g, out=step)
     step *= 1.0 - BETA2
     v += step
-    denom = np.divide(v, bc2, out=denom)
+    np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
     denom += EPS
     np.divide(m, bc1, out=step)

@@ -106,11 +106,13 @@ class Parameter(Tensor):
     runs inference (a loaded checkpoint under `signa eval`) never holds one,
     and in training a gradient lives from the backward pass to the step.
     Code that forms a gradient itself (the probe, tests) assigns it to
-    `grad`; the step reads it and never writes into it.
+    `grad`; the step reads it and never writes into it.  Its data is
+    C-contiguous: a C-contiguous array in the active dtype is held by
+    reference, and any other input is copied once.
     """
 
     def __init__(self, data, name: str):
-        super().__init__(data)
+        super().__init__(np.asarray(data, dtype=active_dtype(), order="C"))
         self.name = name
         self._node = _Node((), persistent=True)
 

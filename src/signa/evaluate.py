@@ -29,20 +29,17 @@ class Split:
     test: np.ndarray
 
 
-def make_splits(labels, rng: dc.RngStream, ratios=(0.1, 0.1, 0.8), num_runs=1) -> list[Split]:
-    """Independent random train/val/test splits over all labeled nodes.
+def make_splits(labels, rng: dc.RngStream, num_runs=1) -> list[Split]:
+    """Independent random 10/10/80 train/val/test splits over all labeled nodes.
 
-    Sizes are round(n * ratio) for train and val, remainder test; run r
+    Sizes are round(n * 0.1) for train and val, remainder test; run r
     draws from `rng.child(r)`, so runs are independent yet reproducible.
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError(f"ratios must be three non-negative numbers summing to 1, got {ratios}")
-    n_train = int(round(n * ratios[0]))
-    n_val = int(round(n * ratios[1]))
-    if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
-        raise AnalysisError(f"{n} labeled nodes are too few for ratios {ratios}")
+    n_train = n_val = int(round(n * 0.1))
+    if n_train < 1 or n - n_train - n_val < 1:
+        raise AnalysisError(f"{n} labeled nodes are too few for ratios (0.1, 0.1, 0.8)")
     splits = []
     for run in range(num_runs):
         perm = rng.child(run).permutation(n)
@@ -393,11 +390,14 @@ def kmeans(
 # partition agreement metrics
 
 
-def _cell_index(v: np.ndarray) -> np.ndarray:
-    """v itself when its values lie in [0, len(v)), else their ranks."""
-    if v.min() < 0 or v.max() >= v.size:
-        return np.unique(v, return_inverse=True)[1]
-    return v
+def _cell_index(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(index, cells): v itself and max(v) + 1 when v's values lie in
+    [0, len(v)), else their ranks and the number of distinct values."""
+    lo, hi = v.min(), v.max()
+    if lo < 0 or hi >= v.size:
+        values, ranks = np.unique(v, return_inverse=True)
+        return ranks, values.size
+    return v, int(hi) + 1
 
 
 def _contingency(a, b) -> np.ndarray:
@@ -411,13 +411,13 @@ def _contingency(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise AnalysisError("partition metrics need two equal-length non-empty 1-D arrays")
-    a, b = _cell_index(a), _cell_index(b)
-    rows, cols = int(a.max()) + 1, int(b.max()) + 1
+    (a, rows), (b, cols) = _cell_index(a), _cell_index(b)
     return np.bincount(a * cols + b, minlength=rows * cols).reshape(rows, cols)
 
 
-def _entropy(counts: np.ndarray) -> float:
-    p = counts[counts > 0] / counts.sum()
+def _entropy(counts: np.ndarray, n: int) -> float:
+    """The entropy of the cells of `counts`, which sum to n."""
+    p = counts[counts > 0] / n
     return float(-(p * np.log(p)).sum())
 
 
@@ -433,16 +433,17 @@ def partition_metrics(assignments, labels) -> tuple[float, float]:
     H(classes) = 0.
     """
     table = _contingency(assignments, labels)
-    n = table.sum()
+    n = len(assignments)
     clusters, classes = table.sum(axis=1), table.sum(axis=0)
-    h_k, h_c = _entropy(clusters), _entropy(classes)
+    h_k, h_c = _entropy(clusters, n), _entropy(classes, n)
     nz = table > 0
     rows, cols = np.nonzero(nz)
     counts = table[nz]
+    per_cluster = nz.sum(axis=1)  # nonzero cells of each cluster
 
     if h_k == 0.0 and h_c == 0.0:
         score = 1.0
-    elif (nz.sum(axis=0) <= 1).all() and (nz.sum(axis=1) <= 1).all():
+    elif per_cluster.max() <= 1 and nz.sum(axis=0).max() <= 1:
         # identical partitions up to relabeling: one nonzero per row and column.
         # Score exactly 1.0 instead of accumulating rounding in the MI sum.
         score = 1.0
@@ -456,7 +457,7 @@ def partition_metrics(assignments, labels) -> tuple[float, float]:
     p = counts / clusters[rows]  # each cluster's nonzero class shares, cluster after cluster
     p *= np.log(p)
     h_c_given_k, start = 0.0, 0
-    for total, end in zip(clusters, nz.sum(axis=1).cumsum()):
+    for total, end in zip(clusters, per_cluster.cumsum()):
         if total:  # the cluster's class entropy is -(its p log p).sum()
             h_c_given_k += (total / n) * float(-p[start:end].sum())
         start = end
@@ -572,13 +573,13 @@ class TimingReport:
     repeats: int
 
 
-def timing_harness(graph: Graph, spec: ModelSpec, repeats: int = 20, warmup: int = 3) -> TimingReport:
+def timing_harness(graph: Graph, spec: ModelSpec, repeats: int = 20) -> TimingReport:
     """Median single-pass inference wall time of `spec` with each base encoder.
 
     The linear and gconv models differ only in `base_encoder`.  The
     normalized adjacency is built once outside the timed region; only the
     forward pass, with the parameters as constants, is measured.  After
-    each encoder's warmup the repeats alternate between the two encoders,
+    each encoder's three warmup passes the repeats alternate between them,
     each going first every other time, so a burst of machine load lands on
     both sides alike.
     """
@@ -590,7 +591,7 @@ def timing_harness(graph: Graph, spec: ModelSpec, repeats: int = 20, warmup: int
     for kind, use_adj in (("linear", None), ("gconv", adj)):
         spec = replace(spec, base_encoder=kind)
         state = EncoderState(spec, graph.num_features, dc.RngStream(0, "init")).frozen()
-        for _ in range(warmup):
+        for _ in range(3):
             encode_rows(state, spec, graph.features, adj=use_adj)
         runs.append((state, spec, use_adj))
     times: list[list[float]] = [[], []]

@@ -58,6 +58,10 @@ earlier `diffcore.logistic`, which gathers each sign's entries apart.
 metrics, kept as it was: `nmi` and `homogeneity` each rank both label
 vectors with np.unique and fill their own contingency table with
 np.add.at.  The one-table `partition_metrics` must match it bit for bit.
+`partition_metrics_one_table_oracle` is the library's first one-table
+`partition_metrics`, kept as it was: it takes each label vector's min and
+max twice and sums the table and each marginal again for its entropies;
+the leaner one must match it bit for bit.
 
 `inference_embeddings_oracle` is the library's earlier inference: one
 frozen forward over the whole graph, whatever the encoder.  The linear
@@ -417,10 +421,10 @@ def layer_norm_oracle(x: dc.Tensor, gain: dc.Tensor, bias: dc.Tensor, eps: float
     return dc.record_backward(out, _bw)
 
 
-def activated_layer_norm_oracle(x: dc.Tensor, gain: dc.Tensor, bias: dc.Tensor, kind=None, slope=None) -> dc.Tensor:
-    """The earlier activation `kind` (none when None), then the earlier
-    LayerNorm: the reference for `layer_norm` with an activation."""
-    return layer_norm_oracle(x if kind is None else activation_oracle(x, kind, slope), gain, bias)
+def activated_layer_norm_oracle(x: dc.Tensor, gain: dc.Tensor, bias: dc.Tensor, kind, slope=None) -> dc.Tensor:
+    """The earlier activation `kind`, then the earlier LayerNorm: the
+    reference for `layer_norm`, which takes the activation before it."""
+    return layer_norm_oracle(activation_oracle(x, kind, slope), gain, bias)
 
 
 def _leaky_factor_oracle(d: np.ndarray, s: float) -> np.ndarray:
@@ -689,6 +693,52 @@ def _homogeneity_earlier(assignments: np.ndarray, labels: np.ndarray) -> float:
 
 def partition_metrics_oracle(assignments, labels) -> tuple[float, float]:
     return _nmi_earlier(assignments, labels), _homogeneity_earlier(assignments, labels)
+
+
+def _cell_index_oracle(v: np.ndarray) -> np.ndarray:
+    if v.min() < 0 or v.max() >= v.size:
+        return np.unique(v, return_inverse=True)[1]
+    return v
+
+
+def _one_table_oracle(a, b) -> np.ndarray:
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise AnalysisError("partition metrics need two equal-length non-empty 1-D arrays")
+    a, b = _cell_index_oracle(a), _cell_index_oracle(b)
+    rows, cols = int(a.max()) + 1, int(b.max()) + 1
+    return np.bincount(a * cols + b, minlength=rows * cols).reshape(rows, cols)
+
+
+def partition_metrics_one_table_oracle(assignments, labels) -> tuple[float, float]:
+    table = _one_table_oracle(assignments, labels)
+    n = table.sum()
+    clusters, classes = table.sum(axis=1), table.sum(axis=0)
+    h_k, h_c = _entropy_oracle(clusters), _entropy_oracle(classes)
+    nz = table > 0
+    rows, cols = np.nonzero(nz)
+    counts = table[nz]
+
+    if h_k == 0.0 and h_c == 0.0:
+        score = 1.0
+    elif (nz.sum(axis=0) <= 1).all() and (nz.sum(axis=1) <= 1).all():
+        score = 1.0
+    else:
+        pij = counts / n
+        mi = float((pij * np.log(pij / ((clusters / n)[rows] * (classes / n)[cols]))).sum())
+        score = float(min(max(mi / ((h_k + h_c) / 2.0), 0.0), 1.0))
+    if h_c == 0.0:
+        return score, 1.0
+
+    p = counts / clusters[rows]
+    p *= np.log(p)
+    h_c_given_k, start = 0.0, 0
+    for total, end in zip(clusters, nz.sum(axis=1).cumsum()):
+        if total:
+            h_c_given_k += (total / n) * float(-p[start:end].sum())
+        start = end
+    return score, float(min(max(1.0 - h_c_given_k / h_c, 0.0), 1.0))
 
 
 def sbm_generate_oracle(block_sizes, p_in, p_out, feature_means, noise_sigma, rng) -> Graph:

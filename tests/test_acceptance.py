@@ -136,7 +136,7 @@ def _op_cases():
     cases.append(("tsum", lambda: _h10(kit.tsum(s0, axis=0)), [s0]))
 
     lx, lg, lb = param((3, 5)), param((5,), offset=1.0), param((5,))
-    cases.append(("layer_norm", lambda: _h12(dc.layer_norm(lx, lg, lb)), [lx, lg, lb]))
+    cases.append(("layer_norm", lambda: _h12(dc.layer_norm(lx, lg, lb, "elu")), [lx, lg, lb]))
 
     # a leaky relu is a prelu with a constant slope, as the encoder runs it
     for name, kind, slope in (("relu", "relu", None), ("elu", "elu", None), ("prelu+constant_slope", "prelu", 0.1)):

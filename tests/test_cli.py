@@ -886,6 +886,24 @@ def test_threads_flag_validation(tmp_path, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_threads_above_the_core_count_are_refused(monkeypatch, capsys):
+    # refused before a BLAS variable is set and before any handler imports
+    # numpy, so no pool is sized above the machine's cores
+    import signa.cli as cli
+
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, "homophily", lambda args: ran.append(args) or 0)
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    before = {name: os.environ.get(name) for name in names}
+    cores = os.cpu_count()
+    rc = main(["homophily", "--edges", "e", "--features", "f", "--labels", "l",
+               "--out-json", "o.json", "--out-csv", "o.csv", "--threads", str(cores + 1)])
+    assert rc == 1 and ran == []
+    assert {name: os.environ.get(name) for name in names} == before
+    want = f"error: --threads must be from 1 to the {cores} cores of this machine, got {cores + 1}\n"
+    assert capsys.readouterr().err == want
+
+
 # ---------------------------------------------------------------------------
 # malformed checkpoints
 

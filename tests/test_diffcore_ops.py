@@ -7,6 +7,7 @@ instances, relative error under 1e-5 in 64-bit mode.
 """
 
 import ast
+import math
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -295,7 +296,7 @@ def test_blocked_products_equal_the_whole_products(shape, precision):
         assert _same_bits(plain._node.backward(g)[1], x.T @ g)
 
 
-def _layer_norm_traced(kind=None, slope=None):
+def _layer_norm_traced(kind, slope=None):
     """(bytes the forward leaves held, the backward's peak above what it
     started with, the input, the gradients) of layer_norm on a 2000 x 256
     f64 input, under tracemalloc."""
@@ -322,25 +323,15 @@ _COLUMNS, _SLACK = 2 * 2000 * 8, 256 * 1024
 _BLOCK = ops._BLOCK_ENTRIES * 8
 
 
-def test_layer_norm_backward_forms_two_arrays_of_its_input_size():
-    # the tape holds the input, which its owner holds anyway, and two n x 1
-    # columns, not the standardized rows.  The backward rebuilds those rows
-    # in one array and builds dL/dx in place in g * gain, one row block at a
-    # time, each product with xhat in a block-sized array; g * xhat, for
-    # the gain's gradient, overwrites xhat.  The closure that kept xhat
-    # formed two arrays and one scratch array of the input's size.
-    held, backward_peak, x, grads = _layer_norm_traced()
-    assert held <= _COLUMNS + _SLACK
-    assert backward_peak <= 2 * x.data.nbytes + _BLOCK + _SLACK
-    assert grads[0].shape == x.data.shape
-
-
 @pytest.mark.parametrize("kind", ["relu", "elu", "leaky_relu", "prelu"])
 def test_layer_norm_with_an_activation_keeps_its_input_and_two_columns(kind):
-    # neither the activation's output nor the standardized rows stay on the
-    # tape; the activation's backward writes into the two arrays that
-    # served LayerNorm's, so the backward still forms two, the mask d > 0
-    # and a row block's scratch
+    # the tape holds the input, which its owner holds anyway, and two n x 1
+    # columns: neither the activation's output nor the standardized rows.
+    # The backward rebuilds those rows in one array and builds dL/dx in
+    # place in g * gain, one row block at a time, each product with xhat in
+    # a block-sized array; g * xhat, for the gain's gradient, overwrites
+    # xhat.  The activation's backward writes into those two arrays, so the
+    # backward forms two, the mask d > 0 and a row block's scratch
     slope = {"prelu": Parameter(np.array([0.25]), name="s"), "leaky_relu": 0.23}.get(kind)
     held, backward_peak, x, grads = _layer_norm_traced(*_as_prelu(kind, slope))
     assert held <= _COLUMNS + _SLACK
@@ -380,7 +371,7 @@ def test_layer_norm_constant_row_maps_to_bias():
     x = Tensor(np.full((2, 4), 7.0))
     gain = Parameter(np.ones(4), name="g")
     bias = Parameter(np.array([1.0, 2.0, 3.0, 4.0]), name="b")
-    out = dc.layer_norm(x, gain, bias)
+    out = dc.layer_norm(x, gain, bias, "relu")
     np.testing.assert_allclose(out.data, np.broadcast_to(bias.data, (2, 4)), atol=1e-12)
 
 
@@ -388,7 +379,7 @@ def test_layer_norm_standardizes_rows():
     x = Tensor([[1.0, -1.0]])
     gain = Parameter(np.ones(2), name="g")
     bias = Parameter(np.zeros(2), name="b")
-    out = dc.layer_norm(x, gain, bias)
+    out = dc.layer_norm(x, gain, bias, "elu")
     np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-4)
     assert abs(out.data.mean()) < 1e-12
 
@@ -592,7 +583,7 @@ _OP_CASES = {
     "sigmoid": lambda a, b, s: kit.sigmoid(a),
     "clamp": lambda a, b, s: kit.clamp(a, -0.5, 0.5),
     "tsum": lambda a, b, s: kit.tsum(a),
-    "layer_norm": lambda a, b, s: dc.layer_norm(a, s, s),
+    "layer_norm": lambda a, b, s: dc.layer_norm(a, s, s, "elu"),
     "layer_norm_relu": lambda a, b, s: dc.layer_norm(a, s, s, "relu"),
     "relu": lambda a, b, s: dc.activation(a, "relu"),
     "relu+bias": lambda a, b, s: dc.activation(a, "relu", None, s),
@@ -671,32 +662,28 @@ _LEAN_WEIGHT = np.random.default_rng(12).normal(size=(8, 8))
 
 _LEAN_OPS = {
     "dropout_matmul": (
-        lambda x, gain, bias, slope: dc.matmul(
+        lambda x, slope: dc.matmul(
             x, Parameter(_LEAN_WEIGHT, name="w"), p=0.3, rng=RngStream(7, "dropout"), training=True
         ),
-        lambda x, gain, bias, slope: oracles.dropout_matmul_oracle(
+        lambda x, slope: oracles.dropout_matmul_oracle(
             x, Parameter(_LEAN_WEIGHT, name="w"), 0.3, RngStream(7, "dropout"), training=True
         ),
     ),
-    "layer_norm": (
-        lambda x, gain, bias, slope: dc.layer_norm(x, gain, bias),
-        lambda x, gain, bias, slope: oracles.layer_norm_oracle(x, gain, bias),
-    ),
     "relu": (
-        lambda x, gain, bias, slope: dc.activation(x, "relu"),
-        lambda x, gain, bias, slope: oracles.activation_oracle(x, "relu"),
+        lambda x, slope: dc.activation(x, "relu"),
+        lambda x, slope: oracles.activation_oracle(x, "relu"),
     ),
     "elu": (
-        lambda x, gain, bias, slope: dc.activation(x, "elu"),
-        lambda x, gain, bias, slope: oracles.activation_oracle(x, "elu"),
+        lambda x, slope: dc.activation(x, "elu"),
+        lambda x, slope: oracles.activation_oracle(x, "elu"),
     ),
     "leaky_relu": (
-        lambda x, gain, bias, slope: dc.activation(x, "prelu", Tensor([0.23])),
-        lambda x, gain, bias, slope: oracles.activation_oracle(x, "leaky_relu", 0.23),
+        lambda x, slope: dc.activation(x, "prelu", Tensor([0.23])),
+        lambda x, slope: oracles.activation_oracle(x, "leaky_relu", 0.23),
     ),
     "prelu": (
-        lambda x, gain, bias, slope: dc.activation(x, "prelu", slope),
-        lambda x, gain, bias, slope: oracles.activation_oracle(x, "prelu", slope),
+        lambda x, slope: dc.activation(x, "prelu", slope),
+        lambda x, slope: oracles.activation_oracle(x, "prelu", slope),
     ),
 }
 
@@ -714,14 +701,12 @@ def test_lean_ops_equal_the_earlier_ops_bitwise(op, precision):
     x = rng.normal(size=(6, 8))
     special = [0.0, -0.0, 0.0, -0.0, 1e18, -1e18, 3e5, -3e5, 1e-30, -1e-30]
     x.flat[rng.choice(x.size, size=len(special), replace=False)] = special
-    x[5] = -0.0  # a row with no positive entry, and zero variance for layer_norm
-    gain, bias = rng.uniform(0.5, 1.5, size=8), rng.normal(size=8)
+    x[5] = -0.0  # a row with no positive entry
     upstream = rng.normal(size=x.shape)
     upstream.flat[:4] = [0.0, -0.0, 1e6, -1e6]
     results = []
     for make in _LEAN_OPS[op]:
-        args = [Parameter(x, name="x"), Parameter(gain, name="g"), Parameter(bias, name="b"), Parameter([0.25], name="s")]
-        out = make(*args)
+        out = make(Parameter(x, name="x"), Parameter([0.25], name="s"))
         grads = out._node.backward(upstream.astype(out.data.dtype))
         results.append((out.data, [g for g in grads if g is not None]))  # a constant slope's is None
     (new, new_grads), (old, old_grads) = results
@@ -732,7 +717,7 @@ def test_lean_ops_equal_the_earlier_ops_bitwise(op, precision):
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("kind", [None, "relu", "elu", "leaky_relu", "prelu"])
+@pytest.mark.parametrize("kind", ["relu", "elu", "leaky_relu", "prelu"])
 @pytest.mark.parametrize("shape", [(6, 8), (1100, 256)], ids=["one_block", "three_blocks"])
 def test_layer_norm_with_its_activation_equals_the_earlier_pair_bitwise(shape, kind, precision):
     # one op rebuilds the activation's output and the standardized rows in
@@ -764,7 +749,7 @@ def test_layer_norm_with_its_activation_equals_the_earlier_pair_bitwise(shape, k
         assert _same_bits(a, b)
 
 
-_REBUILT = [pytest.param("layer_norm", kind, id=str(kind)) for kind in (None, "relu", "elu", "leaky_relu", "prelu")]
+_REBUILT = [pytest.param("layer_norm", kind, id=kind) for kind in ("relu", "elu", "leaky_relu", "prelu")]
 _REBUILT += [pytest.param("activation", kind, id=f"activation-{kind}") for kind in ("relu", "elu", "leaky_relu", "prelu")]
 
 
@@ -962,21 +947,28 @@ def _public_definitions(tree: ast.Module) -> list[tuple[tuple[str, ...], bool]]:
     return [(q, is_field) for q, is_field in found if not q[-1].startswith("_")]
 
 
-def _loads(tree: ast.Module):
-    """(name, enclosing definition, is an attribute) for every name or
-    attribute read."""
+def _owned(tree: ast.Module):
+    """(node, its parent, the names of the definitions that enclose it) for
+    every node; a definition's own name is not among its owners."""
     stack = [(tree, ())]
     while stack:
         node, owner = stack.pop()
         for child in ast.iter_child_nodes(node):
+            yield child, node, owner
             inner = owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = owner + (child.name,)
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                yield child.id, owner, False
-            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
-                yield child.attr, owner, True
             stack.append((child, inner))
+
+
+def _loads(tree: ast.Module):
+    """(name, enclosing definition, is an attribute) for every name or
+    attribute read."""
+    for node, _, owner in _owned(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, owner, False
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, owner, True
 
 
 # Filled by every draw_masks call and read nowhere: it stays only while the
@@ -1024,6 +1016,78 @@ def test_every_export_has_a_caller():
     ]
     assert sorted(uncalled) == sorted(_UNREAD_FIELDS)
     assert set(dc.__all__) - dc_used == set()
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, the name a call spells, parameter, position) of
+    every parameter with a default, of every function and method.  The
+    position counts the arguments a call passes (a method's self is bound);
+    it is None for a keyword-only parameter.  A call spells `__init__` as
+    its class."""
+    for node, parent, owner in _owned(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = isinstance(parent, ast.ClassDef) and not any(
+            getattr(d, "id", None) == "staticmethod" for d in node.decorator_list
+        )
+        spelled = parent.name if bound and node.name == "__init__" else node.name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield owner + (node.name,), spelled, arg.arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield owner + (node.name,), spelled, arg.arg, None
+
+
+def _calls(tree: ast.Module):
+    """(the name called, enclosing definition, positional arguments, keyword
+    names) for every call; a starred argument counts as every position, and
+    `**` splat as every keyword (None)."""
+    for node, _, owner in _owned(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            yield name, owner, math.inf if starred else len(node.args), {k.arg for k in node.keywords}
+
+
+# Defaults that stay although nothing in src/ or perfbench/ passes them: the
+# tests run k-means with fewer restarts and iterations, and the tests call
+# the CLI's main with their own argv.
+_UNPASSED_PARAMETERS = {
+    "signa/cli.py: main(argv)",
+    "signa/evaluate.py: kmeans(max_iters)",
+    "signa/evaluate.py: kmeans(restarts)",
+}
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no caller overrides is a constant: every parameter with
+    # a default, of every function and method of signa, is passed, by
+    # keyword or by position, by some call in src/ or perfbench/ outside its
+    # own definition.  Names are matched by spelling, as the export guard
+    # above matches them, so a call of any `f` passes a parameter of every
+    # function `f`.
+    package = Path(dc.__file__).parents[1]
+    files = sorted(package.rglob("*.py")) + sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    defined, calls = [], []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        if package in path.parents:
+            defined += [(path, *found) for found in _defaulted_parameters(tree)]
+        calls += [(path, *call) for call in _calls(tree)]
+    unpassed = [
+        f"{path.relative_to(package.parent)}: {'.'.join(qual)}({param})"
+        for path, qual, spelled, param, position in defined
+        if not any(
+            name == spelled
+            and (where, owner[: len(qual)]) != (path, qual)
+            and (param in keywords or None in keywords or (position is not None and position < passed))
+            for where, name, owner, passed, keywords in calls
+        )
+    ]
+    assert sorted(unpassed) == sorted(_UNPASSED_PARAMETERS)
 
 
 def _imported_modules(path: Path, package: str) -> list[str]:
@@ -1228,12 +1292,12 @@ def test_grad_layer_norm():
         g = _param(rng, (6,), "g", lo=0.5, hi=1.5)
         b = _param(rng, (6,), "b")
         w = _weights(rng, (4, 6))
-        return lambda: _weighted_sum(dc.layer_norm(a, g, b), w), [a, g, b]
+        return lambda: _weighted_sum(dc.layer_norm(a, g, b, "elu"), w), [a, g, b]
 
     _run_gradchecks(make)
 
 
-@pytest.mark.parametrize("kind", [None, "prelu"])
+@pytest.mark.parametrize("kind", ["elu", "prelu"])
 @pytest.mark.parametrize("dropout", [True, False], ids=["dropout_matmul", "matmul"])
 def test_grad_of_a_product_that_reads_a_layer_norm_output(dropout, kind):
     # the product's dL/dW reads the rebuilt output, not the output array
@@ -1247,13 +1311,13 @@ def test_grad_of_a_product_that_reads_a_layer_norm_output(dropout, kind):
         w = _weights(rng, (4, 3))
 
         def fn():
-            h = dc.layer_norm(a, g, b, kind, s if kind else None)
+            h = dc.layer_norm(a, g, b, kind, s if kind == "prelu" else None)
             assert h.rebuild is not None
             if dropout:
                 return _weighted_sum(dc.matmul(h, v, p=0.4, rng=RngStream(seed, "dropout"), training=True), w)
             return _weighted_sum(dc.matmul(h, v), w)
 
-        return fn, [a, g, b, v] + ([s] if kind else [])
+        return fn, [a, g, b, v] + ([s] if kind == "prelu" else [])
 
     _run_gradchecks(make)
 

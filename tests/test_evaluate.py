@@ -8,12 +8,14 @@ import pytest
 
 from conftest import assert_drew, edge_list, random_labeled_graph, split_generator
 from oracles import (
+    canonical_partitions,
     homogeneity_oracle,
     kmeans_oracle,
     kmeans_serial_oracle,
     linear_probe_oracle,
     micro_f1_oracle,
     nmi_oracle,
+    partition_metrics_one_table_oracle,
     partition_metrics_oracle,
     probe_gradients_oracle,
     similarity_histograms_oracle,
@@ -76,16 +78,16 @@ def test_make_splits_reproducible_and_runs_distinct():
     assert not np.array_equal(a[0].train, a[1].train)
 
 
-def test_make_splits_ratio_validation():
-    labels = np.zeros(50, dtype=np.int64)
-    for ratios in ((0.5, 0.5, 0.5), (-0.1, 0.3, 0.8), (0.5, 0.5)):
-        with pytest.raises(ConfigError):
-            make_splits(labels, RngStream(0, "split"), ratios=ratios)
+def test_make_splits_rounds_the_protocol_shares():
+    # train and val take round(n * 0.1) nodes each, half to even, and test the rest
+    for n, sizes in ((15, (2, 2, 11)), (25, (2, 2, 21)), (57, (6, 6, 45)), (104, (10, 10, 84))):
+        (split,) = make_splits(np.zeros(n, dtype=np.int64), RngStream(0, "split"))
+        assert (split.train.size, split.val.size, split.test.size) == sizes
 
 
 def test_make_splits_too_few_nodes():
-    with pytest.raises(AnalysisError):
-        make_splits(np.zeros(4, dtype=np.int64), RngStream(0, "split"), ratios=(0.1, 0.1, 0.8))
+    with pytest.raises(AnalysisError, match=r"4 labeled nodes are too few for ratios \(0.1, 0.1, 0.8\)"):
+        make_splits(np.zeros(4, dtype=np.int64), RngStream(0, "split"))
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +129,12 @@ def test_micro_f1_extremes_and_validation():
 # linear probe
 
 
-def _split_all(n, rng):
-    (split,) = make_splits(np.zeros(n, dtype=np.int64), ratios=(0.5, 0.2, 0.3), rng=rng)
-    return split
+def _split_all(n, rng, ratios=(0.5, 0.2, 0.3)):
+    """A split drawn as `make_splits` draws its first run, cut at `ratios`."""
+    perm = rng.child(0).permutation(n)
+    n_train, n_val = round(n * ratios[0]), round(n * ratios[1])
+    cuts = np.split(perm, [n_train, n_train + n_val])
+    return Split(*(np.sort(part) for part in cuts))
 
 
 def test_probe_learns_separable_data():
@@ -620,8 +625,28 @@ def test_partition_metrics_equal_the_earlier_pair_bit_for_bit():
         if rng.uniform() < 0.3:
             b = b * 1000
         want = partition_metrics_oracle(a, b)
-        assert partition_metrics(a, b) == want, (a, b)
+        assert partition_metrics(a, b) == want == partition_metrics_one_table_oracle(a, b), (a, b)
         assert (nmi(a, b), homogeneity(a, b)) == want
+
+
+def test_partition_metrics_equal_the_first_one_table_function_on_the_exhaustive_pairs():
+    # acceptance 06's pairs: every two partitions of n <= 8 items into at
+    # most 3 cells.  Their cells are numbered 0, 1, ... by first appearance,
+    # so both functions read the values as the table's indices, and a pair
+    # gives what any pair with its contingency table gives: one pair per
+    # table is checked, as acceptance 06 computes its references.
+    tables = 0
+    for n in range(1, 9):
+        seen = set()
+        parts = [np.asarray(p, dtype=np.int64) for p in canonical_partitions(n, max_cells=3)]
+        for a in parts:
+            for b in parts:
+                key = np.bincount(a * 3 + b, minlength=9).tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    assert partition_metrics(a, b) == partition_metrics_one_table_oracle(a, b), (a, b)
+        tables += len(seen)
+    assert tables == 8052
 
 
 def test_metric_degenerate_conventions():
@@ -835,7 +860,7 @@ _TIMING_SPEC = ModelSpec(num_layers=1, hidden_dim=8, dropout_p=0.0)
 def test_timing_harness_reports_medians():
     rng = np.random.default_rng(13)
     g = random_labeled_graph(rng, max_nodes=30)
-    report = timing_harness(g, _TIMING_SPEC, repeats=5, warmup=1)
+    report = timing_harness(g, _TIMING_SPEC, repeats=5)
     kinds = {e.encoder_kind for e in report.entries}
     assert kinds == {"linear", "gconv"}
     assert all(e.wall_millis > 0 for e in report.entries)
@@ -857,8 +882,8 @@ def test_timing_harness_interleaves_the_repeats(monkeypatch):
 
     monkeypatch.setattr(evaluate, "encode_rows", spy)
     g = random_labeled_graph(np.random.default_rng(16), max_nodes=20)
-    timing_harness(g, _TIMING_SPEC, repeats=5, warmup=2)
-    assert "".join(order) == "llgg" + "lg" + "gl" + "lg" + "gl" + "lg"
+    timing_harness(g, _TIMING_SPEC, repeats=5)
+    assert "".join(order) == "lllggg" + "lg" + "gl" + "lg" + "gl" + "lg"
 
 
 def test_timing_harness_validates_specs():
@@ -876,7 +901,7 @@ def test_probe_beats_chance_on_informative_features():
     means = np.zeros((2, 8))
     means[1, 0] = 3.0
     g = sbm_generate([40, 40], 0.1, 0.02, means, 0.5, split_generator(16))
-    split = make_splits(g.labels, ratios=(0.3, 0.2, 0.5), rng=RngStream(16, "split"))[0]
+    split = _split_all(g.labels.size, RngStream(16, "split"), ratios=(0.3, 0.2, 0.5))
     f1, acc = linear_probe(g.features, g.labels, split, ProbeConfig(num_epochs=100))
     assert acc > 0.9
 

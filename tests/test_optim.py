@@ -132,9 +132,11 @@ def test_validation_errors():
 def test_step_is_bit_identical_to_the_oracle(precision, weight_decay):
     set_precision(precision)
     rng = np.random.default_rng(3)
-    # "big" and "long" are above one block: the last blocks are partial
-    shapes = {"w": (7, 5), "b": (5,), "s": (1,), "big": (387, 353), "long": (2 * _BLOCK_ENTRIES + 3,)}
+    # "big" and "long" are above one block: the last blocks are partial.
+    # "wt" is built from an array that is not C-contiguous
+    shapes = {"w": (7, 5), "b": (5,), "s": (1,), "big": (387, 353), "long": (2 * _BLOCK_ENTRIES + 3,), "wt": (5, 7)}
     init = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    init["wt"] = np.asfortranarray(init["wt"])  # the layout of a transpose
 
     def make():
         params = [Parameter(init[name], name=name) for name in shapes]
@@ -158,6 +160,16 @@ def test_step_is_bit_identical_to_the_oracle(precision, weight_decay):
             assert np.array_equal(lean_state.v[a.name], ref_state.v[b.name]), a.name
             assert a.grad is None
     assert lean_state.step_count == ref_state.step_count == 5
+
+
+def test_a_parameter_holds_c_contiguous_data():
+    # the step flattens a parameter and its moments in place, so a
+    # transposed input is copied once, and a C-contiguous one in the active
+    # dtype is held as it is
+    data = np.arange(6.0).reshape(2, 3)
+    assert Parameter(data, name="w").data is data
+    p = Parameter(data.T, name="wt")
+    assert p.data.flags.c_contiguous and np.array_equal(p.data, data.T)
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
