@@ -904,6 +904,36 @@ def test_threads_above_the_core_count_are_refused(monkeypatch, capsys):
     assert capsys.readouterr().err == want
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_refused(monkeypatch, capsys, threads):
+    import signa.cli as cli
+
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, "homophily", lambda args: ran.append(args) or 0)
+    rc = main(["homophily", "--edges", "e", "--features", "f", "--labels", "l",
+               "--out-json", "o.json", "--out-csv", "o.csv", "--threads", str(threads)])
+    assert rc == 1 and ran == []
+    cores = os.cpu_count()
+    assert capsys.readouterr().err == f"error: --threads must be from 1 to the {cores} cores of this machine, got {threads}\n"
+
+
+@pytest.mark.parametrize("which", ["one", "all"])
+def test_threads_within_the_core_count_pin_the_blas_pools(monkeypatch, which):
+    # the handler is a stand-in, so no pool is started; monkeypatch puts the
+    # three variables back after main sets them
+    import signa.cli as cli
+
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "unset")
+    seen = []
+    monkeypatch.setitem(cli._HANDLERS, "homophily", lambda args: seen.append([os.environ[n] for n in names]) or 0)
+    threads = 1 if which == "one" else os.cpu_count()
+    rc = main(["homophily", "--edges", "e", "--features", "f", "--labels", "l",
+               "--out-json", "o.json", "--out-csv", "o.csv", "--threads", str(threads)])
+    assert rc == 0 and seen == [[str(threads)] * 3]
+
+
 # ---------------------------------------------------------------------------
 # malformed checkpoints
 

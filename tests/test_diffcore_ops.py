@@ -384,6 +384,26 @@ def test_layer_norm_standardizes_rows():
     assert abs(out.data.mean()) < 1e-12
 
 
+def test_layer_norm_adds_its_eps_to_each_rows_variance():
+    # relu maps [a, -a] to [a, 0]: centred rows [a/2, -a/2] of variance
+    # a^2/4 = 1e-6, a tenth of eps, so the output is far from +-1
+    a = 2e-3
+    x = Tensor([[a, -a]])
+    out = dc.layer_norm(x, Parameter(np.ones(2), name="g"), Parameter(np.zeros(2), name="b"), "relu")
+    want = a / 2 / np.sqrt(a * a / 4 + 1e-5)
+    np.testing.assert_allclose(out.data, [[want, -want]], rtol=1e-12)
+
+
+def test_layer_norm_requires_its_activation_kind():
+    # the LayerNorm alone, which no layer runs, is no longer an op
+    x = Tensor(np.ones((2, 3)))
+    gain, bias = Parameter(np.ones(3), name="g"), Parameter(np.zeros(3), name="b")
+    with pytest.raises(TypeError):
+        dc.layer_norm(x, gain, bias)
+    with pytest.raises(ConfigError, match="unknown activation kind None"):
+        dc.layer_norm(x, gain, bias, None)
+
+
 def test_activation_values():
     x = Tensor([-1.0, 0.0, 2.0])
     np.testing.assert_array_equal(dc.activation(x, "relu").data, [0.0, 0.0, 2.0])

@@ -172,6 +172,38 @@ def test_a_parameter_holds_c_contiguous_data():
     assert p.data.flags.c_contiguous and np.array_equal(p.data, data.T)
 
 
+def test_an_f32_parameter_holds_c_contiguous_f32_data():
+    set_precision("f32")
+    data = np.arange(6.0, dtype=np.float32).reshape(2, 3)
+    assert Parameter(data, name="w").data is data
+    for source in (data.T, np.arange(6.0).reshape(3, 2), np.asfortranarray(np.arange(6.0).reshape(3, 2))):
+        p = Parameter(source, name="w")
+        assert p.data.dtype == np.float32 and p.data.flags.c_contiguous
+        assert np.array_equal(p.data, source.astype(np.float32))
+
+
+@pytest.mark.parametrize(
+    "size",
+    [_BLOCK_ENTRIES - 1, _BLOCK_ENTRIES, _BLOCK_ENTRIES + 1, 2 * _BLOCK_ENTRIES],
+    ids=["one_short", "one_block", "one_over", "two_blocks"],
+)
+def test_a_step_at_the_block_edges_equals_the_oracle(size):
+    # the last block is whole, or one entry; the second step has no
+    # gradient and steps every block as if it were zero
+    rng = np.random.default_rng(6)
+    init = rng.standard_normal((size,))
+    lean, ref = Parameter(init, name="w"), Parameter(init.copy(), name="w")
+    lean_state = AdamState([lean], lr=0.01, weight_decay=0.01)
+    ref_state = AdamState([ref], lr=0.01, weight_decay=0.01)
+    for grad in (rng.standard_normal((size,)), None):
+        lean.grad, ref.grad = grad, grad
+        adam_step(lean_state)
+        adam_step_oracle(ref_state)
+        assert np.array_equal(lean.data, ref.data)
+        assert np.array_equal(lean_state.m["w"], ref_state.m["w"])
+        assert np.array_equal(lean_state.v["w"], ref_state.v["w"])
+
+
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_parameters_that_share_one_gradient_array_step_as_the_oracle(precision):
     # the kit's `add` of two inputs of one shape hands both parents its upstream
