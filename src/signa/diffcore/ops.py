@@ -14,13 +14,15 @@ These are the ops the training tape records, together with the
 custom-op API (`Tensor`, `record_backward`, `check_finite`, `logistic`)
 through which `graphdata.spmm` and the blocked contrastive loss add their
 own, and the block schedules (`spans`, `row_blocks`, `keep_mask`) that the
-products and the rest of signa cut.  There is one product op, `matmul`,
-which takes the dropout of its left operand: it keeps the mask and that
-operand (the operand's rebuild, when it has one), and forms the dropped
-operand one block at a time.  The nonlinearities, `activation` (with the
-layer's bias) and `layer_norm` (with its gain and bias), keep one rule:
-the op keeps its input and gives its output a rebuild from it.  A
-standalone ELU keeps its output instead, which its derivative reads.
+products and the rest of signa cut.  Every op keeps one rule: it keeps its
+input's rebuild when the input has one, else the input.  There is one
+product op, `matmul`, which takes the dropout of its left operand: it
+keeps the mask, as bits, and that operand, and forms the dropped operand
+and the boolean mask one block at a time.  A product of constant features
+no wider than it gets a rebuild from those.  The nonlinearities,
+`activation` (with the layer's bias) and `layer_norm` (with its gain and
+bias), give their output a rebuild from what they keep.  A standalone ELU
+keeps its output instead, which its derivative reads.
 Operations that can manufacture non-finite values from finite input
 (matmul, layer_norm) verify finiteness of their output.
 """
@@ -89,19 +91,30 @@ def row_blocks(num_rows: int, width: int):
     `width`-column array, for the passes whose bits do not depend on the
     block height: linear inference, the probe's test scoring, k-means'
     distances and row norms, the features' finite scan, the SBM's rows of
-    node pairs, the dropout masks' uniforms and `layer_norm`'s backward."""
+    node pairs, the dropout masks' uniforms, dL/dx times a mask and
+    `layer_norm`'s backward."""
     return spans(num_rows, _BLOCK_ENTRIES // max(width, 1))
 
 
 def keep_mask(rng, shape: tuple, p: float) -> np.ndarray:
-    """`rng.uniform(size=shape) >= p` as a boolean array, drawn one
-    `row_blocks` block at a time: blocked draws take the same doubles from
-    the stream as one draw, and no float array of the full shape is built."""
-    keep = np.empty(shape, dtype=bool)
-    rows = keep.reshape(shape[0], math.prod(shape[1:]))
-    for start, stop in row_blocks(*rows.shape):
-        np.greater_equal(rng.uniform(size=(stop - start, rows.shape[1])), p, out=rows[start:stop])
+    """`rng.uniform(size=shape) >= p` held as bits: each row (the entries
+    of shape[1:], in order) packed by `np.packbits`, one uint8 per 8
+    entries.  It is drawn one `row_blocks` block at a time, each block
+    packed straight into the result: blocked draws take the same doubles
+    from the stream as one draw, and no float or boolean array of the full
+    shape is built.  `_unpacked` gives a block of it back as booleans."""
+    rows, width = shape[0], math.prod(shape[1:])
+    keep = np.empty((rows, -(-width // 8)), np.uint8)
+    for start, stop in row_blocks(rows, width):
+        keep[start:stop] = np.packbits(rng.uniform(size=(stop - start, width)) >= p, axis=1)
     return keep
+
+
+def _unpacked(keep: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """Columns c0:c1 of the packed mask `keep` (rows of it, when `keep` is
+    a row slice) as a boolean array; c0 is a multiple of 8, as every `spans`
+    start of `_GRAD_COLUMNS` is."""
+    return np.unpackbits(keep[:, c0 // 8 : -(-c1 // 8)], axis=1, count=c1 - c0).view(bool)
 
 
 _FORWARD_ROWS = 1024  # rows of its dropped input `matmul` forms at a time
@@ -109,10 +122,17 @@ _GRAD_COLUMNS = 512  # columns of X a weight gradient X^T g forms at a time
 
 
 def _operand(x: Tensor):
-    """What an op keeps of its input x to form dL/dW = x^T g: x's rebuild
-    when it has one (a `layer_norm` or `activation` output), so the tape
-    keeps no array of x's, else x's array."""
+    """What an op keeps of its input x: x's rebuild when it has one (a
+    `matmul` product of the features, a `layer_norm` or `activation`
+    output), so the tape keeps no array of x's, else x's array.  Read it
+    with `_columns`."""
     return x.data if x.rebuild is None else x.rebuild
+
+
+def _columns(kept, c0: int, c1: int) -> np.ndarray:
+    """Columns c0:c1 (entries, of a vector) of what `_operand` kept: a view
+    of the array, or the rebuild's block.  The caller writes into neither."""
+    return kept[..., c0:c1] if isinstance(kept, np.ndarray) else kept(c0, c1)
 
 
 def _dropped(data: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.ndarray:
@@ -125,24 +145,55 @@ def _dropped(data: np.ndarray, keep: np.ndarray, scale: float, out=None) -> np.n
 def _weight_grad(x, width: int, dtype, g: np.ndarray, keep=None, scale: float = 1.0) -> np.ndarray:
     """dL/dW = X^T g, one block of `_GRAD_COLUMNS` columns of X at a time,
     into one preallocated array.  X is the `width`-column input of `dtype`
-    that `_operand` kept, times `keep` and `scale` (see `_dropped`) when a
-    mask is given.  Each block is rebuilt, or cut from the held array, then
-    dropped in place and freed before the next, so the whole dropped X is
-    never formed.  A column block of X gives those rows of the product
-    with the whole product's bits, but for a one-column block, which numpy
-    runs as a matrix-vector product; `spans` cuts none.
+    that `_operand` kept, times the packed mask `keep` and `scale` (see
+    `_dropped`) when a mask is given.  Each block is rebuilt, or cut from
+    the held array, then dropped (in place, in a rebuild's own new block)
+    with that block of the mask unpacked, and freed before the next, so
+    neither the whole dropped X nor the whole boolean mask is formed.  A
+    column block of X gives those rows of the product with the whole
+    product's bits, but for a one-column block, which numpy runs as a
+    matrix-vector product; `spans` cuts none.
     """
     dw = np.empty((width, g.shape[1]), np.result_type(dtype, g))
     for c0, c1 in spans(width, _GRAD_COLUMNS):
-        if callable(x):
-            block = x(c0, c1)
-            if keep is not None:
-                _dropped(block, keep[:, c0:c1], scale, out=block)
-        else:
-            block = x[:, c0:c1] if keep is None else _dropped(x[:, c0:c1], keep[:, c0:c1], scale)
+        block = _columns(x, c0, c1)
+        if keep is not None:
+            own = callable(x) and block.flags.writeable
+            block = _dropped(block, _unpacked(keep, c0, c1), scale, out=block if own else None)
         np.matmul(block.T, g, out=dw[c0:c1])
         del block
     return dw
+
+
+def _product(x: np.ndarray, w: np.ndarray, keep, scale: float) -> np.ndarray:
+    """x @ w, or with the packed mask `keep`, the product of x dropped (see
+    `_dropped`), its rows formed, unpacked and multiplied `_FORWARD_ROWS`
+    at a time: a row block of the product has the whole product's bits,
+    but for a one-row block, which `spans` never cuts."""
+    if keep is None:
+        return x @ w
+    product = np.empty((x.shape[0], w.shape[1]), np.result_type(x, w))
+    for r0, r1 in spans(len(product), _FORWARD_ROWS):
+        np.matmul(_dropped(x[r0:r1], _unpacked(keep[r0:r1], 0, x.shape[1]), scale), w, out=product[r0:r1])
+    return product
+
+
+def _product_rebuild(x: np.ndarray, w: np.ndarray, keep, scale: float):
+    """A `Tensor.rebuild` of `_product(x, w, keep, scale)`.  Its first call
+    forms the whole product again, in the forward's operations and so with
+    its bits, and every call returns a read-only view of columns of that
+    one array, which lives as long as the rebuild: until the last tape node
+    that keeps it has run."""
+    formed = []
+
+    def rebuild(c0: int, c1: int) -> np.ndarray:
+        if not formed:
+            product = _product(x, w, keep, scale)
+            product.flags.writeable = False
+            formed.append(product)
+        return formed[0][:, c0:c1]
+
+    return rebuild
 
 
 def matmul(x: Tensor, w: Tensor, p: float = 0.0, rng=None, training: bool = False, rescale: bool = True) -> Tensor:
@@ -150,14 +201,21 @@ def matmul(x: Tensor, w: Tensor, p: float = 0.0, rng=None, training: bool = Fals
     dropout (each entry zeroed with probability p, the rest scaled by
     1/(1-p)), and otherwise the plain product, which draws nothing.
 
-    The dropped rows are formed `_FORWARD_ROWS` at a time, multiplied by w
-    and freed, so no dropped copy of the whole x is formed: a row block of
-    the product has the whole product's bits, but for a one-row block,
-    which `spans` never cuts.  Without `rescale` a kept entry keeps its
-    value (a scale of 1, exact), as feature masking needs.  The tape keeps
-    the boolean mask, x (its rebuild, when it has one) when w needs a
-    gradient, and w when x needs one.  The backward forms dL/dw with
-    `_weight_grad`, then dL/dx = g w^T, times the mask and the scale.
+    The mask is drawn as bits (`keep_mask`) and the dropped rows are formed
+    `_FORWARD_ROWS` at a time (`_product`), so neither a boolean mask nor a
+    dropped copy of the whole x is formed.  Without `rescale` a kept entry
+    keeps its value (a scale of 1, exact), as feature masking needs.  The
+    tape keeps the packed mask, x (its rebuild, when it has one) when w
+    needs a gradient, and w when x needs one.  The backward forms dL/dw
+    with `_weight_grad`, then dL/dx = g w^T, times the mask and the scale
+    one `row_blocks` block at a time.
+
+    When the output needs a gradient and x needs none (the graph's
+    features), the output carries a rebuild from what the tape keeps
+    anyway, x, w and the mask, so the op that reads the output keeps no
+    product.  Only for an x no wider than the output: re-forming the
+    product then costs at most one product of the output's width by
+    itself, once per backward.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
@@ -168,16 +226,13 @@ def matmul(x: Tensor, w: Tensor, p: float = 0.0, rng=None, training: bool = Fals
     if training and p > 0.0:
         keep = keep_mask(rng, x.data.shape, p)
         scale = 1.0 / (1.0 - p) if rescale else 1.0
-        product = np.empty((x.data.shape[0], w.data.shape[1]), np.result_type(x.data, w.data))
-        for r0, r1 in spans(len(product), _FORWARD_ROWS):
-            np.matmul(_dropped(x.data[r0:r1], keep[r0:r1], scale), w.data, out=product[r0:r1])
-    else:
-        product = x.data @ w.data
-    out = Tensor(product, _parents=(x, w))
+    out = Tensor(_product(x.data, w.data, keep, scale), _parents=(x, w))
     check_finite("matmul", out.data)
     x_kept = _operand(x) if w.needs_grad else None  # dL/dw reads x
     w_data = w.data if x.needs_grad else None  # dL/dx reads w
     width, dtype = x.data.shape[1], x.data.dtype
+    if out.needs_grad and not x.needs_grad and width <= w.data.shape[1]:
+        out.rebuild = _product_rebuild(x.data, w.data, keep, scale)
 
     def _bw(g):
         dw = None if x_kept is None else _weight_grad(x_kept, width, dtype, g, keep, scale)
@@ -185,8 +240,9 @@ def matmul(x: Tensor, w: Tensor, p: float = 0.0, rng=None, training: bool = Fals
             return None, dw
         dx = g @ w_data.T
         if keep is not None:
-            dx *= keep
-            dx *= scale
+            for r0, r1 in row_blocks(*dx.shape):
+                block = dx[r0:r1]
+                _dropped(block, _unpacked(keep[r0:r1], 0, width), scale, out=block)
         return dx, dw
 
     return record_backward(out, _bw)
@@ -327,7 +383,9 @@ def activation(x: Tensor, kind: str, slope=None, bias=None) -> Tensor:
     The tape keeps the input x + bias, as `layer_norm` keeps its input, and
     the output carries a `rebuild` of any column block from it, so an op
     that reads the output in its backward keeps that instead of the output
-    array.  The ELU keeps its output, which its derivative reads, and
+    array.  When x has a rebuild (a product of the features), the tape
+    keeps that and the bias instead, and x + bias is formed from them when
+    it is read.  The ELU keeps its output, which its derivative reads, and
     carries no rebuild.  An activation that LayerNorm follows runs inside
     `layer_norm`.
     """
@@ -339,22 +397,29 @@ def activation(x: Tensor, kind: str, slope=None, bias=None) -> Tensor:
     out = Tensor(value, _parents=parents)
     if not out.needs_grad:  # a frozen forward keeps nothing alive through its output
         return out
+    kept, bias_data = (d, None) if x.rebuild is None else (x.rebuild, None if bias is None else bias.data)
     if elu:
-        d = None
+        kept = None
     a = out.data if elu else None
     slope_shape = slope.data.shape if prelu and slope.needs_grad else None
-    biased = bias is not None
+    width, biased = d.shape[-1], bias is not None
+
+    def summed(c0: int, c1: int) -> np.ndarray:
+        """Columns c0:c1 of x + bias, to be read, not written."""
+        block = _columns(kept, c0, c1)
+        return block if bias_data is None else block + bias_data[c0:c1]
 
     def rebuild(c0: int, c1: int) -> np.ndarray:
         """Columns c0:c1 of the output, a new array with the forward's bits."""
-        db = d[:, c0:c1]
+        db = summed(c0, c1)
         return _activate(kind, db, s, None if kind == "relu" else db > 0)
 
     if not elu:
         out.rebuild = rebuild
 
     def _bw(g):
-        grads = _activation_grad(kind, g, s, None if elu else d > 0, d=d, a=a, slope_shape=slope_shape)
+        db = None if elu else summed(0, width)
+        grads = _activation_grad(kind, g, s, None if elu else db > 0, d=db, a=a, slope_shape=slope_shape)
         return grads + (np.sum(grads[0], axis=0),) if biased else grads
 
     return record_backward(out, _bw)
@@ -377,8 +442,9 @@ def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, kind: str, slope=Non
     standardization (population variance) with affine gain/bias, as one
     op: a LayerNorm after `activation`, bit for bit.
 
-    The tape keeps the activation's input and two n x 1 columns, the row
-    mean and the inverse deviation: neither the activation's output nor the
+    The tape keeps the activation's input (its rebuild, when it has one:
+    a product of the features) and two n x 1 columns, the row mean and the
+    inverse deviation: neither the activation's output nor the
     standardized rows.  The backward rebuilds both with the forward's own
     operations and forms two arrays of the input's size, which serve the
     activation's backward too, the mask d > 0 and one row block's scratch.
@@ -409,11 +475,12 @@ def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, kind: str, slope=Non
     check_finite("layer_norm", out.data)
     gain_data, bias_data = gain.data, bias.data
     slope_shape = slope.data.shape if prelu and slope.needs_grad else None
+    kept = _operand(x)
 
     def rebuild(c0: int, c1: int) -> np.ndarray:
         """Columns c0:c1 of the output, a new array with the forward's bits:
         every step but the row mean, which is kept, acts entry by entry."""
-        db = d[:, c0:c1]
+        db = _columns(kept, c0, c1)
         block, _ = _centered(kind, db, s, None if kind == "relu" else db > 0, mu)
         block *= inv
         block *= gain_data[c0:c1]
@@ -424,6 +491,7 @@ def layer_norm(x: Tensor, gain: Parameter, bias: Parameter, kind: str, slope=Non
         out.rebuild = rebuild
 
     def _bw(g):
+        d = _columns(kept, 0, width)
         # one row block's scratch, made before the n x width arrays: made
         # after them, it sat above them on the heap, and a later epoch's
         # peak RSS rose by one such array

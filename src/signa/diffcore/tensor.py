@@ -72,10 +72,12 @@ class Tensor:
     `_node` is filled in here and by `ops.record_backward`; user code never
     touches it directly.  `grad` is dLoss/dself while `ops.backward` runs
     (a Parameter's persists); it is None on a tensor that does not
-    `needs_grad`.  `rebuild`, when an op sets it (`activation`,
-    `layer_norm`), maps (c0, c1) to a new array equal bit for bit to
+    `needs_grad`.  `rebuild`, when an op sets it (`matmul`, `activation`,
+    `layer_norm`), maps (c0, c1) to an array equal bit for bit to
     `data[:, c0:c1]`, formed from what the op's own tape node keeps; an op
-    that reads this tensor in its backward keeps it instead of `data`.
+    that reads this tensor in its backward keeps it instead of `data`.  A
+    nonlinearity's rebuild returns a new array; a product's returns a
+    read-only view of the one product it forms at its first call.
     """
 
     def __init__(self, data, _parents: tuple = ()):

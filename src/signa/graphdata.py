@@ -46,10 +46,15 @@ class Graph:
             raise ShapeError(f"edge endpoints must lie in [0, {n})")
 
         # each undirected edge is the key lo*n+hi; with its reverse added,
-        # the sorted keys are the CSR entries in row-major order
+        # the sorted keys are the CSR entries in row-major order.  A key is
+        # kept where it differs from the one before it: np.unique's keys,
+        # without its import of numpy.ma
         lo, hi = edges.min(axis=1), edges.max(axis=1)
         loops = lo == hi
-        keys = np.unique(lo[~loops] * n + hi[~loops])
+        keys = np.sort(lo[~loops] * n + hi[~loops])
+        fresh = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
         num_loops = int(loops.sum())
         num_dupes = edges.shape[0] - num_loops - keys.size
         if num_loops or num_dupes:

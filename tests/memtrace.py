@@ -36,6 +36,12 @@ to a temporary directory):
 
     PYTHONPATH=src python tests/memtrace.py --eval cluster --checkpoint C \
         --edges E --features F --labels L
+
+With `--ms N`, a training run of N epochs (N >= 2) spies on the same
+calls without `tracemalloc` and prints each phase's median milliseconds
+over epochs 2..N, and the median of their sums:
+
+    PYTHONPATH=src python tests/memtrace.py --preset photo --nodes 7650 --features 745 --ms 5
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import gc
 import json
 import os
 import tempfile
+import time
 import tracemalloc
 from dataclasses import dataclass, replace
 from unittest import mock
@@ -66,23 +73,13 @@ class Phase:
     end: int  # bytes traced when it ended
 
 
-def traced_phases(run, spies) -> dict[str, Phase]:
-    """Call `run()` under `tracemalloc` and return its phases by name, the
-    last of each name.  Each spy is (module, attribute, phase, then): a
-    call to that function opens `phase`, and its return opens `then` (None
-    closes the phase).  Only what the run allocates is counted.  Earlier
-    garbage is collected first and automatic collection is off during the
-    run, so no finalizer of another object allocates inside a phase (the
-    code frees its arrays by reference counting)."""
-    phases: dict[str, Phase] = {}
-    running: list = [None, 0]  # the phase open now and the bytes traced when it began
-
-    def mark(name: str | None) -> None:
-        current, peak = tracemalloc.get_traced_memory()
-        if running[0] is not None:
-            phases[running[0]] = Phase(running[1], peak, current)
-        tracemalloc.reset_peak()
-        running[:] = [name, current]
+def _spied(run, spies, mark) -> None:
+    """Call `run()` with each spy in place.  Each spy is (module, attribute,
+    phase, then): a call to that function calls `mark(phase)`, and its
+    return `mark(then)` (None closes the phase).  Earlier garbage is
+    collected first and automatic collection is off during the run, so no
+    finalizer of another object runs inside a phase (the code frees its
+    arrays by reference counting)."""
 
     def spy(fn, name: str, then: str | None):
         def call(*args, **kwargs):
@@ -102,25 +99,73 @@ def traced_phases(run, spies) -> dict[str, Phase]:
         gc.collect()
         was_enabled = gc.isenabled()
         gc.disable()
-        tracemalloc.start()
         try:
             run()
         finally:
-            tracemalloc.stop()
             if was_enabled:
                 gc.enable()
+
+
+def traced_phases(run, spies) -> dict[str, Phase]:
+    """Call `run()` under `tracemalloc`, with the spies of `_spied`, and
+    return its phases by name, the last of each name.  Only what the run
+    allocates is counted."""
+    phases: dict[str, Phase] = {}
+    running: list = [None, 0]  # the phase open now and the bytes traced when it began
+
+    def mark(name: str | None) -> None:
+        current, peak = tracemalloc.get_traced_memory()
+        if running[0] is not None:
+            phases[running[0]] = Phase(running[1], peak, current)
+        tracemalloc.reset_peak()
+        running[:] = [name, current]
+
+    tracemalloc.start()
+    try:
+        _spied(run, spies, mark)
+    finally:
+        tracemalloc.stop()
     return phases
+
+
+def timed_phases(run, spies) -> dict[str, list[float]]:
+    """Call `run()` with the spies of `_spied` and return, for each phase
+    name, the milliseconds of each time the phase ran, in order."""
+    times: dict[str, list[float]] = {}
+    running: list = [None, 0.0]  # the phase open now and the clock when it began
+
+    def mark(name: str | None) -> None:
+        now = time.perf_counter()
+        if running[0] is not None:
+            times.setdefault(running[0], []).append(1e3 * (now - running[1]))
+        running[:] = [name, now]
+
+    _spied(run, spies, mark)
+    return times
+
+
+_EPOCH_SPIES = [
+    (trainer, "encode_rows", "encode", "loss"),
+    (dc, "backward", "backward", None),
+    (dc, "adam_step", "adam", None),
+]
 
 
 def epoch_phases(graph, config) -> dict[str, Phase]:
     """The last epoch's phases of `trainer.train(graph, config)`; the graph
     and anything else made before the call are not counted."""
-    spies = [
-        (trainer, "encode_rows", "encode", "loss"),
-        (dc, "backward", "backward", None),
-        (dc, "adam_step", "adam", None),
-    ]
-    return traced_phases(lambda: trainer.train(graph, config), spies)
+    return traced_phases(lambda: trainer.train(graph, config), _EPOCH_SPIES)
+
+
+def epoch_ms(graph, config) -> dict[str, float]:
+    """Each phase's median milliseconds over epochs 2..N of
+    `trainer.train(graph, config)`, and as "epoch" the median of each
+    epoch's phase sum; N, the config's epoch count, must be at least 2."""
+    times = timed_phases(lambda: trainer.train(graph, config), _EPOCH_SPIES)
+    later = {name: ms[1:] for name, ms in times.items()}
+    medians = {name: float(np.median(ms)) for name, ms in later.items()}
+    medians["epoch"] = float(np.median(np.sum(list(later.values()), axis=0)))
+    return medians
 
 
 def eval_phases(argv: list[str]) -> dict[str, Phase]:
@@ -158,6 +203,12 @@ def sbm_graph(nodes: int, features: int) -> Graph:
     return sbm_generate(sizes, p_in, p_out, 0.5 * rng.normal(size=(blocks, features)), 1.0, rng)
 
 
+def _print_ms(medians: dict[str, float], epochs: int) -> None:
+    print(f"{'phase':<11}{'ms':>9}  (medians of epochs 2-{epochs})")
+    for name, ms in medians.items():
+        print(f"{name:<11}{ms:>9.1f}")
+
+
 def _print(phases: dict[str, Phase]) -> None:
     mib = 1 << 20
     print(f"{'phase':<11}{'start':>9}{'peak':>9}{'end':>9}  (MiB)")
@@ -176,10 +227,15 @@ def main(argv=None) -> None:
     parser.add_argument("--nodes", type=int, help="train 2 epochs on an in-process SBM of this many nodes")
     parser.add_argument("--checkpoint", help="the checkpoint to evaluate (with --eval)")
     parser.add_argument("--labels", help="the label file (with --eval)")
+    parser.add_argument("--ms", type=int, metavar="N", help="train N epochs and time each phase of epochs 2..N")
     args = parser.parse_args(argv)
+    if args.ms is not None and args.ms < 2:
+        parser.error("--ms times epochs 2..N, so N must be at least 2")
     if args.eval:
         if None in (args.checkpoint, args.edges, args.labels) or args.nodes is not None:
             parser.error("--eval takes --checkpoint, --edges, --features and --labels, and no --nodes")
+        if args.ms is not None:
+            parser.error("--ms goes with a training run")
         with tempfile.TemporaryDirectory() as out:
             command = ["--mode", args.eval, "--checkpoint", args.checkpoint, "--edges", args.edges,
                        "--features", args.features, "--labels", args.labels, "--quiet",
@@ -199,7 +255,10 @@ def main(argv=None) -> None:
     else:
         graph = sbm_graph(args.nodes, int(args.features))
         config = replace(config, num_epochs=2, log_every=0)
-    _print(epoch_phases(graph, config))
+    if args.ms is None:
+        _print(epoch_phases(graph, config))
+    else:
+        _print_ms(epoch_ms(graph, replace(config, num_epochs=args.ms)), args.ms)
 
 
 if __name__ == "__main__":

@@ -227,10 +227,13 @@ def test_dropout_matmul_checks_its_input():
 
 
 def test_dropout_matmul_keeps_the_mask_and_no_dropped_rows():
-    # the tape's share is the boolean mask; the dropped input is formed one
-    # row block at a time in the forward and one column block at a time in
-    # the backward, each block freed before the next.  The earlier op formed
-    # the whole dropped input (17.6 MB here) both times.
+    # the tape's share is the mask, packed to bits; the dropped input and
+    # the mask as booleans are formed one row block at a time in the forward
+    # and one column block at a time in the backward, each block freed
+    # before the next.  The earlier op formed the whole dropped input (17.6
+    # MB here) both times; the op before this one kept its mask as booleans
+    # (2.2 MB, 0.275 MB as bits), and its bounds, with that mask and without
+    # the boolean blocks, were looser than these.
     x = Tensor(np.random.default_rng(22).normal(size=(2000, 1100)))
     w = Parameter(np.ones((1100, 8)), name="w")
     tracemalloc.start()
@@ -243,14 +246,16 @@ def test_dropout_matmul_keeps_the_mask_and_no_dropped_rows():
         backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    (n, width), mask, slack = x.data.shape, x.data.size, 16 * 1024
+    (n, width), slack = x.data.shape, 16 * 1024
+    mask = n * -(-width // 8)
     row_block, column_block = ops._FORWARD_ROWS * width * 8, n * ops._GRAD_COLUMNS * 8
+    mask_row_block, mask_column_block = ops._FORWARD_ROWS * width, n * ops._GRAD_COLUMNS
     # numpy multiplies by the bool mask through a buffer of 8192 entries per
     # operand it must cast or, in a column block, gather
     buffer = 8192 * 8
     assert held <= 2 * out.data.nbytes + mask + slack
-    assert peak <= out.data.nbytes + mask + row_block + buffer + slack
-    assert backward_peak <= held + column_block + dw.nbytes + 2 * buffer + slack
+    assert peak <= out.data.nbytes + mask + row_block + mask_row_block + buffer + slack
+    assert backward_peak <= held + column_block + mask_column_block + dw.nbytes + 2 * buffer + slack
 
 
 # the encoder's shape classes (n, F, hidden): dense-n4k's layers 0 and 1
@@ -283,7 +288,7 @@ def test_blocked_products_equal_the_whole_products(shape, precision):
     x = rng.normal(size=(n, width)).astype(dtype)
     w = rng.normal(size=(width, hidden)).astype(dtype)
     g = rng.normal(size=(n, hidden)).astype(dtype)
-    keep = ops.keep_mask(RngStream(3, "dropout"), x.shape, 0.4)
+    keep = _unpacked_mask(ops.keep_mask(RngStream(3, "dropout"), x.shape, 0.4), width)
     dropped = x * keep
     dropped *= 1.0 / (1.0 - 0.4)
     rebuilt = Tensor(x)
@@ -294,6 +299,122 @@ def test_blocked_products_equal_the_whole_products(shape, precision):
         assert _same_bits(out._node.backward(g)[1], dropped.T @ g)
         plain = dc.matmul(source, Parameter(w, name="w"))
         assert _same_bits(plain._node.backward(g)[1], x.T @ g)
+
+
+# a product of the features: n not a multiple of `_FORWARD_ROWS`, F no
+# wider than the output, which is wider than `_GRAD_COLUMNS`
+_FEATURE_PRODUCT = (2 * 1024 + 37, 300, 600)
+
+
+@pytest.mark.parametrize("mode", ["dropout", "plain", "nfm"])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_a_product_of_the_features_rebuilds_with_the_forwards_bits(precision, mode, monkeypatch):
+    # the rebuild forms the product once, at its first read, in the
+    # forward's operations, and every read of a column block is that block
+    # of the forward's output, bit for bit and read-only; it draws nothing
+    set_precision(precision)
+    n, width, hidden = _FEATURE_PRODUCT
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(n, width)).astype(dc.active_dtype())
+    w = Parameter(rng.normal(size=(width, hidden)), name="w")
+    stream = RngStream(3, "dropout")
+    p, rescale = {"dropout": (0.4, True), "plain": (0.0, True), "nfm": (0.3, False)}[mode]
+    out = dc.matmul(Tensor(x), w, p, stream, training=True, rescale=rescale)
+    forward, state = out.data.copy(), stream._gen.bit_generator.state
+    formed = []
+    product = ops._product
+    monkeypatch.setattr(ops, "_product", lambda *args: formed.append(1) or product(*args))
+    for c0, c1 in [(0, 512), (512, hidden), (0, hidden), (3, 9), (hidden - 1, hidden)]:
+        block = out.rebuild(c0, c1)
+        assert _same_bits(block, forward[:, c0:c1]), (c0, c1)
+        assert not block.flags.writeable
+    assert len(formed) == 1
+    assert stream._gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize("width", [1, 7, 13, 517, 1029])
+def test_packed_masks_round_trip_bit_for_bit(width):
+    # the bits of every row block the forward unpacks, and of every column
+    # block a backward unpacks, are the boolean draw's; packing the booleans
+    # again gives the mask, its padding bits zero
+    n = 1024 + 5
+    keep = ops.keep_mask(RngStream(4, "dropout"), (n, width), 0.3)
+    want = RngStream(4, "dropout").uniform(size=(n, width)) >= 0.3
+    assert keep.shape == (n, -(-width // 8)) and keep.dtype == np.uint8
+    for r0, r1 in ops.spans(n, ops._FORWARD_ROWS):
+        assert np.array_equal(ops._unpacked(keep[r0:r1], 0, width), want[r0:r1])
+    for c0, c1 in ops.spans(width, ops._GRAD_COLUMNS):
+        block = ops._unpacked(keep, c0, c1)
+        assert block.dtype == bool and np.array_equal(block, want[:, c0:c1])
+    assert np.packbits(want, axis=1).tobytes() == keep.tobytes()
+
+
+def test_a_product_of_features_wider_than_the_output_is_kept():
+    # F > the output's width: re-forming it would cost more than a product
+    # of the output's width, so the output gets no rebuild and the op that
+    # reads it keeps its array; at F <= width it keeps the rebuild, and the
+    # array dies with the product's Tensor
+    rng = np.random.default_rng(34)
+    gain, bias = Parameter(np.ones(8), name="g"), Parameter(np.zeros(8), name="b")
+    for width, kept in ((9, True), (8, False), (3, False)):
+        x = Tensor(rng.normal(size=(20, width)))
+        product = dc.matmul(x, Parameter(rng.normal(size=(width, 8)), name="w"), 0.3, RngStream(5, "dropout"), True)
+        assert (product.rebuild is None) == kept
+        array = weakref.ref(product.data)
+        out = dc.layer_norm(product, gain, bias, "relu")
+        del product
+        assert (array() is not None) == kept, width
+        assert out.needs_grad
+
+
+def test_the_dropout_forward_forms_no_boolean_mask_of_the_whole_input():
+    # the mask is drawn into its bits and unpacked a row block at a time:
+    # the forward's peak is the output, the bits, one block's uniforms and
+    # booleans, and the finite check's booleans of the output, under the
+    # output plus a boolean n x F mask (6.4 MB)
+    n, width, hidden = 200_000, 32, 8
+    x = Tensor(np.random.default_rng(35).normal(size=(n, width)))
+    w = Parameter(np.ones((width, hidden)), name="w")
+    tracemalloc.start()
+    try:
+        out = dc.matmul(x, w, p=0.5, rng=RngStream(6, "dropout"), training=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bits, checked, slack = n * width // 8, out.data.size, 64 * 1024
+    assert held <= out.data.nbytes + bits + slack
+    bound = out.data.nbytes + bits + checked + ops._BLOCK_ENTRIES * (8 + 1) + slack
+    assert peak <= bound < out.data.nbytes + n * width
+
+
+# dense-n4k's layers 0 and 1 at f64, wide-gconv-n1k's layer 1 shape at f32:
+# shape classes whose row-blocked products have the whole products' bits
+_CHAINED = [((4000, 100, 256, 256), "f64"), ((1000, 1024, 1024, 1024), "f32")]
+
+
+@pytest.mark.parametrize("shape, precision", _CHAINED, ids=[p for _, p in _CHAINED])
+def test_a_product_that_reads_a_product_of_the_features_equals_the_oracle(shape, precision):
+    # the second product's dL/dW drops each read-only block of the first
+    # product's rebuild into a new array; the gradients are the oracle's,
+    # which keeps every array
+    set_precision(precision)
+    n, width, hidden, out_width = shape
+    rng = np.random.default_rng(36)
+    x = rng.normal(size=(n, width))
+    w0, w1 = rng.normal(size=(width, hidden)), rng.normal(size=(hidden, out_width))
+    upstream = rng.normal(size=(n, out_width))
+    results = []
+    for op in (dc.matmul, oracles.dropout_matmul_oracle):
+        stream, first, second = RngStream(7, "dropout"), Parameter(w0, name="w0"), Parameter(w1, name="w1")
+        h = op(Tensor(x), first, 0.4, stream, training=True)
+        assert h.rebuild is not None
+        if op is not dc.matmul:  # the oracle's second product keeps h's array
+            h.rebuild = None
+        out = op(h, second, 0.4, stream, training=True)
+        backward(kit.tsum(kit.hadamard(out, Tensor(upstream))))
+        results.append((out.data, first.grad, second.grad))
+    for new, old in zip(*results):
+        assert _same_bits(new, old)
 
 
 def _layer_norm_traced(kind, slope=None):
@@ -711,6 +832,11 @@ _LEAN_OPS = {
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     # bytes, not values: -0.0 == 0.0 would hide a sign flip
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _unpacked_mask(keep: np.ndarray, width: int) -> np.ndarray:
+    """A `keep_mask` of `width` columns as the boolean array it packs."""
+    return np.unpackbits(keep, axis=1, count=width).astype(bool)
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -1338,6 +1464,35 @@ def test_grad_of_a_product_that_reads_a_layer_norm_output(dropout, kind):
             return _weighted_sum(dc.matmul(h, v), w)
 
         return fn, [a, g, b, v] + ([s] if kind == "prelu" else [])
+
+    _run_gradchecks(make)
+
+
+@pytest.mark.parametrize("kind", ["elu", "prelu"])
+@pytest.mark.parametrize("layer_norm", [True, False], ids=["ln", "no_ln"])
+def test_grad_through_layer_0(layer_norm, kind):
+    # layer 0 of the encoder with dropout: the product of constant features
+    # has a rebuild, which the nonlinearity keeps, and the next product's
+    # dL/dW reads the nonlinearity's rebuild of it
+    def make(rng):
+        x = Tensor(rng.uniform(-1.0, 1.0, size=(5, 3)))
+        w0 = _param(rng, (3, 4), "w0")
+        g = _param(rng, (4,), "g", lo=0.5, hi=1.5)
+        b = _param(rng, (4,), "b")
+        s = Parameter(np.array([0.25]), name="s")
+        v = _param(rng, (4, 2), "v")
+        seed = int(rng.integers(0, 2**31))
+        w = _weights(rng, (5, 2))
+        slope = s if kind == "prelu" else None
+
+        def fn():
+            stream = RngStream(seed, "dropout")
+            h = dc.matmul(x, w0, p=0.3, rng=stream, training=True)
+            assert h.rebuild is not None
+            h = dc.layer_norm(h, g, b, kind, slope) if layer_norm else dc.activation(h, kind, slope, b)
+            return _weighted_sum(dc.matmul(h, v, p=0.3, rng=stream, training=True), w)
+
+        return fn, [w0, b, v] + ([g] if layer_norm else []) + ([s] if kind == "prelu" else [])
 
     _run_gradchecks(make)
 

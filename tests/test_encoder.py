@@ -315,10 +315,14 @@ def test_inference_embeddings_keep_no_tape(base):
     # without a tape each intermediate dies once the next op has read it, so
     # the peak is a few n x hidden arrays however deep the encoder is; with
     # one, every layer's LayerNorm input stays alive until the forward
-    # returns, and with the output that is more than the frozen peak
+    # returns, and with the output that is more than the frozen peak.  The
+    # linear encoder's layer 0 input to LayerNorm is a product of the
+    # features, which the tape re-forms instead of keeping, so five layers
+    # keep five arrays there (four layers kept 4.15 units, below the frozen
+    # peak of 4.19), and gconv's keep six.
     n, hidden = 1000, 64
     graph = _chain_graph(n, 16)
-    spec = ModelSpec(num_layers=4, base_encoder=base, hidden_dim=hidden, activation="prelu")
+    spec = ModelSpec(num_layers=5, base_encoder=base, hidden_dim=hidden, activation="prelu")
     state = EncoderState(spec, 16, RngStream(5, "init"))
     adj = normalized_adjacency(graph) if base == "gconv" else None
     held = []
@@ -333,7 +337,8 @@ def test_inference_embeddings_keep_no_tape(base):
         del out
     (taped, _), (_, frozen) = held
     unit = n * hidden * 8
-    assert frozen < 4.5 * unit < (spec.num_layers + 1) * unit <= taped
+    kept = spec.num_layers + (base == "gconv")
+    assert frozen < 4.5 * unit < kept * unit <= taped
 
 
 def _assert_blocks_equal_the_oracle(spec: ModelSpec, num_features: int) -> None:
@@ -586,10 +591,13 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
     # (layer 1's matmul input, and h) are gone: no closure reads
     # them.  Each layer's activation input stays, for layer_norm's backward
     # rebuilds the activation and the standardized rows from it, and so do
-    # its output's columns for the dL/dW of the op that reads it.  Layer 0's
-    # matmul input, the graph's own feature array, stays.  The
-    # gradients equal those of the earlier ops, which kept the dropped rows,
-    # the activation outputs and the layer_norm outputs.
+    # its output's columns for the dL/dW of the op that reads it, but for
+    # the linear encoder's layer 0, whose activation input is a product of
+    # the features (F 6, hidden 8): the tape re-forms it from the features,
+    # the mask and W0.  Layer 0's matmul input, the graph's own feature
+    # array, stays.  The gradients equal those of the earlier ops, which
+    # kept the dropped rows, the activation outputs and the layer_norm
+    # outputs.
     spec = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, activation=activation, projector_dim=4)
     graph = _step_graph()
     adj = normalized_adjacency(graph) if base == "gconv" else None
@@ -604,12 +612,13 @@ def test_tape_frees_what_no_backward_reads(monkeypatch, base, activation):
                 assert len(inputs["dropped"]) == 2  # layer 0's rows, then layer 1's
                 assert len(inputs["activated"]) == 3  # each layer's, then the projector's
                 assert len(inputs["normalized"]) == 2  # layer 0's, then h
+                rebuilt = 0 if base == "gconv" else 1  # layer 0's activation input
                 freed = inputs["activated"][:2] + inputs["spmm"] + inputs["dropped"] + inputs["matmul"][1:]
-                freed += inputs["normalized"]
-                assert len(freed) == (9 if base == "gconv" else 7)
+                freed += inputs["normalized"] + inputs["layer_norm"][:rebuilt]
+                assert len(freed) == (9 if base == "gconv" else 8)
                 assert [ref() is None for ref in freed] == [True] * len(freed)
-                kept = inputs["layer_norm"] + inputs["matmul"][:1]
-                assert [ref() is None for ref in kept] == [False] * 3
+                kept = inputs["layer_norm"][rebuilt:] + inputs["matmul"][:1]
+                assert [ref() is None for ref in kept] == [False] * (3 - rebuilt)
             backward(estimator_loss(z, draw_masks(graph, 0.3, RngStream(4, "mask")), EstimatorSpec()))
         grads.append({name: p.grad for name, p in state.params.items()})
     earlier_grads, lean_grads = grads
@@ -650,65 +659,77 @@ def _tape_after_project(
 
 def test_tape_after_project_holds_a_fixed_count_of_arrays():
     # What the tape holds once project returns, in n x hidden arrays:
-    # layer 0 keeps its dropout mask (bool, F = hidden/4: 1/32) and the
-    # PReLU input; layer 1 its dropout mask (bool, 1/8) and the PReLU
-    # input; then the ELU output (which the ELU's backward and the second
-    # matmul both read), and z: 4.15625 in all, plus each layer's two n x 1
-    # columns, the row mean and the inverse deviation.  Layer 1's matmul
-    # input and h, the two LayerNorm outputs, are rebuilt in the backward
-    # from what LayerNorm keeps.  A tape that kept them held 6.15625, one
-    # whose LayerNorm kept its standardized rows beside the PReLU input
-    # 8.15625, one whose layer 0 kept its dropped input rows 8.375, a tape
-    # whose ELU kept a derivative factor beside its output 9.375, and the
-    # earlier tape, which also kept each LayerNorm and dropout input, the
-    # ELU input and a second ELU array, 13.375.
+    # layer 0 keeps its dropout mask as bits (F = hidden/4: 1/256); layer 1
+    # its dropout mask as bits (1/64) and the PReLU input; then the ELU
+    # output (which the ELU's backward and the second matmul both read),
+    # and z: 3.01953125 in all, plus each layer's two n x 1 columns, the
+    # row mean and the inverse deviation.  Layer 0's PReLU input, a product
+    # of the features, is re-formed in the backward from the features, the
+    # mask and W0; layer 1's matmul input and h, the two LayerNorm outputs,
+    # are rebuilt from what LayerNorm keeps.  A tape that kept layer 0's
+    # PReLU input and boolean masks held 4.15625 (its bound was [4.15625,
+    # 4.25)), one that also kept the LayerNorm outputs 6.15625, one whose
+    # LayerNorm kept its standardized rows beside the PReLU input 8.15625,
+    # one whose layer 0 kept its dropped input rows 8.375, a tape whose ELU
+    # kept a derivative factor beside its output 9.375, and the earlier
+    # tape, which also kept each LayerNorm and dropout input, the ELU input
+    # and a second ELU array, 13.375.
     n, hidden = 1000, 64
     held, _ = _tape_after_project(n, hidden, hidden // 4)
     unit, columns = n * hidden * 8, 2 * 2 * n * 8
-    assert 4.15625 * unit + columns <= held < 4.25 * unit + columns
+    assert 3.01953125 * unit + columns <= held < 3.0625 * unit + columns
 
 
 @pytest.mark.parametrize("activation", ["prelu", "relu"])
 def test_tape_without_layer_norm_holds_a_fixed_count_of_arrays(activation):
     # Without LayerNorm each layer's activation keeps its input, the output
     # of the bias add, and the product that reads its output (layer 1's
-    # matmul, the projector's first) keeps a rebuild from that input.  So
-    # the tape holds, in n x hidden arrays: layer 0's dropout mask (1/32)
-    # and activation input, layer 1's mask (1/8) and activation input, the
-    # ELU output and z: 4.15625, for either kind.  A tape whose products
-    # kept each activation output held 6.15625 with prelu, which also kept
-    # its input, and 4.40625 with relu, which kept a bool mask (1/8).
+    # matmul, the projector's first) keeps a rebuild from that input.
+    # Layer 0's activation keeps the rebuild of its input's product of the
+    # features, and the bias, instead.  So the tape holds, in n x hidden
+    # arrays: layer 0's dropout mask as bits (1/256), layer 1's (1/64) and
+    # activation input, the ELU output and z: 3.01953125, for either kind.
+    # A tape that kept layer 0's activation input and boolean masks held
+    # 4.15625 (its bound was [4.15625, 4.25) + the biases); one whose
+    # products also kept each activation output held 6.15625 with prelu,
+    # which also kept its input, and 4.40625 with relu, which kept a bool
+    # mask (1/8).
     n, hidden = 1000, 64
     held, _ = _tape_after_project(n, hidden, hidden // 4, activation=activation, layer_norm=False)
     unit, biases = n * hidden * 8, 2 * hidden * 8
-    assert 4.15625 * unit <= held < 4.25 * unit + biases
+    assert 3.01953125 * unit <= held < 3.0625 * unit + biases
 
 
 def test_wide_input_leaves_only_its_mask_on_the_tape():
-    # F = 4 x hidden: layer 0 keeps a bool n x F mask (0.5 units) and no
-    # n x F float array, so the tape holds 4.625 n x hidden f64 units and
-    # the four n x 1 columns; keeping the dropped rows (4 units) instead
-    # would make it 8.125
+    # F = 4 x hidden: layer 0 keeps its n x F mask as bits (1/16 units) and
+    # no n x F float or boolean array.  F is wider than the layer, so the
+    # tape keeps layer 0's product (1 unit) rather than re-form it: it holds
+    # 4.078125 n x hidden f64 units and the four n x 1 columns.  A tape
+    # with boolean masks held 4.625 (its bound was [4.625, 4.75)); keeping
+    # the dropped rows (4 units) as well would make it 8.125
     n, hidden = 1000, 64
     num_features = 4 * hidden
     held, sizes = _tape_after_project(n, hidden, num_features)
     unit, columns = n * hidden * 8, 2 * 2 * n * 8
-    assert 4.625 * unit + columns <= held < 4.75 * unit + columns
-    assert sizes.count(n * num_features) == 1  # the mask
+    assert 4.078125 * unit + columns <= held < 4.125 * unit + columns
+    assert sizes.count(n * num_features // 8) == 1  # the mask, as bits
+    assert n * num_features not in sizes  # no boolean mask
     assert max(sizes) < n * num_features * 4  # no n x F float array, f32 or f64
 
 
 def test_masked_wide_input_leaves_only_its_mask_on_the_tape():
-    # the nfm ablation: layer 0 keeps the bool n x F feature mask and no
-    # masked n x F float copy of the features (4 units), and layer 1 keeps
-    # no dropout mask, so the tape holds 4.5 units and the four n x 1
-    # columns
+    # the nfm ablation: layer 0 keeps the n x F feature mask as bits (1/16
+    # units), no boolean one and no masked n x F float copy of the features
+    # (4 units), and layer 1 keeps no dropout mask, so the tape holds 4.0625
+    # units and the four n x 1 columns.  With a boolean mask it held 4.5
+    # (its bound was [4.5, 4.625))
     n, hidden = 1000, 64
     num_features = 4 * hidden
     held, sizes = _tape_after_project(n, hidden, num_features, nfm=True)
     unit, columns = n * hidden * 8, 2 * 2 * n * 8
-    assert 4.5 * unit + columns <= held < 4.625 * unit + columns
-    assert sizes.count(n * num_features) == 1  # the mask
+    assert 4.0625 * unit + columns <= held < 4.125 * unit + columns
+    assert sizes.count(n * num_features // 8) == 1  # the mask, as bits
+    assert n * num_features not in sizes  # no boolean mask
     assert max(sizes) < n * num_features * 4  # no n x F float array, f32 or f64
 
 
@@ -722,7 +743,8 @@ def test_feature_masking_is_the_earlier_masked_input_bitwise():
         state = EncoderState(spec, graph.num_features, RngStream(5, "init"))
         rng = RngStream(5, "dropout")
         if masked_outside:
-            feats = graph.features * ops.keep_mask(rng, graph.features.shape, 0.3)
+            keep = ops.keep_mask(rng, graph.features.shape, 0.3)
+            feats = graph.features * np.unpackbits(keep, axis=1, count=graph.num_features).astype(bool)
             h = encode_rows(state, spec, feats, training=True, rng=rng)
         else:
             h = encode_rows(state, spec, graph.features, training=True, rng=rng, feature_mask_p=0.3)

@@ -1,6 +1,7 @@
 """Graph construction, file ingestion, normalized adjacency, spmm, the
 homophily statistics, and the block-model generator."""
 
+import math
 import os
 import threading
 import tracemalloc
@@ -86,6 +87,40 @@ def test_csr_matches_edge_set_oracle():
             np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64))
         assert g.num_nodes == n and g.num_edges == len(targets) // 2
     assert dropped == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _csr_by_unique(edges: np.ndarray, n: int) -> tuple:
+    """(offsets, sources, targets) as Graph built them with np.unique's keys."""
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    keys = np.unique(lo[lo != hi] * n + hi[lo != hi])
+    lo, hi = np.divmod(keys, n)
+    sources, targets = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
+    return np.searchsorted(sources, np.arange(n + 1)), sources, targets
+
+
+@pytest.mark.parametrize("case", ["empty", "only_loops", "one_edge_repeated", "messy_small", "messy_large"])
+def test_csr_keys_equal_those_of_np_unique(case):
+    # the sorted keys with each run of equal keys cut to one are np.unique's:
+    # the CSR arrays are the same, byte for byte, on self-loops, duplicates,
+    # reversed pairs and an empty list
+    rng = np.random.default_rng(41)
+    n = {"empty": 5, "only_loops": 4, "one_edge_repeated": 3, "messy_small": 9, "messy_large": 3000}[case]
+    if case == "empty":
+        edges = np.zeros((0, 2), dtype=np.int64)
+    elif case == "only_loops":
+        edges = np.repeat(np.arange(n), 2)[:, None].repeat(2, axis=1)
+    elif case == "one_edge_repeated":
+        edges = np.array([[0, 2], [2, 0], [0, 2], [2, 0], [1, 1]])
+    else:
+        edges = rng.integers(0, n, size=(7 * n, 2))
+        edges = np.concatenate([edges, edges[rng.random(len(edges)) < 0.4, ::-1], edges[: n // 2]])
+        edges = np.concatenate([edges, np.repeat(rng.integers(0, n, size=(n // 3, 1)), 2, axis=1)])  # self-loops
+        edges = edges[rng.permutation(len(edges))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = Graph(edges, np.zeros((n, 1)))
+    for got, want in zip((g.csr_offsets, g.csr_sources, g.csr_targets), _csr_by_unique(np.asarray(edges), n)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_graph_rejects_bad_labels():
@@ -544,14 +579,17 @@ def test_keep_mask_equals_one_draw(shape, block_entries, monkeypatch):
     monkeypatch.setattr(ops, "_BLOCK_ENTRIES", block_entries)
     blocked, whole = RngStream(9, "dropout"), RngStream(9, "dropout")
     keep = ops.keep_mask(blocked, shape, 0.3)
-    assert keep.dtype == bool
-    np.testing.assert_array_equal(keep, whole.uniform(size=shape) >= 0.3)
+    width = math.prod(shape[1:])
+    assert keep.dtype == np.uint8 and keep.shape == (shape[0], -(-width // 8))
+    unpacked = np.unpackbits(keep, axis=1, count=width).astype(bool).reshape(shape)
+    np.testing.assert_array_equal(unpacked, whole.uniform(size=shape) >= 0.3)
     assert blocked._gen.bit_generator.state == whole._gen.bit_generator.state
 
 
 def test_keep_mask_draws_one_block_at_a_time():
-    # the mask (1 MB) and one block of f64 uniforms (1 MB); one draw of the
-    # whole shape would take 8 MB
+    # the mask as bits (0.125 MB), one block of f64 uniforms (1 MB) and the
+    # block's booleans (0.125 MB); one draw of the whole shape would take
+    # 8 MB, and the boolean mask 1 MB
     shape = (2000, 512)
     tracemalloc.start()
     try:
@@ -559,7 +597,7 @@ def test_keep_mask_draws_one_block_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= keep.nbytes + ops._BLOCK_ENTRIES * 8 + 64 * 1024
+    assert peak <= keep.nbytes + ops._BLOCK_ENTRIES * (8 + 1) + 64 * 1024
 
 
 def test_graph_features_are_in_the_active_precision():

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -638,6 +639,55 @@ def test_memtrace_runs_a_preset_on_an_sbm_of_the_given_shape(capsys):
     assert [line.split()[0] for line in lines] == ["phase", "encode", "loss", "backward", "adam"]
     with pytest.raises(SystemExit):
         memtrace.main(["--preset", "photo", "--nodes", "60", "--features", "12", "--edges", "e.txt"])
+
+
+def test_memtrace_times_each_phase_of_epochs_after_the_first(capsys, monkeypatch):
+    # --ms N trains N epochs under the same spies without tracemalloc and
+    # prints each phase's median ms over epochs 2..N and the median epoch,
+    # the phases' sum
+    started = []
+    start = memtrace.tracemalloc.start
+    monkeypatch.setattr(memtrace.tracemalloc, "start", lambda *a: started.append(a) or start(*a))
+    memtrace.main(["--preset", "photo", "--nodes", "60", "--features", "12", "--ms", "3"])
+    assert started == []
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["phase", "ms", "(medians", "of", "epochs", "2-3)"]
+    rows = {line.split()[0]: float(line.split()[1]) for line in lines[1:]}
+    assert list(rows) == ["encode", "loss", "backward", "adam", "epoch"]
+    assert all(ms > 0 for ms in rows.values())
+    assert rows["epoch"] <= sum(ms for name, ms in rows.items() if name != "epoch") + 0.2
+    for argv in (["--ms", "1"], ["--ms", "3", "--eval", "cluster"]):
+        with pytest.raises(SystemExit):
+            memtrace.main(["--preset", "photo", "--nodes", "60", "--features", "12", *argv])
+
+
+def test_timed_phases_time_each_call_of_each_phase(monkeypatch):
+    # a fake clock that only the spied calls and the gap between them move
+    clock = [0.0]
+    monkeypatch.setattr(memtrace.time, "perf_counter", lambda: clock[0])
+
+    def work(seconds):
+        clock[0] += seconds
+
+    calls = types.SimpleNamespace(first=work, second=work)
+
+    def run():
+        for seconds in (0.002, 0.004):
+            calls.first(seconds)  # phase "a", then "b" until `second`
+            clock[0] += 0.001
+            calls.second(2 * seconds)  # phase "c"
+            clock[0] += 0.5  # outside every phase
+
+    times = memtrace.timed_phases(run, [(calls, "first", "a", "b"), (calls, "second", "c", None)])
+    assert {name: np.round(ms, 9).tolist() for name, ms in times.items()} == {"a": [2, 4], "b": [1, 1], "c": [4, 8]}
+
+
+def test_epoch_ms_takes_medians_over_the_epochs_after_the_first(monkeypatch):
+    times = {"encode": [90, 2, 4, 6], "loss": [90, 3, 5, 1], "backward": [90, 1, 1, 9], "adam": [90, 1, 1, 1]}
+    monkeypatch.setattr(memtrace, "timed_phases", lambda run, spies: times)
+    medians = memtrace.epoch_ms(None, None)
+    # epochs 2..4 sum to 7, 11 and 17
+    assert medians == {"encode": 4.0, "loss": 3.0, "backward": 1.0, "adam": 1.0, "epoch": 11.0}
 
 
 def test_checkpoint_errors(tmp_path):
