@@ -38,8 +38,10 @@ from .tensor import Parameter, Tensor
 
 
 def check_finite(name: str, arr: np.ndarray) -> None:
-    """Raise if arr holds NaN/Inf."""
-    if not np.all(np.isfinite(arr)):
+    """Raise if arr holds NaN/Inf.  It scans one `row_blocks` block of rows
+    at a time, so no boolean array of the whole of arr is formed."""
+    blocks = [arr] if arr.ndim == 0 else (arr[a:b] for a, b in row_blocks(arr.shape[0], math.prod(arr.shape[1:])))
+    if not all(np.isfinite(block).all() for block in blocks):
         raise NumericError(f"{name} produced non-finite values")
 
 
@@ -90,9 +92,9 @@ def row_blocks(num_rows: int, width: int):
     """The `spans` of row blocks, each about `_BLOCK_ENTRIES` entries of a
     `width`-column array, for the passes whose bits do not depend on the
     block height: linear inference, the probe's test scoring, k-means'
-    distances and row norms, the features' finite scan, the SBM's rows of
-    node pairs, the dropout masks' uniforms, dL/dx times a mask and
-    `layer_norm`'s backward."""
+    distances and row norms, the features' and `check_finite`'s finite
+    scans, the SBM's rows of node pairs, the dropout masks' uniforms, dL/dx
+    times a mask and `layer_norm`'s backward."""
     return spans(num_rows, _BLOCK_ENTRIES // max(width, 1))
 
 

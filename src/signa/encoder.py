@@ -15,16 +15,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError
-from .graphdata import Graph, normalized_adjacency, spmm
-
-if TYPE_CHECKING:  # linear-encoder processes never import scipy
-    import scipy.sparse as sp
+from .graphdata import Adjacency, Graph, normalized_adjacency, spmm
 
 BASE_ENCODERS = ("linear", "gconv")
 # rrelu runs as a fixed-slope leaky relu (midpoint of the usual random range)
@@ -129,7 +125,7 @@ def encode(
     state: EncoderState,
     spec: ModelSpec,
     graph: Graph,
-    adj: sp.csr_matrix | None = None,
+    adj: Adjacency | None = None,
     training: bool = False,
     rng: dc.RngStream | None = None,
 ) -> dc.Tensor:
@@ -141,7 +137,7 @@ def encode_rows(
     state: EncoderState,
     spec: ModelSpec,
     feats: np.ndarray,
-    adj: sp.csr_matrix | None = None,
+    adj: Adjacency | None = None,
     training: bool = False,
     rng: dc.RngStream | None = None,
     feature_mask_p: float = 0.0,

@@ -7,18 +7,18 @@ edge endpoints must index into it.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .diffcore import Tensor, active_dtype, check_finite, record_backward, row_blocks
 from .errors import AnalysisError, ConfigError, IngestionError, ShapeError, not_utf8
-
-if TYPE_CHECKING:  # scipy is imported only where a sparse matrix is built
-    import scipy.sparse as sp
 
 
 class Graph:
@@ -408,36 +408,102 @@ def _decoding(read, path, *args):
 # normalized adjacency and its differentiable product
 
 
-def normalized_adjacency(g: Graph) -> sp.csr_matrix:
+@dataclass(frozen=True, eq=False)
+class Adjacency:
+    """An n x n sparse matrix in CSR form, as scipy's `csr_matrix` holds it:
+    row u's values are `data[indptr[u]:indptr[u+1]]`, in the increasing
+    columns `indices[indptr[u]:indptr[u+1]]`."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def num_nodes(self) -> int:
+        return self.indptr.size - 1
+
+
+def normalized_adjacency(g: Graph) -> Adjacency:
     """Symmetric CSR matrix Dhat^{-1/2} (A+I) Dhat^{-1/2}, dhat = degree in A+I.
 
-    Row u holds the neighbors of u plus the self-loop, each entry equal to
-    1/sqrt(dhat_u * dhat_v), computed in f64 and stored in the active
-    precision so that `spmm` runs in it forward and backward.
+    Row u holds the neighbors of u plus the self-loop, in column order, each
+    entry equal to 1/sqrt(dhat_u * dhat_v), computed in f64 and stored in the
+    active precision so that `spmm` runs in it forward and backward.  Built
+    with numpy from the graph's CSR; the arrays, their dtypes included, are
+    those scipy's `csr_matrix` built from the same entries holds.
     """
-    import scipy.sparse as sp
-
     n = g.num_nodes
     dhat = g.degrees + 1
-    rows = np.concatenate([g.csr_sources, np.arange(n)])
-    cols = np.concatenate([g.csr_targets, np.arange(n)])
+    # the self-loop u has the key u*n+u, which sorts into row u's neighbours
+    # in column order, as Graph sorts its keys
+    keys = np.concatenate([g.csr_sources * n + g.csr_targets, np.arange(n) * (n + 1)])
+    keys.sort()
+    rows, cols = np.divmod(keys, n)
     vals = (1.0 / np.sqrt(dhat[rows] * dhat[cols])).astype(active_dtype(), copy=False)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mat.sort_indices()
-    return mat
+    # scipy's index dtype: int32 while the entry count and n fit in it
+    index = np.int32 if max(keys.size, n) <= np.iinfo(np.int32).max else np.int64
+    indptr = g.csr_offsets + np.arange(n + 1)  # one self-loop more per row
+    return Adjacency(indptr.astype(index), cols.astype(index), vals)
 
 
-def spmm(adj: sp.csr_matrix, x: Tensor) -> Tensor:
-    """Differentiable sparse-dense product adj @ x (gradient w.r.t. x only)."""
-    n = adj.shape[0]
+_KERNEL = "scipy.sparse._sparsetools"
+
+
+@functools.cache
+def _csr_matvecs():
+    """scipy's compiled `csr_matvecs`, loaded from its extension file alone.
+
+    `importlib.util.find_spec` locates scipy without running it, so no
+    scipy package is imported: importing `scipy.sparse` would also import
+    numpy.f2py, numpy.ma, numpy.testing and numpy.random.  The extension
+    enters itself in `sys.modules` as it loads; that entry is taken out
+    again, so a later `import scipy.sparse` imports the package as usual
+    (and its `_sparsetools.csr_matvecs` is this same function).
+    """
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("the gconv encoder needs scipy's CSR kernel, and scipy is not installed")
+    path = os.path.join(
+        scipy.submodule_search_locations[0], "sparse", "_sparsetools" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    )
+    if not os.path.isfile(path):
+        raise ImportError(f"the gconv encoder needs scipy's CSR kernel, and {path} does not exist")
+    spec = importlib.util.spec_from_file_location(_KERNEL, path)
+    held = sys.modules.pop(_KERNEL, None)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(_KERNEL, None)
+        if held is not None:
+            sys.modules[_KERNEL] = held
+    return module.csr_matvecs
+
+
+def _csr_product(adj: Adjacency, x: np.ndarray) -> np.ndarray:
+    """adj @ x, bit for bit as scipy's `csr_matrix @ x` forms it: each row's
+    terms summed in column order into zeros of the promoted dtype."""
+    n, d = x.shape
+    out = np.zeros((n, d), dtype=np.result_type(adj.data.dtype, x.dtype))
+    _csr_matvecs()(n, n, d, adj.indptr, adj.indices, adj.data, np.ravel(x), out.ravel())
+    return out
+
+
+def spmm(adj: Adjacency, x: Tensor) -> Tensor:
+    """Differentiable sparse-dense product adj @ x (gradient w.r.t. x only).
+
+    Forward and backward run scipy's compiled `csr_matvecs`, the kernel of
+    `csr_matrix @ x`, on the adjacency's arrays; the first call loads it.
+    """
+    n = adj.num_nodes
     if x.data.ndim != 2 or x.data.shape[0] != n:
         raise ShapeError(f"spmm expects ({n}, d) input, got {x.data.shape}")
-    out = Tensor(adj @ x.data, _parents=(x,))
+    out = Tensor(_csr_product(adj, x.data), _parents=(x,))
     check_finite("spmm", out.data)
 
     def _bw(g):
         # the adjacency is symmetric, so A^T g == A g
-        return (adj @ g,)
+        return (_csr_product(adj, g),)
 
     return record_backward(out, _bw)
 

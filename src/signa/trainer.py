@@ -7,7 +7,6 @@ effective model/estimator/mask settings before training starts.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import json
 import math
@@ -17,7 +16,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import diffcore as dc
-from .atomic import write_json
+from .atomic import open_atomic
 from .contrast import EstimatorSpec, draw_masks, estimator_loss
 from .encoder import EncoderState, ModelSpec, encode_rows, project
 from .errors import CheckpointError, ConfigError, OptimizationError, not_utf8
@@ -27,6 +26,8 @@ ABLATIONS = ("none", "no_dropout", "nfm", "no_stoch_mask", "all_mask")
 CHECKPOINT_FORMAT_VERSION = 2
 # v2 stores each parameter blob in the checkpoint's precision; v1 always in f64
 _BLOB_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_BLOB_CHUNK = 3 << 16  # blob bytes base64-encoded per write; a multiple of 3
+_BLOB_MARK = "\x00blob\x00"  # stands for each blob's string in the checkpoint's header
 # estimator keys that v1 checkpoints written before their removal still carry
 _RETIRED_ESTIMATOR_KEYS = ("target_pos", "target_neg")
 
@@ -195,19 +196,17 @@ def save_checkpoint(state: EncoderState, config: TrainConfig, path: str, final_l
     """Write a JSON checkpoint with base64 little-endian parameter blobs.
 
     Each blob holds the parameter in the active precision, `<f4` under f32
-    and `<f8` under f64; the `precision` field names which.
+    and `<f8` under f64; the `precision` field names which.  The file is
+    `json.dumps(doc, indent=2, sort_keys=True)` and a newline, written
+    atomically, but each blob's base64 text is streamed into it one chunk
+    of `_BLOB_CHUNK` bytes at a time: no whole blob's text is ever formed.
     """
     precision = dc.get_precision()
+    payloads = []
     params = []
     for p in state.parameters():
-        payload = np.ascontiguousarray(p.data, dtype=_BLOB_DTYPES[precision])
-        params.append(
-            {
-                "name": p.name,
-                "shape": list(p.data.shape),
-                "data": base64.b64encode(payload.tobytes()).decode("ascii"),
-            }
-        )
+        payloads.append(np.ascontiguousarray(p.data, dtype=_BLOB_DTYPES[precision]).reshape(-1).view(np.uint8))
+        params.append({"name": p.name, "shape": list(p.data.shape), "data": _BLOB_MARK})
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "precision": precision,
@@ -218,7 +217,19 @@ def save_checkpoint(state: EncoderState, config: TrainConfig, path: str, final_l
         "epochs": config.num_epochs,
         "seed": config.seed,
     }
-    write_json(path, doc)
+    # the text around the blobs, split where each blob's string goes
+    *heads, tail = json.dumps(doc, indent=2, sort_keys=True).split(json.dumps(_BLOB_MARK))
+    with open_atomic(path) as fh:
+        for head, payload in zip(heads, payloads, strict=True):
+            fh.write(head)
+            fh.write('"')
+            # a chunk of whole 3-byte groups encodes without padding, so the
+            # chunks' texts join into the whole blob's base64
+            for start in range(0, payload.size, _BLOB_CHUNK):
+                fh.write(binascii.b2a_base64(payload[start : start + _BLOB_CHUNK], newline=False).decode("ascii"))
+            fh.write('"')
+        fh.write(tail)
+        fh.write("\n")
 
 
 def load_checkpoint(path: str) -> tuple[EncoderState, TrainConfig]:

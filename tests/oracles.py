@@ -70,6 +70,14 @@ encoder's row-blocked inference must match it bit for bit.
 `save_checkpoint_v1_oracle` is the library's earlier checkpoint writer,
 format version 1, which widens every parameter to an `<f8` blob whatever
 the run's precision; the loader must still read its files.
+`save_checkpoint_v2_oracle` is the library's earlier format-2 writer, kept
+as it was: it forms every blob's base64 string in one document and writes
+it with `write_json`; the streamed writer must give the same bytes.
+
+`scipy_normalized_adjacency` is the library's earlier adjacency builder,
+kept as it was: a scipy `csr_matrix` built from (row, column) entries.  The
+numpy-built `Adjacency` must hold the same arrays.  `dense_adjacency` spells
+an `Adjacency` out as a dense n x n array, entry by entry.
 """
 
 import base64
@@ -560,6 +568,30 @@ def csr_oracle(edges, num_nodes):
     return offsets, sources, targets, loops, dupes
 
 
+def scipy_normalized_adjacency(g: Graph):
+    """The library's earlier `normalized_adjacency`, kept as it was."""
+    import scipy.sparse as sp
+
+    n = g.num_nodes
+    dhat = g.degrees + 1
+    rows = np.concatenate([g.csr_sources, np.arange(n)])
+    cols = np.concatenate([g.csr_targets, np.arange(n)])
+    vals = (1.0 / np.sqrt(dhat[rows] * dhat[cols])).astype(dc.active_dtype(), copy=False)
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mat.sort_indices()
+    return mat
+
+
+def dense_adjacency(adj) -> np.ndarray:
+    """The n x n matrix an `Adjacency`'s CSR arrays spell, one entry at a time."""
+    n = adj.indptr.size - 1
+    dense = np.zeros((n, n), dtype=adj.data.dtype)
+    for u in range(n):
+        for k in range(adj.indptr[u], adj.indptr[u + 1]):
+            dense[u, adj.indices[k]] = adj.data[k]
+    return dense
+
+
 def global_homophily_oracle(graph) -> float:
     same = total = 0
     for u in range(graph.num_nodes):
@@ -837,6 +869,33 @@ def save_checkpoint_v1_oracle(state, config, path: str, final_loss: float | None
     doc = {
         "format_version": 1,
         "precision": dc.get_precision(),
+        "config": config.to_dict(),
+        "num_features": state.num_features,
+        "parameters": params,
+        "final_loss": final_loss,
+        "epochs": config.num_epochs,
+        "seed": config.seed,
+    }
+    write_json(path, doc)
+
+
+def save_checkpoint_v2_oracle(state, config, path: str, final_loss: float | None = None) -> None:
+    """The library's earlier format-2 writer, kept as it was: every blob's
+    base64 string in one document, written by `write_json`."""
+    precision = dc.get_precision()
+    params = []
+    for p in state.parameters():
+        payload = np.ascontiguousarray(p.data, dtype={"f32": "<f4", "f64": "<f8"}[precision])
+        params.append(
+            {
+                "name": p.name,
+                "shape": list(p.data.shape),
+                "data": base64.b64encode(payload.tobytes()).decode("ascii"),
+            }
+        )
+    doc = {
+        "format_version": 2,
+        "precision": precision,
         "config": config.to_dict(),
         "num_features": state.num_features,
         "parameters": params,

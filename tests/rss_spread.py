@@ -14,6 +14,10 @@ changed: the spread is the one a run meets.
 
 Everything after `--` is the `signa` command line.  It exits 1 if any child
 exits non-zero.
+
+Each child imports the package from the `src` next to this file, ahead of
+any PYTHONPATH, and the first line printed names that `src`: to measure a
+tree, run that tree's own copy of the tool.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ def main(argv=None) -> int:
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
     if not command or args.paddings < 1:
         parser.error("give at least one padding and a signa command line after --")
+    print(f"src {SRC}")
     readings = []
     for padding in range(0, 1000 * args.paddings, 1000):
         mb, code = peak_rss(command, padding)

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import split_generator
 
+from signa import atomic
 from signa.atomic import open_atomic, write_json
 from signa.contrast import EstimatorSpec
 from signa.encoder import ModelSpec
@@ -46,11 +47,25 @@ def test_failed_write_keeps_the_old_file(write, tmp_path, monkeypatch):
     write(path, 1.0)
     before = open(path, "rb").read()
 
-    def dump_then_fail(doc, fh, **kwargs):
-        fh.write('{"final_loss": 2.0, "trunc')
-        raise OSError("disk full")
+    class FillsAfterOneWrite:
+        """A file that takes the writer's first piece of text, then fails."""
 
-    monkeypatch.setattr(json, "dump", dump_then_fail)
+        def __init__(self, fh):
+            self.fh, self.written = fh, False
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if self.written:
+                raise OSError("disk full")
+            self.written = True
+            return self.fh.write(text)
+
+    monkeypatch.setattr(atomic, "open", lambda *a, **kw: FillsAfterOneWrite(open(*a, **kw)), raising=False)
     with pytest.raises(OSError, match="disk full"):
         write(path, 2.0)
     assert open(path, "rb").read() == before

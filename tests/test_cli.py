@@ -431,6 +431,20 @@ def test_eval_zero_runs_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def _scipy_sparse_modules(argv, env):
+    """(exit code, the scipy.sparse modules imported) of `signa argv` run
+    in a fresh process."""
+    script = (
+        "import sys\n"
+        "from signa.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
 def test_linear_classify_does_not_import_scipy(tmp_path):
     # nor does a linear cluster run (k-means sums its clusters densely) or a
     # histograms run (adjacency comes from the graph's CSR arrays)
@@ -442,17 +456,23 @@ def test_linear_classify_does_not_import_scipy(tmp_path):
         out = str(tmp_path / f"{mode}.json")
         argv = ["eval", "--checkpoint", ckpt, "--edges", edges, "--features", feats,
                 "--labels", labels, "--mode", mode, *extra, "--out", out, "--quiet"]
-        script = (
-            "import sys\n"
-            "from signa.cli import main\n"
-            f"rc = main({argv!r})\n"
-            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
-        )
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["0", "[]"], mode
+        assert _scipy_sparse_modules(argv, env) == ["0", "[]"], mode
     assert len(json.loads(open(str(tmp_path / "classify.json")).read())["micro_f1"]["per_run"]) == 2
     assert json.loads(open(str(tmp_path / "cluster.json")).read())["k"] == 2
+
+    # gconv runs load only scipy's CSR kernel, outside sys.modules
+    gconv = _write_config(tmp_path, model={"num_layers": 2, "base_encoder": "gconv", "hidden_dim": 6,
+                                           "dropout_p": 0.2, "activation": "prelu", "projector_dim": 4})
+    gconv_ckpt = str(tmp_path / "gconv.ckpt")
+    argv = ["train", "--config", gconv, "--edges", edges, "--features", feats,
+            "--out-checkpoint", gconv_ckpt, "--quiet"]
+    assert _scipy_sparse_modules(argv, env) == ["0", "[]"], "gconv train"
+    for mode in ("classify", "cluster"):
+        out = str(tmp_path / f"gconv-{mode}.json")
+        argv = ["eval", "--checkpoint", gconv_ckpt, "--edges", edges, "--features", feats,
+                "--labels", labels, "--mode", mode, "--out", out, "--quiet"]
+        assert _scipy_sparse_modules(argv, env) == ["0", "[]"], f"gconv {mode}"
+        assert os.path.exists(out)
 
 
 def test_eval_cluster_report(tmp_path):
@@ -1138,14 +1158,15 @@ def test_a_report_written_to_a_fifo_gets_no_manifest(tmp_path):
 
 
 def test_rss_spread_reads_each_padded_run(tmp_path, capsys):
-    # one fresh child per padding: a line with its peak RSS each, then the
-    # range; a child that fails makes the tool exit 1
+    # the src it measures, then one fresh child per padding: a line with its
+    # peak RSS each, then the range; a child that fails makes the tool exit 1
     edges, feats, labels = _write_dataset(tmp_path)
     config = _write_config(tmp_path)
     ckpt = str(tmp_path / "model.ckpt")
     argv = ["train", "--config", config, "--edges", edges, "--features", feats, "--out-checkpoint", ckpt, "--quiet"]
     assert rss_spread.main(["--paddings", "2", "--", *argv]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    src, *lines = capsys.readouterr().out.splitlines()
+    assert src == f"src {os.path.dirname(os.path.dirname(signa.__file__))}"
     assert [line.split()[:3] for line in lines[:2]] == [["padding", "0", "peak"], ["padding", "1000", "peak"]]
     peaks = [float(line.split()[3]) for line in lines[:2]]
     assert all(10.0 < mb < 1000.0 for mb in peaks)

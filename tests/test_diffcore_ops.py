@@ -369,9 +369,9 @@ def test_a_product_of_features_wider_than_the_output_is_kept():
 
 def test_the_dropout_forward_forms_no_boolean_mask_of_the_whole_input():
     # the mask is drawn into its bits and unpacked a row block at a time:
-    # the forward's peak is the output, the bits, one block's uniforms and
-    # booleans, and the finite check's booleans of the output, under the
-    # output plus a boolean n x F mask (6.4 MB)
+    # the forward's peak is the output, the bits and one block's uniforms and
+    # booleans (the finite check scans a block at a time), under the output
+    # plus a boolean n x F mask (6.4 MB)
     n, width, hidden = 200_000, 32, 8
     x = Tensor(np.random.default_rng(35).normal(size=(n, width)))
     w = Parameter(np.ones((width, hidden)), name="w")
@@ -381,9 +381,9 @@ def test_the_dropout_forward_forms_no_boolean_mask_of_the_whole_input():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    bits, checked, slack = n * width // 8, out.data.size, 64 * 1024
+    bits, slack = n * width // 8, 64 * 1024
     assert held <= out.data.nbytes + bits + slack
-    bound = out.data.nbytes + bits + checked + ops._BLOCK_ENTRIES * (8 + 1) + slack
+    bound = out.data.nbytes + bits + ops._BLOCK_ENTRIES * (8 + 1) + slack
     assert peak <= bound < out.data.nbytes + n * width
 
 
@@ -1286,6 +1286,34 @@ def test_finite_check_catches_overflow():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError):
             kit.exp(Tensor([1000.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(), (5,), (0, 3), (50_000, 7), (40, 3, 5)])
+def test_finite_check_finds_a_bad_value_in_any_block(shape, bad):
+    # each entry in turn of a 0-d, 1-d, empty and many-block array, the last
+    # block's last entry included
+    arr = np.ones(shape)
+    dc.check_finite("x", arr)
+    assert shape != (50_000, 7) or len(list(ops.row_blocks(*shape))) == 3
+    for index in {0, arr.size - 1, arr.size // 2} if arr.size else ():
+        arr.reshape(-1)[index] = bad
+        with pytest.raises(NumericError, match="^x produced non-finite values$"):
+            dc.check_finite("x", arr)
+        arr.reshape(-1)[index] = 1.0
+
+
+def test_finite_check_forms_no_boolean_array_of_the_whole_input():
+    arr = np.ones((400_000, 16))
+    arr[-1, -1] = np.nan
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError):
+            dc.check_finite("x", arr)
+        _held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ops._BLOCK_ENTRIES + 64 * 1024 < arr.size // 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Graph construction, file ingestion, normalized adjacency, spmm, the
 homophily statistics, and the block-model generator."""
 
+import importlib.util
 import math
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -30,9 +33,11 @@ from conftest import random_labeled_graph, split_generator
 import tape_ops as kit
 from oracles import (
     csr_oracle,
+    dense_adjacency,
     global_homophily_oracle,
     local_homophily_oracle,
     sbm_generate_oracle,
+    scipy_normalized_adjacency,
 )
 
 
@@ -333,13 +338,13 @@ def test_a_benchmark_sized_edge_list_skips_the_line_loop(tmp_path, monkeypatch):
 
 def test_normalized_adjacency_two_nodes(two_node_graph):
     adj = normalized_adjacency(two_node_graph)
-    dense = adj.toarray()
+    dense = dense_adjacency(adj)
     np.testing.assert_allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_normalized_adjacency_path3():
     g = Graph(np.array([[0, 1], [1, 2]]), np.zeros((3, 1)))
-    dense = normalized_adjacency(g).toarray()
+    dense = dense_adjacency(normalized_adjacency(g))
     np.testing.assert_allclose(dense[0, 1], 1.0 / np.sqrt(6.0), atol=1e-15)
     np.testing.assert_allclose(dense[0, 0], 0.5, atol=1e-15)
     np.testing.assert_allclose(dense[1, 1], 1.0 / 3.0, atol=1e-15)
@@ -357,7 +362,7 @@ def test_normalized_adjacency_matches_dense_oracle():
         ahat_oracle = a + np.eye(n)
         dhat = ahat_oracle.sum(axis=1)
         ahat_oracle /= np.sqrt(np.outer(dhat, dhat))
-        dense = normalized_adjacency(g).toarray()
+        dense = dense_adjacency(normalized_adjacency(g))
         np.testing.assert_allclose(dense, ahat_oracle, atol=1e-12)
 
 
@@ -374,7 +379,7 @@ def test_spmm_matches_dense_product():
         adj = normalized_adjacency(g)
         x = rng.standard_normal((g.num_nodes, 5))
         np.testing.assert_allclose(
-            spmm(adj, Tensor(x)).data, adj.toarray() @ x, atol=1e-12
+            spmm(adj, Tensor(x)).data, dense_adjacency(adj) @ x, atol=1e-12
         )
 
 
@@ -384,7 +389,105 @@ def test_spmm_backward_is_transpose_product():
     x = Parameter(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), name="x")
     w = np.array([[1.0, -1.0], [0.5, 2.0], [0.0, 1.0]])
     backward(kit.tsum(kit.hadamard(spmm(adj, x), Tensor(w))))
-    np.testing.assert_allclose(x.grad, adj.toarray().T @ w, atol=1e-12)
+    np.testing.assert_allclose(x.grad, dense_adjacency(adj).T @ w, atol=1e-12)
+
+
+def _kernel_graphs():
+    """Graphs for the kernel tests: isolated nodes among edges, no edges at
+    all, one node, and a block model."""
+    yield Graph(np.array([[0, 2], [2, 5], [5, 0], [1, 6]]), np.zeros((8, 1)))  # 3, 4 and 7 isolated
+    yield Graph(np.empty((0, 2), dtype=np.int64), np.zeros((4, 1)))
+    yield Graph(np.empty((0, 2), dtype=np.int64), np.zeros((1, 1)))
+    yield sbm_generate([30, 45], 0.2, 0.03, np.zeros((2, 1)), 1.0, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_normalized_adjacency_equals_the_scipy_builder(precision):
+    dc.set_precision(precision)
+    graphs = list(_kernel_graphs()) + [random_labeled_graph(np.random.default_rng(s), max_nodes=64) for s in range(10)]
+    for g in graphs:
+        adj, ref = normalized_adjacency(g), scipy_normalized_adjacency(g)
+        for name in ("indptr", "indices", "data"):
+            mine, theirs = getattr(adj, name), getattr(ref, name)
+            assert mine.dtype == theirs.dtype, name
+            assert mine.tobytes() == theirs.tobytes(), name
+        assert adj.num_nodes == ref.shape[0] == g.num_nodes
+
+
+def _as_bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+def test_spmm_and_its_gradient_equal_scipys_product_bit_for_bit(precision):
+    # the output and dL/dx against csr_matrix @ x, on inputs of width 1 (scipy's
+    # matrix-vector path), C-contiguous, Fortran-ordered and strided, with
+    # rows whose terms are all -0.0
+    dc.set_precision(precision)
+    dtype = dc.active_dtype()
+    rng = np.random.default_rng(11)
+    for g in _kernel_graphs():
+        adj, ref = normalized_adjacency(g), scipy_normalized_adjacency(g)
+        n = g.num_nodes
+        wide = rng.standard_normal((n, 14)).astype(dtype)
+        wide[: n // 2 + 1, 3] = -0.0
+        for x in (wide[:, :1].copy(), wide, np.asfortranarray(wide), wide[:, ::3]):
+            out = spmm(adj, Tensor(x)).data
+            assert out.dtype == dtype and out.flags.c_contiguous
+            assert _as_bits(out) == _as_bits(ref @ x)
+            xp = Parameter(x, name="x")
+            upstream = rng.standard_normal(x.shape).astype(dtype)
+            upstream[::2] = -0.0
+            backward(kit.tsum(kit.hadamard(spmm(adj, xp), Tensor(upstream))))
+            assert _as_bits(xp.grad) == _as_bits(ref @ upstream)
+        zeros = np.full((n, 3), -0.0, dtype=dtype)
+        assert _as_bits(spmm(adj, Tensor(zeros)).data) == _as_bits(ref @ zeros)
+        assert not np.signbit(spmm(adj, Tensor(zeros)).data).any()  # -0.0 terms sum to +0.0
+
+
+def test_the_kernel_loads_outside_sys_modules_and_is_scipys():
+    # in a fresh process: loading the kernel imports no scipy module, and a
+    # later import of scipy.sparse yields the same function
+    script = (
+        "import sys\n"
+        "from signa import graphdata\n"
+        "kernel = graphdata._csr_matvecs()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "import scipy.sparse\n"
+        "print(scipy.sparse._sparsetools.csr_matvecs is kernel)\n"
+    )
+    src = os.path.dirname(os.path.dirname(graphdata.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "True"]
+
+
+def test_loading_the_kernel_keeps_an_imported_scipy_as_it_was():
+    import scipy.sparse._sparsetools as sparsetools
+
+    graphdata._csr_matvecs.cache_clear()
+    try:
+        assert graphdata._csr_matvecs() is sparsetools.csr_matvecs
+        assert sys.modules[graphdata._KERNEL] is sparsetools
+    finally:
+        graphdata._csr_matvecs.cache_clear()
+
+
+def test_a_missing_kernel_is_an_import_error_that_names_its_path(monkeypatch):
+    import importlib.machinery
+
+    graphdata._csr_matvecs.cache_clear()
+    try:
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError, match=r"sparse.*_sparsetools\.missing\.so does not exist"):
+            graphdata._csr_matvecs()
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy is not installed"):
+            graphdata._csr_matvecs()
+    finally:
+        monkeypatch.undo()
+        graphdata._csr_matvecs.cache_clear()
 
 
 def test_spmm_gradcheck():
@@ -561,14 +664,14 @@ def test_sbm_memory_is_not_quadratic():
 def test_normalized_adjacency_is_built_in_the_active_precision():
     g = random_labeled_graph(np.random.default_rng(4), max_nodes=30)
     ref = normalized_adjacency(g)
-    assert ref.dtype == np.float64
+    assert ref.data.dtype == np.float64
     dc.set_precision("f32")
     adj = normalized_adjacency(g)
-    assert adj.dtype == np.float32
+    assert adj.data.dtype == np.float32
     np.testing.assert_array_equal(adj.indptr, ref.indptr)
     np.testing.assert_array_equal(adj.indices, ref.indices)
     assert np.array_equal(adj.data, ref.data.astype(np.float32))  # f64 values, rounded once
-    assert (adj @ np.ones((g.num_nodes, 2), dtype=np.float32)).dtype == np.float32  # spmm's product
+    assert spmm(adj, Tensor(np.ones((g.num_nodes, 2), dtype=np.float32))).data.dtype == np.float32
 
 
 @pytest.mark.parametrize("block_entries", [5, ops._BLOCK_ENTRIES])

@@ -17,7 +17,7 @@ import pytest
 from conftest import edge_list, split_generator
 import memtrace
 from memtrace import epoch_phases
-from oracles import save_checkpoint_v1_oracle
+from oracles import save_checkpoint_v1_oracle, save_checkpoint_v2_oracle
 
 import signa.contrast as contrast
 import signa.diffcore as dc
@@ -447,6 +447,47 @@ def test_checkpoint_reads_as_the_benchmark_reads_it(precision, tmp_path):
     with open(path, "r", encoding="utf-8") as fh:
         loss = json.load(fh).get("final_loss")
     assert isinstance(loss, float) and math.isfinite(loss)
+
+
+@pytest.mark.parametrize("chunk", [3, 3 * 7, trainer._BLOB_CHUNK])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_streamed_checkpoint_equals_the_write_json_writer(precision, chunk, monkeypatch, tmp_path):
+    # blobs of 0-2 bytes past a whole chunk, a gconv and a linear state, a
+    # final loss and none
+    monkeypatch.setattr(trainer, "_BLOB_CHUNK", chunk)
+    g = _small_graph()
+    for base, hidden in (("linear", 8), ("gconv", 7)):
+        model = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=hidden, dropout_p=0.3, projector_dim=5)
+        cfg = _config(model=model, num_epochs=2, precision=precision)
+        state, curve = train(g, cfg)
+        for loss in (curve[-1], None):
+            mine, theirs = str(tmp_path / "mine.json"), str(tmp_path / "theirs.json")
+            save_checkpoint(state, cfg, mine, final_loss=loss)
+            save_checkpoint_v2_oracle(state, cfg, theirs, final_loss=loss)
+            assert open(mine, "rb").read() == open(theirs, "rb").read()
+
+
+def test_saving_a_checkpoint_holds_one_chunk_of_text(tmp_path):
+    # the parameters' P bytes are held before the save; the save adds about
+    # one chunk's base64 bytes, its str and its UTF-8 encoding, and the
+    # header, where one document of base64 strings held ~3.5 P at its peak.
+    # W0 spans many chunks, and the file is the earlier writer's
+    model = ModelSpec(num_layers=1, hidden_dim=256, projector_dim=8)
+    state = EncoderState(model, 2000, dc.RngStream(0, "init"))
+    cfg = _config(model=model)
+    blobs = sum(p.data.nbytes for p in state.parameters())
+    path = str(tmp_path / "ck.json")
+    tracemalloc.start()
+    try:
+        save_checkpoint(state, cfg, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 3 * trainer._BLOB_CHUNK * 4 // 3 + 2**16
+    assert peak <= bound < blobs / 4
+    assert max(p.data.nbytes for p in state.parameters()) > 10 * trainer._BLOB_CHUNK
+    save_checkpoint_v2_oracle(state, cfg, str(tmp_path / "oracle.json"))
+    assert open(path, "rb").read() == open(str(tmp_path / "oracle.json"), "rb").read()
 
 
 def test_checkpoint_rerun_is_byte_identical(tmp_path):
