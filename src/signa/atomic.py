@@ -1,10 +1,11 @@
 """Crash-safe artifact writes.
 
 `open_atomic` writes into a sibling temp file and moves it over the target
-only after the body finished and the data reached the disk.  A reader sees
-the old file or the new one, never a truncated mix, and an error part way
-through leaves the old file untouched.  Standard library only: the CLI
-imports this before numpy loads.
+only after the body finished and the data reached the disk, then syncs the
+directory, so the rename too survives a crash once the call has returned.
+A reader sees the old file or the new one, never a truncated mix, and an
+error part way through leaves the old file untouched.  Standard library
+only: the CLI imports this before numpy loads.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ def _replace_target(path: str):
     if stat.S_ISREG(st.st_mode) and os.path.exists(real) and os.path.samestat(st, os.stat(real)):
         return real, stat.S_IMODE(st.st_mode)
     return None
+
+
+def _sync_directory(path: str) -> None:
+    """fsync the directory `path`, which makes a rename in it durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 @contextmanager
@@ -64,6 +74,7 @@ def open_atomic(path: str):
             except OSError:
                 pass
             raise
+        _sync_directory(os.path.dirname(real))
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -81,10 +81,11 @@ def test_checkpoint_bytes_are_sorted_indented_json(tmp_path):
     assert raw == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def test_fifo_target_is_written_in_place(tmp_path):
+def test_fifo_target_is_written_in_place(tmp_path, monkeypatch):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    received = []
+    received, synced = [], []
+    monkeypatch.setattr(os, "fsync", synced.append)  # nothing is renamed, so nothing is synced
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
     try:
@@ -92,7 +93,7 @@ def test_fifo_target_is_written_in_place(tmp_path):
             fh.write("through the pipe\n")
     finally:
         reader.join(timeout=10)
-    assert received == [b"through the pipe\n"]
+    assert received == [b"through the pipe\n"] and synced == []
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["fifo"]
 
@@ -128,3 +129,26 @@ def test_replaced_file_keeps_its_mode(tmp_path):
         fh.write("new\n")
     assert path.read_text() == "new\n"
     assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
+
+@pytest.mark.parametrize("write", [_write_checkpoint, _write_report], ids=["checkpoint", "json"])
+def test_the_rename_is_synced_to_its_directory(write, tmp_path, monkeypatch):
+    # the data reaches the disk before the rename, and the directory entry
+    # after it: without the directory's fsync a crash could lose the rename
+    # after the command reported success
+    path = tmp_path / "artifact.json"
+    write(str(path), 1.0)  # replace an existing file, as a rerun does
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def fsync_spy(fd):
+        st = os.fstat(fd)
+        events.append("directory" if stat.S_ISDIR(st.st_mode) and os.path.samestat(st, os.stat(tmp_path)) else "file")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_spy)
+    monkeypatch.setattr(os, "replace", lambda *args: events.append("replace") or replace(*args))
+    write(str(path), 2.0)
+    assert events == ["file", "replace", "directory"]
+    assert json.load(open(path))["final_loss"] == 2.0
+    assert sorted(os.listdir(tmp_path)) == ["artifact.json"]

@@ -28,7 +28,7 @@ from signa.diffcore.ops import _BLOCK_ENTRIES
 from signa.cli import main
 from signa.encoder import EncoderState, ModelSpec, encode, inference_embeddings, project
 from signa.errors import CheckpointError, ConfigError
-from signa.graphdata import sbm_generate
+from signa.graphdata import normalized_adjacency, sbm_generate
 from signa.trainer import (
     TrainConfig,
     apply_ablation,
@@ -510,8 +510,11 @@ def test_checkpoint_rerun_is_byte_identical(tmp_path):
 # layer's matmul; the next three while a standalone relu or leaky relu kept
 # a bool mask and the product after it the activation's output; the last
 # two while a layer without LayerNorm summed its bias in an `add` op of its
-# own before the activation.  Each run is 15 epochs on `_small_graph()` with one BLAS thread, and LayerNorm is on
-# in all of them but the "no-layer-norm" ones.
+# own before the activation; the last six by the same ops, to pin paths no
+# earlier run reached: features wider than the layers (layer 0's product
+# stays on the tape), gconv with LayerNorm at f64, and projectors other
+# than the ELU.  Each run is 15 epochs on `_small_graph()` with one BLAS thread, and
+# LayerNorm is on in all of them but the "no-layer-norm" ones.
 _EARLIER_CHECKPOINT_SHA256 = {
     "relu": "e04d3356eecee5a2003358391b09e35b8c2006a7daefd13f0c136221f2906549",
     "rrelu-f32": "cfb9482f2a67fcc2cf92b66d0a55d595f8dd88dc5bf2e5eeb8a157fcb2d840a5",
@@ -529,7 +532,17 @@ _EARLIER_CHECKPOINT_SHA256 = {
     "no-layer-norm-rrelu": "a3f9a477e88205f465a2c35537a62ad00cbec4d0431edb397357c8e2f7afa6fc",
     "no-layer-norm-elu": "57c682712b852128be5055f96d7b96d88bd3ceb959b0a9f4aa6304c74d28f692",
     "no-layer-norm-prelu-gconv": "26938e54b2b4d365d98912070f693a00f7400e2599b2e3bd901994d17f00be81",
+    "wide-features": "0a371e5546b5470417c94f1751c5943148582a8b1865671caa51a54f3fb3729b",
+    "wide-features-gconv-f32": "14c5dc259074e55c5da4522df5760d116a5ee70d86c4fa14a9aabef3e0d5eadc",
+    "wide-features-no-layer-norm-relu": "157ee43ef742e95455795f7175dac279d1cbc3b2901b487f48bbee5c3cc14ab7",
+    "gconv": "a9ed9baa1ccee4ec9f87f095c8a6dfaebaf8d573bb6fba8dc60a9d1233cbe0ec",
+    "prelu-projector": "1d669cd1a2982ce26b2c77e87143acad1615244f93c441eeec3fbbdbfe5e83b9",
+    "leaky_relu-projector-no-layer-norm-elu-f32": "193eff17d7f27b7abbc471f47acb3444f8a1fe65369043570e68e39ba2476839",
 }
+
+
+def _gconv() -> ModelSpec:
+    return ModelSpec(num_layers=2, base_encoder="gconv", hidden_dim=8, dropout_p=0.3, projector_dim=4)
 
 
 def _no_layer_norm(activation: str, base_encoder: str = "linear") -> ModelSpec:
@@ -573,18 +586,75 @@ _SMALL_RUNS = {
     # the ELU keeps its output; with gconv the bias follows spmm
     "no-layer-norm-elu": dict(model=_no_layer_norm("elu")),
     "no-layer-norm-prelu-gconv": dict(model=_no_layer_norm("prelu", "gconv")),
+    # 12 features, wider than the 8-wide layers: layer 0's product is held,
+    # not formed again in the backward (`f` is `_small_graph`'s feature count)
+    "wide-features": dict(f=12),
+    "wide-features-gconv-f32": dict(f=12, model=_gconv(), precision="f32"),
+    "wide-features-no-layer-norm-relu": dict(f=12, model=_no_layer_norm("relu")),
+    "gconv": dict(model=_gconv()),
+    "prelu-projector": dict(
+        model=ModelSpec(num_layers=2, hidden_dim=8, dropout_p=0.3, projector_dim=4, projector_activation="prelu")
+    ),
+    "leaky_relu-projector-no-layer-norm-elu-f32": dict(
+        model=ModelSpec(
+            num_layers=2, hidden_dim=8, dropout_p=0.3, activation="elu", layer_norm_enabled=False,
+            projector_dim=4, projector_activation="leaky_relu",
+        ),
+        precision="f32",
+    ),
 }
 
 
 @pytest.mark.parametrize("run", sorted(_SMALL_RUNS))
 def test_small_checkpoints_keep_the_earlier_bytes(run, tmp_path):
-    # every projector here is an ELU; the encoder layers run each
-    # activation kind, and the other runs prelu
-    cfg = _config(**_SMALL_RUNS[run])
-    state, curve = train(_small_graph(), cfg)
+    # the projectors are ELUs but in the last two entries; the encoder layers
+    # run each activation kind, and the other runs prelu
+    kw = dict(_SMALL_RUNS[run])
+    graph = _small_graph(f=kw.pop("f", 6))
+    cfg = _config(**kw)
+    state, curve = train(graph, cfg)
     path = str(tmp_path / "ck.json")
     save_checkpoint(state, cfg, path, final_loss=curve[-1])
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == _EARLIER_CHECKPOINT_SHA256[run]
+
+
+def _public_steps(graph, config) -> tuple:
+    """`trainer.train` spelt out in signa's public calls, as
+    `perfbench/traced.py` times it: per epoch `draw_masks`, `encode`,
+    `project`, `estimator_loss`, `dc.backward` and `dc.adam_step`."""
+    dc.set_precision(config.precision)
+    plan = apply_ablation(config)
+    init_rng, dropout_rng, mask_rng = (dc.RngStream(config.seed, p) for p in ("init", "dropout", "mask"))
+    adj = normalized_adjacency(graph) if plan.model.base_encoder == "gconv" else None
+    state = EncoderState(plan.model, graph.num_features, init_rng)
+    adam = dc.AdamState(state.parameters(), lr=config.learning_rate, weight_decay=config.weight_decay)
+    curve = []
+    for epoch in range(config.num_epochs):
+        draw = draw_masks(graph, plan.mask_rate, mask_rng, epoch=epoch)
+        h = encode(state, plan.model, graph, adj=adj, training=True, rng=dropout_rng)
+        z = project(state, h)
+        loss = estimator_loss(z, draw, plan.estimator)
+        curve.append(float(loss.data))
+        dc.backward(loss)
+        dc.adam_step(adam)
+    return state, curve
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("base", ["linear", "gconv"])
+def test_the_public_step_sequence_gives_trains_checkpoint(base, precision, tmp_path):
+    # the benchmark's traced stage times these calls in place of `train`;
+    # its checkpoint must be train's, byte for byte
+    set_precision(precision)
+    graph = _small_graph()
+    model = ModelSpec(num_layers=2, base_encoder=base, hidden_dim=8, dropout_p=0.3, projector_dim=4)
+    cfg = _config(model=model, precision=precision, num_epochs=4)
+    paths = []
+    for run in (train, _public_steps):
+        state, curve = run(graph, cfg)
+        paths.append(tmp_path / f"{run.__name__}.json")
+        save_checkpoint(state, cfg, str(paths[-1]), final_loss=curve[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_f32_features_refuse_an_f64_run(monkeypatch):
